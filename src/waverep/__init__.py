@@ -38,6 +38,7 @@ from .filterbank import (
     complete_filterbank,
     modulation_matrix,
     pairwise_residual,
+    paraunitarity_residual,
     qmf_residual,
     unitarity_residual,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "mother_hat",
     "pairing",
     "pairwise_residual",
+    "paraunitarity_residual",
     "per_residual",
     "purity_diagnostics",
     "qmf_residual",

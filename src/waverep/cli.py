@@ -30,10 +30,7 @@ from . import serialize as ser
 from . import wold as wld
 from .filterbank import check_bank, complete_filterbank, unitarity_residual, VERIFY_TOL
 from .laurent import CircleGrid, GridFunction, LaurentPoly
-
-
-class InputError(Exception):
-    """Bad file, malformed JSON, unknown fixture: exit code 2."""
+from .serialize import InputError
 
 
 def parse_angle(text: str) -> float:
@@ -53,6 +50,17 @@ def parse_angle(text: str) -> float:
         return float(s)
     except ValueError as e:
         raise InputError(f"cannot parse angle {text!r}") from e
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (argparse turns the error into exit 2)."""
+    try:
+        value = int(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from e
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def _load_json(path: str) -> dict:
@@ -106,12 +114,22 @@ def emit_csv(path: str, samples: cas.LineSamples) -> None:
 def cmd_check(args):
     bank = _load_bank(args)
     grid = CircleGrid(args.grid_size) if args.grid_size else None
+    if bank.kind == "grid":
+        own = bank.filters[0].grid.M
+        if grid is not None and grid.M != own:
+            raise InputError(f"a grid bank is checked on its own {own}-point grid, "
+                             f"not on --grid-size {grid.M}")
+        if own % bank.scale != 0:
+            raise InputError(f"a grid bank's grid size must be divisible by its scale "
+                             f"{bank.scale}, got {own}")
     rep = check_bank(bank, grid)
     verdicts = {"unitary": rep.verified}
     residuals = {
         "unitarity": rep.unitarity_residual,
         **{f"qmf_{i}": r for i, r in enumerate(rep.qmf_residuals)},
     }
+    if rep.coefficient_residual is not None:
+        residuals["coefficient"] = rep.coefficient_residual
     info = {
         "scale": bank.scale,
         "kind": bank.kind,
@@ -122,6 +140,7 @@ def cmd_check(args):
             "lowpass_ok": rep.lowpass_ok,
             "grid_size": rep.grid_size,
             "worst_point": rep.worst_point,
+            "coefficient_residual": rep.coefficient_residual,
         },
     }
     return verdicts, residuals, info, []
@@ -330,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("check", help="verify a filter bank")
     q.add_argument("bank", nargs="?", help="bank JSON file")
     q.add_argument("--fixture")
-    q.add_argument("--grid-size", type=int, default=0)
+    q.add_argument("--grid-size", type=_positive_int, default=0,
+                   help="check-grid size (default: 4096 rounded up to a multiple of N; "
+                        "a grid bank uses its own grid)")
     q.set_defaults(handler=cmd_check)
 
     q = sub.add_parser("complete", help="extend a low-pass filter to a unitary bank")

@@ -9,9 +9,13 @@ three kinds, uniform within a bank:
 * ``AngleFunction`` -- an explicit rule t -> value, for filters like sharp
   band indicators that no polynomial represents.
 
-The central object is the N x N modulation matrix with entries
+The central object is the N x N modulation matrix C(z) with entries
 N^(-1/2) m_i(rho^k z), rho = exp(2*pi*i/N); a bank is "verified" when that
 matrix is unitary, up to tolerance, at every point of the check grid.
+
+Each filter is sampled once, and every grid residual is read off one batch
+of Gram matrices C(z) C(z)* over a fundamental domain of z -> rho z.  Grid
+verdicts are screens; polynomial banks also get an exact certificate.
 """
 
 from __future__ import annotations
@@ -97,20 +101,17 @@ class CheckReport:
     lowpass_ok: bool
     grid_size: int
     worst_point: complex  # grid point where the unitarity deviation peaks
+    coefficient_residual: float | None = None  # exact certificate; polynomial banks only
 
     @property
     def verified(self) -> bool:
-        return self.unitarity_residual <= VERIFY_TOL
+        exact = self.coefficient_residual or 0.0
+        return self.unitarity_residual <= VERIFY_TOL and exact <= VERIFY_TOL
 
 
 def default_check_grid(scale: int, points: int = DEFAULT_CHECK_POINTS) -> CircleGrid:
     """A grid whose size is a multiple of the scale (rotation = index shift)."""
-    m = scale * math.ceil(points / scale)
-    return CircleGrid(m)
-
-
-# ---------------------------------------------------------------------------
-# pointwise evaluation helpers
+    return CircleGrid(scale * math.ceil(points / scale))
 
 
 def filter_values_at_angles(f: Filter, theta: np.ndarray) -> np.ndarray:
@@ -126,25 +127,55 @@ def filter_values_at_angles(f: Filter, theta: np.ndarray) -> np.ndarray:
     raise TypeError("grid filters cannot be evaluated at arbitrary angles")
 
 
-def values_on_coset(f: Filter, scale: int, grid: CircleGrid) -> np.ndarray:
-    """Array V[k, j] = m(rho^k z_j) over the whole grid, k = 0..N-1.
+def values_on_coset(f: Filter, scale: int, grid: CircleGrid, *,
+                    columns: int | None = None) -> np.ndarray:
+    """Array V[k, j] = m(rho^k z_j), k = 0..N-1, over grid points j < columns (default M).
 
-    For grid-kind filters the grid must be the filter's own grid and its size
-    must be divisible by the scale, so rho-rotation is an exact index roll.
-    Polynomials and angle callables are evaluated exactly at the offset
-    angles.
+    A polynomial is sampled by one inverse FFT of its coefficients folded
+    modulo L = lcm(M, N): the L-th roots of unity hold every z_j and every
+    rho^k z_j, so rotation is an index shift.  A grid-kind filter needs this
+    grid and N | M, and rotation is a roll.  A callable is called once.
     """
-    n = scale
+    n, m = scale, grid.M
+    cols = m if columns is None else columns
+    size = m if isinstance(f, GridFunction) else math.lcm(m, n)
+    index = (np.arange(cols)[None, :] * (size // m) + np.arange(n)[:, None] * (size // n)) % size
     if isinstance(f, GridFunction):
         if f.grid != grid:
             raise ValueError("grid filter is bound to a different grid")
-        if grid.M % n != 0:
+        if m % n != 0:
             raise ValueError("coset sweep of a grid filter needs M divisible by the scale")
-        step = grid.M // n
-        return np.stack([np.roll(f.values, -k * step) for k in range(n)])
-    theta = grid.angles()
-    rows = [filter_values_at_angles(f, theta + 2.0 * np.pi * k / n) for k in range(n)]
-    return np.stack(rows)
+        return f.values[index]
+    if isinstance(f, LaurentPoly):
+        folded = np.zeros(size, dtype=np.complex128)
+        np.add.at(folded, (f.min_degree + np.arange(len(f.coeffs))) % size, f.coeffs)
+        return np.fft.ifft(folded, norm="forward")[index]
+    theta = grid.angles()[None, :cols] + (2.0 * np.pi * np.arange(n) / n)[:, None]
+    return filter_values_at_angles(f, theta.ravel()).reshape(n, cols)
+
+
+def _coset_gram(filters, scale: int, grid: CircleGrid | None):
+    """(G, grid): G[j][i, i'] = (1/N) sum_k m_i(rho^k z_j) conj(m_i'(rho^k z_j)).
+
+    A coset sum depends on z_j^N only, so when N | M only the first M/N grid
+    points are formed; the others repeat them.  grid=None means the default.
+    """
+    if grid is None:
+        first = filters[0]
+        grid = first.grid if isinstance(first, GridFunction) else default_check_grid(scale)
+    cols = grid.M // scale if grid.M % scale == 0 else grid.M
+    c = np.empty((cols, len(filters), scale), dtype=np.complex128)
+    for i, f in enumerate(filters):
+        c[:, i, :] = values_on_coset(f, scale, grid, columns=cols).T
+    c /= math.sqrt(scale)
+    return c @ np.conj(c.transpose(0, 2, 1)), grid
+
+
+def _worst_unitarity(gram: np.ndarray, grid: CircleGrid):
+    """Max over points of ||G - I||_2, the largest |eigenvalue|, and its point."""
+    norms = np.max(np.abs(np.linalg.eigvalsh(gram - np.eye(gram.shape[-1]))), axis=-1)
+    j = int(np.argmax(norms))
+    return float(norms[j]), complex(grid.points()[j])
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +184,8 @@ def values_on_coset(f: Filter, scale: int, grid: CircleGrid) -> np.ndarray:
 
 def qmf_residual(f: Filter, scale: int, grid: CircleGrid | None = None) -> float:
     """Max over the grid of |sum_k |m(rho^k z)|^2 - N|."""
-    if grid is None:
-        grid = f.grid if isinstance(f, GridFunction) else default_check_grid(scale)
-    v = values_on_coset(f, scale, grid)
-    s = np.sum(np.abs(v) ** 2, axis=0)
-    return float(np.max(np.abs(s - scale)))
+    gram, _ = _coset_gram((f,), scale, grid)
+    return float(scale * np.max(np.abs(gram[:, 0, 0] - 1.0)))
 
 
 def pairwise_residual(fb: FilterBank, i: int, j: int, grid: CircleGrid | None = None) -> float:
@@ -165,13 +193,44 @@ def pairwise_residual(fb: FilterBank, i: int, j: int, grid: CircleGrid | None = 
     n = fb.scale
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError("filter index out of range")
-    if grid is None:
-        grid = fb.filters[0].grid if fb.kind == "grid" else default_check_grid(n)
-    vi = values_on_coset(fb.filters[i], n, grid)
-    vj = values_on_coset(fb.filters[j], n, grid)
-    s = np.sum(np.conj(vi) * vj, axis=0)
-    target = n if i == j else 0.0
-    return float(np.max(np.abs(s - target)))
+    gram, _ = _coset_gram((fb.filters[i], fb.filters[j]), n, grid)
+    return float(n * np.max(np.abs(gram[:, 0, 1] - float(i == j))))
+
+
+def unitarity_residual(fb: FilterBank, grid: CircleGrid | None = None) -> float:
+    """Max over the grid of the spectral norm of C(z) C(z)* - I."""
+    return unitarity_residual_with_argmax(fb, grid)[0]
+
+
+def unitarity_residual_with_argmax(fb: FilterBank, grid: CircleGrid | None = None):
+    return _worst_unitarity(*_coset_gram(fb.filters, fb.scale, grid))
+
+
+def paraunitarity_residual(fb: FilterBank) -> float:
+    """Exact unitarity certificate of a polynomial bank, from coefficients.
+
+    G(z) - I = sum_s E_s z^(N s), E_s[i, j] = sum_b c_i[b + N s] conj(c_j[b])
+    - delta_ij delta_s0 with c_i the coefficients of m_i (the polyphase
+    matrix is paraunitary exactly when every E_s vanishes).  The returned
+    sum_s ||E_s||_2 bounds ||G(z) - I|| everywhere on the circle.
+    """
+    if fb.kind != "poly":
+        raise TypeError("the coefficient certificate needs a polynomial bank")
+    n = fb.scale
+    width = max(max(len(f.coeffs) for f in fb.filters), 1)
+    a = np.zeros((n, width), dtype=np.complex128)
+    for i, f in enumerate(fb.filters):
+        a[i, : len(f.coeffs)] = f.coeffs
+    fa = np.fft.fft(a, 2 * width)  # zero-padded, so the circular correlation does not alias
+    corr = np.fft.ifft(fa[:, None, :] * np.conj(fa[None, :, :]))  # sum_b a_i[b+k] conj(a_j[b])
+    lo = np.array([f.min_degree for f in fb.filters])
+    lag = np.fft.ifftshift(np.arange(-width, width)) + (lo[:, None] - lo[None, :])[..., None]
+    i, j, k = np.nonzero(lag % n == 0)
+    shifts, pos = np.unique(np.append(lag[i, j, k] // n, 0), return_inverse=True)
+    e = np.zeros((len(shifts), n, n), dtype=np.complex128)
+    e[pos[:-1], i, j] = corr[i, j, k]
+    e[pos[-1]] -= np.eye(n)
+    return float(np.sum(np.linalg.norm(e, ord=2, axis=(1, 2))))
 
 
 def modulation_matrix(fb: FilterBank, z: complex) -> np.ndarray:
@@ -182,13 +241,8 @@ def modulation_matrix(fb: FilterBank, z: complex) -> np.ndarray:
         raise ValueError("z must lie on the unit circle")
     rho = np.exp(2j * np.pi / n)
     pts = np.array([z * rho**k for k in range(n)])
-    rows = []
-    for f in fb.filters:
-        if isinstance(f, GridFunction):
-            rows.append(np.array([_grid_value_at(f, w) for w in pts]))
-        else:
-            theta = np.angle(pts)
-            rows.append(filter_values_at_angles(f, theta))
+    rows = [np.array([_grid_value_at(f, w) for w in pts]) if isinstance(f, GridFunction)
+            else filter_values_at_angles(f, np.angle(pts)) for f in fb.filters]
     return np.stack(rows) / np.sqrt(n)
 
 
@@ -198,28 +252,6 @@ def _grid_value_at(f: GridFunction, z: complex) -> complex:
     if abs(f.grid.points()[j] - z) > 1e-9:
         raise ValueError("grid filter has no value at this point")
     return complex(f.values[j])
-
-
-def _modulation_stack(fb: FilterBank, grid: CircleGrid) -> np.ndarray:
-    n = fb.scale
-    vals = np.stack([values_on_coset(f, n, grid) for f in fb.filters])  # (i, k, j)
-    return vals.transpose(2, 0, 1) / np.sqrt(n)  # (j, i, k)
-
-
-def unitarity_residual(fb: FilterBank, grid: CircleGrid | None = None) -> float:
-    """Max over the grid of the spectral norm of C(z) C(z)* - I."""
-    res, _ = unitarity_residual_with_argmax(fb, grid)
-    return res
-
-
-def unitarity_residual_with_argmax(fb: FilterBank, grid: CircleGrid | None = None):
-    if grid is None:
-        grid = fb.filters[0].grid if fb.kind == "grid" else default_check_grid(fb.scale)
-    c = _modulation_stack(fb, grid)
-    gram = c @ np.conj(c.transpose(0, 2, 1)) - np.eye(fb.scale)
-    norms = np.linalg.norm(gram, ord=2, axis=(1, 2))
-    j = int(np.argmax(norms))
-    return float(norms[j]), complex(grid.points()[j])
 
 
 @dataclass
@@ -249,32 +281,24 @@ def check_lowpass(f: Filter, scale: int, tol: float = 1e-8) -> LowpassReport:
     v0 = complex(vals[0])
     zeros = np.abs(vals[1:])
     ok = abs(abs(v0) - math.sqrt(n)) <= tol and bool(np.all(zeros <= tol))
-    return LowpassReport(
-        ok=ok,
-        value_at_zero=v0,
-        phase_aligned=abs(v0 - math.sqrt(n)) <= tol,
-        zero_residuals=zeros,
-    )
+    return LowpassReport(ok=ok, value_at_zero=v0, phase_aligned=abs(v0 - math.sqrt(n)) <= tol,
+                         zero_residuals=zeros)
 
 
 def check_bank(fb: FilterBank, grid: CircleGrid | None = None) -> CheckReport:
     """Run the full condition suite on a bank and collect residuals."""
     n = fb.scale
-    if grid is None:
-        grid = fb.filters[0].grid if fb.kind == "grid" else default_check_grid(n)
-    qmf = [qmf_residual(f, n, grid) for f in fb.filters]
-    pw = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            pw[i, j] = pairwise_residual(fb, i, j, grid)
-    uni, worst = unitarity_residual_with_argmax(fb, grid)
+    gram, grid = _coset_gram(fb.filters, n, grid)
+    pw = n * np.max(np.abs(gram - np.eye(n)), axis=0)
+    uni, worst = _worst_unitarity(gram, grid)
     return CheckReport(
-        qmf_residuals=qmf,
+        qmf_residuals=[float(pw[i, i]) for i in range(n)],
         pairwise_residuals=pw,
         unitarity_residual=uni,
         lowpass_ok=check_lowpass(fb.filters[0], n).ok,
         grid_size=grid.M,
         worst_point=worst,
+        coefficient_residual=paraunitarity_residual(fb) if fb.kind == "poly" else None,
     )
 
 
@@ -289,8 +313,10 @@ def complete_filterbank(lowpass: Filter, scale: int, tol: float = VERIFY_TOL,
     Polynomial input at scale 2 stays polynomial via the conjugate-mirror
     rule m_1(z) = -z^(2K-1) * conj-reflect(m_0)(-z), K the top degree; the
     sign fixes a canonical phase.  Polynomial input at scale > 2 falls back
-    to a grid-kind bank (pointwise Householder completion on a fundamental
-    domain), as does grid input.
+    to a grid-kind bank, as does grid input: each rotation orbit {z_j, rho z_j,
+    .., rho^(N-1) z_j}, j < M/N, gets its filter values from one unitary whose
+    first row is the normalized coset vector of m_0, so the modulation matrix
+    at every grid point is a column permutation of an exactly unitary matrix.
     """
     n = scale
     res = qmf_residual(lowpass, n, grid)
@@ -303,61 +329,34 @@ def complete_filterbank(lowpass: Filter, scale: int, tol: float = VERIFY_TOL,
     if isinstance(lowpass, GridFunction):
         if grid is not None and grid != lowpass.grid:
             raise ValueError("grid filter is bound to its own grid")
-        grid = lowpass.grid
-        m0_vals = lowpass.values
+        grid, m0_vals = lowpass.grid, lowpass.values
     else:
-        if grid is None:
-            grid = default_check_grid(n)
+        grid = grid or default_check_grid(n)
         m0_vals = filter_values_at_angles(lowpass, grid.angles())
     if grid.M % n != 0:
         raise ValueError("completion grid size must be divisible by the scale")
-    filters = _householder_completion(m0_vals, n, grid)
-    return FilterBank(n, filters)
-
-
-def _householder_completion(m0_vals: np.ndarray, n: int, grid: CircleGrid) -> tuple:
-    """Grid completion on a fundamental domain of the rho-rotation.
-
-    Each rotation orbit {z, rho z, ..., rho^(N-1) z} receives its filter
-    values from one unitary matrix whose first row is the normalized coset
-    vector of m_0, so the modulation matrix at every grid point is a column
-    permutation of an exactly unitary matrix.
-    """
-    m = grid.M
-    step = m // n
-    out = np.zeros((n, m), dtype=np.complex128)
-    out[0] = m0_vals
     root_n = math.sqrt(n)
-    for j in range(step):
-        idx = (j + step * np.arange(n)) % m
-        v = m0_vals[idx] / root_n
-        q = householder_rows(v)
-        out[1:, idx] = root_n * q[1:, :]
-    return tuple(GridFunction(grid, row) for row in out)
+    q = householder_rows(m0_vals.reshape(n, -1).T / root_n)  # q[j] for orbit j
+    out = (root_n * q.transpose(1, 2, 0)).reshape(n, grid.M)  # out[r, k M/N + j] = q[j, r, k]
+    out[0] = m0_vals
+    return FilterBank(n, tuple(GridFunction(grid, row) for row in out))
 
 
 def householder_rows(v: np.ndarray) -> np.ndarray:
-    """A unitary matrix whose first row is the unit vector v.
+    """A unitary matrix whose first row is the unit vector v (batched over leading axes).
 
     Deterministic: built from the Householder reflector sending conj(v) to a
     unimodular multiple of the first basis vector, phase chosen to avoid
-    cancellation, then phase-corrected so row 0 is exactly v.
+    cancellation (|u_0| = |v_0| + 1, so it never degenerates), then
+    phase-corrected so row 0 is exactly v.
     """
-    v = np.asarray(v, dtype=np.complex128)
-    n = len(v)
-    x = np.conj(v)
-    if abs(x[0]) > 0:
-        beta = -x[0] / abs(x[0])
-    else:
-        beta = 1.0 + 0.0j
-    u = x - beta * np.eye(n, dtype=np.complex128)[0]
-    nu = np.vdot(u, u).real
-    if nu < 1e-30:
-        h = np.eye(n, dtype=np.complex128)
-        beta = x[0] if abs(x[0]) > 0 else 1.0
-    else:
-        h = np.eye(n, dtype=np.complex128) - 2.0 * np.outer(u, np.conj(u)) / nu
+    x = np.conj(np.asarray(v, dtype=np.complex128))
+    a0 = np.abs(x[..., :1])
+    beta = np.where(a0 > 0, -x[..., :1] / np.where(a0 > 0, a0, 1.0), 1.0)
+    u = x.copy()
+    u[..., :1] -= beta
+    nu = np.sum(np.abs(u) ** 2, axis=-1)[..., None, None]
+    h = np.eye(x.shape[-1]) - 2.0 * u[..., :, None] * np.conj(u[..., None, :]) / nu
     # U = H diag(beta, 1, ..) has first column conj(v); its adjoint has row 0 = v.
-    d = np.ones(n, dtype=np.complex128)
-    d[0] = np.conj(beta)
-    return d[:, None] * h
+    h[..., 0, :] *= np.conj(beta)
+    return h

@@ -22,6 +22,10 @@ from .filterbank import FilterBank, default_check_grid
 from .laurent import CircleGrid, GridFunction, LaurentPoly
 
 
+class InputError(ValueError):
+    """Input outside the wire formats or the command contract: exit code 2."""
+
+
 def _c2pair(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
 
@@ -110,6 +114,15 @@ def filter_to_dict(f) -> dict:
 
 
 def filter_from_dict(d: dict):
-    if d.get("kind", "poly") == "poly" or "min_degree" in d:
+    """Decode a single filter; an untagged one is read by its keys."""
+    if not isinstance(d, dict):
+        raise InputError(f"a filter is a JSON object, got {type(d).__name__}")
+    kind = d.get("kind")
+    if kind is None:
+        kind = "poly" if "coeffs" in d else "grid" if "values" in d else None
+    if kind == "poly":
         return poly_from_dict(d)
-    return gridfunction_from_dict(d)
+    if kind == "grid":
+        return gridfunction_from_dict(d)
+    raise InputError(f"a filter needs \"coeffs\" (polynomial) or \"values\" (grid samples), "
+                     f"or a kind tag; got keys {sorted(d)}")

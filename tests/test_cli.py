@@ -6,7 +6,8 @@ import pytest
 
 from waverep import serialize as ser
 from waverep.cli import parse_angle, run
-from waverep.laurent import CircleGrid, GridFunction
+from waverep.filterbank import FilterBank
+from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, sample
 from waverep.fixtures import haar
 
 
@@ -203,3 +204,71 @@ def test_seed_echoed_in_report(capsys):
     code, rep = run_json(capsys, ["--seed", "5", "dilate", "--lam", "0.4"])
     assert code == 0
     assert rep["inputs"]["seed"] == 5
+
+
+def _grid_bank_file(tmp_path, m=64):
+    g = CircleGrid(m)
+    bank = ser.bank_to_dict(FilterBank(2, tuple(sample(f, g) for f in haar(2).filters)))
+    path = tmp_path / f"grid_bank_{m}.json"
+    path.write_text(json.dumps(bank))
+    return str(path)
+
+
+def _untagged_file(tmp_path, d):
+    path = tmp_path / "filter.json"
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", [
+    "negative_grid_size",
+    "zero_grid_size",
+    "grid_bank_on_other_grid",
+    "grid_bank_size_not_divisible_by_scale",
+    "filter_without_coeffs_or_values",
+    "filter_not_an_object",
+])
+def test_input_errors_exit_two(case, tmp_path, capsys):
+    argv = {
+        "negative_grid_size": lambda: ["check", "--fixture", "haar2", "--grid-size", "-3"],
+        "zero_grid_size": lambda: ["check", "--fixture", "haar2", "--grid-size", "0"],
+        "grid_bank_on_other_grid": lambda: [
+            "check", _grid_bank_file(tmp_path), "--grid-size", "128"],
+        "grid_bank_size_not_divisible_by_scale": lambda: ["check", _grid_bank_file(tmp_path, 63)],
+        "filter_without_coeffs_or_values": lambda: [
+            "complete", "--lowpass", _untagged_file(tmp_path, {"M": 4}), "--scale", "2"],
+        "filter_not_an_object": lambda: [
+            "wold", "--filter", _untagged_file(tmp_path, [[1.0, 0.0]]), "--scale", "2"],
+    }[case]()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err
+
+
+def test_grid_bank_on_its_own_grid_size(tmp_path, capsys):
+    code, rep = run_json(capsys, ["check", _grid_bank_file(tmp_path), "--grid-size", "64"])
+    assert code == 0 and rep["info"]["check_report"]["grid_size"] == 64
+    assert rep["info"]["check_report"]["coefficient_residual"] is None
+
+
+def test_untagged_grid_filter_is_read_as_grid(tmp_path, capsys):
+    g = CircleGrid(4096)
+    d = ser.gridfunction_to_dict(sample(haar(2).filters[0], g))  # {"M", "values"}, no "kind"
+    code, rep = run_json(capsys, ["complete", "--lowpass", _untagged_file(tmp_path, d),
+                                  "--scale", "2"])
+    assert code == 0 and rep["info"]["kind"] == "grid"
+
+
+def test_check_coarse_grid_cannot_pass_a_broken_polynomial_bank(tmp_path, capsys):
+    # z^6 - 1 vanishes on the 3-point grid and on its rotation by -1
+    bump = LaurentPoly.monomial(6) - LaurentPoly.one()
+    h = haar(2)
+    bad = FilterBank(2, (h.filters[0] + bump * 1e-3, h.filters[1] + bump * 0.5e-3))
+    path = tmp_path / "bumped.json"
+    path.write_text(json.dumps(ser.bank_to_dict(bad)))
+    code, rep = run_json(capsys, ["check", str(path), "--grid-size", "3"])
+    assert code == 1 and rep["verdicts"]["unitary"] is False
+    assert rep["residuals"]["unitarity"] < 1e-14
+    assert rep["residuals"]["coefficient"] > 1e-3
+    assert rep["info"]["check_report"]["coefficient_residual"] == rep["residuals"]["coefficient"]

@@ -2,21 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from waverep import fixtures
+from waverep import filterbank, fixtures
 from waverep.filterbank import (
     FilterBank,
     check_bank,
     check_lowpass,
     complete_filterbank,
     default_check_grid,
+    filter_values_at_angles,
     householder_rows,
     modulation_matrix,
     pairwise_residual,
+    paraunitarity_residual,
     qmf_residual,
     unitarity_residual,
+    values_on_coset,
 )
-from waverep.laurent import CircleGrid, LaurentPoly, sample
+from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, sample
 
 S2 = math.sqrt(2.0)
 
@@ -258,3 +262,259 @@ def test_bank_rejects_mixed_kinds():
 def test_default_check_grid_divisible():
     assert default_check_grid(3).M % 3 == 0
     assert default_check_grid(2).M == 4096
+
+
+# ---------------------------------------------------------------------------
+# the shared verification path: one sample per filter, one Gram batch
+
+
+def _horner_coset(f, n, grid):
+    """Reference: V[k] = f at theta_j + 2*pi*k/N, evaluated directly."""
+    if isinstance(f, GridFunction):
+        step = grid.M // n
+        return np.stack([np.roll(f.values, -k * step) for k in range(n)])
+    theta = grid.angles()
+    return np.stack([filter_values_at_angles(f, theta + 2.0 * np.pi * k / n) for k in range(n)])
+
+
+def _per_pair_residuals(bank, grid):
+    """Reference: qmf, pairwise and unitarity residuals as per-pair sums over the whole grid.
+
+    Returns (qmf, pairwise, unitarity, worst grid point).
+    """
+    n = bank.scale
+    v = [_horner_coset(f, n, grid) for f in bank.filters]
+    qmf = [np.max(np.abs(np.sum(np.abs(x) ** 2, axis=0) - n)) for x in v]
+    pw = np.array([[np.max(np.abs(np.sum(np.conj(v[i]) * v[j], axis=0) - (n if i == j else 0.0)))
+                    for j in range(n)] for i in range(n)])
+    c = np.stack(v).transpose(2, 0, 1) / np.sqrt(n)
+    norms = np.linalg.norm(c @ np.conj(c.transpose(0, 2, 1)) - np.eye(n), ord=2, axis=(1, 2))
+    return qmf, pw, float(np.max(norms)), grid.points()[np.argmax(norms)]
+
+
+_coeffs = st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+                   min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=_coeffs, lo=st.integers(-20, 20),
+       shape=st.sampled_from([(2, 4096), (3, 4095), (2, 4095), (3, 4096), (5, 64), (4, 30)]))
+def test_fft_coset_matches_horner(coeffs, lo, shape):
+    n, m = shape
+    p = LaurentPoly(coeffs, min_degree=lo)
+    grid = CircleGrid(m)
+    gap = np.abs(values_on_coset(p, n, grid) - _horner_coset(p, n, grid))
+    assert np.max(gap, initial=0.0) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 5), m=st.integers(1, 48), extra=st.integers(1, 3),
+       offset=st.integers(0, 47))
+def test_fft_coset_folds_monomials_above_grid_size(n, m, extra, offset):
+    # degrees beyond M wrap around the lcm(M, N)-th roots of unity
+    grid = CircleGrid(m)
+    for deg in (extra * m + offset, -(extra * m + offset)):
+        p = LaurentPoly.monomial(deg, 0.5 - 0.25j)
+        assert np.max(np.abs(values_on_coset(p, n, grid) - _horner_coset(p, n, grid))) < 1e-12
+
+
+def test_coset_columns_restrict_the_grid(db4_bank, shannon_bank):
+    grid = CircleGrid(4096)
+    for f in (db4_bank.filters[0], shannon_bank.filters[1]):
+        head = values_on_coset(f, 2, grid, columns=10)
+        assert np.array_equal(head, values_on_coset(f, 2, grid)[:, :10])
+
+
+@pytest.mark.parametrize("name", ["haar8", "db4", "paraunitary8", "shannon"])
+def test_check_bank_matches_per_pair_definitions(name):
+    if name == "paraunitary8":
+        bank = fixtures.random_paraunitary_bank(8, 3, np.random.default_rng(11))
+    else:
+        bank = fixtures.fixture_bank(name)
+    grid = default_check_grid(bank.scale)
+    qmf, pw, uni, _ = _per_pair_residuals(bank, grid)
+    rep = check_bank(bank)
+    assert rep.grid_size == grid.M
+    assert np.allclose(rep.qmf_residuals, qmf, rtol=0, atol=1e-12)
+    assert np.allclose(rep.pairwise_residuals, pw, rtol=0, atol=1e-12)
+    assert abs(rep.unitarity_residual - uni) < 1e-12
+    for i in range(bank.scale):
+        j = (i + 1) % bank.scale
+        assert abs(qmf_residual(bank.filters[i], bank.scale) - qmf[i]) < 1e-12
+        assert abs(pairwise_residual(bank, i, j) - pw[i, j]) < 1e-12
+    # and on a broken bank, where the residuals are far from rounding level
+    bad = FilterBank(bank.scale, (bank.filters[0],) * bank.scale)
+    qmf, pw, uni, _ = _per_pair_residuals(bad, grid)
+    rep = check_bank(bad)
+    assert uni > 0.5 and abs(rep.unitarity_residual - uni) < 1e-12
+    assert np.allclose(rep.pairwise_residuals, pw, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale,seed", [(2, 1), (3, 2), (4, 3), (8, 4)])
+def test_check_bank_on_a_perturbed_bank(scale, seed):
+    # a random bump makes the deviation vary over the circle; its peak is
+    # found on the fundamental domain, up to the rotation z -> rho z
+    rng = np.random.default_rng(seed)
+    bank = fixtures.random_paraunitary_bank(scale, 2, rng)
+    bump = LaurentPoly(0.05 * (rng.normal(size=7) + 1j * rng.normal(size=7)), min_degree=-3)
+    bad = FilterBank(scale, (bank.filters[0] + bump,) + bank.filters[1:])
+    grid = default_check_grid(scale)
+    qmf, pw, uni, worst = _per_pair_residuals(bad, grid)
+    rep = check_bank(bad)
+    assert uni > 1e-2 and abs(rep.unitarity_residual - uni) < 1e-12
+    assert np.allclose(rep.qmf_residuals, qmf, rtol=0, atol=1e-12)
+    assert np.allclose(rep.pairwise_residuals, pw, rtol=0, atol=1e-12)
+    assert abs(rep.worst_point**scale - worst**scale) < 1e-9
+
+
+def test_check_bank_on_coprime_grid_keeps_every_point():
+    # N does not divide M, so no grid point repeats another's coset
+    bank = fixtures.random_paraunitary_bank(2, 2, np.random.default_rng(5))
+    bad = FilterBank(2, (bank.filters[0], bank.filters[1] * 0.9))
+    grid = CircleGrid(4095)
+    _, pw, uni, _ = _per_pair_residuals(bad, grid)
+    rep = check_bank(bad, grid)
+    assert abs(rep.unitarity_residual - uni) < 1e-12
+    assert np.allclose(rep.pairwise_residuals, pw, rtol=0, atol=1e-12)
+
+
+def test_haar32_verified():
+    rep = check_bank(fixtures.haar(32))
+    assert rep.verified
+    assert rep.unitarity_residual < 1e-12 and rep.coefficient_residual < 1e-12
+
+
+def test_check_bank_samples_each_filter_once(monkeypatch):
+    calls = []
+    original = filterbank.values_on_coset
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(filterbank, "values_on_coset", counting)
+    for bank in (fixtures.haar(8), fixtures.shannon()):
+        calls.clear()
+        filterbank.check_bank(bank)
+        assert len(calls) == bank.scale
+        assert [id(f) for f in calls] == [id(f) for f in bank.filters]
+
+
+# ---------------------------------------------------------------------------
+# exact coefficient certificate
+
+
+def _bumped_haar2():
+    # the bump z^6 - 1 vanishes at every cube root of unity and its negative
+    h = fixtures.haar(2)
+    bump = LaurentPoly.monomial(6) - LaurentPoly.one()
+    return FilterBank(2, (h.filters[0] + bump * 1e-3, h.filters[1] + bump * 0.5e-3))
+
+
+def test_certificate_catches_what_a_coarse_grid_misses():
+    bad = _bumped_haar2()
+    coarse = check_bank(bad, CircleGrid(3))
+    assert coarse.unitarity_residual < 1e-14
+    assert coarse.coefficient_residual > 1e-3
+    assert not coarse.verified
+    fine = check_bank(bad)
+    # the certificate bounds the deviation at every point of the circle
+    assert 1e-3 < fine.unitarity_residual <= fine.coefficient_residual
+
+
+@pytest.mark.parametrize("name", ["haar2", "haar3", "haar16", "db4", "monomial(0,1)",
+                                  "monomial(0,4,-4)", "monomial(0,1000001)"])
+def test_certificate_passes_unitary_banks(name):
+    assert paraunitarity_residual(fixtures.fixture_bank(name)) < 1e-13
+
+
+def test_certificate_bounds_grid_residual(rng):
+    for k in range(4):
+        bank = fixtures.random_paraunitary_bank(3, 2, rng)
+        assert paraunitarity_residual(bank) < 1e-13
+        bad = FilterBank(3, (bank.filters[0], bank.filters[1],
+                             bank.filters[2] + LaurentPoly.monomial(k - 2, 1e-4j)))
+        cert = paraunitarity_residual(bad)
+        assert 1e-5 < unitarity_residual(bad) <= cert + 1e-15
+
+
+def _certificate_reference(bank):
+    """sum_s ||E_s||_2 with E_s built coefficient by coefficient."""
+    n = bank.scale
+    e = {0: -np.eye(n, dtype=np.complex128)}
+    for i, p in enumerate(bank.filters):
+        for j, q in enumerate(bank.filters):
+            for a in range(p.min_degree, p.max_degree + 1):
+                for b in range(q.min_degree, q.max_degree + 1):
+                    if (a - b) % n == 0:
+                        es = e.setdefault((a - b) // n, np.zeros((n, n), dtype=np.complex128))
+                        es[i, j] += p.coefficient(a) * np.conj(q.coefficient(b))
+    return sum(np.linalg.norm(es, ord=2) for es in e.values())
+
+
+@pytest.mark.parametrize("scale", [2, 3, 4])
+def test_certificate_matches_coefficientwise_sum(scale, rng):
+    for _ in range(3):
+        sizes = rng.integers(1, 7, size=scale)
+        bank = FilterBank(scale, tuple(
+            LaurentPoly(rng.normal(size=k) + 1j * rng.normal(size=k), min_degree=int(lo))
+            for k, lo in zip(sizes, rng.integers(-5, 6, size=scale))))
+        assert abs(paraunitarity_residual(bank) - _certificate_reference(bank)) < 1e-12
+
+
+def test_certificate_of_a_zero_filter():
+    # S_1 = 0: the (1, 1) entry of G - I is -1 at every point
+    bank = FilterBank(2, (fixtures.haar(2).filters[0], LaurentPoly.zero()))
+    assert paraunitarity_residual(bank) == pytest.approx(1.0, abs=1e-15)
+    assert unitarity_residual(bank) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_certificate_only_for_polynomial_banks(shannon_bank):
+    with pytest.raises(TypeError):
+        paraunitarity_residual(shannon_bank)
+    assert check_bank(shannon_bank).coefficient_residual is None
+
+
+# ---------------------------------------------------------------------------
+# batched completion
+
+
+def _householder_rows_reference(v):
+    """The scalar Householder construction, one orbit at a time."""
+    n = len(v)
+    x = np.conj(v)
+    beta = -x[0] / abs(x[0]) if abs(x[0]) > 0 else 1.0 + 0.0j
+    u = x - beta * np.eye(n, dtype=np.complex128)[0]
+    nu = np.vdot(u, u).real
+    if nu < 1e-30:
+        h = np.eye(n, dtype=np.complex128)
+        beta = x[0] if abs(x[0]) > 0 else 1.0
+    else:
+        h = np.eye(n, dtype=np.complex128) - 2.0 * np.outer(u, np.conj(u)) / nu
+    d = np.ones(n, dtype=np.complex128)
+    d[0] = np.conj(beta)
+    return d[:, None] * h
+
+
+@pytest.mark.parametrize("scale", [3, 4])
+def test_batched_completion_matches_orbitwise(scale):
+    m0 = fixtures.random_paraunitary_bank(scale, 2, np.random.default_rng(scale)).filters[0]
+    bank = complete_filterbank(m0, scale)
+    grid = bank.filters[0].grid
+    vals = sample(m0, grid).values
+    step = grid.M // scale
+    expected = np.zeros((scale, grid.M), dtype=np.complex128)
+    expected[0] = vals
+    for j in range(step):
+        idx = j + step * np.arange(scale)
+        q = _householder_rows_reference(vals[idx] / math.sqrt(scale))
+        expected[1:, idx] = math.sqrt(scale) * q[1:, :]
+    got = np.stack([f.values for f in bank.filters])
+    assert np.max(np.abs(got - expected)) < 1e-13
+
+
+def test_householder_rows_degenerate_inputs():
+    for v in (np.array([1j, 0, 0]), np.array([0, 1.0, 0]), np.array([-1.0, 0])):
+        q = householder_rows(v)
+        assert np.max(np.abs(q - _householder_rows_reference(v))) < 1e-15
+        assert np.max(np.abs(q[0] - v)) < 1e-15

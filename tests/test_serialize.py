@@ -75,3 +75,16 @@ def test_single_filter_round_trip():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         ser.bank_from_dict({"scale": 2, "kind": "mystery", "filters": []})
+
+
+def test_filter_kind_inferred_from_keys(rng):
+    p = LaurentPoly(rng.normal(size=3), min_degree=-1)
+    g = GridFunction(CircleGrid(8), rng.normal(size=8) + 1j * rng.normal(size=8))
+    assert ser.filter_from_dict(ser.poly_to_dict(p)) == p
+    h = ser.filter_from_dict(ser.gridfunction_to_dict(g))
+    assert isinstance(h, GridFunction) and np.array_equal(h.values, g.values)
+    # an explicit tag still decides
+    assert ser.filter_from_dict(ser.filter_to_dict(g)).grid == g.grid
+    for bad in ({"M": 8}, {}, {"kind": "spline", "coeffs": [[1.0, 0.0]]}, [[1.0, 0.0]]):
+        with pytest.raises(ser.InputError):
+            ser.filter_from_dict(bad)
