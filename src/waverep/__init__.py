@@ -40,6 +40,7 @@ from .filterbank import (
     pairwise_residual,
     paraunitarity_residual,
     qmf_residual,
+    require_verified,
     unitarity_residual,
 )
 from .index import (
@@ -106,6 +107,7 @@ __all__ = [
     "qmf_residual",
     "random_coisometry",
     "range_projection_norms",
+    "require_verified",
     "sample",
     "scaled_word_value",
     "scaling_hat",

@@ -28,7 +28,8 @@ from . import index as idx
 from . import permutative as perm
 from . import serialize as ser
 from . import wold as wld
-from .filterbank import check_bank, complete_filterbank, unitarity_residual, VERIFY_TOL
+from .filterbank import (check_bank, complete_filterbank, paraunitarity_residual,
+                         unitarity_residual, VERIFY_TOL)
 from .laurent import CircleGrid, GridFunction, LaurentPoly
 from .serialize import InputError
 
@@ -84,20 +85,13 @@ def _load_bank(args) -> "FilterBank":
     raise InputError("provide --bank FILE or --fixture NAME")
 
 
-def _jsonable(x):
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.complexfloating):
-        return [float(x.real), float(x.imag)]
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
+def _json_default(x):
+    """json.dumps hook for what json cannot encode: complex values, arrays, numpy scalars."""
+    if np.iscomplexobj(x):
+        return ser._cvec(x)
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def emit_csv(path: str, samples: cas.LineSamples) -> None:
@@ -109,6 +103,20 @@ def emit_csv(path: str, samples: cas.LineSamples) -> None:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (verdicts, residuals, info, artifacts)
+
+
+def _produced_bank(bank, out_bank):
+    """Check's verdict on a bank a command builds, from the residuals it rests on
+    (grid unitarity; the exact certificate too for a polynomial bank), and artifacts."""
+    residuals = {"unitarity": unitarity_residual(bank)}
+    if bank.kind == "poly":
+        residuals["coefficient"] = paraunitarity_residual(bank)
+    artifacts = []
+    if out_bank:
+        with open(out_bank, "w") as fh:
+            json.dump(ser.bank_to_dict(bank), fh, indent=2, sort_keys=True)
+        artifacts.append(out_bank)
+    return max(residuals.values()) <= VERIFY_TOL, residuals, artifacts
 
 
 def cmd_check(args):
@@ -147,19 +155,13 @@ def cmd_check(args):
 
 
 def cmd_complete(args):
-    d = _load_json(args.lowpass)
-    lowpass = ser.filter_from_dict(d)
+    lowpass = ser.filter_from_dict(_load_json(args.lowpass))
     bank = complete_filterbank(lowpass, args.scale)
-    res = unitarity_residual(bank)
-    artifacts = []
-    if args.out_bank:
-        with open(args.out_bank, "w") as fh:
-            json.dump(ser.bank_to_dict(bank), fh, indent=2, sort_keys=True)
-        artifacts.append(args.out_bank)
+    ok, residuals, artifacts = _produced_bank(bank, args.out_bank)
     info = {"kind": bank.kind, "scale": bank.scale}
     if bank.kind == "grid" and not isinstance(lowpass, GridFunction):
         info["note"] = "polynomial completion above scale 2 falls back to grid samples"
-    return {"unitary": res <= VERIFY_TOL}, {"unitarity": res}, info, artifacts
+    return {"unitary": ok}, residuals, info, artifacts
 
 
 def cmd_cascade(args):
@@ -198,19 +200,16 @@ def cmd_cascade(args):
 
 def cmd_wold(args):
     if args.filter:
-        filt = ser.filter_from_dict(_load_json(args.filter))
-        scale = args.scale
+        i, filt, scale = None, ser.filter_from_dict(_load_json(args.filter)), args.scale
         if not scale:
             raise InputError("--filter needs --scale")
-        filters = [(None, filt)]
     else:
         bank = _load_bank(args)
         scale = bank.scale
         if args.shift_check:
             ok = wld.wavelet_shift_check(bank)
             return {"all_shifts": ok}, {}, {"scale": scale}, []
-        filters = [(args.index, bank.filters[args.index])]
-    i, filt = filters[0]
+        i, filt = args.index, bank.filters[args.index]
     rep = wld.wold_analysis(filt, scale)
     verdicts = {"isometry": rep.isometry_residual <= 1e-8,
                 "consistent": rep.anomaly is None}
@@ -321,14 +320,9 @@ def cmd_fixtures(args):
         bank = fix.fixture_bank(args.name)
     except KeyError as e:
         raise InputError(str(e)) from e
-    res = unitarity_residual(bank)
-    artifacts = []
-    if args.out_bank:
-        with open(args.out_bank, "w") as fh:
-            json.dump(ser.bank_to_dict(bank), fh, indent=2, sort_keys=True)
-        artifacts.append(args.out_bank)
+    ok, residuals, artifacts = _produced_bank(bank, args.out_bank)
     info = {"name": args.name, "scale": bank.scale, "kind": bank.kind}
-    return {"verified": res <= VERIFY_TOL}, {"unitarity": res}, info, artifacts
+    return {"verified": ok}, residuals, info, artifacts
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +429,13 @@ def run(argv) -> int:
         "command": args.command,
         "inputs": {k: v for k, v in sorted(vars(args).items())
                    if k != "handler" and v is not None},
-        "verdicts": _jsonable(verdicts),
-        "residuals": _jsonable(residuals),
+        "verdicts": verdicts,
+        "residuals": residuals,
         "artifacts": artifacts,
         "elapsed": time.monotonic() - start,
-        "info": _jsonable(info),
+        "info": info,
     }
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

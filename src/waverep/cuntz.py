@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filterbank import FilterBank, unitarity_residual, VERIFY_TOL
+from .filterbank import FilterBank, require_verified, VERIFY_TOL
 from .laurent import GridFunction, LaurentPoly
 
 
@@ -88,9 +88,7 @@ class CuntzRep:
 
     def __init__(self, bank: FilterBank, tol: float = VERIFY_TOL, validate: bool = True):
         if validate:
-            res = unitarity_residual(bank)
-            if res > tol:
-                raise ValueError(f"bank is not verified (unitarity residual {res:.3g})")
+            require_verified(bank, tol)
         self.bank = bank
         self.scale = bank.scale
 

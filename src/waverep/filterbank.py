@@ -233,6 +233,17 @@ def paraunitarity_residual(fb: FilterBank) -> float:
     return float(np.sum(np.linalg.norm(e, ord=2, axis=(1, 2))))
 
 
+def require_verified(fb: FilterBank, tol: float = VERIFY_TOL) -> None:
+    """Raise ValueError unless the bank is unitary within tol, decided by kind:
+    a polynomial bank by its exact certificate (which bounds the grid
+    residual), grid and callable banks by the grid residual."""
+    exact = fb.kind == "poly"
+    res = paraunitarity_residual(fb) if exact else unitarity_residual(fb)
+    if res > tol:
+        raise ValueError(f"bank is not verified ({'coefficient' if exact else 'unitarity'} "
+                         f"residual {res:.3g})")
+
+
 def modulation_matrix(fb: FilterBank, z: complex) -> np.ndarray:
     """The N x N matrix with entries N^(-1/2) m_i(rho^k z) at one point z."""
     n = fb.scale

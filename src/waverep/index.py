@@ -28,26 +28,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filterbank import FilterBank, unitarity_residual
+from .filterbank import FilterBank, require_verified
 from .laurent import CircleGrid, LaurentPoly, sample
 
 LAMBDA_DISK_TOL = 1e-6  # eigenvalues below 1 - this are truncation artifacts
 LAMBDA_CLUSTER_ARC = 1e-6
 RANK_SVD_TOL = 1e-8
 VALIDATE_TOL = 1e-8
-
-
-def _require_unitary_pair(f0: LaurentPoly, f1: LaurentPoly, tol: float = 1e-8) -> None:
-    res = unitarity_residual(FilterBank(2, (f0, f1)))
-    if res > tol:
-        raise ValueError(f"the 2x2 modulation matrix is not unitary (residual {res:.3g})")
+PAIR_TOL = 1e-8  # gate on the pair's 2x2 modulation matrix (require_verified)
 
 
 def combined_isometry_apply(f0: LaurentPoly, f1: LaurentPoly, xi: LaurentPoly,
                             check: bool = True) -> LaurentPoly:
     """Apply xi -> 2^(-1/2) (f0 xi(z^2) + f1 xi(-z^2)) exactly on coefficients."""
     if check:
-        _require_unitary_pair(f0, f1)
+        require_verified(FilterBank(2, (f0, f1)), PAIR_TOL)
     even = xi.compose_power(2)
     odd = xi.compose_negate().compose_power(2)  # xi(-z^2)
     return (f0 * even + f1 * odd) * (1.0 / math.sqrt(2.0))
@@ -81,7 +76,7 @@ def spectral_solutions(f0: LaurentPoly, f1: LaurentPoly, window: int = 64,
     tol * ||phi||.  Survivors are clustered by eigenvalue and each cluster's
     dimension is a numerical rank.
     """
-    _require_unitary_pair(f0, f1)
+    require_verified(FilterBank(2, (f0, f1)), PAIR_TOL)
     k = window
     dim = 2 * k + 1
     mat = np.zeros((dim, dim), dtype=np.complex128)

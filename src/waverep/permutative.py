@@ -13,7 +13,9 @@ Characteristic-function families are handled through their unimodular
 cocycle u: two of them are unitarily equivalent exactly when
 Delta(z) u1(z) = u2(z) Delta(z^N) has a unimodular solution Delta, which on
 a grid of size coprime to N is an explicit per-cycle telescoping product
-with one obstruction per cycle.  The finite grid cannot see ergodicity, so
+with one obstruction per cycle.  The same telescope solves the Wold grid
+equation m(z) xi(z^N) = lambda xi(z): it is this equation with u1 = lambda
+(constant) and u2 = m.  The finite grid cannot see ergodicity, so
 grid verdicts are flagged as a screen; the monomial special cases are
 cross-checked symbolically in the tests.  Irreducibility of these families
 is a structural fact taken as an assumption, not re-verified numerically.
@@ -22,7 +24,7 @@ is a structural fact taken as an assumption, not re-verified numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,15 +55,8 @@ class MonomialRep:
 
     def branch_back(self, k: int) -> int:
         """The unique preimage (k - d_i)/N with d_i = k mod N."""
-        d = self._digit_for(k)
+        d = next(d for d in self.digits if (k - d) % self.scale == 0)
         return (k - d) // self.scale
-
-    def _digit_for(self, k: int) -> int:
-        r = k % self.scale
-        for d in self.digits:
-            if d % self.scale == r:
-                return d
-        raise AssertionError("digit classes cover all residues")
 
     def cycle_radius(self) -> int:
         """All cycle points satisfy |c| <= max|d| / (N-1)."""
@@ -82,6 +77,7 @@ class ComponentReport:
     cycles: list
     components: list
     window: tuple
+    rep: MonomialRep = field(repr=False)
 
     def component_index(self, k: int) -> int:
         """Index of the component containing mode k."""
@@ -153,9 +149,7 @@ def decompose_monomial(rep: MonomialRep, window: int | tuple = 64) -> ComponentR
     missing = [k for k in range(lo, hi + 1) if k not in claimed]
     if missing:
         raise AssertionError(f"modes not covered by any component: {missing[:5]} ...")
-    report = ComponentReport(cycles=list(cycles), components=components, window=(lo, hi))
-    report._rep = rep
-    return report
+    return ComponentReport(cycles=list(cycles), components=components, window=(lo, hi), rep=rep)
 
 
 def component_of(report: ComponentReport, k: int) -> int:
@@ -164,7 +158,7 @@ def component_of(report: ComponentReport, k: int) -> int:
     Works outside the enumerated window: every backward orbit reaches some
     cycle, which identifies the component.
     """
-    rep = report._rep
+    rep = report.rep
     cycle_sets = [set(c.cycle) for c in report.components]
     seen = set()
     while True:
@@ -196,19 +190,9 @@ def check_partition(masks, scale: int) -> bool:
         raise ValueError("masks must share one grid")
     if m % scale != 0:
         raise ValueError("grid size must be divisible by the scale")
-    step = m // scale
-    cover = np.zeros(m, dtype=np.int64)
-    for a in masks:
-        cover += a
-    if np.any(cover != 1):
-        return False
-    for a in masks:
-        hits = np.zeros(m, dtype=np.int64)
-        for k in range(scale):
-            hits += np.roll(a, -k * step)
-        if np.any(hits != 1):
-            return False
-    return True
+    stack = np.array(masks, dtype=np.int64)
+    orbit_hits = stack.reshape(scale, scale, m // scale).sum(axis=1)  # [mask, orbit]
+    return bool(np.all(stack.sum(axis=0) == 1) and np.all(orbit_hits == 1))
 
 
 def standard_arc_masks(grid: CircleGrid, scale: int) -> list[np.ndarray]:
@@ -249,30 +233,40 @@ class CharRep:
             raise ValueError("cocycle grid must be coprime to the scale")
 
 
+def _telescope(q: np.ndarray, grid: CircleGrid, scale: int,
+               tol: float = CYCLE_ARC_TOL) -> np.ndarray | None:
+    """Unimodular f with f(z^N) = q(z) f(z) on the grid, or None.
+
+    Along each cycle of j -> N j mod M the relation telescopes, fixing f up
+    to one unimodular scalar per cycle (1 at the cycle minimum); a solution
+    exists iff every cycle product of q is 1 within arc distance
+    tol * cycle length.  All products are checked before any cycle is walked.
+    """
+    cycles = grid.cycles(scale)
+    for cyc in cycles:
+        if abs(np.angle(np.prod(q[cyc]))) > tol * len(cyc):
+            return None
+    f = np.empty(grid.M, dtype=np.complex128)
+    for cyc in cycles:
+        walk = np.concatenate([[1.0 + 0j], np.cumprod(q[cyc[:-1]])])
+        f[cyc] = walk / np.abs(walk)
+    return f
+
+
 def solve_coboundary(u1: GridFunction, u2: GridFunction, scale: int,
                      tol: float = CYCLE_ARC_TOL) -> GridFunction | None:
     """Solve Delta(z) u1(z) = u2(z) Delta(z^N) on the grid, or report none.
 
-    Along each cycle of j -> N j mod M the relation telescopes, determining
-    Delta up to one unimodular scalar per cycle (fixed to 1 at the cycle
-    minimum); a solution exists iff every cycle product of u1/u2 is 1 within
-    arc distance tol * cycle length.
+    Delta(z^N) = (u1/u2)(z) Delta(z), telescoped along the cycles of
+    j -> N j mod M (see _telescope).
     """
     if u1.grid != u2.grid:
         raise ValueError("cocycles must share one grid")
     for u in (u1, u2):
         if np.max(np.abs(np.abs(u.values) - 1.0)) > 1e-10:
             raise ValueError("cocycles must be unimodular")
-    grid = u1.grid
-    q = u1.values / u2.values
-    delta = np.zeros(grid.M, dtype=np.complex128)
-    for cyc in grid.cycles(scale):
-        prod = complex(np.prod(q[cyc]))
-        if abs(np.angle(prod)) > tol * len(cyc):
-            return None
-        walk = np.concatenate([[1.0 + 0j], np.cumprod(q[cyc[:-1]])])
-        delta[cyc] = walk / np.abs(walk)
-    return GridFunction(grid, delta)
+    delta = _telescope(u1.values / u2.values, u1.grid, scale, tol)
+    return None if delta is None else GridFunction(u1.grid, delta)
 
 
 @dataclass
@@ -293,8 +287,6 @@ def equivalence_check(rep1: CharRep, rep2: CharRep,
     """
     if rep1.scale != rep2.scale:
         raise ValueError("scales differ")
-    if rep1.u.grid != rep2.u.grid:
-        raise ValueError("grids differ")
     n = rep1.scale
     grid = rep1.u.grid
     delta = solve_coboundary(rep1.u, rep2.u, n)

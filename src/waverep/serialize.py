@@ -9,11 +9,18 @@ Wire formats (stable):
   with matrices as nested [[ [re, im], ... ], ...] rows and vectors as
   [[re, im], ...].
 
+Complex values, here and in the CLI's run reports, are [re, im] pairs of
+floats, encoded and decoded bit-exactly by one codec (_cvec / _vec_c).
+Decoding raises InputError for input outside these formats: a missing key,
+a value of the wrong type, or pairs of the wrong shape.
+
 Callable-kind banks have no sample-free encoding; exporting one samples it
 onto a grid (size divisible by the scale) and marks kind "grid".
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -26,26 +33,48 @@ class InputError(ValueError):
     """Input outside the wire formats or the command contract: exit code 2."""
 
 
-def _c2pair(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _pair2c(p) -> complex:
-    return complex(p[0], p[1])
-
-
 def _cvec(values) -> list:
-    return [_c2pair(z) for z in np.asarray(values).ravel()]
+    """Complex scalar or array of any shape -> nested lists ending in [re, im]."""
+    v = np.asarray(values, dtype=np.complex128)
+    return np.stack([v.real, v.imag], -1).tolist()
 
 
-def _vec_c(pairs) -> np.ndarray:
-    return np.array([_pair2c(p) for p in pairs], dtype=np.complex128)
+def _vec_c(pairs, shape: tuple | None = None) -> np.ndarray:
+    """[re, im] pairs nested to `shape` (default: a list of any length) -> complex array."""
+    try:
+        a = np.asarray(pairs)
+    except ValueError as e:  # ragged nesting
+        raise InputError(f"complex values must be [re, im] pairs: {e}") from None
+    if a.shape == (0,):  # [], e.g. the zero polynomial's coefficients
+        a = a.reshape(0, 2)
+    want = a.shape[:1] if shape is None else tuple(shape)
+    if a.dtype.kind not in "biuf" or a.shape != want + (2,):
+        raise InputError(f"expected [re, im] pairs of shape {want}, got {a.dtype} {a.shape}")
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
+
+
+def _decoder(fn):
+    """Make a non-object, a missing key or a value of the wrong type an InputError."""
+    what = fn.__name__.removesuffix("_from_dict")
+
+    @functools.wraps(fn)
+    def decode(d):
+        if not isinstance(d, dict):
+            raise InputError(f"a {what} is a JSON object, got {type(d).__name__}")
+        try:
+            return fn(d)
+        except KeyError as e:
+            raise InputError(f"a {what} needs the key {e}") from None
+        except TypeError as e:
+            raise InputError(f"malformed {what}: {e}") from None
+    return decode
 
 
 def poly_to_dict(p: LaurentPoly) -> dict:
     return {"min_degree": int(p.min_degree), "coeffs": _cvec(p.coeffs)}
 
 
+@_decoder
 def poly_from_dict(d: dict) -> LaurentPoly:
     return LaurentPoly(_vec_c(d["coeffs"]), min_degree=int(d["min_degree"]))
 
@@ -54,8 +83,10 @@ def gridfunction_to_dict(g: GridFunction) -> dict:
     return {"M": int(g.grid.M), "values": _cvec(g.values)}
 
 
+@_decoder
 def gridfunction_from_dict(d: dict) -> GridFunction:
-    return GridFunction(CircleGrid(int(d["M"])), _vec_c(d["values"]))
+    m = int(d["M"])
+    return GridFunction(CircleGrid(m), _vec_c(d["values"], (m,)))
 
 
 def bank_to_dict(fb: FilterBank, export_grid_points: int = 4096) -> dict:
@@ -75,6 +106,7 @@ def bank_to_dict(fb: FilterBank, export_grid_points: int = 4096) -> dict:
             "filters": [gridfunction_to_dict(f) for f in fb.filters]}
 
 
+@_decoder
 def bank_from_dict(d: dict) -> FilterBank:
     kind = d["kind"]
     if kind == "poly":
@@ -82,7 +114,7 @@ def bank_from_dict(d: dict) -> FilterBank:
     elif kind == "grid":
         filters = tuple(gridfunction_from_dict(f) for f in d["filters"])
     else:
-        raise ValueError(f"unknown bank kind {kind!r}")
+        raise InputError(f"unknown bank kind {kind!r}")
     return FilterBank(int(d["scale"]), filters)
 
 
@@ -90,18 +122,15 @@ def family_to_dict(fam: CoisometryFamily) -> dict:
     return {
         "N": fam.n_ops,
         "dim": fam.dim,
-        "V": [[_cvec(row) for row in v] for v in fam.v],
+        "V": _cvec(fam.v),
         "Omega": _cvec(fam.omega),
     }
 
 
+@_decoder
 def family_from_dict(d: dict) -> CoisometryFamily:
     n, dim = int(d["N"]), int(d["dim"])
-    v = np.zeros((n, dim, dim), dtype=np.complex128)
-    for i, mat in enumerate(d["V"]):
-        for r, row in enumerate(mat):
-            v[i, r] = _vec_c(row)
-    return CoisometryFamily(v, _vec_c(d["Omega"]))
+    return CoisometryFamily(_vec_c(d["V"], (n, dim, dim)), _vec_c(d["Omega"], (dim,)))
 
 
 def filter_to_dict(f) -> dict:
@@ -113,10 +142,9 @@ def filter_to_dict(f) -> dict:
     raise TypeError("only polynomial and grid filters are serializable")
 
 
+@_decoder
 def filter_from_dict(d: dict):
     """Decode a single filter; an untagged one is read by its keys."""
-    if not isinstance(d, dict):
-        raise InputError(f"a filter is a JSON object, got {type(d).__name__}")
     kind = d.get("kind")
     if kind is None:
         kind = "poly" if "coeffs" in d else "grid" if "values" in d else None

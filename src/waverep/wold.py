@@ -10,10 +10,12 @@ unimodular measurable solution.  The classifier runs in two stages:
    polynomial is necessarily a single monomial c z^d, so the solve is exact
    symbolic work: a fixed Fourier mode exists iff (N-1) divides d, giving
    xi = z^(-d/(N-1)) and lambda = c.  Independently, the equation is solved
-   on a grid of size coprime to N, where z -> z^N permutes the points: each
-   permutation cycle of length L forces lambda^L = prod(m over the cycle),
-   candidate lambdas are intersected across cycles, and xi is built by
-   back-substitution with one free phase per cycle.
+   on a grid of size coprime to N, where z -> z^N permutes the points.  The
+   fixed point z = 1 pins lambda = m(1)/|m(1)|; the equation is then the
+   cocycle equation Delta(z) u1(z) = u2(z) Delta(z^N) with u1 = lambda and
+   u2 = m, solved by the same per-cycle telescope as cocycle equivalence
+   (permutative._telescope): a cycle of length L admits xi iff the product
+   of m over it is lambda^L, and xi has one free phase per cycle.
 
 The grid route alone is a screening procedure (a finite grid is not
 ergodic); verdicts from raw grid data carry a grid_screen flag and are
@@ -33,13 +35,12 @@ from .filterbank import (
     FilterBank,
     filter_values_at_angles,
     qmf_residual,
-    unitarity_residual,
+    require_verified,
     VERIFY_TOL,
 )
 from .laurent import CircleGrid, GridFunction, LaurentPoly
+from .permutative import _telescope
 
-# arc-distance tolerance for matching candidate eigenvalues across cycles
-LAMBDA_ARC_TOL = 1e-8
 UNIMODULAR_TOL = 1e-8
 
 
@@ -121,36 +122,18 @@ def _monomial_form(m: LaurentPoly, tol: float = 1e-8):
 
 
 def _grid_eigendata(values: np.ndarray, grid: CircleGrid, scale: int):
-    """Cycle-consistent eigenvalue and eigenfunction of the grid equation.
+    """Eigenvalue and eigenfunction of the grid equation, or None.
 
-    Returns (lam, xi_values, cocycle_residual) or None.  Index 0 is a fixed
-    point of j -> N j mod M, so its singleton cycle pins the candidate
-    lambda; the remaining cycles either confirm it (lambda^L close to the
-    cycle product of m in arc distance) or rule a solution out.
+    Returns (lam, xi_values, cocycle_residual).  Index 0 is a fixed point of
+    j -> N j mod M, so m(1) pins lambda; xi(z^N) = (lambda / m(z)) xi(z) is
+    then telescoped along the cycles.
     """
-    cycles = grid.cycles(scale)
-    lam = None
-    for cyc in cycles:
-        if len(cyc) == 1:
-            lam = complex(values[cyc[0]])
-            break
-    assert lam is not None  # index 0 is always fixed by multiplication
+    lam = complex(values[0])
     lam /= abs(lam)
-    for cyc in cycles:
-        prod = complex(np.prod(values[cyc]))
-        L = len(cyc)
-        gap = np.angle(lam**L / (prod / abs(prod)))
-        if abs(gap) > LAMBDA_ARC_TOL * L:
-            return None
-    xi = np.zeros(grid.M, dtype=np.complex128)
-    sigma = grid.multiply_map(scale)
-    for cyc in cycles:
-        xi[cyc[0]] = 1.0
-        for a, b in zip(cyc[:-1], cyc[1:]):
-            xi[b] = lam * xi[a] / values[a]
-        # renormalize drift so |xi| stays exactly 1
-        xi[cyc] /= np.abs(xi[cyc])
-    resid = float(np.max(np.abs(values * xi[sigma] - lam * xi)))
+    xi = _telescope(lam / values, grid, scale)
+    if xi is None:
+        return None
+    resid = float(np.max(np.abs(values * xi[grid.multiply_map(scale)] - lam * xi)))
     return lam, xi, resid
 
 
@@ -251,10 +234,5 @@ def wavelet_shift_check(fb: FilterBank, tol: float = VERIFY_TOL) -> bool:
     constant, so every S_i has zero unitary part; constant-modulus filters
     (monomial banks) fail this.
     """
-    res = unitarity_residual(fb)
-    if res > tol:
-        raise ValueError(f"bank is not verified (unitarity residual {res:.3g})")
-    for f in fb.filters:
-        if wold_analysis(f, fb.scale).unitary_dim != 0:
-            return False
-    return True
+    require_verified(fb, tol)
+    return all(wold_analysis(f, fb.scale).unitary_dim == 0 for f in fb.filters)

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from waverep import serialize as ser
+from waverep import cli, fixtures, serialize as ser
 from waverep.cli import parse_angle, run
+from waverep.dilation import random_coisometry
 from waverep.filterbank import FilterBank
 from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, sample
 from waverep.fixtures import haar
@@ -272,3 +273,112 @@ def test_check_coarse_grid_cannot_pass_a_broken_polynomial_bank(tmp_path, capsys
     assert rep["residuals"]["unitarity"] < 1e-14
     assert rep["residuals"]["coefficient"] > 1e-3
     assert rep["info"]["check_report"]["coefficient_residual"] == rep["residuals"]["coefficient"]
+
+
+def _grid_blind_haar2():
+    # z^4096 - 1 vanishes on the 4096-point grid that completion and the gates sample
+    bump = LaurentPoly.monomial(4096) - LaurentPoly.one()
+    h = haar(2)
+    return FilterBank(2, (h.filters[0] + bump * 1e-3, h.filters[1] + bump * 0.5e-3))
+
+
+def test_complete_decides_a_polynomial_bank_by_its_certificate(tmp_path, capsys):
+    lowpass = _grid_blind_haar2().filters[0]
+    code, rep = run_json(capsys, ["complete", "--lowpass", _untagged_file(
+        tmp_path, ser.filter_to_dict(lowpass)), "--scale", "2"])
+    assert code == 1 and rep["verdicts"]["unitary"] is False
+    assert rep["residuals"]["unitarity"] < 1e-14
+    assert rep["residuals"]["coefficient"] > 1e-3
+
+
+def test_fixtures_decides_a_polynomial_bank_by_its_certificate(monkeypatch, capsys):
+    monkeypatch.setattr(fixtures, "fixture_bank", lambda name: _grid_blind_haar2())
+    code, rep = run_json(capsys, ["fixtures", "bumped"])
+    assert code == 1 and rep["verdicts"]["verified"] is False
+    assert rep["residuals"]["coefficient"] > 1e-3
+
+
+def test_complete_and_fixtures_report_what_check_reports(tmp_path, capsys):
+    out = tmp_path / "db4.json"
+    _, fixed = run_json(capsys, ["fixtures", "db4", "--out-bank", str(out)])
+    _, checked = run_json(capsys, ["check", str(out)])
+    assert fixed["residuals"] == {k: checked["residuals"][k] for k in ("unitarity", "coefficient")}
+    lp = _untagged_file(tmp_path, ser.filter_to_dict(sample(haar(3).filters[0], CircleGrid(4098))))
+    _, completed = run_json(capsys, ["complete", "--lowpass", lp, "--scale", "3"])
+    assert completed["info"]["kind"] == "grid" and set(completed["residuals"]) == {"unitarity"}
+
+
+def _write(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", [
+    "bank_without_kind",
+    "grid_function_without_M",
+    "pair_with_one_number",
+    "values_length_not_M",
+    "family_rows_shorter_than_dim",
+])
+def test_wire_input_outside_the_contract_exits_two(case, tmp_path, capsys):
+    g = CircleGrid.dynamics_grid(2)
+    u = ser.gridfunction_to_dict(GridFunction(g, np.ones(g.M)))
+    fam = ser.family_to_dict(random_coisometry(2, 3, np.random.default_rng(0)))
+    bank = ser.bank_to_dict(haar(2))
+    argv = {
+        "bank_without_kind": lambda: [
+            "check", _write(tmp_path, "b.json", {k: v for k, v in bank.items() if k != "kind"})],
+        "grid_function_without_M": lambda: [
+            "equiv", "--u1", _write(tmp_path, "u1.json", {"values": u["values"]}),
+            "--u2", _write(tmp_path, "u2.json", u), "--scale", "2"],
+        "pair_with_one_number": lambda: [
+            "wold", "--filter", _write(tmp_path, "f.json", {"min_degree": 0, "coeffs": [[1.0]]}),
+            "--scale", "2"],
+        "values_length_not_M": lambda: [
+            "equiv", "--u1", _write(tmp_path, "u1.json", {"M": g.M, "values": u["values"][:-1]}),
+            "--u2", _write(tmp_path, "u2.json", u), "--scale", "2"],
+        "family_rows_shorter_than_dim": lambda: [
+            "dilate", "--family", _write(tmp_path, "fam.json", {
+                **fam, "V": [[row[:-1] for row in mat] for mat in fam["V"]]})],
+    }[case]()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err
+
+
+def _old_jsonable(x):
+    """The recursive walk that run reports went through before the json.dumps hook."""
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    if isinstance(x, (np.floating, np.integer)):
+        return x.item()
+    if isinstance(x, np.complexfloating):
+        return [float(x.real), float(x.imag)]
+    if isinstance(x, np.ndarray):
+        return [_old_jsonable(v) for v in x.tolist()]
+    if isinstance(x, dict):
+        return {str(k): _old_jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_old_jsonable(v) for v in x]
+    return x
+
+
+def test_report_encoding_matches_the_old_walk():
+    report = {
+        "z": complex(-0.0, 2.5e-320),
+        "m": np.array([[1 - 1j, complex(0.0, -0.0)], [3j, np.pi]]),
+        "ints": np.arange(-2, 3, dtype=np.int64),
+        "flag": np.bool_(True),
+        "x": np.float64(0.1),
+        "nested": [np.complex128(1j), (2, np.int64(7)), {"f32": np.float32(0.5)}],
+    }
+    new = json.dumps(report, indent=2, sort_keys=True, default=cli._json_default)
+    # the old walk passed np.bool_ through and json.dumps then raised
+    with pytest.raises(TypeError):
+        json.dumps(_old_jsonable(report))
+    old = json.dumps(_old_jsonable({**report, "flag": True}), indent=2, sort_keys=True)
+    assert new == old
+    with pytest.raises(TypeError):
+        json.dumps({"poly": LaurentPoly.one()}, default=cli._json_default)

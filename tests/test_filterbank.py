@@ -422,6 +422,37 @@ def test_certificate_catches_what_a_coarse_grid_misses():
     assert 1e-3 < fine.unitarity_residual <= fine.coefficient_residual
 
 
+def _grid_blind_haar2():
+    # z^4096 - 1 vanishes on the default 4096-point check grid and its rotation by -1
+    h = fixtures.haar(2)
+    bump = LaurentPoly.monomial(4096) - LaurentPoly.one()
+    return FilterBank(2, (h.filters[0] + bump * 1e-3, h.filters[1] + bump * 0.5e-3))
+
+
+def test_every_library_gate_decides_a_polynomial_bank_by_its_certificate():
+    from waverep.cuntz import CuntzRep
+    from waverep.index import combined_isometry_apply, spectral_solutions
+    from waverep.wold import wavelet_shift_check
+
+    bad = _grid_blind_haar2()
+    assert unitarity_residual(bad) < 1e-14
+    assert paraunitarity_residual(bad) > 1e-3
+    gates = {
+        "require_verified": lambda: filterbank.require_verified(bad),
+        "CuntzRep": lambda: CuntzRep(bad),
+        "index pre-check": lambda: combined_isometry_apply(*bad.filters, LaurentPoly.one()),
+        "spectral_solutions": lambda: spectral_solutions(*bad.filters, window=4),
+        "wavelet_shift_check": lambda: wavelet_shift_check(bad),
+    }
+    for name, gate in gates.items():
+        with pytest.raises(ValueError, match="coefficient residual"):
+            gate()
+    # the same gates still pass verified banks of every kind
+    for name in ("haar2", "db4", "shannon"):
+        filterbank.require_verified(fixtures.fixture_bank(name))
+    CuntzRep(fixtures.db4())
+
+
 @pytest.mark.parametrize("name", ["haar2", "haar3", "haar16", "db4", "monomial(0,1)",
                                   "monomial(0,4,-4)", "monomial(0,1000001)"])
 def test_certificate_passes_unitary_banks(name):

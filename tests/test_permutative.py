@@ -12,6 +12,7 @@ from waverep.permutative import (
     solve_coboundary,
     standard_arc_masks,
 )
+from waverep.wold import _grid_eigendata
 
 
 def bfs_orbit_oracle(scale, digits, window):
@@ -315,3 +316,58 @@ def test_equivalence_requires_matching_grids(dyn_grid):
     r2 = CharRep(2, GridFunction(other, np.ones(other.M)))
     with pytest.raises(ValueError):
         equivalence_check(r1, r2)
+
+
+# ---------------------------------------------------------------------------
+# the Wold grid equation is the coboundary equation with u1 = lambda, u2 = m
+
+
+@pytest.mark.parametrize("scale", [2, 3])
+def test_wold_grid_solve_is_the_coboundary_solve(scale):
+    rng = np.random.default_rng(scale)
+    g = CircleGrid.dynamics_grid(scale)
+    xi = GridFunction(g, np.exp(2j * np.pi * rng.random(g.M)))
+    lam = np.exp(0.7j)
+    m = lam * xi.values / xi.compose_dynamics(scale).values  # m(z) xi(z^N) = lam xi(z)
+    const = GridFunction(g, np.full(g.M, lam))
+    got_lam, got_xi, resid = _grid_eigendata(m, g, scale)
+    delta = solve_coboundary(const, GridFunction(g, m), scale)
+    assert abs(got_lam - lam) < 1e-12
+    assert np.max(np.abs(got_xi - delta.values)) < 1e-12
+    assert resid < 1e-12
+    # one phase kick on a cycle of length > 1 obstructs both
+    cyc = next(c for c in g.cycles(scale) if len(c) > 1)
+    bent = m.copy()
+    bent[cyc[0]] *= np.exp(0.5j)
+    assert _grid_eigendata(bent, g, scale) is None
+    assert solve_coboundary(const, GridFunction(g, bent), scale) is None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_check_partition_matches_the_rotation_loop(seed):
+    def loop_reference(masks, scale):  # every point covered once, every orbit met once per mask
+        m = len(masks[0])
+        if np.any(np.sum(masks, axis=0) != 1):
+            return False
+        return all(np.all(sum(np.roll(a, -k * (m // scale)) for k in range(scale)) == 1)
+                   for a in masks)
+
+    rng = np.random.default_rng(seed)
+    scale, step = int(rng.integers(2, 5)), int(rng.integers(1, 6))
+    # one mask per point of each rotation orbit: a partition by construction
+    owner = np.array([rng.permutation(scale) for _ in range(step)]).T.ravel()
+    good = [owner == i for i in range(scale)]
+    moved = [a.copy() for a in good]
+    j = int(rng.integers(scale * step))
+    moved[owner[j]][j], moved[(owner[j] + 1) % scale][j] = False, True
+    for masks in (good, moved, [good[0]] * scale):
+        assert check_partition(masks, scale) == loop_reference(masks, scale)
+    assert check_partition(good, scale)
+    assert not check_partition(moved, scale)
+
+
+def test_component_report_carries_its_rep():
+    rep = MonomialRep(2, (0, 7))
+    report = decompose_monomial(rep, 16)
+    assert report.rep == rep
+    assert report.component_index(10 ** 6) == component_of(report, 10 ** 6)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from waverep import fixtures, serialize as ser
 from waverep.dilation import random_coisometry
@@ -88,3 +90,83 @@ def test_filter_kind_inferred_from_keys(rng):
     for bad in ({"M": 8}, {}, {"kind": "spline", "coeffs": [[1.0, 0.0]]}, [[1.0, 0.0]]):
         with pytest.raises(ser.InputError):
             ser.filter_from_dict(bad)
+
+
+# ---------------------------------------------------------------------------
+# the complex codec: bit-exact through JSON text
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)  # draws -0.0 and subnormals too
+_complexes = st.builds(complex, _finite, _finite)
+_EDGES = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -5e-324),
+                   complex(-2.2250738585072014e-308, 1e-310), complex(1e308, -1e-308)])
+
+
+def _through_json(values, shape=None):
+    return ser._vec_c(json.loads(json.dumps(ser._cvec(values))), shape)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.complex128, st.integers(0, 40), elements=_complexes))
+@example(_EDGES)
+@example(np.zeros(0, dtype=np.complex128))
+def test_codec_round_trips_vectors_bit_exactly(a):
+    assert _same_bits(_through_json(a), a)
+    assert _same_bits(_through_json(a, a.shape), a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hnp.arrays(np.complex128, st.tuples(st.integers(1, 3), st.integers(1, 4)).map(
+    lambda t: (t[0], t[1], t[1])), elements=_complexes))
+@example(_EDGES[:4].reshape(1, 2, 2))
+def test_codec_round_trips_matrix_stacks_bit_exactly(a):
+    assert _same_bits(_through_json(a, a.shape), a)
+    with pytest.raises(ser.InputError):
+        _through_json(a)  # a matrix stack is not a flat list of pairs
+
+
+def test_zero_polynomial_round_trips():
+    d = json.loads(json.dumps(ser.poly_to_dict(LaurentPoly.zero())))
+    assert d["coeffs"] == []
+    assert ser.poly_from_dict(d).is_zero()
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ops=st.integers(2, 3), dim=st.integers(1, 4))
+def test_family_round_trips_bit_exactly(seed, ops, dim):
+    fam = random_coisometry(ops, dim, np.random.default_rng(seed))
+    restored = ser.family_from_dict(json.loads(json.dumps(ser.family_to_dict(fam))))
+    assert _same_bits(np.ascontiguousarray(restored.v), fam.v)
+    assert _same_bits(np.ascontiguousarray(restored.omega), fam.omega)
+
+
+@pytest.mark.parametrize("pairs,shape", [
+    ([[1.0], [2.0, 3.0]], None),         # ragged: a pair with one number
+    ([[1.0], [2.0]], None),              # pairs of one number
+    ([[1.0, 2.0, 3.0]], None),           # a triple
+    ([[1.0, 0.0]] * 3, (4,)),            # wrong length
+    ([[None, 0.0]], None),               # not a number
+    ([["1", "0"]], None),                # strings
+    ([1.0, 0.0], None),                  # one bare pair, not a list of pairs
+    ({"re": 1.0}, None),                 # not a list
+])
+def test_codec_rejects_malformed_pairs(pairs, shape):
+    with pytest.raises(ser.InputError):
+        ser._vec_c(pairs, shape)
+
+
+@pytest.mark.parametrize("decode,d", [
+    (ser.bank_from_dict, {"scale": 2, "filters": []}),
+    (ser.bank_from_dict, {"scale": 2, "kind": "poly", "filters": [[[1.0, 0.0]]]}),
+    (ser.gridfunction_from_dict, {"values": [[1.0, 0.0]]}),
+    (ser.gridfunction_from_dict, {"M": [4], "values": [[1.0, 0.0]] * 4}),
+    (ser.poly_from_dict, {"coeffs": [[1.0, 0.0]]}),
+    (ser.family_from_dict, {"N": 2, "dim": 1, "V": [[[[1.0, 0.0]]], [[[0.0, 0.0]]]]}),
+    (ser.family_from_dict, "not an object"),
+])
+def test_missing_keys_and_wrong_types_are_input_errors(decode, d):
+    with pytest.raises(ser.InputError):
+        decode(d)
