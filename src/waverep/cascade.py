@@ -11,7 +11,9 @@ encodes orthonormality of the integer translates.
 
 Everything here stays on the frequency side; no time-domain rendering is
 provided.  Grid-kind filters are evaluated by nearest-grid lookup, which is
-honest only for smooth data; such runs carry an `approximate` flag.
+honest only for smooth data; such runs carry an `approximate` flag.  That
+lookup is the package's only approximate evaluation: every other value
+comes from filterbank.filter_values_at_angles.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filterbank import AngleFunction, Filter, FilterBank, check_lowpass
+from .filterbank import Filter, FilterBank, check_lowpass, filter_values_at_angles
 from .laurent import GridFunction, LaurentPoly
 
 TWO_PI = 2.0 * math.pi
@@ -64,18 +66,14 @@ def symmetric_grid(t_max: float, samples: int) -> np.ndarray:
     return np.linspace(-t_max, t_max, samples)
 
 
-def _filter_at_angles(f: Filter, t: np.ndarray) -> tuple[np.ndarray, bool]:
+def _values_at_t(f: Filter, t: np.ndarray) -> tuple[np.ndarray, bool]:
     """Filter values at real angles t; flags nearest-grid approximation."""
-    if isinstance(f, LaurentPoly):
-        return f.values_at_t(t), False
-    if isinstance(f, AngleFunction):
-        return f.values_at_t(t), False
     if isinstance(f, GridFunction):
         m = f.grid.M
         # z = exp(-i t) sits at grid angle -t; round to the nearest index
         j = np.round(np.mod(-t, TWO_PI) / TWO_PI * m).astype(np.int64) % m
         return f.values[j], True
-    raise TypeError(f"not a filter: {type(f).__name__}")
+    return filter_values_at_angles(f, -t), False
 
 
 def truncated_product(lowpass: Filter, scale: int, t, depth: int) -> np.ndarray:
@@ -84,7 +82,7 @@ def truncated_product(lowpass: Filter, scale: int, t, depth: int) -> np.ndarray:
     acc = np.ones(t.shape, dtype=np.complex128)
     root = math.sqrt(scale)
     for k in range(1, depth + 1):
-        vals, _ = _filter_at_angles(lowpass, t / scale**k)
+        vals, _ = _values_at_t(lowpass, t / scale**k)
         acc *= vals / root
     return acc
 
@@ -97,7 +95,7 @@ def scaling_hat(lowpass: Filter, scale: int, t_max: float = DEFAULT_T_MAX,
     the product does not converge to the right normalization.  The value at
     t = 0 is (2*pi)^(-1/2) up to roundoff in the depth factors.
     """
-    v0, _ = _filter_at_angles(lowpass, np.zeros(1))
+    v0, _ = _values_at_t(lowpass, np.zeros(1))
     if abs(complex(v0[0]) - math.sqrt(scale)) > 1e-8:
         raise ValueError(
             f"low-pass value at t=0 is {complex(v0[0]):.6g}, expected sqrt({scale}); "
@@ -124,7 +122,7 @@ def mother_hat(fb: FilterBank, i: int, phihat: LineSamples) -> LineSamples:
     if i >= n:
         raise IndexError("filter index out of range")
     t = phihat.t_values
-    band, approx1 = _filter_at_angles(fb.filters[i], t / n)
+    band, approx1 = _values_at_t(fb.filters[i], t / n)
     base = INV_SQRT_2PI * truncated_product(fb.filters[0], n, t / n, phihat.depth)
     vals = band * base / math.sqrt(n)
     return LineSamples(t_values=t, values=vals, depth=phihat.depth,
@@ -190,7 +188,7 @@ def cascade_limit_residual(lowpass: Filter, scale: int, xi: LaurentPoly, depth: 
         lhs = chi * truncated_product(lowpass, scale, t, depth) * xi_vals
         rhs = truncated_product(lowpass, scale, t, depth + extra_depth) * xi_vals
     else:
-        band_vals, _ = _filter_at_angles(band, t / scale)
+        band_vals, _ = _values_at_t(band, t / scale)
         upper = truncated_product(lowpass, scale, t / scale, depth - 1) if depth > 1 else np.ones_like(t, dtype=np.complex128)
         lhs = chi * band_vals / math.sqrt(scale) * upper * xi_vals
         deep = truncated_product(lowpass, scale, t / scale, depth - 1 + extra_depth)

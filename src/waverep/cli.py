@@ -35,33 +35,34 @@ from .serialize import InputError
 
 
 def parse_angle(text: str) -> float:
-    """Parse '8pi', '1.5pi', 'pi', or a plain float, into radians."""
+    """Parse '8pi', '1.5pi', 'pi', or a plain float, into radians; finite only."""
     s = str(text).strip().lower().replace(" ", "")
-    if s.endswith("pi"):
-        head = s[:-2]
-        if head in ("", "+"):
-            return math.pi
-        if head == "-":
-            return -math.pi
-        try:
-            return float(head) * math.pi
-        except ValueError as e:
-            raise InputError(f"cannot parse angle {text!r}") from e
+    pi = s.endswith("pi")
+    head = s[:-2] if pi else s
     try:
-        return float(s)
+        value = float(head + "1" if pi and head in ("", "+", "-") else head)
     except ValueError as e:
         raise InputError(f"cannot parse angle {text!r}") from e
+    if not math.isfinite(value):
+        raise InputError(f"angle must be finite, got {text!r}")
+    return value * math.pi if pi else value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (argparse turns the error into exit 2)."""
-    try:
-        value = int(text)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from e
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def _int_at_least(lo: int):
+    """argparse type: an integer >= lo (argparse turns the error into exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from e
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_scale = _int_at_least(2)
 
 
 def _load_json(path: str) -> dict:
@@ -178,6 +179,8 @@ def cmd_cascade(args):
     artifacts = []
     target_samples = phi
     if args.mother:
+        if args.mother >= bank.scale:
+            raise InputError(f"--mother must be in 1..{bank.scale - 1}, got {args.mother}")
         target_samples = cas.mother_hat(bank, args.mother, phi)
         info["mother_index"] = args.mother
     if args.per:
@@ -209,6 +212,8 @@ def cmd_wold(args):
         if args.shift_check:
             ok = wld.wavelet_shift_check(bank)
             return {"all_shifts": ok}, {}, {"scale": scale}, []
+        if not 0 <= args.index < scale:
+            raise InputError(f"--index must be in 0..{scale - 1}, got {args.index}")
         i, filt = args.index, bank.filters[args.index]
     rep = wld.wold_analysis(filt, scale)
     verdicts = {"isometry": rep.isometry_residual <= 1e-8,
@@ -350,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("complete", help="extend a low-pass filter to a unitary bank")
     q.add_argument("--lowpass", required=True, help="filter JSON file")
-    q.add_argument("--scale", type=int, required=True)
+    q.add_argument("--scale", type=_scale, required=True)
     q.add_argument("--out-bank", help="write the completed bank JSON here")
     q.set_defaults(handler=cmd_complete)
 
@@ -358,9 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_bank_source(q)
     q.add_argument("--depth", type=int, default=cas.DEFAULT_DEPTH)
     q.add_argument("--t-max", default="8pi")
-    q.add_argument("--samples", type=int, default=cas.DEFAULT_SAMPLES)
-    q.add_argument("--mother", type=int, default=0, help="also compute this mother index")
-    q.add_argument("--per", type=int, default=0, help="lattice size K for the periodization check")
+    q.add_argument("--samples", type=_int_at_least(3), default=cas.DEFAULT_SAMPLES)
+    q.add_argument("--mother", type=_int_at_least(0), default=0,
+                   help="also compute this mother index")
+    q.add_argument("--per", type=_int_at_least(0), default=0,
+                   help="lattice size K for the periodization check")
     q.add_argument("--per-tol", type=float, default=1e-3)
     q.add_argument("--csv", help="write t,re,im,abs samples here")
     q.set_defaults(handler=cmd_cascade)
@@ -368,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("wold", help="classify the unitary part of one filter's isometry")
     add_bank_source(q)
     q.add_argument("--filter", help="single filter JSON file")
-    q.add_argument("--scale", type=int, default=0)
+    q.add_argument("--scale", type=_scale, default=0)
     q.add_argument("--index", type=int, default=0, help="filter index within the bank")
     q.add_argument("--shift-check", action="store_true",
                    help="check that every filter of the bank generates a shift")
@@ -376,11 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("index", help="unit-circle eigenspaces of the combined isometry")
     add_bank_source(q)
-    q.add_argument("--window", type=int, default=64)
+    q.add_argument("--window", type=_int_at_least(0), default=64)
     q.set_defaults(handler=cmd_index)
 
     q = sub.add_parser("decompose", help="orbit decomposition of a monomial family")
-    q.add_argument("--scale", type=int, required=True)
+    q.add_argument("--scale", type=_scale, required=True)
     q.add_argument("--digits", required=True, help="comma-separated digits, e.g. 0,1")
     q.add_argument("--window", type=int, default=64)
     q.set_defaults(handler=cmd_decompose)
@@ -388,16 +395,18 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("equiv", help="cocycle equivalence of characteristic-function families")
     q.add_argument("--u1", required=True, help="grid-function JSON file")
     q.add_argument("--u2", required=True, help="grid-function JSON file")
-    q.add_argument("--scale", type=int, required=True)
+    q.add_argument("--scale", type=_scale, required=True)
     q.set_defaults(handler=cmd_equiv)
 
     q = sub.add_parser("dilate", help="Fock-space dilation diagnostics of a coisometry family")
     q.add_argument("--family", help="family JSON file")
-    q.add_argument("--random-dim", type=int, default=3, help="draw a random family of this dim")
-    q.add_argument("--ops", type=int, default=2, help="number of operators for random families")
+    q.add_argument("--random-dim", type=_positive_int, default=3,
+                   help="draw a random family of this dim")
+    q.add_argument("--ops", type=_positive_int, default=2,
+                   help="number of operators for random families")
     q.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.5)
-    q.add_argument("--fock-depth", type=int, default=8)
-    q.add_argument("--gram-depth", type=int, default=3)
+    q.add_argument("--fock-depth", type=_positive_int, default=8)
+    q.add_argument("--gram-depth", type=_positive_int, default=3)
     q.set_defaults(handler=cmd_dilate)
 
     q = sub.add_parser("fixtures", help="materialize a named fixture bank")

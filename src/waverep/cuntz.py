@@ -8,14 +8,8 @@ arrays, so the defining relations
 hold to machine precision whenever the bank's modulation matrix is unitary.
 The adjoint is digit extraction: the coefficient of z^k in S_i* xi gathers
 the coefficients of xi at indices N*k + a over the support a of m_i,
-weighted by conj(m_i)_a.  No grid quadrature is involved.
-
-Grid-kind banks get parallel operations through the permutation model
-(z -> z^N permutes a grid of coprime size).  Those are exact adjoint pairs
-for the *grid* inner product, but a finite grid cannot carry the relations
-themselves (the completeness sum comes out N, not 1), so grid results are
-screening diagnostics only; every relation test in this package runs on
-polynomial banks.
+weighted by conj(m_i)_a.  No grid quadrature is involved; a representation
+takes a polynomial bank only.
 """
 
 from __future__ import annotations
@@ -25,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filterbank import FilterBank, require_verified, VERIFY_TOL
-from .laurent import GridFunction, LaurentPoly
+from .laurent import LaurentPoly
 
 
 # ---------------------------------------------------------------------------
@@ -64,29 +58,16 @@ def apply_filter_adjoint(m: LaurentPoly, scale: int, xi: LaurentPoly) -> Laurent
     return LaurentPoly(out, min_degree=k_lo)
 
 
-def apply_grid_isometry(m: GridFunction, scale: int, xi: GridFunction) -> GridFunction:
-    """Permutation-model S on a grid coprime to the scale (screening only)."""
-    return m * xi.compose_dynamics(scale)
-
-
-def apply_grid_adjoint(m: GridFunction, scale: int, xi: GridFunction) -> GridFunction:
-    """Adjoint of apply_grid_isometry for the grid inner product."""
-    if m.grid != xi.grid:
-        raise ValueError("grids differ")
-    sigma = m.grid.multiply_map(scale)
-    inv = np.empty_like(sigma)
-    inv[sigma] = np.arange(m.grid.M)
-    return GridFunction(m.grid, np.conj(m.values[inv]) * xi.values[inv])
-
-
 # ---------------------------------------------------------------------------
 # representations built from a verified bank
 
 
 class CuntzRep:
-    """The isometries of a verified filter bank, acting on L2 of the circle."""
+    """The isometries of a verified polynomial filter bank, acting on L2 of the circle."""
 
     def __init__(self, bank: FilterBank, tol: float = VERIFY_TOL, validate: bool = True):
+        if bank.kind != "poly":
+            raise TypeError(f"the isometries act on coefficients; a {bank.kind} bank has none")
         if validate:
             require_verified(bank, tol)
         self.bank = bank
@@ -98,21 +79,11 @@ class CuntzRep:
 
     def apply_isometry(self, i: int, xi):
         self._check_index(i)
-        f = self.bank.filters[i]
-        if isinstance(f, LaurentPoly):
-            return apply_filter_isometry(f, self.scale, xi)
-        if isinstance(f, GridFunction):
-            return apply_grid_isometry(f, self.scale, xi)
-        raise TypeError("callable-kind banks have no coefficient action; sample them first")
+        return apply_filter_isometry(self.bank.filters[i], self.scale, xi)
 
     def apply_adjoint(self, i: int, xi):
         self._check_index(i)
-        f = self.bank.filters[i]
-        if isinstance(f, LaurentPoly):
-            return apply_filter_adjoint(f, self.scale, xi)
-        if isinstance(f, GridFunction):
-            return apply_grid_adjoint(f, self.scale, xi)
-        raise TypeError("callable-kind banks have no coefficient action; sample them first")
+        return apply_filter_adjoint(self.bank.filters[i], self.scale, xi)
 
 
 def cuntz_residuals(rep: CuntzRep, samples) -> tuple[float, float]:

@@ -115,16 +115,24 @@ def default_check_grid(scale: int, points: int = DEFAULT_CHECK_POINTS) -> Circle
 
 
 def filter_values_at_angles(f: Filter, theta: np.ndarray) -> np.ndarray:
-    """Values of a filter at the circle points exp(i*theta).
+    """Values of a filter at the circle points exp(i*theta): the one point evaluator.
 
     theta is a z-space angle; the package's t-convention (z = exp(-i t))
-    makes this f evaluated at t = -theta for callable filters.
+    makes this f evaluated at t = -theta for callable filters.  A grid
+    filter has values at its own grid points only and raises ValueError
+    at any other point.
     """
     if isinstance(f, LaurentPoly):
         return f._evaluate_unchecked(np.exp(1j * theta))
     if isinstance(f, AngleFunction):
         return f.values_at_t(-theta)
-    raise TypeError("grid filters cannot be evaluated at arbitrary angles")
+    if not isinstance(f, GridFunction):
+        raise TypeError(f"not a filter: {type(f).__name__}")
+    theta = np.asarray(theta, dtype=np.float64)
+    j = np.round(theta / (2.0 * np.pi) * f.grid.M).astype(np.int64) % f.grid.M
+    if np.any(np.abs(f.grid.points()[j] - np.exp(1j * theta)) > 1e-9):
+        raise ValueError("grid filter has no value at this point")
+    return f.values[j]
 
 
 def values_on_coset(f: Filter, scale: int, grid: CircleGrid, *,
@@ -154,15 +162,18 @@ def values_on_coset(f: Filter, scale: int, grid: CircleGrid, *,
     return filter_values_at_angles(f, theta.ravel()).reshape(n, cols)
 
 
+def _grid_or_default(f: Filter, scale: int, grid: CircleGrid | None) -> CircleGrid:
+    """The given grid, else a grid filter's own grid, else the default check grid."""
+    return grid or (f.grid if isinstance(f, GridFunction) else default_check_grid(scale))
+
+
 def _coset_gram(filters, scale: int, grid: CircleGrid | None):
     """(G, grid): G[j][i, i'] = (1/N) sum_k m_i(rho^k z_j) conj(m_i'(rho^k z_j)).
 
     A coset sum depends on z_j^N only, so when N | M only the first M/N grid
     points are formed; the others repeat them.  grid=None means the default.
     """
-    if grid is None:
-        first = filters[0]
-        grid = first.grid if isinstance(first, GridFunction) else default_check_grid(scale)
+    grid = _grid_or_default(filters[0], scale, grid)
     cols = grid.M // scale if grid.M % scale == 0 else grid.M
     c = np.empty((cols, len(filters), scale), dtype=np.complex128)
     for i, f in enumerate(filters):
@@ -252,17 +263,7 @@ def modulation_matrix(fb: FilterBank, z: complex) -> np.ndarray:
         raise ValueError("z must lie on the unit circle")
     rho = np.exp(2j * np.pi / n)
     pts = np.array([z * rho**k for k in range(n)])
-    rows = [np.array([_grid_value_at(f, w) for w in pts]) if isinstance(f, GridFunction)
-            else filter_values_at_angles(f, np.angle(pts)) for f in fb.filters]
-    return np.stack(rows) / np.sqrt(n)
-
-
-def _grid_value_at(f: GridFunction, z: complex) -> complex:
-    m = f.grid.M
-    j = int(round(np.angle(z) / (2.0 * np.pi) * m)) % m
-    if abs(f.grid.points()[j] - z) > 1e-9:
-        raise ValueError("grid filter has no value at this point")
-    return complex(f.values[j])
+    return np.stack([filter_values_at_angles(f, np.angle(pts)) for f in fb.filters]) / np.sqrt(n)
 
 
 @dataclass
@@ -284,11 +285,7 @@ def check_lowpass(f: Filter, scale: int, tol: float = 1e-8) -> LowpassReport:
     since the cascade product needs the aligned value.
     """
     n = scale
-    theta = -2.0 * np.pi * np.arange(n) / n  # z-angles of t = 2*pi*k/N
-    if isinstance(f, GridFunction):
-        vals = np.array([_grid_value_at(f, z) for z in np.exp(1j * theta)])
-    else:
-        vals = filter_values_at_angles(f, theta)
+    vals = filter_values_at_angles(f, -2.0 * np.pi * np.arange(n) / n)  # z-angles of t = 2*pi*k/N
     v0 = complex(vals[0])
     zeros = np.abs(vals[1:])
     ok = abs(abs(v0) - math.sqrt(n)) <= tol and bool(np.all(zeros <= tol))
@@ -337,15 +334,11 @@ def complete_filterbank(lowpass: Filter, scale: int, tol: float = VERIFY_TOL,
         k_top = lowpass.max_degree
         mirror = -(LaurentPoly.monomial(2 * k_top - 1) * lowpass.conj_reflect().compose_negate())
         return FilterBank(2, (lowpass, mirror))
-    if isinstance(lowpass, GridFunction):
-        if grid is not None and grid != lowpass.grid:
-            raise ValueError("grid filter is bound to its own grid")
-        grid, m0_vals = lowpass.grid, lowpass.values
-    else:
-        grid = grid or default_check_grid(n)
-        m0_vals = filter_values_at_angles(lowpass, grid.angles())
+    grid = _grid_or_default(lowpass, n, grid)
     if grid.M % n != 0:
         raise ValueError("completion grid size must be divisible by the scale")
+    # Horner, not the FFT sampler: the reflectors amplify the 1e-16 gap between them
+    m0_vals = filter_values_at_angles(lowpass, grid.angles())
     root_n = math.sqrt(n)
     q = householder_rows(m0_vals.reshape(n, -1).T / root_n)  # q[j] for orbit j
     out = (root_n * q.transpose(1, 2, 0)).reshape(n, grid.M)  # out[r, k M/N + j] = q[j, r, k]

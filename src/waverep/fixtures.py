@@ -44,28 +44,23 @@ def db4() -> FilterBank:
     return complete_filterbank(LaurentPoly(h), 2)
 
 
-def _shannon_low(t: np.ndarray) -> np.ndarray:
-    # indicator of the half-open arc t in [-pi/2, pi/2) mod 2*pi, value sqrt(2).
-    # A 1e-9 snap makes the boundary decision deterministic for near-dyadic t.
-    q = t / np.pi
-    r = np.mod(q + 1.0, 2.0) - 1.0
-    eps = 1e-9
-    mask = (r >= -0.5 - eps) & (r < 0.5 - eps)
-    return np.where(mask, math.sqrt(2.0), 0.0).astype(np.complex128)
+def _half_band(on: float, off: float):
+    """Angle rule: `on` on the half-open arc t in [-pi/2, pi/2) mod 2*pi, `off` elsewhere.
 
-
-def _shannon_high(t: np.ndarray) -> np.ndarray:
-    q = t / np.pi
-    r = np.mod(q + 1.0, 2.0) - 1.0
-    eps = 1e-9
-    mask = (r >= -0.5 - eps) & (r < 0.5 - eps)
-    return np.where(mask, 0.0, math.sqrt(2.0)).astype(np.complex128)
+    A 1e-9 snap makes the boundary decision deterministic for near-dyadic t.
+    """
+    def rule(t: np.ndarray) -> np.ndarray:
+        r = np.mod(t / np.pi + 1.0, 2.0) - 1.0
+        mask = (r >= -0.5 - 1e-9) & (r < 0.5 - 1e-9)
+        return np.where(mask, on, off).astype(np.complex128)
+    return rule
 
 
 def shannon() -> FilterBank:
     """Half-band indicator pair at scale 2, as exact angle rules."""
-    return FilterBank(2, (AngleFunction(_shannon_low, "shannon low"),
-                          AngleFunction(_shannon_high, "shannon high")))
+    root2 = math.sqrt(2.0)
+    return FilterBank(2, (AngleFunction(_half_band(root2, 0.0), "shannon low"),
+                          AngleFunction(_half_band(0.0, root2), "shannon high")))
 
 
 def monomial(digits) -> FilterBank:

@@ -341,9 +341,12 @@ class CircleGrid:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Complex samples on a CircleGrid, one value per grid point."""
+    """Complex samples on a CircleGrid, one value per grid point.
+
+    Equal when grid and values are equal; hashable, so grid-kind banks are too.
+    """
 
     grid: CircleGrid
     values: np.ndarray = field(repr=False)
@@ -355,6 +358,14 @@ class GridFunction:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    def __eq__(self, other):
+        if not isinstance(other, GridFunction):
+            return NotImplemented
+        return self.grid == other.grid and np.array_equal(self.values, other.values)
+
+    def __hash__(self):
+        return hash((self.grid, (self.values + 0.0).tobytes()))  # + 0.0 maps -0.0 to 0.0
 
     def norm2(self) -> float:
         return float(np.sqrt(np.mean(np.abs(self.values) ** 2)))

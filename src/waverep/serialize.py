@@ -12,7 +12,8 @@ Wire formats (stable):
 Complex values, here and in the CLI's run reports, are [re, im] pairs of
 floats, encoded and decoded bit-exactly by one codec (_cvec / _vec_c).
 Decoding raises InputError for input outside these formats: a missing key,
-a value of the wrong type, or pairs of the wrong shape.
+a value of the wrong type, pairs of the wrong shape, a value that is not
+finite (JSON readers accept NaN and Infinity), or a grid size M < 1.
 
 Callable-kind banks have no sample-free encoding; exporting one samples it
 onto a grid (size divisible by the scale) and marks kind "grid".
@@ -25,7 +26,7 @@ import functools
 import numpy as np
 
 from .dilation import CoisometryFamily
-from .filterbank import FilterBank, default_check_grid
+from .filterbank import FilterBank, default_check_grid, values_on_coset
 from .laurent import CircleGrid, GridFunction, LaurentPoly
 
 
@@ -50,6 +51,8 @@ def _vec_c(pairs, shape: tuple | None = None) -> np.ndarray:
     want = a.shape[:1] if shape is None else tuple(shape)
     if a.dtype.kind not in "biuf" or a.shape != want + (2,):
         raise InputError(f"expected [re, im] pairs of shape {want}, got {a.dtype} {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InputError("complex values must be finite (no NaN or Infinity)")
     return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
 
 
@@ -86,24 +89,20 @@ def gridfunction_to_dict(g: GridFunction) -> dict:
 @_decoder
 def gridfunction_from_dict(d: dict) -> GridFunction:
     m = int(d["M"])
+    if m < 1:
+        raise InputError(f"a grid function needs M >= 1, got {m}")
     return GridFunction(CircleGrid(m), _vec_c(d["values"], (m,)))
 
 
 def bank_to_dict(fb: FilterBank, export_grid_points: int = 4096) -> dict:
-    kind = fb.kind
-    if kind == "callable":
-        grid = default_check_grid(fb.scale, export_grid_points)
-        theta = grid.angles()
-        filters = [
-            gridfunction_to_dict(GridFunction(grid, f.values_at_t(-theta)))
-            for f in fb.filters
-        ]
-        return {"scale": fb.scale, "kind": "grid", "filters": filters}
-    if kind == "poly":
+    if fb.kind == "poly":
         return {"scale": fb.scale, "kind": "poly",
                 "filters": [poly_to_dict(f) for f in fb.filters]}
-    return {"scale": fb.scale, "kind": "grid",
-            "filters": [gridfunction_to_dict(f) for f in fb.filters]}
+    filters = fb.filters
+    if fb.kind == "callable":
+        grid = default_check_grid(fb.scale, export_grid_points)
+        filters = [GridFunction(grid, values_on_coset(f, 1, grid)[0]) for f in filters]
+    return {"scale": fb.scale, "kind": "grid", "filters": [gridfunction_to_dict(f) for f in filters]}
 
 
 @_decoder

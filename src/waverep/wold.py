@@ -33,9 +33,9 @@ from .cuntz import apply_filter_adjoint, apply_filter_isometry
 from .filterbank import (
     Filter,
     FilterBank,
-    filter_values_at_angles,
     qmf_residual,
     require_verified,
+    values_on_coset,
     VERIFY_TOL,
 )
 from .laurent import CircleGrid, GridFunction, LaurentPoly
@@ -76,14 +76,6 @@ def isometry_residual(m: Filter, scale: int) -> float:
         mult = (freqs % scale == 0) & (freqs != 0)
         return float(scale * (np.sum(np.abs(modes[mult])) + abs(modes[0] - 1.0)))
     return qmf_residual(m, scale)
-
-
-def _values_on_grid(m: Filter, grid: CircleGrid) -> np.ndarray:
-    if isinstance(m, GridFunction):
-        if m.grid != grid:
-            raise ValueError("grid filter is bound to a different grid")
-        return m.values
-    return filter_values_at_angles(m, grid.angles())
 
 
 def range_projection_norms(m: Filter, scale: int, probe: LaurentPoly, k_max: int,
@@ -148,7 +140,7 @@ def wold_analysis(m: Filter, scale: int, grid: CircleGrid | None = None,
     if iso > max(tol, 1e-8):
         raise ValueError(f"filter is not an isometry symbol (residual {iso:.3g})")
 
-    vals = _values_on_grid(m, grid)
+    vals = values_on_coset(m, 1, grid)[0]
     unimod = float(np.max(np.abs(np.abs(vals) - 1.0)))
 
     decay: dict = {}
@@ -211,7 +203,7 @@ def wold_analysis(m: Filter, scale: int, grid: CircleGrid | None = None,
     if not isinstance(m, GridFunction):
         second = CircleGrid.dynamics_grid(scale, lo=grid.M + 1,
                                           hi=max(65535, (grid.M + 1) * scale))
-        hit2 = _grid_eigendata(_values_on_grid(m, second), second, scale)
+        hit2 = _grid_eigendata(values_on_coset(m, 1, second)[0], second, scale)
         report.grid_sizes = (grid.M, second.M)
         if hit2 is None:
             report.anomaly = "grid verdicts disagree across coprime grid sizes (resolution artifact)"

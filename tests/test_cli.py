@@ -228,6 +228,21 @@ def _untagged_file(tmp_path, d):
     "grid_bank_size_not_divisible_by_scale",
     "filter_without_coeffs_or_values",
     "filter_not_an_object",
+    "wold_index_above_scale",
+    "wold_index_negative",
+    "decompose_scale_one",
+    "complete_scale_one",
+    "equiv_scale_one",
+    "index_window_negative",
+    "dilate_gram_depth_zero",
+    "dilate_fock_depth_zero",
+    "dilate_random_dim_zero",
+    "dilate_ops_zero",
+    "cascade_samples_one",
+    "cascade_t_max_nan",
+    "cascade_t_max_inf",
+    "cascade_mother_above_scale",
+    "cascade_per_negative",
 ])
 def test_input_errors_exit_two(case, tmp_path, capsys):
     argv = {
@@ -240,6 +255,25 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
             "complete", "--lowpass", _untagged_file(tmp_path, {"M": 4}), "--scale", "2"],
         "filter_not_an_object": lambda: [
             "wold", "--filter", _untagged_file(tmp_path, [[1.0, 0.0]]), "--scale", "2"],
+        "wold_index_above_scale": lambda: ["wold", "--fixture", "haar2", "--index", "5"],
+        "wold_index_negative": lambda: ["wold", "--fixture", "haar2", "--index", "-1"],
+        "decompose_scale_one": lambda: ["decompose", "--scale", "1", "--digits", "0"],
+        "complete_scale_one": lambda: [
+            "complete", "--lowpass", _untagged_file(tmp_path, {"coeffs": [[1.0, 0.0]]}),
+            "--scale", "1"],
+        "equiv_scale_one": lambda: [
+            "equiv", "--u1", _untagged_file(tmp_path, {"M": 1, "values": [[1.0, 0.0]]}),
+            "--u2", _untagged_file(tmp_path, {"M": 1, "values": [[1.0, 0.0]]}), "--scale", "1"],
+        "index_window_negative": lambda: ["index", "--fixture", "haar2", "--window", "-3"],
+        "dilate_gram_depth_zero": lambda: ["dilate", "--gram-depth", "0"],
+        "dilate_fock_depth_zero": lambda: ["dilate", "--fock-depth", "0"],
+        "dilate_random_dim_zero": lambda: ["dilate", "--random-dim", "0"],
+        "dilate_ops_zero": lambda: ["dilate", "--ops", "0"],
+        "cascade_samples_one": lambda: ["cascade", "--fixture", "db4", "--samples", "1"],
+        "cascade_t_max_nan": lambda: ["cascade", "--fixture", "db4", "--t-max", "nan"],
+        "cascade_t_max_inf": lambda: ["cascade", "--fixture", "db4", "--t-max", "infpi"],
+        "cascade_mother_above_scale": lambda: ["cascade", "--fixture", "db4", "--mother", "2"],
+        "cascade_per_negative": lambda: ["cascade", "--fixture", "db4", "--per", "-1"],
     }[case]()
     assert run(argv) == 2
     captured = capsys.readouterr()
@@ -320,6 +354,10 @@ def _write(tmp_path, name, obj):
     "pair_with_one_number",
     "values_length_not_M",
     "family_rows_shorter_than_dim",
+    "nan_coefficient",
+    "infinite_grid_value",
+    "grid_size_zero",
+    "grid_size_negative",
 ])
 def test_wire_input_outside_the_contract_exits_two(case, tmp_path, capsys):
     g = CircleGrid.dynamics_grid(2)
@@ -341,6 +379,18 @@ def test_wire_input_outside_the_contract_exits_two(case, tmp_path, capsys):
         "family_rows_shorter_than_dim": lambda: [
             "dilate", "--family", _write(tmp_path, "fam.json", {
                 **fam, "V": [[row[:-1] for row in mat] for mat in fam["V"]]})],
+        "nan_coefficient": lambda: ["check", _write(tmp_path, "b.json", {
+            **bank, "filters": [{"min_degree": 0, "coeffs": [[math.nan, 0.0]]}] + bank["filters"][1:]})],
+        "infinite_grid_value": lambda: [
+            "equiv", "--u1", _write(tmp_path, "u1.json", {
+                "M": g.M, "values": [[math.inf, 0.0]] + u["values"][1:]}),
+            "--u2", _write(tmp_path, "u2.json", u), "--scale", "2"],
+        "grid_size_zero": lambda: [
+            "equiv", "--u1", _write(tmp_path, "u1.json", {"M": 0, "values": []}),
+            "--u2", _write(tmp_path, "u2.json", {"M": 0, "values": []}), "--scale", "2"],
+        "grid_size_negative": lambda: [
+            "equiv", "--u1", _write(tmp_path, "u1.json", {"M": -3, "values": []}),
+            "--u2", _write(tmp_path, "u2.json", {"M": -3, "values": []}), "--scale", "2"],
     }[case]()
     assert run(argv) == 2
     captured = capsys.readouterr()

@@ -205,19 +205,3 @@ def test_shift_depth_validation(haar_rep):
     with pytest.raises(ValueError):
         shift_realization(haar_rep, LaurentPoly.one(), 0)
 
-
-# ---------------------------------------------------------------------------
-# grid-kind operations (screening model)
-
-
-def test_grid_ops_are_adjoint_pairs(rng):
-    from waverep.cuntz import apply_grid_adjoint, apply_grid_isometry
-    from waverep.laurent import CircleGrid, GridFunction, grid_inner, sample
-
-    g = CircleGrid(63)
-    m = sample(fixtures.haar(2).filters[0], g)
-    xi = GridFunction(g, rng.normal(size=63) + 1j * rng.normal(size=63))
-    eta = GridFunction(g, rng.normal(size=63) + 1j * rng.normal(size=63))
-    lhs = grid_inner(apply_grid_adjoint(m, 2, xi), eta)
-    rhs = grid_inner(xi, apply_grid_isometry(m, 2, eta))
-    assert abs(lhs - rhs) < 1e-12

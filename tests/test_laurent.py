@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from waverep import fixtures
+from waverep.filterbank import FilterBank
 from waverep.laurent import (
     CircleGrid,
     GridFunction,
@@ -212,3 +214,19 @@ def test_allclose_helper():
     p = LaurentPoly([1.0, 2.0])
     assert allclose(p, p + LaurentPoly([1e-15]))
     assert not allclose(p, p + LaurentPoly([1e-3]))
+
+
+def test_grid_function_equality_and_hash():
+    g = CircleGrid(16)
+    p = LaurentPoly([1.0, 2.0j, -0.5], min_degree=-1)
+    a, b = sample(p, g), sample(p, g)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != sample(p * 2.0, g)
+    assert a != sample(p, CircleGrid(32))
+    assert a != p and a != "a"
+    # equal values with a different sign of zero: still equal, same hash
+    z, nz = GridFunction(g, np.zeros(16)), GridFunction(g, -np.zeros(16))
+    assert z == nz and hash(z) == hash(nz)
+    bank = FilterBank(2, tuple(sample(f, g) for f in fixtures.haar(2).filters))
+    again = FilterBank(2, tuple(sample(f, g) for f in fixtures.haar(2).filters))
+    assert bank == again and hash(bank) == hash(again)
