@@ -48,8 +48,8 @@ def parse_angle(text: str) -> float:
     return value * math.pi if pi else value
 
 
-def _int_at_least(lo: int):
-    """argparse type: an integer >= lo (argparse turns the error into exit 2)."""
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an integer in lo..hi (argparse turns the error into exit 2)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -57,12 +57,31 @@ def _int_at_least(lo: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from e
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be at most {hi}, got {value}")
         return value
     return parse
 
 
-_positive_int = _int_at_least(1)
-_scale = _int_at_least(2)
+def _float_between(lo: float, hi: float):
+    """argparse type: a real strictly between lo and hi, so never nan or infinite."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from e
+        if not lo < value < hi:
+            raise argparse.ArgumentTypeError(f"must lie strictly between {lo} and {hi}, "
+                                             f"got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_in(1)
+_scale = _int_in(2)
+# fock_dim = dim (N^(K+1) - 1)/(N - 1) must stay printable: Python writes ints
+# of at most 4300 digits, which K <= 1000 keeps for N below 10^4
+FOCK_DEPTH_MAX = 1000
 
 
 def _load_json(path: str) -> dict:
@@ -168,6 +187,8 @@ def cmd_complete(args):
 def cmd_cascade(args):
     bank = _load_bank(args)
     t_max = parse_angle(args.t_max)
+    if t_max <= 0:
+        raise InputError(f"--t-max must be positive, got {args.t_max!r}")
     phi = cas.scaling_hat(bank.filters[0], bank.scale, t_max=t_max,
                           samples=args.samples, depth=args.depth)
     target = 1.0 / math.sqrt(2.0 * math.pi)
@@ -294,13 +315,13 @@ def cmd_dilate(args):
     else:
         rng = np.random.default_rng(args.seed)
         fam = dil.random_coisometry(args.ops, args.random_dim, rng)
-    fock = dil.fock_embedding(fam, args.lam, args.fock_depth)
+    # the Gram word cap bounds N before the Fock model lists its 1 + N + N^2 words
     gram = dil.gram_matrix(fam, args.gram_depth)
+    fock = dil.fock_embedding(fam, args.lam, args.fock_depth)
     purity = dil.purity_diagnostics(fam)
     words = [dil.Word(), dil.Word(up=(0,), down=(0,)),
              dil.Word(up=(0, min(1, fam.n_ops - 1)), down=(0,))]
-    state_gap = max(abs(dil.scaled_word_value(fam, 1.0, w) - dil.state_value(fam, w))
-                    for w in words)
+    state_gap = dil.state_gap(fam, args.lam, args.fock_depth, words)
     verdicts = {
         "gram_psd": gram.psd,
         "fock_defect_matches": abs(fock.isometry_defect - fock.predicted_defect) <= 1e-12,
@@ -361,14 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("cascade", help="scaling/mother functions on the frequency side")
     add_bank_source(q)
-    q.add_argument("--depth", type=int, default=cas.DEFAULT_DEPTH)
+    q.add_argument("--depth", type=_positive_int, default=cas.DEFAULT_DEPTH)
     q.add_argument("--t-max", default="8pi")
-    q.add_argument("--samples", type=_int_at_least(3), default=cas.DEFAULT_SAMPLES)
-    q.add_argument("--mother", type=_int_at_least(0), default=0,
+    q.add_argument("--samples", type=_int_in(3), default=cas.DEFAULT_SAMPLES)
+    q.add_argument("--mother", type=_int_in(0), default=0,
                    help="also compute this mother index")
-    q.add_argument("--per", type=_int_at_least(0), default=0,
+    q.add_argument("--per", type=_int_in(0), default=0,
                    help="lattice size K for the periodization check")
-    q.add_argument("--per-tol", type=float, default=1e-3)
+    q.add_argument("--per-tol", type=_float_between(0.0, math.inf), default=1e-3)
     q.add_argument("--csv", help="write t,re,im,abs samples here")
     q.set_defaults(handler=cmd_cascade)
 
@@ -383,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("index", help="unit-circle eigenspaces of the combined isometry")
     add_bank_source(q)
-    q.add_argument("--window", type=_int_at_least(0), default=64)
+    q.add_argument("--window", type=_int_in(0), default=64)
     q.set_defaults(handler=cmd_index)
 
     q = sub.add_parser("decompose", help="orbit decomposition of a monomial family")
@@ -404,8 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="draw a random family of this dim")
     q.add_argument("--ops", type=_positive_int, default=2,
                    help="number of operators for random families")
-    q.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.5)
-    q.add_argument("--fock-depth", type=_positive_int, default=8)
+    q.add_argument("--lam", "--lambda", dest="lam", type=_float_between(-1.0, 1.0), default=0.5)
+    q.add_argument("--fock-depth", type=_int_in(1, FOCK_DEPTH_MAX), default=8)
     q.add_argument("--gram-depth", type=_positive_int, default=3)
     q.set_defaults(handler=cmd_dilate)
 

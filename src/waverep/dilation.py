@@ -6,23 +6,29 @@ the N-isometry relations through word moments
 
     <V*_{i_n} .. V*_{i_1} Omega | V*_{j_m} .. V*_{j_1} Omega>,
 
-and conversely every such family dilates to a genuine isometry family.  The
-dilation is realized concretely on a truncated Fock space: the embedding
+and conversely every such family dilates to a genuine isometry family.  Every
+check is dim x dim algebra in the transfer map sigma(X) = sum V_i X V_i* or its
+adjoint sigma*(X) = sum V_i* X V_i.  The Gram matrix of the W down-word
+vectors x_w of length <= L has the nonzero spectrum of
+G_L = sum_w x_w x_w* = Omega Omega* + sigma*(G_{L-1}), plus max(W - dim, 0)
+zeros.  The Fock embedding
 
     W_lam phi = sqrt(1-|lam|^2) (+)_k lam^k sum_words |word> (x) V*_word phi
 
-is an isometry up to an exactly computable truncation defect |lam|^(2(K+1)),
-and intertwines annihilation with lam V_i* on the interior levels.  Finite
-Gram matrices of the down-word vectors certify positivity of the state, and
-the ergodicity of the transfer map sigma(X) = sum V_k X V_k* decides purity.
-
-The trace-tail diagnostic (iterates of sigma converging to scalars) is a
-finite surrogate for a weak-* limit statement; it is reported as such, not
-claimed to be a proof.
+truncated at level K has W*W = (1-|lam|^2) sum_{k<=K} |lam|^(2k) sigma^k(I), an
+isometry up to the exact defect |lam|^(2(K+1)).  Its intertwining with lam V_i*
+and its word compressions, with truncation factor 1 - |lam|^(2(3 - max(|u|, |w|)))
+for K >= 2, are measured on a Fock space of depth min(K, 2) assembled word by
+word, annihilators as index maps: depth 2 is the least at which a word's first and last letters
+differ, so a reversed word convention fails both.  Purity is the ergodicity of
+sigma; the trace-tail diagnostic (the columns of T^k, T the matrix of sigma,
+converging to scalars) is a finite surrogate for a weak-* limit statement,
+reported as such, not claimed to be a proof.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -66,48 +72,37 @@ class CoisometryFamily:
         n, dim, _ = v.shape
         if omega.shape != (dim,):
             raise ValueError("Omega must be a dim vector")
-        gram = sum(v[i] @ v[i].conj().T for i in range(n))
-        defect = np.linalg.norm(gram - np.eye(dim), ord=2)
+        defect = np.linalg.norm(_transfer(v, np.eye(dim)) - np.eye(dim), ord=2)  # sigma(I) = I
         if defect > COISOMETRY_TOL:
             raise ValueError(f"sum V_i V_i* differs from the identity by {defect:.3g}")
         if abs(np.linalg.norm(omega) - 1.0) > 1e-12:
             raise ValueError("Omega must be a unit vector")
-        if not _is_cyclic(v, omega):
-            raise ValueError("Omega is not cyclic under polynomials in the adjoints")
         self.v = v
         self.v.setflags(write=False)
         self.omega = omega
         self.omega.setflags(write=False)
         self.n_ops = n
         self.dim = dim
+        if not _is_cyclic(self):
+            raise ValueError("Omega is not cyclic under polynomials in the adjoints")
 
     @property
     def vstar(self) -> np.ndarray:
         return np.conj(np.swapaxes(self.v, 1, 2))
 
 
-def _is_cyclic(v: np.ndarray, omega: np.ndarray) -> bool:
-    """Krylov check: do adjoint words applied to Omega span the whole space?"""
-    n, dim, _ = v.shape
-    vstar = np.conj(np.swapaxes(v, 1, 2))
-    basis = [omega / np.linalg.norm(omega)]
-    fresh = [basis[0]]
-    while fresh and len(basis) < dim:
-        nxt = []
-        for x in fresh:
-            for i in range(n):
-                y = vstar[i] @ x
-                for b in basis:
-                    y = y - np.vdot(b, y) * b
-                nrm = np.linalg.norm(y)
-                if nrm > CYCLIC_RANK_TOL:
-                    y = y / nrm
-                    basis.append(y)
-                    nxt.append(y)
-                    if len(basis) == dim:
-                        return True
-        fresh = nxt
-    return len(basis) == dim
+def _is_cyclic(fam: CoisometryFamily) -> bool:
+    """Krylov check: do adjoint words applied to Omega span the whole space?
+    Each step takes an orthonormal basis of the span and its images under the V_i*."""
+    basis = fam.omega[:, None]
+    while basis.shape[1] < fam.dim:
+        u, s, _ = np.linalg.svd(np.concatenate([basis, *(fam.vstar @ basis)], axis=1),
+                                full_matrices=False)
+        rank = int(np.sum(s > CYCLIC_RANK_TOL))
+        if rank == basis.shape[1]:
+            return False
+        basis = u[:, :rank]
+    return True
 
 
 def random_coisometry(n_ops: int, dim: int, rng: np.random.Generator) -> CoisometryFamily:
@@ -126,13 +121,22 @@ def random_coisometry(n_ops: int, dim: int, rng: np.random.Generator) -> Coisome
     raise RuntimeError("could not draw a cyclic family")
 
 
+def _word_count(n_ops: int, length: int) -> int:
+    """1 + N + .. + N^length, the number of words of length at most `length`."""
+    return length + 1 if n_ops == 1 else (n_ops ** (length + 1) - 1) // (n_ops - 1)
+
+
+def _transfer(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_i A_i X A_i*: sigma(X) for A = V, its adjoint sigma*(X) for A = V*."""
+    return (a @ x @ np.conj(np.swapaxes(a, 1, 2))).sum(axis=0)
+
+
 # ---------------------------------------------------------------------------
 # word moments and Gram positivity
 
 
-def _down_vector(fam: CoisometryFamily, letters: tuple) -> np.ndarray:
-    """V*_{j_m} .. V*_{j_1} Omega, applying V*_{j_1} first."""
-    x = fam.omega
+def _down_vector(fam: CoisometryFamily, letters: tuple, x: np.ndarray) -> np.ndarray:
+    """V*_{j_m} .. V*_{j_1} x, applying V*_{j_1} first."""
     for j in letters:
         x = fam.vstar[j] @ x
     return x
@@ -141,9 +145,8 @@ def _down_vector(fam: CoisometryFamily, letters: tuple) -> np.ndarray:
 def state_value(fam: CoisometryFamily, w: Word) -> complex:
     """Word moment of the dilated state (conjugate-linear in the first slot)."""
     w.validate(fam.n_ops)
-    left = _down_vector(fam, w.up)
-    right = _down_vector(fam, w.down)
-    return complex(np.vdot(left, right))
+    omega = fam.omega
+    return complex(np.vdot(_down_vector(fam, w.up, omega), _down_vector(fam, w.down, omega)))
 
 
 @dataclass
@@ -151,30 +154,35 @@ class GramReport:
     min_eigenvalue: float
     psd: bool
     n_words: int
+    eigenvalues: np.ndarray  # of the dim x dim matrix G_L, ascending
 
 
 def gram_matrix(fam: CoisometryFamily, max_len: int, psd_tol: float = 1e-9) -> GramReport:
-    """Gram matrix of all down-word vectors up to a length; must be PSD.
+    """Spectrum of the Gram matrix of the down-word vectors of length <= max_len; must be PSD.
 
-    The number of words 1 + N + .. + N^L is capped to keep this a quick
-    certificate rather than an enumeration trap.
+    For W words that is the spectrum of G_L plus W - dim zeros, or without its
+    dim - W smallest eigenvalues (zeros, as rank G_L <= W) when W < dim;
+    min_eigenvalue is its least.  W is capped at WORD_CAP as an input bound.
     """
     if max_len < 1:
         raise ValueError("word length must be >= 1")
-    words = []
-    for length in range(max_len + 1):
-        words.extend(itertools.product(range(fam.n_ops), repeat=length))
-    if len(words) > WORD_CAP:
-        raise ValueError(f"word count {len(words)} exceeds the cap {WORD_CAP}")
-    vecs = np.stack([_down_vector(fam, w) for w in words])
-    gram = vecs.conj() @ vecs.T
-    eigs = np.linalg.eigvalsh(gram)
-    lo = float(eigs[0])
-    return GramReport(min_eigenvalue=lo, psd=lo >= -psd_tol * len(words), n_words=len(words))
+    # W > max_len, so a length at the cap needs no count (nor its big integers)
+    n_words = _word_count(fam.n_ops, max_len) if max_len < WORD_CAP else math.inf
+    if n_words > WORD_CAP:
+        raise ValueError(f"the words of length <= {max_len} exceed the cap {WORD_CAP}")
+    g = start = np.outer(fam.omega, fam.omega.conj())
+    for _ in range(max_len):
+        g = start + _transfer(fam.vstar, g)
+    eigs = np.linalg.eigvalsh(g)
+    lo = min(float(eigs[0]), 0.0) if n_words > fam.dim else float(eigs[fam.dim - n_words])
+    return GramReport(min_eigenvalue=lo, psd=lo >= -psd_tol * n_words, n_words=n_words,
+                      eigenvalues=eigs)
 
 
 # ---------------------------------------------------------------------------
 # truncated Fock-space dilation
+
+MODEL_DEPTH = 2
 
 
 @dataclass
@@ -186,70 +194,74 @@ class FockEmbeddingReport:
     levels: int
 
 
-def fock_embedding(fam: CoisometryFamily, lam: complex, depth: int) -> FockEmbeddingReport:
-    """Build the Fock-space isometry up to a level cap and measure its defects.
+def _fock_model(fam: CoisometryFamily, lam: complex, depth: int):
+    """W_lam on the Fock levels 0..d, d = min(depth, 2), one block per word; the map
+    (i, x) -> (a_i (x) I) x, which takes |i w'> to |w'> and empties level d; and d.
+    Each level lists its words in lexicographic order, first letter most significant."""
+    n, eye, depth = fam.n_ops, np.eye(fam.dim, dtype=np.complex128), min(depth, MODEL_DEPTH)
+    words = [w for k in range(depth + 1) for w in itertools.product(range(n), repeat=k)]
+    scale = math.sqrt(1.0 - abs(lam) ** 2)
+    w = np.stack([scale * lam ** len(word) * _down_vector(fam, word, eye) for word in words])
+    # the level-k word i w' is row _word_count(n, k-1) + i N^(k-1) + (row of w' in level k-1)
+    sources = [np.concatenate([_word_count(n, k - 1) + i * n ** (k - 1) + np.arange(n ** (k - 1))
+                               for k in range(1, depth + 1)]) for i in range(n)]
 
-    The defect of W*W = I equals |lam|^(2(depth+1)) exactly, because the
-    level-k block contributes (1-|lam|^2)|lam|^(2k) sigma^k(I) = that scalar
-    times I.  The annihilation intertwining (a_i (x) I) W = lam W V_i* holds
-    level by level strictly below the truncation edge; the reported residual
-    is over those interior levels.
-    """
+    def annihilate(i: int, x: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(x)
+        out[: len(sources[i])] = x[sources[i]]
+        return out
+    return w, annihilate, depth
+
+
+def fock_embedding(fam: CoisometryFamily, lam: complex, depth: int) -> FockEmbeddingReport:
+    """The isometry defect of W_lam truncated at level `depth`, summing W*W by Horner's
+    rule, and its intertwining below the top level of the model of depth min(depth, 2)."""
     lam = complex(lam)
     if abs(lam) >= 1.0:
         raise ValueError("the embedding needs |lambda| < 1")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    n, dim = fam.n_ops, fam.dim
-    scale = math.sqrt(1.0 - abs(lam) ** 2)
-    vstar = fam.vstar
-    products = [np.eye(dim, dtype=np.complex128)[None, :, :]]
+    r = abs(lam) ** 2
+    s = eye = np.eye(fam.dim, dtype=np.complex128)
     for _ in range(depth):
-        prev = products[-1]
-        nxt = np.concatenate([prev @ vstar[i] for i in range(n)], axis=0)
-        products.append(nxt)
-    levels = [scale * lam**k * products[k] for k in range(depth + 1)]
-
-    gram = sum(
-        np.einsum("wia,wib->ab", np.conj(level), level) for level in levels
-    )
-    defect = float(np.linalg.norm(gram - np.eye(dim), ord=2))
-
-    # annihilation reads digit i of level k and lands on level k-1; every
-    # output level below the truncation edge must match lam * W V_i* exactly
-    worst = 0.0
-    for i in range(n):
-        diffs = []
-        for k in range(1, depth + 1):
-            block = n ** (k - 1)
-            lhs = levels[k][i * block : (i + 1) * block]
-            rhs = lam * (levels[k - 1] @ vstar[i])
-            diffs.append((lhs - rhs).reshape(-1, dim))
-        worst = max(worst, float(np.linalg.norm(np.concatenate(diffs), ord=2)))
-    fock_dim = dim * sum(n**k for k in range(depth + 1))
+        s = eye + r * _transfer(fam.v, s)
+    w, annihilate, model_depth = _fock_model(fam, lam, depth)
+    rows = _word_count(fam.n_ops, model_depth - 1)
     return FockEmbeddingReport(
-        isometry_defect=defect,
+        isometry_defect=float(np.linalg.norm((1.0 - r) * s - eye, ord=2)),
         predicted_defect=abs(lam) ** (2 * (depth + 1)),
-        intertwining_residual=worst,
-        fock_dim=fock_dim,
+        intertwining_residual=max(
+            float(np.linalg.norm((annihilate(i, w) - lam * (w @ fam.vstar[i]))[:rows]
+                                 .reshape(-1, fam.dim), ord=2))
+            for i in range(fam.n_ops)),
+        fock_dim=fam.dim * _word_count(fam.n_ops, depth),
         levels=depth + 1,
     )
 
 
 def scaled_word_value(fam: CoisometryFamily, lam: complex, w: Word) -> complex:
-    """Compression of a word through the Fock embedding at parameter lam.
-
-    Equals conj(lam)^n lam^m <Omega, V_{i_1}..V_{i_n} V*_{j_m}..V*_{j_1} Omega>;
-    at lam = 1 this is the plain word moment.
-    """
-    w.validate(fam.n_ops)
+    """Compression of a word through the Fock embedding at parameter lam:
+    conj(lam)^n lam^m <Omega, V_{i_1}..V_{i_n} V*_{j_m}..V*_{j_1} Omega>."""
     lam = complex(lam)
     if abs(lam) > 1.0 + 1e-12:
         raise ValueError("|lambda| must be <= 1")
-    x = _down_vector(fam, w.down)
-    for i in reversed(w.up):
-        x = fam.v[i] @ x
-    return complex(np.conj(lam) ** len(w.up) * lam ** len(w.down) * np.vdot(fam.omega, x))
+    return np.conj(lam) ** len(w.up) * lam ** len(w.down) * state_value(fam, w)
+
+
+def state_gap(fam: CoisometryFamily, lam: complex, depth: int, words) -> float:
+    """Largest gap between the compression of a word s_u s_w* in the model of depth
+    D = min(depth, 2) and (1 - |lam|^(2(D + 1 - max(|u|, |w|)))) scaled_word_value."""
+    lam = complex(lam)
+    w, annihilate, model_depth = _fock_model(fam, lam, depth)
+    w_omega = w @ fam.omega
+    gap = 0.0
+    for word in words:
+        kept = max(0, model_depth + 1 - max(len(word.up), len(word.down)))
+        value = (1.0 - abs(lam) ** (2 * kept)) * scaled_word_value(fam, lam, word)
+        left = functools.reduce(lambda x, i: annihilate(i, x), word.up, w_omega)
+        right = functools.reduce(lambda x, j: annihilate(j, x), word.down, w_omega)
+        gap = max(gap, abs(np.vdot(left, right) - value))
+    return gap
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +284,9 @@ def purity_diagnostics(fam: CoisometryFamily, tail_span: tuple = (50, 100),
                        tail_tol: float = 1e-9) -> PurityReport:
     """Fixed-point dimension of the transfer map and a tail-triviality probe.
 
-    fixed_dim counts the kernel of (sigma - id) on matrices; the state is
-    pure iff that space is the scalars alone.  tail_trivial iterates sigma
-    on a matrix-unit basis and asks whether the iterates settle (Cauchy and
-    close to a scalar multiple of the identity) across the given span.
+    fixed_dim counts the kernel of (sigma - id) on matrices; the state is pure
+    iff that space is the scalars alone.  tail_trivial asks whether, across the
+    given span, the columns of T^k settle (Cauchy and close to scalars).
     """
     dim = fam.dim
     t = transfer_matrix(fam)
@@ -283,27 +294,13 @@ def purity_diagnostics(fam: CoisometryFamily, tail_span: tuple = (50, 100),
     fixed_dim = int(np.sum(s < 1e-9 * max(1.0, s[0])))
 
     lo, hi = tail_span
-    tail_ok = True
-    eye = np.eye(dim, dtype=np.complex128)
-    for a in range(dim):
-        for b in range(dim):
-            x = np.zeros((dim, dim), dtype=np.complex128)
-            x[a, b] = 1.0
-            vec = x.reshape(-1, order="F")
-            prev = None
-            for step in range(1, hi + 1):
-                vec = t @ vec
-                if step < lo:
-                    continue
-                mat = vec.reshape(dim, dim, order="F")
-                scalar = np.trace(mat) / dim
-                if np.linalg.norm(mat - scalar * eye) > tail_tol:
-                    tail_ok = False
-                if prev is not None and np.linalg.norm(mat - prev) > tail_tol:
-                    tail_ok = False
-                prev = mat
-            if not tail_ok:
-                break
-        if not tail_ok:
-            break
-    return PurityReport(fixed_dim=fixed_dim, pure=fixed_dim == 1, tail_trivial=tail_ok)
+    diag = np.arange(dim) * (dim + 1)  # rows of the entries (a, a) in a stacked column
+    powers, prev = np.linalg.matrix_power(t, max(lo, 1)), None
+    for _ in range(max(lo, 1), hi + 1):
+        off_scalar = powers.copy()
+        off_scalar[diag] -= powers[diag].sum(axis=0) / dim
+        moved = 0.0 if prev is None else np.linalg.norm(powers - prev, axis=0).max()
+        if max(np.linalg.norm(off_scalar, axis=0).max(), moved) > tail_tol:
+            return PurityReport(fixed_dim=fixed_dim, pure=fixed_dim == 1, tail_trivial=False)
+        prev, powers = powers, t @ powers
+    return PurityReport(fixed_dim=fixed_dim, pure=fixed_dim == 1, tail_trivial=True)

@@ -219,7 +219,7 @@ class LaurentPoly:
         return self.min_degree == other.min_degree and np.array_equal(self.coeffs, other.coeffs)
 
     def __hash__(self):
-        return hash((self.min_degree, self.coeffs.tobytes()))
+        return hash((self.min_degree, (self.coeffs + 0.0).tobytes()))  # + 0.0 maps -0.0 to 0.0
 
     def __repr__(self):
         if self.is_zero():

@@ -12,7 +12,8 @@ Wire formats (stable):
 Complex values, here and in the CLI's run reports, are [re, im] pairs of
 floats, encoded and decoded bit-exactly by one codec (_cvec / _vec_c).
 Decoding raises InputError for input outside these formats: a missing key,
-a value of the wrong type, pairs of the wrong shape, a value that is not
+a value of the wrong type (an integer field given as a string, a boolean or
+a fraction, for example), pairs of the wrong shape, a value that is not
 finite (JSON readers accept NaN and Infinity), or a grid size M < 1.
 
 Callable-kind banks have no sample-free encoding; exporting one samples it
@@ -73,13 +74,23 @@ def _decoder(fn):
     return decode
 
 
+def _int(d: dict, key: str) -> int:
+    """The wire integer d[key]: a JSON integer, or a float with an integral value."""
+    value = d[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise InputError(f"\"{key}\" must be an integer, got {value!r}")
+    return value
+
+
 def poly_to_dict(p: LaurentPoly) -> dict:
     return {"min_degree": int(p.min_degree), "coeffs": _cvec(p.coeffs)}
 
 
 @_decoder
 def poly_from_dict(d: dict) -> LaurentPoly:
-    return LaurentPoly(_vec_c(d["coeffs"]), min_degree=int(d["min_degree"]))
+    return LaurentPoly(_vec_c(d["coeffs"]), min_degree=_int(d, "min_degree"))
 
 
 def gridfunction_to_dict(g: GridFunction) -> dict:
@@ -88,7 +99,7 @@ def gridfunction_to_dict(g: GridFunction) -> dict:
 
 @_decoder
 def gridfunction_from_dict(d: dict) -> GridFunction:
-    m = int(d["M"])
+    m = _int(d, "M")
     if m < 1:
         raise InputError(f"a grid function needs M >= 1, got {m}")
     return GridFunction(CircleGrid(m), _vec_c(d["values"], (m,)))
@@ -114,7 +125,7 @@ def bank_from_dict(d: dict) -> FilterBank:
         filters = tuple(gridfunction_from_dict(f) for f in d["filters"])
     else:
         raise InputError(f"unknown bank kind {kind!r}")
-    return FilterBank(int(d["scale"]), filters)
+    return FilterBank(_int(d, "scale"), filters)
 
 
 def family_to_dict(fam: CoisometryFamily) -> dict:
@@ -128,7 +139,7 @@ def family_to_dict(fam: CoisometryFamily) -> dict:
 
 @_decoder
 def family_from_dict(d: dict) -> CoisometryFamily:
-    n, dim = int(d["N"]), int(d["dim"])
+    n, dim = _int(d, "N"), _int(d, "dim")
     return CoisometryFamily(_vec_c(d["V"], (n, dim, dim)), _vec_c(d["Omega"], (dim,)))
 
 

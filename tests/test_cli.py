@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -184,6 +185,55 @@ def test_dilate_family_file(tmp_path, capsys):
     assert rep["info"]["ops"] == 3 and rep["info"]["dim"] == 2
 
 
+def test_dilate_non_coisometric_family_exits_one(tmp_path, capsys):
+    # a mathematical failure, not an input error: exit 1, not 2
+    d = ser.family_to_dict(random_coisometry(2, 3, np.random.default_rng(0)))
+    d["V"] = (1.1 * np.asarray(d["V"])).tolist()
+    code, rep = run_json(capsys, ["dilate", "--family", _write(tmp_path, "fam.json", d)])
+    assert code == 1 and rep["verdicts"] == {"ok": False}
+    assert "differs from the identity" in rep["info"]["error"]
+
+
+def test_dilate_at_the_fock_depth_bound(capsys):
+    depth = cli.FOCK_DEPTH_MAX
+    code, rep = run_json(capsys, ["dilate", "--lam", "0.5", "--fock-depth", str(depth)])
+    assert code == 0 and all(rep["verdicts"].values())
+    assert rep["info"]["fock_dim"] == 3 * (2 ** (depth + 1) - 1)
+
+
+def test_dilate_checks_catch_a_reversed_word_order(monkeypatch, capsys):
+    # the depth-2 Fock model with every word read backwards: W's row of the
+    # word ij holds the block of ji
+    from waverep import dilation as dil
+
+    model = dil._fock_model
+
+    def reversed_model(fam, lam, depth):
+        w, annihilate, d = model(fam, lam, depth)
+        words = [x for k in range(d + 1) for x in itertools.product(range(fam.n_ops), repeat=k)]
+        return w[[words.index(x[::-1]) for x in words]], annihilate, d
+
+    argv = ["dilate", "--lam", "0.5", "--fock-depth", "6"]
+    code, rep = run_json(capsys, argv)
+    assert code == 0
+    assert rep["residuals"]["intertwining"] <= 1e-10 and rep["residuals"]["state_gap"] <= 1e-12
+    monkeypatch.setattr(dil, "_fock_model", reversed_model)
+    code, rep = run_json(capsys, argv)
+    assert code == 1
+    assert not rep["verdicts"]["intertwining"] and not rep["verdicts"]["state_consistent"]
+    assert rep["residuals"]["intertwining"] > 1e-10 and rep["residuals"]["state_gap"] > 1e-12
+    assert rep["verdicts"]["gram_psd"] and rep["verdicts"]["fock_defect_matches"]
+
+
+def test_wire_integers_may_be_integral_floats(tmp_path, capsys):
+    g = CircleGrid.dynamics_grid(2)
+    u = ser.gridfunction_to_dict(GridFunction(g, np.ones(g.M)))
+    u1 = _write(tmp_path, "u1.json", {**u, "M": float(g.M)})
+    code, rep = run_json(capsys, ["equiv", "--u1", u1, "--u2", _write(tmp_path, "u2.json", u),
+                                  "--scale", "2"])
+    assert code == 0 and rep["verdicts"]["equivalent"]
+
+
 def test_report_goes_to_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run(["--out", str(out), "index", "--fixture", "haar2", "--window", "32"])
@@ -243,6 +293,20 @@ def _untagged_file(tmp_path, d):
     "cascade_t_max_inf",
     "cascade_mother_above_scale",
     "cascade_per_negative",
+    "cascade_t_max_zero",
+    "cascade_t_max_negative",
+    "cascade_depth_zero",
+    "cascade_depth_negative",
+    "cascade_per_tol_nan",
+    "cascade_per_tol_zero",
+    "cascade_per_tol_infinite",
+    "dilate_lam_nan",
+    "dilate_lam_inf",
+    "dilate_lam_one",
+    "dilate_lam_minus_one",
+    "dilate_lam_two",
+    "dilate_lam_not_a_number",
+    "dilate_fock_depth_above_bound",
 ])
 def test_input_errors_exit_two(case, tmp_path, capsys):
     argv = {
@@ -274,6 +338,24 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
         "cascade_t_max_inf": lambda: ["cascade", "--fixture", "db4", "--t-max", "infpi"],
         "cascade_mother_above_scale": lambda: ["cascade", "--fixture", "db4", "--mother", "2"],
         "cascade_per_negative": lambda: ["cascade", "--fixture", "db4", "--per", "-1"],
+        "cascade_t_max_zero": lambda: ["cascade", "--fixture", "db4", "--t-max", "0"],
+        "cascade_t_max_negative": lambda: ["cascade", "--fixture", "db4", "--t-max", "-8pi"],
+        "cascade_depth_zero": lambda: ["cascade", "--fixture", "db4", "--depth", "0"],
+        "cascade_depth_negative": lambda: ["cascade", "--fixture", "db4", "--depth", "-2"],
+        "cascade_per_tol_nan": lambda: [
+            "cascade", "--fixture", "db4", "--per", "4", "--per-tol", "nan"],
+        "cascade_per_tol_zero": lambda: [
+            "cascade", "--fixture", "db4", "--per", "4", "--per-tol", "0"],
+        "cascade_per_tol_infinite": lambda: [
+            "cascade", "--fixture", "db4", "--per", "4", "--per-tol", "inf"],
+        "dilate_lam_nan": lambda: ["dilate", "--lam", "nan"],
+        "dilate_lam_inf": lambda: ["dilate", "--lam", "inf"],
+        "dilate_lam_one": lambda: ["dilate", "--lam", "1"],
+        "dilate_lam_minus_one": lambda: ["dilate", "--lam", "-1"],
+        "dilate_lam_two": lambda: ["dilate", "--lam", "2"],
+        "dilate_lam_not_a_number": lambda: ["dilate", "--lam", "half"],
+        "dilate_fock_depth_above_bound": lambda: [
+            "dilate", "--fock-depth", str(cli.FOCK_DEPTH_MAX + 1)],
     }[case]()
     assert run(argv) == 2
     captured = capsys.readouterr()
@@ -358,6 +440,12 @@ def _write(tmp_path, name, obj):
     "infinite_grid_value",
     "grid_size_zero",
     "grid_size_negative",
+    "grid_size_a_string",
+    "grid_size_a_fraction",
+    "grid_size_a_boolean",
+    "min_degree_a_string",
+    "scale_a_string",
+    "family_dim_a_string",
 ])
 def test_wire_input_outside_the_contract_exits_two(case, tmp_path, capsys):
     g = CircleGrid.dynamics_grid(2)
@@ -391,6 +479,22 @@ def test_wire_input_outside_the_contract_exits_two(case, tmp_path, capsys):
         "grid_size_negative": lambda: [
             "equiv", "--u1", _write(tmp_path, "u1.json", {"M": -3, "values": []}),
             "--u2", _write(tmp_path, "u2.json", {"M": -3, "values": []}), "--scale", "2"],
+        "grid_size_a_string": lambda: [
+            "equiv", "--u1", _write(tmp_path, "u1.json", {**u, "M": "abc"}),
+            "--u2", _write(tmp_path, "u2.json", u), "--scale", "2"],
+        "grid_size_a_fraction": lambda: [
+            "equiv", "--u1", _write(tmp_path, "u1.json", {**u, "M": g.M + 0.5}),
+            "--u2", _write(tmp_path, "u2.json", u), "--scale", "2"],
+        "grid_size_a_boolean": lambda: [
+            "equiv", "--u1", _write(tmp_path, "u1.json", {"M": True, "values": [[1.0, 0.0]]}),
+            "--u2", _write(tmp_path, "u2.json", u), "--scale", "2"],
+        "min_degree_a_string": lambda: [
+            "wold", "--filter", _write(tmp_path, "f.json", {"min_degree": "x",
+                                                            "coeffs": [[1.0, 0.0]]}),
+            "--scale", "2"],
+        "scale_a_string": lambda: ["check", _write(tmp_path, "b.json", {**bank, "scale": "two"})],
+        "family_dim_a_string": lambda: [
+            "dilate", "--family", _write(tmp_path, "fam.json", {**fam, "dim": "3"})],
     }[case]()
     assert run(argv) == 2
     captured = capsys.readouterr()

@@ -1,9 +1,12 @@
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from waverep import dilation as dil
 from waverep.dilation import (
     CoisometryFamily,
     Word,
@@ -219,3 +222,200 @@ def test_two_block_family_not_pure(two_block):
 def test_random_family_generically_pure(rng):
     hits = [purity_diagnostics(random_coisometry(2, 3, rng)).fixed_dim for _ in range(5)]
     assert all(h == 1 for h in hits)
+
+
+# ---------------------------------------------------------------------------
+# the transfer-map engine against enumerated references
+
+
+def _reference_down_vector(fam, word):
+    x = fam.omega
+    for j in word:
+        x = fam.v[j].conj().T @ x
+    return x
+
+
+def _reference_moment_gram(fam, max_len):
+    """The W x W Gram matrix of every down-word vector, word by word."""
+    words = [w for k in range(max_len + 1) for w in itertools.product(range(fam.n_ops), repeat=k)]
+    vecs = np.stack([_reference_down_vector(fam, w) for w in words])
+    return np.linalg.eigvalsh(vecs.conj() @ vecs.T)
+
+
+@pytest.mark.parametrize("n_ops, dim, max_len", [
+    (1, 3, 5), (2, 1, 3), (2, 3, 1), (2, 4, 1), (2, 3, 3), (2, 4, 4), (3, 2, 2), (3, 4, 2),
+    (3, 4, 4),
+])
+def test_gram_spectrum_matches_the_enumerated_moment_gram(n_ops, dim, max_len):
+    for seed in range(3):
+        fam = random_coisometry(n_ops, dim, np.random.default_rng([n_ops, dim, max_len, seed]))
+        ref = _reference_moment_gram(fam, max_len)
+        rep = gram_matrix(fam, max_len)
+        assert rep.n_words == len(ref)
+        scale = ref[-1]
+        # the W x W spectrum is G_L's padded by W - dim zeros, or G_L's top W when W < dim
+        padded = np.sort(np.concatenate([rep.eigenvalues, np.zeros(max(len(ref) - dim, 0))]))
+        assert np.abs(padded[-len(ref):] - ref).max() <= 1e-12 * scale
+        assert np.abs(padded[:-len(ref)]).max(initial=0.0) <= 1e-12 * scale
+        assert rep.min_eigenvalue >= -1e-12
+        assert abs(rep.min_eigenvalue - ref[0]) <= 1e-12 * scale
+        assert rep.psd
+
+
+def _reference_fock_defect(fam, lam, depth):
+    """W*W from the materialized Fock levels: every word's block, level by level."""
+    scale = math.sqrt(1.0 - abs(lam) ** 2)
+    vstar = np.conj(np.swapaxes(fam.v, 1, 2))
+    products = [np.eye(fam.dim, dtype=complex)[None]]
+    for _ in range(depth):
+        products.append(np.concatenate([products[-1] @ vstar[i] for i in range(fam.n_ops)]))
+    gram = sum(np.einsum("wia,wib->ab", np.conj(p), p) * abs(scale * lam**k) ** 2
+               for k, p in enumerate(products))
+    return float(np.linalg.norm(gram - np.eye(fam.dim), ord=2)), sum(len(p) for p in products)
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_fock_defect_matches_the_materialized_levels(depth, two_block):
+    families = [two_block, random_coisometry(2, 3, np.random.default_rng(depth)),
+                random_coisometry(3, 2, np.random.default_rng(10 + depth))]
+    for fam in families:
+        for lam in (0.0, 0.3, 0.9, 0.6 * np.exp(0.7j)):
+            ref, n_blocks = _reference_fock_defect(fam, lam, depth)
+            rep = fock_embedding(fam, lam, depth)
+            assert abs(rep.isometry_defect - ref) <= 1e-14
+            assert rep.fock_dim == n_blocks * fam.dim and rep.levels == depth + 1
+
+
+def test_deep_fock_embedding_is_small_and_fast():
+    fam = random_coisometry(2, 3, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        rep = fock_embedding(fam, 0.5, 30)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 1_000_000
+    assert rep.fock_dim == 3 * (2**31 - 1)
+    assert abs(rep.isometry_defect - rep.predicted_defect) <= 1e-12
+    assert rep.intertwining_residual < 1e-10
+
+
+def test_gram_at_8191_words_is_fast():
+    fam = random_coisometry(2, 4, np.random.default_rng(0))
+    start = time.perf_counter()
+    rep = gram_matrix(fam, 12)
+    assert time.perf_counter() - start < 1.0
+    assert rep.n_words == 8191 and rep.psd
+
+
+def test_model_compressions_carry_the_truncation_factor(random_family):
+    # every word up to length 3, so the factor runs from 1 - |lam|^6 down to 0
+    lam = 0.7 * np.exp(0.4j)
+    words = [Word(up=u, down=d)
+             for nu in range(4) for nd in range(4 - nu)
+             for u in itertools.product(range(2), repeat=nu)
+             for d in itertools.product(range(2), repeat=nd)]
+    for depth in (1, 2, 8):
+        assert dil.state_gap(random_family, lam, depth, words) < 1e-14
+    # without the factor the depth-2 model disagrees with the untruncated value
+    word = Word(up=(0, 1), down=(0,))
+    full = scaled_word_value(random_family, lam, word)
+    assert abs(full) > 1e-3
+    assert dil.state_gap(random_family, lam, 2, [word]) < 1e-14 < abs(full) * abs(lam) ** 2
+
+
+def _reference_tail_trivial(fam, tail_span=(50, 100), tail_tol=1e-9):
+    """The per-matrix-unit tail probe, one unit at a time."""
+    dim = fam.dim
+    t = transfer_matrix(fam)
+    lo, hi = tail_span
+    eye = np.eye(dim)
+    for a in range(dim):
+        for b in range(dim):
+            vec = np.zeros(dim * dim, dtype=complex)
+            vec[a + b * dim] = 1.0
+            prev = None
+            for step in range(1, hi + 1):
+                vec = t @ vec
+                if step < lo:
+                    continue
+                mat = vec.reshape(dim, dim, order="F")
+                if np.linalg.norm(mat - np.trace(mat) / dim * eye) > tail_tol:
+                    return False
+                if prev is not None and np.linalg.norm(mat - prev) > tail_tol:
+                    return False
+                prev = mat
+    return True
+
+
+def test_tail_probe_matches_the_per_unit_loop(coherent, balanced, two_block):
+    families = [coherent, balanced, two_block]
+    families += [random_coisometry(n, d, np.random.default_rng(s))
+                 for s, (n, d) in enumerate([(2, 2), (2, 3), (3, 3), (2, 5), (1, 3)])]
+    verdicts = []
+    for fam in families:
+        for span in ((50, 100), (1, 3), (5, 12), (20, 30)):
+            want = _reference_tail_trivial(fam, span)
+            assert purity_diagnostics(fam, tail_span=span).tail_trivial == want
+            verdicts.append(want)
+    # a tolerance sweep over short spans also meets iterates that are close to
+    # scalars but not yet Cauchy
+    for fam in families[3:6]:
+        for tol in np.logspace(-12, 0, 49):
+            for span in ((3, 6), (8, 12)):
+                want = _reference_tail_trivial(fam, span, tol)
+                assert purity_diagnostics(fam, span, tol).tail_trivial == want
+                verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+def _reference_is_cyclic(v, omega, tol=1e-10):
+    """Breadth-first Gram-Schmidt over adjoint images of Omega."""
+    n, dim, _ = v.shape
+    vstar = np.conj(np.swapaxes(v, 1, 2))
+    basis = [omega / np.linalg.norm(omega)]
+    fresh = list(basis)
+    while fresh and len(basis) < dim:
+        nxt = []
+        for x in fresh:
+            for i in range(n):
+                y = vstar[i] @ x
+                for b in basis:
+                    y = y - np.vdot(b, y) * b
+                if np.linalg.norm(y) > tol:
+                    basis.append(y / np.linalg.norm(y))
+                    nxt.append(basis[-1])
+        fresh = nxt
+    return len(basis) >= dim
+
+
+def test_cyclicity_matches_the_breadth_first_reference(two_block):
+    s = 1 / math.sqrt(2)
+    cases = [(two_block.v, two_block.omega), (two_block.v, np.array([1.0, 0.0])),
+             (two_block.v, np.array([0.0, 1.0]))]
+    # one unitary: cyclic iff Omega meets every eigenspace and the eigenvalues are simple
+    u = np.diag(np.exp(1j * np.array([0.1, 0.7, 2.0])))[None]
+    cases += [(u, np.ones(3) / math.sqrt(3)), (u, np.array([1.0, 1.0, 0.0]) * s),
+              (np.diag(np.exp(1j * np.array([0.1, 0.1, 2.0])))[None], np.ones(3) / math.sqrt(3))]
+    for seed in range(6):
+        fam = random_coisometry(2 + seed % 2, 2 + seed % 3, np.random.default_rng(seed))
+        cases.append((fam.v, fam.omega))
+        # a block-diagonal family with Omega inside one block
+        d = fam.dim
+        v = np.zeros((fam.n_ops, 2 * d, 2 * d), dtype=complex)
+        v[:, :d, :d] = fam.v
+        v[:, d:, d:] = fam.v
+        cases += [(v, np.concatenate([fam.omega, np.zeros(d)])),
+                  (v, np.concatenate([fam.omega, fam.omega[::-1]]) / math.sqrt(2))]
+    verdicts = []
+    for v, omega in cases:
+        want = _reference_is_cyclic(np.asarray(v, complex), np.asarray(omega, complex))
+        verdicts.append(want)
+        if want:
+            assert CoisometryFamily(v, omega).dim == len(omega)
+        else:
+            with pytest.raises(ValueError, match="cyclic"):
+                CoisometryFamily(v, omega)
+    assert True in verdicts and False in verdicts

@@ -230,3 +230,12 @@ def test_grid_function_equality_and_hash():
     bank = FilterBank(2, tuple(sample(f, g) for f in fixtures.haar(2).filters))
     again = FilterBank(2, tuple(sample(f, g) for f in fixtures.haar(2).filters))
     assert bank == again and hash(bank) == hash(again)
+
+
+def test_laurent_poly_hash_ignores_the_sign_of_zero():
+    p, q = LaurentPoly([1.0, -0.0, 1.0]), LaurentPoly([1.0, 0.0, 1.0])
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    # both parts of a complex coefficient, and a negative min_degree
+    p, q = (LaurentPoly([1.0, complex(re, im), 2.0j], min_degree=-2)
+            for re, im in ((-0.0, -0.0), (0.0, 0.0)))
+    assert p == q and hash(p) == hash(q)
