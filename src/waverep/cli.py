@@ -82,6 +82,8 @@ _scale = _int_in(2)
 # fock_dim = dim (N^(K+1) - 1)/(N - 1) must stay printable: Python writes ints
 # of at most 4300 digits, which K <= 1000 keeps for N below 10^4
 FOCK_DEPTH_MAX = 1000
+# the index eigensolve is at most (2K + 1)^2 = 2049^2, whatever the bank's K0
+INDEX_WINDOW_MAX = 1024
 
 
 def _load_json(path: str) -> dict:
@@ -404,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("index", help="unit-circle eigenspaces of the combined isometry")
     add_bank_source(q)
-    q.add_argument("--window", type=_int_in(0), default=64)
+    q.add_argument("--window", type=_int_in(0, INDEX_WINDOW_MAX), default=64)
     q.set_defaults(handler=cmd_index)
 
     q = sub.add_parser("decompose", help="orbit decomposition of a monomial family")

@@ -162,14 +162,16 @@ def gram_matrix(fam: CoisometryFamily, max_len: int, psd_tol: float = 1e-9) -> G
 
     For W words that is the spectrum of G_L plus W - dim zeros, or without its
     dim - W smallest eigenvalues (zeros, as rank G_L <= W) when W < dim;
-    min_eigenvalue is its least.  W is capped at WORD_CAP as an input bound.
+    min_eigenvalue is its least.  W is capped at WORD_CAP as an input bound
+    (InputError, exit 2 from the CLI).
     """
     if max_len < 1:
         raise ValueError("word length must be >= 1")
     # W > max_len, so a length at the cap needs no count (nor its big integers)
     n_words = _word_count(fam.n_ops, max_len) if max_len < WORD_CAP else math.inf
     if n_words > WORD_CAP:
-        raise ValueError(f"the words of length <= {max_len} exceed the cap {WORD_CAP}")
+        from .serialize import InputError  # deferred: serialize imports this module
+        raise InputError(f"the words of length <= {max_len} exceed the cap {WORD_CAP}")
     g = start = np.outer(fam.omega, fam.omega.conj())
     for _ in range(max_len):
         g = start + _transfer(fam.vstar, g)

@@ -5,9 +5,12 @@ permutes the Fourier modes: the i-th isometry sends the mode k to N*k + d_i,
 and the adjoints funnel every integer down the unique branch
 k -> (k - d_i)/N with d_i matching k mod N.  The invariant subspaces are
 spanned by the monomials they contain, so decomposing the family is pure
-integer dynamics: find the cycles of the backward map (all of which live in
-the ball |k| <= max|d_i| / (N-1)) and close each cycle under the forward
-maps.
+integer dynamics: find the cycles of the backward map and close each cycle
+under the forward maps.  Every cycle lives in the ball |k| <= R =
+floor(max|d_i| / (N-1)), and the ball is invariant under the backward map:
+max|d_i| < (N-1)(R+1) gives |k - d_i| <= R + max|d_i| < N(R+1), so the
+integer (k - d_i)/N has modulus at most R.  Funnel walks started in the ball
+therefore stay in it, and they meet every cycle.
 
 Characteristic-function families are handled through their unimodular
 cocycle u: two of them are unitarily equivalent exactly when
@@ -85,8 +88,8 @@ class ComponentReport:
 
 
 def _find_cycles(rep: MonomialRep) -> list[tuple]:
-    """All cycles of the backward map, via funnel walks from a safe ball."""
-    radius = 2 * rep.cycle_radius() + 2
+    """All cycles of the backward map, via funnel walks inside the invariant ball."""
+    radius = rep.cycle_radius()
     cycles = []
     seen_cycles: set = set()
     for start in range(-radius, radius + 1):
@@ -97,8 +100,6 @@ def _find_cycles(rep: MonomialRep) -> list[tuple]:
             trail[k] = step
             step += 1
             k = rep.branch_back(k)
-            if abs(k) > 16 * max(radius, 8):
-                raise AssertionError("backward orbit escaped; digit system inconsistent")
         # k closed a loop: extract it
         loop_start = trail[k]
         loop = [q for q, s in trail.items() if s >= loop_start]

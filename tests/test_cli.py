@@ -284,6 +284,8 @@ def _untagged_file(tmp_path, d):
     "complete_scale_one",
     "equiv_scale_one",
     "index_window_negative",
+    "index_window_above_cap",
+    "dilate_gram_depth_above_word_cap",
     "dilate_gram_depth_zero",
     "dilate_fock_depth_zero",
     "dilate_random_dim_zero",
@@ -329,6 +331,9 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
             "equiv", "--u1", _untagged_file(tmp_path, {"M": 1, "values": [[1.0, 0.0]]}),
             "--u2", _untagged_file(tmp_path, {"M": 1, "values": [[1.0, 0.0]]}), "--scale", "1"],
         "index_window_negative": lambda: ["index", "--fixture", "haar2", "--window", "-3"],
+        "index_window_above_cap": lambda: [
+            "index", "--fixture", "haar2", "--window", str(cli.INDEX_WINDOW_MAX + 1)],
+        "dilate_gram_depth_above_word_cap": lambda: ["dilate", "--ops", "2", "--gram-depth", "20"],
         "dilate_gram_depth_zero": lambda: ["dilate", "--gram-depth", "0"],
         "dilate_fock_depth_zero": lambda: ["dilate", "--fock-depth", "0"],
         "dilate_random_dim_zero": lambda: ["dilate", "--random-dim", "0"],

@@ -1,17 +1,24 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_poly
 from waverep import fixtures
+from waverep import index as index_module
 from waverep.index import (
+    LAMBDA_CLUSTER_ARC,
+    LAMBDA_DISK_TOL,
+    RANK_SVD_TOL,
+    VALIDATE_TOL,
     combined_isometry_apply,
     haar_component_flag,
     pairing,
     spectral_solutions,
 )
-from waverep.laurent import LaurentPoly, allclose
+from waverep.laurent import CircleGrid, LaurentPoly, allclose, sample
 
 S2 = math.sqrt(2.0)
 
@@ -175,3 +182,182 @@ def test_flag_records_twisted_experiments(haar_pair):
     for k in (2, 4):
         rep = spectral_solutions(f0, LaurentPoly.monomial(k) * f1, window=32)
         assert rep.index in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the window the filters fix, against the dense solve on the full window
+
+
+def dense_reference(f0, f1, window):
+    """The dense per-column solve on [-K, K]: validated eigenvalue clusters and their span.
+
+    Returns {eigenvalue: dimension} and an orthonormal basis (columns, on the
+    coefficient window [-K, K]) of everything that passed the exact check.
+    """
+    k = window
+    mat = np.zeros((2 * k + 1, 2 * k + 1), dtype=np.complex128)
+    for col, mode in enumerate(range(-k, k + 1)):
+        image = combined_isometry_apply(f0, f1, LaurentPoly.monomial(mode), check=False)
+        mat[:, col] = image.coeff_window(-k, k)
+    eigvals, eigvecs = np.linalg.eig(mat)
+    clusters: list[list] = []
+    for lam, vec in zip(eigvals, eigvecs.T):
+        if abs(lam) < 1.0 - LAMBDA_DISK_TOL:
+            continue
+        phi = LaurentPoly(vec, min_degree=-k)
+        if phi.norm2() < 1e-12:
+            continue
+        phi = phi * (1.0 / phi.norm2())
+        if (combined_isometry_apply(f0, f1, phi, check=False) - lam * phi).norm2() > VALIDATE_TOL:
+            continue
+        for cl in clusters:
+            if abs(np.angle(lam / cl[0][0])) <= LAMBDA_CLUSTER_ARC:
+                cl.append((lam, phi))
+                break
+        else:
+            clusters.append([(lam, phi)])
+    dims, columns = {}, []
+    for cl in clusters:
+        stack = np.stack([p.coeff_window(-k, k) for _, p in cl])
+        u, svals, _ = np.linalg.svd(stack.T, full_matrices=False)
+        rank = int(np.sum(svals > RANK_SVD_TOL * max(1.0, svals[0])))
+        dims[complex(cl[0][0])] = rank
+        columns.append(u[:, :rank])
+    basis = np.hstack(columns) if columns else np.zeros((2 * k + 1, 0))
+    return dims, basis
+
+
+def planted_pair(c0, c1, p, q):
+    """Polyphase diag(c0 w^p, c1 w^q): the isometry fixes z^-2p and z^-(2q+1) up to c0, c1."""
+    a, b = LaurentPoly.monomial(2 * p, c0), LaurentPoly.monomial(2 * q + 1, c1)
+    return (a + b) * (1 / S2), (a - b) * (1 / S2)
+
+
+def _window_cases():
+    cases = {}
+    for name in ("haar2", "db4", "monomial(0,1)", "monomial(2,-1)"):
+        cases[name] = fixtures.fixture_bank(name).filters
+    rng = np.random.default_rng(7)
+    for i in range(3):
+        cases[f"paraunitary{i}"] = fixtures.random_paraunitary_bank(2, 3, rng).filters
+    for i in range(3):
+        p, q = (int(x) for x in rng.integers(-12, 13, size=2))
+        c0, c1 = np.exp(2j * np.pi * rng.random(2))
+        cases[f"planted{i}"] = planted_pair(c0, c1, p, q)
+    f0, f1 = fixtures.haar(2).filters
+    cases["haar2_sign_flip"] = (f0, -1.0 * f1)
+    cases["haar2_twist"] = (f0, LaurentPoly.monomial(2) * f1)
+    return cases
+
+
+WINDOW_CASES = _window_cases()
+
+
+def filter_window(f0, f1):
+    return max(-min(f0.min_degree, f1.min_degree), f0.max_degree, f1.max_degree, 0)
+
+
+@pytest.mark.parametrize("window", [64, 256])
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_solve_on_the_filter_window_matches_the_dense_solve(case, window):
+    f0, f1 = WINDOW_CASES[case]
+    rep = spectral_solutions(f0, f1, window=window)
+    dims, basis = dense_reference(f0, f1, window)
+    assert rep.window == min(window, filter_window(f0, f1))
+    assert rep.index == sum(dims.values()) == len(rep.solutions)
+    got = sorted(rep.eigenspace_dims.items(), key=lambda kv: np.angle(kv[0]))
+    want = sorted(dims.items(), key=lambda kv: np.angle(kv[0]))
+    assert [d for _, d in got] == [d for _, d in want]
+    assert all(abs(a - b) <= 1e-12 for (a, _), (b, _) in zip(got, want))
+    for s in rep.solutions:
+        assert any(abs(s.eigenvalue - lam) <= 1e-12 for lam in dims)
+        assert s.residual <= VALIDATE_TOL
+    assert rep.pairing_residual < 1e-8
+    # the projector onto the validated span, on the full coefficient window
+    k = window
+    ours = np.stack([s.eigenvector.coeff_window(-k, k) for s in rep.solutions], axis=1) \
+        if rep.solutions else np.zeros((2 * k + 1, 0))
+    q, _ = np.linalg.qr(ours)
+    assert np.max(np.abs(q @ q.conj().T - basis @ basis.conj().T), initial=0.0) <= 1e-12
+
+
+def test_report_window_is_the_solved_window():
+    f0, f1 = planted_pair(1.0, 1.0, 6, -5)  # degrees -9..12, so K0 = 12
+    assert filter_window(f0, f1) == 12
+    assert spectral_solutions(f0, f1, window=4).window == 4
+    assert spectral_solutions(f0, f1, window=64).window == 12
+    assert spectral_solutions(f0, f1, window=64).index == 2
+
+
+@pytest.mark.parametrize("case", ["haar2", "db4", "planted0", "paraunitary0"])
+def test_exact_applies_do_not_grow_with_the_window(case, monkeypatch):
+    f0, f1 = WINDOW_CASES[case]
+    k = filter_window(f0, f1)
+    # candidates: eigenvalues of the solved compression on or outside the disk tolerance
+    mat = np.stack([combined_isometry_apply(f0, f1, LaurentPoly.monomial(n), check=False)
+                    .coeff_window(-k, k) for n in range(-k, k + 1)], axis=1)
+    candidates = int(np.sum(np.abs(np.linalg.eigvals(mat)) >= 1.0 - LAMBDA_DISK_TOL))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return combined_isometry_apply(*args, **kwargs)
+
+    monkeypatch.setattr(index_module, "combined_isometry_apply", counting)
+    counts = []
+    for window in (64, 256):
+        calls.clear()
+        rep = spectral_solutions(f0, f1, window=window)
+        # one apply per column, one per candidate, one per reported solution's residual
+        assert len(calls) <= 2 * min(window, k) + 1 + candidates + len(rep.solutions)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_db4_at_a_large_window_is_fast(db4_pair):
+    start = time.perf_counter()
+    rep = spectral_solutions(*db4_pair, window=4096)
+    assert time.perf_counter() - start < 0.5
+    assert rep.index == 0
+
+
+# ---------------------------------------------------------------------------
+# the exact pairing, against the 4096-point grid
+
+
+def grid_pairing(phi, psi, m=4096):
+    """The grid pairing: mean and max deviation of the samples on m points."""
+    grid = CircleGrid(m)
+    pv = sample(phi, grid).values
+    sv = sample(psi, grid).values
+    pm, sm = np.roll(pv, -m // 2), np.roll(sv, -m // 2)  # phi(-z), psi(-z)
+    vals = np.conj(pv) * sv + np.conj(pm) * sm
+    mean = complex(np.mean(vals))
+    return mean, float(np.max(np.abs(vals - mean)))
+
+
+_coeffs = st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+                   min_size=1, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coeffs, st.integers(-6, 6), _coeffs, st.integers(-6, 6))
+def test_exact_pairing_bounds_the_grid_pairing(a, da, b, db):
+    phi, psi = LaurentPoly(a, min_degree=da), LaurentPoly(b, min_degree=db)
+    val, res = pairing(phi, psi)
+    gval, gdev = grid_pairing(phi, psi)
+    assert abs(val - gval) <= 1e-12
+    assert res >= gdev - 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0),
+       st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0),
+       st.integers(-20, 20), st.integers(-10, 10))
+def test_exact_pairing_is_the_grid_deviation_for_one_lag(a, b, degree, lag):
+    phi, psi = LaurentPoly.monomial(degree, a), LaurentPoly.monomial(degree + lag, b)
+    val, res = pairing(phi, psi)
+    gval, gdev = grid_pairing(phi, psi)
+    assert abs(val - gval) <= 1e-12
+    assert abs(res - gdev) <= 1e-12
+    assert res == pytest.approx(2 * abs(a * b) if lag % 2 == 0 and lag != 0 else 0.0, rel=1e-14)

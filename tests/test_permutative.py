@@ -5,6 +5,7 @@ from waverep.laurent import CircleGrid, GridFunction
 from waverep.permutative import (
     CharRep,
     MonomialRep,
+    _find_cycles,
     check_partition,
     component_of,
     decompose_monomial,
@@ -142,6 +143,32 @@ def test_cycle_points_within_bound():
                 walk.add(cur)
                 cur = mono.branch_back(cur)
             assert abs(cur) <= bound
+
+
+def test_cycle_search_in_the_invariant_ball_matches_the_wide_search():
+    def wide_search(rep):  # funnel walks from |k| <= 2R + 2, with an escape guard
+        radius = 2 * rep.cycle_radius() + 2
+        cycles = set()
+        for start in range(-radius, radius + 1):
+            trail, k = {}, start
+            while k not in trail:
+                trail[k] = len(trail)
+                k = rep.branch_back(k)
+                assert abs(k) <= 16 * max(radius, 8)
+            loop = [q for q, s in trail.items() if s >= trail[k]]
+            rot = loop.index(min(loop))
+            cycles.add(tuple(loop[rot:] + loop[:rot]))
+        return sorted(cycles, key=lambda c: c[0])
+
+    rng = np.random.default_rng(1600)
+    for _ in range(1600):
+        scale = int(rng.integers(2, 6))
+        digits = [int(rng.choice(np.arange(-40 + (r + 40) % scale, 41, scale)))
+                  for r in rng.permutation(scale)]
+        rep = MonomialRep(scale, digits)
+        radius = rep.cycle_radius()
+        assert all(abs(rep.branch_back(k)) <= radius for k in range(-radius, radius + 1))
+        assert _find_cycles(rep) == wide_search(rep)
 
 
 def test_component_membership_outside_window():
