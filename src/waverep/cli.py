@@ -317,7 +317,12 @@ def cmd_dilate(args):
     else:
         rng = np.random.default_rng(args.seed)
         fam = dil.random_coisometry(args.ops, args.random_dim, rng)
-    # the Gram word cap bounds N before the Fock model lists its 1 + N + N^2 words
+    # the Gram word cap is an input bound, and it bounds N before the Fock
+    # model lists its 1 + N + N^2 words
+    try:
+        dil.gram_word_count(fam.n_ops, args.gram_depth)
+    except ValueError as e:
+        raise InputError(str(e)) from e
     gram = dil.gram_matrix(fam, args.gram_depth)
     fock = dil.fock_embedding(fam, args.lam, args.fock_depth)
     purity = dil.purity_diagnostics(fam)

@@ -157,21 +157,25 @@ class GramReport:
     eigenvalues: np.ndarray  # of the dim x dim matrix G_L, ascending
 
 
+def gram_word_count(n_ops: int, max_len: int) -> int:
+    """W, the number of words of length <= max_len; ValueError above WORD_CAP."""
+    if max_len < 1:
+        raise ValueError("word length must be >= 1")
+    # W > max_len, so a length at the cap needs no count (nor its big integers)
+    n_words = _word_count(n_ops, max_len) if max_len < WORD_CAP else math.inf
+    if n_words > WORD_CAP:
+        raise ValueError(f"the words of length <= {max_len} exceed the cap {WORD_CAP}")
+    return n_words
+
+
 def gram_matrix(fam: CoisometryFamily, max_len: int, psd_tol: float = 1e-9) -> GramReport:
     """Spectrum of the Gram matrix of the down-word vectors of length <= max_len; must be PSD.
 
     For W words that is the spectrum of G_L plus W - dim zeros, or without its
     dim - W smallest eigenvalues (zeros, as rank G_L <= W) when W < dim;
-    min_eigenvalue is its least.  W is capped at WORD_CAP as an input bound
-    (InputError, exit 2 from the CLI).
+    min_eigenvalue is its least.  W is capped at WORD_CAP as an input bound.
     """
-    if max_len < 1:
-        raise ValueError("word length must be >= 1")
-    # W > max_len, so a length at the cap needs no count (nor its big integers)
-    n_words = _word_count(fam.n_ops, max_len) if max_len < WORD_CAP else math.inf
-    if n_words > WORD_CAP:
-        from .serialize import InputError  # deferred: serialize imports this module
-        raise InputError(f"the words of length <= {max_len} exceed the cap {WORD_CAP}")
+    n_words = gram_word_count(fam.n_ops, max_len)
     g = start = np.outer(fam.omega, fam.omega.conj())
     for _ in range(max_len):
         g = start + _transfer(fam.vstar, g)

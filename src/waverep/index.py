@@ -9,17 +9,16 @@ is an isometry on L2 of the circle.  Its eigenvectors with |lambda| = 1 span
 the unitary part of its Wold decomposition, and the total dimension of the
 validated eigenspaces is reported as the index of the pair.
 
-The window the filters fix.  Let [a, b] be the degree range of (f0, f1) and
-K0 = max(-a, b, 0).  M sends z^n into the modes [2n + a, 2n + b], so a mode
-n > K0 goes only to modes above n and a mode n < -K0 only to modes below n.
-In the basis (inner [-K0, K0], outer) the compression of M to any window
-K >= K0 is therefore block lower-triangular [[A, 0], [B, C]], and C strictly
-increases |n|, so it is nilpotent: the nonzero spectrum is that of the
-(2K0+1)^2 block A.  The eigensolve runs on the window min(K, K0), which is
-the window a report gives.  A candidate v of the compression only counts
-after the *uncompressed* operator reproduces it to a small exact residual;
-on the K0 window its square is ||(A - lambda) v||^2 + ||B v||^2, B taking in
-every outer mode, so v is validated exactly when its image stays inside.
+The window the filters fix.  With [a, b] the degree range of (f0, f1) and
+K0 = max(-a, b, 0), M sends z^n into the modes [2n + a, 2n + b], all farther
+out than n when |n| > K0.  So in the basis (inner [-K0, K0], outer) the
+compression of M to a window K >= K0 is block lower-triangular [[A, 0],
+[B, C]] with C nilpotent, and its nonzero spectrum is that of A.  The
+eigensolve runs on the window min(K, K0), which is the window a report
+gives.  A candidate v only counts after the *uncompressed* operator
+reproduces it to a small exact residual; on the K0 window its square is
+||(A - lambda) v||^2 + ||B v||^2, so v validates exactly when its image
+stays inside the window.
 
 Only unit-circle eigenvalues are counted: an isometry has unimodular point
 spectrum on its unitary part, and compression eigenvalues strictly inside
@@ -27,10 +26,7 @@ the disk are truncation effects.  The index is reported as computed; values
 outside {0, 1, 2} would contradict the structure theory and are surfaced as
 an anomaly rather than clamped.  For any two validated solutions the
 sesquilinear pairing phi, psi -> conj(phi(z)) psi(z) + conj(phi(-z)) psi(-z)
-is constant on the circle.  The pairing is computed exactly from the
-coefficients: it is 2 sum_{m even} c_m z^m, where c is the cross-correlation
-c_m = sum_j conj(phi_j) psi_(j+m), so its value is 2 <phi, psi> and
-2 sum_{m even, m != 0} |c_m| bounds its deviation from that value everywhere.
+is constant on the circle, which is re-checked numerically.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filterbank import FilterBank, require_verified
-from .laurent import LaurentPoly, inner
+from .laurent import CircleGrid, LaurentPoly, sample
 
 LAMBDA_DISK_TOL = 1e-6  # eigenvalues below 1 - this are truncation artifacts
 LAMBDA_CLUSTER_ARC = 1e-6
@@ -157,18 +153,25 @@ def spectral_solutions(f0: LaurentPoly, f1: LaurentPoly, window: int = 64,
                           eigenspace_dims=dims, anomaly=anomaly)
 
 
-def pairing(phi: LaurentPoly, psi: LaurentPoly) -> tuple[complex, float]:
-    """Value 2 c_0 and constancy bound 2 sum_{m even, m != 0} |c_m| of the pairing.
+def pairing(phi: LaurentPoly, psi: LaurentPoly, grid: CircleGrid | None = None):
+    """Value and constancy defect of conj(phi(z)) psi(z) + conj(phi(-z)) psi(-z).
 
-    c is the cross-correlation of the coefficients (see the module
-    docstring); the bound is the sup deviation when one such lag is nonzero.
+    For eigenvectors of the combined isometry this function is constant on
+    the circle; the mean over the grid is the pairing value and the max
+    deviation from it is the constancy residual.
     """
-    if phi.is_zero() or psi.is_zero():
-        return 0j, 0.0
-    corr = np.convolve(psi.coeffs, np.conj(phi.coeffs[::-1]))
-    lags = np.arange(len(corr)) + psi.min_degree - phi.max_degree
-    off = corr[(lags % 2 == 0) & (lags != 0)]
-    return 2.0 * inner(phi, psi), 2.0 * float(np.sum(np.abs(off)))
+    if grid is None:
+        grid = CircleGrid(4096)
+    pv = sample(phi, grid).values
+    sv = sample(psi, grid).values
+    half = grid.M // 2
+    if grid.M % 2 != 0:
+        raise ValueError("pairing grid size must be even so -z stays on the grid")
+    pm = np.roll(pv, -half)  # phi(-z)
+    sm = np.roll(sv, -half)
+    vals = np.conj(pv) * sv + np.conj(pm) * sm
+    mean = complex(np.mean(vals))
+    return mean, float(np.max(np.abs(vals - mean)))
 
 
 def _pairing_table(solutions) -> tuple[np.ndarray, float]:

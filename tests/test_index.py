@@ -3,7 +3,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from conftest import random_poly
 from waverep import fixtures
@@ -18,7 +17,7 @@ from waverep.index import (
     pairing,
     spectral_solutions,
 )
-from waverep.laurent import CircleGrid, LaurentPoly, allclose, sample
+from waverep.laurent import LaurentPoly, allclose
 
 S2 = math.sqrt(2.0)
 
@@ -319,45 +318,3 @@ def test_db4_at_a_large_window_is_fast(db4_pair):
     rep = spectral_solutions(*db4_pair, window=4096)
     assert time.perf_counter() - start < 0.5
     assert rep.index == 0
-
-
-# ---------------------------------------------------------------------------
-# the exact pairing, against the 4096-point grid
-
-
-def grid_pairing(phi, psi, m=4096):
-    """The grid pairing: mean and max deviation of the samples on m points."""
-    grid = CircleGrid(m)
-    pv = sample(phi, grid).values
-    sv = sample(psi, grid).values
-    pm, sm = np.roll(pv, -m // 2), np.roll(sv, -m // 2)  # phi(-z), psi(-z)
-    vals = np.conj(pv) * sv + np.conj(pm) * sm
-    mean = complex(np.mean(vals))
-    return mean, float(np.max(np.abs(vals - mean)))
-
-
-_coeffs = st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
-                   min_size=1, max_size=8)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_coeffs, st.integers(-6, 6), _coeffs, st.integers(-6, 6))
-def test_exact_pairing_bounds_the_grid_pairing(a, da, b, db):
-    phi, psi = LaurentPoly(a, min_degree=da), LaurentPoly(b, min_degree=db)
-    val, res = pairing(phi, psi)
-    gval, gdev = grid_pairing(phi, psi)
-    assert abs(val - gval) <= 1e-12
-    assert res >= gdev - 1e-12
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0),
-       st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0),
-       st.integers(-20, 20), st.integers(-10, 10))
-def test_exact_pairing_is_the_grid_deviation_for_one_lag(a, b, degree, lag):
-    phi, psi = LaurentPoly.monomial(degree, a), LaurentPoly.monomial(degree + lag, b)
-    val, res = pairing(phi, psi)
-    gval, gdev = grid_pairing(phi, psi)
-    assert abs(val - gval) <= 1e-12
-    assert abs(res - gdev) <= 1e-12
-    assert res == pytest.approx(2 * abs(a * b) if lag % 2 == 0 and lag != 0 else 0.0, rel=1e-14)
