@@ -14,6 +14,7 @@ in the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -84,6 +85,8 @@ _scale = _int_in(2)
 FOCK_DEPTH_MAX = 1000
 # the index eigensolve is at most (2K + 1)^2 = 2049^2, whatever the bank's K0
 INDEX_WINDOW_MAX = 1024
+# the modes -K..K of a decompose report: about 2 MB of report at the cap
+DECOMPOSE_WINDOW_MAX = 65536
 
 
 def _load_json(path: str) -> dict:
@@ -136,7 +139,7 @@ def _produced_bank(bank, out_bank):
     artifacts = []
     if out_bank:
         with open(out_bank, "w") as fh:
-            json.dump(ser.bank_to_dict(bank), fh, indent=2, sort_keys=True)
+            fh.write(ser.dumps(ser.bank_to_dict(bank)))
         artifacts.append(out_bank)
     return max(residuals.values()) <= VERIFY_TOL, residuals, artifacts
 
@@ -379,13 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--grid-size", type=_positive_int, default=0,
                    help="check-grid size (default: 4096 rounded up to a multiple of N; "
                         "a grid bank uses its own grid)")
-    q.set_defaults(handler=cmd_check)
 
     q = sub.add_parser("complete", help="extend a low-pass filter to a unitary bank")
     q.add_argument("--lowpass", required=True, help="filter JSON file")
     q.add_argument("--scale", type=_scale, required=True)
     q.add_argument("--out-bank", help="write the completed bank JSON here")
-    q.set_defaults(handler=cmd_complete)
 
     q = sub.add_parser("cascade", help="scaling/mother functions on the frequency side")
     add_bank_source(q)
@@ -398,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lattice size K for the periodization check")
     q.add_argument("--per-tol", type=_float_between(0.0, math.inf), default=1e-3)
     q.add_argument("--csv", help="write t,re,im,abs samples here")
-    q.set_defaults(handler=cmd_cascade)
 
     q = sub.add_parser("wold", help="classify the unitary part of one filter's isometry")
     add_bank_source(q)
@@ -407,24 +407,20 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--index", type=int, default=0, help="filter index within the bank")
     q.add_argument("--shift-check", action="store_true",
                    help="check that every filter of the bank generates a shift")
-    q.set_defaults(handler=cmd_wold)
 
     q = sub.add_parser("index", help="unit-circle eigenspaces of the combined isometry")
     add_bank_source(q)
     q.add_argument("--window", type=_int_in(0, INDEX_WINDOW_MAX), default=64)
-    q.set_defaults(handler=cmd_index)
 
     q = sub.add_parser("decompose", help="orbit decomposition of a monomial family")
     q.add_argument("--scale", type=_scale, required=True)
     q.add_argument("--digits", required=True, help="comma-separated digits, e.g. 0,1")
-    q.add_argument("--window", type=int, default=64)
-    q.set_defaults(handler=cmd_decompose)
+    q.add_argument("--window", type=_int_in(0, DECOMPOSE_WINDOW_MAX), default=64)
 
     q = sub.add_parser("equiv", help="cocycle equivalence of characteristic-function families")
     q.add_argument("--u1", required=True, help="grid-function JSON file")
     q.add_argument("--u2", required=True, help="grid-function JSON file")
     q.add_argument("--scale", type=_scale, required=True)
-    q.set_defaults(handler=cmd_equiv)
 
     q = sub.add_parser("dilate", help="Fock-space dilation diagnostics of a coisometry family")
     q.add_argument("--family", help="family JSON file")
@@ -435,25 +431,29 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--lam", "--lambda", dest="lam", type=_float_between(-1.0, 1.0), default=0.5)
     q.add_argument("--fock-depth", type=_int_in(1, FOCK_DEPTH_MAX), default=8)
     q.add_argument("--gram-depth", type=_positive_int, default=3)
-    q.set_defaults(handler=cmd_dilate)
 
     q = sub.add_parser("fixtures", help="materialize a named fixture bank")
     q.add_argument("name")
     q.add_argument("--out-bank", help="write the bank JSON here")
-    q.set_defaults(handler=cmd_fixtures)
 
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
     start = time.monotonic()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else 0
+    # looked up at call time, so that a wrapper installed around a handler runs
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        verdicts, residuals, info, artifacts = args.handler(args)
+        verdicts, residuals, info, artifacts = handler(args)
         code = 0 if all(verdicts.values()) else 1
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -464,15 +464,14 @@ def run(argv) -> int:
         code = 1
     report = {
         "command": args.command,
-        "inputs": {k: v for k, v in sorted(vars(args).items())
-                   if k != "handler" and v is not None},
+        "inputs": {k: v for k, v in sorted(vars(args).items()) if v is not None},
         "verdicts": verdicts,
         "residuals": residuals,
         "artifacts": artifacts,
         "elapsed": time.monotonic() - start,
         "info": info,
     }
-    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
+    text = ser.dumps(report, default=_json_default)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

@@ -324,21 +324,35 @@ class CircleGrid:
         return (np.arange(self.M) * scale) % self.M
 
     def cycles(self, scale: int) -> list[np.ndarray]:
-        """Cycles of j -> scale*j mod M, each listed starting at its minimum."""
+        """Cycles of j -> scale*j mod M, each listed starting at its minimum.
+
+        The cycles come in the order of their minima.  Pointer doubling
+        labels each point with the minimum of its cycle and then ranks it
+        along the cycle, in ceil(log2 L) rounds each, L the longest cycle
+        (the cycle of 1, whose length is the order of scale mod M).
+        """
         sigma = self.multiply_map(scale)
-        seen = np.zeros(self.M, dtype=bool)
-        out = []
-        for start in range(self.M):
-            if seen[start]:
-                continue
-            cyc = []
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = int(sigma[j])
-            out.append(np.array(cyc, dtype=np.int64))
-        return out
+        points = np.arange(self.M)
+        # after round k, label[j] is the least of the 2^k points from j on,
+        # and jump is sigma^(2^k); all labels are cycle minima exactly when
+        # no label differs from its successor's
+        label, jump, rounds = points, sigma, 0
+        while not np.array_equal(label[sigma], label):
+            label, jump, rounds = np.minimum(label, label[jump]), jump[jump], rounds + 1
+        # steps from j forward to its cycle's minimum, where the walk halts
+        root = label == points
+        ahead = np.where(root, points, sigma)
+        dist = (~root).astype(np.int64)
+        for _ in range(rounds):
+            dist, ahead = dist + dist[ahead], ahead[ahead]
+        size = np.bincount(label, minlength=self.M)
+        ends = np.cumsum(size[root])
+        first = np.zeros(self.M, dtype=np.int64)
+        first[root] = ends - size[root]
+        # j sits (size - dist) mod size steps after its cycle's minimum
+        order = np.empty(self.M, dtype=np.int64)
+        order[first[label] + (size[label] - dist) % size[label]] = points
+        return np.split(order, ends[:-1])
 
 
 @dataclass(frozen=True, eq=False)

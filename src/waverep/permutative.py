@@ -241,16 +241,22 @@ def _telescope(q: np.ndarray, grid: CircleGrid, scale: int,
     Along each cycle of j -> N j mod M the relation telescopes, fixing f up
     to one unimodular scalar per cycle (1 at the cycle minimum); a solution
     exists iff every cycle product of q is 1 within arc distance
-    tol * cycle length.  All products are checked before any cycle is walked.
+    tol * cycle length.  All products are checked before any cycle is walked,
+    and the cycles of one length are walked together.
     """
     cycles = grid.cycles(scale)
-    for cyc in cycles:
-        if abs(np.angle(np.prod(q[cyc]))) > tol * len(cyc):
-            return None
+    flat = np.concatenate(cycles)
+    lengths = np.fromiter(map(len, cycles), dtype=np.int64, count=len(cycles))
+    starts = np.cumsum(lengths) - lengths
+    qs = q[flat]
+    if np.any(np.abs(np.angle(np.multiply.reduceat(qs, starts))) > tol * lengths):
+        return None
     f = np.empty(grid.M, dtype=np.complex128)
-    for cyc in cycles:
-        walk = np.concatenate([[1.0 + 0j], np.cumprod(q[cyc[:-1]])])
-        f[cyc] = walk / np.abs(walk)
+    for n in np.unique(lengths):
+        at = starts[lengths == n][:, None] + np.arange(n)
+        walk = np.ones(at.shape, dtype=np.complex128)
+        np.cumprod(qs[at[:, :-1]], axis=1, out=walk[:, 1:])
+        f[flat[at]] = walk / np.abs(walk)
     return f
 
 

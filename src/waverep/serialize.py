@@ -18,11 +18,25 @@ finite (JSON readers accept NaN and Infinity), or a grid size M < 1.
 
 Callable-kind banks have no sample-free encoding; exporting one samples it
 onto a grid (size divisible by the scale) and marks kind "grid".
+
+Every run report and every written bank goes through one writer, dumps(obj,
+default), whose text equals json.dumps(obj, indent=2, sort_keys=True,
+default=default) byte for byte.  The stdlib writes indented JSON with its
+pure-Python encoder, which dominates the cost of a report that carries
+65535 sampled values.  dumps leaves to it only the small skeleton of the
+object, with one placeholder string for each non-empty block of [re, im]
+pairs (the _Pairs lists that _cvec returns).  Each block is encoded once by
+the C encoder with the item separator "\\x01", and that flat text is laid out
+at the placeholder's depth with one str.replace per nesting level.  Float
+text is float.__repr__ in both encoders, and a block is a regular array of
+floats, so its flat text holds "\\x01" and brackets only as structure.
 """
 
 from __future__ import annotations
 
 import functools
+import json
+import re
 
 import numpy as np
 
@@ -35,10 +49,14 @@ class InputError(ValueError):
     """Input outside the wire formats or the command contract: exit code 2."""
 
 
+class _Pairs(list):
+    """The nested lists of one complex array, ending in [re, im]: a block for dumps."""
+
+
 def _cvec(values) -> list:
     """Complex scalar or array of any shape -> nested lists ending in [re, im]."""
     v = np.asarray(values, dtype=np.complex128)
-    return np.stack([v.real, v.imag], -1).tolist()
+    return _Pairs(np.stack([v.real, v.imag], -1).tolist())
 
 
 def _vec_c(pairs, shape: tuple | None = None) -> np.ndarray:
@@ -164,3 +182,95 @@ def filter_from_dict(d: dict):
         return gridfunction_from_dict(d)
     raise InputError(f"a filter needs \"coeffs\" (polynomial) or \"values\" (grid samples), "
                      f"or a kind tag; got keys {sorted(d)}")
+
+
+# ---------------------------------------------------------------------------
+# the report writer
+
+
+class _Slot:
+    """Stands in the skeleton for a value that dumps writes itself."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
+_PLACEHOLDER = "\x00pairs\x00"
+_PLACEHOLDER_TEXT = json.dumps(_PLACEHOLDER)
+# The placeholder as a whole string value.  Its text starts with a backslash
+# escape, so its opening quote cannot be a closing one (structure follows
+# those); an escaped quote has a backslash before it; a key has a colon after.
+_SLOT = re.compile(r"(?<!\\)" + re.escape(_PLACEHOLDER_TEXT) + r"(?!:)")
+
+
+def _rank(block: list) -> int:
+    """Nesting depth of a regular pair block, 0 when it holds no number."""
+    rank = 0
+    while isinstance(block, list):
+        if not block:
+            return 0
+        rank, block = rank + 1, block[0]
+    return rank
+
+
+def _layout(block: list, depth: int) -> str:
+    """json.dumps(block, indent=2) for a block that opens at indent level `depth`."""
+    rank = _rank(block)
+    flat = json.dumps(block, separators=("\x01", ":"))
+    nl = ["\n" + "  " * k for k in range(depth + rank + 1)]
+    opens = ["[" + nl[depth + m + 1] for m in range(rank)]
+    closes = [nl[depth + m] + "]" for m in range(rank)]
+    body = flat[rank:-rank]
+    # between two items of level m, levels m+1..rank-1 close and open again
+    for m in range(rank - 1):
+        inner = rank - 1 - m
+        body = body.replace("]" * inner + "\x01" + "[" * inner,
+                            "".join(closes[rank - 1:m:-1]) + "," + nl[depth + m + 1]
+                            + "".join(opens[m + 1:]))
+    body = body.replace("\x01", "," + nl[depth + rank])
+    return "".join(opens) + body + "".join(closes[::-1])
+
+
+def dumps(obj, default=None) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True, default=default), byte for byte.
+
+    Non-empty _Pairs blocks, in obj or returned by `default`, are encoded by
+    the C encoder and laid out by _layout; a string equal to the placeholder
+    is a slot too, so that every placeholder in the skeleton's text is one.
+    """
+    slots = []
+
+    def swap(x):
+        if isinstance(x, _Pairs):
+            return _Slot(x) if _rank(x) else x
+        if isinstance(x, str):
+            return _Slot(x) if x == _PLACEHOLDER else x
+        if isinstance(x, dict):
+            return {k: swap(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [swap(v) for v in x]
+        return x
+
+    def hook(x):
+        if isinstance(x, _Slot):
+            slots.append(x.value)  # the encoder calls this in text order
+            return _PLACEHOLDER
+        if default is None:
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        return swap(default(x))
+
+    text = json.dumps(swap(obj), indent=2, sort_keys=True, default=hook)
+    if not slots:
+        return text
+    parts = _SLOT.split(text)
+    out = [parts[0]]
+    for value, before, after in zip(slots, parts, parts[1:]):
+        if isinstance(value, str):
+            out.append(_PLACEHOLDER_TEXT)
+        else:
+            line = before[before.rfind("\n") + 1:]
+            out.append(_layout(value, (len(line) - len(line.lstrip(" "))) // 2))
+        out.append(after)
+    return "".join(out)

@@ -38,3 +38,22 @@ def random_poly(rng, max_degree=12, unit_norm=False):
     if unit_norm:
         p = p * (1.0 / p.norm2())
     return p
+
+
+def loop_cycles(m, scale):
+    """The cycles of j -> scale*j mod m by walking every point: the reference
+    for CircleGrid.cycles (each cycle from its minimum, in order of minima)."""
+    sigma = (np.arange(m) * scale) % m
+    seen = np.zeros(m, dtype=bool)
+    out = []
+    for start in range(m):
+        if seen[start]:
+            continue
+        cyc = []
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            cyc.append(j)
+            j = int(sigma[j])
+        out.append(np.array(cyc, dtype=np.int64))
+    return out

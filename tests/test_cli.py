@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 from waverep import cli, fixtures, serialize as ser
 from waverep.cli import parse_angle, run
 from waverep.dilation import random_coisometry
-from waverep.filterbank import FilterBank
+from waverep.filterbank import FilterBank, complete_filterbank
 from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, sample
 from waverep.fixtures import haar
 
@@ -251,6 +252,38 @@ def test_reports_are_deterministic(capsys):
     assert rep1 == rep2
 
 
+def test_consecutive_runs_share_no_flags(capsys):
+    # the parser is built once per process; each run's inputs are its own flags
+    # and the defaults, as a fresh parser reads them
+    runs = [
+        ["--seed", "5", "dilate", "--lam", "0.4", "--fock-depth", "3"],
+        ["dilate"],
+        ["cascade", "--fixture", "haar2", "--samples", "5", "--depth", "3", "--per", "2"],
+        ["cascade", "--fixture", "haar2", "--samples", "7"],
+        ["decompose", "--scale", "3", "--digits", "0,4,-4", "--window", "3"],
+        ["decompose", "--scale", "2", "--digits", "0,1"],
+    ]
+    for argv in runs:
+        _, rep = run_json(capsys, argv)
+        fresh = vars(cli.build_parser().parse_args(argv))
+        assert rep["inputs"] == {k: v for k, v in fresh.items() if v is not None}
+
+
+def test_handlers_are_looked_up_at_call_time(monkeypatch, capsys):
+    run(["fixtures", "haar2"])  # builds the parser
+    capsys.readouterr()
+    calls = []
+    handler = cli.cmd_fixtures
+
+    def wrapped(args):
+        calls.append(args.name)
+        return handler(args)
+
+    monkeypatch.setattr(cli, "cmd_fixtures", wrapped)
+    code, _ = run_json(capsys, ["fixtures", "db4"])
+    assert code == 0 and calls == ["db4"]
+
+
 def test_seed_echoed_in_report(capsys):
     code, rep = run_json(capsys, ["--seed", "5", "dilate", "--lam", "0.4"])
     assert code == 0
@@ -285,6 +318,8 @@ def _untagged_file(tmp_path, d):
     "equiv_scale_one",
     "index_window_negative",
     "index_window_above_cap",
+    "decompose_window_negative",
+    "decompose_window_above_cap",
     "dilate_gram_depth_above_word_cap",
     "dilate_gram_depth_zero",
     "dilate_fock_depth_zero",
@@ -333,6 +368,11 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
         "index_window_negative": lambda: ["index", "--fixture", "haar2", "--window", "-3"],
         "index_window_above_cap": lambda: [
             "index", "--fixture", "haar2", "--window", str(cli.INDEX_WINDOW_MAX + 1)],
+        "decompose_window_negative": lambda: [
+            "decompose", "--scale", "2", "--digits", "0,1", "--window", "-5"],
+        "decompose_window_above_cap": lambda: [
+            "decompose", "--scale", "2", "--digits", "0,1",
+            "--window", str(cli.DECOMPOSE_WINDOW_MAX + 1)],
         "dilate_gram_depth_above_word_cap": lambda: ["dilate", "--ops", "2", "--gram-depth", "20"],
         "dilate_gram_depth_zero": lambda: ["dilate", "--gram-depth", "0"],
         "dilate_fock_depth_zero": lambda: ["dilate", "--fock-depth", "0"],
@@ -505,6 +545,30 @@ def test_wire_input_outside_the_contract_exits_two(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error" in captured.err
+
+
+def _old_bank_file(bank):
+    """What --out-bank files held when they were written by json.dump."""
+    buf = io.StringIO()
+    json.dump(ser.bank_to_dict(bank), buf, indent=2, sort_keys=True)
+    return buf.getvalue()
+
+
+def test_out_bank_files_keep_their_bytes(tmp_path, capsys):
+    lowpass = fixtures.fixture_bank("haar3").filters[0]
+    lp = tmp_path / "m0.json"
+    lp.write_text(json.dumps(ser.filter_to_dict(lowpass)))
+    out3 = tmp_path / "bank3.json"
+    code, _ = run_json(capsys, ["complete", "--lowpass", str(lp), "--scale", "3",
+                                "--out-bank", str(out3)])
+    assert code == 0
+    bank3 = complete_filterbank(lowpass, 3)
+    assert bank3.kind == "grid"
+    assert out3.read_text() == _old_bank_file(bank3)
+    out16 = tmp_path / "haar16.json"
+    code, _ = run_json(capsys, ["fixtures", "haar16", "--out-bank", str(out16)])
+    assert code == 0
+    assert out16.read_text() == _old_bank_file(fixtures.fixture_bank("haar16"))
 
 
 def _old_jsonable(x):

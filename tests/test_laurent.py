@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import loop_cycles
 from waverep import fixtures
 from waverep.filterbank import FilterBank
 from waverep.laurent import (
@@ -203,6 +204,26 @@ def test_cycles_partition_grid():
         assert c[0] == min(c)
         for a, b in zip(c, np.roll(c, -1)):
             assert sigma[a] == b
+
+
+# grids with many short cycles (2^16 - 1, 3^10 - 1) and one with a cycle of
+# length 65536 (3 is a primitive root modulo the prime 65537)
+@pytest.mark.parametrize("m,scale", [(65535, 2), (59048, 3), (65537, 3), (1, 2), (1, 5)])
+def test_cycles_match_the_point_walk_on_large_grids(m, scale):
+    got, want = CircleGrid(m).cycles(scale), loop_cycles(m, scale)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == np.int64 and np.array_equal(a, b)
+
+
+def test_cycles_match_the_point_walk_on_every_small_grid():
+    for m in range(1, 301):
+        for scale in range(2, 6):
+            if math.gcd(m, scale) != 1:
+                continue
+            got, want = CircleGrid(m).cycles(scale), loop_cycles(m, scale)
+            assert len(got) == len(want), (m, scale)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (m, scale)
 
 
 def test_grid_function_validates_length():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import loop_cycles
 from waverep.laurent import CircleGrid, GridFunction
 from waverep.permutative import (
+    CYCLE_ARC_TOL,
     CharRep,
     MonomialRep,
+    _telescope,
     _find_cycles,
     check_partition,
     component_of,
@@ -294,6 +297,45 @@ def test_coboundary_uniqueness_per_cycle(dyn_grid):
     for cyc in dyn_grid.cycles(2):
         assert np.max(np.abs(ratio[cyc] - ratio[cyc[0]])) < 1e-9
         assert abs(abs(ratio[cyc[0]]) - 1.0) < 1e-9
+
+
+def _per_cycle_telescope(q, m, scale, tol=CYCLE_ARC_TOL):
+    """The cycle-by-cycle telescope on the point-walk cycles: the reference."""
+    cycles = loop_cycles(m, scale)
+    for cyc in cycles:
+        if abs(np.angle(np.prod(q[cyc]))) > tol * len(cyc):
+            return None
+    f = np.empty(m, dtype=np.complex128)
+    for cyc in cycles:
+        walk = np.concatenate([[1.0 + 0j], np.cumprod(q[cyc[:-1]])])
+        f[cyc] = walk / np.abs(walk)
+    return f
+
+
+@pytest.mark.parametrize("m,scale", [(65535, 2), (59048, 3), (65537, 3), (1, 2), (255, 2),
+                                     (80, 3)])
+def test_telescope_matches_the_per_cycle_walk(m, scale):
+    rng = np.random.default_rng(m + scale)
+    grid = CircleGrid(m)
+    sigma = grid.multiply_map(scale)
+    unimodular = lambda: np.exp(2j * np.pi * rng.random(m))
+    d = unimodular()
+    solvable = d[sigma] / d
+    # one point of the longest cycle moves that cycle's product off 1 by
+    # twice, then half, the arc tolerance of its length
+    longest = max(loop_cycles(m, scale), key=len)
+    arc = CYCLE_ARC_TOL * len(longest)
+    past, within = solvable.copy(), solvable.copy()
+    past[longest[-1]] *= np.exp(2j * arc)
+    within[longest[-1]] *= np.exp(0.5j * arc)
+    cases = [solvable, unimodular(), past, within, np.ones(m, dtype=np.complex128)]
+    for q in cases:
+        got, want = _telescope(q, grid, scale), _per_cycle_telescope(q, m, scale)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.max(np.abs(got - want)) <= 1e-15
+    assert _telescope(past, grid, scale) is None
+    assert _telescope(within, grid, scale) is not None
 
 
 def test_modulus_validation(dyn_grid):

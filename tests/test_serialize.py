@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from waverep import fixtures, serialize as ser
+from waverep import cli, fixtures, serialize as ser
 from waverep.dilation import random_coisometry
 from waverep.filterbank import unitarity_residual
 from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, sample
@@ -170,3 +170,60 @@ def test_codec_rejects_malformed_pairs(pairs, shape):
 def test_missing_keys_and_wrong_types_are_input_errors(decode, d):
     with pytest.raises(ser.InputError):
         decode(d)
+
+
+# ---------------------------------------------------------------------------
+# the report writer: byte for byte the stdlib's indent-2 layout
+
+_any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_any_complex = st.builds(complex, _any_float, _any_float)
+_TRICKY = ["", "\x00", "[", "]", "[[", "]\x01[", "\x01", ",", ":", "\"", "\\",
+           ser._PLACEHOLDER, "\"" + ser._PLACEHOLDER, ser._PLACEHOLDER + "\"",
+           "\\" + ser._PLACEHOLDER, ser._PLACEHOLDER + ":", ser._PLACEHOLDER_TEXT,
+           ser._PLACEHOLDER * 2]
+_strings = st.one_of(st.sampled_from(_TRICKY), st.text(max_size=8),
+                     st.lists(st.sampled_from(_TRICKY), max_size=3).map("".join))
+_dims = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)
+_complex_arrays = hnp.arrays(np.complex128, _dims, elements=_any_complex)
+_leaves = st.one_of(
+    _complex_arrays,                                         # through the default hook
+    _complex_arrays.map(ser._cvec),                          # already pairs
+    _any_complex, _any_complex.map(np.complex128),
+    hnp.arrays(np.int64, _dims, elements=st.integers(-2**40, 2**40)),
+    _any_float, _any_float.map(np.float64), st.integers(-2**70, 2**70),
+    st.integers(-5, 5).map(np.int64), st.booleans(), st.none(), _strings,
+)
+_reports = st.dictionaries(_strings, st.recursive(
+    _leaves, lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                     st.dictionaries(_strings, inner, max_size=4)),
+    max_leaves=12), max_size=6)
+
+
+def _stdlib(obj):
+    return json.dumps(obj, indent=2, sort_keys=True, default=cli._json_default)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reports)
+@example({"pairs": ser._cvec(np.array([-0.0, 5e-324j, complex(np.nan, -np.inf)])),
+          ser._PLACEHOLDER: ser._PLACEHOLDER, "s": ["\"" + ser._PLACEHOLDER, "\x01[]"]})
+@example({"empty": np.zeros((2, 0, 3), dtype=np.complex128), "one": np.ones((1, 1, 1)) * 1j,
+          "scalar": np.complex128(-0.0 - 1j), "ints": np.arange(-3, 3)})
+def test_dumps_matches_the_stdlib_layout(report):
+    assert ser.dumps(report, default=cli._json_default) == _stdlib(report)
+
+
+@pytest.mark.parametrize("obj", [
+    ser._cvec(np.array([[1 + 2j, 3j]])), ser._cvec(1j), [ser._cvec(np.ones(2))],
+    ser._PLACEHOLDER, [ser._PLACEHOLDER, ser._cvec(2j)], {}, [], ser._cvec(np.zeros(0)),
+])
+def test_dumps_matches_the_stdlib_layout_at_the_top_level(obj):
+    assert ser.dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_dumps_refuses_what_json_cannot_encode():
+    for default in (None, cli._json_default):
+        with pytest.raises(TypeError):
+            ser.dumps({"poly": LaurentPoly.one()}, default=default)
+    with pytest.raises(TypeError):
+        ser.dumps({"z": 1j})
