@@ -114,6 +114,8 @@ def _json_default(x):
     """json.dumps hook for what json cannot encode: complex values, arrays, numpy scalars."""
     if np.iscomplexobj(x):
         return ser._cvec(x)
+    if isinstance(x, np.ndarray) and x.ndim and x.dtype.kind in "biuf":
+        return ser._Block(x.tolist())
     if isinstance(x, (np.ndarray, np.generic)):
         return x.tolist()
     raise TypeError(f"{type(x).__name__} is not JSON serializable")

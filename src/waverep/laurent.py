@@ -328,8 +328,8 @@ class CircleGrid:
 
         The cycles come in the order of their minima.  Pointer doubling
         labels each point with the minimum of its cycle and then ranks it
-        along the cycle, in ceil(log2 L) rounds each, L the longest cycle
-        (the cycle of 1, whose length is the order of scale mod M).
+        along the cycle, in ceil(log2 L) rounds each, where L, the length of
+        the longest cycle, is the order of scale mod M.
         """
         sigma = self.multiply_map(scale)
         points = np.arange(self.M)

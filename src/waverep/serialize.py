@@ -24,12 +24,13 @@ default), whose text equals json.dumps(obj, indent=2, sort_keys=True,
 default=default) byte for byte.  The stdlib writes indented JSON with its
 pure-Python encoder, which dominates the cost of a report that carries
 65535 sampled values.  dumps leaves to it only the small skeleton of the
-object, with one placeholder string for each non-empty block of [re, im]
-pairs (the _Pairs lists that _cvec returns).  Each block is encoded once by
-the C encoder with the item separator "\\x01", and that flat text is laid out
-at the placeholder's depth with one str.replace per nesting level.  Float
-text is float.__repr__ in both encoders, and a block is a regular array of
-floats, so its flat text holds "\\x01" and brackets only as structure.
+object, with one placeholder string for each non-empty _Block: the nested
+lists of one numeric array, such as the [re, im] pairs that _cvec returns.
+Each block is encoded once by the C encoder with the item separator "\\x01",
+and that flat text is laid out at the placeholder's depth with one
+str.replace per nesting level.  Number text is float.__repr__ and
+int.__repr__ in both encoders, and a block is a regular array of numbers, so
+its flat text holds "\\x01" and brackets only as structure.
 """
 
 from __future__ import annotations
@@ -49,14 +50,14 @@ class InputError(ValueError):
     """Input outside the wire formats or the command contract: exit code 2."""
 
 
-class _Pairs(list):
-    """The nested lists of one complex array, ending in [re, im]: a block for dumps."""
+class _Block(list):
+    """The nested lists of one numeric array, written by dumps in one piece."""
 
 
 def _cvec(values) -> list:
     """Complex scalar or array of any shape -> nested lists ending in [re, im]."""
     v = np.asarray(values, dtype=np.complex128)
-    return _Pairs(np.stack([v.real, v.imag], -1).tolist())
+    return _Block(np.stack([v.real, v.imag], -1).tolist())
 
 
 def _vec_c(pairs, shape: tuple | None = None) -> np.ndarray:
@@ -206,7 +207,7 @@ _SLOT = re.compile(r"(?<!\\)" + re.escape(_PLACEHOLDER_TEXT) + r"(?!:)")
 
 
 def _rank(block: list) -> int:
-    """Nesting depth of a regular pair block, 0 when it holds no number."""
+    """Nesting depth of a regular block, 0 when it holds no number."""
     rank = 0
     while isinstance(block, list):
         if not block:
@@ -236,14 +237,14 @@ def _layout(block: list, depth: int) -> str:
 def dumps(obj, default=None) -> str:
     """json.dumps(obj, indent=2, sort_keys=True, default=default), byte for byte.
 
-    Non-empty _Pairs blocks, in obj or returned by `default`, are encoded by
+    Non-empty _Block lists, in obj or returned by `default`, are encoded by
     the C encoder and laid out by _layout; a string equal to the placeholder
     is a slot too, so that every placeholder in the skeleton's text is one.
     """
     slots = []
 
     def swap(x):
-        if isinstance(x, _Pairs):
+        if isinstance(x, _Block):
             return _Slot(x) if _rank(x) else x
         if isinstance(x, str):
             return _Slot(x) if x == _PLACEHOLDER else x

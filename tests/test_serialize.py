@@ -190,6 +190,8 @@ _leaves = st.one_of(
     _complex_arrays.map(ser._cvec),                          # already pairs
     _any_complex, _any_complex.map(np.complex128),
     hnp.arrays(np.int64, _dims, elements=st.integers(-2**40, 2**40)),
+    hnp.arrays(st.sampled_from([np.float64, np.float32, np.uint8, np.bool_]),
+               st.one_of(st.just(()), _dims)),       # other numeric arrays, 0-d too
     _any_float, _any_float.map(np.float64), st.integers(-2**70, 2**70),
     st.integers(-5, 5).map(np.int64), st.booleans(), st.none(), _strings,
 )
