@@ -95,13 +95,12 @@ def scaling_hat(lowpass: Filter, scale: int, t_max: float = DEFAULT_T_MAX,
     the product does not converge to the right normalization.  The value at
     t = 0 is (2*pi)^(-1/2) up to roundoff in the depth factors.
     """
-    v0, _ = _values_at_t(lowpass, np.zeros(1))
-    if abs(complex(v0[0]) - math.sqrt(scale)) > 1e-8:
+    report = check_lowpass(lowpass, scale)
+    if not report.phase_aligned:
         raise ValueError(
-            f"low-pass value at t=0 is {complex(v0[0]):.6g}, expected sqrt({scale}); "
+            f"low-pass value at t=0 is {report.value_at_zero:.6g}, expected sqrt({scale}); "
             "the infinite product would not converge to the right normalization"
         )
-    report = check_lowpass(lowpass, scale)
     if not report.ok:
         raise ValueError("filter fails the low-pass conditions (value sqrt(N) at 0, zeros at 2*pi*k/N)")
     t = symmetric_grid(t_max, samples)

@@ -6,17 +6,14 @@ arrays, so the defining relations
     S_j* S_i = delta_ij,   sum_i S_i S_i* = identity
 
 hold to machine precision whenever the bank's modulation matrix is unitary.
-The adjoint is digit extraction: the coefficient of z^k in S_i* xi gathers
-the coefficients of xi at indices N*k + a over the support a of m_i,
-weighted by conj(m_i)_a.  No grid quadrature is involved; a representation
-takes a polynomial bank only.
+The adjoint is digit extraction: the coefficient of z^k in S_i* xi is the
+coefficient of z^(N k) in conj(m_i) xi.  No grid quadrature is involved; a
+representation takes a polynomial bank only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .filterbank import FilterBank, require_verified, VERIFY_TOL
 from .laurent import LaurentPoly
@@ -32,30 +29,15 @@ def apply_filter_isometry(m: LaurentPoly, scale: int, xi: LaurentPoly) -> Lauren
 
 
 def apply_filter_adjoint(m: LaurentPoly, scale: int, xi: LaurentPoly) -> LaurentPoly:
-    """S* xi by digit extraction over the support of m.
+    """S* xi by digit extraction: every N-th coefficient of conj(m) xi.
 
     (S* xi)(z) = (1/N) sum over the N-th roots w of z of conj(m(w)) xi(w);
     on coefficients this keeps exactly the modes of conj(m) xi whose index
     is divisible by N.
     """
-    if m.is_zero() or xi.is_zero():
-        return LaurentPoly.zero()
-    n = scale
-    k_lo = -(-(xi.min_degree - m.max_degree) // n)  # ceil division
-    k_hi = (xi.max_degree - m.min_degree) // n
-    if k_lo > k_hi:
-        return LaurentPoly.zero()
-    out = np.zeros(k_hi - k_lo + 1, dtype=np.complex128)
-    xlo, xhi = xi.min_degree, xi.max_degree
-    for j, c in enumerate(m.coeffs):
-        a = m.min_degree + j
-        # contributions conj(c) * xi_{n*k + a} for k in [k_lo, k_hi]
-        idx = n * np.arange(k_lo, k_hi + 1) + a
-        valid = (idx >= xlo) & (idx <= xhi)
-        if not np.any(valid):
-            continue
-        out[valid] += np.conj(c) * xi.coeffs[idx[valid] - xlo]
-    return LaurentPoly(out, min_degree=k_lo)
+    prod = m.conj_reflect() * xi
+    k_lo = -(-prod.min_degree // scale)  # ceil division
+    return LaurentPoly(prod.coeffs[k_lo * scale - prod.min_degree :: scale], min_degree=k_lo)
 
 
 # ---------------------------------------------------------------------------

@@ -227,20 +227,26 @@ def paraunitarity_residual(fb: FilterBank) -> float:
     """
     if fb.kind != "poly":
         raise TypeError("the coefficient certificate needs a polynomial bank")
-    n = fb.scale
-    width = max(max(len(f.coeffs) for f in fb.filters), 1)
-    a = np.zeros((n, width), dtype=np.complex128)
-    for i, f in enumerate(fb.filters):
+    return _polyphase_certificate(fb.filters, fb.scale)
+
+
+def _polyphase_certificate(filters, scale: int) -> float:
+    """sum_s ||E_s||_2 (see paraunitarity_residual) for r polynomial filters,
+    each E_s r x r.  One filter gets a bound of |(1/N) sum_k |m(rho^k z)|^2 - 1|."""
+    n, r = scale, len(filters)
+    width = max(max(len(f.coeffs) for f in filters), 1)
+    a = np.zeros((r, width), dtype=np.complex128)
+    for i, f in enumerate(filters):
         a[i, : len(f.coeffs)] = f.coeffs
     fa = np.fft.fft(a, 2 * width)  # zero-padded, so the circular correlation does not alias
     corr = np.fft.ifft(fa[:, None, :] * np.conj(fa[None, :, :]))  # sum_b a_i[b+k] conj(a_j[b])
-    lo = np.array([f.min_degree for f in fb.filters])
+    lo = np.array([f.min_degree for f in filters])
     lag = np.fft.ifftshift(np.arange(-width, width)) + (lo[:, None] - lo[None, :])[..., None]
     i, j, k = np.nonzero(lag % n == 0)
     shifts, pos = np.unique(np.append(lag[i, j, k] // n, 0), return_inverse=True)
-    e = np.zeros((len(shifts), n, n), dtype=np.complex128)
+    e = np.zeros((len(shifts), r, r), dtype=np.complex128)
     e[pos[:-1], i, j] = corr[i, j, k]
-    e[pos[-1]] -= np.eye(n)
+    e[pos[-1]] -= np.eye(r)
     return float(np.sum(np.linalg.norm(e, ord=2, axis=(1, 2))))
 
 

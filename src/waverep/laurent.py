@@ -347,12 +347,13 @@ class CircleGrid:
             dist, ahead = dist + dist[ahead], ahead[ahead]
         size = np.bincount(label, minlength=self.M)
         ends = np.cumsum(size[root])
+        starts = ends - size[root]
         first = np.zeros(self.M, dtype=np.int64)
-        first[root] = ends - size[root]
+        first[root] = starts
         # j sits (size - dist) mod size steps after its cycle's minimum
         order = np.empty(self.M, dtype=np.int64)
         order[first[label] + (size[label] - dist) % size[label]] = points
-        return np.split(order, ends[:-1])
+        return [order[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 @dataclass(frozen=True, eq=False)

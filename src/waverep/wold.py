@@ -3,23 +3,26 @@
 For these operators the unitary part of the Wold decomposition is at most
 one-dimensional, and it is one-dimensional exactly when |m| = 1 almost
 everywhere and the eigenvalue problem m(z) xi(z^N) = lambda xi(z) has a
-unimodular measurable solution.  The classifier runs in two stages:
+unimodular measurable solution.  Each filter kind takes one route.
 
-1. unimodularity screen: max over a dense grid of ||m(z)| - 1|;
-2. eigen solve.  For polynomial filters a unimodular trigonometric
-   polynomial is necessarily a single monomial c z^d, so the solve is exact
-   symbolic work: a fixed Fourier mode exists iff (N-1) divides d, giving
-   xi = z^(-d/(N-1)) and lambda = c.  Independently, the equation is solved
-   on a grid of size coprime to N, where z -> z^N permutes the points.  The
-   fixed point z = 1 pins lambda = m(1)/|m(1)|; the equation is then the
-   cocycle equation Delta(z) u1(z) = u2(z) Delta(z^N) with u1 = lambda and
-   u2 = m, solved by the same per-cycle telescope as cocycle equivalence
-   (permutative._telescope): a cycle of length L admits xi iff the product
-   of m over it is lambda^L, and xi has one free phase per cycle.
-
-The grid route alone is a screening procedure (a finite grid is not
-ergodic); verdicts from raw grid data carry a grid_screen flag and are
-cross-checked on a second coprime grid when the filter can be resampled.
+* Polynomial filters are decided by their coefficients; no grid is built.
+  The isometry residual is N times the polyphase certificate of the single
+  filter, and the unimodularity residual is the l1 norm of the coefficients
+  of m m~ - 1 (m~ the on-circle conjugate), which bounds max ||m|^2 - 1| and
+  so max ||m| - 1|.  A unimodular trigonometric polynomial is a single
+  monomial c z^d, and a fixed Fourier mode exists iff (N-1) divides d,
+  giving the closed form xi = z^(-d/(N-1)) and lambda = c.
+* Grid and callable filters are screened for unimodularity on a grid of
+  size coprime to N, where z -> z^N permutes the points, and their
+  isometry residual comes from the DFT of |m|^2 on that grid (a callable
+  is sampled on a divisible grid instead).  The fixed point z = 1 pins
+  lambda = m(1)/|m(1)|; the equation is then the cocycle equation
+  Delta(z) u1(z) = u2(z) Delta(z^N) with u1 = lambda and u2 = m, solved by
+  the same per-cycle telescope as cocycle equivalence
+  (permutative._telescope): a cycle of length L admits xi iff the product
+  of m over it is lambda^L, and xi has one free phase per cycle.  A finite
+  grid is not ergodic, so verdicts from raw grid data carry a grid_screen
+  flag, and a callable is cross-checked on a second coprime grid.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import numpy as np
 
 from .cuntz import apply_filter_adjoint, apply_filter_isometry
 from .filterbank import (
+    _polyphase_certificate,
     Filter,
     FilterBank,
     qmf_residual,
@@ -61,13 +65,16 @@ class WoldReport:
 def isometry_residual(m: Filter, scale: int) -> float:
     """Deviation of sum_k |m(rho^k z)|^2 from N, i.e. the isometry condition.
 
-    Polynomials and angle callables are evaluated exactly on a divisible
-    grid.  Raw grid samples live on a grid coprime to N where the rotated
-    points are unavailable, so the coset sum is projected out of the
-    centered DFT instead: the condition says the Fourier modes of |m|^2 at
-    nonzero multiples of N vanish and the mean is 1.  That is exact for
+    A polynomial gets N times its exact polyphase certificate, which bounds
+    the deviation everywhere on the circle.  An angle callable is evaluated
+    on a divisible grid.  Raw grid samples live on a grid coprime to N where
+    the rotated points are unavailable, so the coset sum is projected out of
+    the centered DFT instead: the condition says the Fourier modes of |m|^2
+    at nonzero multiples of N vanish and the mean is 1.  That is exact for
     band-limited data and a screen otherwise.
     """
+    if isinstance(m, LaurentPoly):
+        return scale * _polyphase_certificate((m,), scale)
     if isinstance(m, GridFunction):
         g = np.abs(m.values) ** 2
         mm = m.grid.M
@@ -101,6 +108,11 @@ def range_projection_norms(m: Filter, scale: int, probe: LaurentPoly, k_max: int
     return out
 
 
+def _unimodularity_bound(m: LaurentPoly) -> float:
+    """l1 norm of the coefficients of m m~ - 1: bounds max ||m|^2 - 1| >= max ||m| - 1|."""
+    return float(np.sum(np.abs((m * m.conj_reflect() - 1).coeffs)))
+
+
 def _monomial_form(m: LaurentPoly, tol: float = 1e-8):
     """Detect m = c z^d with |c| = 1; returns (c, d) or None."""
     if m.is_zero():
@@ -131,76 +143,41 @@ def _grid_eigendata(values: np.ndarray, grid: CircleGrid, scale: int):
 
 def wold_analysis(m: Filter, scale: int, grid: CircleGrid | None = None,
                   tol: float = UNIMODULAR_TOL, probes_kmax: int = 20) -> WoldReport:
-    """Classify the unitary part of S xi = m(z) xi(z^N); dim is 0 or 1."""
-    if grid is None:
-        grid = m.grid if isinstance(m, GridFunction) else CircleGrid.dynamics_grid(scale)
-    if math.gcd(grid.M, scale) != 1:
-        raise ValueError("dynamics grid size must be coprime to the scale")
+    """Classify the unitary part of S xi = m(z) xi(z^N); dim is 0 or 1.
+
+    grid is the dynamics grid of a grid or callable filter; a polynomial is
+    decided by its coefficients and does not consult it.
+    """
+    if not isinstance(m, LaurentPoly):
+        if grid is None:
+            grid = m.grid if isinstance(m, GridFunction) else CircleGrid.dynamics_grid(scale)
+        if math.gcd(grid.M, scale) != 1:
+            raise ValueError("dynamics grid size must be coprime to the scale")
     iso = isometry_residual(m, scale)
     if iso > max(tol, 1e-8):
         raise ValueError(f"filter is not an isometry symbol (residual {iso:.3g})")
+    if isinstance(m, LaurentPoly):
+        return _polynomial_wold(m, scale, iso, tol, probes_kmax)
 
     vals = values_on_coset(m, 1, grid)[0]
-    unimod = float(np.max(np.abs(np.abs(vals) - 1.0)))
-
-    decay: dict = {}
-    if isinstance(m, LaurentPoly):
-        probes = {"1": LaurentPoly.one(), "z": LaurentPoly.monomial(1),
-                  "1/z": LaurentPoly.monomial(-1), "m": m}
-        decay = {k: range_projection_norms(m, scale, p, probes_kmax) for k, p in probes.items()}
-
     report = WoldReport(
         unitary_dim=0,
         eigenvalue=None,
         eigenfunction=None,
-        unimodularity_residual=unimod,
+        unimodularity_residual=float(np.max(np.abs(np.abs(vals) - 1.0))),
         cocycle_residual=None,
-        projection_decay=decay,
         isometry_residual=iso,
         grid_sizes=(grid.M,),
         grid_screen=isinstance(m, GridFunction),
     )
-    if unimod > tol:
+    if report.unimodularity_residual > tol:
         return report
-
     grid_hit = _grid_eigendata(vals, grid, scale)
-
-    if isinstance(m, LaurentPoly):
-        # symbolic route: unimodular trig polynomial => single monomial c z^d
-        form = _monomial_form(m, tol)
-        if form is None:
-            report.anomaly = (
-                "filter is unimodular on the grid but is not a monomial; "
-                "a unimodular trigonometric polynomial must be one"
-            )
-            return report
-        c, d = form
-        if d % (scale - 1) == 0:
-            k = -d // (scale - 1)
-            xi = LaurentPoly.monomial(k)
-            lam = c
-            image = apply_filter_isometry(m, scale, xi)
-            resid = (image - lam * xi).norm2()
-            report.unitary_dim = 1
-            report.eigenvalue = lam
-            report.eigenfunction = xi
-            report.cocycle_residual = float(resid)
-            if grid_hit is None:
-                report.anomaly = "symbolic eigenvector exists but grid solve found no eigenvalue"
-        else:
-            if grid_hit is not None:
-                report.anomaly = (
-                    "grid solve produced a spurious eigenvalue for a monomial with no "
-                    "integer fixed mode (finite-grid artifact)"
-                )
-        return report
-
-    # raw grid or callable data: grid route, with a second coprime grid when
-    # the filter can be re-evaluated
     if grid_hit is None:
         return report
     lam, xi_vals, resid = grid_hit
     if not isinstance(m, GridFunction):
+        # a callable can be re-evaluated: cross-check on a second coprime grid
         second = CircleGrid.dynamics_grid(scale, lo=grid.M + 1,
                                           hi=max(65535, (grid.M + 1) * scale))
         hit2 = _grid_eigendata(values_on_coset(m, 1, second)[0], second, scale)
@@ -216,6 +193,38 @@ def wold_analysis(m: Filter, scale: int, grid: CircleGrid | None = None,
     report.eigenvalue = lam
     report.eigenfunction = GridFunction(grid, xi_vals)
     report.cocycle_residual = resid
+    return report
+
+
+def _polynomial_wold(m: LaurentPoly, scale: int, iso: float, tol: float,
+                     probes_kmax: int) -> WoldReport:
+    """The coefficient route: unimodularity bound, monomial form, closed form."""
+    probes = {"1": LaurentPoly.one(), "z": LaurentPoly.monomial(1),
+              "1/z": LaurentPoly.monomial(-1), "m": m}
+    report = WoldReport(
+        unitary_dim=0,
+        eigenvalue=None,
+        eigenfunction=None,
+        unimodularity_residual=_unimodularity_bound(m),
+        cocycle_residual=None,
+        projection_decay={k: range_projection_norms(m, scale, p, probes_kmax)
+                          for k, p in probes.items()},
+        isometry_residual=iso,
+    )
+    if report.unimodularity_residual > tol:
+        return report
+    form = _monomial_form(m, tol)
+    if form is None:
+        report.anomaly = ("filter is unimodular but is not a monomial; "
+                          "a unimodular trigonometric polynomial must be one")
+        return report
+    c, d = form
+    if d % (scale - 1) == 0:
+        xi = LaurentPoly.monomial(-d // (scale - 1))
+        report.unitary_dim = 1
+        report.eigenvalue = c
+        report.eigenfunction = xi
+        report.cocycle_residual = float((apply_filter_isometry(m, scale, xi) - c * xi).norm2())
     return report
 
 

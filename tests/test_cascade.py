@@ -80,6 +80,16 @@ def test_fail_fast_on_bad_lowpass():
         scaling_hat(LaurentPoly([math.sqrt(2.0)]), 2)  # no zero at t = pi
 
 
+def test_lowpass_gate_messages():
+    # |m(0)| = sqrt(2) passes the low-pass check, but the phase is wrong
+    with pytest.raises(ValueError, match="value at t=0"):
+        scaling_hat(-fixtures.haar(2).filters[0], 2)
+    with pytest.raises(ValueError, match="value at t=0"):
+        scaling_hat(LaurentPoly.one(), 2)
+    with pytest.raises(ValueError, match="low-pass conditions"):
+        scaling_hat(LaurentPoly([math.sqrt(2.0)]), 2)
+
+
 def test_grid_contains_zero():
     phi = scaling_hat(fixtures.haar(2).filters[0], 2, samples=4096)  # even gets bumped
     assert phi.value_at_zero() == pytest.approx(TARGET0, abs=1e-12)

@@ -459,6 +459,17 @@ def test_fixtures_decides_a_polynomial_bank_by_its_certificate(monkeypatch, caps
     assert rep["residuals"]["coefficient"] > 1e-3
 
 
+def test_wold_decides_a_polynomial_filter_by_its_coefficients(tmp_path, capsys):
+    # the grid-blind low-pass deviates from the QMF identity by 5.7e-3 on the circle
+    lowpass = _grid_blind_haar2().filters[0]
+    code, rep = run_json(capsys, ["wold", "--filter", _write(
+        tmp_path, "m0.json", ser.filter_to_dict(lowpass)), "--scale", "2"])
+    assert code == 1 and "not an isometry symbol" in rep["info"]["error"]
+    code, rep = run_json(capsys, ["wold", "--fixture", "haar2"])
+    assert code == 0 and rep["info"]["grid_sizes"] == []
+    assert rep["residuals"]["unimodularity"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_complete_and_fixtures_report_what_check_reports(tmp_path, capsys):
     out = tmp_path / "db4.json"
     _, fixed = run_json(capsys, ["fixtures", "db4", "--out-bank", str(out)])

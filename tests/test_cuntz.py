@@ -1,12 +1,14 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_poly
 from waverep import fixtures
 from waverep.cuntz import (
     CuntzRep,
+    apply_filter_adjoint,
     cuntz_residuals,
     endomorphism_residual,
     shift_realization,
@@ -118,6 +120,59 @@ def test_monomial_adjoint_inverts_digits(k):
     i = hits.index(True)
     back = rep.apply_adjoint(i, LaurentPoly.monomial(k))
     assert rep.apply_isometry(i, back) == LaurentPoly.monomial(k)
+
+
+def _per_tap_adjoint(m, n, xi):
+    """S* xi tap by tap: conj(m_a) xi_{n k + a} summed over the support a of m.
+    The reference for the strided digit extraction."""
+    if m.is_zero() or xi.is_zero():
+        return LaurentPoly.zero()
+    k_lo = -(-(xi.min_degree - m.max_degree) // n)
+    k_hi = (xi.max_degree - m.min_degree) // n
+    if k_lo > k_hi:
+        return LaurentPoly.zero()
+    out = np.zeros(k_hi - k_lo + 1, dtype=np.complex128)
+    for j, c in enumerate(m.coeffs):
+        idx = n * np.arange(k_lo, k_hi + 1) + m.min_degree + j
+        valid = (idx >= xi.min_degree) & (idx <= xi.max_degree)
+        out[valid] += np.conj(c) * xi.coeffs[idx[valid] - xi.min_degree]
+    return LaurentPoly(out, min_degree=k_lo)
+
+
+_coeff = st.one_of(st.just(0j), st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0,
+                                                    allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _adjoint_cases(draw):
+    """(m, N, xi): random polynomials down to negative degrees, zero m or xi
+    included, or a pair whose product conj(m) xi lies strictly between two
+    multiples of N, so that no coefficient is kept."""
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        m = LaurentPoly(draw(st.lists(_coeff, max_size=8)), draw(st.integers(-12, 6)))
+        xi = LaurentPoly(draw(st.lists(_coeff, max_size=12)), draw(st.integers(-20, 10)))
+        return m, n, xi
+    p = draw(st.integers(1, n - 1))
+    q = draw(st.integers(1, n - p))
+    a = draw(st.integers(-12, 6))
+    # conj(m) xi spans n k + 1 .. n k + p + q - 1 <= n k + n - 1
+    lo = a + p + n * draw(st.integers(-4, 4))
+    m = LaurentPoly(draw(st.lists(_coeff, min_size=p, max_size=p)), a)
+    xi = LaurentPoly(draw(st.lists(_coeff, min_size=q, max_size=q)), lo)
+    return m, n, xi
+
+
+@given(_adjoint_cases())
+# conj(z^2) (z^3 + z^4) = z + z^2 keeps no mode at N = 3
+@example((LaurentPoly.monomial(2), 3, LaurentPoly([1.0, 1.0], min_degree=3)))
+@example((LaurentPoly.zero(), 3, LaurentPoly([1.0, 1.0], min_degree=-3)))
+@example((LaurentPoly([1.0, 2.0], min_degree=-2), 2, LaurentPoly.zero()))
+@settings(max_examples=300, deadline=None)
+def test_strided_adjoint_matches_per_tap_loop(case):
+    m, n, xi = case
+    got, want = apply_filter_adjoint(m, n, xi), _per_tap_adjoint(m, n, xi)
+    assert (got - want).norm2() <= 1e-13 * m.norm2() * xi.norm2()
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_poly
+from waverep import filterbank, fixtures, wold
+from waverep.filterbank import qmf_residual
 from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, sample
 from waverep.wold import (
     isometry_residual,
@@ -197,3 +200,95 @@ def test_shift_check_requires_verified_bank(haar_bank):
     bad = FilterBank(2, (haar_bank.filters[0], haar_bank.filters[1] * 0.9))
     with pytest.raises(ValueError):
         wavelet_shift_check(bad)
+
+
+# ---------------------------------------------------------------------------
+# the coefficient route for polynomial filters
+
+
+def _test_filters(seed, scale, eps):
+    """A unit-norm random polynomial and the filters of a random paraunitary
+    bank, each plus eps times a random polynomial."""
+    rng = np.random.default_rng(seed)
+    bank = fixtures.random_paraunitary_bank(scale, int(rng.integers(0, 4)), rng)
+    out = [random_poly(rng, 6, unit_norm=True)]
+    for f in bank.filters:
+        out.append(f + eps * random_poly(rng, int(rng.integers(0, 9))))
+    return out
+
+
+@given(seed=st.integers(0, 2**32 - 1), scale=st.integers(2, 4),
+       eps=st.sampled_from([0.0, 1e-12, 1e-8, 1e-5, 1e-2]))
+@settings(max_examples=60, deadline=None)
+def test_exact_residuals_bound_the_sampled_ones(seed, scale, eps):
+    grid = CircleGrid(4096 * scale)
+    for m in _test_filters(seed, scale, eps):
+        # N times the single-filter certificate bounds the QMF deviation anywhere
+        assert isometry_residual(m, scale) >= qmf_residual(m, scale) - 1e-14
+        sampled = np.max(np.abs(np.abs(sample(m, grid).values) - 1.0))
+        assert wold._unimodularity_bound(m) >= sampled - 1e-14
+
+
+def test_isometry_residual_is_the_scaled_certificate(db4_bank):
+    for m, n in ((db4_bank.filters[0], 2), (fixtures.haar(3).filters[2], 3),
+                 (LaurentPoly([1.0, 0.5]), 2)):
+        assert isometry_residual(m, n) == n * filterbank._polyphase_certificate((m,), n)
+    # |m|^2 = 1.25 + cos t: E_0 = 0.25 and no other lag is a multiple of 2
+    assert isometry_residual(LaurentPoly([1.0, 0.5]), 2) == pytest.approx(0.5, abs=1e-15)
+
+
+def test_polynomial_route_samples_no_grid(monkeypatch, haar_bank, db4_bank):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the polynomial route sampled a grid")
+
+    for mod, name in ((wold, "values_on_coset"), (wold, "_grid_eigendata"),
+                      (wold, "qmf_residual"), (filterbank, "values_on_coset"),
+                      (filterbank, "qmf_residual")):
+        monkeypatch.setattr(mod, name, refuse)
+    monkeypatch.setattr(CircleGrid, "dynamics_grid", classmethod(refuse))
+    cases = [(haar_bank.filters[0], 2), (db4_bank.filters[1], 2),
+             (LaurentPoly.monomial(2, np.exp(0.7j)), 3), (LaurentPoly.monomial(1), 3),
+             (fixtures.haar(3).filters[0], 3)]
+    for m, n in cases:
+        rep = wold_analysis(m, n)
+        assert rep.grid_sizes == () and not rep.grid_screen
+        # the grid argument is not consulted, so even one that shares a
+        # factor with the scale is accepted
+        assert wold_analysis(m, n, grid=CircleGrid(4096 * n)).unitary_dim == rep.unitary_dim
+
+
+def _theorem_table(scale, rng):
+    """(filter, unimodular, expected (eigenvalue, eigenfunction) or None) from
+    the theorem: a unitary part exists iff m = c z^d, |c| = 1, (N-1) | d."""
+    rows = []
+    for d in range(-6, 7):
+        c = np.exp(1j * rng.uniform(-np.pi, np.pi))
+        hit = (c, LaurentPoly.monomial(-d // (scale - 1))) if d % (scale - 1) == 0 else None
+        rows.append((LaurentPoly.monomial(d, c), True, hit))
+    others = [fixtures.haar(scale).filters[0]]
+    if scale == 2:
+        others.append(fixtures.db4().filters[0])
+    for k in range(3):
+        others.extend(fixtures.random_paraunitary_bank(scale, k + 1, rng).filters)
+    for m in others:
+        assert len(m.coeffs) > 1  # not a monomial, so no unitary part
+        rows.append((m, False, None))
+    return rows
+
+
+@pytest.mark.parametrize("scale", [2, 3])
+def test_wold_table_matches_the_theorem(scale, rng):
+    for m, unimodular, hit in _theorem_table(scale, rng):
+        rep = wold_analysis(m, scale)
+        assert rep.anomaly is None
+        assert rep.unitary_dim == (hit is not None)
+        if unimodular:
+            assert rep.unimodularity_residual < 1e-14
+        else:
+            assert rep.unimodularity_residual > 1e-3
+        if hit is None:
+            assert rep.eigenvalue is None and rep.eigenfunction is None
+            continue
+        assert abs(rep.eigenvalue - hit[0]) < 1e-15
+        assert rep.eigenfunction == hit[1]
+        assert rep.cocycle_residual < 1e-15
