@@ -81,8 +81,9 @@ def truncated_product(lowpass: Filter, scale: int, t, depth: int) -> np.ndarray:
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     acc = np.ones(t.shape, dtype=np.complex128)
     root = math.sqrt(scale)
-    for k in range(1, depth + 1):
-        vals, _ = _values_at_t(lowpass, t / scale**k)
+    for _ in range(depth):
+        t = t / scale  # t / scale**k, without forming a float of scale**k
+        vals, _ = _values_at_t(lowpass, t)
         acc *= vals / root
     return acc
 
@@ -182,7 +183,10 @@ def cascade_limit_residual(lowpass: Filter, scale: int, xi: LaurentPoly, depth: 
         raise ValueError("depth must be >= 1")
     t = symmetric_grid(t_max, samples)
     xi_vals = xi.values_at_t(t)
-    chi = (np.abs(t / scale**depth) <= math.pi).astype(np.float64)
+    shrunk = t
+    for _ in range(depth):
+        shrunk = shrunk / scale
+    chi = (np.abs(shrunk) <= math.pi).astype(np.float64)
     if band is None:
         lhs = chi * truncated_product(lowpass, scale, t, depth) * xi_vals
         rhs = truncated_product(lowpass, scale, t, depth + extra_depth) * xi_vals

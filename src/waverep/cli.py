@@ -85,8 +85,15 @@ _scale = _int_in(2)
 FOCK_DEPTH_MAX = 1000
 # the index eigensolve is at most (2K + 1)^2 = 2049^2, whatever the bank's K0
 INDEX_WINDOW_MAX = 1024
-# the modes -K..K of a decompose report: about 2 MB of report at the cap
+# the modes -K..K of a decompose report: about 2 MB of report at the cap; the
+# digits' cycle radius max|d| / (N - 1) has the same cap, since the funnel
+# runs on the ball of radius max(K, R)
 DECOMPOSE_WINDOW_MAX = 65536
+# a cascade takes depth x samples filter values; the --per grid has
+# 128 K + 65 samples, within the samples cap for K <= 8191
+CASCADE_DEPTH_MAX = 1000
+CASCADE_SAMPLES_MAX = 1048577
+CASCADE_PER_MAX = 8191
 
 
 def _load_json(path: str) -> dict:
@@ -289,7 +296,11 @@ def cmd_decompose(args):
         digits = [int(x) for x in args.digits.split(",") if x.strip()]
     except ValueError as e:
         raise InputError(f"cannot parse digits {args.digits!r}") from e
-    rep = perm.decompose_monomial(perm.MonomialRep(args.scale, digits), args.window)
+    mono = perm.MonomialRep(args.scale, digits)
+    if mono.cycle_radius() > DECOMPOSE_WINDOW_MAX:
+        raise InputError(f"the digits' cycle radius max|d| / (N - 1) = {mono.cycle_radius()} "
+                         f"exceeds {DECOMPOSE_WINDOW_MAX}")
+    rep = perm.decompose_monomial(mono, args.window)
     info = {
         "cycles": [list(c) for c in rep.cycles],
         "n_components": len(rep.components),
@@ -392,12 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("cascade", help="scaling/mother functions on the frequency side")
     add_bank_source(q)
-    q.add_argument("--depth", type=_positive_int, default=cas.DEFAULT_DEPTH)
+    q.add_argument("--depth", type=_int_in(1, CASCADE_DEPTH_MAX), default=cas.DEFAULT_DEPTH)
     q.add_argument("--t-max", default="8pi")
-    q.add_argument("--samples", type=_int_in(3), default=cas.DEFAULT_SAMPLES)
+    q.add_argument("--samples", type=_int_in(3, CASCADE_SAMPLES_MAX), default=cas.DEFAULT_SAMPLES)
     q.add_argument("--mother", type=_int_in(0), default=0,
                    help="also compute this mother index")
-    q.add_argument("--per", type=_int_in(0), default=0,
+    q.add_argument("--per", type=_int_in(0, CASCADE_PER_MAX), default=0,
                    help="lattice size K for the periodization check")
     q.add_argument("--per-tol", type=_float_between(0.0, math.inf), default=1e-3)
     q.add_argument("--csv", help="write t,re,im,abs samples here")

@@ -275,6 +275,36 @@ def _grid_angles(m: int) -> np.ndarray:
     return ang
 
 
+def _cycles_of(sigma: np.ndarray) -> list[np.ndarray]:
+    """Cycles of the permutation j -> sigma[j] of 0..n-1, each from its minimum,
+    in the order of the minima.  Pointer doubling labels each point with the
+    minimum of its cycle and then ranks it along the cycle, in ceil(log2 L)
+    rounds each, where L is the longest cycle length."""
+    n = len(sigma)
+    points = np.arange(n)
+    # after round k, label[j] is the least of the 2^k points from j on,
+    # and jump is sigma^(2^k); all labels are cycle minima exactly when
+    # no label differs from its successor's
+    label, jump, rounds = points, sigma, 0
+    while not np.array_equal(label[sigma], label):
+        label, jump, rounds = np.minimum(label, label[jump]), jump[jump], rounds + 1
+    # steps from j forward to its cycle's minimum, where the walk halts
+    root = label == points
+    ahead = np.where(root, points, sigma)
+    dist = (~root).astype(np.int64)
+    for _ in range(rounds):
+        dist, ahead = dist + dist[ahead], ahead[ahead]
+    size = np.bincount(label, minlength=n)
+    ends = np.cumsum(size[root])
+    starts = ends - size[root]
+    first = np.zeros(n, dtype=np.int64)
+    first[root] = starts
+    # j sits (size - dist) mod size steps after its cycle's minimum
+    order = np.empty(n, dtype=np.int64)
+    order[first[label] + (size[label] - dist) % size[label]] = points
+    return [order[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+
+
 @dataclass(frozen=True)
 class CircleGrid:
     """The M-th roots of unity exp(2*pi*i*j/M), j = 0..M-1."""
@@ -324,36 +354,10 @@ class CircleGrid:
         return (np.arange(self.M) * scale) % self.M
 
     def cycles(self, scale: int) -> list[np.ndarray]:
-        """Cycles of j -> scale*j mod M, each listed starting at its minimum.
-
-        The cycles come in the order of their minima.  Pointer doubling
-        labels each point with the minimum of its cycle and then ranks it
-        along the cycle, in ceil(log2 L) rounds each, where L, the length of
-        the longest cycle, is the order of scale mod M.
-        """
-        sigma = self.multiply_map(scale)
-        points = np.arange(self.M)
-        # after round k, label[j] is the least of the 2^k points from j on,
-        # and jump is sigma^(2^k); all labels are cycle minima exactly when
-        # no label differs from its successor's
-        label, jump, rounds = points, sigma, 0
-        while not np.array_equal(label[sigma], label):
-            label, jump, rounds = np.minimum(label, label[jump]), jump[jump], rounds + 1
-        # steps from j forward to its cycle's minimum, where the walk halts
-        root = label == points
-        ahead = np.where(root, points, sigma)
-        dist = (~root).astype(np.int64)
-        for _ in range(rounds):
-            dist, ahead = dist + dist[ahead], ahead[ahead]
-        size = np.bincount(label, minlength=self.M)
-        ends = np.cumsum(size[root])
-        starts = ends - size[root]
-        first = np.zeros(self.M, dtype=np.int64)
-        first[root] = starts
-        # j sits (size - dist) mod size steps after its cycle's minimum
-        order = np.empty(self.M, dtype=np.int64)
-        order[first[label] + (size[label] - dist) % size[label]] = points
-        return [order[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+        """Cycles of j -> scale*j mod M, each from its minimum, in the order of
+        the minima: the pointer doubling of _cycles_of on multiply_map(scale),
+        in ceil(log2 L) rounds, where L is the order of scale mod M."""
+        return _cycles_of(self.multiply_map(scale))
 
 
 @dataclass(frozen=True, eq=False)

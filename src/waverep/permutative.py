@@ -5,12 +5,16 @@ permutes the Fourier modes: the i-th isometry sends the mode k to N*k + d_i,
 and the adjoints funnel every integer down the unique branch
 k -> (k - d_i)/N with d_i matching k mod N.  The invariant subspaces are
 spanned by the monomials they contain, so decomposing the family is pure
-integer dynamics: find the cycles of the backward map and close each cycle
-under the forward maps.  Every cycle lives in the ball |k| <= R =
-floor(max|d_i| / (N-1)), and the ball is invariant under the backward map:
-max|d_i| < (N-1)(R+1) gives |k - d_i| <= R + max|d_i| < N(R+1), so the
-integer (k - d_i)/N has modulus at most R.  Funnel walks started in the ball
-therefore stay in it, and they meet every cycle.
+integer dynamics: a mode belongs to the component of the cycle its backward
+funnel reaches.  Let R = floor(max|d_i| / (N-1)).  Every ball |k| <= rho with
+rho >= R is invariant under the backward map: max|d_i| < (N-1)(R+1) gives
+|k - d_i| <= rho + max|d_i| < rho + (N-1)(R+1) <= N(rho+1), so the integer
+(k - d_i)/N has modulus at most rho.  Outside the ball of radius R the map
+strictly shrinks |k|, so every cycle lies in that ball.  The modes of a
+window [lo, hi] are labelled on the ball of radius rho = max(|lo|, |hi|, R):
+ceil(log2(2 rho + 1)) doublings of the backward map land every mode on its
+cycle, and the cycles come from the pointer doubling that CircleGrid.cycles
+uses, so a decomposition costs O(rho log rho).
 
 Characteristic-function families are handled through their unimodular
 cocycle u: two of them are unitarily equivalent exactly when
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .laurent import CircleGrid, GridFunction
+from .laurent import CircleGrid, GridFunction, _cycles_of
 
 CYCLE_ARC_TOL = 1e-8
 
@@ -87,70 +91,66 @@ class ComponentReport:
         return component_of(self, k)
 
 
+def _funnel(rep: MonomialRep, radius: int) -> tuple[list[tuple], np.ndarray]:
+    """Cycles of the backward map, and the cycle index of each mode in the
+    ball |k| <= radius (radius >= R), listed from -radius to radius.
+
+    ceil(log2(2 radius + 1)) doublings of the backward map land every mode
+    of the ball on its cycle, so the landing points are the cycle points,
+    where the map is a permutation.
+    """
+    n = rep.scale
+    table = np.empty(n, dtype=np.int64)
+    table[np.array(rep.digits) % n] = rep.digits
+    modes = np.arange(-radius, radius + 1)
+    succ = (modes - table[modes % n]) // n + radius  # as indices into the ball
+    land = succ
+    for _ in range((2 * radius).bit_length()):
+        land = land[land]
+    points = np.flatnonzero(np.bincount(land, minlength=len(modes)))
+    at = np.empty(len(modes), dtype=np.int64)
+    at[points] = np.arange(len(points))
+    cycles = _cycles_of(at[succ[points]])
+    label = np.empty(len(points), dtype=np.int64)
+    label[np.concatenate(cycles)] = np.repeat(np.arange(len(cycles)), [len(c) for c in cycles])
+    return [tuple(modes[points[c]].tolist()) for c in cycles], label[at[land]]
+
+
 def _find_cycles(rep: MonomialRep) -> list[tuple]:
-    """All cycles of the backward map, via funnel walks inside the invariant ball."""
-    radius = rep.cycle_radius()
-    cycles = []
-    seen_cycles: set = set()
-    for start in range(-radius, radius + 1):
-        trail = {}
-        k = start
-        step = 0
-        while k not in trail:
-            trail[k] = step
-            step += 1
-            k = rep.branch_back(k)
-        # k closed a loop: extract it
-        loop_start = trail[k]
-        loop = [q for q, s in trail.items() if s >= loop_start]
-        anchor = min(loop)
-        rot = loop.index(anchor)
-        canon = tuple(loop[rot:] + loop[:rot])
-        if canon not in seen_cycles:
-            seen_cycles.add(canon)
-            cycles.append(canon)
-    return sorted(cycles, key=lambda c: c[0])
+    """All cycles of the backward map, each from its minimum, in order of minima."""
+    return _funnel(rep, rep.cycle_radius())[0]
 
 
 def decompose_monomial(rep: MonomialRep, window: int | tuple = 64) -> ComponentReport:
     """Split the integer modes in a window into the invariant components.
 
-    Each component is the closure of one backward-map cycle under the
-    forward maps k -> N k + d_i, enumerated inside the window; the
-    components partition the window (this is asserted).
+    A mode belongs to the component of the cycle its backward funnel reaches
+    (the funnel runs on the ball of radius max(|lo|, |hi|, R), which holds
+    the window and is invariant).  The split is checked against the forward
+    maps: a mode and its image N k + d_i in the window must share a
+    component, else ValueError.
     """
     if isinstance(window, tuple):
         lo, hi = window
     else:
         lo, hi = -abs(window), abs(window)
-    radius = max(abs(lo), abs(hi), rep.cycle_radius() + 1)
-    cycles = _find_cycles(rep)
-    components = []
-    claimed = {}
-    for cyc in cycles:
-        members = set(cyc)
-        frontier = list(cyc)
-        while frontier:
-            k = frontier.pop()
-            for d in rep.digits:
-                nxt = rep.scale * k + d
-                if abs(nxt) <= radius and nxt not in members:
-                    members.add(nxt)
-                    frontier.append(nxt)
-        in_window = np.array(sorted(m for m in members if lo <= m <= hi), dtype=np.int64)
-        for m in in_window:
-            if int(m) in claimed:
-                raise AssertionError(f"mode {m} claimed by two components")
-            claimed[int(m)] = cyc
-        components.append(Component(
-            cycle=cyc,
-            members=in_window,
-            description=f"closure of cycle {cyc} under k -> {rep.scale}k + d, d in {rep.digits}",
-        ))
-    missing = [k for k in range(lo, hi + 1) if k not in claimed]
-    if missing:
-        raise AssertionError(f"modes not covered by any component: {missing[:5]} ...")
-    return ComponentReport(cycles=list(cycles), components=components, window=(lo, hi), rep=rep)
+    radius = max(abs(lo), abs(hi), rep.cycle_radius())
+    cycles, label = _funnel(rep, radius)
+    modes = np.arange(lo, hi + 1)
+    label = label[modes + radius]
+    for d in rep.digits:
+        image = rep.scale * modes + d
+        inside = (image >= lo) & (image <= hi)
+        if np.any(label[inside] != label[image[inside] - lo]):
+            raise ValueError(f"the funnel split a mode from its image under k -> {rep.scale}k + {d}")
+    order = np.argsort(label, kind="stable")
+    cuts = np.cumsum(np.bincount(label, minlength=len(cycles)))
+    components = [Component(
+        cycle=cyc,
+        members=members,
+        description=f"closure of cycle {cyc} under k -> {rep.scale}k + d, d in {rep.digits}",
+    ) for cyc, members in zip(cycles, np.split(modes[order], cuts[:-1]))]
+    return ComponentReport(cycles=cycles, components=components, window=(lo, hi), rep=rep)
 
 
 def component_of(report: ComponentReport, k: int) -> int:
@@ -159,17 +159,10 @@ def component_of(report: ComponentReport, k: int) -> int:
     Works outside the enumerated window: every backward orbit reaches some
     cycle, which identifies the component.
     """
-    rep = report.rep
-    cycle_sets = [set(c.cycle) for c in report.components]
-    seen = set()
-    while True:
-        for idx, cs in enumerate(cycle_sets):
-            if k in cs:
-                return idx
-        if k in seen:
-            raise AssertionError("walk cycled outside the known cycles")
-        seen.add(k)
-        k = rep.branch_back(k)
+    index = {q: i for i, c in enumerate(report.components) for q in c.cycle}
+    while k not in index:
+        k = report.rep.branch_back(k)
+    return index[k]
 
 
 # ---------------------------------------------------------------------------

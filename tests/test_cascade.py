@@ -210,3 +210,13 @@ def test_limit_with_nontrivial_xi(haar_bank):
     xi = LaurentPoly([0.5, 0.0, 0.5j], min_degree=-1)
     r = cascade_limit_residual(haar_bank.filters[0], 2, xi, 12)
     assert r < 2.0 ** (-12) * xi.norm2() * 4
+
+
+def test_deep_products_at_scale_three_stay_finite():
+    # 3**1000 has no float value; the product divides t by 3 once per factor
+    m0 = fixtures.fixture_bank("haar3").filters[0]
+    vals = truncated_product(m0, 3, np.linspace(-8 * math.pi, 8 * math.pi, 33), 1000)
+    assert np.all(np.isfinite(vals))
+    assert abs(vals[16] - 1.0) < 1e-12
+    gap = cascade_limit_residual(m0, 3, LaurentPoly.one(), 700, samples=65)
+    assert math.isfinite(gap)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from waverep import cli, fixtures, serialize as ser
+from waverep import cli, fixtures, permutative as perm, serialize as ser
 from waverep.cli import parse_angle, run
 from waverep.dilation import random_coisometry
 from waverep.filterbank import FilterBank, complete_filterbank
@@ -92,6 +92,26 @@ def test_decompose_invalid_digit_system_exits_one(capsys):
     assert "error" in rep["info"]
 
 
+def test_decompose_at_the_digit_bound(capsys):
+    code, rep = run_json(capsys, ["decompose", "--scale", "3", "--digits", "0,1,131072",
+                                  "--window", "0"])  # cycle radius 65536, the cap
+    assert code == 0 and rep["verdicts"] == {"partition": True}
+
+
+def test_decompose_exits_one_when_the_funnel_breaks_forward_invariance(monkeypatch, capsys):
+    funnel = perm._funnel
+
+    def mirrored(rep, radius):  # mode k takes the label of -k
+        cycles, label = funnel(rep, radius)
+        return cycles, label[::-1].copy()
+
+    monkeypatch.setattr(perm, "_funnel", mirrored)
+    code, rep = run_json(capsys, ["decompose", "--scale", "2", "--digits", "0,1",
+                                  "--window", "8"])
+    assert code == 1 and rep["verdicts"] == {"ok": False}
+    assert "image" in rep["info"]["error"]
+
+
 def test_index_fixture(capsys):
     code, rep = run_json(capsys, ["index", "--fixture", "haar2", "--window", "32"])
     assert code == 0
@@ -131,6 +151,16 @@ def test_cascade_with_csv_and_per(tmp_path, capsys):
     assert len(lines) == rep["info"]["samples"] + 1
     cols = lines[1].split(",")
     assert len(cols) == 4 and float(cols[0]) == pytest.approx(-8 * math.pi)
+
+
+def test_cascade_deep_scale_three_product(capsys):
+    code, rep = run_json(capsys, ["cascade", "--fixture", "haar3", "--depth", "700"])
+    assert code == 0 and rep["verdicts"] == {"value_at_zero": True}
+
+
+def test_cascade_per_grid_at_its_cap_fits_the_samples_cap():
+    wide = 2 * 32 * (2 * cli.CASCADE_PER_MAX + 1) + 1  # the --per grid at spacing pi/32
+    assert wide <= cli.CASCADE_SAMPLES_MAX < wide + 2 * 32 * 2
 
 
 def test_cascade_rejects_bad_lowpass_exits_one(capsys):
@@ -320,6 +350,8 @@ def _untagged_file(tmp_path, d):
     "index_window_above_cap",
     "decompose_window_negative",
     "decompose_window_above_cap",
+    "decompose_digits_above_cap",
+    "decompose_digits_above_cap_scale_three",
     "dilate_gram_depth_above_word_cap",
     "dilate_gram_depth_zero",
     "dilate_fock_depth_zero",
@@ -334,6 +366,9 @@ def _untagged_file(tmp_path, d):
     "cascade_t_max_negative",
     "cascade_depth_zero",
     "cascade_depth_negative",
+    "cascade_depth_above_cap",
+    "cascade_samples_above_cap",
+    "cascade_per_above_cap",
     "cascade_per_tol_nan",
     "cascade_per_tol_zero",
     "cascade_per_tol_infinite",
@@ -373,6 +408,10 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
         "decompose_window_above_cap": lambda: [
             "decompose", "--scale", "2", "--digits", "0,1",
             "--window", str(cli.DECOMPOSE_WINDOW_MAX + 1)],
+        "decompose_digits_above_cap": lambda: [
+            "decompose", "--scale", "2", "--digits", "0,131075"],
+        "decompose_digits_above_cap_scale_three": lambda: [
+            "decompose", "--scale", "3", "--digits", "0,1,131075", "--window", "0"],
         "dilate_gram_depth_above_word_cap": lambda: ["dilate", "--ops", "2", "--gram-depth", "20"],
         "dilate_gram_depth_zero": lambda: ["dilate", "--gram-depth", "0"],
         "dilate_fock_depth_zero": lambda: ["dilate", "--fock-depth", "0"],
@@ -387,6 +426,12 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
         "cascade_t_max_negative": lambda: ["cascade", "--fixture", "db4", "--t-max", "-8pi"],
         "cascade_depth_zero": lambda: ["cascade", "--fixture", "db4", "--depth", "0"],
         "cascade_depth_negative": lambda: ["cascade", "--fixture", "db4", "--depth", "-2"],
+        "cascade_depth_above_cap": lambda: [
+            "cascade", "--fixture", "db4", "--depth", str(cli.CASCADE_DEPTH_MAX + 1)],
+        "cascade_samples_above_cap": lambda: [
+            "cascade", "--fixture", "db4", "--samples", str(cli.CASCADE_SAMPLES_MAX + 1)],
+        "cascade_per_above_cap": lambda: [
+            "cascade", "--fixture", "db4", "--per", str(cli.CASCADE_PER_MAX + 1)],
         "cascade_per_tol_nan": lambda: [
             "cascade", "--fixture", "db4", "--per", "4", "--per-tol", "nan"],
         "cascade_per_tol_zero": lambda: [

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,89 @@ def test_cycle_search_in_the_invariant_ball_matches_the_wide_search():
         radius = rep.cycle_radius()
         assert all(abs(rep.branch_back(k)) <= radius for k in range(-radius, radius + 1))
         assert _find_cycles(rep) == wide_search(rep)
+
+
+def walk_cycles_oracle(rep):
+    """The former cycle search: a trail walk from every start in the ball |k| <= R."""
+    radius = rep.cycle_radius()
+    cycles = set()
+    for start in range(-radius, radius + 1):
+        trail, k = {}, start
+        while k not in trail:
+            trail[k] = len(trail)
+            k = rep.branch_back(k)
+        loop = [q for q, s in trail.items() if s >= trail[k]]
+        rot = loop.index(min(loop))
+        cycles.add(tuple(loop[rot:] + loop[:rot]))
+    return sorted(cycles, key=lambda c: c[0])
+
+
+def bfs_decompose_oracle(rep, lo, hi):
+    """The former decomposition: the forward closure of each cycle, breadth
+    first inside the ball of radius max(|lo|, |hi|, R + 1), cut to [lo, hi]."""
+    radius = max(abs(lo), abs(hi), rep.cycle_radius() + 1)
+    out = []
+    for cyc in walk_cycles_oracle(rep):
+        members, frontier = set(cyc), list(cyc)
+        while frontier:
+            k = frontier.pop()
+            for d in rep.digits:
+                nxt = rep.scale * k + d
+                if abs(nxt) <= radius and nxt not in members:
+                    members.add(nxt)
+                    frontier.append(nxt)
+        out.append((cyc, sorted(m for m in members if lo <= m <= hi)))
+    return out
+
+
+def wide_digit_system(rng, max_abs=300, scales=(2, 6)):
+    scale = int(rng.integers(*scales))
+    return MonomialRep(scale, [int(rng.choice(np.arange(-max_abs + (r + max_abs) % scale,
+                                                        max_abs + 1, scale)))
+                               for r in rng.permutation(scale)])
+
+
+def test_funnel_matches_the_walk_and_bfs_decomposition():
+    rng = np.random.default_rng(300)
+    for _ in range(60):
+        rep = wide_digit_system(rng)
+        radius = rep.cycle_radius()
+        inside = int(rng.integers(0, radius + 1))
+        lo = int(rng.integers(-radius - 20, radius + 21))
+        hi = lo + int(rng.integers(-1, 80))
+        assert _find_cycles(rep) == walk_cycles_oracle(rep)
+        for window, (a, b) in [(40, (-40, 40)), (inside, (-inside, inside)), ((lo, hi), (lo, hi))]:
+            got = decompose_monomial(rep, window)
+            expected = bfs_decompose_oracle(rep, a, b)
+            assert got.window == (a, b)
+            assert got.cycles == [c for c, _ in expected]
+            assert [(c.cycle, c.members.tolist()) for c in got.components] == expected
+
+
+def test_every_ball_from_the_cycle_radius_on_is_backward_invariant():
+    rng = np.random.default_rng(51)
+    for _ in range(60):
+        rep = wide_digit_system(rng)
+        top = rep.cycle_radius() + 50
+        ks = np.arange(-top, top + 1)
+        back = np.empty_like(ks)
+        for d in rep.digits:
+            hit = (ks - d) % rep.scale == 0
+            back[hit] = (ks[hit] - d) // rep.scale
+        for rho in range(rep.cycle_radius(), top + 1):
+            inside = np.abs(ks) <= rho
+            assert np.max(np.abs(back[inside])) <= rho
+
+
+def test_decompose_cost_does_not_grow_with_walks_over_the_ball():
+    start = time.perf_counter()
+    rep = decompose_monomial(MonomialRep(2, (0, 65521)), 65536)
+    assert time.perf_counter() - start < 2.0
+    assert len(rep.components) == 58
+    start = time.perf_counter()
+    rep = decompose_monomial(MonomialRep(2, (0, 4001)), 4)
+    assert time.perf_counter() - start < 0.5
+    assert len(rep.components) == 6
 
 
 def test_component_membership_outside_window():
