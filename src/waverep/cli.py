@@ -94,6 +94,9 @@ DECOMPOSE_WINDOW_MAX = 65536
 CASCADE_DEPTH_MAX = 1000
 CASCADE_SAMPLES_MAX = 1048577
 CASCADE_PER_MAX = 8191
+# the three caps multiply: depth x (samples + the --per grid's samples), twice
+# with --mother, is the number of filter values, at about 0.1 us each
+CASCADE_WORK_MAX = 2 ** 25
 
 
 def _load_json(path: str) -> dict:
@@ -203,6 +206,13 @@ def cmd_cascade(args):
     t_max = parse_angle(args.t_max)
     if t_max <= 0:
         raise InputError(f"--t-max must be positive, got {args.t_max!r}")
+    per_samples = 2 * 32 * (2 * args.per + 1) + 1 if args.per else 0  # spacing pi/32
+    work = args.depth * (args.samples + per_samples) * (2 if args.mother else 1)
+    if work > CASCADE_WORK_MAX:
+        mother = " x 2 for --mother" if args.mother else ""
+        raise InputError(f"cascade needs {work} filter values (depth {args.depth} x "
+                         f"({args.samples} + {per_samples} --per samples){mother}); "
+                         f"the cap is {CASCADE_WORK_MAX}")
     phi = cas.scaling_hat(bank.filters[0], bank.scale, t_max=t_max,
                           samples=args.samples, depth=args.depth)
     target = 1.0 / math.sqrt(2.0 * math.pi)
@@ -219,11 +229,8 @@ def cmd_cascade(args):
         target_samples = cas.mother_hat(bank, args.mother, phi)
         info["mother_index"] = args.mother
     if args.per:
-        spacing = math.pi / 32.0
-        wide_t = (2 * args.per + 1) * math.pi
-        n = 2 * int(round(wide_t / spacing)) + 1
-        wide = cas.scaling_hat(bank.filters[0], bank.scale, t_max=wide_t,
-                               samples=n, depth=args.depth)
+        wide = cas.scaling_hat(bank.filters[0], bank.scale, t_max=(2 * args.per + 1) * math.pi,
+                               samples=per_samples, depth=args.depth)
         if args.mother:
             wide = cas.mother_hat(bank, args.mother, wide)
         pr = cas.per_residual(wide, args.per)
@@ -285,6 +292,7 @@ def cmd_index(args):
         "solutions": [ser.poly_to_dict(s.eigenvector) for s in rep.solutions],
         "pairing_matrix": rep.pairing_matrix,
         "haar_component": rep.index >= 1,
+        "rejected": rep.rejected,
     }
     if rep.anomaly:
         info["anomaly"] = rep.anomaly

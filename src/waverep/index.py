@@ -15,10 +15,14 @@ out than n when |n| > K0.  So in the basis (inner [-K0, K0], outer) the
 compression of M to a window K >= K0 is block lower-triangular [[A, 0],
 [B, C]] with C nilpotent, and its nonzero spectrum is that of A.  The
 eigensolve runs on the window min(K, K0), which is the window a report
-gives.  A candidate v only counts after the *uncompressed* operator
-reproduces it to a small exact residual; on the K0 window its square is
-||(A - lambda) v||^2 + ||B v||^2, so v validates exactly when its image
-stays inside the window.
+gives.  The compression is assembled by one gather from the filter taps
+(entry [2n + j, n] is 2^(-1/2) (f0_j + (-1)^n f1_j)), with no operator
+apply per column.  A candidate v only counts after the *uncompressed*
+operator, the exact coefficient action of combined_isometry_apply, which
+shares nothing with that gather, reproduces it to a small exact residual;
+on the K0 window its square is ||(A - lambda) v||^2 + ||B v||^2, so v
+validates exactly when its image stays inside the window.  The eigenpairs
+not kept are counted by reason (REJECTION_REASONS).
 
 Only unit-circle eigenvalues are counted: an isometry has unimodular point
 spectrum on its unitary part, and compression eigenvalues strictly inside
@@ -35,6 +39,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .filterbank import FilterBank, require_verified
 from .laurent import CircleGrid, LaurentPoly, sample
@@ -44,6 +49,9 @@ LAMBDA_CLUSTER_ARC = 1e-6
 RANK_SVD_TOL = 1e-8
 VALIDATE_TOL = 1e-8
 PAIR_TOL = 1e-8  # gate on the pair's 2x2 modulation matrix (require_verified)
+# why a compression eigenpair is not counted: |lambda| below 1 - LAMBDA_DISK_TOL,
+# an eigenvector that trims to nothing, or a failed exact residual check
+REJECTION_REASONS = ("inside_disk", "null_vector", "failed_validation")
 
 
 def combined_isometry_apply(f0: LaurentPoly, f1: LaurentPoly, xi: LaurentPoly,
@@ -54,6 +62,24 @@ def combined_isometry_apply(f0: LaurentPoly, f1: LaurentPoly, xi: LaurentPoly,
     even = xi.compose_power(2)
     odd = xi.compose_negate().compose_power(2)  # xi(-z^2)
     return (f0 * even + f1 * odd) * (1.0 / math.sqrt(2.0))
+
+
+def _compression(f0: LaurentPoly, f1: LaurentPoly, k: int) -> np.ndarray:
+    """The combined isometry compressed to the modes [-k, k], in one gather.
+
+    Column n is M z^n = 2^(-1/2) sum_j (f0_j + (-1)^n f1_j) z^(2n + j), so
+    entry [2n + j, n] is the tap j of the even or the odd table.  Only taps
+    with |j| <= 3k reach a row inside the window; entry [i, c] of the matrix
+    (row degree i - k, mode c - k) reads tap i - 2c + k, which is position
+    i - 2c + 4k of a table over [-3k, 3k].
+    """
+    dim = 2 * k + 1
+    c0 = f0.coeff_window(-3 * k, 3 * k)
+    c1 = f1.coeff_window(-3 * k, 3 * k)
+    tables = np.stack([c0 + c1, c0 - c1]) * (1.0 / math.sqrt(2.0))  # n even, n odd
+    windows = sliding_window_view(tables, dim, axis=1)  # [p, a, i] = tables[p, a + i]
+    cols = np.arange(dim)
+    return windows[(cols - k) % 2, 4 * k - 2 * cols].T
 
 
 @dataclass
@@ -72,6 +98,7 @@ class SpectralReport:
     pairing_residual: float
     eigenspace_dims: dict = field(default_factory=dict)
     anomaly: str | None = None
+    rejected: dict = field(default_factory=dict)  # candidates dropped, by REJECTION_REASONS
 
 
 def spectral_solutions(f0: LaurentPoly, f1: LaurentPoly, window: int = 64,
@@ -82,31 +109,32 @@ def spectral_solutions(f0: LaurentPoly, f1: LaurentPoly, window: int = 64,
     min(window, K0), eigensolved, and every candidate with |lambda| >= 1 - 1e-6
     is re-checked through the exact coefficient action: it survives iff
     ||M phi - lambda phi|| <= tol * ||phi||.  Survivors are clustered by
-    eigenvalue and each cluster's dimension is a numerical rank.
+    eigenvalue and each cluster's dimension is a numerical rank; the other
+    eigenpairs are counted in ``rejected`` by reason.
     """
     require_verified(FilterBank(2, (f0, f1)), PAIR_TOL)
     k0 = max(-min(f0.min_degree, f1.min_degree), f0.max_degree, f1.max_degree, 0)
     k = min(window, k0)
-    dim = 2 * k + 1
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for col, mode in enumerate(range(-k, k + 1)):
-        image = combined_isometry_apply(f0, f1, LaurentPoly.monomial(mode), check=False)
-        mat[:, col] = image.coeff_window(-k, k)
-    eigvals, eigvecs = np.linalg.eig(mat)
+    eigvals, eigvecs = np.linalg.eig(_compression(f0, f1, k))
 
     survivors = []
+    rejected = dict.fromkeys(REJECTION_REASONS, 0)
     for lam, vec in zip(eigvals, eigvecs.T):
         if abs(lam) < 1.0 - LAMBDA_DISK_TOL:
+            rejected["inside_disk"] += 1
             continue
         phi = LaurentPoly(vec, min_degree=-k)
         nrm = phi.norm2()
         if nrm < 1e-12:
+            rejected["null_vector"] += 1
             continue
         phi = phi * (1.0 / nrm)
         image = combined_isometry_apply(f0, f1, phi, check=False)
         resid = (image - lam * phi).norm2()
         if resid <= tol:
             survivors.append((complex(lam), phi, float(resid)))
+        else:
+            rejected["failed_validation"] += 1
 
     # cluster by eigenvalue (arc distance) and count dimensions by rank
     clusters: list[list] = []
@@ -150,7 +178,7 @@ def spectral_solutions(f0: LaurentPoly, f1: LaurentPoly, window: int = 64,
         )
     return SpectralReport(solutions=solutions, index=total, window=k,
                           pairing_matrix=pairing_mat, pairing_residual=pairing_resid,
-                          eigenspace_dims=dims, anomaly=anomaly)
+                          eigenspace_dims=dims, anomaly=anomaly, rejected=rejected)
 
 
 def pairing(phi: LaurentPoly, psi: LaurentPoly, grid: CircleGrid | None = None):
@@ -167,21 +195,31 @@ def pairing(phi: LaurentPoly, psi: LaurentPoly, grid: CircleGrid | None = None):
     half = grid.M // 2
     if grid.M % 2 != 0:
         raise ValueError("pairing grid size must be even so -z stays on the grid")
-    pm = np.roll(pv, -half)  # phi(-z)
-    sm = np.roll(sv, -half)
-    vals = np.conj(pv) * sv + np.conj(pm) * sm
-    mean = complex(np.mean(vals))
-    return mean, float(np.max(np.abs(vals - mean)))
+    # conj(phi) psi from real products, so that swapping phi and psi negates
+    # the imaginary part exactly (a fused complex multiply would not)
+    re = pv.real * sv.real + pv.imag * sv.imag
+    im = pv.real * sv.imag - pv.imag * sv.real
+    re = re + np.roll(re, -half)  # plus the same at -z
+    im = im + np.roll(im, -half)
+    mean = complex(np.mean(re), np.mean(im))
+    return mean, float(np.max(np.hypot(re - mean.real, im - mean.imag)))
 
 
 def _pairing_table(solutions) -> tuple[np.ndarray, float]:
+    """The pairing of every two solutions, and the worst constancy defect.
+
+    pairing(psi, phi) is the exact conjugate of pairing(phi, psi): its pointwise
+    imaginary parts are exact negatives, summed in the same order, and its
+    deviations have the same moduli.  So only a <= b is sampled.
+    """
     n = len(solutions)
     mat = np.zeros((n, n), dtype=np.complex128)
     worst = 0.0
     for a in range(n):
-        for b in range(n):
+        for b in range(a, n):
             val, dev = pairing(solutions[a].eigenvector, solutions[b].eigenvector)
-            mat[a, b] = val
+            mat[b, a] = np.conj(val)
+            mat[a, b] = val  # last, so the diagonal keeps the sampled value
             worst = max(worst, dev)
     return mat, worst
 

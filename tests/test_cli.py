@@ -112,6 +112,14 @@ def test_decompose_exits_one_when_the_funnel_breaks_forward_invariance(monkeypat
     assert "image" in rep["info"]["error"]
 
 
+def test_index_reports_rejected_candidates(capsys):
+    code, rep = run_json(capsys, ["index", "--fixture", "db4", "--window", "64"])
+    assert code == 0
+    assert rep["info"]["rejected"] == {"failed_validation": 0, "inside_disk": 11,
+                                       "null_vector": 0}
+    assert 2 * rep["info"]["window"] + 1 == 11
+
+
 def test_index_fixture(capsys):
     code, rep = run_json(capsys, ["index", "--fixture", "haar2", "--window", "32"])
     assert code == 0
@@ -161,6 +169,23 @@ def test_cascade_deep_scale_three_product(capsys):
 def test_cascade_per_grid_at_its_cap_fits_the_samples_cap():
     wide = 2 * 32 * (2 * cli.CASCADE_PER_MAX + 1) + 1  # the --per grid at spacing pi/32
     assert wide <= cli.CASCADE_SAMPLES_MAX < wide + 2 * 32 * 2
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["--samples", "4097"], 20 * 4097),
+    (["--samples", "4097", "--mother", "1"], 2 * 20 * 4097),
+    (["--samples", "4097", "--per", "4", "--depth", "7"], 7 * (4097 + 128 * 4 + 65)),
+    (["--samples", "4097", "--per", "4", "--mother", "1"], 2 * 20 * (4097 + 128 * 4 + 65)),
+])
+def test_cascade_work_cap_is_inclusive(argv, work, monkeypatch, capsys):
+    argv = ["cascade", "--fixture", "db4", *argv]
+    monkeypatch.setattr(cli, "CASCADE_WORK_MAX", work)
+    code, rep = run_json(capsys, argv)
+    assert code in (0, 1) and "error" not in rep["info"]  # the mother fails periodization
+    assert rep["verdicts"]["value_at_zero"] is True
+    monkeypatch.setattr(cli, "CASCADE_WORK_MAX", work - 1)
+    assert run(argv) == 2
+    assert str(work) in capsys.readouterr().err
 
 
 def test_cascade_rejects_bad_lowpass_exits_one(capsys):
@@ -372,6 +397,9 @@ def _untagged_file(tmp_path, d):
     "cascade_per_tol_nan",
     "cascade_per_tol_zero",
     "cascade_per_tol_infinite",
+    "cascade_work_depth_times_samples",
+    "cascade_work_depth_times_per_grid",
+    "cascade_work_doubled_by_mother",
     "dilate_lam_nan",
     "dilate_lam_inf",
     "dilate_lam_one",
@@ -438,6 +466,15 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
             "cascade", "--fixture", "db4", "--per", "4", "--per-tol", "0"],
         "cascade_per_tol_infinite": lambda: [
             "cascade", "--fixture", "db4", "--per", "4", "--per-tol", "inf"],
+        "cascade_work_depth_times_samples": lambda: [
+            "cascade", "--fixture", "db4", "--depth", str(cli.CASCADE_DEPTH_MAX),
+            "--samples", str(cli.CASCADE_SAMPLES_MAX)],
+        "cascade_work_depth_times_per_grid": lambda: [
+            "cascade", "--fixture", "db4", "--depth", str(cli.CASCADE_DEPTH_MAX),
+            "--per", str(cli.CASCADE_PER_MAX)],
+        "cascade_work_doubled_by_mother": lambda: [
+            "cascade", "--fixture", "db4", "--samples", str(cli.CASCADE_SAMPLES_MAX),
+            "--mother", "1"],
         "dilate_lam_nan": lambda: ["dilate", "--lam", "nan"],
         "dilate_lam_inf": lambda: ["dilate", "--lam", "inf"],
         "dilate_lam_one": lambda: ["dilate", "--lam", "1"],

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_poly
 from waverep import fixtures
@@ -11,7 +12,10 @@ from waverep.index import (
     LAMBDA_CLUSTER_ARC,
     LAMBDA_DISK_TOL,
     RANK_SVD_TOL,
+    REJECTION_REASONS,
     VALIDATE_TOL,
+    _compression,
+    _pairing_table,
     combined_isometry_apply,
     haar_component_flag,
     pairing,
@@ -318,3 +322,155 @@ def test_db4_at_a_large_window_is_fast(db4_pair):
     rep = spectral_solutions(*db4_pair, window=4096)
     assert time.perf_counter() - start < 0.5
     assert rep.index == 0
+
+
+# ---------------------------------------------------------------------------
+# the compression in one gather, against the per-column exact action
+
+
+def per_column_compression(f0, f1, k):
+    return np.stack([combined_isometry_apply(f0, f1, LaurentPoly.monomial(n), check=False)
+                     .coeff_window(-k, k) for n in range(-k, k + 1)], axis=1)
+
+
+def assert_compression_matches_columns(f0, f1):
+    k0 = filter_window(f0, f1)
+    for k in sorted({0, 1, max(k0 - 2, 0), k0}):
+        got = _compression(f0, f1, k)
+        assert got.shape == (2 * k + 1, 2 * k + 1)
+        assert np.max(np.abs(got - per_column_compression(f0, f1, k)), initial=0.0) <= 1e-15
+
+
+# dyadic coefficients: a sum either cancels exactly or stays far above the
+# 1e-14 edge trimming of LaurentPoly, so the two paths see the same taps
+_dyadic = st.builds(lambda re, im: complex(re, im) / 16,
+                    st.integers(-64, 64), st.integers(-64, 64))
+
+
+@st.composite
+def _laurent(draw, lo_min, lo_max):
+    coeffs = draw(st.lists(_dyadic, min_size=1, max_size=9))
+    coeffs[0] = coeffs[0] or 1.0
+    coeffs[-1] = coeffs[-1] or 1.0
+    return LaurentPoly(coeffs, min_degree=draw(st.integers(lo_min, lo_max)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_laurent(-12, -1), _laurent(-12, 12))
+def test_compression_equals_the_per_column_apply(f0, f1):
+    assert_compression_matches_columns(f0, f1)
+    assert_compression_matches_columns(f1, f0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-48, 0), st.integers(16, 48), _dyadic, _dyadic)
+def test_compression_of_monomials_with_wide_gaps(a, gap, c0, c1):
+    f0, f1 = LaurentPoly.monomial(a, c0 or 1.0), LaurentPoly.monomial(a + gap, c1 or 1.0)
+    assert_compression_matches_columns(f0, f1)
+    assert_compression_matches_columns(f1, f0)
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_compression_of_every_window_case(case):
+    assert_compression_matches_columns(*WINDOW_CASES[case])
+
+
+# ---------------------------------------------------------------------------
+# the pairing table, sampled on a <= b only
+
+
+def full_pairing_table(solutions):
+    """Every ordered pair sampled: the table before its Hermitian symmetry was used."""
+    n = len(solutions)
+    mat = np.zeros((n, n), dtype=np.complex128)
+    worst = 0.0
+    for a in range(n):
+        for b in range(n):
+            val, dev = pairing(solutions[a].eigenvector, solutions[b].eigenvector)
+            mat[a, b] = val
+            worst = max(worst, dev)
+    return mat, worst
+
+
+@pytest.mark.parametrize("case", ["haar2", "planted0", "planted1", "planted2"])
+def test_hermitian_pairing_table_is_bitwise_the_full_loop(case):
+    rep = spectral_solutions(*WINDOW_CASES[case], window=64)
+    assert len(rep.solutions) == 2
+    mat, worst = _pairing_table(rep.solutions)
+    ref_mat, ref_worst = full_pairing_table(rep.solutions)
+    assert mat.tobytes() == ref_mat.tobytes()
+    assert worst == ref_worst
+    assert rep.pairing_matrix.tobytes() == ref_mat.tobytes()
+
+
+def test_hermitian_pairing_table_on_random_non_eigenvectors(rng):
+    # not eigenvectors, so the pairing is far from constant: the deviations,
+    # not only the values, must come out bitwise equal
+    sols = [index_module.SpectralSolution(1.0, random_poly(rng, 6), 0.0) for _ in range(4)]
+    mat, worst = _pairing_table(sols)
+    ref_mat, ref_worst = full_pairing_table(sols)
+    assert mat.tobytes() == ref_mat.tobytes()
+    assert worst == ref_worst > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# rejected candidates and the exact applies that validate the rest
+
+
+def dense_rejections(f0, f1, k):
+    """The dense per-column solve on [-k, k], recounting why each eigenpair is not kept."""
+    eigvals, eigvecs = np.linalg.eig(per_column_compression(f0, f1, k))
+    counts = dict.fromkeys(REJECTION_REASONS, 0)
+    for lam, vec in zip(eigvals, eigvecs.T):
+        if abs(lam) < 1.0 - LAMBDA_DISK_TOL:
+            counts["inside_disk"] += 1
+            continue
+        phi = LaurentPoly(vec, min_degree=-k)
+        if phi.norm2() < 1e-12:
+            counts["null_vector"] += 1
+            continue
+        phi = phi * (1.0 / phi.norm2())
+        if (combined_isometry_apply(f0, f1, phi, check=False) - lam * phi).norm2() > VALIDATE_TOL:
+            counts["failed_validation"] += 1
+    return counts
+
+
+@pytest.mark.parametrize("case, window, pinned", [
+    ("haar2", 64, {"inside_disk": 1, "null_vector": 0, "failed_validation": 0}),
+    ("db4", 64, {"inside_disk": 11, "null_vector": 0, "failed_validation": 0}),
+    ("planted0", 64, {"inside_disk": 13, "null_vector": 0, "failed_validation": 0}),
+    ("planted0", 4, {"inside_disk": 8, "null_vector": 0, "failed_validation": 0}),
+])
+def test_rejection_counts(case, window, pinned):
+    f0, f1 = WINDOW_CASES[case]
+    rep = spectral_solutions(f0, f1, window=window)
+    assert rep.rejected == dense_rejections(f0, f1, rep.window) == pinned
+    survivors = 2 * rep.window + 1 - sum(rep.rejected.values())
+    assert survivors >= rep.index
+
+
+def test_failed_validations_are_counted(haar_pair):
+    # a tolerance that no residual meets: both unit-circle candidates fail
+    rep = spectral_solutions(*haar_pair, window=64, tol=-1.0)
+    assert rep.index == 0 and not rep.solutions
+    assert rep.rejected == {"inside_disk": 1, "null_vector": 0, "failed_validation": 2}
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_applies_are_candidates_plus_solutions(case, monkeypatch):
+    f0, f1 = WINDOW_CASES[case]
+    k = filter_window(f0, f1)
+    candidates = int(np.sum(np.abs(np.linalg.eigvals(per_column_compression(f0, f1, k)))
+                            >= 1.0 - LAMBDA_DISK_TOL))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return combined_isometry_apply(*args, **kwargs)
+
+    monkeypatch.setattr(index_module, "combined_isometry_apply", counting)
+    rep = spectral_solutions(f0, f1, window=64)
+    assert rep.rejected["inside_disk"] == 2 * k + 1 - candidates
+    # one apply validates each candidate that is not a null vector, one
+    # measures each reported solution's residual; the compression takes none
+    assert len(calls) == candidates - rep.rejected["null_vector"] + len(rep.solutions)
