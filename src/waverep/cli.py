@@ -144,10 +144,13 @@ def emit_csv(path: str, samples: cas.LineSamples) -> None:
 
 def _produced_bank(bank, out_bank):
     """Check's verdict on a bank a command builds, from the residuals it rests on
-    (grid unitarity; the exact certificate too for a polynomial bank), and artifacts."""
-    residuals = {"unitarity": unitarity_residual(bank)}
+    (a polynomial bank's certificate, which check also reports as its unitarity
+    residual; a grid bank's grid unitarity), and artifacts."""
     if bank.kind == "poly":
-        residuals["coefficient"] = paraunitarity_residual(bank)
+        cert = paraunitarity_residual(bank)
+        residuals = {"unitarity": cert, "coefficient": cert}
+    else:
+        residuals = {"unitarity": unitarity_residual(bank)}
     artifacts = []
     if out_bank:
         with open(out_bank, "w") as fh:
@@ -159,6 +162,9 @@ def _produced_bank(bank, out_bank):
 def cmd_check(args):
     bank = _load_bank(args)
     grid = CircleGrid(args.grid_size) if args.grid_size else None
+    if bank.kind == "poly" and grid is not None:
+        raise InputError("a polynomial bank is decided by its coefficients; "
+                         "it takes no --grid-size")
     if bank.kind == "grid":
         own = bank.filters[0].grid.M
         if grid is not None and grid.M != own:
@@ -175,19 +181,18 @@ def cmd_check(args):
     }
     if rep.coefficient_residual is not None:
         residuals["coefficient"] = rep.coefficient_residual
-    info = {
-        "scale": bank.scale,
-        "kind": bank.kind,
-        "check_report": {
-            "qmf_residuals": rep.qmf_residuals,
-            "pairwise_residuals": rep.pairwise_residuals,
-            "unitarity_residual": rep.unitarity_residual,
-            "lowpass_ok": rep.lowpass_ok,
-            "grid_size": rep.grid_size,
-            "worst_point": rep.worst_point,
-            "coefficient_residual": rep.coefficient_residual,
-        },
+    check_report = {
+        "qmf_residuals": rep.qmf_residuals,
+        "pairwise_residuals": rep.pairwise_residuals,
+        "unitarity_residual": rep.unitarity_residual,
+        "lowpass_ok": rep.lowpass_ok,
+        "grid_size": rep.grid_size,
+        "worst_point": rep.worst_point,
+        "coefficient_residual": rep.coefficient_residual,
     }
+    if rep.worst_shift is not None:
+        check_report["worst_shift"] = rep.worst_shift
+    info = {"scale": bank.scale, "kind": bank.kind, "check_report": check_report}
     return verdicts, residuals, info, []
 
 
@@ -401,8 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("bank", nargs="?", help="bank JSON file")
     q.add_argument("--fixture")
     q.add_argument("--grid-size", type=_positive_int, default=0,
-                   help="check-grid size (default: 4096 rounded up to a multiple of N; "
-                        "a grid bank uses its own grid)")
+                   help="check-grid size of a callable bank (default: 4096 rounded up to "
+                        "a multiple of N); a grid bank uses its own grid, and a polynomial "
+                        "bank is decided by its coefficients")
 
     q = sub.add_parser("complete", help="extend a low-pass filter to a unitary bank")
     q.add_argument("--lowpass", required=True, help="filter JSON file")

@@ -11,11 +11,22 @@ three kinds, uniform within a bank:
 
 The central object is the N x N modulation matrix C(z) with entries
 N^(-1/2) m_i(rho^k z), rho = exp(2*pi*i/N); a bank is "verified" when that
-matrix is unitary, up to tolerance, at every point of the check grid.
+matrix is unitary, up to tolerance.  Each kind takes one route.
 
-Each filter is sampled once, and every grid residual is read off one batch
-of Gram matrices C(z) C(z)* over a fundamental domain of z -> rho z.  Grid
-verdicts are screens; polynomial banks also get an exact certificate.
+* A polynomial bank is decided by its coefficients; no grid is built.  The
+  Gram matrix G(z) = C(z) C(z)* satisfies G(z) - I = sum_s E_s z^(N s), and
+  every residual of a report is read off the stack of polyphase defects E_s
+  (Vaidyanathan, Multirate Systems and Filter Banks, 1993, ch. 14): the
+  certificate sum_s ||E_s||_2 bounds the unitarity deviation, and N sum_s
+  |E_s[i, j]| the quadrature-mirror and pairwise deviations, everywhere on
+  the circle.
+* Grid and callable banks are sampled once per filter, and every residual
+  is read off one batch of Gram matrices C(z) C(z)* over a fundamental
+  domain of z -> rho z.  Their verdicts are screens.
+
+The public qmf_residual, pairwise_residual and unitarity_residual take the
+grid route for every kind; on a polynomial bank each is bounded by the
+matching coefficient value.
 """
 
 from __future__ import annotations
@@ -99,9 +110,10 @@ class CheckReport:
     pairwise_residuals: np.ndarray
     unitarity_residual: float
     lowpass_ok: bool
-    grid_size: int
-    worst_point: complex  # grid point where the unitarity deviation peaks
+    grid_size: int | None  # None for a polynomial bank, which no grid decides
+    worst_point: complex | None  # grid point where the unitarity deviation peaks
     coefficient_residual: float | None = None  # exact certificate; polynomial banks only
+    worst_shift: int | None = None  # s >= 0 with the largest ||E_s||_2; polynomial banks only
 
     @property
     def verified(self) -> bool:
@@ -233,21 +245,58 @@ def paraunitarity_residual(fb: FilterBank) -> float:
 def _polyphase_certificate(filters, scale: int) -> float:
     """sum_s ||E_s||_2 (see paraunitarity_residual) for r polynomial filters,
     each E_s r x r.  One filter gets a bound of |(1/N) sum_k |m(rho^k z)|^2 - 1|."""
+    return _certificate(_defect_norms(_defect_stack(filters, scale)[1]))
+
+
+def _defect_stack(filters, scale: int):
+    """(shifts, E): E[k] = E_s for s = shifts[k] >= 0, the r x r polyphase defects.
+
+    E_{-s} = E_s* carries no new norm, so only s >= 0 is kept.  Filter i's
+    coefficient of degree N q + b is entry [q - q0_i, b] of its polyphase
+    table P_i, and E_s[i, j] = sum_b sum_q P_i[q + t, b] conj(P_j[q, b]) at
+    lag t = s - q0_i + q0_j.  Each lag comes from one inverse FFT of
+    P^(w) P^(w)* over the polyphase frequencies w, summed over residues b.
+    The offsets q0_i are one shared value unless the filters lie far apart,
+    where a shared table would be long and would add up FFT rounding over
+    every lag between them.
+    """
     n, r = scale, len(filters)
-    width = max(max(len(f.coeffs) for f in filters), 1)
-    a = np.zeros((r, width), dtype=np.complex128)
-    for i, f in enumerate(filters):
-        a[i, : len(f.coeffs)] = f.coeffs
-    fa = np.fft.fft(a, 2 * width)  # zero-padded, so the circular correlation does not alias
-    corr = np.fft.ifft(fa[:, None, :] * np.conj(fa[None, :, :]))  # sum_b a_i[b+k] conj(a_j[b])
     lo = np.array([f.min_degree for f in filters])
-    lag = np.fft.ifftshift(np.arange(-width, width)) + (lo[:, None] - lo[None, :])[..., None]
-    i, j, k = np.nonzero(lag % n == 0)
-    shifts, pos = np.unique(np.append(lag[i, j, k] // n, 0), return_inverse=True)
-    e = np.zeros((len(shifts), r, r), dtype=np.complex128)
-    e[pos[:-1], i, j] = corr[i, j, k]
-    e[pos[-1]] -= np.eye(r)
-    return float(np.sum(np.linalg.norm(e, ord=2, axis=(1, 2))))
+    q0 = lo // n
+    q1 = (lo + np.array([max(len(f.coeffs), 1) for f in filters]) - 1) // n
+    if q1.max() - q0.min() < 2 * np.max(q1 - q0 + 1):
+        q0[:] = q0.min()
+    length = int(np.max(q1 - q0)) + 1
+    p = np.zeros((r, length * n), dtype=np.complex128)
+    for i, f in enumerate(filters):
+        start = f.min_degree - n * q0[i]
+        p[i, start:start + len(f.coeffs)] = f.coeffs
+    size = 2 * length - 1  # lags -(length - 1) .. length - 1, so no lag aliases
+    fp = np.fft.fft(p.reshape(r, length, n), size, axis=1).transpose(1, 0, 2)  # [w, i, b]
+    corr = np.fft.ifft(fp @ np.conj(fp.transpose(0, 2, 1)), axis=0)  # [t mod size, i, j]
+    if not np.any(q0 - q0[0]):  # one shared offset: s = t
+        shifts, e = np.arange(length), corr[:length]
+    else:
+        t = np.arange(size)
+        t[length:] -= size
+        s = t[:, None, None] + (q0[:, None] - q0[None, :])
+        keep = s >= 0
+        _, i, j = np.indices(s.shape)
+        shifts, pos = np.unique(s[keep], return_inverse=True)
+        e = np.zeros((len(shifts), r, r), dtype=np.complex128)
+        e[pos, i[keep], j[keep]] = corr[keep]
+    e[0] -= np.eye(r)  # shifts[0] = 0, the lag of every diagonal entry at t = 0
+    return shifts, e
+
+
+def _defect_norms(e: np.ndarray) -> np.ndarray:
+    """||E_s||_2 for each s >= 0 of a defect stack."""
+    return np.abs(e[:, 0, 0]) if e.shape[1] == 1 else np.linalg.norm(e, ord=2, axis=(1, 2))
+
+
+def _certificate(norms: np.ndarray) -> float:
+    """sum over all s of ||E_s||_2, from the norms at s >= 0 (||E_{-s}|| = ||E_s||)."""
+    return float(norms[0] + 2.0 * np.sum(norms[1:]))
 
 
 def require_verified(fb: FilterBank, tol: float = VERIFY_TOL) -> None:
@@ -300,8 +349,16 @@ def check_lowpass(f: Filter, scale: int, tol: float = 1e-8) -> LowpassReport:
 
 
 def check_bank(fb: FilterBank, grid: CircleGrid | None = None) -> CheckReport:
-    """Run the full condition suite on a bank and collect residuals."""
+    """Run the full condition suite on a bank and collect residuals.
+
+    A polynomial bank is decided by its defect stack and takes no grid; the
+    residuals of a grid or callable bank are sampled on the grid.
+    """
     n = fb.scale
+    if fb.kind == "poly":
+        if grid is not None:
+            raise ValueError("a polynomial bank is decided by its coefficients, not on a grid")
+        return _check_coefficients(fb)
     gram, grid = _coset_gram(fb.filters, n, grid)
     pw = n * np.max(np.abs(gram - np.eye(n)), axis=0)
     uni, worst = _worst_unitarity(gram, grid)
@@ -312,7 +369,32 @@ def check_bank(fb: FilterBank, grid: CircleGrid | None = None) -> CheckReport:
         lowpass_ok=check_lowpass(fb.filters[0], n).ok,
         grid_size=grid.M,
         worst_point=worst,
-        coefficient_residual=paraunitarity_residual(fb) if fb.kind == "poly" else None,
+    )
+
+
+def _check_coefficients(fb: FilterBank) -> CheckReport:
+    """check_bank of a polynomial bank, from its defect stack alone.
+
+    Each residual bounds the sup over the circle of the grid residual it
+    stands for: |G_ij(z) - delta_ij| <= sum_s |E_s[i, j]| over all s, where
+    |E_{-s}[i, j]| = |E_s[j, i]|, and the unitarity residual is the
+    certificate sum_s ||E_s||_2.
+    """
+    n = fb.scale
+    shifts, e = _defect_stack(fb.filters, n)
+    norms = _defect_norms(e)
+    mags = np.abs(e)
+    pw = n * (mags[0] + np.sum(mags[1:] + mags[1:].transpose(0, 2, 1), axis=0))
+    cert = _certificate(norms)
+    return CheckReport(
+        qmf_residuals=[float(pw[i, i]) for i in range(n)],
+        pairwise_residuals=pw,
+        unitarity_residual=cert,
+        lowpass_ok=check_lowpass(fb.filters[0], n).ok,
+        grid_size=None,
+        worst_point=None,
+        coefficient_residual=cert,
+        worst_shift=int(shifts[np.argmax(norms)]),
     )
 
 

@@ -50,8 +50,8 @@ RANK_SVD_TOL = 1e-8
 VALIDATE_TOL = 1e-8
 PAIR_TOL = 1e-8  # gate on the pair's 2x2 modulation matrix (require_verified)
 # why a compression eigenpair is not counted: |lambda| below 1 - LAMBDA_DISK_TOL,
-# an eigenvector that trims to nothing, or a failed exact residual check
-REJECTION_REASONS = ("inside_disk", "null_vector", "failed_validation")
+# or a failed exact residual check
+REJECTION_REASONS = ("inside_disk", "failed_validation")
 
 
 def combined_isometry_apply(f0: LaurentPoly, f1: LaurentPoly, xi: LaurentPoly,
@@ -123,12 +123,8 @@ def spectral_solutions(f0: LaurentPoly, f1: LaurentPoly, window: int = 64,
         if abs(lam) < 1.0 - LAMBDA_DISK_TOL:
             rejected["inside_disk"] += 1
             continue
-        phi = LaurentPoly(vec, min_degree=-k)
-        nrm = phi.norm2()
-        if nrm < 1e-12:
-            rejected["null_vector"] += 1
-            continue
-        phi = phi * (1.0 / nrm)
+        phi = LaurentPoly(vec, min_degree=-k)  # eig returns unit vectors
+        phi = phi * (1.0 / phi.norm2())
         image = combined_isometry_apply(f0, f1, phi, check=False)
         resid = (image - lam * phi).norm2()
         if resid <= tol:

@@ -9,7 +9,7 @@ import pytest
 from waverep import cli, fixtures, permutative as perm, serialize as ser
 from waverep.cli import parse_angle, run
 from waverep.dilation import random_coisometry
-from waverep.filterbank import FilterBank, complete_filterbank
+from waverep.filterbank import FilterBank, complete_filterbank, unitarity_residual
 from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, sample
 from waverep.fixtures import haar
 
@@ -41,6 +41,17 @@ def test_check_fixture_by_file(tmp_path, capsys):
     assert rep["residuals"]["unitarity"] < 1e-13
     assert rep["command"] == "check"
     assert set(rep) >= {"command", "inputs", "verdicts", "residuals", "artifacts", "elapsed"}
+
+
+def test_check_reports_a_polynomial_bank_from_its_coefficients(capsys):
+    code, rep = run_json(capsys, ["check", "--fixture", "haar16"])
+    report = rep["info"]["check_report"]
+    assert code == 0 and report["grid_size"] is None and report["worst_point"] is None
+    assert rep["residuals"]["unitarity"] == rep["residuals"]["coefficient"] < 1e-13
+    assert report["worst_shift"] == 0 and len(report["pairwise_residuals"]) == 16
+    code, rep = run_json(capsys, ["check", "--fixture", "shannon"])
+    assert code == 0 and rep["info"]["check_report"]["grid_size"] == 4096
+    assert "worst_shift" not in rep["info"]["check_report"]
 
 
 def test_check_broken_bank_exits_one(tmp_path, capsys):
@@ -115,8 +126,7 @@ def test_decompose_exits_one_when_the_funnel_breaks_forward_invariance(monkeypat
 def test_index_reports_rejected_candidates(capsys):
     code, rep = run_json(capsys, ["index", "--fixture", "db4", "--window", "64"])
     assert code == 0
-    assert rep["info"]["rejected"] == {"failed_validation": 0, "inside_disk": 11,
-                                       "null_vector": 0}
+    assert rep["info"]["rejected"] == {"failed_validation": 0, "inside_disk": 11}
     assert 2 * rep["info"]["window"] + 1 == 11
 
 
@@ -362,6 +372,7 @@ def _untagged_file(tmp_path, d):
 @pytest.mark.parametrize("case", [
     "negative_grid_size",
     "zero_grid_size",
+    "poly_bank_with_grid_size",
     "grid_bank_on_other_grid",
     "grid_bank_size_not_divisible_by_scale",
     "filter_without_coeffs_or_values",
@@ -411,6 +422,7 @@ def _untagged_file(tmp_path, d):
 def test_input_errors_exit_two(case, tmp_path, capsys):
     argv = {
         "negative_grid_size": lambda: ["check", "--fixture", "haar2", "--grid-size", "-3"],
+        "poly_bank_with_grid_size": lambda: ["check", "--fixture", "db4", "--grid-size", "64"],
         "zero_grid_size": lambda: ["check", "--fixture", "haar2", "--grid-size", "0"],
         "grid_bank_on_other_grid": lambda: [
             "check", _grid_bank_file(tmp_path), "--grid-size", "128"],
@@ -505,17 +517,25 @@ def test_untagged_grid_filter_is_read_as_grid(tmp_path, capsys):
 
 
 def test_check_coarse_grid_cannot_pass_a_broken_polynomial_bank(tmp_path, capsys):
-    # z^6 - 1 vanishes on the 3-point grid and on its rotation by -1
+    # z^6 - 1 vanishes on the 6-point grid, which holds the 3-point grid and its rotation by -1
     bump = LaurentPoly.monomial(6) - LaurentPoly.one()
     h = haar(2)
     bad = FilterBank(2, (h.filters[0] + bump * 1e-3, h.filters[1] + bump * 0.5e-3))
     path = tmp_path / "bumped.json"
     path.write_text(json.dumps(ser.bank_to_dict(bad)))
-    code, rep = run_json(capsys, ["check", str(path), "--grid-size", "3"])
+    # its samples on that grid pass the grid screen
+    sampled = FilterBank(2, tuple(sample(f, CircleGrid(6)) for f in bad.filters))
+    code, rep = run_json(capsys, ["check", _write(tmp_path, "sampled.json",
+                                                  ser.bank_to_dict(sampled))])
+    assert code == 0 and rep["residuals"]["unitarity"] < 1e-14
+    # the polynomial bank takes no grid, and its coefficients fail it
+    assert run(["check", str(path), "--grid-size", "3"]) == 2
+    capsys.readouterr()
+    code, rep = run_json(capsys, ["check", str(path)])
     assert code == 1 and rep["verdicts"]["unitary"] is False
-    assert rep["residuals"]["unitarity"] < 1e-14
-    assert rep["residuals"]["coefficient"] > 1e-3
+    assert rep["residuals"]["unitarity"] == rep["residuals"]["coefficient"] > 1e-3
     assert rep["info"]["check_report"]["coefficient_residual"] == rep["residuals"]["coefficient"]
+    assert rep["info"]["check_report"]["grid_size"] is None
 
 
 def _grid_blind_haar2():
@@ -530,8 +550,9 @@ def test_complete_decides_a_polynomial_bank_by_its_certificate(tmp_path, capsys)
     code, rep = run_json(capsys, ["complete", "--lowpass", _untagged_file(
         tmp_path, ser.filter_to_dict(lowpass)), "--scale", "2"])
     assert code == 1 and rep["verdicts"]["unitary"] is False
-    assert rep["residuals"]["unitarity"] < 1e-14
-    assert rep["residuals"]["coefficient"] > 1e-3
+    assert rep["residuals"]["unitarity"] == rep["residuals"]["coefficient"] > 1e-3
+    # the default 4096-point grid, which the report read before, misses the bump
+    assert unitarity_residual(complete_filterbank(lowpass, 2)) < 1e-14
 
 
 def test_fixtures_decides_a_polynomial_bank_by_its_certificate(monkeypatch, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from waverep import filterbank, fixtures
 from waverep.filterbank import (
+    AngleFunction,
     FilterBank,
     check_bank,
     check_lowpass,
@@ -237,9 +238,16 @@ def test_householder_rows(rng):
 
 
 def test_check_report_haar(haar_bank):
-    rep = check_bank(haar_bank, CircleGrid(4096))
+    rep = check_bank(_grid_copy(haar_bank, CircleGrid(4096)))
     assert rep.verified and rep.lowpass_ok
     assert rep.grid_size == 4096
+    assert max(rep.qmf_residuals) < 1e-13
+    assert np.max(np.abs(rep.pairwise_residuals)) < 1e-13
+    # the polynomial bank itself is decided from its coefficients, on no grid
+    rep = check_bank(haar_bank)
+    assert rep.verified and rep.lowpass_ok
+    assert rep.grid_size is None and rep.worst_point is None and rep.worst_shift == 0
+    assert rep.unitarity_residual == rep.coefficient_residual < 1e-13
     assert max(rep.qmf_residuals) < 1e-13
     assert np.max(np.abs(rep.pairwise_residuals)) < 1e-13
 
@@ -275,6 +283,16 @@ def _horner_coset(f, n, grid):
         return np.stack([np.roll(f.values, -k * step) for k in range(n)])
     theta = grid.angles()
     return np.stack([filter_values_at_angles(f, theta + 2.0 * np.pi * k / n) for k in range(n)])
+
+
+def _grid_copy(bank, grid):
+    """The bank's polynomial filters sampled on a grid: a grid-kind bank."""
+    return FilterBank(bank.scale, tuple(sample(f, grid) for f in bank.filters))
+
+
+def _angle_copy(bank):
+    """The bank's polynomial filters as angle rules: a callable bank, checkable on any grid."""
+    return FilterBank(bank.scale, tuple(AngleFunction(f.values_at_t) for f in bank.filters))
 
 
 def _per_pair_residuals(bank, grid):
@@ -333,7 +351,10 @@ def test_check_bank_matches_per_pair_definitions(name):
         bank = fixtures.fixture_bank(name)
     grid = default_check_grid(bank.scale)
     qmf, pw, uni, _ = _per_pair_residuals(bank, grid)
-    rep = check_bank(bank)
+    # the grid route: a polynomial bank is decided from its coefficients, so
+    # its filters are checked here as grid samples
+    sampled = _grid_copy(bank, grid) if bank.kind == "poly" else bank
+    rep = check_bank(sampled)
     assert rep.grid_size == grid.M
     assert np.allclose(rep.qmf_residuals, qmf, rtol=0, atol=1e-12)
     assert np.allclose(rep.pairwise_residuals, pw, rtol=0, atol=1e-12)
@@ -343,7 +364,7 @@ def test_check_bank_matches_per_pair_definitions(name):
         assert abs(qmf_residual(bank.filters[i], bank.scale) - qmf[i]) < 1e-12
         assert abs(pairwise_residual(bank, i, j) - pw[i, j]) < 1e-12
     # and on a broken bank, where the residuals are far from rounding level
-    bad = FilterBank(bank.scale, (bank.filters[0],) * bank.scale)
+    bad = FilterBank(bank.scale, (sampled.filters[0],) * bank.scale)
     qmf, pw, uni, _ = _per_pair_residuals(bad, grid)
     rep = check_bank(bad)
     assert uni > 0.5 and abs(rep.unitarity_residual - uni) < 1e-12
@@ -360,7 +381,7 @@ def test_check_bank_on_a_perturbed_bank(scale, seed):
     bad = FilterBank(scale, (bank.filters[0] + bump,) + bank.filters[1:])
     grid = default_check_grid(scale)
     qmf, pw, uni, worst = _per_pair_residuals(bad, grid)
-    rep = check_bank(bad)
+    rep = check_bank(_grid_copy(bad, grid))
     assert uni > 1e-2 and abs(rep.unitarity_residual - uni) < 1e-12
     assert np.allclose(rep.qmf_residuals, qmf, rtol=0, atol=1e-12)
     assert np.allclose(rep.pairwise_residuals, pw, rtol=0, atol=1e-12)
@@ -373,7 +394,7 @@ def test_check_bank_on_coprime_grid_keeps_every_point():
     bad = FilterBank(2, (bank.filters[0], bank.filters[1] * 0.9))
     grid = CircleGrid(4095)
     _, pw, uni, _ = _per_pair_residuals(bad, grid)
-    rep = check_bank(bad, grid)
+    rep = check_bank(_angle_copy(bad), grid)
     assert abs(rep.unitarity_residual - uni) < 1e-12
     assert np.allclose(rep.pairwise_residuals, pw, rtol=0, atol=1e-12)
 
@@ -393,7 +414,7 @@ def test_check_bank_samples_each_filter_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(filterbank, "values_on_coset", counting)
-    for bank in (fixtures.haar(8), fixtures.shannon()):
+    for bank in (_grid_copy(fixtures.haar(8), default_check_grid(8)), fixtures.shannon()):
         calls.clear()
         filterbank.check_bank(bank)
         assert len(calls) == bank.scale
@@ -413,13 +434,18 @@ def _bumped_haar2():
 
 def test_certificate_catches_what_a_coarse_grid_misses():
     bad = _bumped_haar2()
-    coarse = check_bank(bad, CircleGrid(3))
+    # the same filters as angle rules, screened on a grid
+    coarse = check_bank(_angle_copy(bad), CircleGrid(3))
     assert coarse.unitarity_residual < 1e-14
-    assert coarse.coefficient_residual > 1e-3
-    assert not coarse.verified
-    fine = check_bank(bad)
+    exact = check_bank(bad)
+    assert exact.coefficient_residual > 1e-3
+    assert not exact.verified
+    fine = check_bank(_angle_copy(bad))
     # the certificate bounds the deviation at every point of the circle
-    assert 1e-3 < fine.unitarity_residual <= fine.coefficient_residual
+    assert 1e-3 < fine.unitarity_residual <= exact.coefficient_residual
+    # and a polynomial bank takes no grid at all
+    with pytest.raises(ValueError, match="coefficients"):
+        check_bank(bad, CircleGrid(3))
 
 
 def _grid_blind_haar2():
@@ -453,6 +479,92 @@ def test_every_library_gate_decides_a_polynomial_bank_by_its_certificate():
     CuntzRep(fixtures.db4())
 
 
+def test_polynomial_check_bank_samples_nothing(monkeypatch):
+    banks = (fixtures.haar(8), fixtures.db4(), _bumped_haar2())  # db4 is built by completion
+    calls = []
+    original_coset, original_eigvalsh = filterbank.values_on_coset, np.linalg.eigvalsh
+
+    def counting_coset(*args, **kwargs):
+        calls.append("values_on_coset")
+        return original_coset(*args, **kwargs)
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls.append("eigvalsh")
+        return original_eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(filterbank, "values_on_coset", counting_coset)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    for bank in banks:
+        rep = check_bank(bank)
+        assert rep.grid_size is None
+    assert calls == []
+    check_bank(fixtures.shannon())  # the counters do count the grid route
+    assert calls.count("values_on_coset") == 2 and calls.count("eigvalsh") == 1
+
+
+def _coefficient_bounds_and_grid_oracles(bank):
+    """The residuals of check_bank on a polynomial bank, and the grid values they bound."""
+    n = bank.scale
+    rep = check_bank(bank)
+    qmf = [qmf_residual(f, n) for f in bank.filters]
+    pw = np.array([[pairwise_residual(bank, i, j) for j in range(n)] for i in range(n)])
+    return rep, qmf, pw, unitarity_residual(bank)
+
+
+@pytest.mark.parametrize("scale", [2, 3, 4, 8])
+def test_coefficient_residuals_bound_the_grid_residuals(scale):
+    # exact on unitary banks up to rounding, and far above it on perturbed ones
+    rng = np.random.default_rng(100 + scale)
+    for k in range(3):
+        bank = fixtures.random_paraunitary_bank(scale, 1 + k, rng)
+        bump = LaurentPoly(0.05 * (rng.normal(size=5) + 1j * rng.normal(size=5)),
+                           min_degree=int(rng.integers(-6, 7)))
+        i = int(rng.integers(scale))
+        bad = FilterBank(scale, bank.filters[:i] + (bank.filters[i] + bump,) + bank.filters[i + 1:])
+        for b, floor in ((bank, 0.0), (bad, 1e-3)):
+            rep, qmf, pw, uni = _coefficient_bounds_and_grid_oracles(b)
+            assert rep.unitarity_residual == rep.coefficient_residual
+            assert rep.coefficient_residual == pytest.approx(paraunitarity_residual(b), abs=1e-15)
+            assert floor <= uni <= rep.unitarity_residual + 1e-14
+            assert np.all(np.array(qmf) <= np.array(rep.qmf_residuals) + 1e-14)
+            assert np.all(pw <= rep.pairwise_residuals + 1e-14)
+            assert np.allclose(np.diag(rep.pairwise_residuals), rep.qmf_residuals, rtol=0,
+                               atol=0)
+        assert rep.qmf_residuals[i] > 1e-3 and not rep.verified
+
+
+@pytest.mark.parametrize("factor", [0.0, 0.9])
+def test_coefficient_residuals_equal_the_grid_residuals_at_one_lag(factor):
+    # m_1 -> factor m_1 leaves the defect at lag 0 only, E_0 = diag(0, factor^2 - 1, 0),
+    # so every deviation is constant on the circle and each bound is attained
+    bank = fixtures.random_paraunitary_bank(3, 2, np.random.default_rng(7))
+    scaled = FilterBank(3, (bank.filters[0], bank.filters[1] * factor, bank.filters[2]))
+    rep, qmf, pw, uni = _coefficient_bounds_and_grid_oracles(scaled)
+    gap = 1.0 - factor**2
+    assert rep.unitarity_residual == pytest.approx(gap, abs=1e-12)
+    assert uni == pytest.approx(rep.unitarity_residual, abs=1e-12)
+    assert np.allclose(rep.qmf_residuals, qmf, rtol=0, atol=1e-12)
+    assert np.allclose(rep.pairwise_residuals, pw, rtol=0, atol=1e-12)
+    assert rep.qmf_residuals[1] == pytest.approx(3 * gap, abs=1e-12)
+    assert rep.worst_shift == 0
+
+
+def test_worst_shift_locates_the_defect():
+    # a bump at degree 6 of m_1 meets the haar taps at degrees 0 and 1 over
+    # lags 6 and 5: E_3 carries the defect, E_0 only its square
+    h = fixtures.haar(2)
+    bad = FilterBank(2, (h.filters[0], h.filters[1] + LaurentPoly.monomial(6, 1e-3)))
+    rep = check_bank(bad)
+    assert rep.worst_shift == 3
+    assert rep.unitarity_residual > 1e-3 and not rep.verified
+
+
+def test_check_bank_refuses_a_grid_for_a_polynomial_bank(haar_bank, shannon_bank):
+    with pytest.raises(ValueError, match="coefficients"):
+        check_bank(haar_bank, CircleGrid(64))
+    assert check_bank(shannon_bank, CircleGrid(64)).grid_size == 64
+
+
 @pytest.mark.parametrize("name", ["haar2", "haar3", "haar16", "db4", "monomial(0,1)",
                                   "monomial(0,4,-4)", "monomial(0,1000001)"])
 def test_certificate_passes_unitary_banks(name):
@@ -469,8 +581,8 @@ def test_certificate_bounds_grid_residual(rng):
         assert 1e-5 < unitarity_residual(bad) <= cert + 1e-15
 
 
-def _certificate_reference(bank):
-    """sum_s ||E_s||_2 with E_s built coefficient by coefficient."""
+def _defects_reference(bank):
+    """{s: E_s}, built coefficient by coefficient."""
     n = bank.scale
     e = {0: -np.eye(n, dtype=np.complex128)}
     for i, p in enumerate(bank.filters):
@@ -480,7 +592,29 @@ def _certificate_reference(bank):
                     if (a - b) % n == 0:
                         es = e.setdefault((a - b) // n, np.zeros((n, n), dtype=np.complex128))
                         es[i, j] += p.coefficient(a) * np.conj(q.coefficient(b))
-    return sum(np.linalg.norm(es, ord=2) for es in e.values())
+    return e
+
+
+def _certificate_reference(bank):
+    """sum_s ||E_s||_2 with E_s built coefficient by coefficient."""
+    return sum(np.linalg.norm(es, ord=2) for es in _defects_reference(bank).values())
+
+
+@pytest.mark.parametrize("spread", [5, 60])
+@pytest.mark.parametrize("scale", [2, 3, 4])
+def test_defect_stack_matches_coefficientwise_defects(scale, spread, rng):
+    # filters close together share one polyphase offset; far apart, each keeps its own
+    for _ in range(3):
+        sizes = rng.integers(1, 7, size=scale)
+        bank = FilterBank(scale, tuple(
+            LaurentPoly(rng.normal(size=k) + 1j * rng.normal(size=k), min_degree=int(lo))
+            for k, lo in zip(sizes, rng.integers(-spread, spread + 1, size=scale))))
+        ref = _defects_reference(bank)
+        shifts, e = filterbank._defect_stack(bank.filters, scale)
+        assert shifts[0] == 0 and np.all(np.diff(shifts) > 0)
+        for s, es in zip(shifts, e):
+            assert np.max(np.abs(es - ref.get(int(s), 0.0))) < 1e-12
+        assert {s for s in ref if s >= 0} <= set(shifts.tolist())
 
 
 @pytest.mark.parametrize("scale", [2, 3, 4])

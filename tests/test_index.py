@@ -426,9 +426,6 @@ def dense_rejections(f0, f1, k):
             counts["inside_disk"] += 1
             continue
         phi = LaurentPoly(vec, min_degree=-k)
-        if phi.norm2() < 1e-12:
-            counts["null_vector"] += 1
-            continue
         phi = phi * (1.0 / phi.norm2())
         if (combined_isometry_apply(f0, f1, phi, check=False) - lam * phi).norm2() > VALIDATE_TOL:
             counts["failed_validation"] += 1
@@ -436,10 +433,10 @@ def dense_rejections(f0, f1, k):
 
 
 @pytest.mark.parametrize("case, window, pinned", [
-    ("haar2", 64, {"inside_disk": 1, "null_vector": 0, "failed_validation": 0}),
-    ("db4", 64, {"inside_disk": 11, "null_vector": 0, "failed_validation": 0}),
-    ("planted0", 64, {"inside_disk": 13, "null_vector": 0, "failed_validation": 0}),
-    ("planted0", 4, {"inside_disk": 8, "null_vector": 0, "failed_validation": 0}),
+    ("haar2", 64, {"inside_disk": 1, "failed_validation": 0}),
+    ("db4", 64, {"inside_disk": 11, "failed_validation": 0}),
+    ("planted0", 64, {"inside_disk": 13, "failed_validation": 0}),
+    ("planted0", 4, {"inside_disk": 8, "failed_validation": 0}),
 ])
 def test_rejection_counts(case, window, pinned):
     f0, f1 = WINDOW_CASES[case]
@@ -453,7 +450,7 @@ def test_failed_validations_are_counted(haar_pair):
     # a tolerance that no residual meets: both unit-circle candidates fail
     rep = spectral_solutions(*haar_pair, window=64, tol=-1.0)
     assert rep.index == 0 and not rep.solutions
-    assert rep.rejected == {"inside_disk": 1, "null_vector": 0, "failed_validation": 2}
+    assert rep.rejected == {"inside_disk": 1, "failed_validation": 2}
 
 
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
@@ -471,6 +468,6 @@ def test_applies_are_candidates_plus_solutions(case, monkeypatch):
     monkeypatch.setattr(index_module, "combined_isometry_apply", counting)
     rep = spectral_solutions(f0, f1, window=64)
     assert rep.rejected["inside_disk"] == 2 * k + 1 - candidates
-    # one apply validates each candidate that is not a null vector, one
-    # measures each reported solution's residual; the compression takes none
-    assert len(calls) == candidates - rep.rejected["null_vector"] + len(rep.solutions)
+    # one apply validates each candidate, one measures each reported
+    # solution's residual; the compression takes none
+    assert len(calls) == candidates + len(rep.solutions)
