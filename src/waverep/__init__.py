@@ -46,7 +46,6 @@ from .filterbank import (
 from .index import (
     SpectralReport,
     combined_isometry_apply,
-    haar_component_flag,
     pairing,
     spectral_solutions,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "equivalence_check",
     "fock_embedding",
     "gram_matrix",
-    "haar_component_flag",
     "inner",
     "modulation_matrix",
     "mother_hat",

@@ -113,7 +113,7 @@ def _load_bank(args) -> "FilterBank":
     if getattr(args, "fixture", None):
         try:
             return fix.fixture_bank(args.fixture)
-        except KeyError as e:
+        except (KeyError, ValueError) as e:
             raise InputError(str(e)) from e
     if getattr(args, "bank", None):
         return ser.bank_from_dict(_load_json(args.bank))
@@ -380,7 +380,7 @@ def cmd_dilate(args):
 def cmd_fixtures(args):
     try:
         bank = fix.fixture_bank(args.name)
-    except KeyError as e:
+    except (KeyError, ValueError) as e:
         raise InputError(str(e)) from e
     ok, residuals, artifacts = _produced_bank(bank, args.out_bank)
     info = {"name": args.name, "scale": bank.scale, "kind": bank.kind}

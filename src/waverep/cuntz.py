@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .filterbank import FilterBank, require_verified, VERIFY_TOL
 from .laurent import LaurentPoly
 
@@ -35,9 +37,14 @@ def apply_filter_adjoint(m: LaurentPoly, scale: int, xi: LaurentPoly) -> Laurent
     on coefficients this keeps exactly the modes of conj(m) xi whose index
     is divisible by N.
     """
-    prod = m.conj_reflect() * xi
-    k_lo = -(-prod.min_degree // scale)  # ceil division
-    return LaurentPoly(prod.coeffs[k_lo * scale - prod.min_degree :: scale], min_degree=k_lo)
+    if m.is_zero() or xi.is_zero():
+        return LaurentPoly.zero()
+    # conj(m) xi = conj_reflect(m) * xi, decimated before any trimming: the
+    # modes trimmed off the product's edges would be trimmed off its digits
+    prod = np.convolve(np.conj(m.coeffs[::-1]), xi.coeffs)
+    lo = xi.min_degree - m.max_degree
+    k_lo = -(-lo // scale)  # ceil division
+    return LaurentPoly._owned(prod[k_lo * scale - lo :: scale].copy(), k_lo)
 
 
 # ---------------------------------------------------------------------------

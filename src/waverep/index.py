@@ -42,7 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .filterbank import FilterBank, require_verified
-from .laurent import CircleGrid, LaurentPoly, sample
+from .laurent import CircleGrid, GridFunction, LaurentPoly, sample
 
 LAMBDA_DISK_TOL = 1e-6  # eigenvalues below 1 - this are truncation artifacts
 LAMBDA_CLUSTER_ARC = 1e-6
@@ -177,20 +177,30 @@ def spectral_solutions(f0: LaurentPoly, f1: LaurentPoly, window: int = 64,
                           eigenspace_dims=dims, anomaly=anomaly, rejected=rejected)
 
 
-def pairing(phi: LaurentPoly, psi: LaurentPoly, grid: CircleGrid | None = None):
+def pairing(phi, psi, grid: CircleGrid | None = None):
     """Value and constancy defect of conj(phi(z)) psi(z) + conj(phi(-z)) psi(-z).
 
-    For eigenvectors of the combined isometry this function is constant on
-    the circle; the mean over the grid is the pairing value and the max
-    deviation from it is the constancy residual.
+    phi and psi are polynomials, sampled here on ``grid`` (4096 points by
+    default), or GridFunctions: their samples on one even grid, with no
+    ``grid`` given.  For eigenvectors of the combined isometry this function
+    is constant on the circle; the mean over the grid is the pairing value
+    and the max deviation from it is the constancy residual.  The function
+    is twice the even-lag part of the coefficients' cross-correlation, so an
+    exact pairing needs no grid; this sampled one stays while the traced
+    ``spectral`` benchmark run requires the spans of ``pairing`` and of
+    polynomial evaluation (ROADMAP item 1).
     """
-    if grid is None:
-        grid = CircleGrid(4096)
-    pv = sample(phi, grid).values
-    sv = sample(psi, grid).values
-    half = grid.M // 2
-    if grid.M % 2 != 0:
+    if isinstance(phi, LaurentPoly) and isinstance(psi, LaurentPoly):
+        grid = CircleGrid(4096) if grid is None else grid
+        phi, psi = sample(phi, grid), sample(psi, grid)
+    elif not (isinstance(phi, GridFunction) and isinstance(psi, GridFunction)) or grid is not None:
+        raise TypeError("pair two polynomials, or two GridFunctions without a grid")
+    if phi.grid != psi.grid:
+        raise ValueError("pairing samples must lie on one grid")
+    if phi.grid.M % 2 != 0:
         raise ValueError("pairing grid size must be even so -z stays on the grid")
+    pv, sv = phi.values, psi.values
+    half = phi.grid.M // 2
     # conj(phi) psi from real products, so that swapping phi and psi negates
     # the imaginary part exactly (a fused complex multiply would not)
     re = pv.real * sv.real + pv.imag * sv.imag
@@ -204,22 +214,21 @@ def pairing(phi: LaurentPoly, psi: LaurentPoly, grid: CircleGrid | None = None):
 def _pairing_table(solutions) -> tuple[np.ndarray, float]:
     """The pairing of every two solutions, and the worst constancy defect.
 
-    pairing(psi, phi) is the exact conjugate of pairing(phi, psi): its pointwise
-    imaginary parts are exact negatives, summed in the same order, and its
-    deviations have the same moduli.  So only a <= b is sampled.
+    Each eigenvector is sampled once on the 4096-point grid, and every pair
+    is read from those samples.  pairing(psi, phi) is the exact conjugate of
+    pairing(phi, psi): its pointwise imaginary parts are exact negatives,
+    summed in the same order, and its deviations have the same moduli.  So
+    only a <= b is paired.
     """
     n = len(solutions)
+    grid = CircleGrid(4096)
+    samples = [sample(s.eigenvector, grid) for s in solutions]
     mat = np.zeros((n, n), dtype=np.complex128)
     worst = 0.0
     for a in range(n):
         for b in range(a, n):
-            val, dev = pairing(solutions[a].eigenvector, solutions[b].eigenvector)
+            val, dev = pairing(samples[a], samples[b])
             mat[b, a] = np.conj(val)
             mat[a, b] = val  # last, so the diagonal keeps the sampled value
             worst = max(worst, dev)
     return mat, worst
-
-
-def haar_component_flag(f0: LaurentPoly, f1: LaurentPoly, window: int = 64) -> bool:
-    """Whether the combined isometry has a nonzero unitary part (index >= 1)."""
-    return spectral_solutions(f0, f1, window=window).index >= 1

@@ -40,19 +40,29 @@ class LaurentPoly:
         c = np.asarray(coeffs, dtype=np.complex128)
         if c.ndim != 1:
             raise ValueError("coefficients must be one-dimensional")
-        lo, hi = 0, len(c)
-        while lo < hi and abs(c[lo]) < TRIM_TOL:
-            lo += 1
-        while hi > lo and abs(c[hi - 1]) < TRIM_TOL:
-            hi -= 1
-        if lo == hi:
-            object.__setattr__(self, "coeffs", np.zeros(0, dtype=np.complex128))
-            object.__setattr__(self, "min_degree", 0)
-        else:
-            trimmed = c[lo:hi].copy()
-            trimmed.setflags(write=False)
-            object.__setattr__(self, "coeffs", trimmed)
-            object.__setattr__(self, "min_degree", int(min_degree) + lo)
+        if c is coeffs or c.base is not None:  # the caller's memory
+            c = c.copy()
+        self._store(c, min_degree)
+
+    @classmethod
+    def _owned(cls, c: np.ndarray, min_degree: int) -> "LaurentPoly":
+        """A polynomial over a fresh 1-d complex128 array that nothing else holds."""
+        p = object.__new__(cls)
+        p._store(c, min_degree)
+        return p
+
+    def _store(self, c: np.ndarray, min_degree: int):
+        """Trim edge entries below TRIM_TOL (NaN is kept) and freeze c."""
+        if len(c) and (abs(c[0]) < TRIM_TOL or abs(c[-1]) < TRIM_TOL):
+            keep = np.flatnonzero(~(np.abs(c) < TRIM_TOL))
+            if len(keep) == 0:
+                c = np.zeros(0, dtype=np.complex128)
+            else:
+                lo = int(keep[0])
+                c, min_degree = c[lo : int(keep[-1]) + 1], int(min_degree) + lo
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "min_degree", int(min_degree) if len(c) else 0)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -113,12 +123,12 @@ class LaurentPoly:
         acc = np.zeros(hi - lo + 1, dtype=np.complex128)
         acc[self.min_degree - lo : self.min_degree - lo + len(self.coeffs)] += self.coeffs
         acc[other.min_degree - lo : other.min_degree - lo + len(other.coeffs)] += other.coeffs
-        return LaurentPoly(acc, min_degree=lo)
+        return LaurentPoly._owned(acc, lo)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(-self.coeffs, min_degree=self.min_degree)
+        return LaurentPoly._owned(-self.coeffs, self.min_degree)
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
@@ -130,15 +140,13 @@ class LaurentPoly:
         if np.isscalar(other):
             if other == 0:
                 return LaurentPoly.zero()
-            return LaurentPoly(self.coeffs * other, min_degree=self.min_degree)
+            return LaurentPoly._owned(self.coeffs * other, self.min_degree)
         other = _as_poly(other)
         if self.is_zero() or other.is_zero():
             return LaurentPoly.zero()
         # Direct convolution; degrees stay small enough that FFT never pays off.
-        return LaurentPoly(
-            np.convolve(self.coeffs, other.coeffs),
-            min_degree=self.min_degree + other.min_degree,
-        )
+        return LaurentPoly._owned(np.convolve(self.coeffs, other.coeffs),
+                                  self.min_degree + other.min_degree)
 
     __rmul__ = __mul__
 
@@ -159,25 +167,34 @@ class LaurentPoly:
     def _evaluate_unchecked(self, z):
         scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
         z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-        if self.is_zero():
-            out = np.zeros_like(z)
-            return out[0] if scalar else out
         out = np.zeros_like(z)
+        if self.is_zero():
+            return out[0] if scalar else out
         lo, hi = self.min_degree, self.max_degree
+        coeffs = self.coeffs.tolist()
+        # Horner steps alternate between two buffers: numpy may round an
+        # in-place complex multiply differently from one into a fresh array
+        acc, tmp = np.zeros_like(z), np.empty_like(z)
         if hi >= 0:
             # ascending Horner over degrees max(lo,0)..hi
-            acc = np.zeros_like(z)
-            for k in range(hi, max(lo, 0) - 1, -1):
-                acc = acc * z + self.coefficient(k)
+            for c in reversed(coeffs[max(lo, 0) - lo :]):
+                np.multiply(acc, z, out=tmp)
+                tmp += c
+                acc, tmp = tmp, acc
             if max(lo, 0) > 0:
-                acc = acc * z ** max(lo, 0)
+                np.multiply(acc, z ** max(lo, 0), out=tmp)
+                acc, tmp = tmp, acc
             out += acc
+            acc.fill(0.0)
         if lo < 0:
             w = 1.0 / z
-            acc = np.zeros_like(z)
-            for k in range(lo, 0):  # through -1, with zeros above max_degree
-                acc = acc * w + self.coefficient(k)
-            out += acc * w  # degrees -1 .. lo correspond to w^1 .. w^-lo
+            # degrees lo .. -1, with zeros above max_degree
+            for c in coeffs[:-lo] + [0j] * max(-1 - hi, 0):
+                np.multiply(acc, w, out=tmp)
+                tmp += c
+                acc, tmp = tmp, acc
+            np.multiply(acc, w, out=tmp)  # degrees -1 .. lo correspond to w^1 .. w^-lo
+            out += tmp
         return out[0] if scalar else out
 
     def values_at_t(self, t) -> np.ndarray:
@@ -193,7 +210,7 @@ class LaurentPoly:
             return self
         out = np.zeros((len(self.coeffs) - 1) * n + 1, dtype=np.complex128)
         out[::n] = self.coeffs
-        return LaurentPoly(out, min_degree=self.min_degree * n)
+        return LaurentPoly._owned(out, self.min_degree * n)
 
     def compose_negate(self) -> "LaurentPoly":
         """The polynomial p(-z)."""
@@ -201,17 +218,18 @@ class LaurentPoly:
             return self
         ks = self.min_degree + np.arange(len(self.coeffs))
         signs = np.where(ks % 2 == 0, 1.0, -1.0)
-        return LaurentPoly(self.coeffs * signs, min_degree=self.min_degree)
+        return LaurentPoly._owned(self.coeffs * signs, self.min_degree)
 
     def conj_reflect(self) -> "LaurentPoly":
         """On-circle complex conjugate: sum of conj(c_k) z^(-k)."""
         if self.is_zero():
             return self
-        return LaurentPoly(np.conj(self.coeffs[::-1]), min_degree=-self.max_degree)
+        return LaurentPoly._owned(np.conj(self.coeffs[::-1]), -self.max_degree)
 
     def norm2(self) -> float:
         """L2(T) norm with normalized Haar measure, i.e. l2 of coefficients."""
-        return float(np.linalg.norm(self.coeffs))
+        re, im = self.coeffs.real, self.coeffs.imag
+        return math.sqrt(re.dot(re) + im.dot(im))  # bitwise np.linalg.norm
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -400,18 +418,6 @@ class GridFunction:
         return GridFunction(self.grid, self.values * other)
 
     __rmul__ = __mul__
-
-    def compose_dynamics(self, scale: int) -> "GridFunction":
-        """Samples of f(z^scale); requires gcd(M, scale) = 1."""
-        sigma = self.grid.multiply_map(scale)
-        return GridFunction(self.grid, self.values[sigma])
-
-
-def grid_inner(f: GridFunction, g: GridFunction) -> complex:
-    """Grid inner product (1/M) sum conj(f) g, conjugate-linear in f."""
-    if f.grid != g.grid:
-        raise ValueError("grids differ")
-    return complex(np.vdot(f.values, g.values) / f.grid.M)
 
 
 def sample(p: LaurentPoly, grid: CircleGrid) -> GridFunction:

@@ -86,10 +86,6 @@ class ComponentReport:
     window: tuple
     rep: MonomialRep = field(repr=False)
 
-    def component_index(self, k: int) -> int:
-        """Index of the component containing mode k."""
-        return component_of(self, k)
-
 
 def _funnel(rep: MonomialRep, radius: int) -> tuple[list[tuple], np.ndarray]:
     """Cycles of the backward map, and the cycle index of each mode in the
@@ -114,11 +110,6 @@ def _funnel(rep: MonomialRep, radius: int) -> tuple[list[tuple], np.ndarray]:
     label = np.empty(len(points), dtype=np.int64)
     label[np.concatenate(cycles)] = np.repeat(np.arange(len(cycles)), [len(c) for c in cycles])
     return [tuple(modes[points[c]].tolist()) for c in cycles], label[at[land]]
-
-
-def _find_cycles(rep: MonomialRep) -> list[tuple]:
-    """All cycles of the backward map, each from its minimum, in order of minima."""
-    return _funnel(rep, rep.cycle_radius())[0]
 
 
 def decompose_monomial(rep: MonomialRep, window: int | tuple = 64) -> ComponentReport:

@@ -233,7 +233,8 @@ def wavelet_shift_check(fb: FilterBank, tol: float = VERIFY_TOL) -> bool:
 
     A bank that comes from an orthonormal scaling function has |m_i| non-
     constant, so every S_i has zero unitary part; constant-modulus filters
-    (monomial banks) fail this.
+    (monomial banks) fail this.  Only the unitary dimension of each Wold
+    report is read, so no range projection is iterated (probes_kmax=0).
     """
     require_verified(fb, tol)
-    return all(wold_analysis(f, fb.scale).unitary_dim == 0 for f in fb.filters)
+    return all(wold_analysis(f, fb.scale, probes_kmax=0).unitary_dim == 0 for f in fb.filters)

@@ -30,6 +30,13 @@ def shannon_bank():
     return fixtures.shannon()
 
 
+def haar_component_flag(f0, f1, window=64):
+    """Whether the combined isometry of (f0, f1) has a nonzero unitary part (index >= 1)."""
+    from waverep.index import spectral_solutions
+
+    return spectral_solutions(f0, f1, window=window).index >= 1
+
+
 def random_poly(rng, max_degree=12, unit_norm=False):
     """Random complex Laurent polynomial supported on [-max_degree, max_degree]."""
     n = 2 * max_degree + 1

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from conftest import random_poly
+from conftest import haar_component_flag, random_poly
 from test_permutative import bfs_orbit_oracle, random_digit_system
 from waverep import fixtures
 from waverep.cascade import per_residual, scaling_hat, truncated_product
@@ -28,7 +28,7 @@ from waverep.dilation import (
     state_value,
 )
 from waverep.filterbank import qmf_residual, unitarity_residual
-from waverep.index import combined_isometry_apply, haar_component_flag, spectral_solutions
+from waverep.index import combined_isometry_apply, spectral_solutions
 from waverep.laurent import CircleGrid, GridFunction, LaurentPoly
 from waverep.permutative import MonomialRep, decompose_monomial, solve_coboundary
 from waverep.wold import range_projection_norms, wavelet_shift_check, wold_analysis

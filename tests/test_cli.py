@@ -418,6 +418,9 @@ def _untagged_file(tmp_path, d):
     "dilate_lam_two",
     "dilate_lam_not_a_number",
     "dilate_fock_depth_above_bound",
+    "check_haar_fixture_above_cap",
+    "fixtures_haar_far_above_cap",
+    "fixtures_haar_scale_one",
 ])
 def test_input_errors_exit_two(case, tmp_path, capsys):
     argv = {
@@ -495,6 +498,10 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
         "dilate_lam_not_a_number": lambda: ["dilate", "--lam", "half"],
         "dilate_fock_depth_above_bound": lambda: [
             "dilate", "--fock-depth", str(cli.FOCK_DEPTH_MAX + 1)],
+        "check_haar_fixture_above_cap": lambda: [
+            "check", "--fixture", f"haar{fixtures.HAAR_FIXTURE_MAX + 1}"],
+        "fixtures_haar_far_above_cap": lambda: ["fixtures", "haar65536"],
+        "fixtures_haar_scale_one": lambda: ["fixtures", "haar1"],
     }[case]()
     assert run(argv) == 2
     captured = capsys.readouterr()

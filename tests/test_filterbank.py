@@ -571,6 +571,26 @@ def test_certificate_passes_unitary_banks(name):
     assert paraunitarity_residual(fixtures.fixture_bank(name)) < 1e-13
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 128, 256, 512, 1024])
+def test_haar_fixtures_have_exact_phases(n):
+    # each phase is one of the N values exp(-2 pi i k / N), so the certificate
+    # stays at rounding level; phases as powers rho^(-ij) gave 6.7e-11 at N = 1024
+    bank = fixtures.fixture_bank(f"haar{n}")
+    table = np.exp(-2j * np.pi * np.arange(n) / n) / math.sqrt(n)
+    j = np.arange(n)
+    for i in (0, 1, n // 2, n - 1):
+        assert np.array_equal(bank.filters[i].coeffs, table[i * j % n])
+    assert paraunitarity_residual(bank) <= 1e-14
+
+
+def test_haar_fixture_cap():
+    name = f"haar{fixtures.HAAR_FIXTURE_MAX + 1}"
+    with pytest.raises(ValueError, match="haarN fixtures go up to"):
+        fixtures.fixture_bank(name)
+    with pytest.raises(KeyError):
+        fixtures.fixture_bank("haar")
+
+
 def test_certificate_bounds_grid_residual(rng):
     for k in range(4):
         bank = fixtures.random_paraunitary_bank(3, 2, rng)

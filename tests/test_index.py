@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_poly
+from conftest import haar_component_flag, random_poly
 from waverep import fixtures
 from waverep import index as index_module
 from waverep.index import (
@@ -17,7 +17,6 @@ from waverep.index import (
     _compression,
     _pairing_table,
     combined_isometry_apply,
-    haar_component_flag,
     pairing,
     spectral_solutions,
 )

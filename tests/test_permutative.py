@@ -9,8 +9,8 @@ from waverep.permutative import (
     CYCLE_ARC_TOL,
     CharRep,
     MonomialRep,
+    _funnel,
     _telescope,
-    _find_cycles,
     check_partition,
     component_of,
     decompose_monomial,
@@ -19,6 +19,11 @@ from waverep.permutative import (
     standard_arc_masks,
 )
 from waverep.wold import _grid_eigendata
+
+
+def find_cycles(rep):
+    """All cycles of the backward map, each from its minimum, in order of minima."""
+    return _funnel(rep, rep.cycle_radius())[0]
 
 
 def bfs_orbit_oracle(scale, digits, window):
@@ -173,7 +178,7 @@ def test_cycle_search_in_the_invariant_ball_matches_the_wide_search():
         rep = MonomialRep(scale, digits)
         radius = rep.cycle_radius()
         assert all(abs(rep.branch_back(k)) <= radius for k in range(-radius, radius + 1))
-        assert _find_cycles(rep) == wide_search(rep)
+        assert find_cycles(rep) == wide_search(rep)
 
 
 def walk_cycles_oracle(rep):
@@ -224,7 +229,7 @@ def test_funnel_matches_the_walk_and_bfs_decomposition():
         inside = int(rng.integers(0, radius + 1))
         lo = int(rng.integers(-radius - 20, radius + 21))
         hi = lo + int(rng.integers(-1, 80))
-        assert _find_cycles(rep) == walk_cycles_oracle(rep)
+        assert find_cycles(rep) == walk_cycles_oracle(rep)
         for window, (a, b) in [(40, (-40, 40)), (inside, (-inside, inside)), ((lo, hi), (lo, hi))]:
             got = decompose_monomial(rep, window)
             expected = bfs_decompose_oracle(rep, a, b)
@@ -261,8 +266,8 @@ def test_decompose_cost_does_not_grow_with_walks_over_the_ball():
 
 def test_component_membership_outside_window():
     rep = decompose_monomial(MonomialRep(2, (1, 2)), 16)
-    idx_pos = rep.component_index(1000)
-    idx_neg = rep.component_index(-1000)
+    idx_pos = component_of(rep, 1000)
+    idx_neg = component_of(rep, -1000)
     assert idx_pos != idx_neg
     assert component_of(rep, -1) == idx_pos  # -1 funnels into the positive block
 
@@ -482,7 +487,7 @@ def test_wold_grid_solve_is_the_coboundary_solve(scale):
     g = CircleGrid.dynamics_grid(scale)
     xi = GridFunction(g, np.exp(2j * np.pi * rng.random(g.M)))
     lam = np.exp(0.7j)
-    m = lam * xi.values / xi.compose_dynamics(scale).values  # m(z) xi(z^N) = lam xi(z)
+    m = lam * xi.values / xi.values[g.multiply_map(scale)]  # m(z) xi(z^N) = lam xi(z)
     const = GridFunction(g, np.full(g.M, lam))
     got_lam, got_xi, resid = _grid_eigendata(m, g, scale)
     delta = solve_coboundary(const, GridFunction(g, m), scale)
@@ -524,4 +529,9 @@ def test_component_report_carries_its_rep():
     rep = MonomialRep(2, (0, 7))
     report = decompose_monomial(rep, 16)
     assert report.rep == rep
-    assert report.component_index(10 ** 6) == component_of(report, 10 ** 6)
+    # component_of walks the report's own rep from a mode far outside the window
+    k, seen = 10 ** 6, set()
+    while k not in seen:
+        seen.add(k)
+        k = rep.branch_back(k)
+    assert k in report.cycles[component_of(report, 10 ** 6)]
