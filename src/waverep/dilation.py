@@ -20,7 +20,8 @@ isometry up to the exact defect |lam|^(2(K+1)).  Its intertwining with lam V_i*
 and its word compressions, with truncation factor 1 - |lam|^(2(3 - max(|u|, |w|)))
 for K >= 2, are measured on a Fock space of depth min(K, 2) assembled word by
 word, annihilators as index maps: depth 2 is the least at which a word's first and last letters
-differ, so a reversed word convention fails both.  Purity is the ergodicity of
+differ, so a reversed word convention fails both.  A caller that runs both
+checks builds that model once (_fock_model) and passes it to each.  Purity is the ergodicity of
 sigma; the trace-tail diagnostic (the columns of T^k, T the matrix of sigma,
 converging to scalars) is a finite surrogate for a weak-* limit statement,
 reported as such, not claimed to be a proof.
@@ -62,7 +63,12 @@ class Word:
 
 
 class CoisometryFamily:
-    """N matrices V_i on C^dim with sum V_i V_i* = I and a cyclic unit Omega."""
+    """N matrices V_i on C^dim with sum V_i V_i* = I and a cyclic unit Omega.
+
+    v, vstar (the stack of adjoints V_i*) and omega are read-only arrays
+    built once, since every check reads V_i* per letter, per Krylov step and
+    per transfer step.
+    """
 
     def __init__(self, v: np.ndarray, omega: np.ndarray):
         v = np.asarray(v, dtype=np.complex128)
@@ -72,23 +78,22 @@ class CoisometryFamily:
         n, dim, _ = v.shape
         if omega.shape != (dim,):
             raise ValueError("Omega must be a dim vector")
-        defect = np.linalg.norm(_transfer(v, np.eye(dim)) - np.eye(dim), ord=2)  # sigma(I) = I
+        vstar = np.conj(np.swapaxes(v, 1, 2))
+        defect = np.linalg.norm(_transfer(v, vstar, np.eye(dim)) - np.eye(dim), ord=2)  # sigma(I) = I
         if defect > COISOMETRY_TOL:
             raise ValueError(f"sum V_i V_i* differs from the identity by {defect:.3g}")
         if abs(np.linalg.norm(omega) - 1.0) > 1e-12:
             raise ValueError("Omega must be a unit vector")
         self.v = v
         self.v.setflags(write=False)
+        self.vstar = vstar
+        self.vstar.setflags(write=False)
         self.omega = omega
         self.omega.setflags(write=False)
         self.n_ops = n
         self.dim = dim
         if not _is_cyclic(self):
             raise ValueError("Omega is not cyclic under polynomials in the adjoints")
-
-    @property
-    def vstar(self) -> np.ndarray:
-        return np.conj(np.swapaxes(self.v, 1, 2))
 
 
 def _is_cyclic(fam: CoisometryFamily) -> bool:
@@ -126,9 +131,10 @@ def _word_count(n_ops: int, length: int) -> int:
     return length + 1 if n_ops == 1 else (n_ops ** (length + 1) - 1) // (n_ops - 1)
 
 
-def _transfer(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_i A_i X A_i*: sigma(X) for A = V, its adjoint sigma*(X) for A = V*."""
-    return (a @ x @ np.conj(np.swapaxes(a, 1, 2))).sum(axis=0)
+def _transfer(a: np.ndarray, a_star: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_i A_i X A_i* from the stacks A and A*: sigma(X) for (V, V*), sigma*(X)
+    for (V*, V)."""
+    return (a @ x @ a_star).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +184,7 @@ def gram_matrix(fam: CoisometryFamily, max_len: int, psd_tol: float = 1e-9) -> G
     n_words = gram_word_count(fam.n_ops, max_len)
     g = start = np.outer(fam.omega, fam.omega.conj())
     for _ in range(max_len):
-        g = start + _transfer(fam.vstar, g)
+        g = start + _transfer(fam.vstar, fam.v, g)
     eigs = np.linalg.eigvalsh(g)
     lo = min(float(eigs[0]), 0.0) if n_words > fam.dim else float(eigs[fam.dim - n_words])
     return GramReport(min_eigenvalue=lo, psd=lo >= -psd_tol * n_words, n_words=n_words,
@@ -219,9 +225,11 @@ def _fock_model(fam: CoisometryFamily, lam: complex, depth: int):
     return w, annihilate, depth
 
 
-def fock_embedding(fam: CoisometryFamily, lam: complex, depth: int) -> FockEmbeddingReport:
+def fock_embedding(fam: CoisometryFamily, lam: complex, depth: int,
+                   model=None) -> FockEmbeddingReport:
     """The isometry defect of W_lam truncated at level `depth`, summing W*W by Horner's
-    rule, and its intertwining below the top level of the model of depth min(depth, 2)."""
+    rule, and its intertwining below the top level of the model of depth min(depth, 2).
+    `model` is _fock_model(fam, lam, depth) when the caller has built it already."""
     lam = complex(lam)
     if abs(lam) >= 1.0:
         raise ValueError("the embedding needs |lambda| < 1")
@@ -230,8 +238,8 @@ def fock_embedding(fam: CoisometryFamily, lam: complex, depth: int) -> FockEmbed
     r = abs(lam) ** 2
     s = eye = np.eye(fam.dim, dtype=np.complex128)
     for _ in range(depth):
-        s = eye + r * _transfer(fam.v, s)
-    w, annihilate, model_depth = _fock_model(fam, lam, depth)
+        s = eye + r * _transfer(fam.v, fam.vstar, s)
+    w, annihilate, model_depth = model or _fock_model(fam, lam, depth)
     rows = _word_count(fam.n_ops, model_depth - 1)
     return FockEmbeddingReport(
         isometry_defect=float(np.linalg.norm((1.0 - r) * s - eye, ord=2)),
@@ -254,11 +262,12 @@ def scaled_word_value(fam: CoisometryFamily, lam: complex, w: Word) -> complex:
     return np.conj(lam) ** len(w.up) * lam ** len(w.down) * state_value(fam, w)
 
 
-def state_gap(fam: CoisometryFamily, lam: complex, depth: int, words) -> float:
+def state_gap(fam: CoisometryFamily, lam: complex, depth: int, words, model=None) -> float:
     """Largest gap between the compression of a word s_u s_w* in the model of depth
-    D = min(depth, 2) and (1 - |lam|^(2(D + 1 - max(|u|, |w|)))) scaled_word_value."""
+    D = min(depth, 2) and (1 - |lam|^(2(D + 1 - max(|u|, |w|)))) scaled_word_value.
+    `model` is _fock_model(fam, lam, depth) when the caller has built it already."""
     lam = complex(lam)
-    w, annihilate, model_depth = _fock_model(fam, lam, depth)
+    w, annihilate, model_depth = model or _fock_model(fam, lam, depth)
     w_omega = w @ fam.omega
     gap = 0.0
     for word in words:

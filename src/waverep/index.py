@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .filterbank import FilterBank, require_verified
 from .laurent import CircleGrid, GridFunction, LaurentPoly, sample
@@ -73,13 +72,11 @@ def _compression(f0: LaurentPoly, f1: LaurentPoly, k: int) -> np.ndarray:
     (row degree i - k, mode c - k) reads tap i - 2c + k, which is position
     i - 2c + 4k of a table over [-3k, 3k].
     """
-    dim = 2 * k + 1
     c0 = f0.coeff_window(-3 * k, 3 * k)
     c1 = f1.coeff_window(-3 * k, 3 * k)
     tables = np.stack([c0 + c1, c0 - c1]) * (1.0 / math.sqrt(2.0))  # n even, n odd
-    windows = sliding_window_view(tables, dim, axis=1)  # [p, a, i] = tables[p, a + i]
-    cols = np.arange(dim)
-    return windows[(cols - k) % 2, 4 * k - 2 * cols].T
+    i = np.arange(2 * k + 1)
+    return tables[(i - k) % 2, i[:, None] - 2 * i + 4 * k]
 
 
 @dataclass
@@ -205,9 +202,11 @@ def pairing(phi, psi, grid: CircleGrid | None = None):
     # the imaginary part exactly (a fused complex multiply would not)
     re = pv.real * sv.real + pv.imag * sv.imag
     im = pv.real * sv.imag - pv.imag * sv.real
-    re = re + np.roll(re, -half)  # plus the same at -z
-    im = im + np.roll(im, -half)
-    mean = complex(np.mean(re), np.mean(im))
+    # plus the same at -z: the sum has period M/2, so one half holds every
+    # value, and the mean is taken over both halves
+    re = re[:half] + re[half:]
+    im = im[:half] + im[half:]
+    mean = complex(np.mean(np.concatenate((re, re))), np.mean(np.concatenate((im, im))))
     return mean, float(np.max(np.hypot(re - mean.real, im - mean.imag)))
 
 

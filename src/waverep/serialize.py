@@ -24,19 +24,25 @@ default), whose text equals json.dumps(obj, indent=2, sort_keys=True,
 default=default) byte for byte.  The stdlib writes indented JSON with its
 pure-Python encoder, which dominates the cost of a report that carries
 65535 sampled values.  dumps leaves to it only the small skeleton of the
-object, with one placeholder string for each non-empty _Block: the nested
-lists of one numeric array, such as the [re, im] pairs that _cvec returns.
-Each block is encoded once by the C encoder with the item separator "\\x01",
-and that flat text is laid out at the placeholder's depth with one
-str.replace per nesting level.  Number text is float.__repr__ and
-int.__repr__ in both encoders, and a block is a regular array of numbers, so
-its flat text holds "\\x01" and brackets only as structure.
+object, with one placeholder string for each _Block of at least
+SLOT_NUMBERS numbers: the nested lists of one numeric array, such as the
+[re, im] pairs that _cvec returns.  Each such block is encoded once by the C
+encoder with the item separator "\\x01", and that flat text is laid out at
+the placeholder's depth with one str.replace per nesting level.  Number text
+is float.__repr__ and int.__repr__ in both encoders, and a block is a
+regular array of numbers, so its flat text holds "\\x01" and brackets only
+as structure.  A slot costs a fixed amount (a hook call, a C encode, a
+layout, a split of the skeleton's text), about what the pure-Python encoder
+spends on 8 to 16 numbers: one [re, im] pair took 34 us slotted and 26 us
+inline, 16 pairs 80 us and 128 us.  So a block of fewer numbers, such as one
+eigenvalue's pair, stays in the skeleton and is written inline.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 
 import numpy as np
@@ -81,11 +87,11 @@ def _decoder(fn):
     what = fn.__name__.removesuffix("_from_dict")
 
     @functools.wraps(fn)
-    def decode(d):
+    def decode(d, **kwargs):
         if not isinstance(d, dict):
             raise InputError(f"a {what} is a JSON object, got {type(d).__name__}")
         try:
-            return fn(d)
+            return fn(d, **kwargs)
         except KeyError as e:
             raise InputError(f"a {what} needs the key {e}") from None
         except TypeError as e:
@@ -157,8 +163,12 @@ def family_to_dict(fam: CoisometryFamily) -> dict:
 
 
 @_decoder
-def family_from_dict(d: dict) -> CoisometryFamily:
+def family_from_dict(d: dict, max_dim: int | None = None) -> CoisometryFamily:
+    """A family; with max_dim, a dim above it is an InputError, raised before
+    the pairs are decoded or the family is checked."""
     n, dim = _int(d, "N"), _int(d, "dim")
+    if max_dim is not None and dim > max_dim:
+        raise InputError(f"a family of dim {dim} exceeds the cap {max_dim}")
     return CoisometryFamily(_vec_c(d["V"], (n, dim, dim)), _vec_c(d["Omega"], (dim,)))
 
 
@@ -198,6 +208,11 @@ class _Slot:
         self.value = value
 
 
+# a block of fewer numbers is written inline by the indent encoder
+SLOT_NUMBERS = 16
+# the C encoder of every slotted block (item separator "\x01")
+_FLAT = json.JSONEncoder(separators=("\x01", ":"))
+
 _PLACEHOLDER = "\x00pairs\x00"
 _PLACEHOLDER_TEXT = json.dumps(_PLACEHOLDER)
 # The placeholder as a whole string value.  Its text starts with a backslash
@@ -206,20 +221,21 @@ _PLACEHOLDER_TEXT = json.dumps(_PLACEHOLDER)
 _SLOT = re.compile(r"(?<!\\)" + re.escape(_PLACEHOLDER_TEXT) + r"(?!:)")
 
 
-def _rank(block: list) -> int:
-    """Nesting depth of a regular block, 0 when it holds no number."""
-    rank = 0
+def _shape(block: list) -> tuple:
+    """Shape of a regular block; () when it holds no number, so dumps writes it inline."""
+    shape = []
     while isinstance(block, list):
         if not block:
-            return 0
-        rank, block = rank + 1, block[0]
-    return rank
+            return ()
+        shape.append(len(block))
+        block = block[0]
+    return tuple(shape)
 
 
 def _layout(block: list, depth: int) -> str:
     """json.dumps(block, indent=2) for a block that opens at indent level `depth`."""
-    rank = _rank(block)
-    flat = json.dumps(block, separators=("\x01", ":"))
+    rank = len(_shape(block))
+    flat = _FLAT.encode(block)
     nl = ["\n" + "  " * k for k in range(depth + rank + 1)]
     opens = ["[" + nl[depth + m + 1] for m in range(rank)]
     closes = [nl[depth + m] + "]" for m in range(rank)]
@@ -237,15 +253,16 @@ def _layout(block: list, depth: int) -> str:
 def dumps(obj, default=None) -> str:
     """json.dumps(obj, indent=2, sort_keys=True, default=default), byte for byte.
 
-    Non-empty _Block lists, in obj or returned by `default`, are encoded by
-    the C encoder and laid out by _layout; a string equal to the placeholder
-    is a slot too, so that every placeholder in the skeleton's text is one.
+    _Block lists of at least SLOT_NUMBERS numbers, in obj or returned by
+    `default`, are encoded by the C encoder and laid out by _layout; a string
+    equal to the placeholder is a slot too, so that every placeholder in the
+    skeleton's text is one.
     """
     slots = []
 
     def swap(x):
         if isinstance(x, _Block):
-            return _Slot(x) if _rank(x) else x
+            return _Slot(x) if math.prod(_shape(x)) >= SLOT_NUMBERS else x
         if isinstance(x, str):
             return _Slot(x) if x == _PLACEHOLDER else x
         if isinstance(x, dict):

@@ -86,16 +86,17 @@ def isometry_residual(m: Filter, scale: int) -> float:
 
 
 def range_projection_norms(m: Filter, scale: int, probe: LaurentPoly, k_max: int,
-                           tol: float = VERIFY_TOL) -> list[float]:
+                           tol: float = VERIFY_TOL, residual: float | None = None) -> list[float]:
     """Norms ||S^k S*^k probe|| for k = 0..k_max (non-increasing).
 
     Exact coefficient arithmetic; polynomial filters only, since the grid
     permutation model makes every composition invertible and would report a
-    unitary for any filter.
+    unitary for any filter.  `residual` is isometry_residual(m, scale) when
+    the caller holds it already.
     """
     if not isinstance(m, LaurentPoly):
         raise TypeError("range projections need a polynomial filter (exact adjoints)")
-    res = isometry_residual(m, scale)
+    res = isometry_residual(m, scale) if residual is None else residual
     if res > max(tol, 1e-8):
         raise ValueError(f"filter is not an isometry symbol (residual {res:.3g})")
     # S is an isometry (residual checked above), so ||S^k S*^k xi|| equals
@@ -198,17 +199,21 @@ def wold_analysis(m: Filter, scale: int, grid: CircleGrid | None = None,
 
 def _polynomial_wold(m: LaurentPoly, scale: int, iso: float, tol: float,
                      probes_kmax: int) -> WoldReport:
-    """The coefficient route: unimodularity bound, monomial form, closed form."""
-    probes = {"1": LaurentPoly.one(), "z": LaurentPoly.monomial(1),
-              "1/z": LaurentPoly.monomial(-1), "m": m}
+    """The coefficient route: unimodularity bound, monomial form, closed form; the
+    projection decay of four probes unless probes_kmax is 0."""
+    decay = {}
+    if probes_kmax:
+        probes = {"1": LaurentPoly.one(), "z": LaurentPoly.monomial(1),
+                  "1/z": LaurentPoly.monomial(-1), "m": m}
+        decay = {k: range_projection_norms(m, scale, p, probes_kmax, residual=iso)
+                 for k, p in probes.items()}
     report = WoldReport(
         unitary_dim=0,
         eigenvalue=None,
         eigenfunction=None,
         unimodularity_residual=_unimodularity_bound(m),
         cocycle_residual=None,
-        projection_decay={k: range_projection_norms(m, scale, p, probes_kmax)
-                          for k, p in probes.items()},
+        projection_decay=decay,
         isometry_residual=iso,
     )
     if report.unimodularity_residual > tol:
@@ -234,7 +239,7 @@ def wavelet_shift_check(fb: FilterBank, tol: float = VERIFY_TOL) -> bool:
     A bank that comes from an orthonormal scaling function has |m_i| non-
     constant, so every S_i has zero unitary part; constant-modulus filters
     (monomial banks) fail this.  Only the unitary dimension of each Wold
-    report is read, so no range projection is iterated (probes_kmax=0).
+    report is read, so no range projection is built (probes_kmax=0).
     """
     require_verified(fb, tol)
     return all(wold_analysis(f, fb.scale, probes_kmax=0).unitary_dim == 0 for f in fb.filters)

@@ -291,6 +291,26 @@ def test_dilate_checks_catch_a_reversed_word_order(monkeypatch, capsys):
     assert rep["verdicts"]["gram_psd"] and rep["verdicts"]["fock_defect_matches"]
 
 
+def test_one_fock_model_per_dilate_report(monkeypatch, capsys):
+    from waverep import dilation as dil
+
+    model, calls = dil._fock_model, []
+
+    def counting(*args):
+        calls.append(args[1:])
+        return model(*args)
+
+    monkeypatch.setattr(dil, "_fock_model", counting)
+    code, rep = run_json(capsys, ["dilate", "--lam", "0.5", "--fock-depth", "6"])
+    assert code == 0 and calls == [(0.5 + 0j, 6)]
+    # the one model gives the same residuals as a model built per check
+    fam = random_coisometry(2, 3, np.random.default_rng(0))
+    words = [dil.Word(), dil.Word(up=(0,), down=(0,)), dil.Word(up=(0, 1), down=(0,))]
+    monkeypatch.setattr(dil, "_fock_model", model)
+    assert rep["residuals"]["intertwining"] == dil.fock_embedding(fam, 0.5, 6).intertwining_residual
+    assert rep["residuals"]["state_gap"] == dil.state_gap(fam, 0.5, 6, words)
+
+
 def test_wire_integers_may_be_integral_floats(tmp_path, capsys):
     g = CircleGrid.dynamics_grid(2)
     u = ser.gridfunction_to_dict(GridFunction(g, np.ones(g.M)))
@@ -418,6 +438,9 @@ def _untagged_file(tmp_path, d):
     "dilate_lam_two",
     "dilate_lam_not_a_number",
     "dilate_fock_depth_above_bound",
+    "dilate_random_dim_above_cap",
+    "dilate_ops_above_fock_word_cap",
+    "dilate_family_dim_above_cap",
     "check_haar_fixture_above_cap",
     "fixtures_haar_far_above_cap",
     "fixtures_haar_scale_one",
@@ -498,6 +521,14 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
         "dilate_lam_not_a_number": lambda: ["dilate", "--lam", "half"],
         "dilate_fock_depth_above_bound": lambda: [
             "dilate", "--fock-depth", str(cli.FOCK_DEPTH_MAX + 1)],
+        # 1 + 100 + 100^2 words of the depth-2 Fock model
+        "dilate_ops_above_fock_word_cap": lambda: ["dilate", "--ops", "100", "--gram-depth", "1"],
+        "dilate_random_dim_above_cap": lambda: [
+            "dilate", "--random-dim", str(cli.DILATE_DIM_MAX + 1)],
+        # a valid family, refused for its dim alone
+        "dilate_family_dim_above_cap": lambda: ["dilate", "--family", _untagged_file(
+            tmp_path, ser.family_to_dict(random_coisometry(
+                2, cli.DILATE_DIM_MAX + 1, np.random.default_rng(0))))],
         "check_haar_fixture_above_cap": lambda: [
             "check", "--fixture", f"haar{fixtures.HAAR_FIXTURE_MAX + 1}"],
         "fixtures_haar_far_above_cap": lambda: ["fixtures", "haar65536"],

@@ -77,6 +77,24 @@ def test_transfer_map_is_unital(random_family):
     assert np.linalg.norm(out - eye) < 1e-12
 
 
+def test_adjoints_are_built_once_and_read_only(random_family, two_block):
+    for fam in (random_family, two_block):
+        vstar = fam.vstar
+        assert fam.vstar is vstar and not vstar.flags.writeable
+        reference = np.conj(np.swapaxes(fam.v, 1, 2))
+        assert vstar.tobytes() == reference.tobytes() and vstar.strides == reference.strides
+        with pytest.raises(ValueError):
+            vstar[0, 0, 0] = 0.0
+
+
+def test_transfer_reads_the_given_adjoint_stack(random_family):
+    # sum A_i X A_i* with A* passed in equals the sum with A* formed from A
+    fam, x = random_family, np.arange(9.0).reshape(3, 3) + 1j
+    for a, a_star in ((fam.v, fam.vstar), (fam.vstar, fam.v)):
+        formed = (a @ x @ np.conj(np.swapaxes(a, 1, 2))).sum(axis=0)
+        assert dil._transfer(a, a_star, x).tobytes() == formed.tobytes()
+
+
 def test_random_families_valid(rng):
     for n_ops, dim in [(2, 1), (2, 4), (3, 3)]:
         fam = random_coisometry(n_ops, dim, rng)

@@ -20,7 +20,7 @@ from waverep.index import (
     pairing,
     spectral_solutions,
 )
-from waverep.laurent import LaurentPoly, allclose
+from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, allclose
 
 S2 = math.sqrt(2.0)
 
@@ -156,6 +156,32 @@ def test_pairing_nonconstant_diagnostic():
     val, dev = pairing(LaurentPoly.one(), LaurentPoly.monomial(2))
     assert abs(val) < 1e-12
     assert dev == pytest.approx(2.0, abs=1e-10)
+
+
+def rolled_pairing(phi, psi):
+    """The pairing folded by two rolls over the whole grid."""
+    pv, sv = phi.values, psi.values
+    half = phi.grid.M // 2
+    re = pv.real * sv.real + pv.imag * sv.imag
+    im = pv.real * sv.imag - pv.imag * sv.real
+    re = re + np.roll(re, -half)
+    im = im + np.roll(im, -half)
+    mean = complex(np.mean(re), np.mean(im))
+    return mean, float(np.max(np.hypot(re - mean.real, im - mean.imag)))
+
+
+@pytest.mark.parametrize("m", [2, 6, 10, 130, 258, 1000, 4096, 4098])
+def test_pairing_is_bitwise_the_rolled_fold(m, rng):
+    # grids whose half is not a multiple of 8 too: the mean is summed in the
+    # same order as over the rolled sum, not over one half
+    grid = CircleGrid(m)
+    for _ in range(5):
+        phi, psi = (GridFunction(grid, rng.normal(size=m) + 1j * rng.normal(size=m))
+                    for _ in range(2))
+        val, dev = pairing(phi, psi)
+        ref_val, ref_dev = rolled_pairing(phi, psi)
+        assert np.complex128(val).tobytes() == np.complex128(ref_val).tobytes()
+        assert dev == ref_dev
 
 
 def test_pairing_matrix_psd_on_haar(haar_pair):
@@ -372,6 +398,27 @@ def test_compression_of_monomials_with_wide_gaps(a, gap, c0, c1):
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
 def test_compression_of_every_window_case(case):
     assert_compression_matches_columns(*WINDOW_CASES[case])
+
+
+def windowed_compression(f0, f1, k):
+    """The compression as one gather from sliding windows of the tap tables."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    dim = 2 * k + 1
+    c0 = f0.coeff_window(-3 * k, 3 * k)
+    c1 = f1.coeff_window(-3 * k, 3 * k)
+    tables = np.stack([c0 + c1, c0 - c1]) * (1.0 / math.sqrt(2.0))
+    windows = sliding_window_view(tables, dim, axis=1)  # [p, a, i] = tables[p, a + i]
+    cols = np.arange(dim)
+    return windows[(cols - k) % 2, 4 * k - 2 * cols].T
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_compression_is_bitwise_the_sliding_window_gather(case):
+    f0, f1 = WINDOW_CASES[case]
+    for k in sorted({0, 1, 5, filter_window(f0, f1), 64}):
+        got, ref = _compression(f0, f1, k), windowed_compression(f0, f1, k)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

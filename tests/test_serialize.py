@@ -229,3 +229,45 @@ def test_dumps_refuses_what_json_cannot_encode():
             ser.dumps({"poly": LaurentPoly.one()}, default=default)
     with pytest.raises(TypeError):
         ser.dumps({"z": 1j})
+
+
+def _shapes(size):
+    """Every shape of rank 1 to 3 holding `size` numbers."""
+    out = [(size,)]
+    for a in range(1, size + 1):
+        if size % a == 0:
+            out.append((a, size // a))
+            out += [(a, b, size // a // b) for b in range(1, size // a + 1) if size // a % b == 0]
+    return out
+
+
+@pytest.mark.parametrize("size", range(1, 41))
+def test_dumps_matches_the_stdlib_on_both_sides_of_the_slot_threshold(size, monkeypatch):
+    laid_out = []
+    layout = ser._layout
+
+    def counting(block, depth):
+        laid_out.append(len(block))
+        return layout(block, depth)
+
+    monkeypatch.setattr(ser, "_layout", counting)
+    numbers = np.resize([-0.0, 5e-324, 1e308, -1.5, 7.0, float("nan"), float("-inf")], size)
+    for shape in _shapes(size):
+        block = ser._Block(numbers.reshape(shape).tolist())
+        ints = ser._Block(np.arange(size).reshape(shape).tolist())
+        for obj, blocks in ((block, 1), ({"b": block}, 1),
+                            ({"x": [1, {"b": block, "c": ints}], "y": "\x00"}, 2)):
+            laid_out.clear()
+            assert ser.dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+            # a block of fewer than SLOT_NUMBERS numbers is written inline
+            assert laid_out == ([shape[0]] * blocks if size >= ser.SLOT_NUMBERS else [])
+
+
+def test_family_decoder_caps_the_dim():
+    d = ser.family_to_dict(random_coisometry(2, 3, np.random.default_rng(0)))
+    assert ser.family_from_dict(d, max_dim=3).dim == 3
+    with pytest.raises(ser.InputError, match="exceeds the cap 2"):
+        ser.family_from_dict(d, max_dim=2)
+    # the cap is read before the pairs: a family too big to build is refused unread
+    with pytest.raises(ser.InputError, match="exceeds the cap"):
+        ser.family_from_dict({"N": 2, "dim": 10 ** 6, "V": None, "Omega": None}, max_dim=32)

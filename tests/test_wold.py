@@ -202,6 +202,54 @@ def test_shift_check_requires_verified_bank(haar_bank):
         wavelet_shift_check(bad)
 
 
+@pytest.mark.parametrize("name", ["haar2", "db4", "haar3"])
+def test_shift_check_builds_no_projection(name, monkeypatch, capsys):
+    # the shift check reads the unitary dimension alone: one certificate per
+    # filter, inside wold_analysis, and no range projection
+    from waverep.cli import run
+
+    certificates, projections = [], []
+    certificate = wold._polyphase_certificate
+
+    def counting(filters, scale):
+        certificates.append(len(filters))
+        return certificate(filters, scale)
+
+    monkeypatch.setattr(wold, "_polyphase_certificate", counting)
+    monkeypatch.setattr(wold, "range_projection_norms", lambda *a, **k: projections.append(1))
+    assert run(["wold", "--fixture", name, "--shift-check"]) == 0
+    capsys.readouterr()
+    scale = fixtures.fixture_bank(name).scale
+    assert certificates == [1] * scale and projections == []
+
+
+def test_projection_decay_reuses_the_report_certificate(db4_bank, monkeypatch):
+    m = db4_bank.filters[0]
+    probes = {"1": LaurentPoly.one(), "z": LaurentPoly.monomial(1),
+              "1/z": LaurentPoly.monomial(-1), "m": m}
+    standalone = {k: range_projection_norms(m, 2, p, 20) for k, p in probes.items()}
+    certificates = []
+    certificate = wold._polyphase_certificate
+
+    def counting(filters, scale):
+        certificates.append(len(filters))
+        return certificate(filters, scale)
+
+    monkeypatch.setattr(wold, "_polyphase_certificate", counting)
+    assert wold_analysis(m, 2).projection_decay == standalone
+    assert certificates == [1]
+    with pytest.raises(ValueError):  # a given residual is still checked
+        range_projection_norms(m, 2, probes["1"], 3, residual=1e-6)
+
+
+def test_probes_kmax_zero_leaves_the_projection_decay_empty(db4_bank):
+    rep = wold_analysis(db4_bank.filters[0], 2, probes_kmax=0)
+    full = wold_analysis(db4_bank.filters[0], 2)
+    assert rep.projection_decay == {} and sorted(full.projection_decay) == ["1", "1/z", "m", "z"]
+    assert (rep.unitary_dim, rep.unimodularity_residual, rep.isometry_residual) == (
+        full.unitary_dim, full.unimodularity_residual, full.isometry_residual)
+
+
 # ---------------------------------------------------------------------------
 # the coefficient route for polynomial filters
 
