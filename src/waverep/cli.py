@@ -97,9 +97,6 @@ CASCADE_PER_MAX = 8191
 # the three caps multiply: depth x (samples + the --per grid's samples), twice
 # with --mother, is the number of filter values, at about 0.1 us each
 CASCADE_WORK_MAX = 2 ** 25
-# the purity diagnostics take a dense SVD of the dim^2 x dim^2 transfer matrix,
-# O(dim^6): one report took 1.3-1.9 s and 105 MB at dim 32, 83 s and 1.1 GB at 64
-DILATE_DIM_MAX = 32
 
 
 def _load_json(path: str) -> dict:
@@ -345,7 +342,7 @@ def cmd_equiv(args):
 
 def cmd_dilate(args):
     if args.family:
-        fam = ser.family_from_dict(_load_json(args.family), max_dim=DILATE_DIM_MAX)
+        fam = ser.family_from_dict(_load_json(args.family))
     else:
         rng = np.random.default_rng(args.seed)
         fam = dil.random_coisometry(args.ops, args.random_dim, rng)
@@ -358,25 +355,22 @@ def cmd_dilate(args):
     except ValueError as e:
         raise InputError(str(e)) from e
     gram = dil.gram_matrix(fam, args.gram_depth)
-    # one Fock model serves the intertwining check and the state gap
-    model = dil._fock_model(fam, complex(args.lam), args.fock_depth)
-    fock = dil.fock_embedding(fam, args.lam, args.fock_depth, model=model)
-    purity = dil.purity_diagnostics(fam)
     words = [dil.Word(), dil.Word(up=(0,), down=(0,)),
              dil.Word(up=(0, min(1, fam.n_ops - 1)), down=(0,))]
-    state_gap = dil.state_gap(fam, args.lam, args.fock_depth, words, model=model)
+    fock = dil.fock_embedding(fam, args.lam, args.fock_depth, words)
+    purity = dil.purity_diagnostics(fam)
     verdicts = {
         "gram_psd": gram.psd,
         "fock_defect_matches": abs(fock.isometry_defect - fock.predicted_defect) <= 1e-12,
         "intertwining": fock.intertwining_residual <= 1e-10,
-        "state_consistent": state_gap <= 1e-12,
+        "state_consistent": fock.state_gap <= 1e-12,
     }
     residuals = {
         "fock_defect": fock.isometry_defect,
         "fock_defect_predicted": fock.predicted_defect,
         "intertwining": fock.intertwining_residual,
         "gram_min_eigenvalue": gram.min_eigenvalue,
-        "state_gap": state_gap,
+        "state_gap": fock.state_gap,
     }
     info = {"dim": fam.dim, "ops": fam.n_ops, "fock_dim": fock.fock_dim,
             "fixed_dim": purity.fixed_dim, "pure": purity.pure,
@@ -458,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("dilate", help="Fock-space dilation diagnostics of a coisometry family")
     q.add_argument("--family", help="family JSON file")
-    q.add_argument("--random-dim", type=_int_in(1, DILATE_DIM_MAX), default=3,
+    q.add_argument("--random-dim", type=_int_in(1, dil.DIM_MAX), default=3,
                    help="draw a random family of this dim")
     q.add_argument("--ops", type=_positive_int, default=2,
                    help="number of operators for random families")

@@ -20,8 +20,8 @@ isometry up to the exact defect |lam|^(2(K+1)).  Its intertwining with lam V_i*
 and its word compressions, with truncation factor 1 - |lam|^(2(3 - max(|u|, |w|)))
 for K >= 2, are measured on a Fock space of depth min(K, 2) assembled word by
 word, annihilators as index maps: depth 2 is the least at which a word's first and last letters
-differ, so a reversed word convention fails both.  A caller that runs both
-checks builds that model once (_fock_model) and passes it to each.  Purity is the ergodicity of
+differ, so a reversed word convention fails both.  fock_embedding builds that
+model once for both checks.  Purity is the ergodicity of
 sigma; the trace-tail diagnostic (the columns of T^k, T the matrix of sigma,
 converging to scalars) is a finite surrogate for a weak-* limit statement,
 reported as such, not claimed to be a proof.
@@ -39,6 +39,9 @@ import numpy as np
 COISOMETRY_TOL = 1e-12
 CYCLIC_RANK_TOL = 1e-10
 WORD_CAP = 10_000
+# an input bound: purity_diagnostics takes a dense SVD and up to 51 dense
+# powers (T^50..T^100) of the dim^2 x dim^2 transfer matrix, O(dim^6) each
+DIM_MAX = 32
 
 
 @dataclass(frozen=True)
@@ -204,11 +207,12 @@ class FockEmbeddingReport:
     intertwining_residual: float
     fock_dim: int
     levels: int
+    state_gap: float  # 0.0 when no word is compressed
 
 
 def _fock_model(fam: CoisometryFamily, lam: complex, depth: int):
-    """W_lam on the Fock levels 0..d, d = min(depth, 2), one block per word; the map
-    (i, x) -> (a_i (x) I) x, which takes |i w'> to |w'> and empties level d; and d.
+    """W_lam on the Fock levels 0..d, d = min(depth, 2), one block per word; for each
+    letter i the rows that a_i (x) I reads, taking |i w'> to |w'>; and d.
     Each level lists its words in lexicographic order, first letter most significant."""
     n, eye, depth = fam.n_ops, np.eye(fam.dim, dtype=np.complex128), min(depth, MODEL_DEPTH)
     words = [w for k in range(depth + 1) for w in itertools.product(range(n), repeat=k)]
@@ -217,19 +221,22 @@ def _fock_model(fam: CoisometryFamily, lam: complex, depth: int):
     # the level-k word i w' is row _word_count(n, k-1) + i N^(k-1) + (row of w' in level k-1)
     sources = [np.concatenate([_word_count(n, k - 1) + i * n ** (k - 1) + np.arange(n ** (k - 1))
                                for k in range(1, depth + 1)]) for i in range(n)]
+    return w, sources, depth
 
-    def annihilate(i: int, x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        out[: len(sources[i])] = x[sources[i]]
-        return out
-    return w, annihilate, depth
+
+def _annihilate(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(a_i (x) I) x, given the rows a_i reads: they move to the levels below d,
+    and level d empties."""
+    out = np.zeros_like(x)
+    out[: len(rows)] = x[rows]
+    return out
 
 
 def fock_embedding(fam: CoisometryFamily, lam: complex, depth: int,
-                   model=None) -> FockEmbeddingReport:
+                   words=()) -> FockEmbeddingReport:
     """The isometry defect of W_lam truncated at level `depth`, summing W*W by Horner's
-    rule, and its intertwining below the top level of the model of depth min(depth, 2).
-    `model` is _fock_model(fam, lam, depth) when the caller has built it already."""
+    rule; on one model of depth min(depth, 2), its intertwining below the top level
+    and the state gap of `words` (state_gap)."""
     lam = complex(lam)
     if abs(lam) >= 1.0:
         raise ValueError("the embedding needs |lambda| < 1")
@@ -239,17 +246,20 @@ def fock_embedding(fam: CoisometryFamily, lam: complex, depth: int,
     s = eye = np.eye(fam.dim, dtype=np.complex128)
     for _ in range(depth):
         s = eye + r * _transfer(fam.v, fam.vstar, s)
-    w, annihilate, model_depth = model or _fock_model(fam, lam, depth)
+    model = _fock_model(fam, lam, depth)
+    w, sources, model_depth = model
+    # below the top level, a_i W reads only the rows sources[i]
     rows = _word_count(fam.n_ops, model_depth - 1)
     return FockEmbeddingReport(
         isometry_defect=float(np.linalg.norm((1.0 - r) * s - eye, ord=2)),
         predicted_defect=abs(lam) ** (2 * (depth + 1)),
         intertwining_residual=max(
-            float(np.linalg.norm((annihilate(i, w) - lam * (w @ fam.vstar[i]))[:rows]
+            float(np.linalg.norm((w[sources[i]] - lam * (w[:rows] @ fam.vstar[i]))
                                  .reshape(-1, fam.dim), ord=2))
             for i in range(fam.n_ops)),
         fock_dim=fam.dim * _word_count(fam.n_ops, depth),
         levels=depth + 1,
+        state_gap=_state_gap(fam, lam, model, words),
     )
 
 
@@ -262,19 +272,22 @@ def scaled_word_value(fam: CoisometryFamily, lam: complex, w: Word) -> complex:
     return np.conj(lam) ** len(w.up) * lam ** len(w.down) * state_value(fam, w)
 
 
-def state_gap(fam: CoisometryFamily, lam: complex, depth: int, words, model=None) -> float:
+def state_gap(fam: CoisometryFamily, lam: complex, depth: int, words) -> float:
     """Largest gap between the compression of a word s_u s_w* in the model of depth
-    D = min(depth, 2) and (1 - |lam|^(2(D + 1 - max(|u|, |w|)))) scaled_word_value.
-    `model` is _fock_model(fam, lam, depth) when the caller has built it already."""
+    D = min(depth, 2) and (1 - |lam|^(2(D + 1 - max(|u|, |w|)))) scaled_word_value."""
     lam = complex(lam)
-    w, annihilate, model_depth = model or _fock_model(fam, lam, depth)
+    return _state_gap(fam, lam, _fock_model(fam, lam, depth), words)
+
+
+def _state_gap(fam: CoisometryFamily, lam: complex, model, words) -> float:
+    w, sources, model_depth = model
     w_omega = w @ fam.omega
     gap = 0.0
     for word in words:
         kept = max(0, model_depth + 1 - max(len(word.up), len(word.down)))
         value = (1.0 - abs(lam) ** (2 * kept)) * scaled_word_value(fam, lam, word)
-        left = functools.reduce(lambda x, i: annihilate(i, x), word.up, w_omega)
-        right = functools.reduce(lambda x, j: annihilate(j, x), word.down, w_omega)
+        left = functools.reduce(lambda x, i: _annihilate(sources[i], x), word.up, w_omega)
+        right = functools.reduce(lambda x, j: _annihilate(sources[j], x), word.down, w_omega)
         gap = max(gap, abs(np.vdot(left, right) - value))
     return gap
 

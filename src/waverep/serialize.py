@@ -33,9 +33,10 @@ is float.__repr__ and int.__repr__ in both encoders, and a block is a
 regular array of numbers, so its flat text holds "\\x01" and brackets only
 as structure.  A slot costs a fixed amount (a hook call, a C encode, a
 layout, a split of the skeleton's text), about what the pure-Python encoder
-spends on 8 to 16 numbers: one [re, im] pair took 34 us slotted and 26 us
-inline, 16 pairs 80 us and 128 us.  So a block of fewer numbers, such as one
-eigenvalue's pair, stays in the skeleton and is written inline.
+spends on 10 numbers: in a small report holding one block of n [re, im]
+pairs, slotting the block cost 15 us more than writing it inline at n = 1,
+0.1 us more at n = 5 and 12 us less at n = 8.  So a block of fewer numbers,
+such as one eigenvalue's pair, stays in the skeleton and is written inline.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import re
 
 import numpy as np
 
-from .dilation import CoisometryFamily
+from .dilation import DIM_MAX, CoisometryFamily
 from .filterbank import FilterBank, default_check_grid, values_on_coset
 from .laurent import CircleGrid, GridFunction, LaurentPoly
 
@@ -87,11 +88,11 @@ def _decoder(fn):
     what = fn.__name__.removesuffix("_from_dict")
 
     @functools.wraps(fn)
-    def decode(d, **kwargs):
+    def decode(d):
         if not isinstance(d, dict):
             raise InputError(f"a {what} is a JSON object, got {type(d).__name__}")
         try:
-            return fn(d, **kwargs)
+            return fn(d)
         except KeyError as e:
             raise InputError(f"a {what} needs the key {e}") from None
         except TypeError as e:
@@ -163,12 +164,11 @@ def family_to_dict(fam: CoisometryFamily) -> dict:
 
 
 @_decoder
-def family_from_dict(d: dict, max_dim: int | None = None) -> CoisometryFamily:
-    """A family; with max_dim, a dim above it is an InputError, raised before
-    the pairs are decoded or the family is checked."""
+def family_from_dict(d: dict) -> CoisometryFamily:
+    """A family; a dim above dilation.DIM_MAX is refused before the pairs are read."""
     n, dim = _int(d, "N"), _int(d, "dim")
-    if max_dim is not None and dim > max_dim:
-        raise InputError(f"a family of dim {dim} exceeds the cap {max_dim}")
+    if dim > DIM_MAX:
+        raise InputError(f"a family of dim {dim} exceeds the cap {DIM_MAX}")
     return CoisometryFamily(_vec_c(d["V"], (n, dim, dim)), _vec_c(d["Omega"], (dim,)))
 
 
@@ -208,8 +208,9 @@ class _Slot:
         self.value = value
 
 
-# a block of fewer numbers is written inline by the indent encoder
-SLOT_NUMBERS = 16
+# a block of fewer numbers is written inline by the indent encoder: the
+# break-even of a block of [re, im] pairs
+SLOT_NUMBERS = 10
 # the C encoder of every slotted block (item separator "\x01")
 _FLAT = json.JSONEncoder(separators=("\x01", ":"))
 

@@ -86,17 +86,16 @@ def isometry_residual(m: Filter, scale: int) -> float:
 
 
 def range_projection_norms(m: Filter, scale: int, probe: LaurentPoly, k_max: int,
-                           tol: float = VERIFY_TOL, residual: float | None = None) -> list[float]:
+                           tol: float = VERIFY_TOL) -> list[float]:
     """Norms ||S^k S*^k probe|| for k = 0..k_max (non-increasing).
 
     Exact coefficient arithmetic; polynomial filters only, since the grid
     permutation model makes every composition invertible and would report a
-    unitary for any filter.  `residual` is isometry_residual(m, scale) when
-    the caller holds it already.
+    unitary for any filter.
     """
     if not isinstance(m, LaurentPoly):
         raise TypeError("range projections need a polynomial filter (exact adjoints)")
-    res = isometry_residual(m, scale) if residual is None else residual
+    res = isometry_residual(m, scale)
     if res > max(tol, 1e-8):
         raise ValueError(f"filter is not an isometry symbol (residual {res:.3g})")
     # S is an isometry (residual checked above), so ||S^k S*^k xi|| equals
@@ -205,7 +204,7 @@ def _polynomial_wold(m: LaurentPoly, scale: int, iso: float, tol: float,
     if probes_kmax:
         probes = {"1": LaurentPoly.one(), "z": LaurentPoly.monomial(1),
                   "1/z": LaurentPoly.monomial(-1), "m": m}
-        decay = {k: range_projection_norms(m, scale, p, probes_kmax, residual=iso)
+        decay = {k: range_projection_norms(m, scale, p, probes_kmax)
                  for k, p in probes.items()}
     report = WoldReport(
         unitary_dim=0,

@@ -8,7 +8,7 @@ import pytest
 
 from waverep import cli, fixtures, permutative as perm, serialize as ser
 from waverep.cli import parse_angle, run
-from waverep.dilation import random_coisometry
+from waverep.dilation import DIM_MAX, random_coisometry
 from waverep.filterbank import FilterBank, complete_filterbank, unitarity_residual
 from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, sample
 from waverep.fixtures import haar
@@ -241,7 +241,7 @@ def test_dilate_random_family(capsys):
 
 
 def test_dilate_family_file(tmp_path, capsys):
-    from waverep.dilation import random_coisometry
+    from waverep.dilation import DIM_MAX, random_coisometry
 
     fam = random_coisometry(3, 2, np.random.default_rng(3))
     path = tmp_path / "fam.json"
@@ -303,7 +303,7 @@ def test_one_fock_model_per_dilate_report(monkeypatch, capsys):
     monkeypatch.setattr(dil, "_fock_model", counting)
     code, rep = run_json(capsys, ["dilate", "--lam", "0.5", "--fock-depth", "6"])
     assert code == 0 and calls == [(0.5 + 0j, 6)]
-    # the one model gives the same residuals as a model built per check
+    # the one model gives the same residuals as the standalone checks
     fam = random_coisometry(2, 3, np.random.default_rng(0))
     words = [dil.Word(), dil.Word(up=(0,), down=(0,)), dil.Word(up=(0, 1), down=(0,))]
     monkeypatch.setattr(dil, "_fock_model", model)
@@ -524,11 +524,11 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
         # 1 + 100 + 100^2 words of the depth-2 Fock model
         "dilate_ops_above_fock_word_cap": lambda: ["dilate", "--ops", "100", "--gram-depth", "1"],
         "dilate_random_dim_above_cap": lambda: [
-            "dilate", "--random-dim", str(cli.DILATE_DIM_MAX + 1)],
+            "dilate", "--random-dim", str(DIM_MAX + 1)],
         # a valid family, refused for its dim alone
         "dilate_family_dim_above_cap": lambda: ["dilate", "--family", _untagged_file(
             tmp_path, ser.family_to_dict(random_coisometry(
-                2, cli.DILATE_DIM_MAX + 1, np.random.default_rng(0))))],
+                2, DIM_MAX + 1, np.random.default_rng(0))))],
         "check_haar_fixture_above_cap": lambda: [
             "check", "--fixture", f"haar{fixtures.HAAR_FIXTURE_MAX + 1}"],
         "fixtures_haar_far_above_cap": lambda: ["fixtures", "haar65536"],

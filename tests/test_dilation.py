@@ -304,6 +304,34 @@ def test_fock_defect_matches_the_materialized_levels(depth, two_block):
             assert rep.fock_dim == n_blocks * fam.dim and rep.levels == depth + 1
 
 
+def full_array_intertwining(fam, lam, depth):
+    """The intertwining residual with a_i W and W V_i* formed on every row of
+    the model, then cut to the levels below the top."""
+    w, sources, d = dil._fock_model(fam, complex(lam), depth)
+    rows = dil._word_count(fam.n_ops, d - 1)
+    return max(float(np.linalg.norm((dil._annihilate(sources[i], w) - lam * (w @ fam.vstar[i]))
+                                    [:rows].reshape(-1, fam.dim), ord=2))
+               for i in range(fam.n_ops))
+
+
+@pytest.mark.parametrize("n_ops,dim", [(1, 3), (2, 1), (2, 4), (3, 3), (5, 8)])
+def test_intertwining_on_the_read_rows_is_bitwise_the_full_array(n_ops, dim):
+    fam = random_coisometry(n_ops, dim, np.random.default_rng(n_ops * 10 + dim))
+    for lam in (0.5, 0.6 * np.exp(0.7j)):
+        for depth in (1, 2, 6):
+            got = fock_embedding(fam, lam, depth).intertwining_residual
+            assert got == full_array_intertwining(fam, complex(lam), depth)
+
+
+def test_fock_embedding_reports_the_state_gap_of_its_words(random_family):
+    lam = 0.7 * np.exp(0.4j)
+    words = [Word(), Word(up=(0,), down=(0,)), Word(up=(0, 1), down=(0,)), Word(up=(1, 1))]
+    for depth in (1, 2, 8):
+        rep = fock_embedding(random_family, lam, depth, words)
+        assert rep.state_gap == dil.state_gap(random_family, lam, depth, words)
+        assert fock_embedding(random_family, lam, depth).state_gap == 0.0
+
+
 def test_deep_fock_embedding_is_small_and_fast():
     fam = random_coisometry(2, 3, np.random.default_rng(0))
     tracemalloc.start()

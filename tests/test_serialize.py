@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from waverep import cli, fixtures, serialize as ser
-from waverep.dilation import random_coisometry
+from waverep.dilation import DIM_MAX, random_coisometry
 from waverep.filterbank import unitarity_residual
 from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, sample
 
@@ -264,10 +264,11 @@ def test_dumps_matches_the_stdlib_on_both_sides_of_the_slot_threshold(size, monk
 
 
 def test_family_decoder_caps_the_dim():
-    d = ser.family_to_dict(random_coisometry(2, 3, np.random.default_rng(0)))
-    assert ser.family_from_dict(d, max_dim=3).dim == 3
-    with pytest.raises(ser.InputError, match="exceeds the cap 2"):
-        ser.family_from_dict(d, max_dim=2)
+    at_cap = ser.family_to_dict(random_coisometry(2, DIM_MAX, np.random.default_rng(0)))
+    assert ser.family_from_dict(at_cap).dim == DIM_MAX
+    above = ser.family_to_dict(random_coisometry(2, DIM_MAX + 1, np.random.default_rng(0)))
+    with pytest.raises(ser.InputError, match=f"exceeds the cap {DIM_MAX}"):
+        ser.family_from_dict(above)
     # the cap is read before the pairs: a family too big to build is refused unread
     with pytest.raises(ser.InputError, match="exceeds the cap"):
-        ser.family_from_dict({"N": 2, "dim": 10 ** 6, "V": None, "Omega": None}, max_dim=32)
+        ser.family_from_dict({"N": 2, "dim": 10 ** 6, "V": None, "Omega": None})

@@ -223,25 +223,6 @@ def test_shift_check_builds_no_projection(name, monkeypatch, capsys):
     assert certificates == [1] * scale and projections == []
 
 
-def test_projection_decay_reuses_the_report_certificate(db4_bank, monkeypatch):
-    m = db4_bank.filters[0]
-    probes = {"1": LaurentPoly.one(), "z": LaurentPoly.monomial(1),
-              "1/z": LaurentPoly.monomial(-1), "m": m}
-    standalone = {k: range_projection_norms(m, 2, p, 20) for k, p in probes.items()}
-    certificates = []
-    certificate = wold._polyphase_certificate
-
-    def counting(filters, scale):
-        certificates.append(len(filters))
-        return certificate(filters, scale)
-
-    monkeypatch.setattr(wold, "_polyphase_certificate", counting)
-    assert wold_analysis(m, 2).projection_decay == standalone
-    assert certificates == [1]
-    with pytest.raises(ValueError):  # a given residual is still checked
-        range_projection_norms(m, 2, probes["1"], 3, residual=1e-6)
-
-
 def test_probes_kmax_zero_leaves_the_projection_decay_empty(db4_bank):
     rep = wold_analysis(db4_bank.filters[0], 2, probes_kmax=0)
     full = wold_analysis(db4_bank.filters[0], 2)
