@@ -153,8 +153,9 @@ def _produced_bank(bank, out_bank):
         residuals = {"unitarity": unitarity_residual(bank)}
     artifacts = []
     if out_bank:
+        text = ser.pieces(ser.bank_to_dict(bank))
         with open(out_bank, "w") as fh:
-            fh.write(ser.dumps(ser.bank_to_dict(bank)))
+            fh.writelines(text)
         artifacts.append(out_bank)
     return max(residuals.values()) <= VERIFY_TOL, residuals, artifacts
 
@@ -499,12 +500,13 @@ def run(argv) -> int:
         "elapsed": time.monotonic() - start,
         "info": info,
     }
-    text = ser.dumps(report, default=_json_default)
+    text = ser.pieces(report, default=_json_default)
+    text.append("\n")
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+            fh.writelines(text)
     else:
-        print(text)
+        sys.stdout.writelines(text)
     return code
 
 

@@ -217,7 +217,9 @@ def _fock_model(fam: CoisometryFamily, lam: complex, depth: int):
     n, eye, depth = fam.n_ops, np.eye(fam.dim, dtype=np.complex128), min(depth, MODEL_DEPTH)
     words = [w for k in range(depth + 1) for w in itertools.product(range(n), repeat=k)]
     scale = math.sqrt(1.0 - abs(lam) ** 2)
-    w = np.stack([scale * lam ** len(word) * _down_vector(fam, word, eye) for word in words])
+    w = np.empty((len(words), fam.dim, fam.dim), dtype=np.complex128)
+    for block, word in zip(w, words):
+        block[...] = scale * lam ** len(word) * _down_vector(fam, word, eye)
     # the level-k word i w' is row _word_count(n, k-1) + i N^(k-1) + (row of w' in level k-1)
     sources = [np.concatenate([_word_count(n, k - 1) + i * n ** (k - 1) + np.arange(n ** (k - 1))
                                for k in range(1, depth + 1)]) for i in range(n)]

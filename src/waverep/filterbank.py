@@ -290,8 +290,9 @@ def _defect_stack(filters, scale: int):
 
 
 def _defect_norms(e: np.ndarray) -> np.ndarray:
-    """||E_s||_2 for each s >= 0 of a defect stack."""
-    return np.abs(e[:, 0, 0]) if e.shape[1] == 1 else np.linalg.norm(e, ord=2, axis=(1, 2))
+    """||E_s||_2 for each s >= 0 of a defect stack: the largest singular value, which
+    is what np.linalg.norm(ord=2) computes, without its moveaxis and max passes."""
+    return np.abs(e[:, 0, 0]) if e.shape[1] == 1 else np.linalg.svd(e, compute_uv=False)[:, 0]
 
 
 def _certificate(norms: np.ndarray) -> float:
@@ -419,9 +420,7 @@ def complete_filterbank(lowpass: Filter, scale: int, tol: float = VERIFY_TOL,
     if res > tol:
         raise ValueError(f"filter violates the quadrature-mirror identity (residual {res:.3g})")
     if isinstance(lowpass, LaurentPoly) and n == 2:
-        k_top = lowpass.max_degree
-        mirror = -(LaurentPoly.monomial(2 * k_top - 1) * lowpass.conj_reflect().compose_negate())
-        return FilterBank(2, (lowpass, mirror))
+        return FilterBank(2, (lowpass, conjugate_mirror(lowpass)))
     grid = _grid_or_default(lowpass, n, grid)
     if grid.M % n != 0:
         raise ValueError("completion grid size must be divisible by the scale")
@@ -432,6 +431,13 @@ def complete_filterbank(lowpass: Filter, scale: int, tol: float = VERIFY_TOL,
     out = (root_n * q.transpose(1, 2, 0)).reshape(n, grid.M)  # out[r, k M/N + j] = q[j, r, k]
     out[0] = m0_vals
     return FilterBank(n, tuple(GridFunction(grid, row) for row in out))
+
+
+def conjugate_mirror(lowpass: LaurentPoly) -> LaurentPoly:
+    """The scale-2 high-pass m_1(z) = -z^(2K-1) * conj-reflect(m_0)(-z), K the top degree
+    of m_0; with m_0 it is a paraunitary pair exactly when m_0 satisfies the QMF identity."""
+    k_top = lowpass.max_degree
+    return -(LaurentPoly.monomial(2 * k_top - 1) * lowpass.conj_reflect().compose_negate())
 
 
 def householder_rows(v: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import re
 
 import numpy as np
 
-from .filterbank import AngleFunction, FilterBank, complete_filterbank
+from .filterbank import AngleFunction, FilterBank, conjugate_mirror
 from .laurent import LaurentPoly
 
 
@@ -39,10 +39,15 @@ def haar(scale: int = 2) -> FilterBank:
 
 
 def db4() -> FilterBank:
-    """Four-tap orthogonal bank (two vanishing moments), conjugate-mirror completed."""
+    """Four-tap orthogonal bank (two vanishing moments), conjugate-mirror completed.
+
+    The low-pass is exact in closed form, so the bank is built without
+    complete_filterbank's grid screen of the QMF identity; the tests compare
+    the two builds bit for bit.
+    """
     r3 = math.sqrt(3.0)
-    h = np.array([1.0 + r3, 3.0 + r3, 3.0 - r3, 1.0 - r3]) / (4.0 * math.sqrt(2.0))
-    return complete_filterbank(LaurentPoly(h), 2)
+    h = LaurentPoly(np.array([1.0 + r3, 3.0 + r3, 3.0 - r3, 1.0 - r3]) / (4.0 * math.sqrt(2.0)))
+    return FilterBank(2, (h, conjugate_mirror(h)))
 
 
 def _half_band(on: float, off: float):

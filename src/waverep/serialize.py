@@ -19,24 +19,25 @@ finite (JSON readers accept NaN and Infinity), or a grid size M < 1.
 Callable-kind banks have no sample-free encoding; exporting one samples it
 onto a grid (size divisible by the scale) and marks kind "grid".
 
-Every run report and every written bank goes through one writer, dumps(obj,
-default), whose text equals json.dumps(obj, indent=2, sort_keys=True,
-default=default) byte for byte.  The stdlib writes indented JSON with its
-pure-Python encoder, which dominates the cost of a report that carries
-65535 sampled values.  dumps leaves to it only the small skeleton of the
-object, with one placeholder string for each _Block of at least
-SLOT_NUMBERS numbers: the nested lists of one numeric array, such as the
-[re, im] pairs that _cvec returns.  Each such block is encoded once by the C
-encoder with the item separator "\\x01", and that flat text is laid out at
-the placeholder's depth with one str.replace per nesting level.  Number text
-is float.__repr__ and int.__repr__ in both encoders, and a block is a
-regular array of numbers, so its flat text holds "\\x01" and brackets only
-as structure.  A slot costs a fixed amount (a hook call, a C encode, a
-layout, a split of the skeleton's text), about what the pure-Python encoder
-spends on 10 numbers: in a small report holding one block of n [re, im]
-pairs, slotting the block cost 15 us more than writing it inline at n = 1,
-0.1 us more at n = 5 and 12 us less at n = 8.  So a block of fewer numbers,
-such as one eigenvalue's pair, stays in the skeleton and is written inline.
+Every run report and every written bank goes through one writer,
+pieces(obj, default), whose pieces joined (dumps) equal json.dumps(obj,
+indent=2, sort_keys=True, default=default) byte for byte: the stdlib's key
+order and key coercion, float.__repr__ and int.__repr__ number text, NaN and
+Infinity, and `default` applied to what JSON cannot encode and then to what
+it returns.  The stdlib writes indented JSON with a pure-Python encoder that
+yields through one generator per nesting level; pieces walks the object in
+one recursive function instead, in 0.5 to 0.6 of its time.  Each _Block of at
+least SLOT_NUMBERS numbers (the nested lists of one numeric array, such as
+the [re, im] pairs that _cvec returns) is written in one piece by _layout:
+the C encoder writes it with the item separator "\x01", and that flat text
+is laid out at the block's depth with one str.replace per nesting level.
+Number text is the same in both encoders, and a block is a regular array of
+numbers, so its flat text holds "\x01" and brackets only as structure.  A
+laid-out block costs a fixed amount, about what writing 10 numbers inline
+costs: in a small report holding one block of n [re, im] pairs, laying the
+block out cost 4.5 us more than writing it inline at n = 1, 0.6 us less at
+n = 5 and 3.5 us less at n = 8.  So a block of fewer numbers, such as one
+eigenvalue's pair, is written inline.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import re
 
 import numpy as np
 
@@ -58,7 +58,8 @@ class InputError(ValueError):
 
 
 class _Block(list):
-    """The nested lists of one numeric array, written by dumps in one piece."""
+    """The nested lists of one numeric array; pieces writes one of at least
+    SLOT_NUMBERS numbers in one piece."""
 
 
 def _cvec(values) -> list:
@@ -199,31 +200,40 @@ def filter_from_dict(d: dict):
 # the report writer
 
 
-class _Slot:
-    """Stands in the skeleton for a value that dumps writes itself."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-
-# a block of fewer numbers is written inline by the indent encoder: the
-# break-even of a block of [re, im] pairs
+# a _Block of fewer numbers is written inline, number by number
 SLOT_NUMBERS = 10
-# the C encoder of every slotted block (item separator "\x01")
+# the C encoder of every block of at least SLOT_NUMBERS numbers (item separator "\x01")
 _FLAT = json.JSONEncoder(separators=("\x01", ":"))
+_ESCAPE = json.encoder.encode_basestring_ascii
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-_PLACEHOLDER = "\x00pairs\x00"
-_PLACEHOLDER_TEXT = json.dumps(_PLACEHOLDER)
-# The placeholder as a whole string value.  Its text starts with a backslash
-# escape, so its opening quote cannot be a closing one (structure follows
-# those); an escaped quote has a backslash before it; a key has a colon after.
-_SLOT = re.compile(r"(?<!\\)" + re.escape(_PLACEHOLDER_TEXT) + r"(?!:)")
+
+def _float(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+# the text of a value of exactly one of these types; other values take the
+# stdlib's isinstance tests in its order
+_SCALARS = {str: _ESCAPE, float: _float, int: int.__repr__,
+            bool: lambda x: "true" if x else "false", type(None): lambda x: "null"}
+
+
+def _key(key) -> str:
+    """The stdlib's text for a non-string dict key."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float(key)
+    if key is True or key is False or key is None:
+        return _SCALARS[type(key)](key)
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _shape(block: list) -> tuple:
-    """Shape of a regular block; () when it holds no number, so dumps writes it inline."""
+    """Shape of a regular block; () when it holds no number, so it is written inline."""
     shape = []
     while isinstance(block, list):
         if not block:
@@ -251,45 +261,60 @@ def _layout(block: list, depth: int) -> str:
     return "".join(opens) + body + "".join(closes[::-1])
 
 
-def dumps(obj, default=None) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True, default=default), byte for byte.
-
-    _Block lists of at least SLOT_NUMBERS numbers, in obj or returned by
-    `default`, are encoded by the C encoder and laid out by _layout; a string
-    equal to the placeholder is a slot too, so that every placeholder in the
-    skeleton's text is one.
-    """
-    slots = []
-
-    def swap(x):
-        if isinstance(x, _Block):
-            return _Slot(x) if math.prod(_shape(x)) >= SLOT_NUMBERS else x
-        if isinstance(x, str):
-            return _Slot(x) if x == _PLACEHOLDER else x
-        if isinstance(x, dict):
-            return {k: swap(v) for k, v in x.items()}
-        if isinstance(x, (list, tuple)):
-            return [swap(v) for v in x]
-        return x
-
-    def hook(x):
-        if isinstance(x, _Slot):
-            slots.append(x.value)  # the encoder calls this in text order
-            return _PLACEHOLDER
-        if default is None:
-            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-        return swap(default(x))
-
-    text = json.dumps(swap(obj), indent=2, sort_keys=True, default=hook)
-    if not slots:
-        return text
-    parts = _SLOT.split(text)
-    out = [parts[0]]
-    for value, before, after in zip(slots, parts, parts[1:]):
-        if isinstance(value, str):
-            out.append(_PLACEHOLDER_TEXT)
+def _write(x, head: str, nl: str, append, default) -> None:
+    """Append the text of x, which follows `head` on a line; nl is "\\n" and the
+    line's indent, two spaces a level."""
+    scalar = _SCALARS.get(type(x))
+    if scalar is not None:
+        append(head + scalar(x))
+    elif isinstance(x, str):
+        append(head + _ESCAPE(x))
+    elif isinstance(x, int):
+        append(head + int.__repr__(x))
+    elif isinstance(x, float):
+        append(head + _float(x))
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            append(head + "[]")
+        elif isinstance(x, _Block) and math.prod(_shape(x)) >= SLOT_NUMBERS:
+            append(head)
+            append(_layout(x, len(nl) // 2))
         else:
-            line = before[before.rfind("\n") + 1:]
-            out.append(_layout(value, (len(line) - len(line.lstrip(" "))) // 2))
-        out.append(after)
-    return "".join(out)
+            inner = nl + "  "
+            head += "[" + inner
+            for item in x:
+                _write(item, head, inner, append, default)
+                head = "," + inner
+            append(nl + "]")
+    elif isinstance(x, dict):
+        if not x:
+            append(head + "{}")
+            return
+        inner = nl + "  "
+        head += "{" + inner
+        for key, item in sorted(x.items()):
+            if type(key) is not str:
+                key = _key(key)
+            _write(item, head + _ESCAPE(key) + ": ", inner, append, default)
+            head = "," + inner
+        append(nl + "}")
+    elif default is None:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    else:
+        _write(default(x), head, nl, append, default)
+
+
+def pieces(obj, default=None) -> list:
+    """The text of dumps(obj, default) as a list of strings, in order.
+
+    Nothing is returned when `default` raises or a value cannot be encoded,
+    so a caller that writes the pieces writes all of a report or none of it.
+    """
+    out = []
+    _write(obj, "", "\n", out.append, default)
+    return out
+
+
+def dumps(obj, default=None) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True, default=default), byte for byte."""
+    return "".join(pieces(obj, default))

@@ -315,6 +315,21 @@ def full_array_intertwining(fam, lam, depth):
 
 
 @pytest.mark.parametrize("n_ops,dim", [(1, 3), (2, 1), (2, 4), (3, 3), (5, 8)])
+def test_fock_model_fills_the_stacked_blocks_bit_for_bit(n_ops, dim):
+    fam = random_coisometry(n_ops, dim, np.random.default_rng(n_ops * 10 + dim))
+    eye = np.eye(dim, dtype=np.complex128)
+    for lam in (0.0, 0.5, 0.6 * np.exp(0.7j)):
+        for depth in (1, 2, 6):
+            w, _, d = dil._fock_model(fam, complex(lam), depth)
+            words = [wd for k in range(d + 1) for wd in itertools.product(range(n_ops), repeat=k)]
+            scale = math.sqrt(1.0 - abs(lam) ** 2)
+            stacked = np.stack([scale * complex(lam) ** len(wd) * dil._down_vector(fam, wd, eye)
+                                for wd in words])
+            assert w.dtype == stacked.dtype and w.shape == stacked.shape
+            assert w.tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize("n_ops,dim", [(1, 3), (2, 1), (2, 4), (3, 3), (5, 8)])
 def test_intertwining_on_the_read_rows_is_bitwise_the_full_array(n_ops, dim):
     fam = random_coisometry(n_ops, dim, np.random.default_rng(n_ops * 10 + dim))
     for lam in (0.5, 0.6 * np.exp(0.7j)):

@@ -196,6 +196,14 @@ def test_complete_db4():
     assert unitarity_residual(bank) < 1e-10
 
 
+def test_db4_fixture_is_the_completed_lowpass_bit_for_bit():
+    bank = fixtures.db4()
+    completed = complete_filterbank(bank.filters[0], 2)
+    for a, b in zip(bank.filters, completed.filters):
+        assert a.min_degree == b.min_degree and a.coeffs.tobytes() == b.coeffs.tobytes()
+    assert paraunitarity_residual(bank) <= 1e-15
+
+
 def test_complete_rejects_bad_filter():
     with pytest.raises(ValueError):
         complete_filterbank(LaurentPoly([1.0, 1.0]), 2)
@@ -635,6 +643,22 @@ def test_defect_stack_matches_coefficientwise_defects(scale, spread, rng):
         for s, es in zip(shifts, e):
             assert np.max(np.abs(es - ref.get(int(s), 0.0))) < 1e-12
         assert {s for s in ref if s >= 0} <= set(shifts.tolist())
+
+
+@pytest.mark.parametrize("name", ["haar2", "haar3", "haar4", "haar8", "haar16", "haar64",
+                                  "pu4", "pu8", "perturbed8"])
+def test_defect_norms_equal_the_matrix_two_norm_bit_for_bit(name, rng):
+    if name.startswith("haar"):
+        bank = fixtures.fixture_bank(name)
+    else:
+        bank = fixtures.random_paraunitary_bank(int(name[-1]), 3, rng)
+        if name.startswith("perturbed"):
+            filters = list(bank.filters)
+            filters[1] = filters[1] + LaurentPoly.monomial(2) * 1e-3j
+            bank = FilterBank(bank.scale, tuple(filters))
+    _, e = filterbank._defect_stack(bank.filters, bank.scale)
+    norms = filterbank._defect_norms(e)
+    assert norms.tobytes() == np.linalg.norm(e, ord=2, axis=(1, 2)).tobytes()
 
 
 @pytest.mark.parametrize("scale", [2, 3, 4])

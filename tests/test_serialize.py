@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -177,10 +178,13 @@ def test_missing_keys_and_wrong_types_are_input_errors(decode, d):
 
 _any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 _any_complex = st.builds(complex, _any_float, _any_float)
+# the placeholder and its JSON text from an earlier writer that spliced
+# blocks into the skeleton's text, kept as adversarial strings
+_PLACEHOLDER = "\x00pairs\x00"
+_PLACEHOLDER_TEXT = json.dumps(_PLACEHOLDER)
 _TRICKY = ["", "\x00", "[", "]", "[[", "]\x01[", "\x01", ",", ":", "\"", "\\",
-           ser._PLACEHOLDER, "\"" + ser._PLACEHOLDER, ser._PLACEHOLDER + "\"",
-           "\\" + ser._PLACEHOLDER, ser._PLACEHOLDER + ":", ser._PLACEHOLDER_TEXT,
-           ser._PLACEHOLDER * 2]
+           _PLACEHOLDER, "\"" + _PLACEHOLDER, _PLACEHOLDER + "\"",
+           "\\" + _PLACEHOLDER, _PLACEHOLDER + ":", _PLACEHOLDER_TEXT, _PLACEHOLDER * 2]
 _strings = st.one_of(st.sampled_from(_TRICKY), st.text(max_size=8),
                      st.lists(st.sampled_from(_TRICKY), max_size=3).map("".join))
 _dims = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)
@@ -208,16 +212,18 @@ def _stdlib(obj):
 @settings(max_examples=300, deadline=None)
 @given(_reports)
 @example({"pairs": ser._cvec(np.array([-0.0, 5e-324j, complex(np.nan, -np.inf)])),
-          ser._PLACEHOLDER: ser._PLACEHOLDER, "s": ["\"" + ser._PLACEHOLDER, "\x01[]"]})
+          _PLACEHOLDER: _PLACEHOLDER, "s": ["\"" + _PLACEHOLDER, "\x01[]"]})
 @example({"empty": np.zeros((2, 0, 3), dtype=np.complex128), "one": np.ones((1, 1, 1)) * 1j,
           "scalar": np.complex128(-0.0 - 1j), "ints": np.arange(-3, 3)})
 def test_dumps_matches_the_stdlib_layout(report):
-    assert ser.dumps(report, default=cli._json_default) == _stdlib(report)
+    pieces = ser.pieces(report, default=cli._json_default)
+    assert all(type(p) is str for p in pieces)
+    assert "".join(pieces) == ser.dumps(report, default=cli._json_default) == _stdlib(report)
 
 
 @pytest.mark.parametrize("obj", [
     ser._cvec(np.array([[1 + 2j, 3j]])), ser._cvec(1j), [ser._cvec(np.ones(2))],
-    ser._PLACEHOLDER, [ser._PLACEHOLDER, ser._cvec(2j)], {}, [], ser._cvec(np.zeros(0)),
+    _PLACEHOLDER, [_PLACEHOLDER, ser._cvec(2j)], {}, [], ser._cvec(np.zeros(0)),
 ])
 def test_dumps_matches_the_stdlib_layout_at_the_top_level(obj):
     assert ser.dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
@@ -229,6 +235,106 @@ def test_dumps_refuses_what_json_cannot_encode():
             ser.dumps({"poly": LaurentPoly.one()}, default=default)
     with pytest.raises(TypeError):
         ser.dumps({"z": 1j})
+    for obj in ({1: "a", "b": 2}, {(1, 2): 0}, {"k": {object(): 1}}):  # unsortable, bad keys
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            ser.dumps(obj)
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not the number"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not the number"
+
+
+@pytest.mark.parametrize("obj", [
+    {1: "int", -7: None, 2**70: True},
+    {0.5: 1, -0.0: 2, 1e300: 3, float("nan"): 4, float("inf"): 5, float("-inf"): 6},
+    {True: 1, False: [1, 2]},
+    {None: {}},
+    {_Int(3): _Int(4), _Int(-2): [_Int(-1), _Float(float("nan"))]},
+    {_Float(2.5): _Float(0.1), _Float(-1e-300): _Float(float("-inf"))},
+    {"t": (1, (2.5, "x"), ()), "nested": ((), [], {}, [{}], [[]])},
+    (), [], {}, "", 0, -0.0, float("nan"), True, None, (1, {"a": ()}),
+    {"x": np.float64(0.1), "y": [np.float64("-inf"), np.float64(1e-320)], "z": np.float64(-0.0)},
+    {"\u00e9\n\x7f": "\ud800", "\x00": ["\"", "\\"]},
+])
+def test_dumps_matches_the_stdlib_on_keys_scalars_and_containers(obj):
+    assert ser.dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_default_is_applied_to_what_it_returns():
+    class Box:
+        def __init__(self, depth):
+            self.depth = depth
+
+    def unbox(x):
+        if not isinstance(x, Box):
+            raise TypeError(type(x).__name__)
+        return [x.depth, Box(x.depth - 1)] if x.depth else (np.float64(0.5), ())
+
+    obj = {"b": Box(3), "l": [Box(0), {"c": Box(1)}]}
+    want = json.dumps(obj, indent=2, sort_keys=True, default=unbox)
+    assert ser.dumps(obj, default=unbox) == want
+
+
+def test_nothing_is_written_when_default_raises_part_way(tmp_path, capsys, monkeypatch):
+    # the check report's one array, pairwise_residuals, comes after "artifacts",
+    # "command", "elapsed" and the first keys of "info" have been encoded
+    def refuse(x):
+        raise TypeError("refused part-way")
+
+    argv = ["check", "--fixture", "haar4"]
+    monkeypatch.setattr(cli, "_json_default", refuse)
+    out = tmp_path / "report.json"
+    for route in (argv, ["--out", str(out), *argv]):
+        with pytest.raises(TypeError, match="refused part-way"):
+            cli.run(route)
+        assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_pieces_leave_no_reference_cycle():
+    # a cycle would keep a bank's laid-out blocks alive until the next collection
+    report = {"bank": ser.bank_to_dict(fixtures.haar(4)), "z": np.ones(3) * 1j, "k": [{}, ()]}
+    gc.collect()
+    gc.disable()
+    try:
+        ser.pieces(report, default=cli._json_default)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_no_bank_file_is_written_when_the_bank_cannot_be_encoded(tmp_path, capsys, monkeypatch):
+    encode = ser.bank_to_dict
+    monkeypatch.setattr(ser, "bank_to_dict",
+                        lambda bank: {**encode(bank), "zz_unencodable": LaurentPoly.one()})
+    out = tmp_path / "bank.json"
+    code = cli.run(["fixtures", "haar4", "--out-bank", str(out)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["artifacts"] == [] and "not JSON serializable" in report["info"]["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["fixtures", "haar16"], ["fixtures", "shannon"],
+                                  ["complete", "--lowpass", None, "--scale", "3"]])
+def test_a_bank_written_through_writelines_equals_dumps(argv, tmp_path, capsys):
+    low = tmp_path / "low.json"
+    low.write_text(json.dumps(ser.filter_to_dict(fixtures.haar(3).filters[0])))
+    argv = [str(low) if a is None else a for a in argv]  # None: the low-pass file
+    out = tmp_path / "bank.json"
+    assert cli.run([*argv, "--out-bank", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text()
+    bank = ser.bank_from_dict(json.loads(text))
+    assert text == ser.dumps(ser.bank_to_dict(bank)) == json.dumps(json.loads(text), indent=2,
+                                                                   sort_keys=True)
 
 
 def _shapes(size):
