@@ -9,6 +9,11 @@ mother functions follow from the band split, and the periodization residual
 checks the lattice-sum identity sum_k |phihat(t + 2*pi*k)|^2 = 1/(2*pi) that
 encodes orthonormality of the integer translates.
 
+The level loop of truncated_product scales each level's filter values into
+a buffer it allocates itself and multiplies that into its own accumulator:
+it never writes into an array a callable filter received or returned, so a
+rule may keep its input or hand back a cached array.
+
 Everything here stays on the frequency side; no time-domain rendering is
 provided.  Grid-kind filters are evaluated by nearest-grid lookup, which is
 honest only for smooth data; such runs carry an `approximate` flag.  That
@@ -80,11 +85,13 @@ def truncated_product(lowpass: Filter, scale: int, t, depth: int) -> np.ndarray:
     """prod_{k=1..depth} scale^(-1/2) * m_0(t / scale^k) at the angles t."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     acc = np.ones(t.shape, dtype=np.complex128)
+    buf = np.empty_like(acc)
     root = math.sqrt(scale)
     for _ in range(depth):
         t = t / scale  # t / scale**k, without forming a float of scale**k
         vals, _ = _values_at_t(lowpass, t)
-        acc *= vals / root
+        np.divide(vals, root, out=buf)
+        acc *= buf
     return acc
 
 

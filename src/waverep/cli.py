@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -95,18 +96,38 @@ CASCADE_DEPTH_MAX = 1000
 CASCADE_SAMPLES_MAX = 1048577
 CASCADE_PER_MAX = 8191
 # the three caps multiply: depth x (samples + the --per grid's samples), twice
-# with --mother, is the number of filter values, at about 0.1 us each
+# with --mother, is the number of filter values, at about 0.1 us each; a
+# polynomial low-pass weights each value by ceil(taps / 8), since eight Horner
+# steps cost about one complex exp
 CASCADE_WORK_MAX = 2 ** 25
+CASCADE_TAPS_PER_VALUE = 8
 
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError as e:
         raise InputError(f"no such file: {path}") from e
+    except OSError as e:
+        raise InputError(f"cannot read {path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path} is not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise InputError(f"malformed JSON in {path}: {e}") from e
+
+
+def _write_text(path: str, lines) -> None:
+    """Write text pieces to a file; a path that cannot be opened or written is an input error.
+
+    Reports and bank files are encoded before the call, so an encoding error
+    cannot leave one half-written.
+    """
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def _load_bank(args) -> "FilterBank":
@@ -132,10 +153,9 @@ def _json_default(x):
 
 
 def emit_csv(path: str, samples: cas.LineSamples) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,re,im,abs\n")
-        for t, v in zip(samples.t_values, samples.values):
-            fh.write(f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r},{float(abs(v))!r}\n")
+    rows = (f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r},{float(abs(v))!r}\n"
+            for t, v in zip(samples.t_values, samples.values))
+    _write_text(path, itertools.chain(["t,re,im,abs\n"], rows))
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +173,7 @@ def _produced_bank(bank, out_bank):
         residuals = {"unitarity": unitarity_residual(bank)}
     artifacts = []
     if out_bank:
-        text = ser.pieces(ser.bank_to_dict(bank))
-        with open(out_bank, "w") as fh:
-            fh.writelines(text)
+        _write_text(out_bank, ser.pieces(ser.bank_to_dict(bank)))
         artifacts.append(out_bank)
     return max(residuals.values()) <= VERIFY_TOL, residuals, artifacts
 
@@ -213,13 +231,17 @@ def cmd_cascade(args):
     if t_max <= 0:
         raise InputError(f"--t-max must be positive, got {args.t_max!r}")
     per_samples = 2 * 32 * (2 * args.per + 1) + 1 if args.per else 0  # spacing pi/32
-    work = args.depth * (args.samples + per_samples) * (2 if args.mother else 1)
+    lowpass = bank.filters[0]
+    taps = len(lowpass.coeffs) if isinstance(lowpass, LaurentPoly) else 0
+    weight = max(1, -(-taps // CASCADE_TAPS_PER_VALUE))
+    work = args.depth * (args.samples + per_samples) * (2 if args.mother else 1) * weight
     if work > CASCADE_WORK_MAX:
         mother = " x 2 for --mother" if args.mother else ""
-        raise InputError(f"cascade needs {work} filter values (depth {args.depth} x "
-                         f"({args.samples} + {per_samples} --per samples){mother}); "
+        heavy = f" x {weight} for {taps} low-pass taps" if weight > 1 else ""
+        raise InputError(f"cascade needs {work} weighted filter values (depth {args.depth} x "
+                         f"({args.samples} + {per_samples} --per samples){mother}{heavy}); "
                          f"the cap is {CASCADE_WORK_MAX}")
-    phi = cas.scaling_hat(bank.filters[0], bank.scale, t_max=t_max,
+    phi = cas.scaling_hat(lowpass, bank.scale, t_max=t_max,
                           samples=args.samples, depth=args.depth)
     target = 1.0 / math.sqrt(2.0 * math.pi)
     zero_gap = abs(phi.value_at_zero() - target)
@@ -235,7 +257,7 @@ def cmd_cascade(args):
         target_samples = cas.mother_hat(bank, args.mother, phi)
         info["mother_index"] = args.mother
     if args.per:
-        wide = cas.scaling_hat(bank.filters[0], bank.scale, t_max=(2 * args.per + 1) * math.pi,
+        wide = cas.scaling_hat(lowpass, bank.scale, t_max=(2 * args.per + 1) * math.pi,
                                samples=per_samples, depth=args.depth)
         if args.mother:
             wide = cas.mother_hat(bank, args.mother, wide)
@@ -482,31 +504,33 @@ def run(argv) -> int:
     # looked up at call time, so that a wrapper installed around a handler runs
     handler = globals()[f"cmd_{args.command}"]
     try:
-        verdicts, residuals, info, artifacts = handler(args)
-        code = 0 if all(verdicts.values()) else 1
+        try:
+            verdicts, residuals, info, artifacts = handler(args)
+            code = 0 if all(verdicts.values()) else 1
+        except InputError:
+            raise
+        except (ValueError, IndexError, KeyError, TypeError) as e:
+            verdicts, residuals, artifacts = {"ok": False}, {}, []
+            info = {"error": str(e)}
+            code = 1
+        report = {
+            "command": args.command,
+            "inputs": {k: v for k, v in sorted(vars(args).items()) if v is not None},
+            "verdicts": verdicts,
+            "residuals": residuals,
+            "artifacts": artifacts,
+            "elapsed": time.monotonic() - start,
+            "info": info,
+        }
+        text = ser.pieces(report, default=_json_default)
+        text.append("\n")
+        if args.out:
+            _write_text(args.out, text)
+        else:
+            sys.stdout.writelines(text)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, IndexError, KeyError, TypeError) as e:
-        verdicts, residuals, artifacts = {"ok": False}, {}, []
-        info = {"error": str(e)}
-        code = 1
-    report = {
-        "command": args.command,
-        "inputs": {k: v for k, v in sorted(vars(args).items()) if v is not None},
-        "verdicts": verdicts,
-        "residuals": residuals,
-        "artifacts": artifacts,
-        "elapsed": time.monotonic() - start,
-        "info": info,
-    }
-    text = ser.pieces(report, default=_json_default)
-    text.append("\n")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.writelines(text)
-    else:
-        sys.stdout.writelines(text)
     return code
 
 

@@ -54,11 +54,25 @@ def _half_band(on: float, off: float):
     """Angle rule: `on` on the half-open arc t in [-pi/2, pi/2) mod 2*pi, `off` elsewhere.
 
     A 1e-9 snap makes the boundary decision deterministic for near-dyadic t.
+
+    The reduced angle r = mod(u, 2) - 1 with u = t/pi + 1 is taken in the
+    floor form u - 2 floor(u/2), which equals np.mod(u, 2.0) bit for bit at
+    a fraction of its cost (np.mod calls fmod once per element).  The form
+    is exact: u is 0 or at least 2^-53 in modulus, so 0.5 u never rounds and
+    2 floor(u/2) is exact.  For u >= 0 the difference is the exact
+    remainder; for u < 0 it is the exact remainder plus 2, rounded once, as
+    np.mod rounds it; an even u (and -0.0) gives +0.0 on both sides; nan and
+    +-inf give nan on both.
     """
     def rule(t: np.ndarray) -> np.ndarray:
-        r = np.mod(t / np.pi + 1.0, 2.0) - 1.0
+        r = np.divide(t, np.pi, out=np.empty(np.shape(t)))  # an array even for scalar t
+        r += 1.0
+        r -= 2.0 * np.floor(0.5 * r)
+        r -= 1.0
         mask = (r >= -0.5 - 1e-9) & (r < 0.5 - 1e-9)
-        return np.where(mask, on, off).astype(np.complex128)
+        out = np.full(r.shape, off, dtype=np.complex128)
+        np.copyto(out.real, on, where=mask)
+        return out
     return rule
 
 

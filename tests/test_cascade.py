@@ -6,6 +6,7 @@ import pytest
 from waverep import fixtures
 from waverep.cascade import (
     LineSamples,
+    _values_at_t,
     cascade_limit_residual,
     mother_hat,
     per_residual,
@@ -13,7 +14,8 @@ from waverep.cascade import (
     symmetric_grid,
     truncated_product,
 )
-from waverep.laurent import LaurentPoly
+from waverep.filterbank import AngleFunction
+from waverep.laurent import CircleGrid, LaurentPoly, sample
 
 TWO_PI = 2.0 * math.pi
 TARGET0 = 1.0 / math.sqrt(TWO_PI)
@@ -220,3 +222,57 @@ def test_deep_products_at_scale_three_stay_finite():
     assert abs(vals[16] - 1.0) < 1e-12
     gap = cascade_limit_residual(m0, 3, LaurentPoly.one(), 700, samples=65)
     assert math.isfinite(gap)
+
+
+def _old_truncated_product(lowpass, scale, t, depth):
+    # the level loop as written before it scaled each level into its own buffer
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    acc = np.ones(t.shape, dtype=np.complex128)
+    root = math.sqrt(scale)
+    for _ in range(depth):
+        t = t / scale
+        vals, _ = _values_at_t(lowpass, t)
+        acc *= vals / root
+    return acc
+
+
+def _product_filters():
+    rng = np.random.default_rng(7)
+    shannon_low, shannon_high = fixtures.shannon().filters
+    return {
+        "db4": fixtures.db4().filters[0],
+        "laurent_negative_degrees": LaurentPoly(rng.normal(size=7) + 1j * rng.normal(size=7),
+                                                min_degree=-4),
+        "grid": sample(fixtures.db4().filters[0], CircleGrid(96)),
+        "shannon_low": shannon_low,
+        "shannon_high": shannon_high,
+    }
+
+
+@pytest.mark.parametrize("depth", [1, 20, 64])
+@pytest.mark.parametrize("scale", [2, 3])
+@pytest.mark.parametrize("name", list(_product_filters()))
+def test_truncated_product_is_the_old_loop_bit_for_bit(name, scale, depth):
+    f = _product_filters()[name]
+    t = np.concatenate([symmetric_grid(8 * math.pi, 4097),
+                        np.random.default_rng(depth).uniform(-40.0, 40.0, 257)])
+    assert np.array_equal(truncated_product(f, scale, t, depth),
+                          _old_truncated_product(f, scale, t, depth))
+
+
+def test_truncated_product_writes_no_array_a_callable_holds():
+    cached = {}
+    seen = []
+
+    def rule(t):
+        seen.append((t, t.copy()))
+        return cached.setdefault(t.shape, np.exp(-1j * np.arange(t.size)) * math.sqrt(2.0))
+
+    rule(np.zeros(9))
+    kept = cached[(9,)].copy()
+    vals = truncated_product(AngleFunction(rule), 2, np.linspace(-1.0, 1.0, 9), 12)
+    assert np.allclose(np.abs(vals), 1.0)
+    assert np.array_equal(cached[(9,)], kept)
+    assert len(seen) == 13
+    for t, copy in seen:
+        assert np.array_equal(t, copy)

@@ -198,6 +198,28 @@ def test_cascade_work_cap_is_inclusive(argv, work, monkeypatch, capsys):
     assert str(work) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bank, weight", [
+    (["--fixture", "haar8"], 1),
+    (["--fixture", "haar9"], 2),
+    (["--fixture", "haar16"], 2),
+    (["--fixture", "haar17"], 3),
+    (["--fixture", "haar256"], 32),
+    (["--fixture", "shannon"], 1),
+    ("grid", 1),
+])
+def test_cascade_work_cap_weights_polynomial_taps(bank, weight, tmp_path, monkeypatch, capsys):
+    if bank == "grid":
+        bank = ["--bank", _grid_bank_file(tmp_path)]
+    argv = ["cascade", *bank, "--depth", "2", "--samples", "257"]
+    work = 2 * 257 * weight
+    monkeypatch.setattr(cli, "CASCADE_WORK_MAX", work)
+    code, rep = run_json(capsys, argv)
+    assert code == 0 and rep["verdicts"]["value_at_zero"] is True
+    monkeypatch.setattr(cli, "CASCADE_WORK_MAX", work - 1)
+    assert run(argv) == 2
+    assert str(work) in capsys.readouterr().err
+
+
 def test_cascade_rejects_bad_lowpass_exits_one(capsys):
     code, rep = run_json(capsys, ["cascade", "--fixture", "monomial(0,1)"])
     assert code == 1
@@ -389,6 +411,12 @@ def _untagged_file(tmp_path, d):
     return str(path)
 
 
+def _bytes_file(tmp_path, data):
+    path = tmp_path / "raw.json"
+    path.write_bytes(data)
+    return str(path)
+
+
 @pytest.mark.parametrize("case", [
     "negative_grid_size",
     "zero_grid_size",
@@ -444,6 +472,14 @@ def _untagged_file(tmp_path, d):
     "check_haar_fixture_above_cap",
     "fixtures_haar_far_above_cap",
     "fixtures_haar_scale_one",
+    "out_in_missing_dir",
+    "out_is_a_directory",
+    "out_bank_in_missing_dir",
+    "csv_in_missing_dir",
+    "check_bank_is_a_directory",
+    "equiv_input_is_a_directory",
+    "bank_file_not_utf8",
+    "cascade_work_weighted_by_taps",
 ])
 def test_input_errors_exit_two(case, tmp_path, capsys):
     argv = {
@@ -533,6 +569,20 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
             "check", "--fixture", f"haar{fixtures.HAAR_FIXTURE_MAX + 1}"],
         "fixtures_haar_far_above_cap": lambda: ["fixtures", "haar65536"],
         "fixtures_haar_scale_one": lambda: ["fixtures", "haar1"],
+        "out_in_missing_dir": lambda: [
+            "--out", str(tmp_path / "missing" / "r.json"), "fixtures", "haar2"],
+        "out_is_a_directory": lambda: ["--out", str(tmp_path), "fixtures", "haar2"],
+        "out_bank_in_missing_dir": lambda: [
+            "fixtures", "haar2", "--out-bank", str(tmp_path / "missing" / "b.json")],
+        "csv_in_missing_dir": lambda: [
+            "cascade", "--fixture", "db4", "--csv", str(tmp_path / "missing" / "c.csv")],
+        "check_bank_is_a_directory": lambda: ["check", str(tmp_path)],
+        "equiv_input_is_a_directory": lambda: [
+            "equiv", "--u1", str(tmp_path), "--u2", str(tmp_path), "--scale", "2"],
+        "bank_file_not_utf8": lambda: ["check", _bytes_file(tmp_path, b'{"scale": 2, "\xff": 1}')],
+        # 8 x 1048577 values of a 256-tap low-pass, weighted 32
+        "cascade_work_weighted_by_taps": lambda: [
+            "cascade", "--fixture", "haar256", "--depth", "8", "--samples", "1048577"],
     }[case]()
     assert run(argv) == 2
     captured = capsys.readouterr()

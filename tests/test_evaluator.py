@@ -130,11 +130,23 @@ def test_shannon_pair_is_the_two_old_rules():
     dyadic = np.pi / 2 * np.arange(-64, 65)
     # offsets on both sides of the 1e-9 snap (in units of pi) and far inside it
     offsets = np.pi * 1e-9 * np.array([0.0, 1e-3, 0.5, 0.999, 1.001, 2.0])
+    # a few ulps either side of +-pi/2, of the snap edges (+-1/2 - 1e-9) pi and of odd
+    # multiples of pi; |t| up to 2^40 pi; signed zero, infinities and nan
+    edges = np.pi * np.array([0.5, -0.5, 0.5 - 1e-9, -0.5 - 1e-9, 1.0, -1.0, 3.0, -3.0,
+                              1025.0, -1025.0, 2.0 ** 40 + 1.0])
+    near = (edges[:, None] + np.arange(-4, 5) * np.spacing(edges)[:, None]).ravel()
+    big = np.pi * 2.0 ** np.arange(0, 41)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
     t = np.concatenate([np.linspace(-16 * np.pi, 16 * np.pi, 65537),
-                        (dyadic[:, None] + offsets).ravel(), (dyadic[:, None] - offsets).ravel()])
+                        (dyadic[:, None] + offsets).ravel(), (dyadic[:, None] - offsets).ravel(),
+                        near, big, -big, big * 1.25, -big * 0.75, special])
     low, high = fixtures.shannon().filters
-    assert np.array_equal(low.values_at_t(t), _old_shannon_low(t))
-    assert np.array_equal(high.values_at_t(t), _old_shannon_high(t))
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(low.values_at_t(t), _old_shannon_low(t))
+        assert np.array_equal(high.values_at_t(t), _old_shannon_high(t))
+    for x in (0.3, -np.pi / 2, np.float64(3.0), np.asarray(np.pi / 2)):  # scalar t, 0-d value
+        assert low.fn(x).shape == () and low.fn(x) == _old_shannon_low(x)
+        assert high.fn(x).shape == () and high.fn(x) == _old_shannon_high(x)
 
 
 @pytest.mark.parametrize("bank", [
