@@ -11,22 +11,20 @@ three kinds, uniform within a bank:
 
 The central object is the N x N modulation matrix C(z) with entries
 N^(-1/2) m_i(rho^k z), rho = exp(2*pi*i/N); a bank is "verified" when that
-matrix is unitary, up to tolerance.  Each kind takes one route.
+matrix is unitary, up to tolerance.  Each kind takes one route, chosen
+here and nowhere else: check_bank and the public qmf_residual,
+pairwise_residual and unitarity_residual all take it.
 
-* A polynomial bank is decided by its coefficients; no grid is built.  The
-  Gram matrix G(z) = C(z) C(z)* satisfies G(z) - I = sum_s E_s z^(N s), and
-  every residual of a report is read off the stack of polyphase defects E_s
-  (Vaidyanathan, Multirate Systems and Filter Banks, 1993, ch. 14): the
-  certificate sum_s ||E_s||_2 bounds the unitarity deviation, and N sum_s
-  |E_s[i, j]| the quadrature-mirror and pairwise deviations, everywhere on
-  the circle.
+* A polynomial bank is decided by its coefficients; no grid is built, and
+  passing one raises ValueError.  The Gram matrix G(z) = C(z) C(z)*
+  satisfies G(z) - I = sum_s E_s z^(N s), and every residual is read off
+  the stack of polyphase defects E_s (Vaidyanathan, Multirate Systems and
+  Filter Banks, 1993, ch. 14): the certificate sum_s ||E_s||_2 bounds the
+  unitarity deviation, and N sum_s |E_s[i, j]| the quadrature-mirror and
+  pairwise deviations, everywhere on the circle.
 * Grid and callable banks are sampled once per filter, and every residual
   is read off one batch of Gram matrices C(z) C(z)* over a fundamental
   domain of z -> rho z.  Their verdicts are screens.
-
-The public qmf_residual, pairwise_residual and unitarity_residual take the
-grid route for every kind; on a polynomial bank each is bounded by the
-matching coefficient value.
 """
 
 from __future__ import annotations
@@ -117,13 +115,12 @@ class CheckReport:
 
     @property
     def verified(self) -> bool:
-        exact = self.coefficient_residual or 0.0
-        return self.unitarity_residual <= VERIFY_TOL and exact <= VERIFY_TOL
+        return self.unitarity_residual <= VERIFY_TOL
 
 
-def default_check_grid(scale: int, points: int = DEFAULT_CHECK_POINTS) -> CircleGrid:
+def default_check_grid(scale: int) -> CircleGrid:
     """A grid whose size is a multiple of the scale (rotation = index shift)."""
-    return CircleGrid(scale * math.ceil(points / scale))
+    return CircleGrid(scale * math.ceil(DEFAULT_CHECK_POINTS / scale))
 
 
 def filter_values_at_angles(f: Filter, theta: np.ndarray) -> np.ndarray:
@@ -151,25 +148,17 @@ def values_on_coset(f: Filter, scale: int, grid: CircleGrid, *,
                     columns: int | None = None) -> np.ndarray:
     """Array V[k, j] = m(rho^k z_j), k = 0..N-1, over grid points j < columns (default M).
 
-    A polynomial is sampled by one inverse FFT of its coefficients folded
-    modulo L = lcm(M, N): the L-th roots of unity hold every z_j and every
-    rho^k z_j, so rotation is an index shift.  A grid-kind filter needs this
-    grid and N | M, and rotation is a roll.  A callable is called once.
+    A grid-kind filter needs this grid and N | M, and rotation is an index
+    shift.  Any other filter is evaluated once at all the points.
     """
     n, m = scale, grid.M
     cols = m if columns is None else columns
-    size = m if isinstance(f, GridFunction) else math.lcm(m, n)
-    index = (np.arange(cols)[None, :] * (size // m) + np.arange(n)[:, None] * (size // n)) % size
     if isinstance(f, GridFunction):
         if f.grid != grid:
             raise ValueError("grid filter is bound to a different grid")
         if m % n != 0:
             raise ValueError("coset sweep of a grid filter needs M divisible by the scale")
-        return f.values[index]
-    if isinstance(f, LaurentPoly):
-        folded = np.zeros(size, dtype=np.complex128)
-        np.add.at(folded, (f.min_degree + np.arange(len(f.coeffs))) % size, f.coeffs)
-        return np.fft.ifft(folded, norm="forward")[index]
+        return f.values[(np.arange(cols)[None, :] + np.arange(n)[:, None] * (m // n)) % m]
     theta = grid.angles()[None, :cols] + (2.0 * np.pi * np.arange(n) / n)[:, None]
     return filter_values_at_angles(f, theta.ravel()).reshape(n, cols)
 
@@ -205,28 +194,44 @@ def _worst_unitarity(gram: np.ndarray, grid: CircleGrid):
 # residuals
 
 
+def _by_coefficients(f: Filter, grid: CircleGrid | None) -> bool:
+    """Whether the residuals of f, or of a bank of f's kind, come from the defect
+    stack: true for a polynomial, which takes no grid."""
+    if not isinstance(f, LaurentPoly):
+        return False
+    if grid is not None:
+        raise ValueError("a polynomial is decided by its coefficients, not on a grid")
+    return True
+
+
 def qmf_residual(f: Filter, scale: int, grid: CircleGrid | None = None) -> float:
-    """Max over the grid of |sum_k |m(rho^k z)|^2 - N|."""
+    """Deviation of sum_k |m(rho^k z)|^2 from N: N times the certificate of the
+    single filter for a polynomial, which bounds it everywhere on the circle;
+    its max over the grid for any other filter."""
+    if _by_coefficients(f, grid):
+        return scale * _polyphase_certificate((f,), scale)
     gram, _ = _coset_gram((f,), scale, grid)
     return float(scale * np.max(np.abs(gram[:, 0, 0] - 1.0)))
 
 
 def pairwise_residual(fb: FilterBank, i: int, j: int, grid: CircleGrid | None = None) -> float:
-    """Max over the grid of |sum_k conj(m_i) m_j over a coset - delta_ij N|."""
+    """Deviation of sum_k conj(m_i) m_j over a coset from delta_ij N: the bound
+    N sum_s |E_s[i, j]| for a polynomial bank, its max over the grid otherwise."""
     n = fb.scale
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError("filter index out of range")
+    if _by_coefficients(fb.filters[0], grid):
+        return float(_pairwise_bounds(_defect_stack(fb.filters, n)[1], n)[i, j])
     gram, _ = _coset_gram((fb.filters[i], fb.filters[j]), n, grid)
     return float(n * np.max(np.abs(gram[:, 0, 1] - float(i == j))))
 
 
 def unitarity_residual(fb: FilterBank, grid: CircleGrid | None = None) -> float:
-    """Max over the grid of the spectral norm of C(z) C(z)* - I."""
-    return unitarity_residual_with_argmax(fb, grid)[0]
-
-
-def unitarity_residual_with_argmax(fb: FilterBank, grid: CircleGrid | None = None):
-    return _worst_unitarity(*_coset_gram(fb.filters, fb.scale, grid))
+    """Spectral-norm deviation of C(z) C(z)* from I: the certificate sum_s ||E_s||_2
+    of a polynomial bank (paraunitarity_residual), its max over the grid otherwise."""
+    if _by_coefficients(fb.filters[0], grid):
+        return _polyphase_certificate(fb.filters, fb.scale)
+    return _worst_unitarity(*_coset_gram(fb.filters, fb.scale, grid))[0]
 
 
 def paraunitarity_residual(fb: FilterBank) -> float:
@@ -300,15 +305,19 @@ def _certificate(norms: np.ndarray) -> float:
     return float(norms[0] + 2.0 * np.sum(norms[1:]))
 
 
+def _pairwise_bounds(e: np.ndarray, scale: int) -> np.ndarray:
+    """N sum over all s of |E_s[i, j]|, from a defect stack at s >= 0 (|E_{-s}[i, j]| =
+    |E_s[j, i]|): each bounds |sum_k conj(m_i) m_j over a coset - delta_ij N| on the circle."""
+    mags = np.abs(e)
+    return scale * (mags[0] + np.sum(mags[1:] + mags[1:].transpose(0, 2, 1), axis=0))
+
+
 def require_verified(fb: FilterBank, tol: float = VERIFY_TOL) -> None:
-    """Raise ValueError unless the bank is unitary within tol, decided by kind:
-    a polynomial bank by its exact certificate (which bounds the grid
-    residual), grid and callable banks by the grid residual."""
-    exact = fb.kind == "poly"
-    res = paraunitarity_residual(fb) if exact else unitarity_residual(fb)
+    """Raise ValueError unless unitarity_residual(fb) <= tol."""
+    res = unitarity_residual(fb)
     if res > tol:
-        raise ValueError(f"bank is not verified ({'coefficient' if exact else 'unitarity'} "
-                         f"residual {res:.3g})")
+        raise ValueError(f"bank is not verified (unitarity residual {res:.3g}, which is the "
+                         f"coefficient residual of a polynomial bank)")
 
 
 def modulation_matrix(fb: FilterBank, z: complex) -> np.ndarray:
@@ -356,9 +365,7 @@ def check_bank(fb: FilterBank, grid: CircleGrid | None = None) -> CheckReport:
     residuals of a grid or callable bank are sampled on the grid.
     """
     n = fb.scale
-    if fb.kind == "poly":
-        if grid is not None:
-            raise ValueError("a polynomial bank is decided by its coefficients, not on a grid")
+    if _by_coefficients(fb.filters[0], grid):
         return _check_coefficients(fb)
     gram, grid = _coset_gram(fb.filters, n, grid)
     pw = n * np.max(np.abs(gram - np.eye(n)), axis=0)
@@ -377,15 +384,13 @@ def _check_coefficients(fb: FilterBank) -> CheckReport:
     """check_bank of a polynomial bank, from its defect stack alone.
 
     Each residual bounds the sup over the circle of the grid residual it
-    stands for: |G_ij(z) - delta_ij| <= sum_s |E_s[i, j]| over all s, where
-    |E_{-s}[i, j]| = |E_s[j, i]|, and the unitarity residual is the
+    stands for (_pairwise_bounds), and the unitarity residual is the
     certificate sum_s ||E_s||_2.
     """
     n = fb.scale
     shifts, e = _defect_stack(fb.filters, n)
     norms = _defect_norms(e)
-    mags = np.abs(e)
-    pw = n * (mags[0] + np.sum(mags[1:] + mags[1:].transpose(0, 2, 1), axis=0))
+    pw = _pairwise_bounds(e, n)
     cert = _certificate(norms)
     return CheckReport(
         qmf_residuals=[float(pw[i, i]) for i in range(n)],
@@ -403,28 +408,26 @@ def _check_coefficients(fb: FilterBank) -> CheckReport:
 # completion: extend a quadrature-mirror m_0 to a full unitary bank
 
 
-def complete_filterbank(lowpass: Filter, scale: int, tol: float = VERIFY_TOL,
-                        grid: CircleGrid | None = None) -> FilterBank:
+def complete_filterbank(lowpass: Filter, scale: int, tol: float = VERIFY_TOL) -> FilterBank:
     """Extend a single filter satisfying the QMF identity to a verified bank.
 
+    The identity is gated by qmf_residual, exact for a polynomial.
     Polynomial input at scale 2 stays polynomial via the conjugate-mirror
     rule m_1(z) = -z^(2K-1) * conj-reflect(m_0)(-z), K the top degree; the
     sign fixes a canonical phase.  Polynomial input at scale > 2 falls back
-    to a grid-kind bank, as does grid input: each rotation orbit {z_j, rho z_j,
-    .., rho^(N-1) z_j}, j < M/N, gets its filter values from one unitary whose
-    first row is the normalized coset vector of m_0, so the modulation matrix
-    at every grid point is a column permutation of an exactly unitary matrix.
+    to a grid-kind bank on the default check grid, as does grid input on its
+    own grid: each rotation orbit {z_j, rho z_j, .., rho^(N-1) z_j}, j < M/N,
+    gets its filter values from one unitary whose first row is the
+    normalized coset vector of m_0, so the modulation matrix at every grid
+    point is a column permutation of an exactly unitary matrix.
     """
     n = scale
-    res = qmf_residual(lowpass, n, grid)
+    res = qmf_residual(lowpass, n)
     if res > tol:
         raise ValueError(f"filter violates the quadrature-mirror identity (residual {res:.3g})")
     if isinstance(lowpass, LaurentPoly) and n == 2:
         return FilterBank(2, (lowpass, conjugate_mirror(lowpass)))
-    grid = _grid_or_default(lowpass, n, grid)
-    if grid.M % n != 0:
-        raise ValueError("completion grid size must be divisible by the scale")
-    # Horner, not the FFT sampler: the reflectors amplify the 1e-16 gap between them
+    grid = _grid_or_default(lowpass, n, None)  # N | M, or the gate above refused
     m0_vals = filter_values_at_angles(lowpass, grid.angles())
     root_n = math.sqrt(n)
     q = householder_rows(m0_vals.reshape(n, -1).T / root_n)  # q[j] for orbit j

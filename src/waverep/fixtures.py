@@ -97,37 +97,27 @@ def monomial(digits) -> FilterBank:
 def random_paraunitary_bank(scale: int, n_factors: int, rng: np.random.Generator) -> FilterBank:
     """A random polynomial bank with an exactly unitary modulation matrix.
 
-    The polyphase matrix is a product of a random constant unitary with
-    degree-one factors I - v v* + z v v* over random unit vectors v, which
-    is paraunitary; the filters are reassembled from its rows.
+    The polyphase matrix E(w) = Q prod (I - v v* + w v v*), a random constant
+    unitary Q times degree-one factors over random unit vectors v, is
+    paraunitary.  Its coefficients are kept as a stack e[l] of N x N
+    matrices, and filter i is m_i(z) = sum_r z^r E_ir(z^N), so its
+    coefficient of degree N l + r is e[l, i, r].
     """
     n = scale
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, _ = np.linalg.qr(g)
-    poly = [[LaurentPoly([q[i, j]]) for j in range(n)] for i in range(n)]
-    zee = LaurentPoly.monomial(1)
+    e = q[None]
+    eye = np.eye(n)
     for _ in range(n_factors):
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         v /= np.linalg.norm(v)
         proj = np.outer(v, np.conj(v))
-        factor = [[LaurentPoly([np.eye(n)[r, c] - proj[r, c]]) + zee * proj[r, c]
-                   for c in range(n)] for r in range(n)]
-        poly = [[_poly_dot(poly[r], [factor[k][c] for k in range(n)])
-                 for c in range(n)] for r in range(n)]
-    filters = []
-    for i in range(n):
-        acc = LaurentPoly.zero()
-        for r in range(n):
-            acc = acc + LaurentPoly.monomial(r) * poly[i][r].compose_power(n)
-        filters.append(acc)
-    return FilterBank(n, tuple(filters))
-
-
-def _poly_dot(row, col) -> LaurentPoly:
-    acc = LaurentPoly.zero()
-    for a, b in zip(row, col):
-        acc = acc + a * b
-    return acc
+        nxt = np.zeros((e.shape[0] + 1, n, n), dtype=np.complex128)
+        nxt[:-1] += e @ (eye - proj)
+        nxt[1:] += e @ proj
+        e = nxt
+    rows = e.transpose(1, 0, 2).reshape(n, -1)
+    return FilterBank(n, tuple(LaurentPoly(row) for row in rows))
 
 
 # The largest haarN that fixture_bank builds.  A haarN bank holds N^2

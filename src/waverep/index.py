@@ -10,10 +10,11 @@ the unitary part of its Wold decomposition, and the total dimension of the
 validated eigenspaces is reported as the index of the pair.
 
 The window the filters fix.  With [a, b] the degree range of (f0, f1) and
-K0 = max(-a, b, 0), M sends z^n into the modes [2n + a, 2n + b], all farther
-out than n when |n| > K0.  So in the basis (inner [-K0, K0], outer) the
-compression of M to a window K >= K0 is block lower-triangular [[A, 0],
-[B, C]] with C nilpotent, and its nonzero spectrum is that of A.  The
+K0 = max(-a, b, 0) (laurent.invariant_radius at N = 2), M sends z^n into the
+modes [2n + a, 2n + b], all farther out than n when |n| > K0.  So in the
+basis (inner [-K0, K0], outer) the compression of M to a window K >= K0 is
+block lower-triangular [[A, 0], [B, C]] with C nilpotent, and its nonzero
+spectrum is that of A.  The
 eigensolve runs on the window min(K, K0), which is the window a report
 gives.  The compression is assembled by one gather from the filter taps
 (entry [2n + j, n] is 2^(-1/2) (f0_j + (-1)^n f1_j)), with no operator
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filterbank import FilterBank, require_verified
-from .laurent import CircleGrid, GridFunction, LaurentPoly, sample
+from .laurent import CircleGrid, GridFunction, LaurentPoly, invariant_radius, sample
 
 LAMBDA_DISK_TOL = 1e-6  # eigenvalues below 1 - this are truncation artifacts
 LAMBDA_CLUSTER_ARC = 1e-6
@@ -110,7 +111,7 @@ def spectral_solutions(f0: LaurentPoly, f1: LaurentPoly, window: int = 64,
     eigenpairs are counted in ``rejected`` by reason.
     """
     require_verified(FilterBank(2, (f0, f1)), PAIR_TOL)
-    k0 = max(-min(f0.min_degree, f1.min_degree), f0.max_degree, f1.max_degree, 0)
+    k0 = invariant_radius(min(f0.min_degree, f1.min_degree), max(f0.max_degree, f1.max_degree), 2)
     k = min(window, k0)
     eigvals, eigvecs = np.linalg.eig(_compression(f0, f1, k))
 

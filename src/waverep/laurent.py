@@ -323,6 +323,18 @@ def _cycles_of(sigma: np.ndarray) -> list[np.ndarray]:
     return [order[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
 
 
+def invariant_radius(lo: int, hi: int, scale: int) -> int:
+    """R = floor(max(-lo, hi, 0) / (N - 1)) for filters with degrees in [lo, hi].
+
+    The scale-N adjoint of such a filter, xi -> (1/N) sum_k conj(m) xi over
+    the coset of z, sends z^n into the modes [(n - hi)/N, (n - lo)/N], and
+    A = max(-lo, hi, 0) < (N - 1)(R + 1) keeps them in [-R, R] when |n| <= R
+    and strictly inside |n| otherwise.  So the modes [-R, R] are invariant
+    under every adjoint of a bank, and every mode is carried into them.
+    """
+    return max(-lo, hi, 0) // (scale - 1)
+
+
 @dataclass(frozen=True)
 class CircleGrid:
     """The M-th roots of unity exp(2*pi*i*j/M), j = 0..M-1."""
@@ -341,29 +353,22 @@ class CircleGrid:
         return _grid_angles(self.M)
 
     @classmethod
-    def dynamics_grid(cls, scale: int, lo: int = 4095, hi: int = 65535, level: int | None = None) -> "CircleGrid":
+    def dynamics_grid(cls, scale: int, lo: int = 4095, hi: int = 65535) -> "CircleGrid":
         """Canonical grid for the dynamics z -> z^scale.
 
         Sizes of the form scale**L - 1 are always coprime to the scale, so
         j -> scale*j mod M permutes the grid.  L is picked so the grid lands
-        in [lo, hi] when possible; callers can pin L explicitly to get a
-        second, coprime grid for cross-checks.
+        in [lo, hi] when possible; a second [lo, hi] gives a second coprime
+        grid for cross-checks.
         """
         if scale < 2:
             raise ValueError("scale must be >= 2")
-        if level is not None:
-            m = scale**level - 1
-        else:
-            L = 2
-            while scale**L - 1 < lo:
-                L += 1
-            m = scale**L - 1
-            while m > hi and L > 2:
-                L -= 1
-                m = scale**L - 1
-        if math.gcd(m, scale) != 1:
-            raise ValueError("dynamics grid size must be coprime to the scale")
-        return cls(m)
+        L = 2
+        while scale**L - 1 < lo:
+            L += 1
+        while scale**L - 1 > hi and L > 2:
+            L -= 1
+        return cls(scale**L - 1)
 
     def multiply_map(self, scale: int) -> np.ndarray:
         """Index map of z -> z^scale, i.e. j -> scale*j mod M."""

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .laurent import CircleGrid, GridFunction, _cycles_of
+from .laurent import CircleGrid, GridFunction, _cycles_of, invariant_radius
 
 CYCLE_ARC_TOL = 1e-8
 
@@ -66,8 +66,8 @@ class MonomialRep:
         return (k - d) // self.scale
 
     def cycle_radius(self) -> int:
-        """All cycle points satisfy |c| <= max|d| / (N-1)."""
-        return max(abs(d) for d in self.digits) // (self.scale - 1)
+        """All cycle points satisfy |c| <= R = max|d| // (N-1), the invariant radius."""
+        return invariant_radius(min(self.digits), max(self.digits), self.scale)
 
 
 @dataclass

@@ -132,13 +132,13 @@ def gridfunction_from_dict(d: dict) -> GridFunction:
     return GridFunction(CircleGrid(m), _vec_c(d["values"], (m,)))
 
 
-def bank_to_dict(fb: FilterBank, export_grid_points: int = 4096) -> dict:
+def bank_to_dict(fb: FilterBank) -> dict:
     if fb.kind == "poly":
         return {"scale": fb.scale, "kind": "poly",
                 "filters": [poly_to_dict(f) for f in fb.filters]}
     filters = fb.filters
     if fb.kind == "callable":
-        grid = default_check_grid(fb.scale, export_grid_points)
+        grid = default_check_grid(fb.scale)
         filters = [GridFunction(grid, values_on_coset(f, 1, grid)[0]) for f in filters]
     return {"scale": fb.scale, "kind": "grid", "filters": [gridfunction_to_dict(f) for f in filters]}
 

@@ -6,12 +6,13 @@ everywhere and the eigenvalue problem m(z) xi(z^N) = lambda xi(z) has a
 unimodular measurable solution.  Each filter kind takes one route.
 
 * Polynomial filters are decided by their coefficients; no grid is built.
-  The isometry residual is N times the polyphase certificate of the single
-  filter, and the unimodularity residual is the l1 norm of the coefficients
-  of m m~ - 1 (m~ the on-circle conjugate), which bounds max ||m|^2 - 1| and
-  so max ||m| - 1|.  A unimodular trigonometric polynomial is a single
-  monomial c z^d, and a fixed Fourier mode exists iff (N-1) divides d,
-  giving the closed form xi = z^(-d/(N-1)) and lambda = c.
+  The isometry residual is qmf_residual, N times the polyphase certificate
+  of the single filter, and the unimodularity residual is the l1 norm of
+  the coefficients of m m~ - 1 (m~ the on-circle conjugate), which bounds
+  max ||m|^2 - 1| and so max ||m| - 1|.  A unimodular trigonometric
+  polynomial is a single monomial c z^d, and a fixed Fourier mode exists
+  iff (N-1) divides d, giving the closed form xi = z^(-d/(N-1)) and
+  lambda = c.
 * Grid and callable filters are screened for unimodularity on a grid of
   size coprime to N, where z -> z^N permutes the points, and their
   isometry residual comes from the DFT of |m|^2 on that grid (a callable
@@ -34,7 +35,6 @@ import numpy as np
 
 from .cuntz import apply_filter_adjoint, apply_filter_isometry
 from .filterbank import (
-    _polyphase_certificate,
     Filter,
     FilterBank,
     qmf_residual,
@@ -65,17 +65,14 @@ class WoldReport:
 def isometry_residual(m: Filter, scale: int) -> float:
     """Deviation of sum_k |m(rho^k z)|^2 from N, i.e. the isometry condition.
 
-    A polynomial gets N times its exact polyphase certificate, which bounds
-    the deviation everywhere on the circle.  An angle callable is evaluated
-    on a divisible grid.  Raw grid samples live on a grid coprime to N where
-    the rotated points are unavailable, so the coset sum is projected out of
-    the centered DFT instead: the condition says the Fourier modes of |m|^2
-    at nonzero multiples of N vanish and the mean is 1.  That is exact for
-    band-limited data and a screen otherwise.
+    Raw grid samples on a grid coprime to N, where the rotated points are
+    unavailable, have the coset sum projected out of the centered DFT: the
+    condition says the Fourier modes of |m|^2 at nonzero multiples of N
+    vanish and the mean is 1.  That is exact for band-limited data and a
+    screen otherwise.  Every other filter gets qmf_residual: N times the
+    exact certificate of a polynomial, the sampled deviation otherwise.
     """
-    if isinstance(m, LaurentPoly):
-        return scale * _polyphase_certificate((m,), scale)
-    if isinstance(m, GridFunction):
+    if isinstance(m, GridFunction) and math.gcd(m.grid.M, scale) == 1:
         g = np.abs(m.values) ** 2
         mm = m.grid.M
         modes = np.fft.fft(g) / mm

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from waverep import fixtures
-from waverep.laurent import LaurentPoly
+from waverep.laurent import GridFunction, LaurentPoly
 
 
 @pytest.fixture
@@ -45,6 +45,21 @@ def random_poly(rng, max_degree=12, unit_norm=False):
     if unit_norm:
         p = p * (1.0 / p.norm2())
     return p
+
+
+def exact_sample(p, grid):
+    """A polynomial's values on a grid, the grid oracle of its coefficient bounds.
+
+    The terms are folded by degree mod M, and each is taken at the exactly
+    reduced angle 2 pi ((d j) mod M) / M, so a sample carries one rounding
+    per term and none that grows with the degree, as Horner's rule's does.
+    """
+    m = grid.M
+    folded = np.zeros(m, dtype=np.complex128)
+    np.add.at(folded, (p.min_degree + np.arange(len(p.coeffs))) % m, p.coeffs)
+    d = np.flatnonzero(folded)
+    powers = np.exp(2j * np.pi * ((d[:, None] * np.arange(m)) % m) / m)
+    return GridFunction(grid, folded[d] @ powers)
 
 
 def loop_cycles(m, scale):

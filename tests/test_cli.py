@@ -9,7 +9,7 @@ import pytest
 from waverep import cli, fixtures, permutative as perm, serialize as ser
 from waverep.cli import parse_angle, run
 from waverep.dilation import DIM_MAX, random_coisometry
-from waverep.filterbank import FilterBank, complete_filterbank, unitarity_residual
+from waverep.filterbank import FilterBank, complete_filterbank, default_check_grid, qmf_residual
 from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, sample
 from waverep.fixtures import haar
 
@@ -627,20 +627,33 @@ def test_check_coarse_grid_cannot_pass_a_broken_polynomial_bank(tmp_path, capsys
 
 
 def _grid_blind_haar2():
-    # z^4096 - 1 vanishes on the 4096-point grid that completion and the gates sample
+    # z^4096 - 1 vanishes on the default 4096-point check grid
     bump = LaurentPoly.monomial(4096) - LaurentPoly.one()
     h = haar(2)
     return FilterBank(2, (h.filters[0] + bump * 1e-3, h.filters[1] + bump * 0.5e-3))
 
 
 def test_complete_decides_a_polynomial_bank_by_its_certificate(tmp_path, capsys):
+    # the quadrature-mirror gate reads the low-pass's certificate, so it
+    # refuses before anything is completed
     lowpass = _grid_blind_haar2().filters[0]
     code, rep = run_json(capsys, ["complete", "--lowpass", _untagged_file(
         tmp_path, ser.filter_to_dict(lowpass)), "--scale", "2"])
-    assert code == 1 and rep["verdicts"]["unitary"] is False
-    assert rep["residuals"]["unitarity"] == rep["residuals"]["coefficient"] > 1e-3
-    # the default 4096-point grid, which the report read before, misses the bump
-    assert unitarity_residual(complete_filterbank(lowpass, 2)) < 1e-14
+    assert code == 1 and "quadrature-mirror identity" in rep["info"]["error"]
+    assert qmf_residual(lowpass, 2) > 1e-3
+    # the default 4096-point grid misses the bump
+    assert qmf_residual(sample(lowpass, default_check_grid(2)), 2) < 1e-14
+
+
+def test_complete_refuses_a_grid_blind_lowpass_at_scale_3(tmp_path, capsys):
+    # 1e-3 of the haar3 low-pass moved from z^0 to z^4098: z^4098 = 1 on the
+    # 4098-point grid of a scale-3 completion, so samples there miss the move
+    lowpass = haar(3).filters[0] + (LaurentPoly.monomial(4098) - LaurentPoly.one()) * 1e-3
+    code, rep = run_json(capsys, ["complete", "--lowpass", _untagged_file(
+        tmp_path, ser.filter_to_dict(lowpass)), "--scale", "3"])
+    assert code == 1 and "quadrature-mirror identity" in rep["info"]["error"]
+    assert qmf_residual(lowpass, 3) > 1e-3
+    assert qmf_residual(sample(lowpass, default_check_grid(3)), 3) < 1e-14
 
 
 def test_fixtures_decides_a_polynomial_bank_by_its_certificate(monkeypatch, capsys):

@@ -14,7 +14,8 @@ from waverep.cuntz import (
     shift_realization,
 )
 from waverep.filterbank import FilterBank
-from waverep.laurent import LaurentPoly, allclose, inner
+from waverep.laurent import LaurentPoly, allclose, inner, invariant_radius
+from waverep.permutative import MonomialRep
 
 S2 = math.sqrt(2.0)
 
@@ -260,3 +261,41 @@ def test_shift_depth_validation(haar_rep):
     with pytest.raises(ValueError):
         shift_realization(haar_rep, LaurentPoly.one(), 0)
 
+
+# ---------------------------------------------------------------------------
+# the invariant window of the adjoints
+
+
+@pytest.mark.parametrize("scale", [2, 3, 4])
+def test_adjoints_keep_the_invariant_window(scale):
+    # R = max(-lo, hi, 0) // (N - 1) for a bank with degrees in [lo, hi]:
+    # S_i* sends every monomial in [-R, R] back into it and moves every
+    # monomial outside strictly inward
+    rng = np.random.default_rng(40 + scale)
+    for factors in (0, 1, 3, 6):
+        bank = fixtures.random_paraunitary_bank(scale, factors, rng)
+        shift = int(rng.integers(-7, 8))
+        filters = [f * LaurentPoly.monomial(shift) for f in bank.filters]
+        lo = min(f.min_degree for f in filters)
+        hi = max(f.max_degree for f in filters)
+        radius = invariant_radius(lo, hi, scale)
+        assert radius == max(-lo, hi, 0) // (scale - 1)
+        for f in filters:
+            for n in range(-radius - 5, radius + 6):
+                image = apply_filter_adjoint(f, scale, LaurentPoly.monomial(n))
+                if image.is_zero():
+                    continue
+                bound = radius if abs(n) <= radius else abs(n) - 1
+                assert -bound <= image.min_degree and image.max_degree <= bound, (n, radius)
+
+
+def test_invariant_radius_is_the_cycle_radius_and_the_index_window():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        scale = int(rng.integers(2, 6))
+        digits = [int(r + scale * rng.integers(-9, 10)) for r in rng.permutation(scale)]
+        mono = MonomialRep(scale, digits)
+        assert mono.cycle_radius() == max(abs(d) for d in digits) // (scale - 1)
+    # at N = 2 the radius is the index window K0 = max(-a, b, 0)
+    assert invariant_radius(-9, 12, 2) == 12 and invariant_radius(3, 5, 2) == 5
+    assert invariant_radius(-4, -1, 2) == 4 and invariant_radius(-4, 9, 4) == 3

@@ -22,7 +22,6 @@ from waverep.filterbank import (
     filter_values_at_angles,
     householder_rows,
     modulation_matrix,
-    values_on_coset,
 )
 from waverep.laurent import CircleGrid, sample
 
@@ -183,6 +182,3 @@ def test_scale3_completion_samples_m0_by_horner():
 
     horner = completed(m0.evaluate(np.exp(1j * grid.angles())))
     assert all(np.array_equal(f.values, row) for f, row in zip(bank.filters, horner))
-    # the FFT sampler's values would not give these bits
-    fft = completed(values_on_coset(m0, 1, grid)[0])
-    assert not all(np.array_equal(f.values, row) for f, row in zip(bank.filters, fft))

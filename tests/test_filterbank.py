@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from conftest import exact_sample
 from waverep import filterbank, fixtures
 from waverep.filterbank import (
     AngleFunction,
@@ -48,9 +48,12 @@ def test_qmf_unnormalized_filter():
 
 
 def test_qmf_on_coprime_grid_for_polynomials():
-    # polynomials evaluate anywhere, so a coprime grid is fine too
+    # a polynomial is decided by its coefficients and takes no grid; as an
+    # angle rule it evaluates anywhere, so a coprime grid is fine too
     m0 = LaurentPoly([1 / S2, 1 / S2])
-    assert qmf_residual(m0, 2, CircleGrid(4095)) < 1e-14
+    with pytest.raises(ValueError, match="coefficients"):
+        qmf_residual(m0, 2, CircleGrid(4095))
+    assert qmf_residual(AngleFunction(m0.values_at_t), 2, CircleGrid(4095)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +89,8 @@ def test_modulation_matrix_grid_bank_off_grid_errors():
 
 
 def test_unitarity_haar(haar_bank):
-    assert unitarity_residual(haar_bank, CircleGrid(4096)) < 1e-13
+    assert unitarity_residual(haar_bank) < 1e-13
+    assert unitarity_residual(_grid_copy(haar_bank, CircleGrid(4096))) < 1e-13
 
 
 def test_unitarity_scaled_filter(haar_bank):
@@ -96,7 +100,8 @@ def test_unitarity_scaled_filter(haar_bank):
 
 
 def test_unitarity_monomial(monomial_bank):
-    assert unitarity_residual(monomial_bank, CircleGrid(4096)) < 1e-13
+    assert unitarity_residual(monomial_bank) < 1e-13
+    assert unitarity_residual(_grid_copy(monomial_bank, CircleGrid(4096))) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +300,7 @@ def _horner_coset(f, n, grid):
 
 def _grid_copy(bank, grid):
     """The bank's polynomial filters sampled on a grid: a grid-kind bank."""
-    return FilterBank(bank.scale, tuple(sample(f, grid) for f in bank.filters))
+    return FilterBank(bank.scale, tuple(exact_sample(f, grid) for f in bank.filters))
 
 
 def _angle_copy(bank):
@@ -316,32 +321,6 @@ def _per_pair_residuals(bank, grid):
     c = np.stack(v).transpose(2, 0, 1) / np.sqrt(n)
     norms = np.linalg.norm(c @ np.conj(c.transpose(0, 2, 1)) - np.eye(n), ord=2, axis=(1, 2))
     return qmf, pw, float(np.max(norms)), grid.points()[np.argmax(norms)]
-
-
-_coeffs = st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
-                   min_size=1, max_size=12)
-
-
-@settings(max_examples=60, deadline=None)
-@given(coeffs=_coeffs, lo=st.integers(-20, 20),
-       shape=st.sampled_from([(2, 4096), (3, 4095), (2, 4095), (3, 4096), (5, 64), (4, 30)]))
-def test_fft_coset_matches_horner(coeffs, lo, shape):
-    n, m = shape
-    p = LaurentPoly(coeffs, min_degree=lo)
-    grid = CircleGrid(m)
-    gap = np.abs(values_on_coset(p, n, grid) - _horner_coset(p, n, grid))
-    assert np.max(gap, initial=0.0) < 1e-12
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(2, 5), m=st.integers(1, 48), extra=st.integers(1, 3),
-       offset=st.integers(0, 47))
-def test_fft_coset_folds_monomials_above_grid_size(n, m, extra, offset):
-    # degrees beyond M wrap around the lcm(M, N)-th roots of unity
-    grid = CircleGrid(m)
-    for deg in (extra * m + offset, -(extra * m + offset)):
-        p = LaurentPoly.monomial(deg, 0.5 - 0.25j)
-        assert np.max(np.abs(values_on_coset(p, n, grid) - _horner_coset(p, n, grid))) < 1e-12
 
 
 def test_coset_columns_restrict_the_grid(db4_bank, shannon_bank):
@@ -369,8 +348,8 @@ def test_check_bank_matches_per_pair_definitions(name):
     assert abs(rep.unitarity_residual - uni) < 1e-12
     for i in range(bank.scale):
         j = (i + 1) % bank.scale
-        assert abs(qmf_residual(bank.filters[i], bank.scale) - qmf[i]) < 1e-12
-        assert abs(pairwise_residual(bank, i, j) - pw[i, j]) < 1e-12
+        assert abs(qmf_residual(sampled.filters[i], bank.scale) - qmf[i]) < 1e-12
+        assert abs(pairwise_residual(sampled, i, j) - pw[i, j]) < 1e-12
     # and on a broken bank, where the residuals are far from rounding level
     bad = FilterBank(bank.scale, (sampled.filters[0],) * bank.scale)
     qmf, pw, uni, _ = _per_pair_residuals(bad, grid)
@@ -469,8 +448,8 @@ def test_every_library_gate_decides_a_polynomial_bank_by_its_certificate():
     from waverep.wold import wavelet_shift_check
 
     bad = _grid_blind_haar2()
-    assert unitarity_residual(bad) < 1e-14
-    assert paraunitarity_residual(bad) > 1e-3
+    assert unitarity_residual(_grid_copy(bad, default_check_grid(2))) < 1e-14
+    assert unitarity_residual(bad) == paraunitarity_residual(bad) > 1e-3
     gates = {
         "require_verified": lambda: filterbank.require_verified(bad),
         "CuntzRep": lambda: CuntzRep(bad),
@@ -514,9 +493,10 @@ def _coefficient_bounds_and_grid_oracles(bank):
     """The residuals of check_bank on a polynomial bank, and the grid values they bound."""
     n = bank.scale
     rep = check_bank(bank)
-    qmf = [qmf_residual(f, n) for f in bank.filters]
-    pw = np.array([[pairwise_residual(bank, i, j) for j in range(n)] for i in range(n)])
-    return rep, qmf, pw, unitarity_residual(bank)
+    sampled = _grid_copy(bank, default_check_grid(n))
+    qmf = [qmf_residual(f, n) for f in sampled.filters]
+    pw = np.array([[pairwise_residual(sampled, i, j) for j in range(n)] for i in range(n)])
+    return rep, qmf, pw, unitarity_residual(sampled)
 
 
 @pytest.mark.parametrize("scale", [2, 3, 4, 8])
@@ -606,7 +586,7 @@ def test_certificate_bounds_grid_residual(rng):
         bad = FilterBank(3, (bank.filters[0], bank.filters[1],
                              bank.filters[2] + LaurentPoly.monomial(k - 2, 1e-4j)))
         cert = paraunitarity_residual(bad)
-        assert 1e-5 < unitarity_residual(bad) <= cert + 1e-15
+        assert 1e-5 < unitarity_residual(_grid_copy(bad, default_check_grid(3))) <= cert + 1e-15
 
 
 def _defects_reference(bank):

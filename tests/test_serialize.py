@@ -50,8 +50,8 @@ def test_grid_bank_round_trip():
 
 
 def test_callable_bank_exports_as_grid_samples():
-    d = ser.bank_to_dict(fixtures.shannon(), export_grid_points=512)
-    assert d["kind"] == "grid"
+    d = ser.bank_to_dict(fixtures.shannon())
+    assert d["kind"] == "grid" and d["filters"][0]["M"] == 4096
     restored = ser.bank_from_dict(d)
     # sampling preserved unitarity exactly (complementary indicators)
     assert unitarity_residual(restored) < 1e-13

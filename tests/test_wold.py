@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_poly
+from conftest import exact_sample, random_poly
 from waverep import filterbank, fixtures, wold
 from waverep.filterbank import qmf_residual
 from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, sample
@@ -144,7 +144,7 @@ def test_grid_input_single_shift_mode():
 
 def test_grid_verdicts_agree_across_sizes():
     for level in (12, 13):
-        g = CircleGrid.dynamics_grid(2, level=level)
+        g = CircleGrid(2**level - 1)
         assert math.gcd(g.M, 2) == 1
         rep = wold_analysis(sample(LaurentPoly.monomial(1), g), 2)
         assert rep.unitary_dim == 1
@@ -204,23 +204,24 @@ def test_shift_check_requires_verified_bank(haar_bank):
 
 @pytest.mark.parametrize("name", ["haar2", "db4", "haar3"])
 def test_shift_check_builds_no_projection(name, monkeypatch, capsys):
-    # the shift check reads the unitary dimension alone: one certificate per
-    # filter, inside wold_analysis, and no range projection
+    # the shift check reads the unitary dimension alone: the bank's
+    # certificate, one certificate per filter inside wold_analysis, and no
+    # range projection
     from waverep.cli import run
 
     certificates, projections = [], []
-    certificate = wold._polyphase_certificate
+    certificate = filterbank._polyphase_certificate
 
     def counting(filters, scale):
         certificates.append(len(filters))
         return certificate(filters, scale)
 
-    monkeypatch.setattr(wold, "_polyphase_certificate", counting)
+    monkeypatch.setattr(filterbank, "_polyphase_certificate", counting)
     monkeypatch.setattr(wold, "range_projection_norms", lambda *a, **k: projections.append(1))
     assert run(["wold", "--fixture", name, "--shift-check"]) == 0
     capsys.readouterr()
     scale = fixtures.fixture_bank(name).scale
-    assert certificates == [1] * scale and projections == []
+    assert certificates == [scale] + [1] * scale and projections == []
 
 
 def test_probes_kmax_zero_leaves_the_projection_decay_empty(db4_bank):
@@ -253,7 +254,7 @@ def test_exact_residuals_bound_the_sampled_ones(seed, scale, eps):
     grid = CircleGrid(4096 * scale)
     for m in _test_filters(seed, scale, eps):
         # N times the single-filter certificate bounds the QMF deviation anywhere
-        assert isometry_residual(m, scale) >= qmf_residual(m, scale) - 1e-14
+        assert isometry_residual(m, scale) >= qmf_residual(exact_sample(m, grid), scale) - 1e-14
         sampled = np.max(np.abs(np.abs(sample(m, grid).values) - 1.0))
         assert wold._unimodularity_bound(m) >= sampled - 1e-14
 
@@ -271,8 +272,8 @@ def test_polynomial_route_samples_no_grid(monkeypatch, haar_bank, db4_bank):
         raise AssertionError("the polynomial route sampled a grid")
 
     for mod, name in ((wold, "values_on_coset"), (wold, "_grid_eigendata"),
-                      (wold, "qmf_residual"), (filterbank, "values_on_coset"),
-                      (filterbank, "qmf_residual")):
+                      (filterbank, "values_on_coset"), (filterbank, "_coset_gram"),
+                      (filterbank, "filter_values_at_angles")):
         monkeypatch.setattr(mod, name, refuse)
     monkeypatch.setattr(CircleGrid, "dynamics_grid", classmethod(refuse))
     cases = [(haar_bank.filters[0], 2), (db4_bank.filters[1], 2),
