@@ -9,10 +9,12 @@ mother functions follow from the band split, and the periodization residual
 checks the lattice-sum identity sum_k |phihat(t + 2*pi*k)|^2 = 1/(2*pi) that
 encodes orthonormality of the integer translates.
 
-The level loop of truncated_product scales each level's filter values into
-a buffer it allocates itself and multiplies that into its own accumulator:
-it never writes into an array a callable filter received or returned, so a
-rule may keep its input or hand back a cached array.
+The level loop of truncated_product allocates its arrays once per product:
+the level angles, divided in place, the scaled values and the accumulator,
+and for a polynomial low-pass the points and Horner buffers that
+filter_values_at_angles evaluates in.  It never writes into an array a
+callable filter received or returned (a callable gets fresh angles at each
+level), so a rule may keep its input or hand back a cached array.
 
 Everything here stays on the frequency side; no time-domain rendering is
 provided.  Grid-kind filters are evaluated by nearest-grid lookup, which is
@@ -83,13 +85,22 @@ def _values_at_t(f: Filter, t: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def truncated_product(lowpass: Filter, scale: int, t, depth: int) -> np.ndarray:
     """prod_{k=1..depth} scale^(-1/2) * m_0(t / scale^k) at the angles t."""
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    acc = np.ones(t.shape, dtype=np.complex128)
+    # the z-angles -t / scale**k, divided in place level by level without
+    # forming a float of scale**k; (-t) / scale is -(t / scale) bit for bit
+    theta = np.negative(np.atleast_1d(np.asarray(t, dtype=np.float64)))
+    acc = np.ones(theta.shape, dtype=np.complex128)
     buf = np.empty_like(acc)
+    # a polynomial is evaluated in buffers owned here; any other filter gets
+    # a fresh array of angles
+    work = (np.empty((5,) + theta.shape, dtype=np.complex128)
+            if isinstance(lowpass, LaurentPoly) else None)
     root = math.sqrt(scale)
     for _ in range(depth):
-        t = t / scale  # t / scale**k, without forming a float of scale**k
-        vals, _ = _values_at_t(lowpass, t)
+        theta /= scale
+        if work is None:
+            vals, _ = _values_at_t(lowpass, -theta)
+        else:
+            vals = filter_values_at_angles(lowpass, theta, work)
         np.divide(vals, root, out=buf)
         acc *= buf
     return acc

@@ -228,6 +228,8 @@ def cmd_cascade(args):
     t_max = parse_angle(args.t_max)
     if t_max <= 0:
         raise InputError(f"--t-max must be positive, got {args.t_max!r}")
+    if args.mother >= bank.scale:
+        raise InputError(f"--mother must be in 1..{bank.scale - 1}, got {args.mother}")
     per_samples = 2 * 32 * (2 * args.per + 1) + 1 if args.per else 0  # spacing pi/32
     lowpass = bank.filters[0]
     taps = len(lowpass.coeffs) if isinstance(lowpass, LaurentPoly) else 0
@@ -250,8 +252,6 @@ def cmd_cascade(args):
     artifacts = []
     target_samples = phi
     if args.mother:
-        if args.mother >= bank.scale:
-            raise InputError(f"--mother must be in 1..{bank.scale - 1}, got {args.mother}")
         target_samples = cas.mother_hat(bank, args.mother, phi)
         info["mother_index"] = args.mother
     if args.per:

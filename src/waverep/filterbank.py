@@ -123,16 +123,23 @@ def default_check_grid(scale: int) -> CircleGrid:
     return CircleGrid(scale * math.ceil(DEFAULT_CHECK_POINTS / scale))
 
 
-def filter_values_at_angles(f: Filter, theta: np.ndarray) -> np.ndarray:
+def filter_values_at_angles(f: Filter, theta: np.ndarray,
+                            work: np.ndarray | None = None) -> np.ndarray:
     """Values of a filter at the circle points exp(i*theta): the one point evaluator.
 
     theta is a z-space angle; the package's t-convention (z = exp(-i t))
     makes this f evaluated at t = -theta for callable filters.  A grid
     filter has values at its own grid points only and raises ValueError
-    at any other point.
+    at any other point.  A polynomial may be given `work`, a complex array
+    of shape (5,) + theta.shape that the caller owns: the points and the
+    Horner values are computed in it, and the values returned are a row of
+    it that the next call with it overwrites.  Other filters ignore it.
     """
     if isinstance(f, LaurentPoly):
-        return f._evaluate_unchecked(np.exp(1j * theta))
+        if work is None:
+            return f._evaluate_unchecked(np.exp(1j * theta))
+        z = np.exp(np.multiply(1j, theta, out=work[0]), out=work[0])
+        return f._evaluate_unchecked(z, work[1:])
     if isinstance(f, AngleFunction):
         return f.values_at_t(-theta)
     if not isinstance(f, GridFunction):
@@ -183,11 +190,42 @@ def _coset_gram(filters, scale: int, grid: CircleGrid | None):
     return c @ np.conj(c.transpose(0, 2, 1)), grid
 
 
+# relative slack of the Frobenius screen, far above the rounding of either norm
+_SCREEN_SLACK = 1e-6
+# the least max squared norm the screen trusts: squares of entries far below
+# it may underflow, but what they lose is far below its slack
+_SCREEN_FLOOR = 1e-280
+
+
 def _worst_unitarity(gram: np.ndarray, grid: CircleGrid):
-    """Max over points of ||G - I||_2, the largest |eigenvalue|, and its point."""
-    norms = np.max(np.abs(np.linalg.eigvalsh(gram - np.eye(gram.shape[-1]))), axis=-1)
+    """Max over points of ||G - I||_2, the largest |eigenvalue|, and its point.
+
+    The Frobenius norm F of the Hermitian matrix that eigvalsh reads (the
+    lower triangle of D = G - I) bounds ||D||_2 from above, and from below
+    within a factor sqrt(r).  A point with F below max F / sqrt(r) cannot
+    hold the max, so only the other points and those with a non-finite entry
+    are eigensolved; the result and its point are those of the full sweep.
+    """
+    r = gram.shape[-1]
+    dev = gram - np.eye(r)
+    # the weights of the squared parts in F^2: 2 below the diagonal, 1 for the
+    # real part of a diagonal entry, 0 elsewhere, which still carries a NaN or
+    # inf of any entry into F^2 (LAPACK may read one there)
+    weight = np.repeat(2.0 * np.tri(r, r, -1), 2, axis=1)
+    weight[np.arange(r), 2 * np.arange(r)] = 1.0
+    parts = dev.view(np.float64).reshape(len(dev), 2 * r * r)
+    fro2 = np.einsum("pk,pk,k->p", parts, parts, weight.ravel())
+    finite = np.isfinite(fro2)
+    top = fro2[finite].max(initial=0.0)
+    if top >= _SCREEN_FLOOR:
+        keep = np.flatnonzero(~finite | (fro2 >= top / r * (1.0 - _SCREEN_SLACK)))
+    elif not dev.any():
+        return 0.0, complex(grid.points()[0])
+    else:
+        keep = np.arange(len(dev))
+    norms = np.max(np.abs(np.linalg.eigvalsh(dev[keep])), axis=-1)
     j = int(np.argmax(norms))
-    return float(norms[j]), complex(grid.points()[j])
+    return float(norms[j]), complex(grid.points()[keep[j]])
 
 
 # ---------------------------------------------------------------------------

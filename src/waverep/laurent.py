@@ -164,17 +164,24 @@ class LaurentPoly:
             raise ValueError("evaluation point is off the unit circle")
         return self._evaluate_unchecked(z)
 
-    def _evaluate_unchecked(self, z):
+    def _evaluate_unchecked(self, z, work=None):
+        """Horner at z, on or off the circle; `work`, four complex arrays of
+        z's shape that the caller owns, holds the result (work[0]) and every
+        intermediate, so that repeated calls allocate nothing."""
         scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
         z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-        out = np.zeros_like(z)
+        if work is None:
+            out, acc, tmp, w = np.zeros_like(z), np.zeros_like(z), np.empty_like(z), None
+        else:
+            out, acc, tmp, w = work
+            out.fill(0.0)
+            acc.fill(0.0)
         if self.is_zero():
             return out[0] if scalar else out
         lo, hi = self.min_degree, self.max_degree
         coeffs = self.coeffs.tolist()
         # Horner steps alternate between two buffers: numpy may round an
         # in-place complex multiply differently from one into a fresh array
-        acc, tmp = np.zeros_like(z), np.empty_like(z)
         if hi >= 0:
             # ascending Horner over degrees max(lo,0)..hi
             for c in reversed(coeffs[max(lo, 0) - lo :]):
@@ -187,7 +194,7 @@ class LaurentPoly:
             out += acc
             acc.fill(0.0)
         if lo < 0:
-            w = 1.0 / z
+            w = np.divide(1.0, z, out=w)
             # degrees lo .. -1, with zeros above max_degree
             for c in coeffs[:-lo] + [0j] * max(-1 - hi, 0):
                 np.multiply(acc, w, out=tmp)

@@ -28,16 +28,22 @@ it returns.  The stdlib writes indented JSON with a pure-Python encoder that
 yields through one generator per nesting level; pieces walks the object in
 one recursive function instead, in 0.5 to 0.6 of its time.  Each _Block of at
 least SLOT_NUMBERS numbers (the nested lists of one numeric array, such as
-the [re, im] pairs that _cvec returns) is written in one piece by _layout:
-the C encoder writes it with the item separator "\x01", and that flat text
-is laid out at the block's depth with one str.replace per nesting level.
-Number text is the same in both encoders, and a block is a regular array of
-numbers, so its flat text holds "\x01" and brackets only as structure.  A
-laid-out block costs a fixed amount, about what writing 10 numbers inline
-costs: in a small report holding one block of n [re, im] pairs, laying the
-block out cost 4.5 us more than writing it inline at n = 1, 0.6 us less at
-n = 5 and 3.5 us less at n = 8.  So a block of fewer numbers, such as one
-eigenvalue's pair, is written inline.
+the [re, im] pairs that _cvec returns) is laid out by _layout: the C encoder
+writes it with the item separator "\x01", and that flat text is laid out at
+the block's depth with one str.replace per nesting level.  Number text is
+the same in both encoders, and a block is a regular array of numbers, so
+its flat text holds "\x01" and brackets only as structure.  A block of at
+most CHUNK_ROWS outer rows is one piece.  A longer one is laid out
+CHUNK_ROWS rows at a time, each chunk one piece after its "," and indent,
+and no text of the whole block is formed: laying out a block holds several
+texts of it at once (the flat text, its body and the replaced copies), so
+the writer's peak is one report text plus about three chunks' (1.2 times a
+report holding one 65535-pair block, against 3.5 times when it was laid
+out whole).  A laid-out block costs a fixed amount, about what writing 10
+numbers inline costs: in a small report holding one block of n [re, im]
+pairs, laying the block out cost 4.5 us more than writing it inline at
+n = 1, 0.6 us less at n = 5 and 3.5 us less at n = 8.  So a block of fewer
+numbers, such as one eigenvalue's pair, is written inline.
 """
 
 from __future__ import annotations
@@ -202,6 +208,9 @@ def filter_from_dict(d: dict):
 
 # a _Block of fewer numbers is written inline, number by number
 SLOT_NUMBERS = 10
+# a longer _Block is laid out this many outer rows at a time (4096 [re, im]
+# pairs are about 330 KB of text)
+CHUNK_ROWS = 4096
 # the C encoder of every block of at least SLOT_NUMBERS numbers (item separator "\x01")
 _FLAT = json.JSONEncoder(separators=("\x01", ":"))
 _ESCAPE = json.encoder.encode_basestring_ascii
@@ -243,8 +252,10 @@ def _shape(block: list) -> tuple:
     return tuple(shape)
 
 
-def _layout(block: list, depth: int) -> str:
-    """json.dumps(block, indent=2) for a block that opens at indent level `depth`."""
+def _layout(block: list, depth: int, outer: bool = True) -> str:
+    """json.dumps(block, indent=2) for a block that opens at indent level `depth`;
+    with outer=False, only its rows, without the outer brackets and the line
+    breaks next to them."""
     rank = len(_shape(block))
     flat = _FLAT.encode(block)
     nl = ["\n" + "  " * k for k in range(depth + rank + 1)]
@@ -258,7 +269,8 @@ def _layout(block: list, depth: int) -> str:
                             "".join(closes[rank - 1:m:-1]) + "," + nl[depth + m + 1]
                             + "".join(opens[m + 1:]))
     body = body.replace("\x01", "," + nl[depth + rank])
-    return "".join(opens) + body + "".join(closes[::-1])
+    k = 0 if outer else 1
+    return "".join(opens[k:]) + body + "".join(reversed(closes[k:]))
 
 
 def _write(x, head: str, nl: str, append, default) -> None:
@@ -277,8 +289,19 @@ def _write(x, head: str, nl: str, append, default) -> None:
         if not x:
             append(head + "[]")
         elif isinstance(x, _Block) and math.prod(_shape(x)) >= SLOT_NUMBERS:
-            append(head)
-            append(_layout(x, len(nl) // 2))
+            depth = len(nl) // 2
+            if len(x) <= CHUNK_ROWS:
+                append(head)
+                append(_layout(x, depth))
+            else:
+                # one piece per chunk of rows: no text of the whole block is formed
+                inner = nl + "  "
+                head += "[" + inner
+                for start in range(0, len(x), CHUNK_ROWS):
+                    append(head)
+                    append(_layout(x[start:start + CHUNK_ROWS], depth, outer=False))
+                    head = "," + inner
+                append(nl + "]")
         else:
             inner = nl + "  "
             head += "[" + inner

@@ -176,6 +176,20 @@ def test_cascade_deep_scale_three_product(capsys):
     assert code == 0 and rep["verdicts"] == {"value_at_zero": True}
 
 
+@pytest.mark.parametrize("argv", [
+    ["--fixture", "db4", "--mother", "2", "--samples", "524289", "--depth", "31"],
+    ["--fixture", "haar3", "--mother", "3", "--per", "4"],
+])
+def test_cascade_refuses_the_mother_index_before_any_product(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scaling_hat ran")
+
+    monkeypatch.setattr(cli.cas, "scaling_hat", refuse)
+    assert run(["cascade", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--mother must be in 1.." in captured.err
+
+
 def test_cascade_per_grid_at_its_cap_fits_the_samples_cap():
     wide = 2 * 32 * (2 * cli.CASCADE_PER_MAX + 1) + 1  # the --per grid at spacing pi/32
     assert wide <= cli.CASCADE_SAMPLES_MAX < wide + 2 * 32 * 2

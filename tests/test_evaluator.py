@@ -23,7 +23,7 @@ from waverep.filterbank import (
     householder_rows,
     modulation_matrix,
 )
-from waverep.laurent import CircleGrid, sample
+from waverep.laurent import CircleGrid, LaurentPoly, sample
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,6 +78,21 @@ def test_point_evaluator_reads_a_grid_filter_at_its_own_points(rng):
         filter_values_at_angles(f, g.angles()[:3] + np.pi / g.M)
     with pytest.raises(TypeError):
         filter_values_at_angles("not a filter", g.angles())
+
+
+@pytest.mark.parametrize("poly", [
+    fixtures.db4().filters[0], fixtures.haar(3).filters[2], LaurentPoly.zero(),
+    LaurentPoly([0.5, -1j, 2.0], min_degree=-5), LaurentPoly([1.0, 0.25j], min_degree=3),
+    LaurentPoly([1j, 2.0, -0.5, 3.0], min_degree=-1),
+])
+def test_point_evaluator_in_caller_buffers_is_bit_for_bit(poly, rng):
+    theta = rng.uniform(-40.0, 40.0, size=(3, 7))
+    work = np.full((5,) + theta.shape, np.nan, dtype=np.complex128)
+    want = filter_values_at_angles(poly, theta)
+    for _ in range(2):  # buffers holding the last call's values
+        got = filter_values_at_angles(poly, theta, work)
+        assert np.array_equal(got, want) and np.shares_memory(got, work)
+    assert np.array_equal(filter_values_at_angles(poly, theta[0, :1], work[:, 0, :1]), want[0, :1])
 
 
 def _old_grid_value_at(f, z):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import exact_sample
 from waverep import filterbank, fixtures
@@ -485,8 +487,64 @@ def test_polynomial_check_bank_samples_nothing(monkeypatch):
         rep = check_bank(bank)
         assert rep.grid_size is None
     assert calls == []
-    check_bank(fixtures.shannon())  # the counters do count the grid route
+    # the counters do count the grid route; the grid copy of db4 deviates from
+    # unitarity by rounding, so its sweep eigensolves the points it keeps
+    check_bank(_grid_copy(fixtures.db4(), default_check_grid(2)))
     assert calls.count("values_on_coset") == 2 and calls.count("eigvalsh") == 1
+
+
+def test_a_grid_sweep_with_no_deviation_calls_no_eigensolver(monkeypatch):
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(a))
+    rep = check_bank(fixtures.shannon())  # G(z) = I exactly at every grid point
+    assert (rep.unitarity_residual, rep.worst_point) == (0.0, 1 + 0j)
+    assert calls == []
+
+
+def _full_sweep(gram, grid):
+    # the sweep as written before the Frobenius screen: every point eigensolved
+    norms = np.max(np.abs(np.linalg.eigvalsh(gram - np.eye(gram.shape[-1]))), axis=-1)
+    j = int(np.argmax(norms))
+    return float(norms[j]), complex(grid.points()[j])
+
+
+_gram_entries = st.one_of(st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, 1e-17, 1e300, math.nan]),
+                          st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _gram_stacks(draw):
+    """Stacks of matrices with exact zeros of G - I, repeated points and NaN."""
+    r, kinds = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    parts = draw(hnp.arrays(np.float64, (kinds, r, r, 2), elements=_gram_entries))
+    which = draw(hnp.arrays(np.int64, draw(st.integers(1, 12)), elements=st.integers(0, kinds - 1)))
+    dev = parts.view(np.complex128)[..., 0][which]
+    dev[draw(hnp.arrays(np.bool_, len(which)))] = 0.0
+    return dev + np.eye(r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gram_stacks())
+@example(np.tile(np.eye(2, dtype=np.complex128), (5, 1, 1)))
+@example(np.array([np.eye(2), [[1.0, 2.0], [0.0, 1.0]], [[1.0, 0.0], [2.0, 1.0]]], dtype=complex))
+@example(np.full((1, 3, 3), complex(math.nan, math.nan)))
+@example(np.array([np.diag([2.0, 1.0, 1.0, 1.0]),  # LAPACK reads a NaN left off the diagonal
+                   np.eye(4) + np.diag([0.0, complex(0.0, math.nan), 0.0, 0.0])]) + 2e-313 + 2e-313j)
+def test_screened_sweep_is_the_full_sweep_bit_for_bit(gram):
+    grid = CircleGrid(len(gram))
+
+    def outcome(sweep):  # LAPACK may refuse a NaN matrix; then both sweeps raise
+        try:
+            return sweep(gram, grid)
+        except np.linalg.LinAlgError:
+            return "LinAlgError"
+
+    got, want = outcome(filterbank._worst_unitarity), outcome(_full_sweep)
+    if want == "LinAlgError":
+        assert got == want
+    else:
+        assert got[1] == want[1]
+        assert got[0] == want[0] or (math.isnan(got[0]) and math.isnan(want[0]))
 
 
 def _coefficient_bounds_and_grid_oracles(bank):

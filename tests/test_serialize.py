@@ -1,5 +1,7 @@
 import gc
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -367,6 +369,75 @@ def test_dumps_matches_the_stdlib_on_both_sides_of_the_slot_threshold(size, monk
             assert ser.dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
             # a block of fewer than SLOT_NUMBERS numbers is written inline
             assert laid_out == ([shape[0]] * blocks if size >= ser.SLOT_NUMBERS else [])
+
+
+def _at_depths(block):
+    """The block at indent levels 0 to 3, beside inline values."""
+    return [block, {"b": block, "c": 1}, {"a": {"b": block}, "z": [0.5]},
+            {"a": [{"b": block, "n": None}], "y": "\x00"}]
+
+
+@pytest.mark.parametrize("rows", [10, 11, 12, 23])
+@pytest.mark.parametrize("tail", [(), (2,), (3, 2)])
+def test_dumps_matches_the_stdlib_chunk_by_chunk(rows, tail, monkeypatch):
+    # with chunks of 11 rows: blocks of chunk - 1, chunk, chunk + 1 and 2 chunk + 1 rows
+    monkeypatch.setattr(ser, "CHUNK_ROWS", 11)
+    laid_out = []
+    layout = ser._layout
+
+    def counting(block, depth, outer=True):
+        laid_out.append((len(block), outer))
+        return layout(block, depth, outer)
+
+    monkeypatch.setattr(ser, "_layout", counting)
+    shape = (rows, *tail)
+    size = math.prod(shape)
+    numbers = np.resize([-0.0, 5e-324, 1e308, -1.5, 7.0, float("nan"), float("-inf"),
+                         float("inf")], size)
+    blocks = [numbers.reshape(shape).tolist(), np.arange(-size, size, 2).reshape(shape).tolist(),
+              (np.arange(size) % 3 == 0).reshape(shape).tolist(), ser._cvec(numbers.reshape(shape))]
+    for block in blocks:
+        block = ser._Block(block)
+        for obj in _at_depths(block):
+            laid_out.clear()
+            assert ser.dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+            if rows > 11:  # one piece per chunk of rows, none of the whole block
+                assert laid_out == [(min(11, rows - k), False) for k in range(0, rows, 11)]
+            else:
+                assert laid_out == [(rows, True)]
+
+
+def test_a_family_block_is_laid_out_chunk_by_chunk(monkeypatch):
+    fam = ser.family_to_dict(random_coisometry(3, 4, np.random.default_rng(1)))  # V is rank 3
+    report = {"family": fam, "eig": ser._cvec(np.arange(25) * (1 + 1j))}
+    want = json.dumps(report, indent=2, sort_keys=True)
+    for rows in (1, 2, 3, ser.CHUNK_ROWS):
+        monkeypatch.setattr(ser, "CHUNK_ROWS", rows)
+        assert ser.dumps(report) == want
+
+
+@pytest.mark.parametrize("rows", [ser.CHUNK_ROWS - 1, ser.CHUNK_ROWS, ser.CHUNK_ROWS + 1,
+                                  2 * ser.CHUNK_ROWS + 1])
+def test_dumps_matches_the_stdlib_around_the_chunk_size(rows):
+    values = np.random.default_rng(rows).standard_normal(rows) * np.exp(1j * np.arange(rows))
+    report = {"info": {"values": values}, "M": rows}
+    assert ser.dumps(report, default=cli._json_default) == _stdlib(report)
+
+
+def test_the_writer_holds_little_more_than_the_report():
+    # one 65535-pair block, as an equiv or wold --filter report of a dynamics grid holds
+    values = np.random.default_rng(0).standard_normal(65535) * np.exp(1j * np.arange(65535))
+    report = {"command": "equiv", "info": {"coboundary": ser._cvec(values)}, "residuals": {}}
+    tracemalloc.start()
+    try:
+        text = ser.pieces(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(map(len, text))
+    assert size > 4_000_000
+    # laid out whole, the block held 3.5 times the report's size
+    assert peak <= 1.5 * size
 
 
 def test_family_decoder_caps_the_dim():
