@@ -137,7 +137,7 @@ def filter_values_at_angles(f: Filter, theta: np.ndarray,
     """
     if isinstance(f, LaurentPoly):
         if work is None:
-            return f._evaluate_unchecked(np.exp(1j * theta))
+            work = [np.empty(np.shape(theta), dtype=np.complex128) for _ in range(5)]
         z = np.exp(np.multiply(1j, theta, out=work[0]), out=work[0])
         return f._evaluate_unchecked(z, work[1:])
     if isinstance(f, AngleFunction):

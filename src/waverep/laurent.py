@@ -168,16 +168,14 @@ class LaurentPoly:
         """Horner at z, on or off the circle; `work`, four complex arrays of
         z's shape that the caller owns, holds the result (work[0]) and every
         intermediate, so that repeated calls allocate nothing."""
-        scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
-        z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+        z = np.asarray(z, dtype=np.complex128)
         if work is None:
-            out, acc, tmp, w = np.zeros_like(z), np.zeros_like(z), np.empty_like(z), None
-        else:
-            out, acc, tmp, w = work
-            out.fill(0.0)
-            acc.fill(0.0)
+            work = [np.empty_like(z) for _ in range(4)]
+        out, acc, tmp, w = work
+        out.fill(0.0)
+        acc.fill(0.0)
         if self.is_zero():
-            return out[0] if scalar else out
+            return out[()] if z.ndim == 0 else out
         lo, hi = self.min_degree, self.max_degree
         coeffs = self.coeffs.tolist()
         # Horner steps alternate between two buffers: numpy may round an
@@ -202,7 +200,7 @@ class LaurentPoly:
                 acc, tmp = tmp, acc
             np.multiply(acc, w, out=tmp)  # degrees -1 .. lo correspond to w^1 .. w^-lo
             out += tmp
-        return out[0] if scalar else out
+        return out[()] if z.ndim == 0 else out
 
     def values_at_t(self, t) -> np.ndarray:
         """Values as a function of the angle t, at z = exp(-i t)."""

@@ -32,12 +32,12 @@ the [re, im] pairs that _cvec returns) is laid out by _layout: the C encoder
 writes it with the item separator "\x01", and that flat text is laid out at
 the block's depth with one str.replace per nesting level.  Number text is
 the same in both encoders, and a block is a regular array of numbers, so
-its flat text holds "\x01" and brackets only as structure.  A block of at
-most CHUNK_ROWS outer rows is one piece.  A longer one is laid out
-CHUNK_ROWS rows at a time, each chunk one piece after its "," and indent,
-and no text of the whole block is formed: laying out a block holds several
-texts of it at once (the flat text, its body and the replaced copies), so
-the writer's peak is one report text plus about three chunks' (1.2 times a
+its flat text holds "\x01" and brackets only as structure.  A block is
+laid out at most CHUNK_ROWS outer rows at a time, each chunk one piece
+after its "," and indent, and no text of the whole block is formed: laying
+out a chunk holds several texts of it at once (the flat text, its body and
+the replaced copies), so the writer's peak is one report text plus about
+three chunks' (1.2 times a
 report holding one 65535-pair block, against 3.5 times when it was laid
 out whole).  A laid-out block costs a fixed amount, about what writing 10
 numbers inline costs: in a small report holding one block of n [re, im]
@@ -252,10 +252,10 @@ def _shape(block: list) -> tuple:
     return tuple(shape)
 
 
-def _layout(block: list, depth: int, outer: bool = True) -> str:
-    """json.dumps(block, indent=2) for a block that opens at indent level `depth`;
-    with outer=False, only its rows, without the outer brackets and the line
-    breaks next to them."""
+def _layout(block: list, depth: int) -> str:
+    """The rows of json.dumps(block, indent=2) for a block that opens at indent
+    level `depth`: its text without the outer brackets and the line breaks
+    next to them."""
     rank = len(_shape(block))
     flat = _FLAT.encode(block)
     nl = ["\n" + "  " * k for k in range(depth + rank + 1)]
@@ -269,8 +269,7 @@ def _layout(block: list, depth: int, outer: bool = True) -> str:
                             "".join(closes[rank - 1:m:-1]) + "," + nl[depth + m + 1]
                             + "".join(opens[m + 1:]))
     body = body.replace("\x01", "," + nl[depth + rank])
-    k = 0 if outer else 1
-    return "".join(opens[k:]) + body + "".join(reversed(closes[k:]))
+    return "".join(opens[1:]) + body + "".join(reversed(closes[1:]))
 
 
 def _write(x, head: str, nl: str, append, default) -> None:
@@ -289,19 +288,15 @@ def _write(x, head: str, nl: str, append, default) -> None:
         if not x:
             append(head + "[]")
         elif isinstance(x, _Block) and math.prod(_shape(x)) >= SLOT_NUMBERS:
+            # one piece per chunk of rows: no text of the whole block is formed
             depth = len(nl) // 2
-            if len(x) <= CHUNK_ROWS:
+            inner = nl + "  "
+            head += "[" + inner
+            for start in range(0, len(x), CHUNK_ROWS):
                 append(head)
-                append(_layout(x, depth))
-            else:
-                # one piece per chunk of rows: no text of the whole block is formed
-                inner = nl + "  "
-                head += "[" + inner
-                for start in range(0, len(x), CHUNK_ROWS):
-                    append(head)
-                    append(_layout(x[start:start + CHUNK_ROWS], depth, outer=False))
-                    head = "," + inner
-                append(nl + "]")
+                append(_layout(x[start:start + CHUNK_ROWS], depth))
+                head = "," + inner
+            append(nl + "]")
         else:
             inner = nl + "  "
             head += "[" + inner

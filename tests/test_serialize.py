@@ -385,9 +385,9 @@ def test_dumps_matches_the_stdlib_chunk_by_chunk(rows, tail, monkeypatch):
     laid_out = []
     layout = ser._layout
 
-    def counting(block, depth, outer=True):
-        laid_out.append((len(block), outer))
-        return layout(block, depth, outer)
+    def counting(block, depth):
+        laid_out.append(len(block))
+        return layout(block, depth)
 
     monkeypatch.setattr(ser, "_layout", counting)
     shape = (rows, *tail)
@@ -401,10 +401,8 @@ def test_dumps_matches_the_stdlib_chunk_by_chunk(rows, tail, monkeypatch):
         for obj in _at_depths(block):
             laid_out.clear()
             assert ser.dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
-            if rows > 11:  # one piece per chunk of rows, none of the whole block
-                assert laid_out == [(min(11, rows - k), False) for k in range(0, rows, 11)]
-            else:
-                assert laid_out == [(rows, True)]
+            # one piece per chunk of rows, none of the whole block
+            assert laid_out == [min(11, rows - k) for k in range(0, rows, 11)]
 
 
 def test_a_family_block_is_laid_out_chunk_by_chunk(monkeypatch):
