@@ -17,6 +17,7 @@ from .cuntz import (
     apply_filter_isometry,
     cuntz_residuals,
     endomorphism_residual,
+    filter_window_adjoint,
     shift_realization,
 )
 from .dilation import (
@@ -92,6 +93,7 @@ __all__ = [
     "decompose_monomial",
     "endomorphism_residual",
     "equivalence_check",
+    "filter_window_adjoint",
     "fock_embedding",
     "gram_matrix",
     "inner",

@@ -9,6 +9,12 @@ hold to machine precision whenever the bank's modulation matrix is unitary.
 The adjoint is digit extraction: the coefficient of z^k in S_i* xi is the
 coefficient of z^(N k) in conj(m_i) xi.  No grid quadrature is involved; a
 representation takes a polynomial bank only.
+
+The modes W = [-R, R], R = laurent.invariant_radius of the filter's degree
+range, are invariant under S*, and S* carries every mode into them.  So
+S*|_W is a finite matrix (filter_window_adjoint), built from exact adjoints
+of the monomials of W; it is the single-filter block of the window family
+V_i* = S_i*|_W of a bank.
 """
 
 from __future__ import annotations
@@ -45,6 +51,27 @@ def apply_filter_adjoint(m: LaurentPoly, scale: int, xi: LaurentPoly) -> Laurent
     lo = xi.min_degree - m.max_degree
     k_lo = -(-lo // scale)  # ceil division
     return LaurentPoly._owned(prod[k_lo * scale - lo :: scale].copy(), k_lo)
+
+
+def filter_window_adjoint(m: LaurentPoly, scale: int, radius: int) -> np.ndarray:
+    """The (2r+1) x (2r+1) matrix of S* on the modes W = [-r, r], r = radius.
+
+    Column n + r holds the coefficients of S* z^n for n in W, each an exact
+    adjoint, so a vector supported on W is carried by one product with the
+    matrix.  r = invariant_radius of m's degree range (or of a whole bank's)
+    makes W invariant; a column with a coefficient outside W means W is not
+    invariant (r too small) and raises ValueError.
+    """
+    out = np.zeros((2 * radius + 1, 2 * radius + 1), dtype=np.complex128)
+    for j, n in enumerate(range(-radius, radius + 1)):
+        image = apply_filter_adjoint(m, scale, LaurentPoly.monomial(n))
+        if image.is_zero():
+            continue
+        if image.min_degree < -radius or image.max_degree > radius:
+            raise ValueError(f"S* z^{n} leaves the window [-{radius}, {radius}] "
+                             f"(modes {image.min_degree}..{image.max_degree})")
+        out[image.min_degree + radius : image.max_degree + radius + 1, j] = image.coeffs
+    return out
 
 
 # ---------------------------------------------------------------------------

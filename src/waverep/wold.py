@@ -12,7 +12,10 @@ unimodular measurable solution.  Each filter kind takes one route.
   max ||m|^2 - 1| and so max ||m| - 1|.  A unimodular trigonometric
   polynomial is a single monomial c z^d, and a fixed Fourier mode exists
   iff (N-1) divides d, giving the closed form xi = z^(-d/(N-1)) and
-  lambda = c.
+  lambda = c.  The projection decay ||S^k S*^k xi|| of a batch of probes is
+  computed on the window W = [-R, R], R = laurent.invariant_radius of m,
+  which S* leaves invariant: one isometry gate and one matrix of S*|_W for
+  all probes (range_projection_norms).
 * Grid and callable filters are screened for unimodularity on a grid of
   size coprime to N, where z -> z^N permutes the points, and their
   isometry residual comes from the DFT of |m|^2 on that grid (a callable
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cuntz import apply_filter_adjoint, apply_filter_isometry
+from .cuntz import apply_filter_adjoint, apply_filter_isometry, filter_window_adjoint
 from .filterbank import (
     Filter,
     FilterBank,
@@ -42,7 +45,7 @@ from .filterbank import (
     values_on_coset,
     VERIFY_TOL,
 )
-from .laurent import CircleGrid, GridFunction, LaurentPoly
+from .laurent import CircleGrid, GridFunction, LaurentPoly, invariant_radius
 from .permutative import _telescope
 
 UNIMODULAR_TOL = 1e-8
@@ -82,26 +85,59 @@ def isometry_residual(m: Filter, scale: int) -> float:
     return qmf_residual(m, scale)
 
 
-def range_projection_norms(m: Filter, scale: int, probe: LaurentPoly, k_max: int,
-                           tol: float = VERIFY_TOL) -> list[float]:
-    """Norms ||S^k S*^k probe|| for k = 0..k_max (non-increasing).
+def range_projection_norms(m: Filter, scale: int, probes, k_max: int,
+                           tol: float = VERIFY_TOL) -> list[list[float]]:
+    """Norms ||S^k S*^k xi|| for k = 0..k_max, one non-increasing list per probe xi.
 
-    Exact coefficient arithmetic; polynomial filters only, since the grid
-    permutation model makes every composition invertible and would report a
-    unitary for any filter.
+    Exact coefficient arithmetic; polynomial filters and probes only, since
+    the grid permutation model makes every composition invertible and would
+    report a unitary for any filter.  One isometry gate serves all probes.
+
+    The decay is computed on the window W = [-R, R], R = invariant_radius of
+    m: S* leaves W invariant and carries every mode into it.  Each probe is
+    stepped by exact adjoints until it lies in W, and then all probes advance
+    together by the matrix of S*|_W (cuntz.filter_window_adjoint), one
+    product per k.  The window costs 2R+1 exact adjoints, so it is built only
+    when the steps left to the exact chain are at least that many; a wider
+    window (4099 modes for z^2049) keeps the chain and allocates no matrix.
     """
     if not isinstance(m, LaurentPoly):
         raise TypeError("range projections need a polynomial filter (exact adjoints)")
+    probes = list(probes)
+    if not all(isinstance(p, LaurentPoly) for p in probes):
+        raise TypeError("range projections need polynomial probes (exact adjoints)")
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     res = isometry_residual(m, scale)
     if res > max(tol, 1e-8):
         raise ValueError(f"filter is not an isometry symbol (residual {res:.3g})")
     # S is an isometry (residual checked above), so ||S^k S*^k xi|| equals
     # ||S*^k xi||; re-applying S^k would only inflate the degree by N^k.
-    out = [probe.norm2()]
-    down = probe
-    for _ in range(k_max):
-        down = apply_filter_adjoint(m, scale, down)
-        out.append(down.norm2())
+    radius = invariant_radius(m.min_degree, m.max_degree, scale)
+    carried, out = [], []
+    for p in probes:
+        norms = [p.norm2()]
+        while len(norms) <= k_max and not (
+                p.is_zero() or (-radius <= p.min_degree and p.max_degree <= radius)):
+            p = apply_filter_adjoint(m, scale, p)
+            norms.append(p.norm2())
+        carried.append(p)
+        out.append(norms)
+    steps = [k_max + 1 - len(norms) for norms in out]
+    if 2 * radius + 1 > sum(steps):
+        for p, norms in zip(carried, out):
+            while len(norms) <= k_max:
+                p = apply_filter_adjoint(m, scale, p)
+                norms.append(p.norm2())
+        return out
+    window = filter_window_adjoint(m, scale, radius)
+    vecs = np.stack([p.coeff_window(-radius, radius) for p in carried], axis=1)
+    path = np.empty((max(steps), *vecs.shape), dtype=np.complex128)
+    for k in range(len(path)):
+        vecs = path[k] = window @ vecs
+    decay = np.sqrt(np.sum(path.real ** 2 + path.imag ** 2, axis=1))
+    for j, (n, norms) in enumerate(zip(steps, out)):
+        norms.extend(decay[:n, j].tolist())
     return out
 
 
@@ -201,8 +237,7 @@ def _polynomial_wold(m: LaurentPoly, scale: int, iso: float, tol: float,
     if probes_kmax:
         probes = {"1": LaurentPoly.one(), "z": LaurentPoly.monomial(1),
                   "1/z": LaurentPoly.monomial(-1), "m": m}
-        decay = {k: range_projection_norms(m, scale, p, probes_kmax)
-                 for k, p in probes.items()}
+        decay = dict(zip(probes, range_projection_norms(m, scale, probes.values(), probes_kmax)))
     report = WoldReport(
         unitary_dim=0,
         eigenvalue=None,

@@ -129,7 +129,7 @@ def test_criterion_4_wold():
     const_ok = (rep_c.unitary_dim == 1 and rep_c.eigenfunction == LaurentPoly.one()
                 and abs(rep_c.eigenvalue - lam0) < 1e-12)
 
-    norms = range_projection_norms(haar.filters[0], 2, LaurentPoly.one(), 20)
+    norms = range_projection_norms(haar.filters[0], 2, [LaurentPoly.one()], 20)[0]
     decay_gap = max(abs(norms[k] - 2 ** (-k / 2)) for k in range(21))
     decay_ok = decay_gap < 1e-12
 

@@ -11,6 +11,7 @@ from waverep.cuntz import (
     apply_filter_adjoint,
     cuntz_residuals,
     endomorphism_residual,
+    filter_window_adjoint,
     shift_realization,
 )
 from waverep.filterbank import FilterBank
@@ -287,6 +288,36 @@ def test_adjoints_keep_the_invariant_window(scale):
                     continue
                 bound = radius if abs(n) <= radius else abs(n) - 1
                 assert -bound <= image.min_degree and image.max_degree <= bound, (n, radius)
+
+
+@pytest.mark.parametrize("scale", [2, 3, 4])
+def test_window_adjoint_is_the_adjoint_on_the_window(scale):
+    # S*|_W as a matrix: on a vector supported on W = [-r, r] (r >= R) one
+    # product with it is the exact adjoint, which stays in W
+    rng = np.random.default_rng(70 + scale)
+    bank = fixtures.random_paraunitary_bank(scale, 2, rng)
+    for f in bank.filters + tuple(f * LaurentPoly.monomial(-5) for f in bank.filters):
+        radius = invariant_radius(f.min_degree, f.max_degree, scale)
+        for r in (radius, radius + 2):
+            xi = random_poly(rng, r)
+            image = apply_filter_adjoint(f, scale, xi)
+            assert -r <= image.min_degree and image.max_degree <= r
+            got = filter_window_adjoint(f, scale, r) @ xi.coeff_window(-r, r)
+            assert np.max(np.abs(got - image.coeff_window(-r, r))) < 1e-13
+
+
+def test_window_adjoint_refuses_a_window_that_leaks():
+    # db4's low-pass has degrees 0..3, so R = 3; S* z^(-1) reaches z^(-2) and
+    # S* z^0 reaches z^(-1), outside the windows of radius 1 and 0.  (At N = 2
+    # the radius R - 1 happens to be invariant as well, so the leak check,
+    # not a comparison with R, is the gate.)
+    m = fixtures.db4().filters[0]
+    assert invariant_radius(m.min_degree, m.max_degree, 2) == 3
+    for r in (0, 1):
+        with pytest.raises(ValueError, match="leaves the window"):
+            filter_window_adjoint(m, 2, r)
+    for r in (2, 3, 4):
+        assert filter_window_adjoint(m, 2, r).shape == (2 * r + 1, 2 * r + 1)
 
 
 def test_invariant_radius_is_the_cycle_radius_and_the_index_window():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import exact_sample, random_poly
 from waverep import filterbank, fixtures, wold
 from waverep.filterbank import qmf_residual
-from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, sample
+from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, invariant_radius, sample
 from waverep.wold import (
     isometry_residual,
     range_projection_norms,
@@ -22,53 +22,82 @@ from waverep.wold import (
 
 def test_haar_decay_matches_geometric(haar_bank):
     # oracle: S* 1 = 2^(-1/2), and S is isometric, so ||E_k 1|| = 2^(-k/2)
-    norms = range_projection_norms(haar_bank.filters[0], 2, LaurentPoly.one(), 20)
+    norms = range_projection_norms(haar_bank.filters[0], 2, [LaurentPoly.one()], 20)[0]
     for k, val in enumerate(norms):
         assert val == pytest.approx(2 ** (-k / 2), abs=1e-12)
 
 
-def test_projection_norms_match_explicit_composition(haar_bank, db4_bank, rng):
-    # brute-force oracle: actually build S^k S*^k xi for small k and compare
+def test_projection_norms_match_explicit_composition(haar_bank, db4_bank, rng, monkeypatch):
+    # brute-force oracle: actually build S^k S*^k xi for small k and compare,
+    # for a batch of probes on both routes: the window matrix (haar, db4, z:
+    # 2R+1 <= 5 probes x 6 steps) and the exact chain (z^2049: 4099 modes)
     from waverep.cuntz import apply_filter_adjoint, apply_filter_isometry
 
-    for m in (haar_bank.filters[0], db4_bank.filters[1], LaurentPoly.monomial(1)):
-        probe = random_poly(rng, 5, unit_norm=True)
-        norms = range_projection_norms(m, 2, probe, 6)
-        for k in range(7):
-            vec = probe
-            for _ in range(k):
-                vec = apply_filter_adjoint(m, 2, vec)
-            for _ in range(k):
-                vec = apply_filter_isometry(m, 2, vec)
-            assert norms[k] == pytest.approx(vec.norm2(), abs=1e-12)
+    windows = []
+    build = wold.filter_window_adjoint
+    monkeypatch.setattr(wold, "filter_window_adjoint",
+                        lambda *a: windows.append(a[2]) or build(*a))
+    for m, on_window in ((haar_bank.filters[0], True), (db4_bank.filters[1], True),
+                         (LaurentPoly.monomial(1), True), (LaurentPoly.monomial(2049), False)):
+        # the fourth probe reaches outside every window above: degrees -40..40
+        probes = [random_poly(rng, 5, unit_norm=True), LaurentPoly.one(), LaurentPoly.monomial(-1),
+                  random_poly(rng, 40, unit_norm=True), LaurentPoly.zero()]
+        windows.clear()
+        batch = range_projection_norms(m, 2, probes, 6)
+        radius = invariant_radius(m.min_degree, m.max_degree, 2)
+        assert windows == ([radius] if on_window else [])
+        assert len(batch) == len(probes)
+        for probe, norms in zip(probes, batch):
+            assert len(norms) == 7
+            for k in range(7):
+                vec = probe
+                for _ in range(k):
+                    vec = apply_filter_adjoint(m, 2, vec)
+                for _ in range(k):
+                    vec = apply_filter_isometry(m, 2, vec)
+                assert norms[k] == pytest.approx(vec.norm2(), abs=1e-12)
 
 
 def test_unitary_vector_stays():
-    norms = range_projection_norms(LaurentPoly.monomial(1), 2, LaurentPoly.monomial(-1), 12)
+    norms = range_projection_norms(LaurentPoly.monomial(1), 2, [LaurentPoly.monomial(-1)], 12)[0]
     assert np.allclose(norms, 1.0, atol=1e-13)
 
 
 def test_constant_filter_constant_probe():
-    norms = range_projection_norms(LaurentPoly.one(), 2, LaurentPoly.one(), 8)
+    norms = range_projection_norms(LaurentPoly.one(), 2, [LaurentPoly.one()], 8)[0]
     assert np.allclose(norms, 1.0, atol=1e-13)
 
 
 def test_decay_nonincreasing(db4_bank, rng):
     for _ in range(4):
         probe = random_poly(rng, 8, unit_norm=True)
-        norms = range_projection_norms(db4_bank.filters[0], 2, probe, 12)
+        norms = range_projection_norms(db4_bank.filters[0], 2, [probe], 12)[0]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
 
 def test_rejects_non_isometry():
     with pytest.raises(ValueError):
-        range_projection_norms(LaurentPoly([1.0, 1.0]), 2, LaurentPoly.one(), 4)
+        range_projection_norms(LaurentPoly([1.0, 1.0]), 2, [LaurentPoly.one()], 4)
 
 
 def test_rejects_grid_probe():
     g = CircleGrid(63)
     with pytest.raises(TypeError):
-        range_projection_norms(sample(LaurentPoly.monomial(1), g), 2, LaurentPoly.one(), 4)
+        range_projection_norms(sample(LaurentPoly.monomial(1), g), 2, [LaurentPoly.one()], 4)
+
+
+@pytest.mark.parametrize("k_max", [0, 3])
+def test_rejects_a_grid_probe_at_any_k_max(k_max):
+    probe = sample(LaurentPoly.one(), CircleGrid(63))
+    with pytest.raises(TypeError):
+        range_projection_norms(LaurentPoly.monomial(1), 2, [LaurentPoly.one(), probe], k_max)
+
+
+def test_rejects_a_negative_k_max():
+    with pytest.raises(ValueError):
+        range_projection_norms(LaurentPoly.monomial(1), 2, [LaurentPoly.one()], -3)
+    assert range_projection_norms(LaurentPoly.monomial(1), 2, [LaurentPoly.one()], 0) == [[1.0]]
+    assert range_projection_norms(LaurentPoly.monomial(1), 2, [], 5) == []
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +202,7 @@ def test_eigenvector_definition_holds(haar_bank):
     image = apply_filter_isometry(LaurentPoly.monomial(1), 2, rep.eigenfunction)
     assert (image - rep.eigenvalue * rep.eigenfunction).norm2() < 1e-12
     # and the projection norms of xi stay pinned at 1
-    norms = range_projection_norms(LaurentPoly.monomial(1), 2, rep.eigenfunction, 15)
+    norms = range_projection_norms(LaurentPoly.monomial(1), 2, [rep.eigenfunction], 15)[0]
     assert np.allclose(norms, 1.0, atol=1e-12)
 
 
@@ -202,14 +231,9 @@ def test_shift_check_requires_verified_bank(haar_bank):
         wavelet_shift_check(bad)
 
 
-@pytest.mark.parametrize("name", ["haar2", "db4", "haar3"])
-def test_shift_check_builds_no_projection(name, monkeypatch, capsys):
-    # the shift check reads the unitary dimension alone: the bank's
-    # certificate, one certificate per filter inside wold_analysis, and no
-    # range projection
-    from waverep.cli import run
-
-    certificates, projections = [], []
+def _count_certificates(monkeypatch):
+    """Record the number of filters of every polyphase certificate computed."""
+    certificates = []
     certificate = filterbank._polyphase_certificate
 
     def counting(filters, scale):
@@ -217,11 +241,43 @@ def test_shift_check_builds_no_projection(name, monkeypatch, capsys):
         return certificate(filters, scale)
 
     monkeypatch.setattr(filterbank, "_polyphase_certificate", counting)
+    return certificates
+
+
+@pytest.mark.parametrize("name", ["haar2", "db4", "haar3"])
+def test_shift_check_builds_no_projection(name, monkeypatch, capsys):
+    # the shift check reads the unitary dimension alone: the bank's
+    # certificate, one certificate per filter inside wold_analysis, and no
+    # range projection
+    from waverep.cli import run
+
+    certificates, projections = _count_certificates(monkeypatch), []
     monkeypatch.setattr(wold, "range_projection_norms", lambda *a, **k: projections.append(1))
     assert run(["wold", "--fixture", name, "--shift-check"]) == 0
     capsys.readouterr()
     scale = fixtures.fixture_bank(name).scale
     assert certificates == [scale] + [1] * scale and projections == []
+
+
+def test_a_wold_report_gates_its_four_probes_once(monkeypatch, capsys):
+    # one certificate in wold_analysis's gate and one in the batched
+    # range_projection_norms gate; the four probes of db4's low-pass already
+    # lie in W = [-3, 3], so the adjoints are the 7 columns of S*|_W
+    from waverep import cuntz
+    from waverep.cli import run
+
+    certificates, adjoints = _count_certificates(monkeypatch), []
+    adjoint = cuntz.apply_filter_adjoint
+
+    def counting(*args):
+        adjoints.append(1)
+        return adjoint(*args)
+
+    monkeypatch.setattr(cuntz, "apply_filter_adjoint", counting)
+    monkeypatch.setattr(wold, "apply_filter_adjoint", counting)
+    assert run(["wold", "--fixture", "db4"]) == 0
+    capsys.readouterr()
+    assert certificates == [1, 1] and len(adjoints) == 7
 
 
 def test_probes_kmax_zero_leaves_the_projection_decay_empty(db4_bank):
