@@ -39,7 +39,6 @@ from .filterbank import (
     complete_filterbank,
     modulation_matrix,
     pairwise_residual,
-    paraunitarity_residual,
     qmf_residual,
     require_verified,
     unitarity_residual,
@@ -101,7 +100,6 @@ __all__ = [
     "mother_hat",
     "pairing",
     "pairwise_residual",
-    "paraunitarity_residual",
     "per_residual",
     "purity_diagnostics",
     "qmf_residual",

@@ -39,6 +39,8 @@ INV_SQRT_2PI = 1.0 / math.sqrt(TWO_PI)
 DEFAULT_DEPTH = 20
 DEFAULT_T_MAX = 8.0 * math.pi
 DEFAULT_SAMPLES = 4097
+# how much deeper than the compared product cascade_limit_residual's reference runs
+LIMIT_EXTRA_DEPTH = 20
 
 
 @dataclass(frozen=True)
@@ -188,12 +190,12 @@ def per_residual(samples: LineSamples, lattice_max: int) -> PerResidual:
 
 def cascade_limit_residual(lowpass: Filter, scale: int, xi: LaurentPoly, depth: int,
                            t_max: float = 2.0 * math.pi, samples: int = 1025,
-                           band: Filter | None = None, extra_depth: int = 20) -> float:
+                           band: Filter | None = None) -> float:
     """Sup-norm gap between the depth-n cascade image of xi and its limit.
 
     With band=None this compares the n-fold low-pass image
     chi(t/N^n) * prod_{k=1..n} N^(-1/2) m_0(t/N^k) * xi(t) against the
-    deeper product (depth n + extra_depth) times xi.  Passing a band filter
+    deeper product (depth n + LIMIT_EXTRA_DEPTH) times xi.  Passing a band filter
     compares the mother-function variant, which applies the band at t/N and
     the low-pass product above it.
     """
@@ -207,11 +209,11 @@ def cascade_limit_residual(lowpass: Filter, scale: int, xi: LaurentPoly, depth: 
     chi = (np.abs(shrunk) <= math.pi).astype(np.float64)
     if band is None:
         lhs = chi * truncated_product(lowpass, scale, t, depth) * xi_vals
-        rhs = truncated_product(lowpass, scale, t, depth + extra_depth) * xi_vals
+        rhs = truncated_product(lowpass, scale, t, depth + LIMIT_EXTRA_DEPTH) * xi_vals
     else:
         band_vals, _ = _values_at_t(band, t / scale)
         upper = truncated_product(lowpass, scale, t / scale, depth - 1) if depth > 1 else np.ones_like(t, dtype=np.complex128)
         lhs = chi * band_vals / math.sqrt(scale) * upper * xi_vals
-        deep = truncated_product(lowpass, scale, t / scale, depth - 1 + extra_depth)
+        deep = truncated_product(lowpass, scale, t / scale, depth - 1 + LIMIT_EXTRA_DEPTH)
         rhs = band_vals / math.sqrt(scale) * deep * xi_vals
     return float(np.max(np.abs(lhs - rhs)))

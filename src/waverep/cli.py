@@ -31,7 +31,7 @@ from . import permutative as perm
 from . import serialize as ser
 from . import wold as wld
 from .filterbank import check_bank, complete_filterbank, unitarity_residual, VERIFY_TOL
-from .laurent import CircleGrid, GridFunction, LaurentPoly
+from .laurent import GridFunction, LaurentPoly
 from .serialize import InputError
 
 
@@ -83,8 +83,6 @@ _scale = _int_in(2)
 # fock_dim = dim (N^(K+1) - 1)/(N - 1) must stay printable: Python writes ints
 # of at most 4300 digits, which K <= 1000 keeps for N below 10^4
 FOCK_DEPTH_MAX = 1000
-# the index eigensolve is at most (2K + 1)^2 = 2049^2, whatever the bank's K0
-INDEX_WINDOW_MAX = 1024
 # the modes -K..K of a decompose report: about 2 MB of report at the cap; the
 # digits' cycle radius max|d| / (N - 1) has the same cap, since the funnel
 # runs on the ball of radius max(K, R)
@@ -178,19 +176,10 @@ def _produced_bank(bank, out_bank):
 
 def cmd_check(args):
     bank = _load_bank(args)
-    grid = CircleGrid(args.grid_size) if args.grid_size else None
-    if bank.kind == "poly" and grid is not None:
-        raise InputError("a polynomial bank is decided by its coefficients; "
-                         "it takes no --grid-size")
-    if bank.kind == "grid":
-        own = bank.filters[0].grid.M
-        if grid is not None and grid.M != own:
-            raise InputError(f"a grid bank is checked on its own {own}-point grid, "
-                             f"not on --grid-size {grid.M}")
-        if own % bank.scale != 0:
-            raise InputError(f"a grid bank's grid size must be divisible by its scale "
-                             f"{bank.scale}, got {own}")
-    rep = check_bank(bank, grid)
+    if bank.kind == "grid" and bank.filters[0].grid.M % bank.scale != 0:
+        raise InputError(f"a grid bank's grid size must be divisible by its scale "
+                         f"{bank.scale}, got {bank.filters[0].grid.M}")
+    rep = check_bank(bank)
     verdicts = {"unitary": rep.verified}
     residuals = {
         "unitarity": rep.unitarity_residual,
@@ -307,7 +296,11 @@ def cmd_index(args):
     bank = _load_bank(args)
     if bank.scale != 2 or bank.kind != "poly":
         raise InputError("the index needs a polynomial bank at scale 2")
-    rep = idx.spectral_solutions(bank.filters[0], bank.filters[1], window=args.window)
+    k0 = idx.solve_window(*bank.filters)
+    if k0 > args.window:
+        raise InputError(f"the index is solved on the bank's K0 = {k0}, "
+                         f"above --window {args.window}")
+    rep = idx.spectral_solutions(*bank.filters, window=args.window)
     worst = max((s.residual for s in rep.solutions), default=0.0)
     verdicts = {"index_in_range": rep.index <= 2 and rep.anomaly is None}
     residuals = {"max_solution_residual": worst, "pairing_constancy": rep.pairing_residual}
@@ -427,10 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("check", help="verify a filter bank")
     q.add_argument("bank", nargs="?", help="bank JSON file")
     q.add_argument("--fixture")
-    q.add_argument("--grid-size", type=_positive_int, default=0,
-                   help="check-grid size of a callable bank (default: 4096 rounded up to "
-                        "a multiple of N); a grid bank uses its own grid, and a polynomial "
-                        "bank is decided by its coefficients")
 
     q = sub.add_parser("complete", help="extend a low-pass filter to a unitary bank")
     q.add_argument("--lowpass", required=True, help="filter JSON file")
@@ -459,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("index", help="unit-circle eigenspaces of the combined isometry")
     add_bank_source(q)
-    q.add_argument("--window", type=_int_in(0, INDEX_WINDOW_MAX), default=64)
+    q.add_argument("--window", type=_int_in(0, idx.WINDOW_MAX), default=idx.WINDOW_MAX,
+                   help="bound on the bank's window K0, on which the index is solved")
 
     q = sub.add_parser("decompose", help="orbit decomposition of a monomial family")
     q.add_argument("--scale", type=_scale, required=True)

@@ -39,6 +39,8 @@ import numpy as np
 COISOMETRY_TOL = 1e-12
 CYCLIC_RANK_TOL = 1e-10
 WORD_CAP = 10_000
+# per Gram word: the least eigenvalue that still counts as positive is -this * W
+PSD_TOL = 1e-9
 # an input bound: purity_diagnostics takes a dense SVD and up to 51 dense
 # powers (T^50..T^100) of the dim^2 x dim^2 transfer matrix, O(dim^6) each
 DIM_MAX = 32
@@ -177,7 +179,7 @@ def gram_word_count(n_ops: int, max_len: int) -> int:
     return n_words
 
 
-def gram_matrix(fam: CoisometryFamily, max_len: int, psd_tol: float = 1e-9) -> GramReport:
+def gram_matrix(fam: CoisometryFamily, max_len: int) -> GramReport:
     """Spectrum of the Gram matrix of the down-word vectors of length <= max_len; must be PSD.
 
     For W words that is the spectrum of G_L plus W - dim zeros, or without its
@@ -190,7 +192,7 @@ def gram_matrix(fam: CoisometryFamily, max_len: int, psd_tol: float = 1e-9) -> G
         g = start + _transfer(fam.vstar, fam.v, g)
     eigs = np.linalg.eigvalsh(g)
     lo = min(float(eigs[0]), 0.0) if n_words > fam.dim else float(eigs[fam.dim - n_words])
-    return GramReport(min_eigenvalue=lo, psd=lo >= -psd_tol * n_words, n_words=n_words,
+    return GramReport(min_eigenvalue=lo, psd=lo >= -PSD_TOL * n_words, n_words=n_words,
                       eigenvalues=eigs)
 
 

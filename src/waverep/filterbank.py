@@ -13,18 +13,20 @@ The central object is the N x N modulation matrix C(z) with entries
 N^(-1/2) m_i(rho^k z), rho = exp(2*pi*i/N); a bank is "verified" when that
 matrix is unitary, up to tolerance.  Each kind takes one route, chosen
 here and nowhere else: check_bank and the public qmf_residual,
-pairwise_residual and unitarity_residual all take it.
+pairwise_residual and unitarity_residual all take it.  No caller picks a
+grid: each kind's finite model comes from the filters alone.
 
-* A polynomial bank is decided by its coefficients; no grid is built, and
-  passing one raises ValueError.  The Gram matrix G(z) = C(z) C(z)*
+* A polynomial bank is decided by its coefficients; no grid is built.  The
+  Gram matrix G(z) = C(z) C(z)*
   satisfies G(z) - I = sum_s E_s z^(N s), and every residual is read off
   the stack of polyphase defects E_s (Vaidyanathan, Multirate Systems and
   Filter Banks, 1993, ch. 14): the certificate sum_s ||E_s||_2 bounds the
   unitarity deviation, and N sum_s |E_s[i, j]| the quadrature-mirror and
   pairwise deviations, everywhere on the circle.
-* Grid and callable banks are sampled once per filter, and every residual
-  is read off one batch of Gram matrices C(z) C(z)* over a fundamental
-  domain of z -> rho z.  Their verdicts are screens.
+* A grid bank is sampled on its own grid, which needs M % N == 0, and a
+  callable bank on default_check_grid(N).  Each filter is sampled once, and
+  every residual is read off one batch of Gram matrices C(z) C(z)* over a
+  fundamental domain of z -> rho z.  Their verdicts are screens.
 """
 
 from __future__ import annotations
@@ -170,19 +172,19 @@ def values_on_coset(f: Filter, scale: int, grid: CircleGrid, *,
     return filter_values_at_angles(f, theta.ravel()).reshape(n, cols)
 
 
-def _grid_or_default(f: Filter, scale: int, grid: CircleGrid | None) -> CircleGrid:
-    """The given grid, else a grid filter's own grid, else the default check grid."""
-    return grid or (f.grid if isinstance(f, GridFunction) else default_check_grid(scale))
+def _own_grid(f: Filter, scale: int) -> CircleGrid:
+    """A grid filter's own grid, else the default check grid."""
+    return f.grid if isinstance(f, GridFunction) else default_check_grid(scale)
 
 
-def _coset_gram(filters, scale: int, grid: CircleGrid | None):
+def _coset_gram(filters, scale: int):
     """(G, grid): G[j][i, i'] = (1/N) sum_k m_i(rho^k z_j) conj(m_i'(rho^k z_j)).
 
-    A coset sum depends on z_j^N only, so when N | M only the first M/N grid
-    points are formed; the others repeat them.  grid=None means the default.
+    A coset sum depends on z_j^N only, so only the first M/N points of the
+    grid (_own_grid) are formed; the others repeat them.
     """
-    grid = _grid_or_default(filters[0], scale, grid)
-    cols = grid.M // scale if grid.M % scale == 0 else grid.M
+    grid = _own_grid(filters[0], scale)
+    cols = grid.M // scale
     c = np.empty((cols, len(filters), scale), dtype=np.complex128)
     for i, f in enumerate(filters):
         c[:, i, :] = values_on_coset(f, scale, grid, columns=cols).T
@@ -232,61 +234,45 @@ def _worst_unitarity(gram: np.ndarray, grid: CircleGrid):
 # residuals
 
 
-def _by_coefficients(f: Filter, grid: CircleGrid | None) -> bool:
-    """Whether the residuals of f, or of a bank of f's kind, come from the defect
-    stack: true for a polynomial, which takes no grid."""
-    if not isinstance(f, LaurentPoly):
-        return False
-    if grid is not None:
-        raise ValueError("a polynomial is decided by its coefficients, not on a grid")
-    return True
-
-
-def qmf_residual(f: Filter, scale: int, grid: CircleGrid | None = None) -> float:
+def qmf_residual(f: Filter, scale: int) -> float:
     """Deviation of sum_k |m(rho^k z)|^2 from N: N times the certificate of the
     single filter for a polynomial, which bounds it everywhere on the circle;
     its max over the grid for any other filter."""
-    if _by_coefficients(f, grid):
+    if isinstance(f, LaurentPoly):
         return scale * _polyphase_certificate((f,), scale)
-    gram, _ = _coset_gram((f,), scale, grid)
+    gram, _ = _coset_gram((f,), scale)
     return float(scale * np.max(np.abs(gram[:, 0, 0] - 1.0)))
 
 
-def pairwise_residual(fb: FilterBank, i: int, j: int, grid: CircleGrid | None = None) -> float:
+def pairwise_residual(fb: FilterBank, i: int, j: int) -> float:
     """Deviation of sum_k conj(m_i) m_j over a coset from delta_ij N: the bound
     N sum_s |E_s[i, j]| for a polynomial bank, its max over the grid otherwise."""
     n = fb.scale
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError("filter index out of range")
-    if _by_coefficients(fb.filters[0], grid):
+    if fb.kind == "poly":
         return float(_pairwise_bounds(_defect_stack(fb.filters, n)[1], n)[i, j])
-    gram, _ = _coset_gram((fb.filters[i], fb.filters[j]), n, grid)
+    gram, _ = _coset_gram((fb.filters[i], fb.filters[j]), n)
     return float(n * np.max(np.abs(gram[:, 0, 1] - float(i == j))))
 
 
-def unitarity_residual(fb: FilterBank, grid: CircleGrid | None = None) -> float:
-    """Spectral-norm deviation of C(z) C(z)* from I: the certificate sum_s ||E_s||_2
-    of a polynomial bank (paraunitarity_residual), its max over the grid otherwise."""
-    if _by_coefficients(fb.filters[0], grid):
-        return _polyphase_certificate(fb.filters, fb.scale)
-    return _worst_unitarity(*_coset_gram(fb.filters, fb.scale, grid))[0]
-
-
-def paraunitarity_residual(fb: FilterBank) -> float:
-    """Exact unitarity certificate of a polynomial bank, from coefficients.
+def unitarity_residual(fb: FilterBank) -> float:
+    """Spectral-norm deviation of C(z) C(z)* from I, its max over the grid for a
+    grid or callable bank.  For a polynomial bank it is the exact certificate,
+    from coefficients alone.
 
     G(z) - I = sum_s E_s z^(N s), E_s[i, j] = sum_b c_i[b + N s] conj(c_j[b])
     - delta_ij delta_s0 with c_i the coefficients of m_i (the polyphase
     matrix is paraunitary exactly when every E_s vanishes).  The returned
     sum_s ||E_s||_2 bounds ||G(z) - I|| everywhere on the circle.
     """
-    if fb.kind != "poly":
-        raise TypeError("the coefficient certificate needs a polynomial bank")
-    return _polyphase_certificate(fb.filters, fb.scale)
+    if fb.kind == "poly":
+        return _polyphase_certificate(fb.filters, fb.scale)
+    return _worst_unitarity(*_coset_gram(fb.filters, fb.scale))[0]
 
 
 def _polyphase_certificate(filters, scale: int) -> float:
-    """sum_s ||E_s||_2 (see paraunitarity_residual) for r polynomial filters,
+    """sum_s ||E_s||_2 (see unitarity_residual) for r polynomial filters,
     each E_s r x r.  One filter gets a bound of |(1/N) sum_k |m(rho^k z)|^2 - 1|."""
     return _certificate(_defect_norms(_defect_stack(filters, scale)[1]))
 
@@ -396,49 +382,36 @@ def check_lowpass(f: Filter, scale: int, tol: float = 1e-8) -> LowpassReport:
                          zero_residuals=zeros)
 
 
-def check_bank(fb: FilterBank, grid: CircleGrid | None = None) -> CheckReport:
+def check_bank(fb: FilterBank) -> CheckReport:
     """Run the full condition suite on a bank and collect residuals.
 
-    A polynomial bank is decided by its defect stack and takes no grid; the
-    residuals of a grid or callable bank are sampled on the grid.
+    A polynomial bank is decided by its defect stack alone: each residual
+    bounds the sup over the circle of the grid residual it stands for
+    (_pairwise_bounds), and the unitarity residual is the certificate
+    sum_s ||E_s||_2.  The residuals of a grid bank are sampled on its own
+    grid, and those of a callable bank on the default check grid.
     """
     n = fb.scale
-    if _by_coefficients(fb.filters[0], grid):
-        return _check_coefficients(fb)
-    gram, grid = _coset_gram(fb.filters, n, grid)
-    pw = n * np.max(np.abs(gram - np.eye(n)), axis=0)
-    uni, worst = _worst_unitarity(gram, grid)
+    grid = worst = cert = shift = None
+    if fb.kind == "poly":
+        shifts, e = _defect_stack(fb.filters, n)
+        norms = _defect_norms(e)
+        pw = _pairwise_bounds(e, n)
+        uni = cert = _certificate(norms)
+        shift = int(shifts[np.argmax(norms)])
+    else:
+        gram, grid = _coset_gram(fb.filters, n)
+        pw = n * np.max(np.abs(gram - np.eye(n)), axis=0)
+        uni, worst = _worst_unitarity(gram, grid)
     return CheckReport(
         qmf_residuals=[float(pw[i, i]) for i in range(n)],
         pairwise_residuals=pw,
         unitarity_residual=uni,
         lowpass_ok=check_lowpass(fb.filters[0], n).ok,
-        grid_size=grid.M,
+        grid_size=None if grid is None else grid.M,
         worst_point=worst,
-    )
-
-
-def _check_coefficients(fb: FilterBank) -> CheckReport:
-    """check_bank of a polynomial bank, from its defect stack alone.
-
-    Each residual bounds the sup over the circle of the grid residual it
-    stands for (_pairwise_bounds), and the unitarity residual is the
-    certificate sum_s ||E_s||_2.
-    """
-    n = fb.scale
-    shifts, e = _defect_stack(fb.filters, n)
-    norms = _defect_norms(e)
-    pw = _pairwise_bounds(e, n)
-    cert = _certificate(norms)
-    return CheckReport(
-        qmf_residuals=[float(pw[i, i]) for i in range(n)],
-        pairwise_residuals=pw,
-        unitarity_residual=cert,
-        lowpass_ok=check_lowpass(fb.filters[0], n).ok,
-        grid_size=None,
-        worst_point=None,
         coefficient_residual=cert,
-        worst_shift=int(shifts[np.argmax(norms)]),
+        worst_shift=shift,
     )
 
 
@@ -465,7 +438,7 @@ def complete_filterbank(lowpass: Filter, scale: int, tol: float = VERIFY_TOL) ->
         raise ValueError(f"filter violates the quadrature-mirror identity (residual {res:.3g})")
     if isinstance(lowpass, LaurentPoly) and n == 2:
         return FilterBank(2, (lowpass, conjugate_mirror(lowpass)))
-    grid = _grid_or_default(lowpass, n, None)  # N | M, or the gate above refused
+    grid = _own_grid(lowpass, n)  # N | M, or the gate above refused
     m0_vals = filter_values_at_angles(lowpass, grid.angles())
     root_n = math.sqrt(n)
     q = householder_rows(m0_vals.reshape(n, -1).T / root_n)  # q[j] for orbit j

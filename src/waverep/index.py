@@ -14,15 +14,15 @@ K0 = max(-a, b, 0) (laurent.invariant_radius at N = 2), M sends z^n into the
 modes [2n + a, 2n + b], all farther out than n when |n| > K0.  So in the
 basis (inner [-K0, K0], outer) the compression of M to a window K >= K0 is
 block lower-triangular [[A, 0], [B, C]] with C nilpotent, and its nonzero
-spectrum is that of A.  The
-eigensolve runs on the window min(K, K0), which is the window a report
-gives.  The compression is assembled by one gather from the filter taps
-(entry [2n + j, n] is 2^(-1/2) (f0_j + (-1)^n f1_j)), with no operator
-apply per column.  A candidate v only counts after the *uncompressed*
-operator, the exact coefficient action of combined_isometry_apply, which
-shares nothing with that gather, reproduces it to a small exact residual;
-on the K0 window its square is ||(A - lambda) v||^2 + ||B v||^2, so v
-validates exactly when its image stays inside the window.  The eigenpairs
+spectrum is that of A; a smaller window cuts A.  So the eigensolve always
+runs on K0, the window a report gives, and the caller's window only bounds
+K0.  The compression is one gather from the filter taps (entry [2n + j, n]
+is 2^(-1/2) (f0_j + (-1)^n f1_j)), with no operator apply per column.  A
+candidate v only counts after the *uncompressed* operator, the exact
+coefficient action of combined_isometry_apply, which shares nothing with
+that gather, reproduces it to a small exact residual; on the K0 window its
+square is ||(A - lambda) v||^2 + ||B v||^2, so v validates exactly when its
+image stays inside the window.  The eigenpairs
 not kept are counted by reason (REJECTION_REASONS).
 
 Only unit-circle eigenvalues are counted: an isometry has unimodular point
@@ -49,6 +49,8 @@ LAMBDA_CLUSTER_ARC = 1e-6
 RANK_SVD_TOL = 1e-8
 VALIDATE_TOL = 1e-8
 PAIR_TOL = 1e-8  # gate on the pair's 2x2 modulation matrix (require_verified)
+WINDOW_MAX = 1024  # default and cap of the bound on K0: at most a 2049^2 eigensolve
+PAIRING_GRID = CircleGrid(4096)  # where pairing samples two polynomials
 # why a compression eigenpair is not counted: |lambda| below 1 - LAMBDA_DISK_TOL,
 # or a failed exact residual check
 REJECTION_REASONS = ("inside_disk", "failed_validation")
@@ -99,20 +101,29 @@ class SpectralReport:
     rejected: dict = field(default_factory=dict)  # candidates dropped, by REJECTION_REASONS
 
 
-def spectral_solutions(f0: LaurentPoly, f1: LaurentPoly, window: int = 64,
+def solve_window(f0: LaurentPoly, f1: LaurentPoly) -> int:
+    """K0 = laurent.invariant_radius of the pair's degree range at N = 2."""
+    return invariant_radius(min(f0.min_degree, f1.min_degree), max(f0.max_degree, f1.max_degree), 2)
+
+
+def spectral_solutions(f0: LaurentPoly, f1: LaurentPoly, window: int = WINDOW_MAX,
                        tol: float = VALIDATE_TOL) -> SpectralReport:
     """Validated unit-circle eigenpairs of the combined isometry, and the index.
 
-    The operator is compressed to the Fourier window [-k, k], k =
-    min(window, K0), eigensolved, and every candidate with |lambda| >= 1 - 1e-6
-    is re-checked through the exact coefficient action: it survives iff
-    ||M phi - lambda phi|| <= tol * ||phi||.  Survivors are clustered by
-    eigenvalue and each cluster's dimension is a numerical rank; the other
-    eigenpairs are counted in ``rejected`` by reason.
+    The operator is compressed to the Fourier window [-K0, K0]
+    (solve_window; ValueError unless K0 <= window <= WINDOW_MAX),
+    eigensolved, and every candidate with |lambda| >= 1 - 1e-6 is re-checked
+    through the exact coefficient action: it survives iff ||M phi - lambda
+    phi|| <= tol * ||phi||.  Survivors are clustered by eigenvalue and each
+    cluster's dimension is a numerical rank; the other eigenpairs are
+    counted in ``rejected`` by reason.
     """
+    if not 0 <= window <= WINDOW_MAX:
+        raise ValueError(f"window must be in 0..{WINDOW_MAX}, got {window}")
     require_verified(FilterBank(2, (f0, f1)), PAIR_TOL)
-    k0 = invariant_radius(min(f0.min_degree, f1.min_degree), max(f0.max_degree, f1.max_degree), 2)
-    k = min(window, k0)
+    k = solve_window(f0, f1)
+    if k > window:
+        raise ValueError(f"the pair's window K0 = {k} exceeds the bound {window}")
     eigvals, eigvecs = np.linalg.eig(_compression(f0, f1, k))
 
     survivors = []
@@ -175,24 +186,22 @@ def spectral_solutions(f0: LaurentPoly, f1: LaurentPoly, window: int = 64,
                           eigenspace_dims=dims, anomaly=anomaly, rejected=rejected)
 
 
-def pairing(phi, psi, grid: CircleGrid | None = None):
+def pairing(phi, psi):
     """Value and constancy defect of conj(phi(z)) psi(z) + conj(phi(-z)) psi(-z).
 
-    phi and psi are polynomials, sampled here on ``grid`` (4096 points by
-    default), or GridFunctions: their samples on one even grid, with no
-    ``grid`` given.  For eigenvectors of the combined isometry this function
-    is constant on the circle; the mean over the grid is the pairing value
-    and the max deviation from it is the constancy residual.  The function
-    is twice the even-lag part of the coefficients' cross-correlation, so an
-    exact pairing needs no grid; this sampled one stays while the traced
-    ``spectral`` benchmark run requires the spans of ``pairing`` and of
-    polynomial evaluation (ROADMAP item 1).
+    phi and psi are polynomials, sampled here on PAIRING_GRID (4096 points),
+    or GridFunctions: their samples on one even grid.  For eigenvectors of
+    the combined isometry this function is constant on the circle; the mean
+    over the grid is the pairing value and the max deviation from it is the
+    constancy residual.  The function is twice the even-lag part of the
+    coefficients' cross-correlation, so an exact pairing needs no grid; this
+    sampled one stays while the traced ``spectral`` benchmark run requires
+    the spans of ``pairing`` and of polynomial evaluation (ROADMAP item 1).
     """
     if isinstance(phi, LaurentPoly) and isinstance(psi, LaurentPoly):
-        grid = CircleGrid(4096) if grid is None else grid
-        phi, psi = sample(phi, grid), sample(psi, grid)
-    elif not (isinstance(phi, GridFunction) and isinstance(psi, GridFunction)) or grid is not None:
-        raise TypeError("pair two polynomials, or two GridFunctions without a grid")
+        phi, psi = sample(phi, PAIRING_GRID), sample(psi, PAIRING_GRID)
+    elif not (isinstance(phi, GridFunction) and isinstance(psi, GridFunction)):
+        raise TypeError("pair two polynomials or two GridFunctions")
     if phi.grid != psi.grid:
         raise ValueError("pairing samples must lie on one grid")
     if phi.grid.M % 2 != 0:
@@ -214,15 +223,14 @@ def pairing(phi, psi, grid: CircleGrid | None = None):
 def _pairing_table(solutions) -> tuple[np.ndarray, float]:
     """The pairing of every two solutions, and the worst constancy defect.
 
-    Each eigenvector is sampled once on the 4096-point grid, and every pair
+    Each eigenvector is sampled once on PAIRING_GRID, and every pair
     is read from those samples.  pairing(psi, phi) is the exact conjugate of
     pairing(phi, psi): its pointwise imaginary parts are exact negatives,
     summed in the same order, and its deviations have the same moduli.  So
     only a <= b is paired.
     """
     n = len(solutions)
-    grid = CircleGrid(4096)
-    samples = [sample(s.eigenvector, grid) for s in solutions]
+    samples = [sample(s.eigenvector, PAIRING_GRID) for s in solutions]
     mat = np.zeros((n, n), dtype=np.complex128)
     worst = 0.0
     for a in range(n):

@@ -10,8 +10,8 @@ funnel reaches.  Let R = floor(max|d_i| / (N-1)).  Every ball |k| <= rho with
 rho >= R is invariant under the backward map: max|d_i| < (N-1)(R+1) gives
 |k - d_i| <= rho + max|d_i| < rho + (N-1)(R+1) <= N(rho+1), so the integer
 (k - d_i)/N has modulus at most rho.  Outside the ball of radius R the map
-strictly shrinks |k|, so every cycle lies in that ball.  The modes of a
-window [lo, hi] are labelled on the ball of radius rho = max(|lo|, |hi|, R):
+strictly shrinks |k|, so every cycle lies in that ball.  The modes of the
+window [-K, K] are labelled on the ball of radius rho = max(K, R):
 ceil(log2(2 rho + 1)) doublings of the backward map land every mode on its
 cycle, and the cycles come from the pointer doubling that CircleGrid.cycles
 uses, so a decomposition costs O(rho log rho).
@@ -112,27 +112,25 @@ def _funnel(rep: MonomialRep, radius: int) -> tuple[list[tuple], np.ndarray]:
     return [tuple(modes[points[c]].tolist()) for c in cycles], label[at[land]]
 
 
-def decompose_monomial(rep: MonomialRep, window: int | tuple = 64) -> ComponentReport:
-    """Split the integer modes in a window into the invariant components.
+def decompose_monomial(rep: MonomialRep, window: int = 64) -> ComponentReport:
+    """Split the integer modes in the window [-K, K], K = |window|, into the
+    invariant components.
 
     A mode belongs to the component of the cycle its backward funnel reaches
-    (the funnel runs on the ball of radius max(|lo|, |hi|, R), which holds
-    the window and is invariant).  The split is checked against the forward
-    maps: a mode and its image N k + d_i in the window must share a
-    component, else ValueError.
+    (the funnel runs on the ball of radius max(K, R), which holds the window
+    and is invariant).  The split is checked against the forward maps: a
+    mode and its image N k + d_i in the window must share a component, else
+    ValueError.
     """
-    if isinstance(window, tuple):
-        lo, hi = window
-    else:
-        lo, hi = -abs(window), abs(window)
-    radius = max(abs(lo), abs(hi), rep.cycle_radius())
+    k = abs(window)
+    radius = max(k, rep.cycle_radius())
     cycles, label = _funnel(rep, radius)
-    modes = np.arange(lo, hi + 1)
+    modes = np.arange(-k, k + 1)
     label = label[modes + radius]
     for d in rep.digits:
         image = rep.scale * modes + d
-        inside = (image >= lo) & (image <= hi)
-        if np.any(label[inside] != label[image[inside] - lo]):
+        inside = np.abs(image) <= k
+        if np.any(label[inside] != label[image[inside] + k]):
             raise ValueError(f"the funnel split a mode from its image under k -> {rep.scale}k + {d}")
     order = np.argsort(label, kind="stable")
     cuts = np.cumsum(np.bincount(label, minlength=len(cycles)))
@@ -141,7 +139,7 @@ def decompose_monomial(rep: MonomialRep, window: int | tuple = 64) -> ComponentR
         members=members,
         description=f"closure of cycle {cyc} under k -> {rep.scale}k + d, d in {rep.digits}",
     ) for cyc, members in zip(cycles, np.split(modes[order], cuts[:-1]))]
-    return ComponentReport(cycles=cycles, components=components, window=(lo, hi), rep=rep)
+    return ComponentReport(cycles=cycles, components=components, window=(-k, k), rep=rep)
 
 
 def component_of(report: ComponentReport, k: int) -> int:
@@ -268,13 +266,13 @@ class EquivalenceReport:
     grid_screen: bool = True  # finite-grid necessary-condition verdict
 
 
-def equivalence_check(rep1: CharRep, rep2: CharRep,
-                      probes: list | None = None) -> EquivalenceReport:
+def equivalence_check(rep1: CharRep, rep2: CharRep) -> EquivalenceReport:
     """Decide unitary equivalence of two characteristic-function families.
 
     Equivalent iff the cocycles cobound; on success the candidate
-    multiplication intertwiner is applied to probe vectors through both
-    families and the residual of the exchange relation is reported.
+    multiplication intertwiner is applied through both families to three
+    fixed probes, 1, z and 1/z on the grid, and the residual of the exchange
+    relation is reported.
     """
     if rep1.scale != rep2.scale:
         raise ValueError("scales differ")
@@ -283,15 +281,12 @@ def equivalence_check(rep1: CharRep, rep2: CharRep,
     delta = solve_coboundary(rep1.u, rep2.u, n)
     if delta is None:
         return EquivalenceReport(equivalent=False, delta=None, intertwining_residual=None)
-    if probes is None:
-        pts = grid.points()
-        probes = [np.ones(grid.M), pts, np.conj(pts)]
+    pts = grid.points()
     sigma = grid.multiply_map(n)
     arcs = np.stack([m.astype(float) for m in standard_arc_masks(grid, n)])
     root = math.sqrt(n)
     worst = 0.0
-    for xi in probes:
-        xi = np.asarray(xi, dtype=np.complex128)
+    for xi in (np.ones(grid.M, dtype=np.complex128), pts, np.conj(pts)):
         for k in range(n):
             s1 = root * arcs[k] * rep1.u.values * xi[sigma]
             s2k_delta = root * arcs[k] * rep2.u.values * (delta.values * xi)[sigma]

@@ -16,17 +16,18 @@ unimodular measurable solution.  Each filter kind takes one route.
   computed on the window W = [-R, R], R = laurent.invariant_radius of m,
   which S* leaves invariant: one isometry gate and one matrix of S*|_W for
   all probes (range_projection_norms).
-* Grid and callable filters are screened for unimodularity on a grid of
-  size coprime to N, where z -> z^N permutes the points, and their
-  isometry residual comes from the DFT of |m|^2 on that grid (a callable
-  is sampled on a divisible grid instead).  The fixed point z = 1 pins
+* A grid filter is solved on its own grid, which must have size coprime
+  to N so that z -> z^N permutes the points, and a callable on
+  CircleGrid.dynamics_grid(N).  A grid filter's isometry residual comes
+  from the DFT of |m|^2 on its grid, a callable's from the sampled coset
+  sums on the default check grid.  The fixed point z = 1 pins
   lambda = m(1)/|m(1)|; the equation is then the cocycle equation
   Delta(z) u1(z) = u2(z) Delta(z^N) with u1 = lambda and u2 = m, solved by
   the same per-cycle telescope as cocycle equivalence
   (permutative._telescope): a cycle of length L admits xi iff the product
   of m over it is lambda^L, and xi has one free phase per cycle.  A finite
   grid is not ergodic, so verdicts from raw grid data carry a grid_screen
-  flag, and a callable is cross-checked on a second coprime grid.
+  flag, and a callable is cross-checked on the next coprime grid.
 """
 
 from __future__ import annotations
@@ -174,24 +175,23 @@ def _grid_eigendata(values: np.ndarray, grid: CircleGrid, scale: int):
     return lam, xi, resid
 
 
-def wold_analysis(m: Filter, scale: int, grid: CircleGrid | None = None,
-                  tol: float = UNIMODULAR_TOL, probes_kmax: int = 20) -> WoldReport:
+def wold_analysis(m: Filter, scale: int, tol: float = UNIMODULAR_TOL,
+                  probes_kmax: int = 20) -> WoldReport:
     """Classify the unitary part of S xi = m(z) xi(z^N); dim is 0 or 1.
 
-    grid is the dynamics grid of a grid or callable filter; a polynomial is
-    decided by its coefficients and does not consult it.
+    A polynomial is decided by its coefficients, a grid filter on its own
+    grid (whose size must be coprime to N) and a callable on
+    CircleGrid.dynamics_grid(N).
     """
-    if not isinstance(m, LaurentPoly):
-        if grid is None:
-            grid = m.grid if isinstance(m, GridFunction) else CircleGrid.dynamics_grid(scale)
-        if math.gcd(grid.M, scale) != 1:
-            raise ValueError("dynamics grid size must be coprime to the scale")
+    if isinstance(m, GridFunction) and math.gcd(m.grid.M, scale) != 1:
+        raise ValueError("dynamics grid size must be coprime to the scale")
     iso = isometry_residual(m, scale)
     if iso > max(tol, 1e-8):
         raise ValueError(f"filter is not an isometry symbol (residual {iso:.3g})")
     if isinstance(m, LaurentPoly):
         return _polynomial_wold(m, scale, iso, tol, probes_kmax)
 
+    grid = m.grid if isinstance(m, GridFunction) else CircleGrid.dynamics_grid(scale)
     vals = values_on_coset(m, 1, grid)[0]
     report = WoldReport(
         unitary_dim=0,

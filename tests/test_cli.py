@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from waverep import cli, fixtures, permutative as perm, serialize as ser
+from waverep import cli, fixtures, index as idx, permutative as perm, serialize as ser
 from waverep.cli import parse_angle, run
 from waverep.dilation import DIM_MAX, random_coisometry
 from waverep.filterbank import FilterBank, complete_filterbank, default_check_grid, qmf_residual
@@ -136,6 +136,29 @@ def test_index_fixture(capsys):
     assert rep["info"]["index"] == 2
     assert rep["info"]["haar_component"] is True
     assert rep["residuals"]["pairing_constancy"] < 1e-10
+
+
+def _planted_bank_file(tmp_path):
+    """Polyphase diag(w^6, w^-5): degrees -9..12, so K0 = 12, and index 2."""
+    a, b = LaurentPoly.monomial(12), LaurentPoly.monomial(-9)
+    bank = FilterBank(2, ((a + b) * (1 / math.sqrt(2.0)), (a - b) * (1 / math.sqrt(2.0))))
+    return _write(tmp_path, "planted.json", ser.bank_to_dict(bank))
+
+
+@pytest.mark.parametrize("window", [4, 8, 10])
+def test_index_below_the_bank_window_exits_two(window, tmp_path, capsys):
+    # the solve on a window below K0 reported index 0, 0 and 1 here
+    assert run(["index", "--bank", _planted_bank_file(tmp_path), "--window", str(window)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "K0 = 12" in captured.err
+
+
+@pytest.mark.parametrize("window", [None, 12, 64])
+def test_index_is_solved_on_the_bank_window(window, tmp_path, capsys):
+    argv = ["index", "--bank", _planted_bank_file(tmp_path)]
+    code, rep = run_json(capsys, argv + ([] if window is None else ["--window", str(window)]))
+    assert code == 0 and rep["info"]["index"] == 2 and rep["info"]["window"] == 12
+    assert rep["inputs"]["window"] == (idx.WINDOW_MAX if window is None else window)
 
 
 def test_wold_fixture(capsys):
@@ -432,10 +455,7 @@ def _bytes_file(tmp_path, data):
 
 
 @pytest.mark.parametrize("case", [
-    "negative_grid_size",
-    "zero_grid_size",
     "poly_bank_with_grid_size",
-    "grid_bank_on_other_grid",
     "grid_bank_size_not_divisible_by_scale",
     "filter_without_coeffs_or_values",
     "filter_not_an_object",
@@ -446,6 +466,7 @@ def _bytes_file(tmp_path, data):
     "equiv_scale_one",
     "index_window_negative",
     "index_window_above_cap",
+    "index_window_below_k0",
     "decompose_window_negative",
     "decompose_window_above_cap",
     "decompose_digits_above_cap",
@@ -497,11 +518,8 @@ def _bytes_file(tmp_path, data):
 ])
 def test_input_errors_exit_two(case, tmp_path, capsys):
     argv = {
-        "negative_grid_size": lambda: ["check", "--fixture", "haar2", "--grid-size", "-3"],
+        # check has no --grid-size: every bank is checked on the grid it fixes
         "poly_bank_with_grid_size": lambda: ["check", "--fixture", "db4", "--grid-size", "64"],
-        "zero_grid_size": lambda: ["check", "--fixture", "haar2", "--grid-size", "0"],
-        "grid_bank_on_other_grid": lambda: [
-            "check", _grid_bank_file(tmp_path), "--grid-size", "128"],
         "grid_bank_size_not_divisible_by_scale": lambda: ["check", _grid_bank_file(tmp_path, 63)],
         "filter_without_coeffs_or_values": lambda: [
             "complete", "--lowpass", _untagged_file(tmp_path, {"M": 4}), "--scale", "2"],
@@ -518,7 +536,9 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
             "--u2", _untagged_file(tmp_path, {"M": 1, "values": [[1.0, 0.0]]}), "--scale", "1"],
         "index_window_negative": lambda: ["index", "--fixture", "haar2", "--window", "-3"],
         "index_window_above_cap": lambda: [
-            "index", "--fixture", "haar2", "--window", str(cli.INDEX_WINDOW_MAX + 1)],
+            "index", "--fixture", "haar2", "--window", str(idx.WINDOW_MAX + 1)],
+        # haar2 has K0 = 1; the solve on [0, 0] reported index 1
+        "index_window_below_k0": lambda: ["index", "--fixture", "haar2", "--window", "0"],
         "decompose_window_negative": lambda: [
             "decompose", "--scale", "2", "--digits", "0,1", "--window", "-5"],
         "decompose_window_above_cap": lambda: [
@@ -605,7 +625,7 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
 
 
 def test_grid_bank_on_its_own_grid_size(tmp_path, capsys):
-    code, rep = run_json(capsys, ["check", _grid_bank_file(tmp_path), "--grid-size", "64"])
+    code, rep = run_json(capsys, ["check", _grid_bank_file(tmp_path)])
     assert code == 0 and rep["info"]["check_report"]["grid_size"] == 64
     assert rep["info"]["check_report"]["coefficient_residual"] is None
 
@@ -630,9 +650,7 @@ def test_check_coarse_grid_cannot_pass_a_broken_polynomial_bank(tmp_path, capsys
     code, rep = run_json(capsys, ["check", _write(tmp_path, "sampled.json",
                                                   ser.bank_to_dict(sampled))])
     assert code == 0 and rep["residuals"]["unitarity"] < 1e-14
-    # the polynomial bank takes no grid, and its coefficients fail it
-    assert run(["check", str(path), "--grid-size", "3"]) == 2
-    capsys.readouterr()
+    # the polynomial bank is decided by its coefficients, which fail it
     code, rep = run_json(capsys, ["check", str(path)])
     assert code == 1 and rep["verdicts"]["unitary"] is False
     assert rep["residuals"]["unitarity"] == rep["residuals"]["coefficient"] > 1e-3

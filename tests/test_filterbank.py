@@ -18,7 +18,6 @@ from waverep.filterbank import (
     householder_rows,
     modulation_matrix,
     pairwise_residual,
-    paraunitarity_residual,
     qmf_residual,
     unitarity_residual,
     values_on_coset,
@@ -47,15 +46,6 @@ def test_qmf_unnormalized_filter():
     # oracle: |1+z|^2 + |1-z|^2 = 2 + 2|z|^2 = 4 on the circle, so the
     # residual against N = 2 is exactly 2
     assert qmf_residual(LaurentPoly([1.0, 1.0]), 2) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_qmf_on_coprime_grid_for_polynomials():
-    # a polynomial is decided by its coefficients and takes no grid; as an
-    # angle rule it evaluates anywhere, so a coprime grid is fine too
-    m0 = LaurentPoly([1 / S2, 1 / S2])
-    with pytest.raises(ValueError, match="coefficients"):
-        qmf_residual(m0, 2, CircleGrid(4095))
-    assert qmf_residual(AngleFunction(m0.values_at_t), 2, CircleGrid(4095)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +198,7 @@ def test_db4_fixture_is_the_completed_lowpass_bit_for_bit():
     completed = complete_filterbank(bank.filters[0], 2)
     for a, b in zip(bank.filters, completed.filters):
         assert a.min_degree == b.min_degree and a.coeffs.tobytes() == b.coeffs.tobytes()
-    assert paraunitarity_residual(bank) <= 1e-15
+    assert unitarity_residual(bank) <= 1e-15
 
 
 def test_complete_rejects_bad_filter():
@@ -273,7 +263,7 @@ def test_check_report_monomial(monomial_bank):
 
 
 def test_shannon_bank_unitary(shannon_bank):
-    assert unitarity_residual(shannon_bank, CircleGrid(4096)) == 0.0
+    assert unitarity_residual(shannon_bank) == 0.0
 
 
 def test_bank_rejects_mixed_kinds():
@@ -306,7 +296,7 @@ def _grid_copy(bank, grid):
 
 
 def _angle_copy(bank):
-    """The bank's polynomial filters as angle rules: a callable bank, checkable on any grid."""
+    """The bank's polynomial filters as angle rules: a callable bank, checked on the default grid."""
     return FilterBank(bank.scale, tuple(AngleFunction(f.values_at_t) for f in bank.filters))
 
 
@@ -377,17 +367,6 @@ def test_check_bank_on_a_perturbed_bank(scale, seed):
     assert abs(rep.worst_point**scale - worst**scale) < 1e-9
 
 
-def test_check_bank_on_coprime_grid_keeps_every_point():
-    # N does not divide M, so no grid point repeats another's coset
-    bank = fixtures.random_paraunitary_bank(2, 2, np.random.default_rng(5))
-    bad = FilterBank(2, (bank.filters[0], bank.filters[1] * 0.9))
-    grid = CircleGrid(4095)
-    _, pw, uni, _ = _per_pair_residuals(bad, grid)
-    rep = check_bank(_angle_copy(bad), grid)
-    assert abs(rep.unitarity_residual - uni) < 1e-12
-    assert np.allclose(rep.pairwise_residuals, pw, rtol=0, atol=1e-12)
-
-
 def test_haar32_verified():
     rep = check_bank(fixtures.haar(32))
     assert rep.verified
@@ -423,18 +402,16 @@ def _bumped_haar2():
 
 def test_certificate_catches_what_a_coarse_grid_misses():
     bad = _bumped_haar2()
-    # the same filters as angle rules, screened on a grid
-    coarse = check_bank(_angle_copy(bad), CircleGrid(3))
-    assert coarse.unitarity_residual < 1e-14
+    # the same filters sampled on the 6-point grid, where the bump vanishes,
+    # pass the grid screen
+    coarse = check_bank(_grid_copy(bad, CircleGrid(6)))
+    assert coarse.grid_size == 6 and coarse.unitarity_residual < 1e-14
     exact = check_bank(bad)
     assert exact.coefficient_residual > 1e-3
     assert not exact.verified
     fine = check_bank(_angle_copy(bad))
     # the certificate bounds the deviation at every point of the circle
     assert 1e-3 < fine.unitarity_residual <= exact.coefficient_residual
-    # and a polynomial bank takes no grid at all
-    with pytest.raises(ValueError, match="coefficients"):
-        check_bank(bad, CircleGrid(3))
 
 
 def _grid_blind_haar2():
@@ -451,7 +428,7 @@ def test_every_library_gate_decides_a_polynomial_bank_by_its_certificate():
 
     bad = _grid_blind_haar2()
     assert unitarity_residual(_grid_copy(bad, default_check_grid(2))) < 1e-14
-    assert unitarity_residual(bad) == paraunitarity_residual(bad) > 1e-3
+    assert unitarity_residual(bad) == check_bank(bad).coefficient_residual > 1e-3
     gates = {
         "require_verified": lambda: filterbank.require_verified(bad),
         "CuntzRep": lambda: CuntzRep(bad),
@@ -570,7 +547,7 @@ def test_coefficient_residuals_bound_the_grid_residuals(scale):
         for b, floor in ((bank, 0.0), (bad, 1e-3)):
             rep, qmf, pw, uni = _coefficient_bounds_and_grid_oracles(b)
             assert rep.unitarity_residual == rep.coefficient_residual
-            assert rep.coefficient_residual == pytest.approx(paraunitarity_residual(b), abs=1e-15)
+            assert rep.coefficient_residual == pytest.approx(unitarity_residual(b), abs=1e-15)
             assert floor <= uni <= rep.unitarity_residual + 1e-14
             assert np.all(np.array(qmf) <= np.array(rep.qmf_residuals) + 1e-14)
             assert np.all(pw <= rep.pairwise_residuals + 1e-14)
@@ -605,16 +582,10 @@ def test_worst_shift_locates_the_defect():
     assert rep.unitarity_residual > 1e-3 and not rep.verified
 
 
-def test_check_bank_refuses_a_grid_for_a_polynomial_bank(haar_bank, shannon_bank):
-    with pytest.raises(ValueError, match="coefficients"):
-        check_bank(haar_bank, CircleGrid(64))
-    assert check_bank(shannon_bank, CircleGrid(64)).grid_size == 64
-
-
 @pytest.mark.parametrize("name", ["haar2", "haar3", "haar16", "db4", "monomial(0,1)",
                                   "monomial(0,4,-4)", "monomial(0,1000001)"])
 def test_certificate_passes_unitary_banks(name):
-    assert paraunitarity_residual(fixtures.fixture_bank(name)) < 1e-13
+    assert unitarity_residual(fixtures.fixture_bank(name)) < 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 16, 128, 256, 512, 1024])
@@ -626,7 +597,7 @@ def test_haar_fixtures_have_exact_phases(n):
     j = np.arange(n)
     for i in (0, 1, n // 2, n - 1):
         assert np.array_equal(bank.filters[i].coeffs, table[i * j % n])
-    assert paraunitarity_residual(bank) <= 1e-14
+    assert unitarity_residual(bank) <= 1e-14
 
 
 def test_haar_fixture_cap():
@@ -640,10 +611,10 @@ def test_haar_fixture_cap():
 def test_certificate_bounds_grid_residual(rng):
     for k in range(4):
         bank = fixtures.random_paraunitary_bank(3, 2, rng)
-        assert paraunitarity_residual(bank) < 1e-13
+        assert unitarity_residual(bank) < 1e-13
         bad = FilterBank(3, (bank.filters[0], bank.filters[1],
                              bank.filters[2] + LaurentPoly.monomial(k - 2, 1e-4j)))
-        cert = paraunitarity_residual(bad)
+        cert = unitarity_residual(bad)
         assert 1e-5 < unitarity_residual(_grid_copy(bad, default_check_grid(3))) <= cert + 1e-15
 
 
@@ -706,19 +677,17 @@ def test_certificate_matches_coefficientwise_sum(scale, rng):
         bank = FilterBank(scale, tuple(
             LaurentPoly(rng.normal(size=k) + 1j * rng.normal(size=k), min_degree=int(lo))
             for k, lo in zip(sizes, rng.integers(-5, 6, size=scale))))
-        assert abs(paraunitarity_residual(bank) - _certificate_reference(bank)) < 1e-12
+        assert abs(unitarity_residual(bank) - _certificate_reference(bank)) < 1e-12
 
 
 def test_certificate_of_a_zero_filter():
     # S_1 = 0: the (1, 1) entry of G - I is -1 at every point
     bank = FilterBank(2, (fixtures.haar(2).filters[0], LaurentPoly.zero()))
-    assert paraunitarity_residual(bank) == pytest.approx(1.0, abs=1e-15)
+    assert unitarity_residual(bank) == pytest.approx(1.0, abs=1e-15)
     assert unitarity_residual(bank) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_certificate_only_for_polynomial_banks(shannon_bank):
-    with pytest.raises(TypeError):
-        paraunitarity_residual(shannon_bank)
     assert check_bank(shannon_bank).coefficient_residual is None
 
 

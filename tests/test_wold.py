@@ -181,6 +181,18 @@ def test_grid_verdicts_agree_across_sizes():
         assert rep.unitary_dim == 1
 
 
+def test_each_kind_is_solved_on_the_grid_it_fixes():
+    # a grid filter on its own grid, whose size must be coprime to the scale
+    with pytest.raises(ValueError, match="coprime"):
+        wold_analysis(sample(LaurentPoly.monomial(1), CircleGrid(4096)), 2)
+    # a callable on the dynamics grid, cross-checked on the next coprime grid
+    rep = wold_analysis(filterbank.AngleFunction(LaurentPoly.monomial(1).values_at_t), 2)
+    first, second = rep.grid_sizes
+    assert first == CircleGrid.dynamics_grid(2).M == 4095
+    assert second > first and math.gcd(second, 2) == 1
+    assert rep.unitary_dim == 1 and not rep.grid_screen and rep.anomaly is None
+
+
 def test_isometry_precondition_enforced():
     with pytest.raises(ValueError):
         wold_analysis(LaurentPoly([1.0, 1.0]), 2)
@@ -338,9 +350,6 @@ def test_polynomial_route_samples_no_grid(monkeypatch, haar_bank, db4_bank):
     for m, n in cases:
         rep = wold_analysis(m, n)
         assert rep.grid_sizes == () and not rep.grid_screen
-        # the grid argument is not consulted, so even one that shares a
-        # factor with the scale is accepted
-        assert wold_analysis(m, n, grid=CircleGrid(4096 * n)).unitary_dim == rep.unitary_dim
 
 
 def _theorem_table(scale, rng):
