@@ -41,6 +41,7 @@ DEFAULT_T_MAX = 8.0 * math.pi
 DEFAULT_SAMPLES = 4097
 # how much deeper than the compared product cascade_limit_residual's reference runs
 LIMIT_EXTRA_DEPTH = 20
+PER_TOL = 1e-3  # per_residual bound of the cascade command's periodization verdict
 
 
 @dataclass(frozen=True)

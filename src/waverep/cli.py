@@ -249,7 +249,7 @@ def cmd_cascade(args):
         if args.mother:
             wide = cas.mother_hat(bank, args.mother, wide)
         pr = cas.per_residual(wide, args.per)
-        verdicts["periodization"] = pr.residual <= args.per_tol
+        verdicts["periodization"] = pr.residual <= cas.PER_TOL
         residuals["per_residual"] = pr.residual
         residuals["per_tail_estimate"] = pr.tail_estimate
     if args.csv:
@@ -273,7 +273,7 @@ def cmd_wold(args):
             raise InputError(f"--index must be in 0..{scale - 1}, got {args.index}")
         i, filt = args.index, bank.filters[args.index]
     rep = wld.wold_analysis(filt, scale)
-    verdicts = {"isometry": rep.isometry_residual <= 1e-8,
+    verdicts = {"isometry": rep.isometry_residual <= wld.UNIMODULAR_TOL,
                 "consistent": rep.anomaly is None}
     residuals = {"unimodularity": rep.unimodularity_residual,
                  "isometry": rep.isometry_residual}
@@ -435,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also compute this mother index")
     q.add_argument("--per", type=_int_in(0, CASCADE_PER_MAX), default=0,
                    help="lattice size K for the periodization check")
-    q.add_argument("--per-tol", type=_float_between(0.0, math.inf), default=1e-3)
     q.add_argument("--csv", help="write t,re,im,abs samples here")
 
     q = sub.add_parser("wold", help="classify the unitary part of one filter's isometry")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filterbank import FilterBank, require_verified, VERIFY_TOL
+from .filterbank import FilterBank, require_verified
 from .laurent import LaurentPoly
 
 
@@ -81,11 +81,11 @@ def filter_window_adjoint(m: LaurentPoly, scale: int, radius: int) -> np.ndarray
 class CuntzRep:
     """The isometries of a verified polynomial filter bank, acting on L2 of the circle."""
 
-    def __init__(self, bank: FilterBank, tol: float = VERIFY_TOL, validate: bool = True):
+    def __init__(self, bank: FilterBank, validate: bool = True):
         if bank.kind != "poly":
             raise TypeError(f"the isometries act on coefficients; a {bank.kind} bank has none")
         if validate:
-            require_verified(bank, tol)
+            require_verified(bank)
         self.bank = bank
         self.scale = bank.scale
 

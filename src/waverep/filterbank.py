@@ -41,6 +41,8 @@ from .laurent import CircleGrid, GridFunction, LaurentPoly
 
 # Residual below which a bank counts as verified.
 VERIFY_TOL = 1e-10
+# Deviations from sqrt(N) at t = 0 and from 0 at t = 2*pi*k/N that check_lowpass accepts.
+LOWPASS_TOL = 1e-8
 
 # Default number of points for check grids (rounded up to a multiple of N).
 DEFAULT_CHECK_POINTS = 4096
@@ -336,10 +338,11 @@ def _pairwise_bounds(e: np.ndarray, scale: int) -> np.ndarray:
     return scale * (mags[0] + np.sum(mags[1:] + mags[1:].transpose(0, 2, 1), axis=0))
 
 
-def require_verified(fb: FilterBank, tol: float = VERIFY_TOL) -> None:
-    """Raise ValueError unless unitarity_residual(fb) <= tol."""
+def require_verified(fb: FilterBank) -> None:
+    """Raise ValueError unless unitarity_residual(fb) <= VERIFY_TOL, the bound of
+    check_bank's verdict: the one gate of CuntzRep, the Wold shift check and the index."""
     res = unitarity_residual(fb)
-    if res > tol:
+    if res > VERIFY_TOL:
         raise ValueError(f"bank is not verified (unitarity residual {res:.3g}, which is the "
                          f"coefficient residual of a polynomial bank)")
 
@@ -366,8 +369,8 @@ class LowpassReport:
         return self.ok
 
 
-def check_lowpass(f: Filter, scale: int, tol: float = 1e-8) -> LowpassReport:
-    """Whether m takes the value sqrt(N) at t=0 and vanishes at t = 2*pi*k/N.
+def check_lowpass(f: Filter, scale: int) -> LowpassReport:
+    """Whether m takes the value sqrt(N) at t=0 and vanishes at t = 2*pi*k/N (LOWPASS_TOL).
 
     The pass verdict compares |m(0)| against sqrt(N), accepting a unimodular
     phase; whether the phase is exactly +sqrt(N) is reported separately,
@@ -377,8 +380,9 @@ def check_lowpass(f: Filter, scale: int, tol: float = 1e-8) -> LowpassReport:
     vals = filter_values_at_angles(f, -2.0 * np.pi * np.arange(n) / n)  # z-angles of t = 2*pi*k/N
     v0 = complex(vals[0])
     zeros = np.abs(vals[1:])
-    ok = abs(abs(v0) - math.sqrt(n)) <= tol and bool(np.all(zeros <= tol))
-    return LowpassReport(ok=ok, value_at_zero=v0, phase_aligned=abs(v0 - math.sqrt(n)) <= tol,
+    ok = abs(abs(v0) - math.sqrt(n)) <= LOWPASS_TOL and bool(np.all(zeros <= LOWPASS_TOL))
+    return LowpassReport(ok=ok, value_at_zero=v0,
+                         phase_aligned=abs(v0 - math.sqrt(n)) <= LOWPASS_TOL,
                          zero_residuals=zeros)
 
 
@@ -419,10 +423,10 @@ def check_bank(fb: FilterBank) -> CheckReport:
 # completion: extend a quadrature-mirror m_0 to a full unitary bank
 
 
-def complete_filterbank(lowpass: Filter, scale: int, tol: float = VERIFY_TOL) -> FilterBank:
+def complete_filterbank(lowpass: Filter, scale: int) -> FilterBank:
     """Extend a single filter satisfying the QMF identity to a verified bank.
 
-    The identity is gated by qmf_residual, exact for a polynomial.
+    The identity is gated by qmf_residual <= VERIFY_TOL, exact for a polynomial.
     Polynomial input at scale 2 stays polynomial via the conjugate-mirror
     rule m_1(z) = -z^(2K-1) * conj-reflect(m_0)(-z), K the top degree; the
     sign fixes a canonical phase.  Polynomial input at scale > 2 falls back
@@ -434,7 +438,7 @@ def complete_filterbank(lowpass: Filter, scale: int, tol: float = VERIFY_TOL) ->
     """
     n = scale
     res = qmf_residual(lowpass, n)
-    if res > tol:
+    if res > VERIFY_TOL:
         raise ValueError(f"filter violates the quadrature-mirror identity (residual {res:.3g})")
     if isinstance(lowpass, LaurentPoly) and n == 2:
         return FilterBank(2, (lowpass, conjugate_mirror(lowpass)))

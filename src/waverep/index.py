@@ -1,7 +1,7 @@
 """Unit-circle eigenspaces of the combined two-filter isometry, and an index.
 
 For a scale-2 pair (f0, f1) whose 2x2 modulation matrix is pointwise
-unitary, the operator
+unitary (filterbank.require_verified, at VERIFY_TOL), the operator
 
     (M xi)(z) = 2^(-1/2) (f0(z) xi(z^2) + f1(z) xi(-z^2))
 
@@ -47,8 +47,7 @@ from .laurent import CircleGrid, GridFunction, LaurentPoly, invariant_radius, sa
 LAMBDA_DISK_TOL = 1e-6  # eigenvalues below 1 - this are truncation artifacts
 LAMBDA_CLUSTER_ARC = 1e-6
 RANK_SVD_TOL = 1e-8
-VALIDATE_TOL = 1e-8
-PAIR_TOL = 1e-8  # gate on the pair's 2x2 modulation matrix (require_verified)
+VALIDATE_TOL = 1e-8  # bound on ||M phi - lambda phi|| of a unit candidate phi
 WINDOW_MAX = 1024  # default and cap of the bound on K0: at most a 2049^2 eigensolve
 PAIRING_GRID = CircleGrid(4096)  # where pairing samples two polynomials
 # why a compression eigenpair is not counted: |lambda| below 1 - LAMBDA_DISK_TOL,
@@ -60,7 +59,7 @@ def combined_isometry_apply(f0: LaurentPoly, f1: LaurentPoly, xi: LaurentPoly,
                             check: bool = True) -> LaurentPoly:
     """Apply xi -> 2^(-1/2) (f0 xi(z^2) + f1 xi(-z^2)) exactly on coefficients."""
     if check:
-        require_verified(FilterBank(2, (f0, f1)), PAIR_TOL)
+        require_verified(FilterBank(2, (f0, f1)))
     even = xi.compose_power(2)
     odd = xi.compose_negate().compose_power(2)  # xi(-z^2)
     return (f0 * even + f1 * odd) * (1.0 / math.sqrt(2.0))
@@ -106,21 +105,20 @@ def solve_window(f0: LaurentPoly, f1: LaurentPoly) -> int:
     return invariant_radius(min(f0.min_degree, f1.min_degree), max(f0.max_degree, f1.max_degree), 2)
 
 
-def spectral_solutions(f0: LaurentPoly, f1: LaurentPoly, window: int = WINDOW_MAX,
-                       tol: float = VALIDATE_TOL) -> SpectralReport:
+def spectral_solutions(f0: LaurentPoly, f1: LaurentPoly, window: int = WINDOW_MAX) -> SpectralReport:
     """Validated unit-circle eigenpairs of the combined isometry, and the index.
 
     The operator is compressed to the Fourier window [-K0, K0]
     (solve_window; ValueError unless K0 <= window <= WINDOW_MAX),
-    eigensolved, and every candidate with |lambda| >= 1 - 1e-6 is re-checked
-    through the exact coefficient action: it survives iff ||M phi - lambda
-    phi|| <= tol * ||phi||.  Survivors are clustered by eigenvalue and each
+    eigensolved, and every candidate with |lambda| >= 1 - LAMBDA_DISK_TOL is
+    re-checked through the exact coefficient action: it survives iff
+    ||M phi - lambda phi|| <= VALIDATE_TOL * ||phi||.  Survivors are clustered by eigenvalue and each
     cluster's dimension is a numerical rank; the other eigenpairs are
     counted in ``rejected`` by reason.
     """
     if not 0 <= window <= WINDOW_MAX:
         raise ValueError(f"window must be in 0..{WINDOW_MAX}, got {window}")
-    require_verified(FilterBank(2, (f0, f1)), PAIR_TOL)
+    require_verified(FilterBank(2, (f0, f1)))
     k = solve_window(f0, f1)
     if k > window:
         raise ValueError(f"the pair's window K0 = {k} exceeds the bound {window}")
@@ -136,7 +134,7 @@ def spectral_solutions(f0: LaurentPoly, f1: LaurentPoly, window: int = WINDOW_MA
         phi = phi * (1.0 / phi.norm2())
         image = combined_isometry_apply(f0, f1, phi, check=False)
         resid = (image - lam * phi).norm2()
-        if resid <= tol:
+        if resid <= VALIDATE_TOL:
             survivors.append((complex(lam), phi, float(resid)))
         else:
             rejected["failed_validation"] += 1

@@ -37,7 +37,7 @@ import numpy as np
 
 from .laurent import CircleGrid, GridFunction, _cycles_of, invariant_radius
 
-CYCLE_ARC_TOL = 1e-8
+CYCLE_ARC_TOL = 1e-8  # arc bound, per cycle point, on each cycle product of _telescope
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +113,8 @@ def _funnel(rep: MonomialRep, radius: int) -> tuple[list[tuple], np.ndarray]:
 
 
 def decompose_monomial(rep: MonomialRep, window: int = 64) -> ComponentReport:
-    """Split the integer modes in the window [-K, K], K = |window|, into the
-    invariant components.
+    """Split the integer modes in the window [-K, K], K = window, into the
+    invariant components; a negative window is a ValueError.
 
     A mode belongs to the component of the cycle its backward funnel reaches
     (the funnel runs on the ball of radius max(K, R), which holds the window
@@ -122,7 +122,9 @@ def decompose_monomial(rep: MonomialRep, window: int = 64) -> ComponentReport:
     mode and its image N k + d_i in the window must share a component, else
     ValueError.
     """
-    k = abs(window)
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
+    k = window
     radius = max(k, rep.cycle_radius())
     cycles, label = _funnel(rep, radius)
     modes = np.arange(-k, k + 1)
@@ -216,22 +218,21 @@ class CharRep:
             raise ValueError("cocycle grid must be coprime to the scale")
 
 
-def _telescope(q: np.ndarray, grid: CircleGrid, scale: int,
-               tol: float = CYCLE_ARC_TOL) -> np.ndarray | None:
+def _telescope(q: np.ndarray, grid: CircleGrid, scale: int) -> np.ndarray | None:
     """Unimodular f with f(z^N) = q(z) f(z) on the grid, or None.
 
     Along each cycle of j -> N j mod M the relation telescopes, fixing f up
     to one unimodular scalar per cycle (1 at the cycle minimum); a solution
     exists iff every cycle product of q is 1 within arc distance
-    tol * cycle length.  All products are checked before any cycle is walked,
-    and the cycles of one length are walked together.
+    CYCLE_ARC_TOL * cycle length.  All products are checked before any cycle
+    is walked, and the cycles of one length are walked together.
     """
     cycles = grid.cycles(scale)
     flat = np.concatenate(cycles)
     lengths = np.fromiter(map(len, cycles), dtype=np.int64, count=len(cycles))
     starts = np.cumsum(lengths) - lengths
     qs = q[flat]
-    if np.any(np.abs(np.angle(np.multiply.reduceat(qs, starts))) > tol * lengths):
+    if np.any(np.abs(np.angle(np.multiply.reduceat(qs, starts))) > CYCLE_ARC_TOL * lengths):
         return None
     f = np.empty(grid.M, dtype=np.complex128)
     for n in np.unique(lengths):
@@ -242,8 +243,7 @@ def _telescope(q: np.ndarray, grid: CircleGrid, scale: int,
     return f
 
 
-def solve_coboundary(u1: GridFunction, u2: GridFunction, scale: int,
-                     tol: float = CYCLE_ARC_TOL) -> GridFunction | None:
+def solve_coboundary(u1: GridFunction, u2: GridFunction, scale: int) -> GridFunction | None:
     """Solve Delta(z) u1(z) = u2(z) Delta(z^N) on the grid, or report none.
 
     Delta(z^N) = (u1/u2)(z) Delta(z), telescoped along the cycles of
@@ -254,7 +254,7 @@ def solve_coboundary(u1: GridFunction, u2: GridFunction, scale: int,
     for u in (u1, u2):
         if np.max(np.abs(np.abs(u.values) - 1.0)) > 1e-10:
             raise ValueError("cocycles must be unimodular")
-    delta = _telescope(u1.values / u2.values, u1.grid, scale, tol)
+    delta = _telescope(u1.values / u2.values, u1.grid, scale)
     return None if delta is None else GridFunction(u1.grid, delta)
 
 
@@ -269,27 +269,19 @@ class EquivalenceReport:
 def equivalence_check(rep1: CharRep, rep2: CharRep) -> EquivalenceReport:
     """Decide unitary equivalence of two characteristic-function families.
 
-    Equivalent iff the cocycles cobound; on success the candidate
-    multiplication intertwiner is applied through both families to three
-    fixed probes, 1, z and 1/z on the grid, and the residual of the exchange
-    relation is reported.
+    Equivalent iff the cocycles cobound.  On success the residual of the
+    exchange relation Delta S1_k xi = S2_k (Delta xi), worst over the arcs k
+    and the probes xi = 1, z, 1/z, is reported.  Its defect is sqrt(N) chi_k(z)
+    xi(z^N) (Delta u1 - u2 Delta(z^N))(z); the probes are unimodular on the
+    grid and the arcs partition it, so it is sqrt(N) max |Delta u1 - u2 Delta(z^N)|.
     """
     if rep1.scale != rep2.scale:
         raise ValueError("scales differ")
     n = rep1.scale
-    grid = rep1.u.grid
     delta = solve_coboundary(rep1.u, rep2.u, n)
     if delta is None:
         return EquivalenceReport(equivalent=False, delta=None, intertwining_residual=None)
-    pts = grid.points()
-    sigma = grid.multiply_map(n)
-    arcs = np.stack([m.astype(float) for m in standard_arc_masks(grid, n)])
-    root = math.sqrt(n)
-    worst = 0.0
-    for xi in (np.ones(grid.M, dtype=np.complex128), pts, np.conj(pts)):
-        for k in range(n):
-            s1 = root * arcs[k] * rep1.u.values * xi[sigma]
-            s2k_delta = root * arcs[k] * rep2.u.values * (delta.values * xi)[sigma]
-            diff = delta.values * s1 - s2k_delta
-            worst = max(worst, float(np.max(np.abs(diff))))
-    return EquivalenceReport(equivalent=True, delta=delta, intertwining_residual=worst)
+    d = delta.values
+    defect = d * rep1.u.values - rep2.u.values * d[delta.grid.multiply_map(n)]
+    return EquivalenceReport(equivalent=True, delta=delta,
+                             intertwining_residual=math.sqrt(n) * float(np.max(np.abs(defect))))

@@ -44,11 +44,12 @@ from .filterbank import (
     qmf_residual,
     require_verified,
     values_on_coset,
-    VERIFY_TOL,
 )
 from .laurent import CircleGrid, GridFunction, LaurentPoly, invariant_radius
 from .permutative import _telescope
 
+# bound on the isometry residual (else ValueError), on the unimodularity residual
+# of a unitary part, and on a monomial form's coefficient deviations
 UNIMODULAR_TOL = 1e-8
 
 
@@ -86,8 +87,15 @@ def isometry_residual(m: Filter, scale: int) -> float:
     return qmf_residual(m, scale)
 
 
-def range_projection_norms(m: Filter, scale: int, probes, k_max: int,
-                           tol: float = VERIFY_TOL) -> list[list[float]]:
+def _require_isometry(m: Filter, scale: int) -> float:
+    """isometry_residual(m, scale); ValueError above UNIMODULAR_TOL."""
+    res = isometry_residual(m, scale)
+    if res > UNIMODULAR_TOL:
+        raise ValueError(f"filter is not an isometry symbol (residual {res:.3g})")
+    return res
+
+
+def range_projection_norms(m: Filter, scale: int, probes, k_max: int) -> list[list[float]]:
     """Norms ||S^k S*^k xi|| for k = 0..k_max, one non-increasing list per probe xi.
 
     Exact coefficient arithmetic; polynomial filters and probes only, since
@@ -109,9 +117,7 @@ def range_projection_norms(m: Filter, scale: int, probes, k_max: int,
         raise TypeError("range projections need polynomial probes (exact adjoints)")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    res = isometry_residual(m, scale)
-    if res > max(tol, 1e-8):
-        raise ValueError(f"filter is not an isometry symbol (residual {res:.3g})")
+    _require_isometry(m, scale)
     # S is an isometry (residual checked above), so ||S^k S*^k xi|| equals
     # ||S*^k xi||; re-applying S^k would only inflate the degree by N^k.
     radius = invariant_radius(m.min_degree, m.max_degree, scale)
@@ -147,14 +153,14 @@ def _unimodularity_bound(m: LaurentPoly) -> float:
     return float(np.sum(np.abs((m * m.conj_reflect() - 1).coeffs)))
 
 
-def _monomial_form(m: LaurentPoly, tol: float = 1e-8):
-    """Detect m = c z^d with |c| = 1; returns (c, d) or None."""
+def _monomial_form(m: LaurentPoly):
+    """Detect m = c z^d with |c| = 1, within UNIMODULAR_TOL; returns (c, d) or None."""
     if m.is_zero():
         return None
     mags = np.abs(m.coeffs)
     j = int(np.argmax(mags))
     rest = np.delete(mags, j)
-    if (rest.size and np.max(rest) > tol) or abs(mags[j] - 1.0) > tol:
+    if (rest.size and np.max(rest) > UNIMODULAR_TOL) or abs(mags[j] - 1.0) > UNIMODULAR_TOL:
         return None
     return complex(m.coeffs[j]), m.min_degree + j
 
@@ -175,21 +181,19 @@ def _grid_eigendata(values: np.ndarray, grid: CircleGrid, scale: int):
     return lam, xi, resid
 
 
-def wold_analysis(m: Filter, scale: int, tol: float = UNIMODULAR_TOL,
-                  probes_kmax: int = 20) -> WoldReport:
+def wold_analysis(m: Filter, scale: int, probes_kmax: int = 20) -> WoldReport:
     """Classify the unitary part of S xi = m(z) xi(z^N); dim is 0 or 1.
 
     A polynomial is decided by its coefficients, a grid filter on its own
     grid (whose size must be coprime to N) and a callable on
-    CircleGrid.dynamics_grid(N).
+    CircleGrid.dynamics_grid(N).  UNIMODULAR_TOL bounds the isometry
+    residual (ValueError above it) and the unimodularity residual.
     """
     if isinstance(m, GridFunction) and math.gcd(m.grid.M, scale) != 1:
         raise ValueError("dynamics grid size must be coprime to the scale")
-    iso = isometry_residual(m, scale)
-    if iso > max(tol, 1e-8):
-        raise ValueError(f"filter is not an isometry symbol (residual {iso:.3g})")
+    iso = _require_isometry(m, scale)
     if isinstance(m, LaurentPoly):
-        return _polynomial_wold(m, scale, iso, tol, probes_kmax)
+        return _polynomial_wold(m, scale, iso, probes_kmax)
 
     grid = m.grid if isinstance(m, GridFunction) else CircleGrid.dynamics_grid(scale)
     vals = values_on_coset(m, 1, grid)[0]
@@ -203,7 +207,7 @@ def wold_analysis(m: Filter, scale: int, tol: float = UNIMODULAR_TOL,
         grid_sizes=(grid.M,),
         grid_screen=isinstance(m, GridFunction),
     )
-    if report.unimodularity_residual > tol:
+    if report.unimodularity_residual > UNIMODULAR_TOL:
         return report
     grid_hit = _grid_eigendata(vals, grid, scale)
     if grid_hit is None:
@@ -229,8 +233,7 @@ def wold_analysis(m: Filter, scale: int, tol: float = UNIMODULAR_TOL,
     return report
 
 
-def _polynomial_wold(m: LaurentPoly, scale: int, iso: float, tol: float,
-                     probes_kmax: int) -> WoldReport:
+def _polynomial_wold(m: LaurentPoly, scale: int, iso: float, probes_kmax: int) -> WoldReport:
     """The coefficient route: unimodularity bound, monomial form, closed form; the
     projection decay of four probes unless probes_kmax is 0."""
     decay = {}
@@ -247,9 +250,9 @@ def _polynomial_wold(m: LaurentPoly, scale: int, iso: float, tol: float,
         projection_decay=decay,
         isometry_residual=iso,
     )
-    if report.unimodularity_residual > tol:
+    if report.unimodularity_residual > UNIMODULAR_TOL:
         return report
-    form = _monomial_form(m, tol)
+    form = _monomial_form(m)
     if form is None:
         report.anomaly = ("filter is unimodular but is not a monomial; "
                           "a unimodular trigonometric polynomial must be one")
@@ -264,13 +267,14 @@ def _polynomial_wold(m: LaurentPoly, scale: int, iso: float, tol: float,
     return report
 
 
-def wavelet_shift_check(fb: FilterBank, tol: float = VERIFY_TOL) -> bool:
+def wavelet_shift_check(fb: FilterBank) -> bool:
     """True iff every filter of a verified low-pass bank generates a shift.
 
     A bank that comes from an orthonormal scaling function has |m_i| non-
     constant, so every S_i has zero unitary part; constant-modulus filters
     (monomial banks) fail this.  Only the unitary dimension of each Wold
-    report is read, so no range projection is built (probes_kmax=0).
+    report is read, so no range projection is built (probes_kmax=0).  The
+    bank must pass filterbank.require_verified (VERIFY_TOL).
     """
-    require_verified(fb, tol)
+    require_verified(fb)
     return all(wold_analysis(f, fb.scale, probes_kmax=0).unitary_dim == 0 for f in fb.filters)

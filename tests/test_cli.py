@@ -194,6 +194,46 @@ def test_cascade_with_csv_and_per(tmp_path, capsys):
     assert len(cols) == 4 and float(cols[0]) == pytest.approx(-8 * math.pi)
 
 
+def _stretched_haar_file(tmp_path):
+    """(1 + z^3)/sqrt(2) and (1 - z^3)/sqrt(2): a unitary bank whose scaling
+    function, the box stretched to [0, 3], has no orthonormal translates."""
+    c = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    sign = np.array([1.0, 1.0, 1.0, -1.0])
+    bank = FilterBank(2, (LaurentPoly(c), LaurentPoly(c * sign)))
+    return _write(tmp_path, "stretched.json", ser.bank_to_dict(bank))
+
+
+def test_stretched_haar_is_verified_but_fails_periodization(tmp_path, capsys):
+    path = _stretched_haar_file(tmp_path)
+    code, rep = run_json(capsys, ["check", path])
+    assert code == 0 and rep["verdicts"] == {"unitary": True}
+    code, rep = run_json(capsys, ["cascade", "--bank", path, "--per", "4"])
+    assert code == 1 and rep["verdicts"] == {"value_at_zero": True, "periodization": False}
+    assert rep["residuals"]["per_residual"] > 0.1
+
+
+def test_no_flag_moves_the_periodization_tolerance(tmp_path, capsys):
+    # a --per-tol of 1 passed the stretched box (per_residual 0.159)
+    path = _stretched_haar_file(tmp_path)
+    assert run(["cascade", "--bank", path, "--per", "4", "--per-tol", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--per-tol" in captured.err
+
+
+def test_index_refuses_a_bank_that_check_refuses(tmp_path, capsys):
+    # haar2 with m_0 scaled by 1 + 1e-9 (unitarity residual 2e-9): index used
+    # to gate at 1e-8 and report index 2
+    h = haar(2)
+    path = _write(tmp_path, "scaled.json", ser.bank_to_dict(
+        FilterBank(2, (h.filters[0] * (1.0 + 1e-9), h.filters[1]))))
+    code, rep = run_json(capsys, ["check", path])
+    assert code == 1 and rep["verdicts"] == {"unitary": False}
+    for argv in (["index", "--bank", path], ["wold", "--bank", path, "--shift-check"]):
+        code, rep = run_json(capsys, argv)
+        assert code == 1 and rep["verdicts"] == {"ok": False}
+        assert "not verified" in rep["info"]["error"]
+
+
 def test_cascade_deep_scale_three_product(capsys):
     code, rep = run_json(capsys, ["cascade", "--fixture", "haar3", "--depth", "700"])
     assert code == 0 and rep["verdicts"] == {"value_at_zero": True}
@@ -488,9 +528,7 @@ def _bytes_file(tmp_path, data):
     "cascade_depth_above_cap",
     "cascade_samples_above_cap",
     "cascade_per_above_cap",
-    "cascade_per_tol_nan",
-    "cascade_per_tol_zero",
-    "cascade_per_tol_infinite",
+    "cascade_per_tol_removed",
     "cascade_work_depth_times_samples",
     "cascade_work_depth_times_per_grid",
     "cascade_work_doubled_by_mother",
@@ -568,12 +606,9 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
             "cascade", "--fixture", "db4", "--samples", str(cli.CASCADE_SAMPLES_MAX + 1)],
         "cascade_per_above_cap": lambda: [
             "cascade", "--fixture", "db4", "--per", str(cli.CASCADE_PER_MAX + 1)],
-        "cascade_per_tol_nan": lambda: [
-            "cascade", "--fixture", "db4", "--per", "4", "--per-tol", "nan"],
-        "cascade_per_tol_zero": lambda: [
-            "cascade", "--fixture", "db4", "--per", "4", "--per-tol", "0"],
-        "cascade_per_tol_infinite": lambda: [
-            "cascade", "--fixture", "db4", "--per", "4", "--per-tol", "inf"],
+        # the periodization verdict reads cascade.PER_TOL; no flag moves it
+        "cascade_per_tol_removed": lambda: [
+            "cascade", "--fixture", "db4", "--per", "4", "--per-tol", "1e-3"],
         "cascade_work_depth_times_samples": lambda: [
             "cascade", "--fixture", "db4", "--depth", str(cli.CASCADE_DEPTH_MAX),
             "--samples", str(cli.CASCADE_SAMPLES_MAX)],

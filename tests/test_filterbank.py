@@ -445,6 +445,39 @@ def test_every_library_gate_decides_a_polynomial_bank_by_its_certificate():
     CuntzRep(fixtures.db4())
 
 
+def _tolerance_parameters():
+    """(module, qualified name, parameter) for every parameter named tol or *_tol
+    of a function, method or constructor defined in the package."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import waverep
+
+    found = []
+    for info in pkgutil.iter_modules(waverep.__path__):
+        module = importlib.import_module(f"waverep.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                members = [(f"{name}.{k}", v) for k, v in vars(obj).items()
+                           if inspect.isfunction(v)]
+            for qualname, fn in members:
+                found += [(info.name, qualname, param)
+                          for param in inspect.signature(fn).parameters
+                          if param == "tol" or param.endswith("_tol")]
+    return found
+
+
+def test_no_caller_picks_a_tolerance():
+    # every check reads its module's constant; a comparison helper and the
+    # purity probe (whose tail tolerance is swept against a reference) keep theirs
+    assert sorted(_tolerance_parameters()) == [
+        ("dilation", "purity_diagnostics", "tail_tol"), ("laurent", "allclose", "tol")]
+
+
 def test_polynomial_check_bank_samples_nothing(monkeypatch):
     banks = (fixtures.haar(8), fixtures.db4(), _bumped_haar2())  # db4 is built by completion
     calls = []

@@ -8,6 +8,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import haar_component_flag, random_poly
 from waverep import fixtures
 from waverep import index as index_module
+from waverep.filterbank import (
+    VERIFY_TOL,
+    FilterBank,
+    check_bank,
+    require_verified,
+    unitarity_residual,
+)
 from waverep.index import (
     LAMBDA_CLUSTER_ARC,
     LAMBDA_DISK_TOL,
@@ -63,6 +70,20 @@ def test_monomial_pair_image():
 def test_rejects_non_unitary_pair():
     with pytest.raises(ValueError):
         combined_isometry_apply(LaurentPoly.one(), LaurentPoly.one(), LaurentPoly.one())
+
+
+def test_a_pair_just_above_the_verify_tolerance_is_refused_like_check(haar_pair):
+    # m_0 scaled by 1 + 1e-9: unitarity residual 2e-9, between VERIFY_TOL = 1e-10
+    # and the 1e-8 at which the index gate used to pass it (with index 2)
+    f0, f1 = haar_pair[0] * (1.0 + 1e-9), haar_pair[1]
+    bank = FilterBank(2, (f0, f1))
+    assert VERIFY_TOL < unitarity_residual(bank) < 1e-8
+    assert not check_bank(bank).verified
+    gates = (lambda: require_verified(bank), lambda: spectral_solutions(f0, f1),
+             lambda: combined_isometry_apply(f0, f1, LaurentPoly.one()))
+    for gate in gates:
+        with pytest.raises(ValueError, match="not verified"):
+            gate()
 
 
 def test_apply_is_isometric(haar_pair, db4_pair, rng):
@@ -519,9 +540,10 @@ def test_rejection_counts_need_the_whole_window():
         spectral_solutions(f0, f1, window=4)
 
 
-def test_failed_validations_are_counted(haar_pair):
+def test_failed_validations_are_counted(haar_pair, monkeypatch):
     # a tolerance that no residual meets: both unit-circle candidates fail
-    rep = spectral_solutions(*haar_pair, window=64, tol=-1.0)
+    monkeypatch.setattr(index_module, "VALIDATE_TOL", -1.0)
+    rep = spectral_solutions(*haar_pair, window=64)
     assert rep.index == 0 and not rep.solutions
     assert rep.rejected == {"inside_disk": 1, "failed_validation": 2}
 

@@ -426,6 +426,49 @@ def test_telescope_matches_the_per_cycle_walk(m, scale):
     assert _telescope(within, grid, scale) is not None
 
 
+def _probe_loop_residual(rep1, rep2, delta):
+    """The exchange-relation residual over the probes 1, z, 1/z and each arc: the reference."""
+    n, grid = rep1.scale, rep1.u.grid
+    pts, sigma = grid.points(), grid.multiply_map(n)
+    arcs = np.stack([m.astype(float) for m in standard_arc_masks(grid, n)])
+    root = np.sqrt(n)
+    worst = 0.0
+    for xi in (np.ones(grid.M, dtype=np.complex128), pts, np.conj(pts)):
+        for k in range(n):
+            s1 = root * arcs[k] * rep1.u.values * xi[sigma]
+            s2k_delta = root * arcs[k] * rep2.u.values * (delta.values * xi)[sigma]
+            worst = max(worst, float(np.max(np.abs(delta.values * s1 - s2k_delta))))
+    return worst
+
+
+@pytest.mark.parametrize("scale,m", [(2, 4095), (2, 65535), (3, 59048)])
+def test_intertwining_residual_matches_the_probe_loop(scale, m):
+    rng = np.random.default_rng(scale * m)
+    grid = CircleGrid(m)
+    sigma = grid.multiply_map(scale)
+    unimodular = lambda: np.exp(2j * np.pi * rng.random(m))
+    u1, d = unimodular(), unimodular()
+    solvable = d * u1 / d[sigma]
+    # the longest cycle's product moved off 1 by half its arc tolerance: still
+    # solvable, with an intertwining residual far above rounding
+    longest = max(loop_cycles(m, scale), key=len)
+    near = solvable.copy()
+    near[longest[-1]] *= np.exp(-0.5j * CYCLE_ARC_TOL * len(longest))
+    for u2 in (solvable, near):
+        rep1 = CharRep(scale, GridFunction(grid, u1))
+        rep2 = CharRep(scale, GridFunction(grid, u2 / np.abs(u2)))
+        got = equivalence_check(rep1, rep2)
+        assert got.equivalent
+        want = _probe_loop_residual(rep1, rep2, got.delta)
+        assert abs(got.intertwining_residual - want) <= 1e-15 + 1e-12 * want
+
+
+def test_negative_window_is_refused():
+    # decompose_monomial(rep, -5) reported the window (-5, 5)
+    with pytest.raises(ValueError, match="window must be >= 0"):
+        decompose_monomial(MonomialRep(2, (0, 1)), -5)
+
+
 def test_modulus_validation(dyn_grid):
     good = GridFunction(dyn_grid, np.ones(dyn_grid.M))
     bad = GridFunction(dyn_grid, 1.5 * np.ones(dyn_grid.M))
