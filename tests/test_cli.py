@@ -528,7 +528,9 @@ def _bytes_file(tmp_path, data):
     "cascade_depth_above_cap",
     "cascade_samples_above_cap",
     "cascade_per_above_cap",
-    "cascade_per_tol_removed",
+    "cascade_per_tol_nan",
+    "cascade_per_tol_zero",
+    "cascade_per_tol_infinite",
     "cascade_work_depth_times_samples",
     "cascade_work_depth_times_per_grid",
     "cascade_work_doubled_by_mother",
@@ -606,9 +608,13 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
             "cascade", "--fixture", "db4", "--samples", str(cli.CASCADE_SAMPLES_MAX + 1)],
         "cascade_per_above_cap": lambda: [
             "cascade", "--fixture", "db4", "--per", str(cli.CASCADE_PER_MAX + 1)],
-        # the periodization verdict reads cascade.PER_TOL; no flag moves it
-        "cascade_per_tol_removed": lambda: [
-            "cascade", "--fixture", "db4", "--per", "4", "--per-tol", "1e-3"],
+        # the periodization verdict reads cascade.PER_TOL; --per-tol is an unknown flag
+        "cascade_per_tol_nan": lambda: [
+            "cascade", "--fixture", "db4", "--per", "4", "--per-tol", "nan"],
+        "cascade_per_tol_zero": lambda: [
+            "cascade", "--fixture", "db4", "--per", "4", "--per-tol", "0"],
+        "cascade_per_tol_infinite": lambda: [
+            "cascade", "--fixture", "db4", "--per", "4", "--per-tol", "inf"],
         "cascade_work_depth_times_samples": lambda: [
             "cascade", "--fixture", "db4", "--depth", str(cli.CASCADE_DEPTH_MAX),
             "--samples", str(cli.CASCADE_SAMPLES_MAX)],
