@@ -6,7 +6,7 @@ polynomials, computes scaling and mother functions by truncated infinite
 products, classifies Wold decompositions, decomposes monomial families by
 integer orbits, solves cocycle equivalence, dilates finite coisometry
 families on a truncated Fock space, and computes a unit-circle spectral
-index for scale-2 pairs.
+index for polynomial banks.
 """
 
 from .cascade import LineSamples, cascade_limit_residual, mother_hat, per_residual, scaling_hat

@@ -42,6 +42,7 @@ DEFAULT_SAMPLES = 4097
 # how much deeper than the compared product cascade_limit_residual's reference runs
 LIMIT_EXTRA_DEPTH = 20
 PER_TOL = 1e-3  # per_residual bound of the cascade command's periodization verdict
+VALUE_AT_ZERO_TOL = 1e-10  # |phihat(0) - 1/sqrt(2 pi)| bound of the cascade command's verdict
 
 
 @dataclass(frozen=True)

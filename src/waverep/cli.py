@@ -31,7 +31,7 @@ from . import permutative as perm
 from . import serialize as ser
 from . import wold as wld
 from .filterbank import check_bank, complete_filterbank, unitarity_residual, VERIFY_TOL
-from .laurent import GridFunction, LaurentPoly
+from .laurent import GridFunction, LaurentPoly, invariant_radius
 from .serialize import InputError
 
 
@@ -234,7 +234,7 @@ def cmd_cascade(args):
                           samples=args.samples, depth=args.depth)
     target = 1.0 / math.sqrt(2.0 * math.pi)
     zero_gap = abs(phi.value_at_zero() - target)
-    verdicts = {"value_at_zero": zero_gap <= 1e-10}
+    verdicts = {"value_at_zero": zero_gap <= cas.VALUE_AT_ZERO_TOL}
     residuals = {"value_at_zero_gap": zero_gap}
     info = {"depth": args.depth, "t_max": t_max, "samples": len(phi.t_values),
             "approximate": phi.approximate}
@@ -294,15 +294,16 @@ def cmd_wold(args):
 
 def cmd_index(args):
     bank = _load_bank(args)
-    if bank.scale != 2 or bank.kind != "poly":
-        raise InputError("the index needs a polynomial bank at scale 2")
-    k0 = idx.solve_window(*bank.filters)
-    if k0 > args.window:
-        raise InputError(f"the index is solved on the bank's K0 = {k0}, "
+    if bank.kind != "poly":
+        raise InputError("the index needs a polynomial bank")
+    radius = invariant_radius(min(f.min_degree for f in bank.filters),
+                              max(f.max_degree for f in bank.filters), bank.scale)
+    if radius > args.window:
+        raise InputError(f"the index is solved on the bank's window R = {radius}, "
                          f"above --window {args.window}")
     rep = idx.spectral_solutions(*bank.filters, window=args.window)
     worst = max((s.residual for s in rep.solutions), default=0.0)
-    verdicts = {"index_in_range": rep.index <= 2 and rep.anomaly is None}
+    verdicts = {"index_in_range": rep.index <= 2 and rep.anomaly is None} if bank.scale == 2 else {}
     residuals = {"max_solution_residual": worst, "pairing_constancy": rep.pairing_residual}
     info = {
         "index": rep.index,
@@ -338,7 +339,9 @@ def cmd_decompose(args):
             for c in rep.components
         ],
     }
-    return {"partition": True}, {}, info, []
+    if not rep.partition:
+        info["split_digit"] = rep.split_digit
+    return {"partition": rep.partition}, {}, info, []
 
 
 def cmd_equiv(args):
@@ -375,9 +378,9 @@ def cmd_dilate(args):
     purity = dil.purity_diagnostics(fam)
     verdicts = {
         "gram_psd": gram.psd,
-        "fock_defect_matches": abs(fock.isometry_defect - fock.predicted_defect) <= 1e-12,
-        "intertwining": fock.intertwining_residual <= 1e-10,
-        "state_consistent": fock.state_gap <= 1e-12,
+        "fock_defect_matches": abs(fock.isometry_defect - fock.predicted_defect) <= dil.FOCK_TOL,
+        "intertwining": fock.intertwining_residual <= dil.INTERTWINING_TOL,
+        "state_consistent": fock.state_gap <= dil.FOCK_TOL,
     }
     residuals = {
         "fock_defect": fock.isometry_defect,
@@ -448,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("index", help="unit-circle eigenspaces of the combined isometry")
     add_bank_source(q)
     q.add_argument("--window", type=_int_in(0, idx.WINDOW_MAX), default=idx.WINDOW_MAX,
-                   help="bound on the bank's window K0, on which the index is solved")
+                   help="bound on the bank's window R, on which the index is solved")
 
     q = sub.add_parser("decompose", help="orbit decomposition of a monomial family")
     q.add_argument("--scale", type=_scale, required=True)

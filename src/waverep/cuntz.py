@@ -12,9 +12,8 @@ representation takes a polynomial bank only.
 
 The modes W = [-R, R], R = laurent.invariant_radius of the filter's degree
 range, are invariant under S*, and S* carries every mode into them.  So
-S*|_W is a finite matrix (filter_window_adjoint), built from exact adjoints
-of the monomials of W; it is the single-filter block of the window family
-V_i* = S_i*|_W of a bank.
+S*|_W is a finite matrix gathered from the taps (filter_window_adjoint), the
+one window V_i* = S_i*|_W of a bank that wold and index read.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filterbank import FilterBank, require_verified
-from .laurent import LaurentPoly
+from .laurent import TRIM_TOL, LaurentPoly
 
 
 # ---------------------------------------------------------------------------
@@ -56,21 +55,29 @@ def apply_filter_adjoint(m: LaurentPoly, scale: int, xi: LaurentPoly) -> Laurent
 def filter_window_adjoint(m: LaurentPoly, scale: int, radius: int) -> np.ndarray:
     """The (2r+1) x (2r+1) matrix of S* on the modes W = [-r, r], r = radius.
 
-    Column n + r holds the coefficients of S* z^n for n in W, each an exact
-    adjoint, so a vector supported on W is carried by one product with the
-    matrix.  r = invariant_radius of m's degree range (or of a whole bank's)
-    makes W invariant; a column with a coefficient outside W means W is not
-    invariant (r too small) and raises ValueError.
+    Entry [k + r, n + r] is the coefficient of z^k in S* z^n, the tap
+    conj(m_(n - N k)): one gather, checked against one exact adjoint of a
+    probe on W.  r = invariant_radius of m's degree range (or a bank's) makes
+    W invariant; a tap above TRIM_TOL that carries a mode of W outside it
+    raises ValueError, tap by tap, so no taps can cancel and hide the leak.
     """
-    out = np.zeros((2 * radius + 1, 2 * radius + 1), dtype=np.complex128)
-    for j, n in enumerate(range(-radius, radius + 1)):
-        image = apply_filter_adjoint(m, scale, LaurentPoly.monomial(n))
-        if image.is_zero():
-            continue
-        if image.min_degree < -radius or image.max_degree > radius:
-            raise ValueError(f"S* z^{n} leaves the window [-{radius}, {radius}] "
-                             f"(modes {image.min_degree}..{image.max_degree})")
-        out[image.min_degree + radius : image.max_degree + radius + 1, j] = image.coeffs
+    # rows k = lo..hi: W and every mode W reaches, N k in [-r - max_degree, r - min_degree]
+    lo = min(-radius, -((radius + m.max_degree) // scale))
+    hi = max(radius, (radius - m.min_degree) // scale)
+    taps = np.conj(m.coeff_window(-radius - scale * hi, radius - scale * lo))
+    # row k reads 2r+1 taps from degree -r - N k on, N (hi - k) into taps
+    rows = taps[scale * (hi - np.arange(lo, hi + 1))[:, None] + np.arange(2 * radius + 1)]
+    leaks = np.abs(np.concatenate((rows[: -radius - lo], rows[radius - lo + 1 :]))) > TRIM_TOL
+    if leaks.any():
+        n = np.flatnonzero(leaks.any(axis=0))[0] - radius
+        raise ValueError(f"S* z^{n} leaves the window [-{radius}, {radius}]")
+    out = rows[-radius - lo : radius - lo + 1]
+    probe = LaurentPoly._owned(np.exp(1j * np.arange(2 * radius + 1)), -radius)  # distinct entries
+    exact = apply_filter_adjoint(m, scale, probe).coeff_window(-radius, radius)
+    # each entry sums at most len(m.coeffs) products, in another order than the exact adjoint's
+    bound = 2 * (len(m.coeffs) + 1) * np.finfo(float).eps * float(np.abs(m.coeffs).sum())
+    if np.max(np.abs(out @ probe.coeffs - exact)) > bound:
+        raise RuntimeError("the window gather disagrees with the exact adjoint")
     return out
 
 

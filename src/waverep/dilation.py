@@ -41,6 +41,8 @@ CYCLIC_RANK_TOL = 1e-10
 WORD_CAP = 10_000
 # per Gram word: the least eigenvalue that still counts as positive is -this * W
 PSD_TOL = 1e-9
+FOCK_TOL = 1e-12  # dilate's bound on |defect - predicted| and on the state gap
+INTERTWINING_TOL = 1e-10  # dilate's bound on the intertwining residual
 # an input bound: purity_diagnostics takes a dense SVD and up to 51 dense
 # powers (T^50..T^100) of the dim^2 x dim^2 transfer matrix, O(dim^6) each
 DIM_MAX = 32

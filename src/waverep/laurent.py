@@ -414,9 +414,6 @@ class GridFunction:
     def __hash__(self):
         return hash((self.grid, (self.values + 0.0).tobytes()))  # + 0.0 maps -0.0 to 0.0
 
-    def norm2(self) -> float:
-        return float(np.sqrt(np.mean(np.abs(self.values) ** 2)))
-
     def conj(self) -> "GridFunction":
         return GridFunction(self.grid, np.conj(self.values))
 

@@ -38,6 +38,7 @@ import numpy as np
 from .laurent import CircleGrid, GridFunction, _cycles_of, invariant_radius
 
 CYCLE_ARC_TOL = 1e-8  # arc bound, per cycle point, on each cycle product of _telescope
+COCYCLE_MODULUS_TOL = 1e-12  # max ||u| - 1| of a cocycle that CharRep and solve_coboundary accept
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +86,11 @@ class ComponentReport:
     components: list
     window: tuple
     rep: MonomialRep = field(repr=False)
+    split_digit: int | None = None  # a digit whose forward map left its component
+
+    @property
+    def partition(self) -> bool:  # whether every forward map keeps each mode in its component
+        return self.split_digit is None
 
 
 def _funnel(rep: MonomialRep, radius: int) -> tuple[list[tuple], np.ndarray]:
@@ -120,7 +126,7 @@ def decompose_monomial(rep: MonomialRep, window: int = 64) -> ComponentReport:
     (the funnel runs on the ball of radius max(K, R), which holds the window
     and is invariant).  The split is checked against the forward maps: a
     mode and its image N k + d_i in the window must share a component, else
-    ValueError.
+    the first such d_i is ``split_digit`` and ``partition`` is false.
     """
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
@@ -129,11 +135,13 @@ def decompose_monomial(rep: MonomialRep, window: int = 64) -> ComponentReport:
     cycles, label = _funnel(rep, radius)
     modes = np.arange(-k, k + 1)
     label = label[modes + radius]
+    split_digit = None
     for d in rep.digits:
         image = rep.scale * modes + d
         inside = np.abs(image) <= k
         if np.any(label[inside] != label[image[inside] + k]):
-            raise ValueError(f"the funnel split a mode from its image under k -> {rep.scale}k + {d}")
+            split_digit = d
+            break
     order = np.argsort(label, kind="stable")
     cuts = np.cumsum(np.bincount(label, minlength=len(cycles)))
     components = [Component(
@@ -141,7 +149,7 @@ def decompose_monomial(rep: MonomialRep, window: int = 64) -> ComponentReport:
         members=members,
         description=f"closure of cycle {cyc} under k -> {rep.scale}k + d, d in {rep.digits}",
     ) for cyc, members in zip(cycles, np.split(modes[order], cuts[:-1]))]
-    return ComponentReport(cycles=cycles, components=components, window=(-k, k), rep=rep)
+    return ComponentReport(cycles, components, (-k, k), rep, split_digit)
 
 
 def component_of(report: ComponentReport, k: int) -> int:
@@ -212,7 +220,7 @@ class CharRep:
         if self.scale < 2:
             raise ValueError("scale must be >= 2")
         dev = np.max(np.abs(np.abs(self.u.values) - 1.0))
-        if dev > 1e-12:
+        if dev > COCYCLE_MODULUS_TOL:
             raise ValueError(f"cocycle is not unimodular (deviation {dev:.3g})")
         if math.gcd(self.u.grid.M, self.scale) != 1:
             raise ValueError("cocycle grid must be coprime to the scale")
@@ -252,7 +260,7 @@ def solve_coboundary(u1: GridFunction, u2: GridFunction, scale: int) -> GridFunc
     if u1.grid != u2.grid:
         raise ValueError("cocycles must share one grid")
     for u in (u1, u2):
-        if np.max(np.abs(np.abs(u.values) - 1.0)) > 1e-10:
+        if np.max(np.abs(np.abs(u.values) - 1.0)) > COCYCLE_MODULUS_TOL:
             raise ValueError("cocycles must be unimodular")
     delta = _telescope(u1.values / u2.values, u1.grid, scale)
     return None if delta is None else GridFunction(u1.grid, delta)

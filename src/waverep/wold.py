@@ -106,8 +106,8 @@ def range_projection_norms(m: Filter, scale: int, probes, k_max: int) -> list[li
     m: S* leaves W invariant and carries every mode into it.  Each probe is
     stepped by exact adjoints until it lies in W, and then all probes advance
     together by the matrix of S*|_W (cuntz.filter_window_adjoint), one
-    product per k.  The window costs 2R+1 exact adjoints, so it is built only
-    when the steps left to the exact chain are at least that many; a wider
+    product per k.  The window is a (2R+1)^2 matrix, so it is built only
+    when the steps left to the exact chain are at least 2R+1; a wider
     window (4099 modes for z^2049) keeps the chain and allocates no matrix.
     """
     if not isinstance(m, LaurentPoly):

@@ -235,7 +235,7 @@ def test_criterion_7_index():
 
     # symbolic fixed-vector oracle: both candidate modes are exactly fixed
     for probe in (LaurentPoly.one(), LaurentPoly.monomial(-1)):
-        image = combined_isometry_apply(f0, f1, probe, check=False)
+        image = combined_isometry_apply((f0, f1), probe, check=False)
         assert (image - probe).norm2() < 1e-14
 
     rep = spectral_solutions(f0, f1, window=64)

@@ -19,7 +19,7 @@ from waverep.cascade import (
     symmetric_grid,
     truncated_product,
 )
-from waverep.filterbank import AngleFunction
+from waverep.filterbank import AngleFunction, FilterBank
 from waverep.laurent import CircleGrid, LaurentPoly, sample
 
 TWO_PI = 2.0 * math.pi
@@ -326,3 +326,31 @@ def test_warm_polynomial_products_fault_in_few_pages():
     run = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     assert int(run.stdout) <= 500
+
+
+def test_mother_is_approximate_only_for_a_grid_bank():
+    # a polynomial or callable bank is evaluated exactly; a grid bank by
+    # nearest-grid lookup
+    g = CircleGrid(4096)
+    grid_db4 = FilterBank(2, tuple(sample(f, g) for f in fixtures.db4().filters))
+    for bank, approximate in ((fixtures.db4(), False), (fixtures.haar(3), False),
+                              (fixtures.shannon(), False), (grid_db4, True)):
+        phi = scaling_hat(bank.filters[0], bank.scale, samples=257, depth=8)
+        for i in range(1, bank.scale):
+            assert mother_hat(bank, i, phi).approximate is approximate, (bank.kind, i)
+
+
+def test_per_tail_estimate_is_the_closed_form_on_haar(haar_bank):
+    # |phihat_d(t)|^2 = (1/2pi) (sin(t/2) / (2^d sin(t/2^(d+1))))^2 for the Haar
+    # low-pass at depth d; the tail estimate is K max over |t| <= pi of the
+    # outermost ring |phihat(t + 2 pi K)|^2 + |phihat(t - 2 pi K)|^2
+    lattice, depth = 64, 20
+    wide = wide_samples(haar_bank, lattice, depth=depth)
+
+    def power(t):
+        return (np.sin(t / 2) / (2.0 ** depth * np.sin(t / 2.0 ** (depth + 1)))) ** 2 / TWO_PI
+
+    t = wide.t_values[np.abs(wide.t_values) <= math.pi + 1e-9]
+    ring = power(t + TWO_PI * lattice) + power(t - TWO_PI * lattice)
+    want = lattice * float(np.max(ring))
+    assert per_residual(wide, lattice).tail_estimate == pytest.approx(want, rel=1e-9)

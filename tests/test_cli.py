@@ -119,8 +119,10 @@ def test_decompose_exits_one_when_the_funnel_breaks_forward_invariance(monkeypat
     monkeypatch.setattr(perm, "_funnel", mirrored)
     code, rep = run_json(capsys, ["decompose", "--scale", "2", "--digits", "0,1",
                                   "--window", "8"])
-    assert code == 1 and rep["verdicts"] == {"ok": False}
-    assert "image" in rep["info"]["error"]
+    # k -> 2k maps the mirrored halves into themselves; k -> 2k + 1 sends 0,
+    # labelled like 0, to 1, labelled like -1
+    assert code == 1 and rep["verdicts"] == {"partition": False}
+    assert rep["info"]["split_digit"] == 1
 
 
 def test_index_reports_rejected_candidates(capsys):
@@ -138,8 +140,22 @@ def test_index_fixture(capsys):
     assert rep["residuals"]["pairing_constancy"] < 1e-10
 
 
+def test_index_at_scale_three(tmp_path, capsys):
+    # haar3 fixes 1 and 1/z, and a seeded scale-3 factor product has no
+    # unitary part; the index <= 2 verdict belongs to scale 2, so neither
+    # report has a verdict; a grid bank has no coefficients to solve on
+    code, rep = run_json(capsys, ["index", "--fixture", "haar3"])
+    assert code == 0 and rep["verdicts"] == {} and rep["info"]["index"] == 2
+    bank = fixtures.random_paraunitary_bank(3, 2, np.random.default_rng(0))
+    path = _write(tmp_path, "bank3.json", ser.bank_to_dict(bank))
+    code, rep = run_json(capsys, ["index", "--bank", path])
+    assert code == 0 and rep["verdicts"] == {} and rep["info"]["index"] == 0
+    grid = {"scale": 3, "kind": "grid", "filters": [{"M": 63, "values": [[1.0, 0.0]] * 63}] * 3}
+    assert run(["index", "--bank", _write(tmp_path, "grid3.json", grid)]) == 2
+
+
 def _planted_bank_file(tmp_path):
-    """Polyphase diag(w^6, w^-5): degrees -9..12, so K0 = 12, and index 2."""
+    """Polyphase diag(w^6, w^-5): degrees -9..12, so R = 12, and index 2."""
     a, b = LaurentPoly.monomial(12), LaurentPoly.monomial(-9)
     bank = FilterBank(2, ((a + b) * (1 / math.sqrt(2.0)), (a - b) * (1 / math.sqrt(2.0))))
     return _write(tmp_path, "planted.json", ser.bank_to_dict(bank))
@@ -147,10 +163,10 @@ def _planted_bank_file(tmp_path):
 
 @pytest.mark.parametrize("window", [4, 8, 10])
 def test_index_below_the_bank_window_exits_two(window, tmp_path, capsys):
-    # the solve on a window below K0 reported index 0, 0 and 1 here
+    # the solve on a window below R reported index 0, 0 and 1 here
     assert run(["index", "--bank", _planted_bank_file(tmp_path), "--window", str(window)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "K0 = 12" in captured.err
+    assert captured.out == "" and "R = 12" in captured.err
 
 
 @pytest.mark.parametrize("window", [None, 12, 64])
@@ -577,7 +593,7 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
         "index_window_negative": lambda: ["index", "--fixture", "haar2", "--window", "-3"],
         "index_window_above_cap": lambda: [
             "index", "--fixture", "haar2", "--window", str(idx.WINDOW_MAX + 1)],
-        # haar2 has K0 = 1; the solve on [0, 0] reported index 1
+        # haar2 has R = 1; the solve on [0, 0] reported index 1
         "index_window_below_k0": lambda: ["index", "--fixture", "haar2", "--window", "0"],
         "decompose_window_negative": lambda: [
             "decompose", "--scale", "2", "--digits", "0,1", "--window", "-5"],
@@ -893,3 +909,19 @@ def test_report_encoding_matches_the_old_walk():
     assert new == old
     with pytest.raises(TypeError):
         json.dumps({"poly": LaurentPoly.one()}, default=cli._json_default)
+
+
+def test_wold_filter_reports_the_grid_cocycle_residual(tmp_path, capsys):
+    # m = lambda xi / xi(z^2) on a dynamics grid: the report's residual is
+    # max |m xi(z^2) - lambda xi| of its own eigenpair, recomputed here
+    grid = CircleGrid.dynamics_grid(2)
+    rng = np.random.default_rng(12)
+    xi = np.exp(2j * np.pi * rng.random(grid.M))
+    m = np.exp(0.3j) * xi / xi[grid.multiply_map(2)]
+    path = _write(tmp_path, "m.json", ser.gridfunction_to_dict(GridFunction(grid, m)))
+    code, rep = run_json(capsys, ["wold", "--filter", path, "--scale", "2"])
+    assert code == 0 and rep["info"]["unitary_dim"] == 1
+    got = ser.gridfunction_from_dict(rep["info"]["eigenfunction"]).values
+    lam = complex(*rep["info"]["eigenvalue"])
+    want = float(np.max(np.abs(m * got[grid.multiply_map(2)] - lam * got)))
+    assert want > 0 and rep["residuals"]["cocycle"] == pytest.approx(want, rel=1e-12, abs=0)

@@ -306,6 +306,37 @@ def test_window_adjoint_is_the_adjoint_on_the_window(scale):
             assert np.max(np.abs(got - image.coeff_window(-r, r))) < 1e-13
 
 
+def per_column_window_adjoint(m, scale, r):
+    """S*|_W built one exact adjoint per column: the columns S* z^n for n in W."""
+    out = np.zeros((2 * r + 1, 2 * r + 1), dtype=np.complex128)
+    for j, n in enumerate(range(-r, r + 1)):
+        out[:, j] = apply_filter_adjoint(m, scale, LaurentPoly.monomial(n)).coeff_window(-r, r)
+    return out
+
+
+@pytest.mark.parametrize("scale", [2, 3, 4, 5])
+def test_window_adjoint_is_the_per_column_build(scale, monkeypatch):
+    # the gather against the loop of 2r+1 exact adjoints it replaces; the
+    # gather itself takes one exact adjoint, of the probe that checks it
+    from waverep import cuntz
+
+    rng = np.random.default_rng(90 + scale)
+    calls, adjoint = [], cuntz.apply_filter_adjoint
+    for factors in (0, 1, 3):
+        bank = fixtures.random_paraunitary_bank(scale, factors, rng)
+        for f in bank.filters + tuple(f * LaurentPoly.monomial(-7) for f in bank.filters):
+            radius = invariant_radius(f.min_degree, f.max_degree, scale)
+            for r in (radius, radius + 3):
+                ref = per_column_window_adjoint(f, scale, r)
+                monkeypatch.setattr(cuntz, "apply_filter_adjoint",
+                                    lambda *a: calls.append(1) or adjoint(*a))
+                calls.clear()
+                got = filter_window_adjoint(f, scale, r)
+                monkeypatch.setattr(cuntz, "apply_filter_adjoint", adjoint)
+                assert len(calls) == 1
+                assert np.max(np.abs(got - ref)) <= 1e-14
+
+
 def test_window_adjoint_refuses_a_window_that_leaks():
     # db4's low-pass has degrees 0..3, so R = 3; S* z^(-1) reaches z^(-2) and
     # S* z^0 reaches z^(-1), outside the windows of radius 1 and 0.  (At N = 2

@@ -480,3 +480,14 @@ def test_cyclicity_matches_the_breadth_first_reference(two_block):
             with pytest.raises(ValueError, match="cyclic"):
                 CoisometryFamily(v, omega)
     assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("n_ops", [2, 3])
+def test_fock_model_has_one_block_per_word_up_to_length_two(n_ops):
+    # the model is the Fock levels 0..min(depth, 2): 1 + N words at depth 1
+    # and 1 + N + N^2 at every depth from 2 on
+    fam = random_coisometry(n_ops, 2, np.random.default_rng(n_ops))
+    for depth in (1, 2, 3, 4, 8, 14, 30):
+        w, sources, model_depth = dil._fock_model(fam, 0.5, depth)
+        blocks = 1 + n_ops if depth == 1 else 1 + n_ops + n_ops ** 2
+        assert len(w) == blocks and model_depth == min(depth, 2)

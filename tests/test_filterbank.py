@@ -432,7 +432,7 @@ def test_every_library_gate_decides_a_polynomial_bank_by_its_certificate():
     gates = {
         "require_verified": lambda: filterbank.require_verified(bad),
         "CuntzRep": lambda: CuntzRep(bad),
-        "index pre-check": lambda: combined_isometry_apply(*bad.filters, LaurentPoly.one()),
+        "index pre-check": lambda: combined_isometry_apply(bad.filters, LaurentPoly.one()),
         "spectral_solutions": lambda: spectral_solutions(*bad.filters, window=4),
         "wavelet_shift_check": lambda: wavelet_shift_check(bad),
     }

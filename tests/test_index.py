@@ -15,6 +15,7 @@ from waverep.filterbank import (
     require_verified,
     unitarity_residual,
 )
+from waverep.cuntz import filter_window_adjoint
 from waverep.index import (
     LAMBDA_CLUSTER_ARC,
     LAMBDA_DISK_TOL,
@@ -22,14 +23,12 @@ from waverep.index import (
     REJECTION_REASONS,
     VALIDATE_TOL,
     WINDOW_MAX,
-    _compression,
     _pairing_table,
     combined_isometry_apply,
     pairing,
-    solve_window,
     spectral_solutions,
 )
-from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, allclose
+from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, allclose, invariant_radius
 
 S2 = math.sqrt(2.0)
 
@@ -52,24 +51,24 @@ def db4_pair():
 
 def test_haar_fixes_constant(haar_pair):
     # symbolic oracle: ((1+z) + (1-z))/2 = 1
-    out = combined_isometry_apply(*haar_pair, LaurentPoly.one())
+    out = combined_isometry_apply(haar_pair, LaurentPoly.one())
     assert allclose(out, LaurentPoly.one(), tol=1e-14)
 
 
 def test_haar_fixes_inverse_mode(haar_pair):
     # symbolic oracle: ((1+z) z^-2 - (1-z) z^-2)/2 = z^-1
-    out = combined_isometry_apply(*haar_pair, LaurentPoly.monomial(-1))
+    out = combined_isometry_apply(haar_pair, LaurentPoly.monomial(-1))
     assert allclose(out, LaurentPoly.monomial(-1), tol=1e-14)
 
 
 def test_monomial_pair_image():
-    out = combined_isometry_apply(LaurentPoly.one(), LaurentPoly.monomial(1), LaurentPoly.one())
+    out = combined_isometry_apply((LaurentPoly.one(), LaurentPoly.monomial(1)), LaurentPoly.one())
     assert allclose(out, LaurentPoly([1 / S2, 1 / S2]), tol=1e-14)
 
 
 def test_rejects_non_unitary_pair():
     with pytest.raises(ValueError):
-        combined_isometry_apply(LaurentPoly.one(), LaurentPoly.one(), LaurentPoly.one())
+        combined_isometry_apply((LaurentPoly.one(), LaurentPoly.one()), LaurentPoly.one())
 
 
 def test_a_pair_just_above_the_verify_tolerance_is_refused_like_check(haar_pair):
@@ -80,7 +79,7 @@ def test_a_pair_just_above_the_verify_tolerance_is_refused_like_check(haar_pair)
     assert VERIFY_TOL < unitarity_residual(bank) < 1e-8
     assert not check_bank(bank).verified
     gates = (lambda: require_verified(bank), lambda: spectral_solutions(f0, f1),
-             lambda: combined_isometry_apply(f0, f1, LaurentPoly.one()))
+             lambda: combined_isometry_apply((f0, f1), LaurentPoly.one()))
     for gate in gates:
         with pytest.raises(ValueError, match="not verified"):
             gate()
@@ -90,7 +89,7 @@ def test_apply_is_isometric(haar_pair, db4_pair, rng):
     for pair in (haar_pair, db4_pair):
         for _ in range(6):
             xi = random_poly(rng, 16)
-            out = combined_isometry_apply(*pair, xi, check=False)
+            out = combined_isometry_apply(pair, xi, check=False)
             assert out.norm2() == pytest.approx(xi.norm2(), rel=1e-12)
 
 
@@ -116,7 +115,7 @@ def test_haar_solutions_verified_symbolically(haar_pair):
     # independent oracle: feed each reported vector through the exact action
     rep = spectral_solutions(*haar_pair, window=32)
     for s in rep.solutions:
-        image = combined_isometry_apply(*haar_pair, s.eigenvector, check=False)
+        image = combined_isometry_apply(haar_pair, s.eigenvector, check=False)
         assert (image - s.eigenvalue * s.eigenvector).norm2() < 1e-10
 
 
@@ -165,18 +164,18 @@ def test_random_pairs_index_in_range(rng):
 
 
 def test_pairing_constants():
-    val, dev = pairing(LaurentPoly.one(), LaurentPoly.one())
+    val, dev = pairing(LaurentPoly.one(), LaurentPoly.one(), 2)
     assert val == pytest.approx(2.0) and dev < 1e-12
 
 
 def test_pairing_orthogonal_modes():
-    val, dev = pairing(LaurentPoly.one(), LaurentPoly.monomial(-1))
+    val, dev = pairing(LaurentPoly.one(), LaurentPoly.monomial(-1), 2)
     assert abs(val) < 1e-12 and dev < 1e-12
 
 
 def test_pairing_nonconstant_diagnostic():
     # oracle: the function is 2 z^2, so the max deviation from its mean is 2
-    val, dev = pairing(LaurentPoly.one(), LaurentPoly.monomial(2))
+    val, dev = pairing(LaurentPoly.one(), LaurentPoly.monomial(2), 2)
     assert abs(val) < 1e-12
     assert dev == pytest.approx(2.0, abs=1e-10)
 
@@ -201,7 +200,7 @@ def test_pairing_is_bitwise_the_rolled_fold(m, rng):
     for _ in range(5):
         phi, psi = (GridFunction(grid, rng.normal(size=m) + 1j * rng.normal(size=m))
                     for _ in range(2))
-        val, dev = pairing(phi, psi)
+        val, dev = pairing(phi, psi, 2)
         ref_val, ref_dev = rolled_pairing(phi, psi)
         assert np.complex128(val).tobytes() == np.complex128(ref_val).tobytes()
         assert dev == ref_dev
@@ -239,7 +238,7 @@ def test_flag_records_twisted_experiments(haar_pair):
 # the window the filters fix, against the dense solve on the full window
 
 
-def dense_reference(f0, f1, window):
+def dense_reference(filters, window):
     """The dense per-column solve on [-K, K]: validated eigenvalue clusters and their span.
 
     Returns {eigenvalue: dimension} and an orthonormal basis (columns, on the
@@ -248,7 +247,7 @@ def dense_reference(f0, f1, window):
     k = window
     mat = np.zeros((2 * k + 1, 2 * k + 1), dtype=np.complex128)
     for col, mode in enumerate(range(-k, k + 1)):
-        image = combined_isometry_apply(f0, f1, LaurentPoly.monomial(mode), check=False)
+        image = combined_isometry_apply(filters, LaurentPoly.monomial(mode), check=False)
         mat[:, col] = image.coeff_window(-k, k)
     eigvals, eigvecs = np.linalg.eig(mat)
     clusters: list[list] = []
@@ -259,7 +258,7 @@ def dense_reference(f0, f1, window):
         if phi.norm2() < 1e-12:
             continue
         phi = phi * (1.0 / phi.norm2())
-        if (combined_isometry_apply(f0, f1, phi, check=False) - lam * phi).norm2() > VALIDATE_TOL:
+        if (combined_isometry_apply(filters, phi, check=False) - lam * phi).norm2() > VALIDATE_TOL:
             continue
         for cl in clusters:
             if abs(np.angle(lam / cl[0][0])) <= LAMBDA_CLUSTER_ARC:
@@ -313,8 +312,8 @@ def filter_window(f0, f1):
 def test_solve_on_the_filter_window_matches_the_dense_solve(case, window):
     f0, f1 = WINDOW_CASES[case]
     rep = spectral_solutions(f0, f1, window=window)
-    dims, basis = dense_reference(f0, f1, window)
-    assert rep.window == filter_window(f0, f1) == solve_window(f0, f1)
+    dims, basis = dense_reference((f0, f1), window)
+    assert rep.window == filter_window(f0, f1)
     assert rep.index == sum(dims.values()) == len(rep.solutions)
     got = sorted(rep.eigenspace_dims.items(), key=lambda kv: np.angle(kv[0]))
     want = sorted(dims.items(), key=lambda kv: np.angle(kv[0]))
@@ -333,12 +332,12 @@ def test_solve_on_the_filter_window_matches_the_dense_solve(case, window):
 
 
 def test_report_window_is_the_solved_window():
-    f0, f1 = planted_pair(1.0, 1.0, 6, -5)  # degrees -9..12, so K0 = 12
+    f0, f1 = planted_pair(1.0, 1.0, 6, -5)  # degrees -9..12, so R = 12
     assert filter_window(f0, f1) == 12
-    # a window below K0 would cut the block that holds the unit-circle
+    # a window below R would cut the block that holds the unit-circle
     # spectrum (it gave index 0, 0 and 1 at windows 4, 8 and 10): refused
     for window in (4, 8, 10):
-        with pytest.raises(ValueError, match="K0 = 12"):
+        with pytest.raises(ValueError, match="R = 12"):
             spectral_solutions(f0, f1, window=window)
     for window in (12, 64, WINDOW_MAX):
         rep = spectral_solutions(f0, f1, window=window)
@@ -346,8 +345,8 @@ def test_report_window_is_the_solved_window():
 
 
 def test_haar_at_window_zero_is_refused(haar_pair):
-    # K0 = 1; the solve on the 1-mode window [0, 0] reported index 1
-    with pytest.raises(ValueError, match="K0 = 1"):
+    # R = 1; the solve on the 1-mode window [0, 0] reported index 1
+    with pytest.raises(ValueError, match="R = 1"):
         spectral_solutions(*haar_pair, window=0)
     assert spectral_solutions(*haar_pair, window=1).index == 2
 
@@ -363,8 +362,7 @@ def test_exact_applies_do_not_grow_with_the_window(case, monkeypatch):
     f0, f1 = WINDOW_CASES[case]
     k = filter_window(f0, f1)
     # candidates: eigenvalues of the solved compression on or outside the disk tolerance
-    mat = np.stack([combined_isometry_apply(f0, f1, LaurentPoly.monomial(n), check=False)
-                    .coeff_window(-k, k) for n in range(-k, k + 1)], axis=1)
+    mat = per_column_compression((f0, f1), k)
     candidates = int(np.sum(np.abs(np.linalg.eigvals(mat)) >= 1.0 - LAMBDA_DISK_TOL))
     calls = []
 
@@ -391,20 +389,43 @@ def test_db4_at_a_large_window_is_fast(db4_pair):
 
 
 # ---------------------------------------------------------------------------
-# the compression in one gather, against the per-column exact action
+# the compression read from the window matrices, against the per-column exact action
 
 
-def per_column_compression(f0, f1, k):
-    return np.stack([combined_isometry_apply(f0, f1, LaurentPoly.monomial(n), check=False)
+def per_column_compression(filters, k):
+    return np.stack([combined_isometry_apply(filters, LaurentPoly.monomial(n), check=False)
                      .coeff_window(-k, k) for n in range(-k, k + 1)], axis=1)
 
 
+def window_compression(filters, r):
+    """(N^(-1/2) sum_k diag(rho^(-kn)) V_k*)^H on W = [-r, r], from cuntz.filter_window_adjoint."""
+    n = len(filters)
+    modes = np.arange(-r, r + 1)
+    adjoint = sum(np.exp(-2j * np.pi * (k * modes % n) / n)[:, None] * filter_window_adjoint(m, n, r)
+                  for k, m in enumerate(filters))
+    return adjoint.conj().T / math.sqrt(n)
+
+
+def solved_compression(filters, monkeypatch, window=64):
+    """The matrix that spectral_solutions eigensolves."""
+    seen, eig = [], np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: seen.append(a.copy()) or eig(a))
+    spectral_solutions(*filters, window=window)
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    return seen[0]
+
+
+def bank_radius(filters):
+    return invariant_radius(min(f.min_degree for f in filters), max(f.max_degree for f in filters),
+                            len(filters))
+
+
 def assert_compression_matches_columns(f0, f1):
-    k0 = filter_window(f0, f1)
-    for k in sorted({0, 1, max(k0 - 2, 0), k0}):
-        got = _compression(f0, f1, k)
-        assert got.shape == (2 * k + 1, 2 * k + 1)
-        assert np.max(np.abs(got - per_column_compression(f0, f1, k)), initial=0.0) <= 1e-15
+    r0 = bank_radius((f0, f1))
+    for r in (r0, r0 + 1, r0 + 3):
+        got = window_compression((f0, f1), r)
+        assert got.shape == (2 * r + 1, 2 * r + 1)
+        assert np.max(np.abs(got - per_column_compression((f0, f1), r)), initial=0.0) <= 1e-15
 
 
 # dyadic coefficients: a sum either cancels exactly or stays far above the
@@ -437,12 +458,16 @@ def test_compression_of_monomials_with_wide_gaps(a, gap, c0, c1):
 
 
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
-def test_compression_of_every_window_case(case):
-    assert_compression_matches_columns(*WINDOW_CASES[case])
+def test_compression_of_every_window_case(case, monkeypatch):
+    filters = WINDOW_CASES[case]
+    assert_compression_matches_columns(*filters)
+    got = solved_compression(filters, monkeypatch)
+    ref = per_column_compression(filters, bank_radius(filters))
+    assert got.shape == ref.shape and np.max(np.abs(got - ref)) <= 1e-15
 
 
 def windowed_compression(f0, f1, k):
-    """The compression as one gather from sliding windows of the tap tables."""
+    """The scale-2 compression as one gather from sliding windows of the tap tables."""
     from numpy.lib.stride_tricks import sliding_window_view
 
     dim = 2 * k + 1
@@ -455,11 +480,59 @@ def windowed_compression(f0, f1, k):
 
 
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
-def test_compression_is_bitwise_the_sliding_window_gather(case):
-    f0, f1 = WINDOW_CASES[case]
-    for k in sorted({0, 1, 5, filter_window(f0, f1), 64}):
-        got, ref = _compression(f0, f1, k), windowed_compression(f0, f1, k)
-        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+def test_compression_is_bitwise_the_sliding_window_gather(case, monkeypatch):
+    # the scale-2 gather of the taps that the window matrices replace: every
+    # entry is the same value; only the sign of a zero may differ, since the
+    # window route conjugates twice and multiplies by the phases +-1
+    filters = WINDOW_CASES[case]
+    got, ref = solved_compression(filters, monkeypatch), windowed_compression(*filters, bank_radius(filters))
+    assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
+# ---------------------------------------------------------------------------
+# scale N
+
+
+@pytest.mark.parametrize("factors", [1, 2, 3])
+@pytest.mark.parametrize("scale", [3, 4, 5])
+def test_scale_n_banks_against_the_dense_compression(scale, factors, monkeypatch):
+    rng = np.random.default_rng([scale, factors])
+    filters = fixtures.random_paraunitary_bank(scale, factors, rng).filters
+    r, k = bank_radius(filters), 64
+    dense = per_column_compression(filters, k)
+    got = solved_compression(filters, monkeypatch)
+    assert np.max(np.abs(got - dense[k - r : k + r + 1, k - r : k + r + 1])) <= 1e-15
+    rep = spectral_solutions(*filters)
+    dims, _ = dense_reference(filters, k)
+    assert rep.window == r and rep.index == sum(dims.values()) == len(rep.solutions)
+    assert rep.anomaly is None
+
+
+@pytest.mark.parametrize("scale", [3, 4, 5, 8])
+def test_haar_n_index_two_on_one_and_inverse_mode(scale):
+    filters = fixtures.haar(scale).filters
+    rep = spectral_solutions(*filters)
+    assert rep.index == 2 and rep.eigenspace_dims and all(
+        abs(lam - 1.0) <= 1e-12 for lam in rep.eigenspace_dims)
+    for s in rep.solutions:
+        outside = s.eigenvector - LaurentPoly(s.eigenvector.coeff_window(-1, 0), min_degree=-1)
+        assert outside.norm2() < 1e-10 and s.residual < 1e-10
+    assert np.max(np.abs(rep.pairing_matrix - scale * np.eye(2))) <= 1e-12
+    assert rep.pairing_residual <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [3, 4, 5, 8])
+def test_haar_n_fixes_the_inverse_mode_under_the_forward_rotation(scale):
+    # symbolic oracle: sum_k rho^(-k) m_k = sqrt(N) z^(N-1) for haarN, so
+    # M z^(-1) = z^(-1); the reversed rotation xi(rho^(-k) z^N) sums
+    # rho^k m_k = sqrt(N) z and sends z^(-1) to z^(1-N)
+    filters = fixtures.haar(scale).filters
+    probe = LaurentPoly.monomial(-1)
+    assert allclose(combined_isometry_apply(filters, probe), probe, tol=1e-14)
+    rho = np.exp(2j * np.pi / scale)
+    reversed_rotation = sum((m * LaurentPoly.monomial(-scale, rho ** k) for k, m in enumerate(filters)),
+                            LaurentPoly.zero()) * (1 / math.sqrt(scale))
+    assert allclose(reversed_rotation, LaurentPoly.monomial(1 - scale), tol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +546,7 @@ def full_pairing_table(solutions):
     worst = 0.0
     for a in range(n):
         for b in range(n):
-            val, dev = pairing(solutions[a].eigenvector, solutions[b].eigenvector)
+            val, dev = pairing(solutions[a].eigenvector, solutions[b].eigenvector, 2)
             mat[a, b] = val
             worst = max(worst, dev)
     return mat, worst
@@ -483,7 +556,7 @@ def full_pairing_table(solutions):
 def test_hermitian_pairing_table_is_bitwise_the_full_loop(case):
     rep = spectral_solutions(*WINDOW_CASES[case], window=64)
     assert len(rep.solutions) == 2
-    mat, worst = _pairing_table(rep.solutions)
+    mat, worst = _pairing_table(rep.solutions, 2)
     ref_mat, ref_worst = full_pairing_table(rep.solutions)
     assert mat.tobytes() == ref_mat.tobytes()
     assert worst == ref_worst
@@ -494,7 +567,7 @@ def test_hermitian_pairing_table_on_random_non_eigenvectors(rng):
     # not eigenvectors, so the pairing is far from constant: the deviations,
     # not only the values, must come out bitwise equal
     sols = [index_module.SpectralSolution(1.0, random_poly(rng, 6), 0.0) for _ in range(4)]
-    mat, worst = _pairing_table(sols)
+    mat, worst = _pairing_table(sols, 2)
     ref_mat, ref_worst = full_pairing_table(sols)
     assert mat.tobytes() == ref_mat.tobytes()
     assert worst == ref_worst > 1e-3
@@ -506,7 +579,7 @@ def test_hermitian_pairing_table_on_random_non_eigenvectors(rng):
 
 def dense_rejections(f0, f1, k):
     """The dense per-column solve on [-k, k], recounting why each eigenpair is not kept."""
-    eigvals, eigvecs = np.linalg.eig(per_column_compression(f0, f1, k))
+    eigvals, eigvecs = np.linalg.eig(per_column_compression((f0, f1), k))
     counts = dict.fromkeys(REJECTION_REASONS, 0)
     for lam, vec in zip(eigvals, eigvecs.T):
         if abs(lam) < 1.0 - LAMBDA_DISK_TOL:
@@ -514,7 +587,7 @@ def dense_rejections(f0, f1, k):
             continue
         phi = LaurentPoly(vec, min_degree=-k)
         phi = phi * (1.0 / phi.norm2())
-        if (combined_isometry_apply(f0, f1, phi, check=False) - lam * phi).norm2() > VALIDATE_TOL:
+        if (combined_isometry_apply((f0, f1), phi, check=False) - lam * phi).norm2() > VALIDATE_TOL:
             counts["failed_validation"] += 1
     return counts
 
@@ -533,10 +606,10 @@ def test_rejection_counts(case, window, pinned):
 
 
 def test_rejection_counts_need_the_whole_window():
-    # planted0 has K0 = 7; its solve on [-4, 4] rejected 8 of 9 eigenpairs
+    # planted0 has R = 7; its solve on [-4, 4] rejected 8 of 9 eigenpairs
     f0, f1 = WINDOW_CASES["planted0"]
     assert filter_window(f0, f1) == 7
-    with pytest.raises(ValueError, match="K0 = 7"):
+    with pytest.raises(ValueError, match="R = 7"):
         spectral_solutions(f0, f1, window=4)
 
 
@@ -552,7 +625,7 @@ def test_failed_validations_are_counted(haar_pair, monkeypatch):
 def test_applies_are_candidates_plus_solutions(case, monkeypatch):
     f0, f1 = WINDOW_CASES[case]
     k = filter_window(f0, f1)
-    candidates = int(np.sum(np.abs(np.linalg.eigvals(per_column_compression(f0, f1, k)))
+    candidates = int(np.sum(np.abs(np.linalg.eigvals(per_column_compression((f0, f1), k)))
                             >= 1.0 - LAMBDA_DISK_TOL))
     calls = []
 

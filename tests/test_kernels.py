@@ -238,13 +238,13 @@ def test_norm2_is_bitwise_linalg_norm(p):
 @given(st.lists(laurent(9), min_size=0, max_size=4))
 def test_pairing_table_is_the_per_pair_pairing(polys):
     sols = [types.SimpleNamespace(eigenvector=p) for p in polys]
-    mat, worst = _pairing_table(sols)
+    mat, worst = _pairing_table(sols, 2)
     n = len(polys)
     ref = np.zeros((n, n), dtype=np.complex128)
     ref_worst = 0.0
     for a in range(n):
         for b in range(a, n):
-            val, dev = pairing(polys[a], polys[b])
+            val, dev = pairing(polys[a], polys[b], 2)
             ref[b, a] = np.conj(val)
             ref[a, b] = val
             ref_worst = max(ref_worst, dev)
@@ -257,20 +257,20 @@ def test_pairing_reads_samples_on_one_even_grid(rng):
     psi = LaurentPoly(rng.normal(size=4) + 1j * rng.normal(size=4), -1)
     # two polynomials are sampled on the pairing grid, 4096 points
     grid = CircleGrid(4096)
-    assert pairing(sample(phi, grid), sample(psi, grid)) == pairing(phi, psi)
+    assert pairing(sample(phi, grid), sample(psi, grid), 2) == pairing(phi, psi, 2)
 
 
 def test_pairing_refuses_odd_or_mismatched_grids(rng):
     phi = LaurentPoly(rng.normal(size=3), -1)
     odd = CircleGrid(63)
     with pytest.raises(ValueError, match="even"):
-        pairing(sample(phi, odd), sample(phi, odd))
+        pairing(sample(phi, odd), sample(phi, odd), 2)
     with pytest.raises(ValueError, match="one grid"):
-        pairing(sample(phi, CircleGrid(64)), sample(phi, CircleGrid(128)))
+        pairing(sample(phi, CircleGrid(64)), sample(phi, CircleGrid(128)), 2)
     with pytest.raises(TypeError):
-        pairing(sample(phi, CircleGrid(64)), phi)
+        pairing(sample(phi, CircleGrid(64)), phi, 2)
     with pytest.raises(TypeError):
-        pairing(GridFunction(CircleGrid(4), np.ones(4)), phi)
+        pairing(GridFunction(CircleGrid(4), np.ones(4)), phi, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -274,7 +274,8 @@ def test_shift_check_builds_no_projection(name, monkeypatch, capsys):
 def test_a_wold_report_gates_its_four_probes_once(monkeypatch, capsys):
     # one certificate in wold_analysis's gate and one in the batched
     # range_projection_norms gate; the four probes of db4's low-pass already
-    # lie in W = [-3, 3], so the adjoints are the 7 columns of S*|_W
+    # lie in W = [-3, 3], so the one adjoint is the probe that checks the
+    # gather of S*|_W
     from waverep import cuntz
     from waverep.cli import run
 
@@ -289,7 +290,7 @@ def test_a_wold_report_gates_its_four_probes_once(monkeypatch, capsys):
     monkeypatch.setattr(wold, "apply_filter_adjoint", counting)
     assert run(["wold", "--fixture", "db4"]) == 0
     capsys.readouterr()
-    assert certificates == [1, 1] and len(adjoints) == 7
+    assert certificates == [1, 1] and len(adjoints) == 1
 
 
 def test_probes_kmax_zero_leaves_the_projection_decay_empty(db4_bank):
