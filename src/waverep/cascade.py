@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filterbank import Filter, FilterBank, check_lowpass, filter_values_at_angles
-from .laurent import GridFunction, LaurentPoly
+from .laurent import GridFunction, InputError, LaurentPoly
 
 TWO_PI = 2.0 * math.pi
 INV_SQRT_2PI = 1.0 / math.sqrt(TWO_PI)
@@ -71,7 +71,7 @@ class LineSamples:
 
 def symmetric_grid(t_max: float, samples: int) -> np.ndarray:
     if samples < 3:
-        raise ValueError("need at least 3 samples")
+        raise InputError("need at least 3 samples")
     if samples % 2 == 0:
         samples += 1
     return np.linspace(-t_max, t_max, samples)
@@ -140,7 +140,7 @@ def mother_hat(fb: FilterBank, i: int, phihat: LineSamples) -> LineSamples:
     """
     n = fb.scale
     if i < 1:
-        raise ValueError("index 0 is the scaling filter; mother indices start at 1")
+        raise InputError("index 0 is the scaling filter; mother indices start at 1")
     if i >= n:
         raise IndexError("filter index out of range")
     t = phihat.t_values
@@ -148,7 +148,7 @@ def mother_hat(fb: FilterBank, i: int, phihat: LineSamples) -> LineSamples:
     base = INV_SQRT_2PI * truncated_product(fb.filters[0], n, t / n, phihat.depth)
     vals = band * base / math.sqrt(n)
     return LineSamples(t_values=t, values=vals, depth=phihat.depth,
-                       approximate=phihat.approximate or approx1 or fb.kind == "grid")
+                       approximate=phihat.approximate or approx1)
 
 
 @dataclass
@@ -202,7 +202,7 @@ def cascade_limit_residual(lowpass: Filter, scale: int, xi: LaurentPoly, depth: 
     the low-pass product above it.
     """
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise InputError("depth must be >= 1")
     t = symmetric_grid(t_max, samples)
     xi_vals = xi.values_at_t(t)
     shrunk = t

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filterbank import FilterBank, require_verified
-from .laurent import TRIM_TOL, LaurentPoly
+from .laurent import TRIM_TOL, InputError, LaurentPoly
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +65,9 @@ def filter_window_adjoint(m: LaurentPoly, scale: int, radius: int) -> np.ndarray
     lo = min(-radius, -((radius + m.max_degree) // scale))
     hi = max(radius, (radius - m.min_degree) // scale)
     taps = np.conj(m.coeff_window(-radius - scale * hi, radius - scale * lo))
-    # row k reads 2r+1 taps from degree -r - N k on, N (hi - k) into taps
-    rows = taps[scale * (hi - np.arange(lo, hi + 1))[:, None] + np.arange(2 * radius + 1)]
+    # row k: the 2r+1 taps from degree -r - N k on, N (hi - k) into taps (16 bytes a tap)
+    rows = np.ndarray((hi - lo + 1, 2 * radius + 1), taps.dtype, taps, scale * (hi - lo) * 16,
+                      (-16 * scale, 16)).copy()
     leaks = np.abs(np.concatenate((rows[: -radius - lo], rows[radius - lo + 1 :]))) > TRIM_TOL
     if leaks.any():
         n = np.flatnonzero(leaks.any(axis=0))[0] - radius
@@ -174,7 +175,7 @@ def shift_realization(rep: CuntzRep, xi: LaurentPoly, depth: int) -> ShiftCoeffi
     and the reconstruction is re-assembled to confirm the identity.
     """
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise InputError("depth must be >= 1")
     n = rep.scale
     blocks = {}
     tail = xi

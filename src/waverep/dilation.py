@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .laurent import InputError
+
 COISOMETRY_TOL = 1e-12
 CYCLIC_RANK_TOL = 1e-10
 WORD_CAP = 10_000
@@ -80,11 +82,11 @@ class CoisometryFamily:
     def __init__(self, v: np.ndarray, omega: np.ndarray):
         v = np.asarray(v, dtype=np.complex128)
         if v.ndim != 3 or v.shape[1] != v.shape[2]:
-            raise ValueError("V must have shape (N, dim, dim)")
+            raise InputError("V must have shape (N, dim, dim)")
         omega = np.asarray(omega, dtype=np.complex128).reshape(-1)
         n, dim, _ = v.shape
         if omega.shape != (dim,):
-            raise ValueError("Omega must be a dim vector")
+            raise InputError("Omega must be a dim vector")
         vstar = np.conj(np.swapaxes(v, 1, 2))
         defect = np.linalg.norm(_transfer(v, vstar, np.eye(dim)) - np.eye(dim), ord=2)  # sigma(I) = I
         if defect > COISOMETRY_TOL:
@@ -171,13 +173,13 @@ class GramReport:
 
 
 def gram_word_count(n_ops: int, max_len: int) -> int:
-    """W, the number of words of length <= max_len; ValueError above WORD_CAP."""
+    """W, the number of words of length <= max_len; InputError above WORD_CAP."""
     if max_len < 1:
-        raise ValueError("word length must be >= 1")
+        raise InputError("word length must be >= 1")
     # W > max_len, so a length at the cap needs no count (nor its big integers)
     n_words = _word_count(n_ops, max_len) if max_len < WORD_CAP else math.inf
     if n_words > WORD_CAP:
-        raise ValueError(f"the words of length <= {max_len} exceed the cap {WORD_CAP}")
+        raise InputError(f"the words of length <= {max_len} exceed the cap {WORD_CAP}")
     return n_words
 
 
@@ -219,6 +221,7 @@ def _fock_model(fam: CoisometryFamily, lam: complex, depth: int):
     letter i the rows that a_i (x) I reads, taking |i w'> to |w'>; and d.
     Each level lists its words in lexicographic order, first letter most significant."""
     n, eye, depth = fam.n_ops, np.eye(fam.dim, dtype=np.complex128), min(depth, MODEL_DEPTH)
+    gram_word_count(n, depth)  # the Gram words' cap bounds the model's words too
     words = [w for k in range(depth + 1) for w in itertools.product(range(n), repeat=k)]
     scale = math.sqrt(1.0 - abs(lam) ** 2)
     w = np.empty((len(words), fam.dim, fam.dim), dtype=np.complex128)
@@ -247,7 +250,7 @@ def fock_embedding(fam: CoisometryFamily, lam: complex, depth: int,
     if abs(lam) >= 1.0:
         raise ValueError("the embedding needs |lambda| < 1")
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise InputError("depth must be >= 1")
     r = abs(lam) ** 2
     s = eye = np.eye(fam.dim, dtype=np.complex128)
     for _ in range(depth):

@@ -37,7 +37,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .laurent import CircleGrid, GridFunction, LaurentPoly
+from .laurent import CircleGrid, GridFunction, InputError, LaurentPoly
 
 # Residual below which a bank counts as verified.
 VERIFY_TOL = 1e-10
@@ -88,16 +88,16 @@ class FilterBank:
     def __post_init__(self):
         object.__setattr__(self, "filters", tuple(self.filters))
         if self.scale < 2:
-            raise ValueError("scale must be >= 2")
+            raise InputError(f"a bank's scale must be >= 2, got {self.scale}")
         if len(self.filters) != self.scale:
-            raise ValueError(f"expected {self.scale} filters, got {len(self.filters)}")
+            raise InputError(f"expected {self.scale} filters, got {len(self.filters)}")
         kinds = {filter_kind(f) for f in self.filters}
         if len(kinds) != 1:
-            raise ValueError("filters must all be of the same kind")
+            raise InputError("filters must all be of the same kind")
         if kinds == {"grid"}:
-            grids = {f.grid for f in self.filters}
+            grids = {f.grid.M for f in self.filters}
             if len(grids) != 1:
-                raise ValueError("grid filters must share one grid")
+                raise InputError(f"grid filters must share one grid, got sizes {sorted(grids)}")
 
     @property
     def kind(self) -> str:
@@ -166,9 +166,9 @@ def values_on_coset(f: Filter, scale: int, grid: CircleGrid, *,
     cols = m if columns is None else columns
     if isinstance(f, GridFunction):
         if f.grid != grid:
-            raise ValueError("grid filter is bound to a different grid")
+            raise InputError("grid filter is bound to a different grid")
         if m % n != 0:
-            raise ValueError("coset sweep of a grid filter needs M divisible by the scale")
+            raise InputError(f"a grid filter's grid size {m} is not divisible by the scale {n}")
         return f.values[(np.arange(cols)[None, :] + np.arange(n)[:, None] * (m // n)) % m]
     theta = grid.angles()[None, :cols] + (2.0 * np.pi * np.arange(n) / n)[:, None]
     return filter_values_at_angles(f, theta.ravel()).reshape(n, cols)

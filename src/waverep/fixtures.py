@@ -21,7 +21,8 @@ import re
 import numpy as np
 
 from .filterbank import AngleFunction, FilterBank, conjugate_mirror
-from .laurent import LaurentPoly
+from .laurent import InputError, LaurentPoly
+from .permutative import MonomialRep, parse_digits
 
 
 def haar(scale: int = 2) -> FilterBank:
@@ -32,7 +33,7 @@ def haar(scale: int = 2) -> FilterBank:
     """
     n = scale
     if n < 2:
-        raise ValueError("scale must be >= 2")
+        raise InputError(f"scale must be >= 2, got {n}")
     phases = np.exp(-2j * np.pi * np.arange(n) / n) / math.sqrt(n)
     j = np.arange(n)
     return FilterBank(n, tuple(LaurentPoly(phases[i * j % n]) for i in range(n)))
@@ -84,14 +85,10 @@ def shannon() -> FilterBank:
 
 
 def monomial(digits) -> FilterBank:
-    """The bank of monomials z^{d_i}; digits mutually incongruent modulo N."""
-    digits = tuple(int(d) for d in digits)
-    n = len(digits)
-    if n < 2:
-        raise ValueError("need at least two digits")
-    if len({d % n for d in digits}) != n:
-        raise ValueError("digits must be mutually incongruent modulo the scale")
-    return FilterBank(n, tuple(LaurentPoly.monomial(d) for d in digits))
+    """The bank of monomials z^{d_i}; N >= 2 digits, mutually incongruent modulo N,
+    as MonomialRep checks them."""
+    rep = MonomialRep(len(digits), digits)
+    return FilterBank(rep.scale, tuple(LaurentPoly.monomial(d) for d in rep.digits))
 
 
 def random_paraunitary_bank(scale: int, n_factors: int, rng: np.random.Generator) -> FilterBank:
@@ -133,14 +130,14 @@ _HAAR_RE = re.compile(r"^haar(\d+)$")
 def fixture_bank(name: str) -> FilterBank:
     """Resolve a fixture by name: haar2, haarN, db4, shannon, monomial(d0,d1,..).
 
-    KeyError for an unknown name; ValueError for a haarN above
-    HAAR_FIXTURE_MAX or for parameters the fixture refuses.
+    KeyError for an unknown name; InputError for a haarN above
+    HAAR_FIXTURE_MAX, digits that do not parse, or parameters the fixture refuses.
     """
     name = name.strip()
     if m := _HAAR_RE.match(name):
         n = int(m.group(1))
         if n > HAAR_FIXTURE_MAX:
-            raise ValueError(f"{name} has {n}^2 coefficients; haarN fixtures go up to "
+            raise InputError(f"{name} has {n}^2 coefficients; haarN fixtures go up to "
                              f"haar{HAAR_FIXTURE_MAX}")
         return haar(n)
     if name == "db4":
@@ -148,6 +145,5 @@ def fixture_bank(name: str) -> FilterBank:
     if name == "shannon":
         return shannon()
     if m := _MONOMIAL_RE.match(name):
-        digits = [int(x) for x in m.group(1).split(",") if x.strip()]
-        return monomial(digits)
+        return monomial(parse_digits(m.group(1)))
     raise KeyError(f"unknown fixture {name!r}; try haar2, haar3, db4, shannon, monomial(0,1)")

@@ -37,7 +37,7 @@ import numpy as np
 
 from .cuntz import filter_window_adjoint
 from .filterbank import FilterBank, require_verified
-from .laurent import CircleGrid, GridFunction, LaurentPoly, invariant_radius, sample
+from .laurent import CircleGrid, GridFunction, InputError, LaurentPoly, invariant_radius, sample
 
 LAMBDA_DISK_TOL = 1e-6  # eigenvalues below 1 - this are truncation artifacts
 LAMBDA_CLUSTER_ARC = 1e-6
@@ -94,23 +94,32 @@ class SpectralReport:
 def spectral_solutions(*filters: LaurentPoly, window: int = WINDOW_MAX) -> SpectralReport:
     """Validated unit-circle eigenpairs of the combined isometry of the N filters, and the index.
 
-    The operator is compressed to W = [-R, R], R = invariant_radius of the
-    bank (ValueError unless R <= window <= WINDOW_MAX), eigensolved, and every
-    candidate with |lambda| >= 1 - LAMBDA_DISK_TOL survives iff the exact
+    The operator is compressed to W = [-R, R], R = invariant_radius of the bank
+    (InputError unless N polynomials give R <= window <= WINDOW_MAX), eigensolved,
+    and every candidate with |lambda| >= 1 - LAMBDA_DISK_TOL survives iff the exact
     action gives ||M phi - lambda phi|| <= VALIDATE_TOL * ||phi||.  Survivors are
     clustered by eigenvalue and each cluster's dimension is a numerical rank;
     the other eigenpairs are counted in ``rejected`` by reason.
     """
     if not 0 <= window <= WINDOW_MAX:
-        raise ValueError(f"window must be in 0..{WINDOW_MAX}, got {window}")
+        raise InputError(f"window must be in 0..{WINDOW_MAX}, got {window}")
     n = len(filters)
-    require_verified(FilterBank(n, filters))
+    bank = FilterBank(n, filters)
+    if bank.kind != "poly":
+        raise InputError(f"the index needs a polynomial bank, got a {bank.kind} bank")
     k = invariant_radius(min(f.min_degree for f in filters), max(f.max_degree for f in filters), n)
     if k > window:
-        raise ValueError(f"the bank's window R = {k} exceeds the bound {window}")
+        raise InputError(f"the index is solved on the bank's window R = {k}, above {window}")
+    require_verified(bank)
+    # a.T is A, summed in place so that eig holds one (2R+1)^2 matrix beside its own
     phases = _roots_of_unity(n)[-np.arange(n)[:, None] * np.arange(-k, k + 1) % n]
-    windows = (phases[j][:, None] * filter_window_adjoint(m, n, k) for j, m in enumerate(filters))
-    eigvals, eigvecs = np.linalg.eig(sum(windows).conj().T * (1.0 / math.sqrt(n)))
+    a = np.zeros((2 * k + 1, 2 * k + 1), dtype=np.complex128)
+    for phase, m in zip(phases, filters):
+        v = filter_window_adjoint(m, n, k)
+        a += np.multiply(phase[:, None], v, out=v)
+    del v
+    np.multiply(np.conjugate(a, out=a), 1.0 / math.sqrt(n), out=a)
+    eigvals, eigvecs = np.linalg.eig(a.T)
 
     survivors = []
     rejected = dict.fromkeys(REJECTION_REASONS, 0)
@@ -184,9 +193,9 @@ def pairing(phi, psi, scale: int):
     elif not (isinstance(phi, GridFunction) and isinstance(psi, GridFunction)):
         raise TypeError("pair two polynomials or two GridFunctions")
     if phi.grid != psi.grid:
-        raise ValueError("pairing samples must lie on one grid")
+        raise InputError("pairing samples must lie on one grid")
     if phi.grid.M % scale != 0:
-        raise ValueError(f"pairing grid size must be a multiple of the scale {scale} (even at "
+        raise InputError(f"pairing grid size must be a multiple of the scale {scale} (even at "
                          "N = 2), so that rho z stays on the grid")
     pv, sv = phi.values, psi.values
     # conj(phi) psi from real products, so that swapping phi and psi negates

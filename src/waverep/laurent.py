@@ -8,6 +8,7 @@ are safe to share between threads; every operation returns a new object.
 
 Convention used throughout the package: a polynomial, viewed as a
 2*pi-periodic function of the angle t, is evaluated at z = exp(-i*t).
+InputError is defined here, where every module can import it without a cycle.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ TRIM_TOL = 1e-14
 UNIT_CIRCLE_TOL = 1e-12
 
 
+class InputError(ValueError):
+    """A precondition on integers, types or shapes failed where it is checked: the CLI
+    exits 2.  A computed value beyond a tolerance is a plain ValueError: exit 1."""
+
+
 class LaurentPoly:
     """A finite sum of c_k z^k over a contiguous integer window of k.
 
@@ -39,7 +45,7 @@ class LaurentPoly:
     def __init__(self, coeffs, min_degree: int = 0):
         c = np.asarray(coeffs, dtype=np.complex128)
         if c.ndim != 1:
-            raise ValueError("coefficients must be one-dimensional")
+            raise InputError("coefficients must be one-dimensional")
         if c is coeffs or c.base is not None:  # the caller's memory
             c = c.copy()
         self._store(c, min_degree)
@@ -210,7 +216,7 @@ class LaurentPoly:
     def compose_power(self, n: int) -> "LaurentPoly":
         """The polynomial p(z^n): coefficient of z^(n*k) is that of z^k."""
         if n < 1:
-            raise ValueError("compose_power requires n >= 1")
+            raise InputError("compose_power requires n >= 1")
         if self.is_zero() or n == 1:
             return self
         out = np.zeros((len(self.coeffs) - 1) * n + 1, dtype=np.complex128)
@@ -348,7 +354,7 @@ class CircleGrid:
 
     def __post_init__(self):
         if self.M < 1:
-            raise ValueError("grid size must be positive")
+            raise InputError(f"a grid needs M >= 1, got {self.M}")
 
     def points(self) -> np.ndarray:
         return _grid_points(self.M)
@@ -367,7 +373,7 @@ class CircleGrid:
         grid for cross-checks.
         """
         if scale < 2:
-            raise ValueError("scale must be >= 2")
+            raise InputError("scale must be >= 2")
         L = 2
         while scale**L - 1 < lo:
             L += 1
@@ -378,7 +384,7 @@ class CircleGrid:
     def multiply_map(self, scale: int) -> np.ndarray:
         """Index map of z -> z^scale, i.e. j -> scale*j mod M."""
         if math.gcd(self.M, scale) != 1:
-            raise ValueError("z -> z^scale permutes the grid only when gcd(M, scale) = 1")
+            raise InputError("z -> z^scale permutes the grid only when gcd(M, scale) = 1")
         return (np.arange(self.M) * scale) % self.M
 
     def cycles(self, scale: int) -> list[np.ndarray]:
@@ -401,7 +407,7 @@ class GridFunction:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
         if v.shape != (self.grid.M,):
-            raise ValueError("values length must equal the grid size")
+            raise InputError("values length must equal the grid size")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -420,7 +426,7 @@ class GridFunction:
     def __mul__(self, other):
         if isinstance(other, GridFunction):
             if other.grid != self.grid:
-                raise ValueError("grids differ")
+                raise InputError("grids differ")
             return GridFunction(self.grid, self.values * other.values)
         return GridFunction(self.grid, self.values * other)
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .laurent import CircleGrid, GridFunction, _cycles_of, invariant_radius
+from .laurent import CircleGrid, GridFunction, InputError, _cycles_of, invariant_radius
 
 CYCLE_ARC_TOL = 1e-8  # arc bound, per cycle point, on each cycle product of _telescope
 COCYCLE_MODULUS_TOL = 1e-12  # max ||u| - 1| of a cocycle that CharRep and solve_coboundary accept
@@ -55,11 +55,11 @@ class MonomialRep:
     def __post_init__(self):
         object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
         if self.scale < 2:
-            raise ValueError("scale must be >= 2")
+            raise InputError(f"scale must be >= 2, got {self.scale}")
         if len(self.digits) != self.scale:
-            raise ValueError(f"expected {self.scale} digits")
+            raise InputError(f"expected {self.scale} digits, got {self.digits}")
         if len({d % self.scale for d in self.digits}) != self.scale:
-            raise ValueError("digits must be mutually incongruent modulo the scale")
+            raise InputError(f"digits {self.digits} must be mutually incongruent modulo {self.scale}")
 
     def branch_back(self, k: int) -> int:
         """The unique preimage (k - d_i)/N with d_i = k mod N."""
@@ -69,6 +69,14 @@ class MonomialRep:
     def cycle_radius(self) -> int:
         """All cycle points satisfy |c| <= R = max|d| // (N-1), the invariant radius."""
         return invariant_radius(min(self.digits), max(self.digits), self.scale)
+
+
+def parse_digits(text: str) -> list[int]:
+    """The comma-separated integers of text, such as "0,1", empty entries skipped."""
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError as e:
+        raise InputError(f"cannot parse digits {text!r}") from e
 
 
 @dataclass
@@ -120,7 +128,7 @@ def _funnel(rep: MonomialRep, radius: int) -> tuple[list[tuple], np.ndarray]:
 
 def decompose_monomial(rep: MonomialRep, window: int = 64) -> ComponentReport:
     """Split the integer modes in the window [-K, K], K = window, into the
-    invariant components; a negative window is a ValueError.
+    invariant components; a negative window is an InputError.
 
     A mode belongs to the component of the cycle its backward funnel reaches
     (the funnel runs on the ball of radius max(K, R), which holds the window
@@ -129,7 +137,7 @@ def decompose_monomial(rep: MonomialRep, window: int = 64) -> ComponentReport:
     the first such d_i is ``split_digit`` and ``partition`` is false.
     """
     if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
+        raise InputError(f"window must be >= 0, got {window}")
     k = window
     radius = max(k, rep.cycle_radius())
     cycles, label = _funnel(rep, radius)
@@ -177,12 +185,12 @@ def check_partition(masks, scale: int) -> bool:
     """
     masks = [np.asarray(m, dtype=bool) for m in masks]
     if len(masks) != scale:
-        raise ValueError(f"expected {scale} masks")
+        raise InputError(f"expected {scale} masks")
     m = len(masks[0])
     if any(len(a) != m for a in masks):
-        raise ValueError("masks must share one grid")
+        raise InputError("masks must share one grid")
     if m % scale != 0:
-        raise ValueError("grid size must be divisible by the scale")
+        raise InputError("grid size must be divisible by the scale")
     stack = np.array(masks, dtype=np.int64)
     orbit_hits = stack.reshape(scale, scale, m // scale).sum(axis=1)  # [mask, orbit]
     return bool(np.all(stack.sum(axis=0) == 1) and np.all(orbit_hits == 1))
@@ -218,12 +226,12 @@ class CharRep:
 
     def __post_init__(self):
         if self.scale < 2:
-            raise ValueError("scale must be >= 2")
+            raise InputError(f"scale must be >= 2, got {self.scale}")
+        if math.gcd(self.u.grid.M, self.scale) != 1:
+            raise InputError(f"cocycle grid size {self.u.grid.M} is not coprime to {self.scale}")
         dev = np.max(np.abs(np.abs(self.u.values) - 1.0))
         if dev > COCYCLE_MODULUS_TOL:
             raise ValueError(f"cocycle is not unimodular (deviation {dev:.3g})")
-        if math.gcd(self.u.grid.M, self.scale) != 1:
-            raise ValueError("cocycle grid must be coprime to the scale")
 
 
 def _telescope(q: np.ndarray, grid: CircleGrid, scale: int) -> np.ndarray | None:
@@ -258,7 +266,7 @@ def solve_coboundary(u1: GridFunction, u2: GridFunction, scale: int) -> GridFunc
     j -> N j mod M (see _telescope).
     """
     if u1.grid != u2.grid:
-        raise ValueError("cocycles must share one grid")
+        raise InputError(f"cocycles must share one grid, got sizes {u1.grid.M} and {u2.grid.M}")
     for u in (u1, u2):
         if np.max(np.abs(np.abs(u.values) - 1.0)) > COCYCLE_MODULUS_TOL:
             raise ValueError("cocycles must be unimodular")
@@ -284,7 +292,7 @@ def equivalence_check(rep1: CharRep, rep2: CharRep) -> EquivalenceReport:
     grid and the arcs partition it, so it is sqrt(N) max |Delta u1 - u2 Delta(z^N)|.
     """
     if rep1.scale != rep2.scale:
-        raise ValueError("scales differ")
+        raise InputError("scales differ")
     n = rep1.scale
     delta = solve_coboundary(rep1.u, rep2.u, n)
     if delta is None:

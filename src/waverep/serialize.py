@@ -11,10 +11,11 @@ Wire formats (stable):
 
 Complex values, here and in the CLI's run reports, are [re, im] pairs of
 floats, encoded and decoded bit-exactly by one codec (_cvec / _vec_c).
-Decoding raises InputError for input outside these formats: a missing key,
-a value of the wrong type (an integer field given as a string, a boolean or
-a fraction, for example), pairs of the wrong shape, a value that is not
-finite (JSON readers accept NaN and Infinity), or a grid size M < 1.
+Decoding raises laurent.InputError for input outside these formats: a
+missing key, a value of the wrong type (an integer field given as a string,
+a boolean or a fraction, for example), pairs of the wrong shape, or a value
+that is not finite (JSON readers accept NaN and Infinity); the constructors
+it calls raise it for a grid size M < 1 or a bank's scale, count or grids.
 
 Callable-kind banks have no sample-free encoding; exporting one samples it
 onto a grid (size divisible by the scale) and marks kind "grid".
@@ -56,11 +57,7 @@ import numpy as np
 
 from .dilation import DIM_MAX, CoisometryFamily
 from .filterbank import FilterBank, default_check_grid, values_on_coset
-from .laurent import CircleGrid, GridFunction, LaurentPoly
-
-
-class InputError(ValueError):
-    """Input outside the wire formats or the command contract: exit code 2."""
+from .laurent import CircleGrid, GridFunction, InputError, LaurentPoly
 
 
 class _Block(list):
@@ -133,8 +130,6 @@ def gridfunction_to_dict(g: GridFunction) -> dict:
 @_decoder
 def gridfunction_from_dict(d: dict) -> GridFunction:
     m = _int(d, "M")
-    if m < 1:
-        raise InputError(f"a grid function needs M >= 1, got {m}")
     return GridFunction(CircleGrid(m), _vec_c(d["values"], (m,)))
 
 

@@ -45,7 +45,7 @@ from .filterbank import (
     require_verified,
     values_on_coset,
 )
-from .laurent import CircleGrid, GridFunction, LaurentPoly, invariant_radius
+from .laurent import CircleGrid, GridFunction, InputError, LaurentPoly, invariant_radius
 from .permutative import _telescope
 
 # bound on the isometry residual (else ValueError), on the unimodularity residual
@@ -116,7 +116,7 @@ def range_projection_norms(m: Filter, scale: int, probes, k_max: int) -> list[li
     if not all(isinstance(p, LaurentPoly) for p in probes):
         raise TypeError("range projections need polynomial probes (exact adjoints)")
     if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+        raise InputError(f"k_max must be >= 0, got {k_max}")
     _require_isometry(m, scale)
     # S is an isometry (residual checked above), so ||S^k S*^k xi|| equals
     # ||S*^k xi||; re-applying S^k would only inflate the degree by N^k.
@@ -185,12 +185,12 @@ def wold_analysis(m: Filter, scale: int, probes_kmax: int = 20) -> WoldReport:
     """Classify the unitary part of S xi = m(z) xi(z^N); dim is 0 or 1.
 
     A polynomial is decided by its coefficients, a grid filter on its own
-    grid (whose size must be coprime to N) and a callable on
-    CircleGrid.dynamics_grid(N).  UNIMODULAR_TOL bounds the isometry
+    grid (whose size must be coprime to N, else InputError) and a callable
+    on CircleGrid.dynamics_grid(N).  UNIMODULAR_TOL bounds the isometry
     residual (ValueError above it) and the unimodularity residual.
     """
     if isinstance(m, GridFunction) and math.gcd(m.grid.M, scale) != 1:
-        raise ValueError("dynamics grid size must be coprime to the scale")
+        raise InputError(f"grid size {m.grid.M} is not coprime to the scale {scale}")
     iso = _require_isometry(m, scale)
     if isinstance(m, LaurentPoly):
         return _polynomial_wold(m, scale, iso, probes_kmax)

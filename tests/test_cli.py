@@ -97,10 +97,19 @@ def test_decompose_bad_digits_exits_two(capsys):
     assert run(["decompose", "--scale", "2", "--digits", "0,banana"]) == 2
 
 
-def test_decompose_invalid_digit_system_exits_one(capsys):
-    code, rep = run_json(capsys, ["decompose", "--scale", "2", "--digits", "0,2"])
-    assert code == 1
-    assert "error" in rep["info"]
+def test_decompose_invalid_digit_system_exits_two(capsys):
+    # digits congruent modulo the scale are outside the input contract, as
+    # `fixtures monomial(0,2)` has it: exit 2 and no report
+    assert run(["decompose", "--scale", "2", "--digits", "0,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "incongruent" in captured.err
+
+
+def test_one_input_error_class():
+    from waverep import laurent
+
+    assert laurent.InputError is ser.InputError is cli.InputError
+    assert issubclass(laurent.InputError, ValueError)
 
 
 def test_decompose_at_the_digit_bound(capsys):
@@ -504,6 +513,11 @@ def _untagged_file(tmp_path, d):
     return str(path)
 
 
+def _ones(m):
+    """The constant 1 on the m-point grid, as a grid filter or cocycle file holds it."""
+    return {"M": m, "values": [[1.0, 0.0]] * m}
+
+
 def _bytes_file(tmp_path, data):
     path = tmp_path / "raw.json"
     path.write_bytes(data)
@@ -571,8 +585,23 @@ def _bytes_file(tmp_path, data):
     "equiv_input_is_a_directory",
     "bank_file_not_utf8",
     "cascade_work_weighted_by_taps",
+    "check_three_filters_at_scale_two",
+    "check_scale_one_bank",
+    "check_grid_bank_on_two_grids",
+    "complete_grid_size_not_divisible_by_scale",
+    "wold_filter_grid_size_not_coprime_to_two",
+    "wold_filter_grid_size_not_coprime_to_three",
+    "wold_grid_bank_size_not_coprime_to_scale",
+    "equiv_cocycles_on_two_grids",
+    "equiv_cocycle_grid_not_coprime_to_scale",
+    "decompose_congruent_digits",
+    "decompose_digit_count_not_scale",
+    "check_file_and_fixture",
+    "index_bank_and_fixture",
+    "wold_filter_and_fixture",
 ])
 def test_input_errors_exit_two(case, tmp_path, capsys):
+    bank = ser.bank_to_dict(haar(2))
     argv = {
         # check has no --grid-size: every bank is checked on the grid it fixes
         "poly_bank_with_grid_size": lambda: ["check", "--fixture", "db4", "--grid-size", "64"],
@@ -674,6 +703,38 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
         # 8 x 1048577 values of a 256-tap low-pass, weighted 32
         "cascade_work_weighted_by_taps": lambda: [
             "cascade", "--fixture", "haar256", "--depth", "8", "--samples", "1048577"],
+        # preconditions on integers and shapes, each raised where the library checks it
+        "check_three_filters_at_scale_two": lambda: [
+            "check", _write(tmp_path, "b.json", {**bank, "filters": bank["filters"] * 2})],
+        "check_scale_one_bank": lambda: [
+            "check", _write(tmp_path, "b.json", {**bank, "scale": 1, "filters": bank["filters"][:1]})],
+        "check_grid_bank_on_two_grids": lambda: ["check", _write(tmp_path, "b.json", {
+            "scale": 2, "kind": "grid", "filters": [_ones(8), _ones(16)]})],
+        "complete_grid_size_not_divisible_by_scale": lambda: [
+            "complete", "--lowpass", _write(tmp_path, "f.json", _ones(6)), "--scale", "4"],
+        "wold_filter_grid_size_not_coprime_to_two": lambda: [
+            "wold", "--filter", _write(tmp_path, "f.json", _ones(6)), "--scale", "2"],
+        "wold_filter_grid_size_not_coprime_to_three": lambda: [
+            "wold", "--filter", _write(tmp_path, "f.json", _ones(6)), "--scale", "3"],
+        "wold_grid_bank_size_not_coprime_to_scale": lambda: [
+            "wold", "--bank", _grid_bank_file(tmp_path, 64)],
+        "equiv_cocycles_on_two_grids": lambda: [
+            "equiv", "--u1", _write(tmp_path, "u1.json", _ones(7)),
+            "--u2", _write(tmp_path, "u2.json", _ones(15)), "--scale", "2"],
+        "equiv_cocycle_grid_not_coprime_to_scale": lambda: [
+            "equiv", "--u1", _write(tmp_path, "u1.json", _ones(8)),
+            "--u2", _write(tmp_path, "u2.json", _ones(8)), "--scale", "2"],
+        "decompose_congruent_digits": lambda: ["decompose", "--scale", "2", "--digits", "0,2"],
+        "decompose_digit_count_not_scale": lambda: ["decompose", "--scale", "3", "--digits", "0,1"],
+        # two bank sources: argparse refuses the pair
+        "check_file_and_fixture": lambda: [
+            "check", _write(tmp_path, "h3.json", ser.bank_to_dict(haar(3))), "--fixture", "db4"],
+        "index_bank_and_fixture": lambda: [
+            "index", "--bank", _write(tmp_path, "h3.json", ser.bank_to_dict(haar(3))),
+            "--fixture", "db4"],
+        "wold_filter_and_fixture": lambda: [
+            "wold", "--filter", _write(tmp_path, "f.json", ser.filter_to_dict(haar(2).filters[0])),
+            "--scale", "2", "--fixture", "db4"],
     }[case]()
     assert run(argv) == 2
     captured = capsys.readouterr()

@@ -22,7 +22,7 @@ from waverep.filterbank import (
     unitarity_residual,
     values_on_coset,
 )
-from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, sample
+from waverep.laurent import CircleGrid, GridFunction, InputError, LaurentPoly, sample
 
 S2 = math.sqrt(2.0)
 
@@ -414,10 +414,10 @@ def test_certificate_catches_what_a_coarse_grid_misses():
     assert 1e-3 < fine.unitarity_residual <= exact.coefficient_residual
 
 
-def _grid_blind_haar2():
+def _grid_blind_haar2(degree=4096):
     # z^4096 - 1 vanishes on the default 4096-point check grid and its rotation by -1
     h = fixtures.haar(2)
-    bump = LaurentPoly.monomial(4096) - LaurentPoly.one()
+    bump = LaurentPoly.monomial(degree) - LaurentPoly.one()
     return FilterBank(2, (h.filters[0] + bump * 1e-3, h.filters[1] + bump * 0.5e-3))
 
 
@@ -433,12 +433,17 @@ def test_every_library_gate_decides_a_polynomial_bank_by_its_certificate():
         "require_verified": lambda: filterbank.require_verified(bad),
         "CuntzRep": lambda: CuntzRep(bad),
         "index pre-check": lambda: combined_isometry_apply(bad.filters, LaurentPoly.one()),
-        "spectral_solutions": lambda: spectral_solutions(*bad.filters, window=4),
+        # the bump's R = 4096 is above every window the index takes, so the
+        # index's gate is shown on the same bump at z^6 (R = 6)
+        "spectral_solutions": lambda: spectral_solutions(*_grid_blind_haar2(6).filters),
         "wavelet_shift_check": lambda: wavelet_shift_check(bad),
     }
     for name, gate in gates.items():
         with pytest.raises(ValueError, match="coefficient residual"):
             gate()
+    # the window bound is an input check, made before the gate
+    with pytest.raises(InputError, match="R = 4096"):
+        spectral_solutions(*bad.filters)
     # the same gates still pass verified banks of every kind
     for name in ("haar2", "db4", "shannon"):
         filterbank.require_verified(fixtures.fixture_bank(name))

@@ -508,6 +508,20 @@ def test_scale_n_banks_against_the_dense_compression(scale, factors, monkeypatch
     assert rep.anomaly is None
 
 
+@pytest.mark.parametrize("scale", [2, 3, 5, 8])
+def test_in_place_compression_is_bitwise_the_summed_windows(scale, monkeypatch):
+    # the eigensolved matrix, summed, conjugated and scaled in place, against
+    # the sum of freshly phased windows conjugated and scaled out of place
+    filters = fixtures.random_paraunitary_bank(scale, 3, np.random.default_rng(scale)).filters
+    r = bank_radius(filters)
+    phases = index_module._roots_of_unity(scale)[
+        -np.arange(scale)[:, None] * np.arange(-r, r + 1) % scale]
+    ref = sum(phases[j][:, None] * filter_window_adjoint(m, scale, r)
+              for j, m in enumerate(filters)).conj().T * (1.0 / math.sqrt(scale))
+    got = solved_compression(filters, monkeypatch)
+    assert got.shape == ref.shape and got.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
 @pytest.mark.parametrize("scale", [3, 4, 5, 8])
 def test_haar_n_index_two_on_one_and_inverse_mode(scale):
     filters = fixtures.haar(scale).filters
