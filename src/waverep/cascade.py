@@ -69,12 +69,15 @@ class LineSamples:
         return float(self.t_values[1] - self.t_values[0])
 
 
+def grid_size(samples: int) -> int:
+    """The number of points of symmetric_grid(t_max, samples): samples, bumped to odd."""
+    return samples + 1 - samples % 2
+
+
 def symmetric_grid(t_max: float, samples: int) -> np.ndarray:
     if samples < 3:
         raise InputError("need at least 3 samples")
-    if samples % 2 == 0:
-        samples += 1
-    return np.linspace(-t_max, t_max, samples)
+    return np.linspace(-t_max, t_max, grid_size(samples))
 
 
 def _values_at_t(f: Filter, t: np.ndarray) -> tuple[np.ndarray, bool]:

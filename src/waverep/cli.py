@@ -79,6 +79,21 @@ def _float_between(lo: float, hi: float):
     return parse
 
 
+class _Default(int):
+    """An integer flag's default, which a handler tells apart from the same value given."""
+
+
+def _given(value) -> bool:
+    return not isinstance(value, _Default)
+
+
+def _refuse_unread(flags: dict, source: str) -> None:
+    """InputError naming each given flag of `flags` (flag -> given); `source` reads none."""
+    given = [flag for flag, on in flags.items() if on]
+    if given:
+        raise InputError(f"{' and '.join(given)} cannot be given with {source}")
+
+
 _positive_int = _int_in(1)
 _scale = _int_in(2)
 # fock_dim = dim (N^(K+1) - 1)/(N - 1) must stay printable: Python writes ints
@@ -94,9 +109,10 @@ CASCADE_DEPTH_MAX = 1000
 CASCADE_SAMPLES_MAX = 1048577
 CASCADE_PER_MAX = 8191
 # the three caps multiply: depth x (samples + the --per grid's samples), twice
-# with --mother, is the number of filter values, at about 0.1 us each; a
-# polynomial low-pass weights each value by ceil(taps / 8), since eight Horner
-# steps cost about one complex exp
+# with --mother, bounds the number of filter values, at about 0.1 us each (a
+# --per run that writes no csv and asks no --mother skips the --samples grid);
+# a polynomial low-pass weights each value by ceil(taps / 8), since eight
+# Horner steps cost about one complex exp
 CASCADE_WORK_MAX = 2 ** 25
 CASCADE_TAPS_PER_VALUE = 8
 
@@ -185,9 +201,14 @@ def cmd_check(args):
     }
     if rep.coefficient_residual is not None:
         residuals["coefficient"] = rep.coefficient_residual
+    # the largest off-diagonal entry of the symmetric N x N table, first in row order
+    rows, cols = np.triu_indices(bank.scale, 1)
+    worst = int(np.argmax(rep.pairwise_residuals[rows, cols]))
+    i, j = int(rows[worst]), int(cols[worst])
     check_report = {
         "qmf_residuals": rep.qmf_residuals,
-        "pairwise_residuals": rep.pairwise_residuals,
+        "worst_pair": [i, j],
+        "worst_pairwise": float(rep.pairwise_residuals[i, j]),
         "unitarity_residual": rep.unitarity_residual,
         "lowpass_ok": rep.lowpass_ok,
         "grid_size": rep.grid_size,
@@ -228,22 +249,28 @@ def cmd_cascade(args):
         raise InputError(f"cascade needs {work} weighted filter values (depth {args.depth} x "
                          f"({args.samples} + {per_samples} --per samples){mother}{heavy}); "
                          f"the cap is {CASCADE_WORK_MAX}")
-    phi = cas.scaling_hat(lowpass, bank.scale, t_max=t_max,
-                          samples=args.samples, depth=args.depth)
+    # the --samples grid is evaluated only when an output reads it; the --per
+    # grid holds t = 0 exactly, so it gives the same value there
+    phi = wide = None
+    if args.csv or args.mother or not args.per:
+        phi = cas.scaling_hat(lowpass, bank.scale, t_max=t_max,
+                              samples=args.samples, depth=args.depth)
+    if args.per:
+        wide = cas.scaling_hat(lowpass, bank.scale, t_max=(2 * args.per + 1) * math.pi,
+                               samples=per_samples, depth=args.depth)
+    at_zero = phi if phi is not None else wide
     target = 1.0 / math.sqrt(2.0 * math.pi)
-    zero_gap = abs(phi.value_at_zero() - target)
+    zero_gap = abs(at_zero.value_at_zero() - target)
     verdicts = {"value_at_zero": zero_gap <= cas.VALUE_AT_ZERO_TOL}
     residuals = {"value_at_zero_gap": zero_gap}
-    info = {"depth": args.depth, "t_max": t_max, "samples": len(phi.t_values),
-            "approximate": phi.approximate}
+    info = {"depth": args.depth, "t_max": t_max, "samples": cas.grid_size(args.samples),
+            "approximate": at_zero.approximate}
     artifacts = []
     target_samples = phi
     if args.mother:
         target_samples = cas.mother_hat(bank, args.mother, phi)
         info["mother_index"] = args.mother
     if args.per:
-        wide = cas.scaling_hat(lowpass, bank.scale, t_max=(2 * args.per + 1) * math.pi,
-                               samples=per_samples, depth=args.depth)
         if args.mother:
             wide = cas.mother_hat(bank, args.mother, wide)
         pr = cas.per_residual(wide, args.per)
@@ -258,10 +285,14 @@ def cmd_cascade(args):
 
 def cmd_wold(args):
     if args.filter:
+        _refuse_unread({"--index": _given(args.index), "--shift-check": args.shift_check},
+                       "--filter, which gives no bank")
         i, filt, scale = None, ser.filter_from_dict(_load_json(args.filter)), args.scale
         if not scale:
             raise InputError("--filter needs --scale")
     else:
+        if args.scale:
+            raise InputError("--scale needs --filter; a bank carries its own scale")
         bank = _load_bank(args)
         scale = bank.scale
         if args.shift_check:
@@ -346,6 +377,8 @@ def cmd_equiv(args):
 
 def cmd_dilate(args):
     if args.family:
+        _refuse_unread({"--random-dim": _given(args.random_dim), "--ops": _given(args.ops)},
+                       "--family")
         fam = ser.family_from_dict(_load_json(args.family))
     else:
         rng = np.random.default_rng(args.seed)
@@ -424,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("wold", help="classify the unitary part of one filter's isometry")
     add_bank_source(q).add_argument("--filter", help="single filter JSON file")
     q.add_argument("--scale", type=_scale, default=0)
-    q.add_argument("--index", type=int, default=0, help="filter index within the bank")
+    q.add_argument("--index", type=int, default=_Default(0), help="filter index within the bank")
     q.add_argument("--shift-check", action="store_true",
                    help="check that every filter of the bank generates a shift")
 
@@ -445,9 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("dilate", help="Fock-space dilation diagnostics of a coisometry family")
     q.add_argument("--family", help="family JSON file")
-    q.add_argument("--random-dim", type=_int_in(1, dil.DIM_MAX), default=3,
+    q.add_argument("--random-dim", type=_int_in(1, dil.DIM_MAX), default=_Default(3),
                    help="draw a random family of this dim")
-    q.add_argument("--ops", type=_positive_int, default=2,
+    q.add_argument("--ops", type=_positive_int, default=_Default(2),
                    help="number of operators for random families")
     q.add_argument("--lam", "--lambda", dest="lam", type=_float_between(-1.0, 1.0), default=0.5)
     q.add_argument("--fock-depth", type=_int_in(1, FOCK_DEPTH_MAX), default=8)

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import io
 import itertools
 import json
@@ -6,10 +8,12 @@ import math
 import numpy as np
 import pytest
 
-from waverep import cli, fixtures, index as idx, permutative as perm, serialize as ser
+from waverep import (cli, dilation as dil, fixtures, index as idx, permutative as perm,
+                     serialize as ser, wold as wld)
 from waverep.cli import parse_angle, run
 from waverep.dilation import DIM_MAX, random_coisometry
-from waverep.filterbank import FilterBank, complete_filterbank, default_check_grid, qmf_residual
+from waverep.filterbank import (AngleFunction, FilterBank, check_bank, complete_filterbank,
+                                default_check_grid, qmf_residual)
 from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, sample
 from waverep.fixtures import haar
 
@@ -48,7 +52,10 @@ def test_check_reports_a_polynomial_bank_from_its_coefficients(capsys):
     report = rep["info"]["check_report"]
     assert code == 0 and report["grid_size"] is None and report["worst_point"] is None
     assert rep["residuals"]["unitarity"] == rep["residuals"]["coefficient"] < 1e-13
-    assert report["worst_shift"] == 0 and len(report["pairwise_residuals"]) == 16
+    assert report["worst_shift"] == 0 and "pairwise_residuals" not in report
+    i, j = report["worst_pair"]
+    table = check_bank(haar(16)).pairwise_residuals
+    assert i < j and report["worst_pairwise"] == table[i, j] == table[~np.eye(16, dtype=bool)].max()
     code, rep = run_json(capsys, ["check", "--fixture", "shannon"])
     assert code == 0 and rep["info"]["check_report"]["grid_size"] == 4096
     assert "worst_shift" not in rep["info"]["check_report"]
@@ -118,14 +125,19 @@ def test_decompose_at_the_digit_bound(capsys):
     assert code == 0 and rep["verdicts"] == {"partition": True}
 
 
-def test_decompose_exits_one_when_the_funnel_breaks_forward_invariance(monkeypatch, capsys):
+def _mirror_the_funnel(monkeypatch):
+    """A defect: mode k takes the label of -k."""
     funnel = perm._funnel
 
-    def mirrored(rep, radius):  # mode k takes the label of -k
+    def mirrored(rep, radius):
         cycles, label = funnel(rep, radius)
         return cycles, label[::-1].copy()
 
     monkeypatch.setattr(perm, "_funnel", mirrored)
+
+
+def test_decompose_exits_one_when_the_funnel_breaks_forward_invariance(monkeypatch, capsys):
+    _mirror_the_funnel(monkeypatch)
     code, rep = run_json(capsys, ["decompose", "--scale", "2", "--digits", "0,1",
                                   "--window", "8"])
     # k -> 2k maps the mirrored halves into themselves; k -> 2k + 1 sends 0,
@@ -328,6 +340,63 @@ def test_cascade_rejects_bad_lowpass_exits_one(capsys):
     assert "error" in rep["info"]
 
 
+@pytest.mark.parametrize("bank", [["--fixture", "db4"], ["--fixture", "shannon"], "grid"])
+def test_cascade_per_alone_evaluates_only_its_own_grid(bank, tmp_path, monkeypatch, capsys):
+    # nothing reads the --samples grid without --csv or --mother, and the
+    # --per grid holds t = 0, so the report is the one that evaluates both
+    if bank == "grid":
+        bank = ["--bank", _grid_bank_file(tmp_path)]
+    product, sizes = cli.cas.truncated_product, []
+
+    def counting(lowpass, scale, t, depth):
+        sizes.append(len(t))
+        return product(lowpass, scale, t, depth)
+
+    monkeypatch.setattr(cli.cas, "truncated_product", counting)
+    argv = ["cascade", *bank, "--per", "4"]
+    code, rep = run_json(capsys, argv)
+    per_grid = 2 * 32 * (2 * 4 + 1) + 1
+    assert sizes == [per_grid] and rep["info"]["samples"] == 4097
+    sizes.clear()
+    code_csv, rep_csv = run_json(capsys, [*argv, "--csv", str(tmp_path / "phi.csv")])
+    assert sizes == [4097, per_grid] and code_csv == code
+    for key in ("verdicts", "residuals", "info"):
+        assert rep[key] == rep_csv[key]
+    assert rep["info"]["approximate"] is (bank[0] == "--bank")
+
+
+def _planted_bank(kind, i, j):
+    """A seeded unitary N = 4 bank with m_j moved by 1e-3 m_i, of the given kind:
+    the pair (i, j) is then its one off-diagonal defect."""
+    bank = fixtures.random_paraunitary_bank(4, 2, np.random.default_rng(7))
+    filters = list(bank.filters)
+    filters[j] = filters[j] + filters[i] * 1e-3
+    if kind == "grid":
+        return FilterBank(4, tuple(sample(f, CircleGrid(64)) for f in filters))
+    if kind == "callable":
+        return FilterBank(4, tuple(AngleFunction(f.values_at_t) for f in filters))
+    return FilterBank(4, tuple(filters))
+
+
+@pytest.mark.parametrize("kind", ["poly", "grid", "callable"])
+@pytest.mark.parametrize("i, j", [(0, 3), (1, 2), (2, 3)])
+def test_check_locates_a_planted_worst_pair(kind, i, j, tmp_path, monkeypatch, capsys):
+    bank = _planted_bank(kind, i, j)
+    if kind == "callable":  # no file holds a callable; it comes in as a fixture
+        monkeypatch.setattr(fixtures, "fixture_bank", lambda name: bank)
+        argv = ["check", "--fixture", "planted"]
+    else:
+        argv = ["check", _write(tmp_path, "planted.json", ser.bank_to_dict(bank))]
+    code, rep = run_json(capsys, argv)
+    report = rep["info"]["check_report"]
+    table = check_bank(bank).pairwise_residuals
+    assert code == 1 and rep["info"]["kind"] == kind and "pairwise_residuals" not in report
+    assert report["worst_pair"] == [i, j] and report["worst_pairwise"] == table[i, j]
+    others = np.triu(table, 1)
+    others[i, j] = 0.0
+    assert table[i, j] > 1e-4 > np.max(others)
+
+
 def test_complete_roundtrip(tmp_path, capsys):
     lp = tmp_path / "m0.json"
     lp.write_text(json.dumps(ser.filter_to_dict(haar(2).filters[0])))
@@ -391,11 +460,9 @@ def test_dilate_at_the_fock_depth_bound(capsys):
     assert rep["info"]["fock_dim"] == 3 * (2 ** (depth + 1) - 1)
 
 
-def test_dilate_checks_catch_a_reversed_word_order(monkeypatch, capsys):
-    # the depth-2 Fock model with every word read backwards: W's row of the
-    # word ij holds the block of ji
-    from waverep import dilation as dil
-
+def _reverse_the_word_order(monkeypatch):
+    """A defect: the depth-2 Fock model with every word read backwards, so that
+    W's row of the word ij holds the block of ji."""
     model = dil._fock_model
 
     def reversed_model(fam, lam, depth):
@@ -403,11 +470,15 @@ def test_dilate_checks_catch_a_reversed_word_order(monkeypatch, capsys):
         words = [x for k in range(d + 1) for x in itertools.product(range(fam.n_ops), repeat=k)]
         return w[[words.index(x[::-1]) for x in words]], annihilate, d
 
+    monkeypatch.setattr(dil, "_fock_model", reversed_model)
+
+
+def test_dilate_checks_catch_a_reversed_word_order(monkeypatch, capsys):
     argv = ["dilate", "--lam", "0.5", "--fock-depth", "6"]
     code, rep = run_json(capsys, argv)
     assert code == 0
     assert rep["residuals"]["intertwining"] <= 1e-10 and rep["residuals"]["state_gap"] <= 1e-12
-    monkeypatch.setattr(dil, "_fock_model", reversed_model)
+    _reverse_the_word_order(monkeypatch)
     code, rep = run_json(capsys, argv)
     assert code == 1
     assert not rep["verdicts"]["intertwining"] and not rep["verdicts"]["state_consistent"]
@@ -599,6 +670,10 @@ def _bytes_file(tmp_path, data):
     "check_file_and_fixture",
     "index_bank_and_fixture",
     "wold_filter_and_fixture",
+    # flags that the chosen source leaves unread
+    "wold_filter_with_bank_flags",
+    "wold_bank_with_scale",
+    "dilate_family_with_random_flags",
 ])
 def test_input_errors_exit_two(case, tmp_path, capsys):
     bank = ser.bank_to_dict(haar(2))
@@ -735,11 +810,67 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
         "wold_filter_and_fixture": lambda: [
             "wold", "--filter", _write(tmp_path, "f.json", ser.filter_to_dict(haar(2).filters[0])),
             "--scale", "2", "--fixture", "db4"],
+        "wold_filter_with_bank_flags": lambda: [
+            "wold", "--filter", _write(tmp_path, "f.json", ser.filter_to_dict(haar(2).filters[0])),
+            "--scale", "2", "--shift-check", "--index", "1"],
+        "wold_bank_with_scale": lambda: ["wold", "--fixture", "haar2", "--scale", "3"],
+        "dilate_family_with_random_flags": lambda: [
+            "dilate", "--family", _write(tmp_path, "fam.json", ser.family_to_dict(
+                random_coisometry(2, 3, np.random.default_rng(0)))),
+            "--random-dim", "5", "--ops", "7"],
     }[case]()
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error" in captured.err
+
+
+def _filter_and_family_files(tmp_path):
+    return {"F": _write(tmp_path, "f.json", ser.filter_to_dict(haar(2).filters[0])),
+            "FAM": _write(tmp_path, "fam.json", ser.family_to_dict(
+                random_coisometry(2, 3, np.random.default_rng(0))))}
+
+
+# a flag is refused when given, also at its default value
+@pytest.mark.parametrize("argv, message", [
+    (["wold", "--filter", "F", "--scale", "2", "--index", "0"],
+     "--index cannot be given with --filter"),
+    (["wold", "--filter", "F", "--scale", "2", "--shift-check"],
+     "--shift-check cannot be given with --filter"),
+    (["wold", "--filter", "F", "--scale", "2", "--shift-check", "--index", "1"],
+     "--index and --shift-check cannot be given with --filter"),
+    (["wold", "--fixture", "haar2", "--scale", "2"], "--scale needs --filter"),
+    (["dilate", "--family", "FAM", "--ops", "2"], "--ops cannot be given with --family"),
+    (["dilate", "--family", "FAM", "--random-dim", "3"],
+     "--random-dim cannot be given with --family"),
+])
+def test_unread_flags_are_named(argv, message, tmp_path, capsys):
+    files = _filter_and_family_files(tmp_path)
+    assert run([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {message}" in captured.err
+
+
+def test_flags_a_run_reads_keep_their_reports(tmp_path, capsys):
+    # the defaults of the refused flags are still echoed, as before
+    files = _filter_and_family_files(tmp_path)
+    f, fam = files["F"], files["FAM"]
+    runs = [
+        (["wold", "--fixture", "db4", "--shift-check"],
+         {"fixture": "db4", "index": 0, "scale": 0, "shift_check": True}),
+        (["wold", "--fixture", "monomial(3,-2)", "--index", "1"],
+         {"fixture": "monomial(3,-2)", "index": 1, "scale": 0, "shift_check": False}),
+        (["wold", "--filter", f, "--scale", "2"],
+         {"filter": f, "index": 0, "scale": 2, "shift_check": False}),
+        (["dilate", "--family", fam, "--lam", "0.3"],
+         {"family": fam, "lam": 0.3, "ops": 2, "random_dim": 3, "fock_depth": 8,
+          "gram_depth": 3}),
+        (["dilate", "--random-dim", "4"],
+         {"lam": 0.5, "ops": 2, "random_dim": 4, "fock_depth": 8, "gram_depth": 3}),
+    ]
+    for argv, inputs in runs:
+        code, rep = run_json(capsys, argv)
+        assert code == 0 and rep["inputs"] == {"command": argv[0], "seed": 0, **inputs}
 
 
 def test_grid_bank_on_its_own_grid_size(tmp_path, capsys):
@@ -986,3 +1117,176 @@ def test_wold_filter_reports_the_grid_cocycle_residual(tmp_path, capsys):
     lam = complex(*rep["info"]["eigenvalue"])
     want = float(np.max(np.abs(m * got[grid.multiply_map(2)] - lam * got)))
     assert want > 0 and rep["residuals"]["cocycle"] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# every verdict can read false: one row per (subcommand, verdict key), each an
+# input that makes that verdict false through cli.run with exit 1.  A verdict
+# that no valid input can fail takes a monkeypatched defect, and its row says so.
+
+
+def _bank_file(tmp_path, *filters):
+    return _write(tmp_path, "bank.json", ser.bank_to_dict(FilterBank(len(filters), filters)))
+
+
+def _filter_file(tmp_path, f):
+    return _write(tmp_path, "filter.json", ser.filter_to_dict(f))
+
+
+def _low_pass_moved(bank):
+    """The bank with its low-pass scaled by 1 + 1e-6: unitarity residual about 2e-6."""
+    return FilterBank(bank.scale, (bank.filters[0] * (1.0 + 1e-6), *bank.filters[1:]))
+
+
+def _row_check_unitary(tmp_path, monkeypatch):
+    h = haar(2).filters
+    return ["check", _bank_file(tmp_path, h[0], LaurentPoly(np.array([0.5, -0.5])))]
+
+
+def _row_complete_unitary(tmp_path, monkeypatch):
+    # defect: the gate refuses any low-pass whose completion could fail, so
+    # the completion itself moves the low-pass after the gate
+    monkeypatch.setattr(cli, "complete_filterbank",
+                        lambda lowpass, scale: _low_pass_moved(complete_filterbank(lowpass, scale)))
+    return ["complete", "--lowpass", _filter_file(tmp_path, haar(2).filters[0]), "--scale", "2"]
+
+
+def _row_cascade_value_at_zero(tmp_path, monkeypatch):
+    # (1 + 5e-9)(1 + z)/sqrt(2) passes the low-pass gate (LOWPASS_TOL 1e-8); its
+    # depth-20 product at t = 0, read off the --per grid, misses 1/sqrt(2 pi) by 4e-8
+    r = 1.0 / math.sqrt(2.0)
+    return ["cascade", "--per", "4", "--bank", _bank_file(
+        tmp_path, LaurentPoly(np.array([r, r]) * (1.0 + 5e-9)), LaurentPoly(np.array([r, -r])))]
+
+
+def _row_cascade_periodization(tmp_path, monkeypatch):
+    return ["cascade", "--bank", _stretched_haar_file(tmp_path), "--per", "4"]
+
+
+def _row_wold_all_shifts(tmp_path, monkeypatch):
+    return ["wold", "--fixture", "monomial(0,1)", "--shift-check"]
+
+
+def _row_wold_isometry(tmp_path, monkeypatch):
+    # defect: wold_analysis raises above the verdict's bound, so the gate is
+    # replaced by the bare residual, and 1.1 (1 + z)/sqrt(2) is not an isometry
+    monkeypatch.setattr(wld, "_require_isometry", wld.isometry_residual)
+    return ["wold", "--filter", _filter_file(tmp_path, haar(2).filters[0] * 1.1), "--scale", "2"]
+
+
+def _row_wold_consistent(tmp_path, monkeypatch):
+    # e/z + a - e z with a^2 + 2 e^2 = 1: |m|^2 - 1 = -2 e^2 Re z^2 is within
+    # the unimodularity bound, yet m is no monomial
+    e = 1e-6
+    m = LaurentPoly(np.array([e, math.sqrt(1.0 - 2.0 * e * e), -e]), min_degree=-1)
+    return ["wold", "--filter", _filter_file(tmp_path, m), "--scale", "2"]
+
+
+def _row_index_index_in_range(tmp_path, monkeypatch):
+    # defect: index <= 2 is a theorem at scale 2, so the solve keeps every
+    # eigenpair with |lambda| >= 0.01 unvalidated; db4 then counts 6
+    monkeypatch.setattr(idx, "LAMBDA_DISK_TOL", 0.99)
+    monkeypatch.setattr(idx, "VALIDATE_TOL", math.inf)
+    return ["index", "--fixture", "db4"]
+
+
+def _row_decompose_partition(tmp_path, monkeypatch):
+    _mirror_the_funnel(monkeypatch)  # defect: the funnel labels are forward invariant
+    return ["decompose", "--scale", "2", "--digits", "0,1", "--window", "8"]
+
+
+def _row_equiv_equivalent(tmp_path, monkeypatch):
+    g = CircleGrid.dynamics_grid(2)
+    phases = np.exp(2j * np.pi * np.random.default_rng(17).random(g.M))
+    u1 = _write(tmp_path, "u1.json", ser.gridfunction_to_dict(GridFunction(g, np.ones(g.M))))
+    u2 = _write(tmp_path, "u2.json", ser.gridfunction_to_dict(GridFunction(g, phases)))
+    return ["equiv", "--u1", u1, "--u2", u2, "--scale", "2"]
+
+
+def _row_dilate_gram_psd(tmp_path, monkeypatch):
+    # defect: a Gram matrix of down-word vectors is PSD, so its eigensolver
+    # reads every eigenvalue one unit low
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: eigvalsh(g) - 1.0)
+    return ["dilate"]
+
+
+def _row_dilate_fock_defect_matches(tmp_path, monkeypatch):
+    # defect: the Horner defect matches whenever sum V_i V_i* = I, which the
+    # family's gate enforces, so the V_i grow by 1% after the gate
+    draw = dil.random_coisometry
+
+    def grown(*args):
+        fam = draw(*args)
+        fam.v, fam.vstar = 1.01 * fam.v, 1.01 * fam.vstar
+        return fam
+
+    monkeypatch.setattr(dil, "random_coisometry", grown)
+    return ["dilate"]
+
+
+def _row_dilate_word_order(tmp_path, monkeypatch):
+    _reverse_the_word_order(monkeypatch)  # defect: no valid family breaks the model
+    return ["dilate", "--lam", "0.5", "--fock-depth", "6"]
+
+
+def _row_fixtures_verified(tmp_path, monkeypatch):
+    # defect: every fixture is unitary, so the fixture's low-pass moves
+    build = fixtures.fixture_bank
+    monkeypatch.setattr(fixtures, "fixture_bank", lambda name: _low_pass_moved(build(name)))
+    return ["fixtures", "db4"]
+
+
+VERDICT_ROWS = {
+    ("check", "unitary"): _row_check_unitary,
+    ("complete", "unitary"): _row_complete_unitary,
+    ("cascade", "value_at_zero"): _row_cascade_value_at_zero,
+    ("cascade", "periodization"): _row_cascade_periodization,
+    ("wold", "all_shifts"): _row_wold_all_shifts,
+    ("wold", "isometry"): _row_wold_isometry,
+    ("wold", "consistent"): _row_wold_consistent,
+    ("index", "index_in_range"): _row_index_index_in_range,
+    ("decompose", "partition"): _row_decompose_partition,
+    ("equiv", "equivalent"): _row_equiv_equivalent,
+    ("dilate", "gram_psd"): _row_dilate_gram_psd,
+    ("dilate", "fock_defect_matches"): _row_dilate_fock_defect_matches,
+    ("dilate", "intertwining"): _row_dilate_word_order,
+    ("dilate", "state_consistent"): _row_dilate_word_order,
+    ("fixtures", "verified"): _row_fixtures_verified,
+}
+
+
+@pytest.mark.parametrize("command, key", sorted(VERDICT_ROWS))
+def test_every_verdict_can_read_false(command, key, tmp_path, monkeypatch, capsys):
+    argv = VERDICT_ROWS[command, key](tmp_path, monkeypatch)
+    code, rep = run_json(capsys, argv)
+    assert code == 1 and rep["command"] == command and rep["verdicts"][key] is False
+
+
+def _handler_verdict_keys() -> set:
+    """(subcommand, key) of every verdict key a cli handler writes: the keys of
+    the dicts assigned to `verdicts` or returned first, and of `verdicts[key] =`."""
+    keys = set()
+    for fn in ast.parse(inspect.getsource(cli)).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")):
+            continue
+        command, verdicts = fn.name[len("cmd_"):], []
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple):
+                verdicts.append(node.value.elts[0])
+            for target in node.targets if isinstance(node, ast.Assign) else ():
+                if isinstance(target, ast.Name) and target.id == "verdicts":
+                    verdicts.append(node.value)
+                elif (isinstance(target, ast.Subscript)
+                      and getattr(target.value, "id", "") == "verdicts"):
+                    keys.add((command, target.slice.value))
+        keys.update((command, k.value) for expr in verdicts for d in ast.walk(expr)
+                    if isinstance(d, ast.Dict) for k in d.keys)
+    return keys
+
+
+def test_every_verdict_key_has_a_row():
+    keys = _handler_verdict_keys()
+    handlers = {name[len("cmd_"):] for name in vars(cli) if name.startswith("cmd_")}
+    assert {command for command, _ in keys} == handlers
+    assert keys == set(VERDICT_ROWS)

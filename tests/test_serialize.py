@@ -286,12 +286,12 @@ def test_default_is_applied_to_what_it_returns():
 
 
 def test_nothing_is_written_when_default_raises_part_way(tmp_path, capsys, monkeypatch):
-    # the check report's one array, pairwise_residuals, comes after "artifacts",
-    # "command", "elapsed" and the first keys of "info" have been encoded
+    # the index report's complex eigenvalues and pairing matrix come after
+    # "artifacts", "command" and "elapsed" have been encoded
     def refuse(x):
         raise TypeError("refused part-way")
 
-    argv = ["check", "--fixture", "haar4"]
+    argv = ["index", "--fixture", "haar2"]
     monkeypatch.setattr(cli, "_json_default", refuse)
     out = tmp_path / "report.json"
     for route in (argv, ["--out", str(out), *argv]):
