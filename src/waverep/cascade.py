@@ -60,7 +60,7 @@ class LineSamples:
 
     def value_at_zero(self) -> complex:
         j = int(np.argmin(np.abs(self.t_values)))
-        if abs(self.t_values[j]) > 1e-12:
+        if not abs(self.t_values[j]) <= 1e-12:  # a NaN grid holds no t = 0
             raise ValueError("sample grid does not contain t = 0")
         return complex(self.values[j])
 
@@ -77,6 +77,8 @@ def grid_size(samples: int) -> int:
 def symmetric_grid(t_max: float, samples: int) -> np.ndarray:
     if samples < 3:
         raise InputError("need at least 3 samples")
+    if not math.isfinite(2.0 * t_max):  # the span 2 t_max; linspace would fill NaN
+        raise InputError(f"the grid span 2 * t_max must be finite, got t_max = {t_max!r}")
     return np.linspace(-t_max, t_max, grid_size(samples))
 
 
@@ -160,7 +162,6 @@ class PerResidual:
 
     residual: float
     tail_estimate: float
-    lattice_terms: int
 
 
 def per_residual(samples: LineSamples, lattice_max: int) -> PerResidual:
@@ -190,7 +191,7 @@ def per_residual(samples: LineSamples, lattice_max: int) -> PerResidual:
     residual = float(np.max(np.abs(total - 1.0 / TWO_PI)))
     last_ring = sq[window + lattice_max * step] + sq[window - lattice_max * step]
     tail = float(np.max(last_ring)) * lattice_max
-    return PerResidual(residual=residual, tail_estimate=tail, lattice_terms=lattice_max)
+    return PerResidual(residual=residual, tail_estimate=tail)
 
 
 def cascade_limit_residual(lowpass: Filter, scale: int, xi: LaurentPoly, depth: int,

@@ -296,6 +296,7 @@ def cmd_wold(args):
         bank = _load_bank(args)
         scale = bank.scale
         if args.shift_check:
+            _refuse_unread({"--index": _given(args.index)}, "--shift-check")
             ok = wld.wavelet_shift_check(bank)
             return {"all_shifts": ok}, {}, {"scale": scale}, []
         if not 0 <= args.index < scale:

@@ -48,6 +48,8 @@ INTERTWINING_TOL = 1e-10  # dilate's bound on the intertwining residual
 # an input bound: purity_diagnostics takes a dense SVD and up to 51 dense
 # powers (T^50..T^100) of the dim^2 x dim^2 transfer matrix, O(dim^6) each
 DIM_MAX = 32
+TAIL_SPAN = (50, 100)  # the powers T^k that the tail probe reads
+TAIL_TOL = 1e-9  # how far they may move and stray from the scalars
 
 
 @dataclass(frozen=True)
@@ -281,14 +283,9 @@ def scaled_word_value(fam: CoisometryFamily, lam: complex, w: Word) -> complex:
     return np.conj(lam) ** len(w.up) * lam ** len(w.down) * state_value(fam, w)
 
 
-def state_gap(fam: CoisometryFamily, lam: complex, depth: int, words) -> float:
-    """Largest gap between the compression of a word s_u s_w* in the model of depth
-    D = min(depth, 2) and (1 - |lam|^(2(D + 1 - max(|u|, |w|)))) scaled_word_value."""
-    lam = complex(lam)
-    return _state_gap(fam, lam, _fock_model(fam, lam, depth), words)
-
-
 def _state_gap(fam: CoisometryFamily, lam: complex, model, words) -> float:
+    """Largest gap between the compression of a word s_u s_w* in `model`, of depth
+    D = min(depth, 2), and (1 - |lam|^(2(D + 1 - max(|u|, |w|)))) scaled_word_value."""
     w, sources, model_depth = model
     w_omega = w @ fam.omega
     gap = 0.0
@@ -317,27 +314,26 @@ def transfer_matrix(fam: CoisometryFamily) -> np.ndarray:
     return sum(np.kron(np.conj(fam.v[i]), fam.v[i]) for i in range(fam.n_ops))
 
 
-def purity_diagnostics(fam: CoisometryFamily, tail_span: tuple = (50, 100),
-                       tail_tol: float = 1e-9) -> PurityReport:
+def purity_diagnostics(fam: CoisometryFamily) -> PurityReport:
     """Fixed-point dimension of the transfer map and a tail-triviality probe.
 
     fixed_dim counts the kernel of (sigma - id) on matrices; the state is pure
-    iff that space is the scalars alone.  tail_trivial asks whether, across the
-    given span, the columns of T^k settle (Cauchy and close to scalars).
+    iff that space is the scalars alone.  tail_trivial asks whether, for k in
+    TAIL_SPAN, the columns of T^k settle (Cauchy and within TAIL_TOL of scalars).
     """
     dim = fam.dim
     t = transfer_matrix(fam)
     s = np.linalg.svd(t - np.eye(dim * dim), compute_uv=False)
     fixed_dim = int(np.sum(s < 1e-9 * max(1.0, s[0])))
 
-    lo, hi = tail_span
+    lo, hi = TAIL_SPAN
     diag = np.arange(dim) * (dim + 1)  # rows of the entries (a, a) in a stacked column
     powers, prev = np.linalg.matrix_power(t, max(lo, 1)), None
     for _ in range(max(lo, 1), hi + 1):
         off_scalar = powers.copy()
         off_scalar[diag] -= powers[diag].sum(axis=0) / dim
         moved = 0.0 if prev is None else np.linalg.norm(powers - prev, axis=0).max()
-        if max(np.linalg.norm(off_scalar, axis=0).max(), moved) > tail_tol:
+        if max(np.linalg.norm(off_scalar, axis=0).max(), moved) > TAIL_TOL:
             return PurityReport(fixed_dim=fixed_dim, pure=fixed_dim == 1, tail_trivial=False)
         prev, powers = powers, t @ powers
     return PurityReport(fixed_dim=fixed_dim, pure=fixed_dim == 1, tail_trivial=True)

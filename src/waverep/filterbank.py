@@ -365,9 +365,6 @@ class LowpassReport:
     phase_aligned: bool
     zero_residuals: np.ndarray
 
-    def __bool__(self):
-        return self.ok
-
 
 def check_lowpass(f: Filter, scale: int) -> LowpassReport:
     """Whether m takes the value sqrt(N) at t=0 and vanishes at t = 2*pi*k/N (LOWPASS_TOL).

@@ -420,18 +420,6 @@ class GridFunction:
     def __hash__(self):
         return hash((self.grid, (self.values + 0.0).tobytes()))  # + 0.0 maps -0.0 to 0.0
 
-    def conj(self) -> "GridFunction":
-        return GridFunction(self.grid, np.conj(self.values))
-
-    def __mul__(self, other):
-        if isinstance(other, GridFunction):
-            if other.grid != self.grid:
-                raise InputError("grids differ")
-            return GridFunction(self.grid, self.values * other.values)
-        return GridFunction(self.grid, self.values * other)
-
-    __rmul__ = __mul__
-
 
 def sample(p: LaurentPoly, grid: CircleGrid) -> GridFunction:
     """Sample a polynomial on a grid: values[j] = p(exp(2*pi*i*j/M))."""

@@ -15,7 +15,7 @@ unimodular measurable solution.  Each filter kind takes one route.
   lambda = c.  The projection decay ||S^k S*^k xi|| of a batch of probes is
   computed on the window W = [-R, R], R = laurent.invariant_radius of m,
   which S* leaves invariant: one isometry gate and one matrix of S*|_W for
-  all probes (range_projection_norms).
+  all probes (range_projection_norms), built only for an isometry.
 * A grid filter is solved on its own grid, which must have size coprime
   to N so that z -> z^N permutes the points, and a callable on
   CircleGrid.dynamics_grid(N).  A grid filter's isometry residual comes
@@ -48,8 +48,8 @@ from .filterbank import (
 from .laurent import CircleGrid, GridFunction, InputError, LaurentPoly, invariant_radius
 from .permutative import _telescope
 
-# bound on the isometry residual (else ValueError), on the unimodularity residual
-# of a unitary part, and on a monomial form's coefficient deviations
+# bound on the isometry residual (range_projection_norms raises above it), on the
+# unimodularity residual of a unitary part, and on a monomial's coefficient deviations
 UNIMODULAR_TOL = 1e-8
 
 
@@ -87,20 +87,13 @@ def isometry_residual(m: Filter, scale: int) -> float:
     return qmf_residual(m, scale)
 
 
-def _require_isometry(m: Filter, scale: int) -> float:
-    """isometry_residual(m, scale); ValueError above UNIMODULAR_TOL."""
-    res = isometry_residual(m, scale)
-    if res > UNIMODULAR_TOL:
-        raise ValueError(f"filter is not an isometry symbol (residual {res:.3g})")
-    return res
-
-
 def range_projection_norms(m: Filter, scale: int, probes, k_max: int) -> list[list[float]]:
     """Norms ||S^k S*^k xi|| for k = 0..k_max, one non-increasing list per probe xi.
 
     Exact coefficient arithmetic; polynomial filters and probes only, since
     the grid permutation model makes every composition invertible and would
-    report a unitary for any filter.  One isometry gate serves all probes.
+    report a unitary for any filter.  One isometry gate serves all probes:
+    ValueError when the isometry residual exceeds UNIMODULAR_TOL.
 
     The decay is computed on the window W = [-R, R], R = invariant_radius of
     m: S* leaves W invariant and carries every mode into it.  Each probe is
@@ -117,7 +110,9 @@ def range_projection_norms(m: Filter, scale: int, probes, k_max: int) -> list[li
         raise TypeError("range projections need polynomial probes (exact adjoints)")
     if k_max < 0:
         raise InputError(f"k_max must be >= 0, got {k_max}")
-    _require_isometry(m, scale)
+    res = isometry_residual(m, scale)
+    if res > UNIMODULAR_TOL:
+        raise ValueError(f"filter is not an isometry symbol (residual {res:.3g})")
     # S is an isometry (residual checked above), so ||S^k S*^k xi|| equals
     # ||S*^k xi||; re-applying S^k would only inflate the degree by N^k.
     radius = invariant_radius(m.min_degree, m.max_degree, scale)
@@ -155,8 +150,6 @@ def _unimodularity_bound(m: LaurentPoly) -> float:
 
 def _monomial_form(m: LaurentPoly):
     """Detect m = c z^d with |c| = 1, within UNIMODULAR_TOL; returns (c, d) or None."""
-    if m.is_zero():
-        return None
     mags = np.abs(m.coeffs)
     j = int(np.argmax(mags))
     rest = np.delete(mags, j)
@@ -186,12 +179,13 @@ def wold_analysis(m: Filter, scale: int, probes_kmax: int = 20) -> WoldReport:
 
     A polynomial is decided by its coefficients, a grid filter on its own
     grid (whose size must be coprime to N, else InputError) and a callable
-    on CircleGrid.dynamics_grid(N).  UNIMODULAR_TOL bounds the isometry
-    residual (ValueError above it) and the unimodularity residual.
+    on CircleGrid.dynamics_grid(N).  UNIMODULAR_TOL bounds the unimodularity
+    residual of a unitary part; the isometry residual is reported, and a
+    filter above that bound is no isometry symbol and gets no projection decay.
     """
     if isinstance(m, GridFunction) and math.gcd(m.grid.M, scale) != 1:
         raise InputError(f"grid size {m.grid.M} is not coprime to the scale {scale}")
-    iso = _require_isometry(m, scale)
+    iso = isometry_residual(m, scale)
     if isinstance(m, LaurentPoly):
         return _polynomial_wold(m, scale, iso, probes_kmax)
 
@@ -217,13 +211,10 @@ def wold_analysis(m: Filter, scale: int, probes_kmax: int = 20) -> WoldReport:
         # a callable can be re-evaluated: cross-check on a second coprime grid
         second = CircleGrid.dynamics_grid(scale, lo=grid.M + 1,
                                           hi=max(65535, (grid.M + 1) * scale))
-        hit2 = _grid_eigendata(values_on_coset(m, 1, second)[0], second, scale)
         report.grid_sizes = (grid.M, second.M)
-        if hit2 is None:
+        # both grids hold z = 1, so both pin the same lambda = m(1)/|m(1)|
+        if _grid_eigendata(values_on_coset(m, 1, second)[0], second, scale) is None:
             report.anomaly = "grid verdicts disagree across coprime grid sizes (resolution artifact)"
-            return report
-        if abs(np.angle(hit2[0] / lam)) > 1e-6:
-            report.anomaly = "eigenvalues disagree across coprime grid sizes"
             return report
         report.grid_screen = False
     report.unitary_dim = 1
@@ -235,9 +226,9 @@ def wold_analysis(m: Filter, scale: int, probes_kmax: int = 20) -> WoldReport:
 
 def _polynomial_wold(m: LaurentPoly, scale: int, iso: float, probes_kmax: int) -> WoldReport:
     """The coefficient route: unimodularity bound, monomial form, closed form; the
-    projection decay of four probes unless probes_kmax is 0."""
+    projection decay of four probes when m is an isometry and probes_kmax is not 0."""
     decay = {}
-    if probes_kmax:
+    if probes_kmax and iso <= UNIMODULAR_TOL:
         probes = {"1": LaurentPoly.one(), "z": LaurentPoly.monomial(1),
                   "1/z": LaurentPoly.monomial(-1), "m": m}
         decay = dict(zip(probes, range_projection_norms(m, scale, probes.values(), probes_kmax)))

@@ -43,6 +43,16 @@ def test_value_at_zero(name):
     assert abs(phi.value_at_zero() - TARGET0) < 1e-12
 
 
+def test_a_grid_without_a_finite_span_holds_no_zero():
+    # linspace(-t, t) fills the grid with NaN when 2 t overflows
+    with pytest.raises(ValueError, match="finite"):
+        symmetric_grid(1e308, 5)
+    assert symmetric_grid(5e307, 5)[2] == 0.0
+    nan_grid = LineSamples(t_values=np.full(5, np.nan), values=np.ones(5, dtype=complex), depth=1)
+    with pytest.raises(ValueError, match="t = 0"):
+        nan_grid.value_at_zero()
+
+
 def test_haar_zero_at_lattice():
     m0 = fixtures.haar(2).filters[0]
     vals = TARGET0 * truncated_product(m0, 2, np.array([TWO_PI, -TWO_PI, 2 * TWO_PI, -2 * TWO_PI]), 20)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from waverep import (cli, dilation as dil, fixtures, index as idx, permutative as perm,
-                     serialize as ser, wold as wld)
+                     serialize as ser)
 from waverep.cli import parse_angle, run
 from waverep.dilation import DIM_MAX, random_coisometry
 from waverep.filterbank import (AngleFunction, FilterBank, check_bank, complete_filterbank,
@@ -206,6 +206,14 @@ def test_wold_fixture(capsys):
     assert code == 0
     assert rep["info"]["unitary_dim"] == 1
     assert rep["info"]["eigenvalue"] == [1.0, 0.0]
+
+
+def test_wold_shannon_lowpass_has_no_unitary_part(capsys):
+    # the half-band indicator takes sqrt(2) and 0, so it is not unimodular
+    code, rep = run_json(capsys, ["wold", "--fixture", "shannon"])
+    assert code == 0 and rep["verdicts"] == {"isometry": True, "consistent": True}
+    assert rep["info"]["unitary_dim"] == 0 and "eigenvalue" not in rep["info"]
+    assert rep["info"]["grid_sizes"] == [4095] and rep["residuals"]["unimodularity"] == 1.0
 
 
 def test_wold_shift_check(capsys):
@@ -503,7 +511,7 @@ def test_one_fock_model_per_dilate_report(monkeypatch, capsys):
     words = [dil.Word(), dil.Word(up=(0,), down=(0,)), dil.Word(up=(0, 1), down=(0,))]
     monkeypatch.setattr(dil, "_fock_model", model)
     assert rep["residuals"]["intertwining"] == dil.fock_embedding(fam, 0.5, 6).intertwining_residual
-    assert rep["residuals"]["state_gap"] == dil.state_gap(fam, 0.5, 6, words)
+    assert rep["residuals"]["state_gap"] == dil.fock_embedding(fam, 0.5, 6, words).state_gap
 
 
 def test_wire_integers_may_be_integral_floats(tmp_path, capsys):
@@ -670,6 +678,10 @@ def _bytes_file(tmp_path, data):
     "check_file_and_fixture",
     "index_bank_and_fixture",
     "wold_filter_and_fixture",
+    "wold_filter_without_scale",
+    "input_file_empty",
+    "cascade_depth_not_an_integer",
+    "cascade_t_max_span_overflows",
     # flags that the chosen source leaves unread
     "wold_filter_with_bank_flags",
     "wold_bank_with_scale",
@@ -810,6 +822,12 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
         "wold_filter_and_fixture": lambda: [
             "wold", "--filter", _write(tmp_path, "f.json", ser.filter_to_dict(haar(2).filters[0])),
             "--scale", "2", "--fixture", "db4"],
+        "wold_filter_without_scale": lambda: [
+            "wold", "--filter", _write(tmp_path, "f.json", ser.filter_to_dict(haar(2).filters[0]))],
+        "input_file_empty": lambda: ["check", _bytes_file(tmp_path, b"")],
+        "cascade_depth_not_an_integer": lambda: ["cascade", "--fixture", "db4", "--depth", "abc"],
+        # a finite t_max whose span 2 t_max overflows would fill the grid with NaN
+        "cascade_t_max_span_overflows": lambda: ["cascade", "--fixture", "db4", "--t-max", "1e308"],
         "wold_filter_with_bank_flags": lambda: [
             "wold", "--filter", _write(tmp_path, "f.json", ser.filter_to_dict(haar(2).filters[0])),
             "--scale", "2", "--shift-check", "--index", "1"],
@@ -843,6 +861,10 @@ def _filter_and_family_files(tmp_path):
     (["dilate", "--family", "FAM", "--ops", "2"], "--ops cannot be given with --family"),
     (["dilate", "--family", "FAM", "--random-dim", "3"],
      "--random-dim cannot be given with --family"),
+    (["wold", "--fixture", "db4", "--shift-check", "--index", "1"],
+     "--index cannot be given with --shift-check"),
+    (["wold", "--fixture", "db4", "--shift-check", "--index", "0"],
+     "--index cannot be given with --shift-check"),
 ])
 def test_unread_flags_are_named(argv, message, tmp_path, capsys):
     files = _filter_and_family_files(tmp_path)
@@ -949,7 +971,9 @@ def test_wold_decides_a_polynomial_filter_by_its_coefficients(tmp_path, capsys):
     lowpass = _grid_blind_haar2().filters[0]
     code, rep = run_json(capsys, ["wold", "--filter", _write(
         tmp_path, "m0.json", ser.filter_to_dict(lowpass)), "--scale", "2"])
-    assert code == 1 and "not an isometry symbol" in rep["info"]["error"]
+    assert code == 1 and rep["verdicts"]["isometry"] is False
+    assert rep["residuals"]["isometry"] == qmf_residual(lowpass, 2) > 1e-3
+    assert rep["info"]["unitary_dim"] == 0 and rep["info"]["grid_sizes"] == []
     code, rep = run_json(capsys, ["wold", "--fixture", "haar2"])
     assert code == 0 and rep["info"]["grid_sizes"] == []
     assert rep["residuals"]["unimodularity"] == pytest.approx(1.0, abs=1e-12)
@@ -1168,9 +1192,7 @@ def _row_wold_all_shifts(tmp_path, monkeypatch):
 
 
 def _row_wold_isometry(tmp_path, monkeypatch):
-    # defect: wold_analysis raises above the verdict's bound, so the gate is
-    # replaced by the bare residual, and 1.1 (1 + z)/sqrt(2) is not an isometry
-    monkeypatch.setattr(wld, "_require_isometry", wld.isometry_residual)
+    # 1.1 (1 + z)/sqrt(2) is not an isometry: its residual is 2 (1.1^2 - 1)
     return ["wold", "--filter", _filter_file(tmp_path, haar(2).filters[0] * 1.1), "--scale", "2"]
 
 

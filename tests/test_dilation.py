@@ -343,7 +343,8 @@ def test_fock_embedding_reports_the_state_gap_of_its_words(random_family):
     words = [Word(), Word(up=(0,), down=(0,)), Word(up=(0, 1), down=(0,)), Word(up=(1, 1))]
     for depth in (1, 2, 8):
         rep = fock_embedding(random_family, lam, depth, words)
-        assert rep.state_gap == dil.state_gap(random_family, lam, depth, words)
+        model = dil._fock_model(random_family, complex(lam), depth)
+        assert rep.state_gap == dil._state_gap(random_family, complex(lam), model, words)
         assert fock_embedding(random_family, lam, depth).state_gap == 0.0
 
 
@@ -379,12 +380,13 @@ def test_model_compressions_carry_the_truncation_factor(random_family):
              for u in itertools.product(range(2), repeat=nu)
              for d in itertools.product(range(2), repeat=nd)]
     for depth in (1, 2, 8):
-        assert dil.state_gap(random_family, lam, depth, words) < 1e-14
+        assert fock_embedding(random_family, lam, depth, words).state_gap < 1e-14
     # without the factor the depth-2 model disagrees with the untruncated value
     word = Word(up=(0, 1), down=(0,))
     full = scaled_word_value(random_family, lam, word)
     assert abs(full) > 1e-3
-    assert dil.state_gap(random_family, lam, 2, [word]) < 1e-14 < abs(full) * abs(lam) ** 2
+    gap = fock_embedding(random_family, lam, 2, [word]).state_gap
+    assert gap < 1e-14 < abs(full) * abs(lam) ** 2
 
 
 def _reference_tail_trivial(fam, tail_span=(50, 100), tail_tol=1e-9):
@@ -411,7 +413,7 @@ def _reference_tail_trivial(fam, tail_span=(50, 100), tail_tol=1e-9):
     return True
 
 
-def test_tail_probe_matches_the_per_unit_loop(coherent, balanced, two_block):
+def test_tail_probe_matches_the_per_unit_loop(coherent, balanced, two_block, monkeypatch):
     families = [coherent, balanced, two_block]
     families += [random_coisometry(n, d, np.random.default_rng(s))
                  for s, (n, d) in enumerate([(2, 2), (2, 3), (3, 3), (2, 5), (1, 3)])]
@@ -419,7 +421,8 @@ def test_tail_probe_matches_the_per_unit_loop(coherent, balanced, two_block):
     for fam in families:
         for span in ((50, 100), (1, 3), (5, 12), (20, 30)):
             want = _reference_tail_trivial(fam, span)
-            assert purity_diagnostics(fam, tail_span=span).tail_trivial == want
+            monkeypatch.setattr(dil, "TAIL_SPAN", span)
+            assert purity_diagnostics(fam).tail_trivial == want
             verdicts.append(want)
     # a tolerance sweep over short spans also meets iterates that are close to
     # scalars but not yet Cauchy
@@ -427,7 +430,9 @@ def test_tail_probe_matches_the_per_unit_loop(coherent, balanced, two_block):
         for tol in np.logspace(-12, 0, 49):
             for span in ((3, 6), (8, 12)):
                 want = _reference_tail_trivial(fam, span, tol)
-                assert purity_diagnostics(fam, span, tol).tail_trivial == want
+                monkeypatch.setattr(dil, "TAIL_SPAN", span)
+                monkeypatch.setattr(dil, "TAIL_TOL", tol)
+                assert purity_diagnostics(fam).tail_trivial == want
                 verdicts.append(want)
     assert True in verdicts and False in verdicts
 

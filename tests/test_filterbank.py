@@ -477,10 +477,8 @@ def _tolerance_parameters():
 
 
 def test_no_caller_picks_a_tolerance():
-    # every check reads its module's constant; a comparison helper and the
-    # purity probe (whose tail tolerance is swept against a reference) keep theirs
-    assert sorted(_tolerance_parameters()) == [
-        ("dilation", "purity_diagnostics", "tail_tol"), ("laurent", "allclose", "tol")]
+    # every check reads its module's constant; only a comparison helper keeps its own
+    assert sorted(_tolerance_parameters()) == [("laurent", "allclose", "tol")]
 
 
 def test_polynomial_check_bank_samples_nothing(monkeypatch):

@@ -9,6 +9,7 @@ from waverep import filterbank, fixtures, wold
 from waverep.filterbank import qmf_residual
 from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, invariant_radius, sample
 from waverep.wold import (
+    UNIMODULAR_TOL,
     isometry_residual,
     range_projection_norms,
     wavelet_shift_check,
@@ -194,8 +195,40 @@ def test_each_kind_is_solved_on_the_grid_it_fixes():
 
 
 def test_isometry_precondition_enforced():
-    with pytest.raises(ValueError):
-        wold_analysis(LaurentPoly([1.0, 1.0]), 2)
+    # 1 + z is no isometry symbol: the report says so by its residual, finds no
+    # unitary part and builds no projection decay
+    rep = wold_analysis(LaurentPoly([1.0, 1.0]), 2)
+    assert rep.isometry_residual > UNIMODULAR_TOL
+    assert rep.unitary_dim == 0 and rep.projection_decay == {}
+
+
+def test_grid_filter_with_a_blocked_cycle_has_no_unitary_part():
+    # unimodular on 4095 points, so an isometry, but the product of m over the
+    # cycle of 1 (the powers 2^i, i < 12) is lambda^12 turned by 1 rad, while
+    # the fixed point 1 pins lambda = m(1): no eigenfunction exists
+    g = CircleGrid.dynamics_grid(2)
+    values = np.exp(2j * np.pi * np.random.default_rng(3).random(g.M))
+    orbit = 2 ** np.arange(12) % g.M
+    values[1] = values[0] ** 12 * np.exp(1j) / np.prod(values[orbit[1:]])
+    rep = wold_analysis(GridFunction(g, values), 2)
+    assert rep.isometry_residual <= 1e-12 and rep.unimodularity_residual <= 1e-12
+    assert rep.unitary_dim == 0 and rep.eigenvalue is None and rep.eigenfunction is None
+    assert rep.cocycle_residual is None and rep.anomaly is None
+    assert rep.grid_screen and rep.grid_sizes == (4095,)
+
+
+def test_callable_cross_check_reports_a_grid_disagreement():
+    # 1 at the 4095-point grid, where the constant eigenfunction solves the
+    # equation, and exp(1000 i t^2) elsewhere: the 8191-point grid shares only
+    # z = 1 with it, and its cycle products miss lambda = 1
+    def rule(t):
+        k = t * 4095 / (2.0 * np.pi)
+        return np.where(np.abs(k - np.round(k)) < 1e-6, 1.0 + 0j, np.exp(1000j * t * t))
+
+    rep = wold_analysis(filterbank.AngleFunction(rule), 2)
+    assert rep.isometry_residual <= 1e-12 and rep.unimodularity_residual == 0.0
+    assert rep.grid_sizes == (4095, 8191) and rep.unitary_dim == 0
+    assert rep.anomaly.startswith("grid verdicts disagree")
 
 
 def test_grid_isometry_residual_screen():
