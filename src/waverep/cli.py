@@ -159,8 +159,6 @@ def _json_default(x):
     """json.dumps hook for what json cannot encode: complex values, arrays, numpy scalars."""
     if np.iscomplexobj(x):
         return ser._cvec(x)
-    if isinstance(x, np.ndarray) and x.ndim and x.dtype.kind in "biuf":
-        return ser._Block(x.tolist())
     if isinstance(x, (np.ndarray, np.generic)):
         return x.tolist()
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
@@ -186,7 +184,7 @@ def _produced_bank(bank, out_bank):
         residuals["coefficient"] = res
     artifacts = []
     if out_bank:
-        _write_text(out_bank, ser.pieces(ser.bank_to_dict(bank)))
+        _write_text(out_bank, [json.dumps(ser.bank_to_dict(bank), sort_keys=True)])
         artifacts.append(out_bank)
     return res <= VERIFY_TOL, residuals, artifacts
 
@@ -234,8 +232,10 @@ def cmd_complete(args):
 def cmd_cascade(args):
     bank = _load_bank(args)
     t_max = parse_angle(args.t_max)
-    if t_max <= 0:
-        raise InputError(f"--t-max must be positive, got {args.t_max!r}")
+    # every route checks the span of the --samples grid, also one that never builds it
+    if not (t_max > 0 and math.isfinite(2.0 * t_max)):
+        raise InputError(f"--t-max must be positive with a finite span 2 * t_max, "
+                         f"got {args.t_max!r}")
     if args.mother >= bank.scale:
         raise InputError(f"--mother must be in 1..{bank.scale - 1}, got {args.mother}")
     per_samples = 2 * 32 * (2 * args.per + 1) + 1 if args.per else 0  # spacing pi/32
@@ -526,12 +526,11 @@ def run(argv) -> int:
             "elapsed": time.monotonic() - start,
             "info": info,
         }
-        text = ser.pieces(report, default=_json_default)
-        text.append("\n")
+        text = json.dumps(report, sort_keys=True, default=_json_default) + "\n"
         if args.out:
-            _write_text(args.out, text)
+            _write_text(args.out, [text])
         else:
-            sys.stdout.writelines(text)
+            sys.stdout.write(text)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -48,8 +48,9 @@ from .filterbank import (
 from .laurent import CircleGrid, GridFunction, InputError, LaurentPoly, invariant_radius
 from .permutative import _telescope
 
-# bound on the isometry residual (range_projection_norms raises above it), on the
-# unimodularity residual of a unitary part, and on a monomial's coefficient deviations
+# bound on the isometry and the unimodularity residual of a unitary part
+# (range_projection_norms raises above the first), and on a monomial's
+# coefficient deviations
 UNIMODULAR_TOL = 1e-8
 
 
@@ -180,8 +181,9 @@ def wold_analysis(m: Filter, scale: int, probes_kmax: int = 20) -> WoldReport:
     A polynomial is decided by its coefficients, a grid filter on its own
     grid (whose size must be coprime to N, else InputError) and a callable
     on CircleGrid.dynamics_grid(N).  UNIMODULAR_TOL bounds the unimodularity
-    residual of a unitary part; the isometry residual is reported, and a
-    filter above that bound is no isometry symbol and gets no projection decay.
+    and the isometry residual of a unitary part; a filter whose isometry
+    residual exceeds it is no isometry symbol and gets neither a unitary part
+    nor a projection decay.
     """
     if isinstance(m, GridFunction) and math.gcd(m.grid.M, scale) != 1:
         raise InputError(f"grid size {m.grid.M} is not coprime to the scale {scale}")
@@ -201,7 +203,7 @@ def wold_analysis(m: Filter, scale: int, probes_kmax: int = 20) -> WoldReport:
         grid_sizes=(grid.M,),
         grid_screen=isinstance(m, GridFunction),
     )
-    if report.unimodularity_residual > UNIMODULAR_TOL:
+    if report.unimodularity_residual > UNIMODULAR_TOL or iso > UNIMODULAR_TOL:
         return report
     grid_hit = _grid_eigendata(vals, grid, scale)
     if grid_hit is None:
@@ -241,7 +243,7 @@ def _polynomial_wold(m: LaurentPoly, scale: int, iso: float, probes_kmax: int) -
         projection_decay=decay,
         isometry_residual=iso,
     )
-    if report.unimodularity_residual > UNIMODULAR_TOL:
+    if report.unimodularity_residual > UNIMODULAR_TOL or iso > UNIMODULAR_TOL:
         return report
     form = _monomial_form(m)
     if form is None:

@@ -1,6 +1,5 @@
 import ast
 import inspect
-import io
 import itertools
 import json
 import math
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 from waverep import (cli, dilation as dil, fixtures, index as idx, permutative as perm,
-                     serialize as ser)
+                     serialize as ser, wold as wld)
 from waverep.cli import parse_angle, run
 from waverep.dilation import DIM_MAX, random_coisometry
 from waverep.filterbank import (AngleFunction, FilterBank, check_bank, complete_filterbank,
@@ -686,6 +685,7 @@ def _bytes_file(tmp_path, data):
     "wold_filter_with_bank_flags",
     "wold_bank_with_scale",
     "dilate_family_with_random_flags",
+    "cascade_per_t_max_span_overflows",
 ])
 def test_input_errors_exit_two(case, tmp_path, capsys):
     bank = ser.bank_to_dict(haar(2))
@@ -836,6 +836,9 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
             "dilate", "--family", _write(tmp_path, "fam.json", ser.family_to_dict(
                 random_coisometry(2, 3, np.random.default_rng(0)))),
             "--random-dim", "5", "--ops", "7"],
+        # --per alone never builds the --samples grid, whose span it still checks
+        "cascade_per_t_max_span_overflows": lambda: [
+            "cascade", "--fixture", "db4", "--per", "4", "--t-max", "1e308"],
     }[case]()
     assert run(argv) == 2
     captured = capsys.readouterr()
@@ -1067,13 +1070,6 @@ def test_wire_input_outside_the_contract_exits_two(case, tmp_path, capsys):
     assert "error" in captured.err
 
 
-def _old_bank_file(bank):
-    """What --out-bank files held when they were written by json.dump."""
-    buf = io.StringIO()
-    json.dump(ser.bank_to_dict(bank), buf, indent=2, sort_keys=True)
-    return buf.getvalue()
-
-
 def test_out_bank_files_keep_their_bytes(tmp_path, capsys):
     lowpass = fixtures.fixture_bank("haar3").filters[0]
     lp = tmp_path / "m0.json"
@@ -1084,11 +1080,63 @@ def test_out_bank_files_keep_their_bytes(tmp_path, capsys):
     assert code == 0
     bank3 = complete_filterbank(lowpass, 3)
     assert bank3.kind == "grid"
-    assert out3.read_text() == _old_bank_file(bank3)
+    assert out3.read_text() == json.dumps(ser.bank_to_dict(bank3), sort_keys=True)
     out16 = tmp_path / "haar16.json"
     code, _ = run_json(capsys, ["fixtures", "haar16", "--out-bank", str(out16)])
     assert code == 0
-    assert out16.read_text() == _old_bank_file(fixtures.fixture_bank("haar16"))
+    haar16 = ser.bank_to_dict(fixtures.fixture_bank("haar16"))
+    assert out16.read_text() == json.dumps(haar16, sort_keys=True)
+
+
+def _compact(text):
+    """The stdlib's compact encoding of the value of a JSON text."""
+    return json.dumps(json.loads(text), sort_keys=True)
+
+
+def _equiv_argv(tmp_path):
+    g = CircleGrid.dynamics_grid(2)
+    u1, u2 = (_write(tmp_path, f"u{k}.json", ser.gridfunction_to_dict(GridFunction(g, u)))
+              for k, u in ((1, np.ones(g.M)), (2, g.points())))
+    return ["equiv", "--u1", u1, "--u2", u2, "--scale", "2"]
+
+
+@pytest.mark.parametrize("case", ["check_poly", "check_grid", "check_callable", "index_haar2",
+                                  "equiv", "dilate", "complete_out_bank"])
+def test_reports_are_compact_stdlib_text(case, tmp_path, capsys):
+    bank = tmp_path / "bank.json"
+    argv = {
+        "check_poly": lambda: ["check", "--fixture", "db4"],
+        "check_grid": lambda: ["check", _grid_bank_file(tmp_path, 64)],
+        "check_callable": lambda: ["check", "--fixture", "shannon"],
+        # complex eigenvalues and a pairing matrix through the default hook
+        "index_haar2": lambda: ["index", "--fixture", "haar2"],
+        "equiv": lambda: _equiv_argv(tmp_path),
+        "dilate": lambda: ["dilate", "--fock-depth", "4"],
+        "complete_out_bank": lambda: [
+            "complete", "--lowpass", _filter_file(tmp_path, haar(3).filters[0]), "--scale", "3",
+            "--out-bank", str(bank)],
+    }[case]()
+    assert run(argv) == 0
+    text = capsys.readouterr().out
+    assert text == _compact(text) + "\n"
+    if case == "complete_out_bank":
+        assert bank.read_text() == _compact(bank.read_text())
+    # --out writes the text that stdout gets, apart from elapsed and the path
+    out = tmp_path / "report.json"
+    assert run(["--out", str(out), *argv]) == 0 and capsys.readouterr().out == ""
+    got, want = json.loads(out.read_text()), json.loads(text)
+    assert out.read_text() == _compact(out.read_text()) + "\n"
+    assert got["inputs"].pop("out") == str(out)
+    assert {**got, "elapsed": 0} == {**want, "elapsed": 0}
+
+
+def test_a_nan_residual_is_written_as_nan(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "cmd_check", lambda args: (
+        {"unitary": False}, {"unitarity": float("nan"), "coefficient": float("inf")}, {}, []))
+    assert run(["check", "--fixture", "haar2"]) == 1
+    text = capsys.readouterr().out
+    assert '"residuals": {"coefficient": Infinity, "unitarity": NaN}' in text
+    assert text == _compact(text) + "\n"
 
 
 def _old_jsonable(x):
@@ -1141,6 +1189,20 @@ def test_wold_filter_reports_the_grid_cocycle_residual(tmp_path, capsys):
     lam = complex(*rep["info"]["eigenvalue"])
     want = float(np.max(np.abs(m * got[grid.multiply_map(2)] - lam * got)))
     assert want > 0 and rep["residuals"]["cocycle"] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_wold_gives_a_non_isometry_no_unitary_part(tmp_path, capsys):
+    # 1 + 5e-9 cos 2 theta: unimodular within 5e-9, but its isometry residual
+    # (the modes of |m|^2 at +-2) is 2e-8, above wold.UNIMODULAR_TOL
+    grid = CircleGrid(4095)
+    theta = 2.0 * np.pi * np.arange(grid.M) / grid.M
+    m = GridFunction(grid, 1.0 + 5e-9 * np.cos(2.0 * theta))
+    path = _write(tmp_path, "m.json", ser.gridfunction_to_dict(m))
+    code, rep = run_json(capsys, ["wold", "--filter", path, "--scale", "2"])
+    assert code == 1 and rep["verdicts"]["isometry"] is False
+    assert rep["residuals"]["unimodularity"] <= wld.UNIMODULAR_TOL < rep["residuals"]["isometry"]
+    assert rep["info"]["unitary_dim"] == 0
+    assert "eigenfunction" not in rep["info"] and "eigenvalue" not in rep["info"]
 
 
 # ---------------------------------------------------------------------------

