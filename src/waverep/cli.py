@@ -271,6 +271,8 @@ def cmd_cascade(args):
         target_samples = cas.mother_hat(bank, args.mother, phi)
         info["mother_index"] = args.mother
     if args.per:
+        info["per_samples"] = per_samples
+        info["per_t_max"] = (2 * args.per + 1) * math.pi
         if args.mother:
             wide = cas.mother_hat(bank, args.mother, wide)
         pr = cas.per_residual(wide, args.per)
@@ -325,9 +327,10 @@ def cmd_wold(args):
 def cmd_index(args):
     bank = _load_bank(args)
     rep = idx.spectral_solutions(*bank.filters, window=args.window)
-    worst = max((s.residual for s in rep.solutions), default=0.0)
+    resids = [s.residual for s in rep.solutions]
     verdicts = {"index_in_range": rep.index <= 2 and rep.anomaly is None} if bank.scale == 2 else {}
-    residuals = {"max_solution_residual": worst, "pairing_constancy": rep.pairing_residual}
+    residuals = {"max_solution_residual": max(resids, default=0.0),
+                 "pairing_constancy": rep.pairing_residual}
     info = {
         "index": rep.index,
         "window": rep.window,
@@ -337,6 +340,10 @@ def cmd_index(args):
         "haar_component": rep.index >= 1,
         "rejected": rep.rejected,
     }
+    if resids:
+        j = int(np.argmax(resids))
+        info["worst"] = {"max_solution_residual": {"solution": j,
+                                                   "eigenvalue": rep.solutions[j].eigenvalue}}
     if rep.anomaly:
         info["anomaly"] = rep.anomaly
     return verdicts, residuals, info, []

@@ -16,10 +16,11 @@ every mode outward: unit-circle eigenvectors lie in W, and a smaller window
 cuts A.  So the eigensolve always runs on W, the window a report gives, and
 the caller's window only bounds R.  A = (N^(-1/2) sum_k diag(rho^(-kn)) V_k*)^H
 is read from the window matrices V_k* = S_k*|_W of cuntz.filter_window_adjoint.
-A candidate v only counts after the exact action of combined_isometry_apply,
-which shares nothing with that gather, reproduces it: the residual's square
-is ||(A - lambda) v||^2 + ||B v||^2, so v validates exactly when its image
-stays in W.  Eigenpairs not kept are counted by reason (REJECTION_REASONS).
+Eigenvalues come first; only unit-circle clusters get columns x, which the
+exact combined_isometry_apply, sharing nothing with that gather, maps once.
+For v in their span the residual's square is ||(A - lambda) v||^2 + ||B v||^2,
+so v validates exactly when its image stays in W: a cluster's dimension is
+the number of singular values of (M - lambda) x at most VALIDATE_TOL.
 
 Eigenvalues inside the disk are truncation effects and are not counted.  At
 N = 2 an index above 2 would contradict the structure theory and is surfaced
@@ -41,12 +42,11 @@ from .laurent import CircleGrid, GridFunction, InputError, LaurentPoly, invarian
 
 LAMBDA_DISK_TOL = 1e-6  # eigenvalues below 1 - this are truncation artifacts
 LAMBDA_CLUSTER_ARC = 1e-6
-RANK_SVD_TOL = 1e-8
 VALIDATE_TOL = 1e-8  # bound on ||M phi - lambda phi|| of a unit candidate phi
 WINDOW_MAX = 1024  # default and cap of the bound on R: at most a 2049^2 eigensolve
 PAIRING_COSET_POINTS = 2048  # two polynomials are paired on N times this many points
-# why a compression eigenpair is not counted: |lambda| below 1 - LAMBDA_DISK_TOL,
-# or a failed exact residual check
+# why an eigenvalue is not counted: |lambda| below 1 - LAMBDA_DISK_TOL, or a singular
+# value of its cluster's exact residual block above VALIDATE_TOL
 REJECTION_REASONS = ("inside_disk", "failed_validation")
 
 
@@ -91,15 +91,44 @@ class SpectralReport:
     rejected: dict = field(default_factory=dict)  # candidates dropped, by REJECTION_REASONS
 
 
+def peripheral_eigenspaces(a: np.ndarray) -> tuple[list, int]:
+    """(lambda, m orthonormal columns) per unit-circle cluster of m eigenvalues, and the count inside.
+
+    a is a contraction: its spectrum lies in the closed disk, and its unit-circle
+    eigenvalues are semisimple, so two steps of block inverse iteration from
+    seeded random starts, shifted to mu = (1 + LAMBDA_DISK_TOL^2) lambda / |lambda|
+    just outside the disk, span the eigenspace of a cluster on the circle.
+    """
+    eigvals = np.linalg.eigvals(a)
+    outer = eigvals[np.abs(eigvals) >= 1.0 - LAMBDA_DISK_TOL]
+    clusters: list[list] = []
+    for lam in outer:
+        for cl in clusters:
+            if abs(np.angle(lam / cl[0])) <= LAMBDA_CLUSTER_ARC:
+                cl.append(lam)
+                break
+        else:
+            clusters.append([lam])
+    rng = np.random.default_rng(0)
+    spaces = []
+    for cl in clusters:
+        lam = complex(np.mean(cl))
+        shifted = a.copy()
+        shifted.flat[:: len(a) + 1] -= (1.0 + LAMBDA_DISK_TOL**2) * lam / abs(lam)
+        x = rng.standard_normal((len(a), len(cl)))
+        for _ in range(2):
+            x, _ = np.linalg.qr(np.linalg.solve(shifted, x))
+        spaces.append((lam, x))
+    return spaces, len(eigvals) - len(outer)
+
+
 def spectral_solutions(*filters: LaurentPoly, window: int = WINDOW_MAX) -> SpectralReport:
     """Validated unit-circle eigenpairs of the combined isometry of the N filters, and the index.
 
     The operator is compressed to W = [-R, R], R = invariant_radius of the bank
-    (InputError unless N polynomials give R <= window <= WINDOW_MAX), eigensolved,
-    and every candidate with |lambda| >= 1 - LAMBDA_DISK_TOL survives iff the exact
-    action gives ||M phi - lambda phi|| <= VALIDATE_TOL * ||phi||.  Survivors are
-    clustered by eigenvalue and each cluster's dimension is a numerical rank;
-    the other eigenpairs are counted in ``rejected`` by reason.
+    (InputError unless N polynomials give R <= window <= WINDOW_MAX).  A solution
+    is x v, v a right singular vector of the residual block (M - lambda) x whose
+    singular value, the solution's residual, is at most VALIDATE_TOL.
     """
     if not 0 <= window <= WINDOW_MAX:
         raise InputError(f"window must be in 0..{WINDOW_MAX}, got {window}")
@@ -111,7 +140,7 @@ def spectral_solutions(*filters: LaurentPoly, window: int = WINDOW_MAX) -> Spect
     if k > window:
         raise InputError(f"the index is solved on the bank's window R = {k}, above {window}")
     require_verified(bank)
-    # a.T is A, summed in place so that eig holds one (2R+1)^2 matrix beside its own
+    # a.T is A, summed in place so that eigvals holds one (2R+1)^2 matrix beside its own
     phases = _roots_of_unity(n)[-np.arange(n)[:, None] * np.arange(-k, k + 1) % n]
     a = np.zeros((2 * k + 1, 2 * k + 1), dtype=np.complex128)
     for phase, m in zip(phases, filters):
@@ -119,58 +148,28 @@ def spectral_solutions(*filters: LaurentPoly, window: int = WINDOW_MAX) -> Spect
         a += np.multiply(phase[:, None], v, out=v)
     del v
     np.multiply(np.conjugate(a, out=a), 1.0 / math.sqrt(n), out=a)
-    eigvals, eigvecs = np.linalg.eig(a.T)
-
-    survivors = []
-    rejected = dict.fromkeys(REJECTION_REASONS, 0)
-    for lam, vec in zip(eigvals, eigvecs.T):
-        if abs(lam) < 1.0 - LAMBDA_DISK_TOL:
-            rejected["inside_disk"] += 1
-            continue
-        phi = LaurentPoly(vec, min_degree=-k)  # eig returns unit vectors
-        phi = phi * (1.0 / phi.norm2())
-        image = combined_isometry_apply(filters, phi, check=False)
-        resid = (image - lam * phi).norm2()
-        if resid <= VALIDATE_TOL:
-            survivors.append((complex(lam), phi, float(resid)))
-        else:
-            rejected["failed_validation"] += 1
-
-    # cluster by eigenvalue (arc distance) and count dimensions by rank
-    clusters: list[list] = []
-    for lam, phi, resid in survivors:
-        for cl in clusters:
-            if abs(np.angle(lam / cl[0][0])) <= LAMBDA_CLUSTER_ARC:
-                cl.append((lam, phi, resid))
-                break
-        else:
-            clusters.append([(lam, phi, resid)])
-
-    solutions = []
-    dims = {}
-    for cl in clusters:
-        lo = min(p.min_degree for _, p, _ in cl)
-        hi = max(p.max_degree for _, p, _ in cl)
-        stack = np.stack([p.coeff_window(lo, hi) for _, p, _ in cl])
-        svals = np.linalg.svd(stack, compute_uv=False)
-        rank = int(np.sum(svals > RANK_SVD_TOL * max(1.0, svals[0])))
-        lam0 = cl[0][0]
-        dims[lam0] = rank
-        # report an orthonormal basis of the validated span
-        q, _ = np.linalg.qr(stack.T.conj())
-        for col in range(rank):
-            phi = LaurentPoly(np.conj(q[:, col]), min_degree=lo)
-            image = combined_isometry_apply(filters, phi, check=False)
-            solutions.append(SpectralSolution(lam0, phi, float((image - lam0 * phi).norm2())))
+    spaces, inside = peripheral_eigenspaces(a.T)
+    solutions, dims = [], {}
+    rejected = {"inside_disk": inside, "failed_validation": 0}
+    for lam, x in spaces:
+        # the exact residual block, padded by zero rows to at least one row per column
+        phis = [LaurentPoly(col, min_degree=-k) for col in x.T]
+        res = [combined_isometry_apply(filters, p, check=False) - lam * p for p in phis]
+        lo = min(r.min_degree for r in res)
+        hi = max(lo + len(res) - 1, *(r.max_degree for r in res))
+        block = np.stack([r.coeff_window(lo, hi) for r in res], axis=1)
+        _, svals, vh = np.linalg.svd(block, full_matrices=False)
+        keep = svals <= VALIDATE_TOL
+        rejected["failed_validation"] += len(res) - int(keep.sum())
+        if keep.any():
+            dims[lam] = int(keep.sum())
+        for col, resid in zip((x @ vh[keep].conj().T).T, svals[keep]):
+            solutions.append(SpectralSolution(lam, LaurentPoly(col, min_degree=-k), float(resid)))
 
     pairing_mat, pairing_resid = _pairing_table(solutions, n)
     total = sum(dims.values())
-    anomaly = None
-    if n == 2 and total > 2:
-        anomaly = (
-            f"index {total} exceeds 2 for a scale-2 pair; this contradicts the "
-            "unitary-part structure and is reported for inspection"
-        )
+    anomaly = (f"index {total} exceeds 2 for a scale-2 pair; this contradicts the unitary-part "
+               "structure and is reported for inspection") if n == 2 and total > 2 else None
     return SpectralReport(solutions=solutions, index=total, window=k,
                           pairing_matrix=pairing_mat, pairing_residual=pairing_resid,
                           eigenspace_dims=dims, anomaly=anomaly, rejected=rejected)

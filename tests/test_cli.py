@@ -152,6 +152,27 @@ def test_index_reports_rejected_candidates(capsys):
     assert 2 * rep["info"]["window"] + 1 == 11
 
 
+def test_index_says_which_solution_holds_its_worst_residual(monkeypatch, capsys):
+    # no solution, no location; then the index_in_range defect (every
+    # eigenvalue with |lambda| >= 0.01 kept unvalidated) gives db4 six
+    # solutions with distinct residuals, recomputed here by the exact action
+    code, rep = run_json(capsys, ["index", "--fixture", "db4"])
+    assert code == 0 and "worst" not in rep["info"]
+    monkeypatch.setattr(idx, "LAMBDA_DISK_TOL", 0.99)
+    monkeypatch.setattr(idx, "VALIDATE_TOL", math.inf)
+    code, rep = run_json(capsys, ["index", "--fixture", "db4"])
+    info, filters = rep["info"], fixtures.db4().filters
+    got = []
+    for lam, sol in zip(info["eigenvalues"], info["solutions"]):
+        phi, lam = ser.poly_from_dict(sol), complex(*lam)
+        got.append((idx.combined_isometry_apply(filters, phi) - lam * phi).norm2())
+    assert code == 1 and len(got) == 6 == len(set(got))
+    j = int(np.argmax(got))
+    assert info["worst"] == {"max_solution_residual": {"solution": j,
+                                                       "eigenvalue": info["eigenvalues"][j]}}
+    assert rep["residuals"]["max_solution_residual"] == pytest.approx(got[j], rel=1e-9)
+
+
 def test_index_fixture(capsys):
     code, rep = run_json(capsys, ["index", "--fixture", "haar2", "--window", "32"])
     assert code == 0
@@ -339,6 +360,17 @@ def test_cascade_work_cap_weights_polynomial_taps(bank, weight, tmp_path, monkey
     monkeypatch.setattr(cli, "CASCADE_WORK_MAX", work - 1)
     assert run(argv) == 2
     assert str(work) in capsys.readouterr().err
+
+
+def test_cascade_per_reports_the_grid_it_builds(capsys):
+    # samples and t_max describe the --samples grid, which this run never builds
+    code, rep = run_json(capsys, ["cascade", "--fixture", "db4", "--per", "4",
+                                  "--samples", "1001", "--t-max", "2pi"])
+    assert code == 0 and rep["info"]["per_samples"] == 577
+    assert rep["info"]["per_t_max"] == pytest.approx(9 * math.pi, rel=1e-15)
+    assert rep["info"]["samples"] == 1001 and rep["info"]["t_max"] == pytest.approx(2 * math.pi)
+    _, rep = run_json(capsys, ["cascade", "--fixture", "db4"])
+    assert "per_samples" not in rep["info"] and "per_t_max" not in rep["info"]
 
 
 def test_cascade_rejects_bad_lowpass_exits_one(capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import haar_component_flag, random_poly
-from waverep import fixtures
+from waverep import cli, fixtures, serialize
 from waverep import index as index_module
 from waverep.filterbank import (
     VERIFY_TOL,
@@ -19,7 +20,6 @@ from waverep.cuntz import filter_window_adjoint
 from waverep.index import (
     LAMBDA_CLUSTER_ARC,
     LAMBDA_DISK_TOL,
-    RANK_SVD_TOL,
     REJECTION_REASONS,
     VALIDATE_TOL,
     WINDOW_MAX,
@@ -270,7 +270,7 @@ def dense_reference(filters, window):
     for cl in clusters:
         stack = np.stack([p.coeff_window(-k, k) for _, p in cl])
         u, svals, _ = np.linalg.svd(stack.T, full_matrices=False)
-        rank = int(np.sum(svals > RANK_SVD_TOL * max(1.0, svals[0])))
+        rank = int(np.sum(svals > 1e-8 * max(1.0, svals[0])))
         dims[complex(cl[0][0])] = rank
         columns.append(u[:, :rank])
     basis = np.hstack(columns) if columns else np.zeros((2 * k + 1, 0))
@@ -374,9 +374,9 @@ def test_exact_applies_do_not_grow_with_the_window(case, monkeypatch):
     counts = []
     for window in (64, 256):
         calls.clear()
-        rep = spectral_solutions(f0, f1, window=window)
-        # one apply per column, one per candidate, one per reported solution's residual
-        assert len(calls) <= 2 * min(window, k) + 1 + candidates + len(rep.solutions)
+        spectral_solutions(f0, f1, window=window)
+        # one apply per candidate column; the compression and the solutions take none
+        assert len(calls) == candidates
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
@@ -407,11 +407,11 @@ def window_compression(filters, r):
 
 
 def solved_compression(filters, monkeypatch, window=64):
-    """The matrix that spectral_solutions eigensolves."""
-    seen, eig = [], np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda a: seen.append(a.copy()) or eig(a))
+    """The matrix whose eigenvalues spectral_solutions computes."""
+    seen, eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: seen.append(a.copy()) or eigvals(a))
     spectral_solutions(*filters, window=window)
-    monkeypatch.setattr(np.linalg, "eig", eig)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     return seen[0]
 
 
@@ -650,6 +650,50 @@ def test_applies_are_candidates_plus_solutions(case, monkeypatch):
     monkeypatch.setattr(index_module, "combined_isometry_apply", counting)
     rep = spectral_solutions(f0, f1, window=64)
     assert rep.rejected["inside_disk"] == 2 * k + 1 - candidates
-    # one apply validates each candidate, one measures each reported
-    # solution's residual; the compression takes none
-    assert len(calls) == candidates + len(rep.solutions)
+    # one apply maps each candidate column into the residual block, whose
+    # singular values are the solutions' residuals; the compression takes none
+    assert len(calls) == candidates
+
+
+# ---------------------------------------------------------------------------
+# eigenvalues first: no eigenvector matrix, one rank rule per cluster
+
+
+def _no_eig(*args, **kwargs):
+    raise AssertionError("np.linalg.eig was called")
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES) + [f"haar{n}" for n in (3, 4, 5, 8)])
+def test_the_solve_never_forms_the_eigenvector_matrix(case, monkeypatch):
+    filters = WINDOW_CASES[case] if case in WINDOW_CASES else fixtures.haar(int(case[4:])).filters
+    monkeypatch.setattr(np.linalg, "eig", _no_eig)
+    rep = spectral_solutions(*filters, window=64)
+    assert rep.index == len(rep.solutions) <= 2
+
+
+def test_a_planted_pair_with_equal_phases_is_one_eigenvalue_of_dimension_two(rng):
+    c = np.exp(2j * np.pi * rng.random())
+    f0, f1 = planted_pair(c, c, 3, -4)
+    rep = spectral_solutions(f0, f1, window=64)
+    assert len(rep.eigenspace_dims) == 1 and rep.index == len(rep.solutions) == 2
+    (lam, dim), = rep.eigenspace_dims.items()
+    assert dim == 2 and abs(lam - c) <= 1e-12
+    assert rep.rejected == {"inside_disk": 2 * rep.window + 1 - 2, "failed_validation": 0}
+    # the reported pair spans z^-6 and z^7, orthonormally
+    basis = np.stack([s.eigenvector.coeff_window(-6, 7)[[0, -1]] for s in rep.solutions])
+    assert np.max(np.abs(basis @ basis.conj().T - np.eye(2))) <= 1e-12
+    assert all(abs(s.eigenvector.norm2() - 1.0) <= 1e-12 for s in rep.solutions)
+
+
+def test_two_clusters_give_equal_reports(capsys, tmp_path):
+    f0, f1 = WINDOW_CASES["planted1"]
+    assert len(spectral_solutions(f0, f1, window=64).eigenspace_dims) == 2
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(serialize.bank_to_dict(FilterBank(2, (f0, f1)))))
+    reports = []
+    for _ in range(2):
+        assert cli.run(["index", "--bank", str(path)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        rep.pop("elapsed")
+        reports.append(rep)
+    assert reports[0] == reports[1] and reports[0]["info"]["index"] == 2
