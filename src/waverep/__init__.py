@@ -38,7 +38,6 @@ from .filterbank import (
     check_lowpass,
     complete_filterbank,
     modulation_matrix,
-    pairwise_residual,
     qmf_residual,
     require_verified,
     unitarity_residual,
@@ -99,7 +98,6 @@ __all__ = [
     "modulation_matrix",
     "mother_hat",
     "pairing",
-    "pairwise_residual",
     "per_residual",
     "purity_diagnostics",
     "qmf_residual",

@@ -213,13 +213,14 @@ def cascade_limit_residual(lowpass: Filter, scale: int, xi: LaurentPoly, depth: 
     for _ in range(depth):
         shrunk = shrunk / scale
     chi = (np.abs(shrunk) <= math.pi).astype(np.float64)
+    # the band branch is the low-pass branch one level up, weighted by N^(-1/2) m_band(t/N)
     if band is None:
-        lhs = chi * truncated_product(lowpass, scale, t, depth) * xi_vals
-        rhs = truncated_product(lowpass, scale, t, depth + LIMIT_EXTRA_DEPTH) * xi_vals
+        weight, base, levels = 1.0, t, depth
     else:
-        band_vals, _ = _values_at_t(band, t / scale)
-        upper = truncated_product(lowpass, scale, t / scale, depth - 1) if depth > 1 else np.ones_like(t, dtype=np.complex128)
-        lhs = chi * band_vals / math.sqrt(scale) * upper * xi_vals
-        deep = truncated_product(lowpass, scale, t / scale, depth - 1 + LIMIT_EXTRA_DEPTH)
-        rhs = band_vals / math.sqrt(scale) * deep * xi_vals
-    return float(np.max(np.abs(lhs - rhs)))
+        weight = _values_at_t(band, t / scale)[0] / math.sqrt(scale)
+        base, levels = t / scale, depth - 1
+
+    def image(n: int) -> np.ndarray:
+        return weight * truncated_product(lowpass, scale, base, n) * xi_vals
+
+    return float(np.max(np.abs(chi * image(levels) - image(levels + LIMIT_EXTRA_DEPTH))))

@@ -144,15 +144,8 @@ def _write_text(path: str, lines) -> None:
         raise InputError(f"cannot write {path}: {e.strerror or e}") from e
 
 
-def _fixture(name: str) -> "FilterBank":
-    try:
-        return fix.fixture_bank(name)
-    except KeyError as e:
-        raise InputError(str(e)) from e
-
-
 def _load_bank(args) -> "FilterBank":  # argparse requires exactly one source
-    return _fixture(args.fixture) if args.fixture else ser.bank_from_dict(_load_json(args.bank))
+    return fix.fixture_bank(args.fixture) if args.fixture else ser.bank_from_dict(_load_json(args.bank))
 
 
 def _json_default(x):
@@ -416,7 +409,7 @@ def cmd_dilate(args):
 
 
 def cmd_fixtures(args):
-    bank = _fixture(args.name)
+    bank = fix.fixture_bank(args.name)
     ok, residuals, artifacts = _produced_bank(bank, args.out_bank)
     info = {"name": args.name, "scale": bank.scale, "kind": bank.kind}
     return {"verified": ok}, residuals, info, artifacts

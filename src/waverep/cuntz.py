@@ -89,11 +89,10 @@ def filter_window_adjoint(m: LaurentPoly, scale: int, radius: int) -> np.ndarray
 class CuntzRep:
     """The isometries of a verified polynomial filter bank, acting on L2 of the circle."""
 
-    def __init__(self, bank: FilterBank, validate: bool = True):
+    def __init__(self, bank: FilterBank):
         if bank.kind != "poly":
             raise TypeError(f"the isometries act on coefficients; a {bank.kind} bank has none")
-        if validate:
-            require_verified(bank)
+        require_verified(bank)
         self.bank = bank
         self.scale = bank.scale
 

@@ -12,9 +12,9 @@ three kinds, uniform within a bank:
 The central object is the N x N modulation matrix C(z) with entries
 N^(-1/2) m_i(rho^k z), rho = exp(2*pi*i/N); a bank is "verified" when that
 matrix is unitary, up to tolerance.  Each kind takes one route, chosen
-here and nowhere else: check_bank and the public qmf_residual,
-pairwise_residual and unitarity_residual all take it.  No caller picks a
-grid: each kind's finite model comes from the filters alone.
+here and nowhere else: check_bank and the public qmf_residual and
+unitarity_residual all take it.  No caller picks a grid: each kind's
+finite model comes from the filters alone.
 
 * A polynomial bank is decided by its coefficients; no grid is built.  The
   Gram matrix G(z) = C(z) C(z)*
@@ -246,18 +246,6 @@ def qmf_residual(f: Filter, scale: int) -> float:
     return float(scale * np.max(np.abs(gram[:, 0, 0] - 1.0)))
 
 
-def pairwise_residual(fb: FilterBank, i: int, j: int) -> float:
-    """Deviation of sum_k conj(m_i) m_j over a coset from delta_ij N: the bound
-    N sum_s |E_s[i, j]| for a polynomial bank, its max over the grid otherwise."""
-    n = fb.scale
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError("filter index out of range")
-    if fb.kind == "poly":
-        return float(_pairwise_bounds(_defect_stack(fb.filters, n)[1], n)[i, j])
-    gram, _ = _coset_gram((fb.filters[i], fb.filters[j]), n)
-    return float(n * np.max(np.abs(gram[:, 0, 1] - float(i == j))))
-
-
 def unitarity_residual(fb: FilterBank) -> float:
     """Spectral-norm deviation of C(z) C(z)* from I, its max over the grid for a
     grid or callable bank.  For a polynomial bank it is the exact certificate,
@@ -371,9 +359,13 @@ def check_lowpass(f: Filter, scale: int) -> LowpassReport:
 
     The pass verdict compares |m(0)| against sqrt(N), accepting a unimodular
     phase; whether the phase is exactly +sqrt(N) is reported separately,
-    since the cascade product needs the aligned value.
+    since the cascade product needs the aligned value.  A grid filter holds
+    the points t = 2*pi*k/N only when N divides its grid size M (InputError).
     """
     n = scale
+    if isinstance(f, GridFunction) and f.grid.M % n != 0:
+        raise InputError(f"a grid low-pass's grid size {f.grid.M} is not divisible by the "
+                         f"scale {n}")
     vals = filter_values_at_angles(f, -2.0 * np.pi * np.arange(n) / n)  # z-angles of t = 2*pi*k/N
     v0 = complex(vals[0])
     zeros = np.abs(vals[1:])

@@ -130,8 +130,8 @@ _HAAR_RE = re.compile(r"^haar(\d+)$")
 def fixture_bank(name: str) -> FilterBank:
     """Resolve a fixture by name: haar2, haarN, db4, shannon, monomial(d0,d1,..).
 
-    KeyError for an unknown name; InputError for a haarN above
-    HAAR_FIXTURE_MAX, digits that do not parse, or parameters the fixture refuses.
+    InputError for an unknown name, a haarN above HAAR_FIXTURE_MAX, digits that
+    do not parse, or parameters the fixture refuses.
     """
     name = name.strip()
     if m := _HAAR_RE.match(name):
@@ -146,4 +146,4 @@ def fixture_bank(name: str) -> FilterBank:
         return shannon()
     if m := _MONOMIAL_RE.match(name):
         return monomial(parse_digits(m.group(1)))
-    raise KeyError(f"unknown fixture {name!r}; try haar2, haar3, db4, shannon, monomial(0,1)")
+    raise InputError(f"unknown fixture {name!r}; try haar2, haar3, db4, shannon, monomial(0,1)")

@@ -36,9 +36,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cuntz import filter_window_adjoint
+from .cuntz import apply_filter_isometry, filter_window_adjoint
 from .filterbank import FilterBank, require_verified
-from .laurent import CircleGrid, GridFunction, InputError, LaurentPoly, invariant_radius, sample
+from .laurent import CircleGrid, InputError, LaurentPoly, invariant_radius, sample
 
 LAMBDA_DISK_TOL = 1e-6  # eigenvalues below 1 - this are truncation artifacts
 LAMBDA_CLUSTER_ARC = 1e-6
@@ -61,13 +61,14 @@ def _roots_of_unity(scale: int) -> np.ndarray:
 
 
 def combined_isometry_apply(filters, xi: LaurentPoly, check: bool = True) -> LaurentPoly:
-    """Apply xi -> N^(-1/2) sum_k m_k(z) xi(rho^k z^N) exactly on coefficients."""
+    """Apply xi -> N^(-1/2) sum_k m_k(z) xi(rho^k z^N) exactly on coefficients: each
+    term is S_k (cuntz.apply_filter_isometry) of xi rotated by rho^k."""
     n = len(filters)
     if check:
         require_verified(FilterBank(n, filters))
     degrees = np.arange(xi.min_degree, xi.min_degree + len(xi.coeffs))
     rotations = _roots_of_unity(n)[np.arange(n)[:, None] * degrees % n]  # row k: rho^(k d)
-    terms = (m * LaurentPoly._owned(xi.coeffs * r, xi.min_degree).compose_power(n)
+    terms = (apply_filter_isometry(m, n, LaurentPoly._owned(xi.coeffs * r, xi.min_degree))
              for m, r in zip(filters, rotations))
     return sum(terms, LaurentPoly.zero()) * (1.0 / math.sqrt(n))
 
@@ -166,7 +167,7 @@ def spectral_solutions(*filters: LaurentPoly, window: int = WINDOW_MAX) -> Spect
         for col, resid in zip((x @ vh[keep].conj().T).T, svals[keep]):
             solutions.append(SpectralSolution(lam, LaurentPoly(col, min_degree=-k), float(resid)))
 
-    pairing_mat, pairing_resid = _pairing_table(solutions, n)
+    pairing_mat, pairing_resid = pairing([s.eigenvector for s in solutions], n)
     total = sum(dims.values())
     anomaly = (f"index {total} exceeds 2 for a scale-2 pair; this contradicts the unitary-part "
                "structure and is reported for inspection") if n == 2 and total > 2 else None
@@ -175,56 +176,36 @@ def spectral_solutions(*filters: LaurentPoly, window: int = WINDOW_MAX) -> Spect
                           eigenspace_dims=dims, anomaly=anomaly, rejected=rejected)
 
 
-def pairing(phi, psi, scale: int):
-    """Value and constancy defect of sum_k conj(phi(rho^k z)) psi(rho^k z), rho = exp(2 pi i / N).
+def pairing(polys, scale: int) -> tuple[np.ndarray, float]:
+    """The Hermitian matrix of sum_k conj(phi_a(rho^k z)) phi_b(rho^k z), rho = exp(2 pi i / N),
+    over the polynomials phi_a, and the worst constancy defect.
 
-    phi and psi are polynomials, sampled here on N * PAIRING_COSET_POINTS
-    points (4096 at N = 2), or GridFunctions on one grid whose size N divides.
-    For eigenvectors of the combined isometry the function is constant: its
-    mean is the pairing value, its max deviation the constancy residual.  It
-    is N times the coefficients' cross-correlation at lags divisible by N, so
-    an exact pairing needs no grid; this sampled one stays while the traced
-    ``spectral`` benchmark run requires its spans (ROADMAP item 1).
+    Each polynomial is sampled once on N * PAIRING_COSET_POINTS points (4096
+    at N = 2).  For eigenvectors of the combined isometry each function is
+    constant: its mean is the entry, its max deviation the defect.  It is N
+    times the coefficients' cross-correlation at lags divisible by N, so an
+    exact pairing needs no grid; this sampled one stays while the traced
+    ``spectral`` benchmark run requires its spans (ROADMAP item 4).  Entry
+    (b, a) is the exact conjugate of entry (a, b), as their pointwise imaginary
+    parts are exact negatives summed in the same order: only a <= b is paired.
     """
-    if isinstance(phi, LaurentPoly) and isinstance(psi, LaurentPoly):
-        grid = CircleGrid(scale * PAIRING_COSET_POINTS)
-        phi, psi = sample(phi, grid), sample(psi, grid)
-    elif not (isinstance(phi, GridFunction) and isinstance(psi, GridFunction)):
-        raise TypeError("pair two polynomials or two GridFunctions")
-    if phi.grid != psi.grid:
-        raise InputError("pairing samples must lie on one grid")
-    if phi.grid.M % scale != 0:
-        raise InputError(f"pairing grid size must be a multiple of the scale {scale} (even at "
-                         "N = 2), so that rho z stays on the grid")
-    pv, sv = phi.values, psi.values
-    # conj(phi) psi from real products, so that swapping phi and psi negates
-    # the imaginary part exactly (a fused complex multiply would not)
-    re = pv.real * sv.real + pv.imag * sv.imag
-    im = pv.real * sv.imag - pv.imag * sv.real
-    # summed over the N rotations rho^k z, shifts by M/N: one coset holds
-    # every value of the sum, and the mean is taken over all N of them
-    re, im = re.reshape(scale, -1).sum(axis=0), im.reshape(scale, -1).sum(axis=0)
-    mean = complex(np.mean(np.tile(re, scale)), np.mean(np.tile(im, scale)))
-    return mean, float(np.max(np.hypot(re - mean.real, im - mean.imag)))
-
-
-def _pairing_table(solutions, scale: int) -> tuple[np.ndarray, float]:
-    """The pairing of every two solutions, and the worst constancy defect.
-
-    Each eigenvector is sampled once on the pairing grid.  pairing(psi, phi)
-    is the exact conjugate of pairing(phi, psi): its pointwise imaginary parts
-    are exact negatives, summed in the same order, and its deviations have the
-    same moduli.  So only a <= b is paired.
-    """
-    n = len(solutions)
     grid = CircleGrid(scale * PAIRING_COSET_POINTS)
-    samples = [sample(s.eigenvector, grid) for s in solutions]
+    samples = [sample(p, grid).values for p in polys]
+    n = len(samples)
     mat = np.zeros((n, n), dtype=np.complex128)
     worst = 0.0
-    for a in range(n):
+    for a, pv in enumerate(samples):
         for b in range(a, n):
-            val, dev = pairing(samples[a], samples[b], scale)
+            sv = samples[b]
+            # conj(phi) psi from real products, so that swapping phi and psi negates
+            # the imaginary part exactly (a fused complex multiply would not)
+            re = pv.real * sv.real + pv.imag * sv.imag
+            im = pv.real * sv.imag - pv.imag * sv.real
+            # summed over the N rotations rho^k z, shifts by M/N: one coset holds
+            # every value of the sum, and the mean is taken over all N of them
+            re, im = re.reshape(scale, -1).sum(axis=0), im.reshape(scale, -1).sum(axis=0)
+            val = complex(np.mean(np.tile(re, scale)), np.mean(np.tile(im, scale)))
             mat[b, a] = np.conj(val)
             mat[a, b] = val  # last, so the diagonal keeps the sampled value
-            worst = max(worst, dev)
+            worst = max(worst, float(np.max(np.hypot(re - val.real, im - val.imag))))
     return mat, worst

@@ -80,6 +80,8 @@ def test_unknown_flag_exits_two():
 
 def test_unknown_fixture_exits_two(capsys):
     assert run(["fixtures", "wavelettron"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown fixture 'wavelettron'" in captured.err
 
 
 def test_fixtures_writes_verified_bank(tmp_path, capsys):
@@ -718,6 +720,7 @@ def _bytes_file(tmp_path, data):
     "wold_bank_with_scale",
     "dilate_family_with_random_flags",
     "cascade_per_t_max_span_overflows",
+    "cascade_grid_bank_size_not_divisible_by_scale",
 ])
 def test_input_errors_exit_two(case, tmp_path, capsys):
     bank = ser.bank_to_dict(haar(2))
@@ -871,6 +874,9 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
         # --per alone never builds the --samples grid, whose span it still checks
         "cascade_per_t_max_span_overflows": lambda: [
             "cascade", "--fixture", "db4", "--per", "4", "--t-max", "1e308"],
+        # the low-pass has no value at t = pi on 63 points: N | M, checked where the low-pass is
+        "cascade_grid_bank_size_not_divisible_by_scale": lambda: [
+            "cascade", "--bank", _grid_bank_file(tmp_path, 63)],
     }[case]()
     assert run(argv) == 2
     captured = capsys.readouterr()

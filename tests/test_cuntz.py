@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_poly
-from waverep import fixtures
+from waverep import cuntz, fixtures
 from waverep.cuntz import (
     CuntzRep,
     apply_filter_adjoint,
@@ -19,6 +19,12 @@ from waverep.laurent import LaurentPoly, allclose, inner, invariant_radius
 from waverep.permutative import MonomialRep
 
 S2 = math.sqrt(2.0)
+
+
+def unchecked_rep(bank, monkeypatch):
+    """A representation of a bank that the unitarity gate would refuse."""
+    monkeypatch.setattr(cuntz, "require_verified", lambda bank: None)
+    return CuntzRep(bank)
 
 
 @pytest.fixture(scope="module")
@@ -70,11 +76,11 @@ def test_isometry_preserves_norm(haar_rep, db4_rep, rng):
                 )
 
 
-def test_rejects_unverified_bank(haar_bank):
+def test_rejects_unverified_bank(haar_bank, monkeypatch):
     bad = FilterBank(2, (haar_bank.filters[0], haar_bank.filters[1] * 0.9))
     with pytest.raises(ValueError):
         CuntzRep(bad)
-    CuntzRep(bad, validate=False)  # diagnostics may bypass
+    unchecked_rep(bad, monkeypatch)  # require_verified is the one gate
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +202,9 @@ def test_completeness_exact_for_monomials(mono_rep):
         assert complete == 0.0
 
 
-def test_broken_bank_first_relation(haar_bank):
-    bad = CuntzRep(FilterBank(2, (haar_bank.filters[0], haar_bank.filters[1] * 0.9)),
-                   validate=False)
+def test_broken_bank_first_relation(haar_bank, monkeypatch):
+    bad = unchecked_rep(FilterBank(2, (haar_bank.filters[0], haar_bank.filters[1] * 0.9)),
+                        monkeypatch)
     ortho, _ = cuntz_residuals(bad, [LaurentPoly.one()])
     # oracle: S_1* S_1 1 = 0.81, so the defect on the constant is exactly 0.19
     assert ortho >= 0.19 - 1e-12
@@ -214,9 +220,9 @@ def test_endomorphism_haar(haar_rep, rng):
         assert endomorphism_residual(haar_rep, f, samples) < 1e-12
 
 
-def test_endomorphism_broken_bank(haar_bank):
-    broken = CuntzRep(FilterBank(2, (haar_bank.filters[0], haar_bank.filters[0])),
-                      validate=False)
+def test_endomorphism_broken_bank(haar_bank, monkeypatch):
+    broken = unchecked_rep(FilterBank(2, (haar_bank.filters[0], haar_bank.filters[0])),
+                           monkeypatch)
     # oracle computed by hand: sum_i S_i(z * S_i* 1) = z^2 + z^3 while the
     # target is z^2, so the defect is exactly 1
     res = endomorphism_residual(broken, LaurentPoly.monomial(1), [LaurentPoly.one()])

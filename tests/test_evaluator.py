@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from waverep import fixtures, serialize as ser
+from waverep import cuntz, fixtures, serialize as ser
 from waverep.cascade import INV_SQRT_2PI, mother_hat, scaling_hat
 from waverep.cuntz import CuntzRep
 from waverep.filterbank import (
@@ -23,7 +23,7 @@ from waverep.filterbank import (
     householder_rows,
     modulation_matrix,
 )
-from waverep.laurent import CircleGrid, LaurentPoly, sample
+from waverep.laurent import CircleGrid, InputError, LaurentPoly, sample
 
 TWO_PI = 2.0 * math.pi
 
@@ -120,7 +120,8 @@ def test_grid_modulation_matrix_is_the_old_per_point_lookup(scale):
 def test_grid_lowpass_check():
     f = sample(fixtures.haar(2).filters[0], CircleGrid(64))
     assert check_lowpass(f, 2).ok
-    with pytest.raises(ValueError):  # t = pi is not a point of a 63-point grid
+    # t = pi is not a point of a 63-point grid: N | M is a precondition
+    with pytest.raises(InputError, match="grid size 63 is not divisible by the scale 2"):
         check_lowpass(sample(fixtures.haar(2).filters[0], CircleGrid(63)), 2)
 
 
@@ -175,12 +176,16 @@ def test_callable_export_is_the_old_inline_sample(bank):
         assert np.array_equal(ser.gridfunction_from_dict(fd).values, f.values_at_t(-grid.angles()))
 
 
-def test_cuntz_rep_takes_polynomial_banks_only():
+def test_cuntz_rep_takes_polynomial_banks_only(monkeypatch):
     grid_bank = FilterBank(2, tuple(sample(f, CircleGrid(64)) for f in fixtures.haar(2).filters))
     for bank in (grid_bank, fixtures.shannon()):
-        for validate in (True, False):
-            with pytest.raises(TypeError):
-                CuntzRep(bank, validate=validate)
+        with pytest.raises(TypeError):
+            CuntzRep(bank)
+    # the kind is refused also where the unitarity gate would pass every bank
+    monkeypatch.setattr(cuntz, "require_verified", lambda bank: None)
+    for bank in (grid_bank, fixtures.shannon()):
+        with pytest.raises(TypeError):
+            CuntzRep(bank)
 
 
 def test_scale3_completion_samples_m0_by_horner():

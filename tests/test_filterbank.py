@@ -17,7 +17,6 @@ from waverep.filterbank import (
     filter_values_at_angles,
     householder_rows,
     modulation_matrix,
-    pairwise_residual,
     qmf_residual,
     unitarity_residual,
     values_on_coset,
@@ -101,13 +100,14 @@ def test_unitarity_monomial(monomial_bank):
 
 
 def test_pairwise_haar_cross(haar_bank):
-    assert pairwise_residual(haar_bank, 0, 1) < 1e-13
+    assert check_bank(haar_bank).pairwise_residuals[0, 1] < 1e-13
 
 
 def test_pairwise_diagonal_equals_qmf(haar_bank, db4_bank):
     for bank in (haar_bank, db4_bank):
+        table = check_bank(bank).pairwise_residuals
         for i in range(2):
-            assert pairwise_residual(bank, i, i) == pytest.approx(
+            assert table[i, i] == pytest.approx(
                 qmf_residual(bank.filters[i], 2), abs=1e-13
             )
 
@@ -116,7 +116,7 @@ def test_pairwise_duplicate_filter(haar_bank):
     m0 = haar_bank.filters[0]
     dup = FilterBank(2, (m0, m0))
     # oracle: sum_k |m_0|^2 over the coset is identically 2, against target 0
-    assert pairwise_residual(dup, 0, 1) == pytest.approx(2.0, abs=1e-12)
+    assert check_bank(dup).pairwise_residuals[0, 1] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_unitarity_pairwise_equivalence(rng):
@@ -124,14 +124,14 @@ def test_unitarity_pairwise_equivalence(rng):
     for k in range(6):
         bank = fixtures.random_paraunitary_bank(2, 3, rng)
         uni = unitarity_residual(bank)
-        pw = max(pairwise_residual(bank, i, j) for i in range(2) for j in range(2))
+        pw = float(np.max(check_bank(bank).pairwise_residuals))
         assert pw <= 2 * uni + 1e-12
         assert uni <= pw + 1e-12
         assert uni < 1e-12  # construction is exactly paraunitary
     # and for a broken bank both blow up together
     h = fixtures.haar(2)
     bad = FilterBank(2, (h.filters[0], h.filters[1] * 0.5))
-    assert unitarity_residual(bad) > 0.1 and pairwise_residual(bad, 1, 1) > 0.1
+    assert unitarity_residual(bad) > 0.1 and check_bank(bad).pairwise_residuals[1, 1] > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +339,7 @@ def test_check_bank_matches_per_pair_definitions(name):
     assert np.allclose(rep.pairwise_residuals, pw, rtol=0, atol=1e-12)
     assert abs(rep.unitarity_residual - uni) < 1e-12
     for i in range(bank.scale):
-        j = (i + 1) % bank.scale
         assert abs(qmf_residual(sampled.filters[i], bank.scale) - qmf[i]) < 1e-12
-        assert abs(pairwise_residual(sampled, i, j) - pw[i, j]) < 1e-12
     # and on a broken bank, where the residuals are far from rounding level
     bad = FilterBank(bank.scale, (sampled.filters[0],) * bank.scale)
     qmf, pw, uni, _ = _per_pair_residuals(bad, grid)
@@ -566,7 +564,7 @@ def _coefficient_bounds_and_grid_oracles(bank):
     rep = check_bank(bank)
     sampled = _grid_copy(bank, default_check_grid(n))
     qmf = [qmf_residual(f, n) for f in sampled.filters]
-    pw = np.array([[pairwise_residual(sampled, i, j) for j in range(n)] for i in range(n)])
+    pw = check_bank(sampled).pairwise_residuals
     return rep, qmf, pw, unitarity_residual(sampled)
 
 
@@ -640,7 +638,7 @@ def test_haar_fixture_cap():
     name = f"haar{fixtures.HAAR_FIXTURE_MAX + 1}"
     with pytest.raises(ValueError, match="haarN fixtures go up to"):
         fixtures.fixture_bank(name)
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError, match="unknown fixture 'haar'"):
         fixtures.fixture_bank("haar")
 
 

@@ -20,15 +20,15 @@ from waverep.cuntz import filter_window_adjoint
 from waverep.index import (
     LAMBDA_CLUSTER_ARC,
     LAMBDA_DISK_TOL,
+    PAIRING_COSET_POINTS,
     REJECTION_REASONS,
     VALIDATE_TOL,
     WINDOW_MAX,
-    _pairing_table,
     combined_isometry_apply,
     pairing,
     spectral_solutions,
 )
-from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, allclose, invariant_radius
+from waverep.laurent import CircleGrid, LaurentPoly, allclose, invariant_radius, sample
 
 S2 = math.sqrt(2.0)
 
@@ -164,26 +164,26 @@ def test_random_pairs_index_in_range(rng):
 
 
 def test_pairing_constants():
-    val, dev = pairing(LaurentPoly.one(), LaurentPoly.one(), 2)
-    assert val == pytest.approx(2.0) and dev < 1e-12
+    mat, dev = pairing([LaurentPoly.one()], 2)
+    assert mat[0, 0] == pytest.approx(2.0) and dev < 1e-12
 
 
 def test_pairing_orthogonal_modes():
-    val, dev = pairing(LaurentPoly.one(), LaurentPoly.monomial(-1), 2)
-    assert abs(val) < 1e-12 and dev < 1e-12
+    mat, dev = pairing([LaurentPoly.one(), LaurentPoly.monomial(-1)], 2)
+    assert abs(mat[0, 1]) < 1e-12 and dev < 1e-12
 
 
 def test_pairing_nonconstant_diagnostic():
-    # oracle: the function is 2 z^2, so the max deviation from its mean is 2
-    val, dev = pairing(LaurentPoly.one(), LaurentPoly.monomial(2), 2)
-    assert abs(val) < 1e-12
+    # oracle: the function is 2 z^2, so the max deviation from its mean is 2;
+    # the diagonal entries are the constants |1|^2 and |z^2|^2 summed, 2 each
+    mat, dev = pairing([LaurentPoly.one(), LaurentPoly.monomial(2)], 2)
+    assert abs(mat[0, 1]) < 1e-12
     assert dev == pytest.approx(2.0, abs=1e-10)
 
 
-def rolled_pairing(phi, psi):
-    """The pairing folded by two rolls over the whole grid."""
-    pv, sv = phi.values, psi.values
-    half = phi.grid.M // 2
+def rolled_pairing(pv, sv):
+    """The pairing of two sample vectors folded by two rolls over the whole grid."""
+    half = len(pv) // 2
     re = pv.real * sv.real + pv.imag * sv.imag
     im = pv.real * sv.imag - pv.imag * sv.real
     re = re + np.roll(re, -half)
@@ -194,16 +194,20 @@ def rolled_pairing(phi, psi):
 
 @pytest.mark.parametrize("m", [2, 6, 10, 130, 258, 1000, 4096, 4098])
 def test_pairing_is_bitwise_the_rolled_fold(m, rng):
-    # grids whose half is not a multiple of 8 too: the mean is summed in the
-    # same order as over the rolled sum, not over one half
-    grid = CircleGrid(m)
+    # two polynomials of m coefficients on the 4096-point pairing grid: each
+    # table entry is summed in the same order as over the rolled sum, not
+    # over one half, and the defect is the worst of the three pairs
+    grid = CircleGrid(2 * PAIRING_COSET_POINTS)
     for _ in range(5):
-        phi, psi = (GridFunction(grid, rng.normal(size=m) + 1j * rng.normal(size=m))
+        phi, psi = (LaurentPoly(rng.normal(size=m) + 1j * rng.normal(size=m), -(m // 2))
                     for _ in range(2))
-        val, dev = pairing(phi, psi, 2)
-        ref_val, ref_dev = rolled_pairing(phi, psi)
-        assert np.complex128(val).tobytes() == np.complex128(ref_val).tobytes()
-        assert dev == ref_dev
+        mat, dev = pairing([phi, psi], 2)
+        pv, sv = sample(phi, grid).values, sample(psi, grid).values
+        (v00, d00), (v01, d01), (v11, d11) = (rolled_pairing(*pair)
+                                              for pair in ((pv, pv), (pv, sv), (sv, sv)))
+        ref = np.array([[v00, v01], [np.conj(v01), v11]])
+        assert mat.tobytes() == ref.tobytes()
+        assert dev == max(d00, d01, d11)
 
 
 def test_pairing_matrix_psd_on_haar(haar_pair):
@@ -553,15 +557,15 @@ def test_haar_n_fixes_the_inverse_mode_under_the_forward_rotation(scale):
 # the pairing table, sampled on a <= b only
 
 
-def full_pairing_table(solutions):
-    """Every ordered pair sampled: the table before its Hermitian symmetry was used."""
-    n = len(solutions)
+def full_pairing_table(polys):
+    """Every ordered pair paired on its own: the table before its Hermitian symmetry was used."""
+    n = len(polys)
     mat = np.zeros((n, n), dtype=np.complex128)
     worst = 0.0
     for a in range(n):
         for b in range(n):
-            val, dev = pairing(solutions[a].eigenvector, solutions[b].eigenvector, 2)
-            mat[a, b] = val
+            pair, dev = pairing([polys[a], polys[b]], 2)
+            mat[a, b] = pair[0, 1]
             worst = max(worst, dev)
     return mat, worst
 
@@ -570,8 +574,9 @@ def full_pairing_table(solutions):
 def test_hermitian_pairing_table_is_bitwise_the_full_loop(case):
     rep = spectral_solutions(*WINDOW_CASES[case], window=64)
     assert len(rep.solutions) == 2
-    mat, worst = _pairing_table(rep.solutions, 2)
-    ref_mat, ref_worst = full_pairing_table(rep.solutions)
+    polys = [s.eigenvector for s in rep.solutions]
+    mat, worst = pairing(polys, 2)
+    ref_mat, ref_worst = full_pairing_table(polys)
     assert mat.tobytes() == ref_mat.tobytes()
     assert worst == ref_worst
     assert rep.pairing_matrix.tobytes() == ref_mat.tobytes()
@@ -580,11 +585,47 @@ def test_hermitian_pairing_table_is_bitwise_the_full_loop(case):
 def test_hermitian_pairing_table_on_random_non_eigenvectors(rng):
     # not eigenvectors, so the pairing is far from constant: the deviations,
     # not only the values, must come out bitwise equal
-    sols = [index_module.SpectralSolution(1.0, random_poly(rng, 6), 0.0) for _ in range(4)]
-    mat, worst = _pairing_table(sols, 2)
-    ref_mat, ref_worst = full_pairing_table(sols)
+    polys = [random_poly(rng, 6) for _ in range(4)]
+    mat, worst = pairing(polys, 2)
+    ref_mat, ref_worst = full_pairing_table(polys)
     assert mat.tobytes() == ref_mat.tobytes()
     assert worst == ref_worst > 1e-3
+
+
+def exact_pairing(phi, psi, scale):
+    """N c_0, and N sum |c_m| over the lags m != 0 that N divides, for the coefficients'
+    cross-correlation c_m = sum_i conj(phi_i) psi_(i + m): the pairing of phi and psi
+    is N sum_(N | m) c_m z^m, so these are its mean and a bound on its deviation."""
+    lo, hi = min(phi.min_degree, psi.min_degree), max(phi.max_degree, psi.max_degree)
+    c = np.correlate(psi.coeff_window(lo, hi), phi.coeff_window(lo, hi), "full")
+    lags = np.arange(len(c)) - (hi - lo)
+    others = (lags % scale == 0) & (lags != 0)
+    return scale * c[hi - lo], scale * float(np.sum(np.abs(c[others])))
+
+
+@pytest.mark.parametrize("case", ["random2", "random3", "random4", "haar2", "haar3", "haar4",
+                                  "planted0", "planted1", "planted2"])
+def test_sampled_pairing_agrees_with_the_exact_formula(case, rng):
+    if case.startswith("random"):
+        scale = int(case[-1])
+        polys = [random_poly(rng, 4) for _ in range(3)]
+    else:
+        filters = WINDOW_CASES[case] if case.startswith("planted") else fixtures.haar(
+            int(case[-1])).filters
+        scale = len(filters)
+        polys = [s.eigenvector for s in spectral_solutions(*filters).solutions]
+        assert len(polys) == 2
+    mat, worst = pairing(polys, scale)
+    bound = 0.0
+    for a, phi in enumerate(polys):
+        for b, psi in enumerate(polys):
+            value, spread = exact_pairing(phi, psi, scale)
+            assert abs(mat[a, b] - value) <= 1e-12 * (1 + abs(value))
+            bound = max(bound, spread)
+    # the table's defect is the worst pair's, so it is at most the worst pair's bound
+    assert worst <= bound + 1e-12
+    if case.startswith("random"):
+        assert worst > 1e-3  # far from constant: the bound is not met by rounding alone
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,14 @@ replaced, and every comparison is bitwise: equal values, equal signs of
 zero, equal degree windows.
 """
 
-import types
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from waverep import cuntz, fixtures, wold
 from waverep.cuntz import apply_filter_adjoint
-from waverep.index import _pairing_table, pairing
-from waverep.laurent import TRIM_TOL, CircleGrid, GridFunction, LaurentPoly, sample
+from waverep.index import PAIRING_COSET_POINTS, pairing
+from waverep.laurent import TRIM_TOL, CircleGrid, LaurentPoly, sample
 
 # ---------------------------------------------------------------------------
 # the former code
@@ -63,6 +61,31 @@ def old_adjoint(m, scale, xi):
     prod = m.conj_reflect() * xi
     k_lo = -(-prod.min_degree // scale)
     return LaurentPoly(prod.coeffs[k_lo * scale - prod.min_degree :: scale], min_degree=k_lo)
+
+
+def old_pairing(pv, sv, scale):
+    """One pair's value and constancy defect from its two sample vectors, as the
+    index paired its eigenvectors one pair at a time."""
+    re = pv.real * sv.real + pv.imag * sv.imag
+    im = pv.real * sv.imag - pv.imag * sv.real
+    re, im = re.reshape(scale, -1).sum(axis=0), im.reshape(scale, -1).sum(axis=0)
+    mean = complex(np.mean(np.tile(re, scale)), np.mean(np.tile(im, scale)))
+    return mean, float(np.max(np.hypot(re - mean.real, im - mean.imag)))
+
+
+def old_pairing_table(polys, scale, grid):
+    """The table from old_pairing on a <= b over the polynomials' samples on a grid."""
+    vals = [sample(p, grid).values for p in polys]
+    n = len(polys)
+    mat = np.zeros((n, n), dtype=np.complex128)
+    worst = 0.0
+    for a in range(n):
+        for b in range(a, n):
+            val, dev = old_pairing(vals[a], vals[b], scale)
+            mat[b, a] = np.conj(val)
+            mat[a, b] = val
+            worst = max(worst, dev)
+    return mat, worst
 
 
 def assert_bitwise(got, want):
@@ -237,40 +260,22 @@ def test_norm2_is_bitwise_linalg_norm(p):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(laurent(9), min_size=0, max_size=4))
 def test_pairing_table_is_the_per_pair_pairing(polys):
-    sols = [types.SimpleNamespace(eigenvector=p) for p in polys]
-    mat, worst = _pairing_table(sols, 2)
-    n = len(polys)
-    ref = np.zeros((n, n), dtype=np.complex128)
-    ref_worst = 0.0
-    for a in range(n):
-        for b in range(a, n):
-            val, dev = pairing(polys[a], polys[b], 2)
-            ref[b, a] = np.conj(val)
-            ref[a, b] = val
-            ref_worst = max(ref_worst, dev)
+    mat, worst = pairing(polys, 2)
+    ref, ref_worst = old_pairing_table(polys, 2, CircleGrid(4096))
     assert mat.tobytes() == ref.tobytes()
     assert worst == ref_worst
 
 
 def test_pairing_reads_samples_on_one_even_grid(rng):
-    phi = LaurentPoly(rng.normal(size=5) + 1j * rng.normal(size=5), -2)
-    psi = LaurentPoly(rng.normal(size=4) + 1j * rng.normal(size=4), -1)
-    # two polynomials are sampled on the pairing grid, 4096 points
-    grid = CircleGrid(4096)
-    assert pairing(sample(phi, grid), sample(psi, grid), 2) == pairing(phi, psi, 2)
-
-
-def test_pairing_refuses_odd_or_mismatched_grids(rng):
-    phi = LaurentPoly(rng.normal(size=3), -1)
-    odd = CircleGrid(63)
-    with pytest.raises(ValueError, match="even"):
-        pairing(sample(phi, odd), sample(phi, odd), 2)
-    with pytest.raises(ValueError, match="one grid"):
-        pairing(sample(phi, CircleGrid(64)), sample(phi, CircleGrid(128)), 2)
-    with pytest.raises(TypeError):
-        pairing(sample(phi, CircleGrid(64)), phi, 2)
-    with pytest.raises(TypeError):
-        pairing(GridFunction(CircleGrid(4), np.ones(4)), phi, 2)
+    # the polynomials are sampled once on N * PAIRING_COSET_POINTS points, 4096 at N = 2,
+    # where rotation by rho is a shift by PAIRING_COSET_POINTS points
+    polys = [LaurentPoly(rng.normal(size=5) + 1j * rng.normal(size=5), -2),
+             LaurentPoly(rng.normal(size=4) + 1j * rng.normal(size=4), -1)]
+    for scale in (2, 3, 4):
+        mat, worst = pairing(polys, scale)
+        grid = CircleGrid(scale * PAIRING_COSET_POINTS)
+        ref, ref_worst = old_pairing_table(polys, scale, grid)
+        assert mat.tobytes() == ref.tobytes() and worst == ref_worst > 1e-3
 
 
 # ---------------------------------------------------------------------------
