@@ -208,7 +208,7 @@ def cascade_limit_residual(lowpass: Filter, scale: int, xi: LaurentPoly, depth: 
     if depth < 1:
         raise InputError("depth must be >= 1")
     t = symmetric_grid(t_max, samples)
-    xi_vals = xi.values_at_t(t)
+    xi_vals, _ = _values_at_t(xi, t)
     shrunk = t
     for _ in range(depth):
         shrunk = shrunk / scale

@@ -67,7 +67,8 @@ def combined_isometry_apply(filters, xi: LaurentPoly, check: bool = True) -> Lau
     if check:
         require_verified(FilterBank(n, filters))
     degrees = np.arange(xi.min_degree, xi.min_degree + len(xi.coeffs))
-    rotations = _roots_of_unity(n)[np.arange(n)[:, None] * degrees % n]  # row k: rho^(k d)
+    # row k: rho^(k d); d is reduced first, so that k d cannot wrap in int64
+    rotations = _roots_of_unity(n)[np.arange(n)[:, None] * (degrees % n) % n]
     terms = (apply_filter_isometry(m, n, LaurentPoly._owned(xi.coeffs * r, xi.min_degree))
              for m, r in zip(filters, rotations))
     return sum(terms, LaurentPoly.zero()) * (1.0 / math.sqrt(n))

@@ -26,10 +26,23 @@ TRIM_TOL = 1e-14
 # Maximum allowed deviation of |z| from 1 in evaluate().
 UNIT_CIRCLE_TOL = 1e-12
 
+# Bound on |degree| where degrees enter from outside (serialize.poly_from_dict,
+# permutative.MonomialRep), which raise InputError above it.  A computed circle
+# point has |z| = 1 +- eps with eps ~ 2^-53, so z^D is off the circle by a
+# factor e^(+-D eps): past |D| ~ 2^52 no evaluation has a correct digit.
+DEGREE_MAX = 2**53
+
 
 class InputError(ValueError):
     """A precondition on integers, types or shapes failed where it is checked: the CLI
     exits 2.  A computed value beyond a tolerance is a plain ValueError: exit 1."""
+
+
+def require_degrees(*degrees: int) -> None:
+    """InputError unless every |degree| <= DEGREE_MAX."""
+    for d in degrees:
+        if abs(d) > DEGREE_MAX:
+            raise InputError(f"degree {d} exceeds the bound |degree| <= 2^53")
 
 
 class LaurentPoly:
@@ -173,45 +186,36 @@ class LaurentPoly:
     def _evaluate_unchecked(self, z, work=None):
         """Horner at z, on or off the circle; `work`, four complex arrays of
         z's shape that the caller owns, holds the result (work[0]) and every
-        intermediate, so that repeated calls allocate nothing."""
+        intermediate, so that repeated calls allocate nothing.
+
+        One loop runs in x = z over the degrees >= 0 and in x = 1/z over the
+        degrees < 0, from the half's highest power of x down to its lowest,
+        p, and then multiplies by x**p once: O(taps) work at any offset."""
         z = np.asarray(z, dtype=np.complex128)
         if work is None:
             work = [np.empty_like(z) for _ in range(4)]
         out, acc, tmp, w = work
         out.fill(0.0)
-        acc.fill(0.0)
-        if self.is_zero():
-            return out[()] if z.ndim == 0 else out
         lo, hi = self.min_degree, self.max_degree
         coeffs = self.coeffs.tolist()
+        halves = []  # (x, coefficients from the highest power of x, lowest power p)
+        if hi >= 0:
+            halves.append((z, coeffs[max(lo, 0) - lo:][::-1], max(lo, 0)))
+        if lo < 0:
+            halves.append((np.divide(1.0, z, out=w), coeffs[:min(hi, -1) - lo + 1], -min(hi, -1)))
         # Horner steps alternate between two buffers: numpy may round an
         # in-place complex multiply differently from one into a fresh array
-        if hi >= 0:
-            # ascending Horner over degrees max(lo,0)..hi
-            for c in reversed(coeffs[max(lo, 0) - lo :]):
-                np.multiply(acc, z, out=tmp)
+        for x, descending, p in halves:
+            acc.fill(0.0)
+            for c in descending:
+                np.multiply(acc, x, out=tmp)
                 tmp += c
                 acc, tmp = tmp, acc
-            if max(lo, 0) > 0:
-                np.multiply(acc, z ** max(lo, 0), out=tmp)
+            if p > 0:
+                np.multiply(acc, x ** p, out=tmp)
                 acc, tmp = tmp, acc
             out += acc
-            acc.fill(0.0)
-        if lo < 0:
-            w = np.divide(1.0, z, out=w)
-            # degrees lo .. -1, with zeros above max_degree
-            for c in coeffs[:-lo] + [0j] * max(-1 - hi, 0):
-                np.multiply(acc, w, out=tmp)
-                tmp += c
-                acc, tmp = tmp, acc
-            np.multiply(acc, w, out=tmp)  # degrees -1 .. lo correspond to w^1 .. w^-lo
-            out += tmp
         return out[()] if z.ndim == 0 else out
-
-    def values_at_t(self, t) -> np.ndarray:
-        """Values as a function of the angle t, at z = exp(-i t)."""
-        t = np.asarray(t, dtype=np.float64)
-        return self._evaluate_unchecked(np.exp(-1j * t))
 
     def compose_power(self, n: int) -> "LaurentPoly":
         """The polynomial p(z^n): coefficient of z^(n*k) is that of z^k."""

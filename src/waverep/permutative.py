@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .laurent import CircleGrid, GridFunction, InputError, _cycles_of, invariant_radius
+from .laurent import (CircleGrid, GridFunction, InputError, _cycles_of, invariant_radius,
+                      require_degrees)
 
 CYCLE_ARC_TOL = 1e-8  # arc bound, per cycle point, on each cycle product of _telescope
 COCYCLE_MODULUS_TOL = 1e-12  # max ||u| - 1| of a cocycle that CharRep and solve_coboundary accept
@@ -58,6 +59,7 @@ class MonomialRep:
             raise InputError(f"scale must be >= 2, got {self.scale}")
         if len(self.digits) != self.scale:
             raise InputError(f"expected {self.scale} digits, got {self.digits}")
+        require_degrees(*self.digits)
         if len({d % self.scale for d in self.digits}) != self.scale:
             raise InputError(f"digits {self.digits} must be mutually incongruent modulo {self.scale}")
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .dilation import DIM_MAX, CoisometryFamily
 from .filterbank import FilterBank, default_check_grid, values_on_coset
-from .laurent import CircleGrid, GridFunction, InputError, LaurentPoly
+from .laurent import CircleGrid, GridFunction, InputError, LaurentPoly, require_degrees
 
 
 def _cvec(values) -> list:
@@ -92,7 +92,9 @@ def poly_to_dict(p: LaurentPoly) -> dict:
 
 @_decoder
 def poly_from_dict(d: dict) -> LaurentPoly:
-    return LaurentPoly(_vec_c(d["coeffs"]), min_degree=_int(d, "min_degree"))
+    coeffs, lo = _vec_c(d["coeffs"]), _int(d, "min_degree")
+    require_degrees(lo, lo + max(len(coeffs) - 1, 0))
+    return LaurentPoly(coeffs, min_degree=lo)
 
 
 def gridfunction_to_dict(g: GridFunction) -> dict:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from waverep import fixtures
+from waverep.filterbank import AngleFunction, filter_values_at_angles
 from waverep.laurent import GridFunction, LaurentPoly
 
 
@@ -45,6 +46,11 @@ def random_poly(rng, max_degree=12, unit_norm=False):
     if unit_norm:
         p = p * (1.0 / p.norm2())
     return p
+
+
+def angle_rule(p):
+    """A polynomial as a callable filter: its values at z = exp(-i t)."""
+    return AngleFunction(lambda t: filter_values_at_angles(p, -t))
 
 
 def exact_sample(p, grid):

@@ -19,7 +19,7 @@ from waverep.cascade import (
     symmetric_grid,
     truncated_product,
 )
-from waverep.filterbank import AngleFunction, FilterBank
+from waverep.filterbank import AngleFunction, FilterBank, filter_values_at_angles
 from waverep.laurent import CircleGrid, LaurentPoly, sample
 
 TWO_PI = 2.0 * math.pi
@@ -73,7 +73,7 @@ def test_depth_recursion_exact():
     t = symmetric_grid(4 * math.pi, 257)
     p5 = truncated_product(m0, 2, t, 5)
     p6 = truncated_product(m0, 2, t, 6)
-    factor = m0.values_at_t(t / 2**6) / math.sqrt(2)
+    factor = filter_values_at_angles(m0, -t / 2**6) / math.sqrt(2)
     assert np.max(np.abs(p6 - factor * p5)) < 1e-15
 
 

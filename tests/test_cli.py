@@ -7,13 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import angle_rule
 from waverep import (cli, dilation as dil, fixtures, index as idx, permutative as perm,
                      serialize as ser, wold as wld)
 from waverep.cli import parse_angle, run
 from waverep.dilation import DIM_MAX, random_coisometry
-from waverep.filterbank import (AngleFunction, FilterBank, check_bank, complete_filterbank,
-                                default_check_grid, qmf_residual)
-from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, sample
+from waverep.filterbank import (FilterBank, check_bank, complete_filterbank, default_check_grid,
+                                qmf_residual)
+from waverep.laurent import DEGREE_MAX, CircleGrid, GridFunction, LaurentPoly, sample
 from waverep.fixtures import haar
 
 
@@ -415,7 +416,7 @@ def _planted_bank(kind, i, j):
     if kind == "grid":
         return FilterBank(4, tuple(sample(f, CircleGrid(64)) for f in filters))
     if kind == "callable":
-        return FilterBank(4, tuple(AngleFunction(f.values_at_t) for f in filters))
+        return FilterBank(4, tuple(angle_rule(f) for f in filters))
     return FilterBank(4, tuple(filters))
 
 
@@ -721,6 +722,12 @@ def _bytes_file(tmp_path, data):
     "dilate_family_with_random_flags",
     "cascade_per_t_max_span_overflows",
     "cascade_grid_bank_size_not_divisible_by_scale",
+    # degrees beyond laurent.DEGREE_MAX, where no evaluation has a correct digit
+    "complete_lowpass_degree_above_bound",
+    "fixtures_monomial_digit_above_bound",
+    "check_monomial_fixture_digit_above_bound",
+    "cascade_bank_degree_above_bound",
+    "check_bank_max_degree_above_bound",
 ])
 def test_input_errors_exit_two(case, tmp_path, capsys):
     bank = ser.bank_to_dict(haar(2))
@@ -877,11 +884,37 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
         # the low-pass has no value at t = pi on 63 points: N | M, checked where the low-pass is
         "cascade_grid_bank_size_not_divisible_by_scale": lambda: [
             "cascade", "--bank", _grid_bank_file(tmp_path, 63)],
+        "complete_lowpass_degree_above_bound": lambda: [
+            "complete", "--scale", "2",
+            "--lowpass", _untagged_file(tmp_path, _shifted(bank, 10**19)["filters"][0])],
+        "fixtures_monomial_digit_above_bound": lambda: ["fixtures", f"monomial(0,{2**63 + 1})"],
+        "check_monomial_fixture_digit_above_bound": lambda: [
+            "check", "--fixture", f"monomial(0,{2**63 + 1})"],
+        "cascade_bank_degree_above_bound": lambda: [
+            "cascade", "--bank", _write(tmp_path, "b.json", _shifted(bank, 10**19))],
+        # the min degree 2^53 is in bounds, the max degree 2^53 + 1 is not
+        "check_bank_max_degree_above_bound": lambda: [
+            "check", _write(tmp_path, "b.json", _shifted(bank, DEGREE_MAX))],
     }[case]()
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error" in captured.err
+
+
+def _shifted(bank: dict, degree: int) -> dict:
+    """A wire-format poly bank with every filter moved to start at z^degree."""
+    return {**bank, "filters": [{**f, "min_degree": degree} for f in bank["filters"]]}
+
+
+@pytest.mark.parametrize("command", ["check", "cascade"])
+def test_a_bank_far_below_degree_zero_evaluates_in_its_taps(command, tmp_path, capsys):
+    # (1 +- z)/sqrt(2) z^(-2^40): each evaluation steps once per tap and takes
+    # one power of 1/z, where zeros padded up to degree -1 would not fit in memory
+    path = _write(tmp_path, "far.json", _shifted(ser.bank_to_dict(haar(2)), -2**40))
+    argv = [path] if command == "check" else ["--bank", path, "--samples", "3", "--depth", "1"]
+    code, rep = run_json(capsys, [command, *argv])
+    assert code == 0 and all(rep["verdicts"].values())
 
 
 def _filter_and_family_files(tmp_path):

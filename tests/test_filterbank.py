@@ -5,10 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import exact_sample
+from conftest import angle_rule, exact_sample
 from waverep import filterbank, fixtures
 from waverep.filterbank import (
-    AngleFunction,
     FilterBank,
     check_bank,
     check_lowpass,
@@ -297,7 +296,7 @@ def _grid_copy(bank, grid):
 
 def _angle_copy(bank):
     """The bank's polynomial filters as angle rules: a callable bank, checked on the default grid."""
-    return FilterBank(bank.scale, tuple(AngleFunction(f.values_at_t) for f in bank.filters))
+    return FilterBank(bank.scale, tuple(angle_rule(f) for f in bank.filters))
 
 
 def _per_pair_residuals(bank, grid):

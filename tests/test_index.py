@@ -16,7 +16,7 @@ from waverep.filterbank import (
     require_verified,
     unitarity_residual,
 )
-from waverep.cuntz import filter_window_adjoint
+from waverep.cuntz import apply_filter_isometry, filter_window_adjoint
 from waverep.index import (
     LAMBDA_CLUSTER_ARC,
     LAMBDA_DISK_TOL,
@@ -91,6 +91,20 @@ def test_apply_is_isometric(haar_pair, db4_pair, rng):
             xi = random_poly(rng, 16)
             out = combined_isometry_apply(pair, xi, check=False)
             assert out.norm2() == pytest.approx(xi.norm2(), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, d", [(3, 2**62 + 1), (5, 2**61)])
+def test_the_rotation_reduces_the_degree_before_the_product(n, d):
+    # (n - 1) d >= 2^63, so k d wraps in int64 unless d is reduced mod n
+    # first; the haar filters send z^d to the single monomial z^(n d + d mod n)
+    filters = fixtures.haar(n).filters
+    roots = index_module._roots_of_unity(n)
+    reduced = (apply_filter_isometry(m, n, LaurentPoly.monomial(d, roots[k * (d % n) % n]))
+               for k, m in enumerate(filters))
+    want = sum(reduced, LaurentPoly.zero()) * (1.0 / math.sqrt(n))
+    got = combined_isometry_apply(filters, LaurentPoly.monomial(d))
+    assert got == want
+    assert len(got.coeffs) == 1 and got.min_degree == n * d + d % n
 
 
 # ---------------------------------------------------------------------------

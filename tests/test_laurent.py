@@ -42,6 +42,12 @@ def test_evaluate_rejects_off_circle():
         LaurentPoly([1.0, 2.0]).evaluate(1.5)
 
 
+def test_evaluate_far_below_degree_zero():
+    # one step per tap and one power of 1/z: no zeros padded up to degree -1
+    p = LaurentPoly([1.0, 1.0], -2**40)
+    assert np.array_equal(p.evaluate(np.array([1.0, -1.0])), [2.0, 0.0])
+
+
 def test_evaluate_array():
     p = LaurentPoly([1.0, 0.0, -2.0], min_degree=-1)
     z = np.exp(1j * np.linspace(0, 2 * np.pi, 17))
@@ -191,6 +197,13 @@ def test_dynamics_grid_properties(scale):
     assert 4095 <= g.M <= 65535
     sigma = g.multiply_map(scale)
     assert sorted(sigma.tolist()) == list(range(g.M))
+
+
+@pytest.mark.parametrize("scale, size", [(41, 41**2 - 1), (63, 63**2 - 1)])
+def test_dynamics_grid_falls_below_lo_where_no_power_fits(scale, size):
+    # for N = 41..63 no N^L - 1 lies in [4095, 65535]: N^3 - 1 is too large,
+    # so the grid steps back to N^2 - 1, below lo
+    assert CircleGrid.dynamics_grid(scale).M == size < 4095
 
 
 def test_cycles_partition_grid():

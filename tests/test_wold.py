@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import exact_sample, random_poly
+from conftest import angle_rule, exact_sample, random_poly
 from waverep import filterbank, fixtures, wold
 from waverep.filterbank import qmf_residual
 from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, invariant_radius, sample
@@ -187,11 +187,18 @@ def test_each_kind_is_solved_on_the_grid_it_fixes():
     with pytest.raises(ValueError, match="coprime"):
         wold_analysis(sample(LaurentPoly.monomial(1), CircleGrid(4096)), 2)
     # a callable on the dynamics grid, cross-checked on the next coprime grid
-    rep = wold_analysis(filterbank.AngleFunction(LaurentPoly.monomial(1).values_at_t), 2)
+    rep = wold_analysis(angle_rule(LaurentPoly.monomial(1)), 2)
     first, second = rep.grid_sizes
     assert first == CircleGrid.dynamics_grid(2).M == 4095
     assert second > first and math.gcd(second, 2) == 1
     assert rep.unitary_dim == 1 and not rep.grid_screen and rep.anomaly is None
+
+
+def test_the_callable_cross_check_grid_below_the_lower_size():
+    # at N = 41 the dynamics grid is 41^2 - 1 = 1680, below 4095, and the
+    # cross-check takes the next coprime size, 41^3 - 1
+    rep = wold_analysis(angle_rule(LaurentPoly.monomial(40)), 41)
+    assert rep.grid_sizes == (41**2 - 1, 41**3 - 1) and rep.unitary_dim == 1
 
 
 def test_isometry_precondition_enforced():
