@@ -481,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--family", help="family JSON file")
     q.add_argument("--random-dim", type=_int_in(1, dil.DIM_MAX), default=_Default(3),
                    help="draw a random family of this dim")
-    q.add_argument("--ops", type=_positive_int, default=_Default(2),
+    q.add_argument("--ops", type=_int_in(1, dil.WORD_CAP - 1), default=_Default(2),
                    help="number of operators for random families")
     q.add_argument("--lam", "--lambda", dest="lam", type=_float_between(-1.0, 1.0), default=0.5)
     q.add_argument("--fock-depth", type=_int_in(1, FOCK_DEPTH_MAX), default=8)
@@ -513,7 +513,7 @@ def run(argv) -> int:
             code = 0 if all(verdicts.values()) else 1
         except InputError:
             raise
-        except (ValueError, IndexError, KeyError, TypeError) as e:
+        except ValueError as e:
             verdicts, residuals, artifacts = {"ok": False}, {}, []
             info = {"error": str(e)}
             code = 1

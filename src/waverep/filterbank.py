@@ -37,7 +37,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .laurent import CircleGrid, GridFunction, InputError, LaurentPoly
+from .laurent import CircleGrid, GridFunction, InputError, LaurentPoly, sample
 
 # Residual below which a bank counts as verified.
 VERIFY_TOL = 1e-10
@@ -159,19 +159,22 @@ def values_on_coset(f: Filter, scale: int, grid: CircleGrid, *,
                     columns: int | None = None) -> np.ndarray:
     """Array V[k, j] = m(rho^k z_j), k = 0..N-1, over grid points j < columns (default M).
 
-    A grid-kind filter needs this grid and N | M, and rotation is an index
-    shift.  Any other filter is evaluated once at all the points.
+    Each filter is sampled once on the grid (a grid filter must be bound to it),
+    and rotation by rho is the index shift M/N, so every kind needs N | M.
     """
     n, m = scale, grid.M
     cols = m if columns is None else columns
+    if m % n != 0:
+        raise InputError(f"the grid size {m} is not divisible by the scale {n}")
     if isinstance(f, GridFunction):
         if f.grid != grid:
             raise InputError("grid filter is bound to a different grid")
-        if m % n != 0:
-            raise InputError(f"a grid filter's grid size {m} is not divisible by the scale {n}")
-        return f.values[(np.arange(cols)[None, :] + np.arange(n)[:, None] * (m // n)) % m]
-    theta = grid.angles()[None, :cols] + (2.0 * np.pi * np.arange(n) / n)[:, None]
-    return filter_values_at_angles(f, theta.ravel()).reshape(n, cols)
+        values = f.values
+    elif isinstance(f, LaurentPoly):
+        values = sample(f, grid).values
+    else:
+        values = filter_values_at_angles(f, grid.angles())
+    return values[(np.arange(cols)[None, :] + np.arange(n)[:, None] * (m // n)) % m]
 
 
 def _own_grid(f: Filter, scale: int) -> CircleGrid:
@@ -182,8 +185,8 @@ def _own_grid(f: Filter, scale: int) -> CircleGrid:
 def _coset_gram(filters, scale: int):
     """(G, grid): G[j][i, i'] = (1/N) sum_k m_i(rho^k z_j) conj(m_i'(rho^k z_j)).
 
-    A coset sum depends on z_j^N only, so only the first M/N points of the
-    grid (_own_grid) are formed; the others repeat them.
+    A coset sum depends on z_j^N only, so G is formed at the first M/N points
+    of the grid (_own_grid) only, whose cosets hold every grid point once.
     """
     grid = _own_grid(filters[0], scale)
     cols = grid.M // scale
@@ -341,8 +344,7 @@ def modulation_matrix(fb: FilterBank, z: complex) -> np.ndarray:
     z = complex(z)
     if abs(abs(z) - 1.0) > 1e-9:
         raise ValueError("z must lie on the unit circle")
-    rho = np.exp(2j * np.pi / n)
-    pts = np.array([z * rho**k for k in range(n)])
+    pts = z * CircleGrid(n).points()
     return np.stack([filter_values_at_angles(f, np.angle(pts)) for f in fb.filters]) / np.sqrt(n)
 
 
@@ -422,8 +424,8 @@ def complete_filterbank(lowpass: Filter, scale: int) -> FilterBank:
     to a grid-kind bank on the default check grid, as does grid input on its
     own grid: each rotation orbit {z_j, rho z_j, .., rho^(N-1) z_j}, j < M/N,
     gets its filter values from one unitary whose first row is the
-    normalized coset vector of m_0, so the modulation matrix at every grid
-    point is a column permutation of an exactly unitary matrix.
+    normalized coset vector of m_0 from values_on_coset, so the modulation matrix
+    at every grid point is a column permutation of an exactly unitary matrix.
     """
     n = scale
     res = qmf_residual(lowpass, n)
@@ -432,12 +434,12 @@ def complete_filterbank(lowpass: Filter, scale: int) -> FilterBank:
     if isinstance(lowpass, LaurentPoly) and n == 2:
         return FilterBank(2, (lowpass, conjugate_mirror(lowpass)))
     grid = _own_grid(lowpass, n)  # N | M, or the gate above refused
-    m0_vals = filter_values_at_angles(lowpass, grid.angles())
+    coset = values_on_coset(lowpass, n, grid, columns=grid.M // n)  # coset[k, j] at k M/N + j
     root_n = math.sqrt(n)
-    q = householder_rows(m0_vals.reshape(n, -1).T / root_n)  # q[j] for orbit j
-    out = (root_n * q.transpose(1, 2, 0)).reshape(n, grid.M)  # out[r, k M/N + j] = q[j, r, k]
-    out[0] = m0_vals
-    return FilterBank(n, tuple(GridFunction(grid, row) for row in out))
+    q = householder_rows(coset.T / root_n)  # q[j] for orbit j
+    out = root_n * q.transpose(1, 2, 0)  # out[r, k, j] = q[j, r, k]
+    out[0] = coset
+    return FilterBank(n, tuple(GridFunction(grid, row.ravel()) for row in out))
 
 
 def conjugate_mirror(lowpass: LaurentPoly) -> LaurentPoly:

@@ -21,22 +21,22 @@ import re
 import numpy as np
 
 from .filterbank import AngleFunction, FilterBank, conjugate_mirror
-from .laurent import InputError, LaurentPoly
+from .laurent import CircleGrid, InputError, LaurentPoly
 from .permutative import MonomialRep, parse_digits
 
 
 def haar(scale: int = 2) -> FilterBank:
     """The DFT bank at a given scale; filter i is N^(-1/2) sum_j rho^(-ij) z^j.
 
-    Each phase is read from the N values exp(-2 pi i k / N) at k = ij mod N,
-    so its rounding does not grow with the exponent ij.
+    Each phase is the root-of-unity table CircleGrid(N).points() at -ij mod N,
+    so its rounding does not grow with the exponent ij, and 1, i, -1, -i are exact.
     """
     n = scale
     if n < 2:
         raise InputError(f"scale must be >= 2, got {n}")
-    phases = np.exp(-2j * np.pi * np.arange(n) / n) / math.sqrt(n)
+    roots = CircleGrid(n).points() / math.sqrt(n)
     j = np.arange(n)
-    return FilterBank(n, tuple(LaurentPoly(phases[i * j % n]) for i in range(n)))
+    return FilterBank(n, tuple(LaurentPoly(roots[-i * j % n]) for i in range(n)))
 
 
 def db4() -> FilterBank:

@@ -16,6 +16,7 @@ every mode outward: unit-circle eigenvectors lie in W, and a smaller window
 cuts A.  So the eigensolve always runs on W, the window a report gives, and
 the caller's window only bounds R.  A = (N^(-1/2) sum_k diag(rho^(-kn)) V_k*)^H
 is read from the window matrices V_k* = S_k*|_W of cuntz.filter_window_adjoint.
+Every power of rho is read from the table CircleGrid(N).points() at an exponent mod N.
 Eigenvalues come first; only unit-circle clusters get columns x, which the
 exact combined_isometry_apply, sharing nothing with that gather, maps once.
 For v in their span the residual's square is ||(A - lambda) v||^2 + ||B v||^2,
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -50,16 +50,6 @@ PAIRING_COSET_POINTS = 2048  # two polynomials are paired on N times this many p
 REJECTION_REASONS = ("inside_disk", "failed_validation")
 
 
-@lru_cache(maxsize=64)
-def _roots_of_unity(scale: int) -> np.ndarray:
-    """rho^j for j = 0..N-1, exact where it is 1, i, -1 or -i; read-only, as it is shared."""
-    j = np.arange(scale)
-    exact = np.array([1, 1j, -1, -1j])[4 * j // scale]
-    roots = np.where(4 * j % scale == 0, exact, np.exp(2j * np.pi * j / scale))
-    roots.setflags(write=False)
-    return roots
-
-
 def combined_isometry_apply(filters, xi: LaurentPoly, check: bool = True) -> LaurentPoly:
     """Apply xi -> N^(-1/2) sum_k m_k(z) xi(rho^k z^N) exactly on coefficients: each
     term is S_k (cuntz.apply_filter_isometry) of xi rotated by rho^k."""
@@ -68,7 +58,7 @@ def combined_isometry_apply(filters, xi: LaurentPoly, check: bool = True) -> Lau
         require_verified(FilterBank(n, filters))
     degrees = np.arange(xi.min_degree, xi.min_degree + len(xi.coeffs))
     # row k: rho^(k d); d is reduced first, so that k d cannot wrap in int64
-    rotations = _roots_of_unity(n)[np.arange(n)[:, None] * (degrees % n) % n]
+    rotations = CircleGrid(n).points()[np.arange(n)[:, None] * (degrees % n) % n]
     terms = (apply_filter_isometry(m, n, LaurentPoly._owned(xi.coeffs * r, xi.min_degree))
              for m, r in zip(filters, rotations))
     return sum(terms, LaurentPoly.zero()) * (1.0 / math.sqrt(n))
@@ -143,7 +133,7 @@ def spectral_solutions(*filters: LaurentPoly, window: int = WINDOW_MAX) -> Spect
         raise InputError(f"the index is solved on the bank's window R = {k}, above {window}")
     require_verified(bank)
     # a.T is A, summed in place so that eigvals holds one (2R+1)^2 matrix beside its own
-    phases = _roots_of_unity(n)[-np.arange(n)[:, None] * np.arange(-k, k + 1) % n]
+    phases = CircleGrid(n).points()[-np.arange(n)[:, None] * np.arange(-k, k + 1) % n]
     a = np.zeros((2 * k + 1, 2 * k + 1), dtype=np.complex128)
     for phase, m in zip(phases, filters):
         v = filter_window_adjoint(m, n, k)

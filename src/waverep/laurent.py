@@ -296,7 +296,9 @@ def allclose(p: LaurentPoly, q: LaurentPoly, tol: float = 1e-12) -> bool:
 
 @lru_cache(maxsize=64)
 def _grid_points(m: int) -> np.ndarray:
-    pts = np.exp(2j * np.pi * np.arange(m) / m)
+    """The package's one table of roots of unity; z_j^d is its entry at (d j) mod M."""
+    pts, quarters = np.exp(2j * np.pi * np.arange(m) / m), math.gcd(m, 4)
+    pts[:: m // quarters] = (1, 1j, -1, -1j)[:: 4 // quarters]  # exact quarter turns
     pts.setflags(write=False)
     return pts
 
@@ -426,5 +428,9 @@ class GridFunction:
 
 
 def sample(p: LaurentPoly, grid: CircleGrid) -> GridFunction:
-    """Sample a polynomial on a grid: values[j] = p(exp(2*pi*i*j/M))."""
-    return GridFunction(grid, p._evaluate_unchecked(grid.points()))
+    """values[j] = p(z_j): Horner over the taps from degree 0, times the table entry z_j^lo."""
+    pts, shift = grid.points(), p.min_degree % grid.M
+    values = LaurentPoly(p.coeffs)._evaluate_unchecked(pts)
+    if shift:
+        values *= pts[shift * np.arange(grid.M) % grid.M]
+    return GridFunction(grid, values)

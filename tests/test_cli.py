@@ -302,6 +302,18 @@ def test_index_refuses_a_bank_that_check_refuses(tmp_path, capsys):
         assert "not verified" in rep["info"]["error"]
 
 
+def test_a_defect_in_a_handler_is_not_a_failed_check(monkeypatch, capsys):
+    # exit 1 with {"ok": false} reports a tolerance check's ValueError; any other
+    # error is a defect of the program and propagates
+    def broken(args):
+        raise KeyError("no such entry")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    with pytest.raises(KeyError, match="no such entry"):
+        run(["check", "--fixture", "haar2"])
+    assert capsys.readouterr().out == ""
+
+
 def test_cascade_deep_scale_three_product(capsys):
     code, rep = run_json(capsys, ["cascade", "--fixture", "haar3", "--depth", "700"])
     assert code == 0 and rep["verdicts"] == {"value_at_zero": True}
@@ -728,6 +740,7 @@ def _bytes_file(tmp_path, data):
     "check_monomial_fixture_digit_above_bound",
     "cascade_bank_degree_above_bound",
     "check_bank_max_degree_above_bound",
+    "dilate_ops_above_word_cap",
 ])
 def test_input_errors_exit_two(case, tmp_path, capsys):
     bank = ser.bank_to_dict(haar(2))
@@ -895,6 +908,9 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
         # the min degree 2^53 is in bounds, the max degree 2^53 + 1 is not
         "check_bank_max_degree_above_bound": lambda: [
             "check", _write(tmp_path, "b.json", _shifted(bank, DEGREE_MAX))],
+        # the 1 + N words of length <= 1 exceed dilation.WORD_CAP; the draw of
+        # the random family allocated 6.71 GiB before the cap refused them
+        "dilate_ops_above_word_cap": lambda: ["dilate", "--ops", "100000000", "--random-dim", "3"],
     }[case]()
     assert run(argv) == 2
     captured = capsys.readouterr()
@@ -1031,6 +1047,18 @@ def test_complete_refuses_a_grid_blind_lowpass_at_scale_3(tmp_path, capsys):
     assert code == 1 and "quadrature-mirror identity" in rep["info"]["error"]
     assert qmf_residual(lowpass, 3) > 1e-3
     assert qmf_residual(sample(lowpass, default_check_grid(3)), 3) < 1e-14
+
+
+@pytest.mark.parametrize("offset", [2**20, 2**31, 2**40, -2**40])
+def test_complete_at_scale_3_far_from_degree_zero(offset, tmp_path, capsys):
+    # (1 + z)/sqrt(2) z^D satisfies the scale-3 identity exactly; its samples read
+    # z_j^D from the table of roots, where a power z^D erred by about D eps
+    # (unitarity 1.31e-10 at D = 2^20, 3.98e-4 at D = -2^40, exit 1)
+    r = math.sqrt(0.5)
+    lowpass = _untagged_file(tmp_path, {"kind": "poly", "min_degree": offset,
+                                        "coeffs": [[r, 0.0], [r, 0.0]]})
+    code, rep = run_json(capsys, ["complete", "--lowpass", lowpass, "--scale", "3"])
+    assert code == 0 and rep["residuals"]["unitarity"] <= 1e-13
 
 
 def test_fixtures_decides_a_polynomial_bank_by_its_certificate(monkeypatch, capsys):

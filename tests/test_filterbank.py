@@ -623,13 +623,18 @@ def test_certificate_passes_unitary_banks(name):
 
 @pytest.mark.parametrize("n", [2, 3, 5, 16, 128, 256, 512, 1024])
 def test_haar_fixtures_have_exact_phases(n):
-    # each phase is one of the N values exp(-2 pi i k / N), so the certificate
-    # stays at rounding level; phases as powers rho^(-ij) gave 6.7e-11 at N = 1024
+    # each phase is an entry of the one table of N-th roots of unity, at -ij mod N,
+    # so the certificate stays at rounding level; phases as powers rho^(-ij) gave
+    # 6.7e-11 at N = 1024.  Quarter turns 1, -i, -1, i are exact.
     bank = fixtures.fixture_bank(f"haar{n}")
-    table = np.exp(-2j * np.pi * np.arange(n) / n) / math.sqrt(n)
+    table = CircleGrid(n).points() / math.sqrt(n)
     j = np.arange(n)
     for i in (0, 1, n // 2, n - 1):
-        assert np.array_equal(bank.filters[i].coeffs, table[i * j % n])
+        c = bank.filters[i].coeffs
+        assert np.array_equal(c, table[-i * j % n])
+        quarter, root_n = c[4 * (i * j) % n == 0], math.sqrt(n)
+        assert len(quarter) and np.array_equal(quarter, np.round(quarter * root_n) / root_n)
+        assert np.all((quarter.real == 0) ^ (quarter.imag == 0))
     assert unitarity_residual(bank) <= 1e-14
 
 

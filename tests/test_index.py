@@ -98,7 +98,7 @@ def test_the_rotation_reduces_the_degree_before_the_product(n, d):
     # (n - 1) d >= 2^63, so k d wraps in int64 unless d is reduced mod n
     # first; the haar filters send z^d to the single monomial z^(n d + d mod n)
     filters = fixtures.haar(n).filters
-    roots = index_module._roots_of_unity(n)
+    roots = CircleGrid(n).points()
     reduced = (apply_filter_isometry(m, n, LaurentPoly.monomial(d, roots[k * (d % n) % n]))
                for k, m in enumerate(filters))
     want = sum(reduced, LaurentPoly.zero()) * (1.0 / math.sqrt(n))
@@ -532,7 +532,7 @@ def test_in_place_compression_is_bitwise_the_summed_windows(scale, monkeypatch):
     # the sum of freshly phased windows conjugated and scaled out of place
     filters = fixtures.random_paraunitary_bank(scale, 3, np.random.default_rng(scale)).filters
     r = bank_radius(filters)
-    phases = index_module._roots_of_unity(scale)[
+    phases = CircleGrid(scale).points()[
         -np.arange(scale)[:, None] * np.arange(-r, r + 1) % scale]
     ref = sum(phases[j][:, None] * filter_window_adjoint(m, scale, r)
               for j, m in enumerate(filters)).conj().T * (1.0 / math.sqrt(scale))
@@ -640,6 +640,19 @@ def test_sampled_pairing_agrees_with_the_exact_formula(case, rng):
     assert worst <= bound + 1e-12
     if case.startswith("random"):
         assert worst > 1e-3  # far from constant: the bound is not met by rounding alone
+
+
+@pytest.mark.parametrize("scale", [2, 3, 4, 5])
+@pytest.mark.parametrize("offset", [0, 60, -60, 2**20, -2**20, 2**40, -2**40])
+def test_far_monomials_pair_constantly(scale, offset):
+    # z^(d + r), r = 0..N-1, pair to N I exactly; their samples are entries of
+    # the one table of roots, so the defect is rounding of the N-term coset
+    # sums alone, where a power z^d erred by about |d| eps
+    polys = [LaurentPoly.monomial(offset + r) for r in range(scale)]
+    mat, worst = pairing(polys, scale)
+    bound = 4 * scale * np.finfo(float).eps
+    assert worst <= bound
+    assert np.max(np.abs(mat - scale * np.eye(scale))) <= bound
 
 
 # ---------------------------------------------------------------------------

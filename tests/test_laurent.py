@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import loop_cycles
+from conftest import exact_sample, loop_cycles
 from waverep import fixtures
 from waverep.filterbank import FilterBank
 from waverep.laurent import (
@@ -97,6 +97,36 @@ def test_sample_haar_two_points():
     vals = sample(p, CircleGrid(2)).values
     assert np.allclose(vals, expected, atol=1e-14)
     assert abs(vals[0] - S2) < 1e-14 and abs(vals[1]) < 1e-14
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 6, 8, 4096, 4098])
+def test_grid_points_are_exact_at_quarter_turns(m):
+    # the one table of roots of unity: 1, i, -1, -i exactly wherever j/M is a
+    # quarter turn, np.exp's value bit for bit at every other point
+    exact = {0: 1.0}
+    if m % 2 == 0:
+        exact[m // 2] = -1.0
+    if m % 4 == 0:
+        exact[m // 4], exact[3 * m // 4] = 1j, -1j
+    pts = CircleGrid(m).points()
+    at = np.array(sorted(exact))
+    assert np.array_equal(pts[at], [exact[j] for j in at])
+    assert np.all((pts[at].real == 0) | (pts[at].imag == 0))
+    rest = np.setdiff1d(np.arange(m), at)
+    assert pts[rest].tobytes() == np.exp(2j * np.pi * np.arange(m) / m)[rest].tobytes()
+
+
+@pytest.mark.parametrize("m", [4095, 4096])
+@pytest.mark.parametrize("offset", [0, 1, -1, 60, -60, 2**20, -2**20, 2**40, -2**40])
+def test_sample_is_exact_at_any_degree_offset(offset, m):
+    # Horner from degree 0 carries about one rounding per tap, and the offset
+    # z_j^lo is a table entry; a power z^lo erred by about |lo| eps
+    c = np.array([1.0, 1j]) @ np.random.default_rng(7).normal(size=(2, 9))
+    p = LaurentPoly(c, min_degree=offset)
+    grid = CircleGrid(m)
+    bound = (len(c) + 1) * 4 * np.finfo(float).eps * np.sum(np.abs(c))
+    err = np.max(np.abs(sample(p, grid).values - exact_sample(p, grid).values))
+    assert err <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -198,9 +198,10 @@ def test_no_bank_file_is_written_when_the_bank_cannot_be_encoded(tmp_path, capsy
     monkeypatch.setattr(ser, "bank_to_dict",
                         lambda bank: {**encode(bank), "zz_unencodable": LaurentPoly.one()})
     out = tmp_path / "bank.json"
-    code = cli.run(["fixtures", "haar4", "--out-bank", str(out)])
-    report = json.loads(capsys.readouterr().out)
-    assert code == 1 and report["artifacts"] == [] and "not JSON serializable" in report["info"]["error"]
+    # a bank the encoder refuses is a defect of the program, not a failed check: it propagates
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli.run(["fixtures", "haar4", "--out-bank", str(out)])
+    assert capsys.readouterr().out == ""
     assert not out.exists()
 
 
