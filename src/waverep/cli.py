@@ -177,7 +177,8 @@ def _produced_bank(bank, out_bank):
         residuals["coefficient"] = res
     artifacts = []
     if out_bank:
-        _write_text(out_bank, [json.dumps(ser.bank_to_dict(bank), sort_keys=True)])
+        _write_text(out_bank, [json.dumps(ser.bank_to_dict(bank), sort_keys=True,
+                                          check_circular=False)])
         artifacts.append(out_bank)
     return res <= VERIFY_TOL, residuals, artifacts
 
@@ -306,6 +307,9 @@ def cmd_wold(args):
         residuals["cocycle"] = rep.cocycle_residual
     info = {"unitary_dim": rep.unitary_dim, "grid_sizes": list(rep.grid_sizes),
             "grid_screen": rep.grid_screen, "filter_index": i}
+    if rep.cocycle_worst is not None:
+        point, cycle_min = rep.cocycle_worst
+        info["worst"] = {"cocycle": {"point": point, "cycle_min": cycle_min}}
     if rep.eigenvalue is not None:
         info["eigenvalue"] = rep.eigenvalue
     if isinstance(rep.eigenfunction, LaurentPoly):
@@ -373,6 +377,7 @@ def cmd_equiv(args):
     if rep.equivalent:
         residuals["intertwining"] = rep.intertwining_residual
         info["delta"] = ser.gridfunction_to_dict(rep.delta)
+        info["worst"] = {"intertwining": {"point": rep.worst_point}}
     return verdicts, residuals, info, []
 
 
@@ -526,7 +531,9 @@ def run(argv) -> int:
             "elapsed": time.monotonic() - start,
             "info": info,
         }
-        text = json.dumps(report, sort_keys=True, default=_json_default) + "\n"
+        # a report is a tree built for this call, so the encoder needs no cycle markers
+        text = json.dumps(report, sort_keys=True, default=_json_default,
+                          check_circular=False) + "\n"
         if args.out:
             _write_text(args.out, [text])
         else:

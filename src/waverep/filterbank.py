@@ -339,13 +339,23 @@ def require_verified(fb: FilterBank) -> None:
 
 
 def modulation_matrix(fb: FilterBank, z: complex) -> np.ndarray:
-    """The N x N matrix with entries N^(-1/2) m_i(rho^k z) at one point z."""
+    """The N x N matrix with entries N^(-1/2) m_i(rho^k z) at one point z.
+
+    z, within 1e-9 of the unit circle, is put back on it first.  A polynomial
+    is evaluated at the points rho^k z themselves; any other filter takes
+    their angles (a grid filter raises ValueError off its grid).
+    """
     n = fb.scale
     z = complex(z)
     if abs(abs(z) - 1.0) > 1e-9:
         raise ValueError("z must lie on the unit circle")
+    z /= abs(z)
     pts = z * CircleGrid(n).points()
-    return np.stack([filter_values_at_angles(f, np.angle(pts)) for f in fb.filters]) / np.sqrt(n)
+    if fb.kind == "poly":
+        rows = [f._evaluate_unchecked(pts) for f in fb.filters]
+    else:
+        rows = [filter_values_at_angles(f, np.angle(pts)) for f in fb.filters]
+    return np.stack(rows) / np.sqrt(n)
 
 
 @dataclass

@@ -5,6 +5,10 @@ on two value types: ``LaurentPoly``, a finite two-sided complex coefficient
 sequence evaluated on the unit circle, and ``GridFunction``, complex samples
 on the M-th roots of unity.  Both are immutable after construction, so they
 are safe to share between threads; every operation returns a new object.
+A CircleGrid serves two memoized read-only tables, one per grid size M: its
+roots of unity (points), and per scale N the cycles of z -> z^N on it
+(cycles), as one flat table of the points cycle after cycle and the cycle
+lengths.
 
 Convention used throughout the package: a polynomial, viewed as a
 2*pi-periodic function of the angle t, is evaluated at z = exp(-i*t).
@@ -310,11 +314,13 @@ def _grid_angles(m: int) -> np.ndarray:
     return ang
 
 
-def _cycles_of(sigma: np.ndarray) -> list[np.ndarray]:
+def _cycles_of(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cycles of the permutation j -> sigma[j] of 0..n-1, each from its minimum,
-    in the order of the minima.  Pointer doubling labels each point with the
-    minimum of its cycle and then ranks it along the cycle, in ceil(log2 L)
-    rounds each, where L is the longest cycle length."""
+    in the order of the minima, as one flat table (order, lengths): order lists
+    the points cycle after cycle, and lengths the cycle lengths.  Pointer
+    doubling labels each point with the minimum of its cycle and then ranks it
+    along the cycle, in ceil(log2 L) rounds each, where L is the longest cycle
+    length."""
     n = len(sigma)
     points = np.arange(n)
     # after round k, label[j] is the least of the 2^k points from j on,
@@ -330,14 +336,23 @@ def _cycles_of(sigma: np.ndarray) -> list[np.ndarray]:
     for _ in range(rounds):
         dist, ahead = dist + dist[ahead], ahead[ahead]
     size = np.bincount(label, minlength=n)
-    ends = np.cumsum(size[root])
-    starts = ends - size[root]
+    lengths = size[root]
+    starts = np.cumsum(lengths) - lengths
     first = np.zeros(n, dtype=np.int64)
     first[root] = starts
     # j sits (size - dist) mod size steps after its cycle's minimum
     order = np.empty(n, dtype=np.int64)
     order[first[label] + (size[label] - dist) % size[label]] = points
-    return [order[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+    return order, lengths
+
+
+@lru_cache(maxsize=64)
+def _cycle_table(m: int, scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """The table of CircleGrid(m).cycles(scale), computed once and read-only."""
+    table = _cycles_of(CircleGrid(m).multiply_map(scale))
+    for a in table:
+        a.setflags(write=False)
+    return table
 
 
 def invariant_radius(lo: int, hi: int, scale: int) -> int:
@@ -393,11 +408,22 @@ class CircleGrid:
             raise InputError("z -> z^scale permutes the grid only when gcd(M, scale) = 1")
         return (np.arange(self.M) * scale) % self.M
 
-    def cycles(self, scale: int) -> list[np.ndarray]:
+    def cycles(self, scale: int) -> tuple[np.ndarray, np.ndarray]:
         """Cycles of j -> scale*j mod M, each from its minimum, in the order of
-        the minima: the pointer doubling of _cycles_of on multiply_map(scale),
-        in ceil(log2 L) rounds, where L is the order of scale mod M."""
-        return _cycles_of(self.multiply_map(scale))
+        the minima, as the flat table (order, lengths) of _cycles_of: the
+        points cycle after cycle, and the cycle lengths.  The pointer doubling
+        on multiply_map(scale) takes ceil(log2 L) rounds, where L is the order
+        of scale mod M, once per (M, scale): the read-only table is memoized,
+        as the roots of unity are."""
+        return _cycle_table(self.M, scale)
+
+    def cycle_min(self, scale: int, j: int) -> int:
+        """The least point of the cycle of j -> scale*j mod M through point j,
+        read from the memoized table of cycles(scale)."""
+        order, lengths = _cycle_table(self.M, scale)
+        starts = np.cumsum(lengths) - lengths
+        at = int(np.flatnonzero(order == j)[0])
+        return int(order[starts[np.searchsorted(starts, at, side="right") - 1]])
 
 
 @dataclass(frozen=True, eq=False)

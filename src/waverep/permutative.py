@@ -122,10 +122,11 @@ def _funnel(rep: MonomialRep, radius: int) -> tuple[list[tuple], np.ndarray]:
     points = np.flatnonzero(np.bincount(land, minlength=len(modes)))
     at = np.empty(len(modes), dtype=np.int64)
     at[points] = np.arange(len(points))
-    cycles = _cycles_of(at[succ[points]])
+    order, lengths = _cycles_of(at[succ[points]])
     label = np.empty(len(points), dtype=np.int64)
-    label[np.concatenate(cycles)] = np.repeat(np.arange(len(cycles)), [len(c) for c in cycles])
-    return [tuple(modes[points[c]].tolist()) for c in cycles], label[at[land]]
+    label[order] = np.repeat(np.arange(len(lengths)), lengths)
+    flat, ends = modes[points[order]].tolist(), np.cumsum(lengths).tolist()
+    return [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)], label[at[land]]
 
 
 def decompose_monomial(rep: MonomialRep, window: int = 64) -> ComponentReport:
@@ -245,11 +246,9 @@ def _telescope(q: np.ndarray, grid: CircleGrid, scale: int) -> np.ndarray | None
     CYCLE_ARC_TOL * cycle length.  All products are checked before any cycle
     is walked, and the cycles of one length are walked together.
     """
-    cycles = grid.cycles(scale)
-    flat = np.concatenate(cycles)
-    lengths = np.fromiter(map(len, cycles), dtype=np.int64, count=len(cycles))
+    order, lengths = grid.cycles(scale)
     starts = np.cumsum(lengths) - lengths
-    qs = q[flat]
+    qs = q[order]
     if np.any(np.abs(np.angle(np.multiply.reduceat(qs, starts))) > CYCLE_ARC_TOL * lengths):
         return None
     f = np.empty(grid.M, dtype=np.complex128)
@@ -257,7 +256,7 @@ def _telescope(q: np.ndarray, grid: CircleGrid, scale: int) -> np.ndarray | None
         at = starts[lengths == n][:, None] + np.arange(n)
         walk = np.ones(at.shape, dtype=np.complex128)
         np.cumprod(qs[at[:, :-1]], axis=1, out=walk[:, 1:])
-        f[flat[at]] = walk / np.abs(walk)
+        f[order[at]] = walk / np.abs(walk)
     return f
 
 
@@ -282,6 +281,7 @@ class EquivalenceReport:
     delta: GridFunction | None
     intertwining_residual: float | None
     grid_screen: bool = True  # finite-grid necessary-condition verdict
+    worst_point: int | None = None  # grid index where the intertwining defect peaks
 
 
 def equivalence_check(rep1: CharRep, rep2: CharRep) -> EquivalenceReport:
@@ -291,7 +291,8 @@ def equivalence_check(rep1: CharRep, rep2: CharRep) -> EquivalenceReport:
     exchange relation Delta S1_k xi = S2_k (Delta xi), worst over the arcs k
     and the probes xi = 1, z, 1/z, is reported.  Its defect is sqrt(N) chi_k(z)
     xi(z^N) (Delta u1 - u2 Delta(z^N))(z); the probes are unimodular on the
-    grid and the arcs partition it, so it is sqrt(N) max |Delta u1 - u2 Delta(z^N)|.
+    grid and the arcs partition it, so it is sqrt(N) max |Delta u1 - u2 Delta(z^N)|,
+    and worst_point is the first grid index where that maximum sits.
     """
     if rep1.scale != rep2.scale:
         raise InputError("scales differ")
@@ -300,6 +301,7 @@ def equivalence_check(rep1: CharRep, rep2: CharRep) -> EquivalenceReport:
     if delta is None:
         return EquivalenceReport(equivalent=False, delta=None, intertwining_residual=None)
     d = delta.values
-    defect = d * rep1.u.values - rep2.u.values * d[delta.grid.multiply_map(n)]
+    defect = np.abs(d * rep1.u.values - rep2.u.values * d[delta.grid.multiply_map(n)])
+    j = int(np.argmax(defect))
     return EquivalenceReport(equivalent=True, delta=delta,
-                             intertwining_residual=math.sqrt(n) * float(np.max(np.abs(defect))))
+                             intertwining_residual=math.sqrt(n) * float(defect[j]), worst_point=j)

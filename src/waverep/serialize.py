@@ -21,9 +21,11 @@ Callable-kind banks have no sample-free encoding; exporting one samples it
 onto a grid (size divisible by the scale) and marks kind "grid".
 
 The CLI writes run reports and --out-bank files with the stdlib's C encoder,
-json.dumps(obj, sort_keys=True): compact text on one line, keys in sorted
-order, float.__repr__ number text and NaN / Infinity for non-finite
-residuals.  Each is encoded whole before its file or stdout gets a byte.
+json.dumps(obj, sort_keys=True, check_circular=False): compact text on one
+line, keys in sorted order, float.__repr__ number text and NaN / Infinity for
+non-finite residuals.  Each is an acyclic tree built for its call, so the
+encoder keeps no cycle markers, and each is encoded whole before its file or
+stdout gets a byte.
 """
 
 from __future__ import annotations

@@ -19,15 +19,18 @@ unimodular measurable solution.  Each filter kind takes one route.
 * A grid filter is solved on its own grid, which must have size coprime
   to N so that z -> z^N permutes the points, and a callable on
   CircleGrid.dynamics_grid(N).  A grid filter's isometry residual comes
-  from the DFT of |m|^2 on its grid, a callable's from the sampled coset
-  sums on the default check grid.  The fixed point z = 1 pins
+  from the real FFT of |m|^2 on its grid, a callable's from the sampled
+  coset sums on the default check grid.  The fixed point z = 1 pins
   lambda = m(1)/|m(1)|; the equation is then the cocycle equation
   Delta(z) u1(z) = u2(z) Delta(z^N) with u1 = lambda and u2 = m, solved by
   the same per-cycle telescope as cocycle equivalence
   (permutative._telescope): a cycle of length L admits xi iff the product
-  of m over it is lambda^L, and xi has one free phase per cycle.  A finite
-  grid is not ergodic, so verdicts from raw grid data carry a grid_screen
-  flag, and a callable is cross-checked on the next coprime grid.
+  of m over it is lambda^L, and xi has one free phase per cycle.  The
+  cycles are CircleGrid.cycles' memoized table, and the largest cocycle
+  defect is located by its grid point and the least point of its cycle
+  (WoldReport.cocycle_worst).  A finite grid is not ergodic, so verdicts
+  from raw grid data carry a grid_screen flag, and a callable is
+  cross-checked on the next coprime grid.
 """
 
 from __future__ import annotations
@@ -66,6 +69,8 @@ class WoldReport:
     grid_sizes: tuple = ()
     grid_screen: bool = False  # verdict rests on grid data only
     anomaly: str | None = None
+    # (grid index, least point of its cycle) of the largest grid cocycle defect
+    cocycle_worst: tuple | None = None
 
 
 def isometry_residual(m: Filter, scale: int) -> float:
@@ -75,16 +80,16 @@ def isometry_residual(m: Filter, scale: int) -> float:
     unavailable, have the coset sum projected out of the centered DFT: the
     condition says the Fourier modes of |m|^2 at nonzero multiples of N
     vanish and the mean is 1.  That is exact for band-limited data and a
-    screen otherwise.  Every other filter gets qmf_residual: N times the
-    exact certificate of a polynomial, the sampled deviation otherwise.
+    screen otherwise.  |m|^2 is real, so one real FFT gives the modes
+    0..M//2, and the mode -k has the modulus of k.  Each multiple k of N in
+    1..M//2 has a distinct mirror -k, since N does not divide M/2 when
+    gcd(M, N) = 1, so it is counted twice.  Every other filter gets
+    qmf_residual: N times the exact certificate of a polynomial, the sampled
+    deviation otherwise.
     """
     if isinstance(m, GridFunction) and math.gcd(m.grid.M, scale) == 1:
-        g = np.abs(m.values) ** 2
-        mm = m.grid.M
-        modes = np.fft.fft(g) / mm
-        freqs = np.fft.fftfreq(mm, d=1.0 / mm).astype(np.int64)
-        mult = (freqs % scale == 0) & (freqs != 0)
-        return float(scale * (np.sum(np.abs(modes[mult])) + abs(modes[0] - 1.0)))
+        modes = np.fft.rfft(np.abs(m.values) ** 2) / m.grid.M
+        return float(scale * (2.0 * np.sum(np.abs(modes[scale::scale])) + abs(modes[0] - 1.0)))
     return qmf_residual(m, scale)
 
 
@@ -162,17 +167,19 @@ def _monomial_form(m: LaurentPoly):
 def _grid_eigendata(values: np.ndarray, grid: CircleGrid, scale: int):
     """Eigenvalue and eigenfunction of the grid equation, or None.
 
-    Returns (lam, xi_values, cocycle_residual).  Index 0 is a fixed point of
-    j -> N j mod M, so m(1) pins lambda; xi(z^N) = (lambda / m(z)) xi(z) is
-    then telescoped along the cycles.
+    Returns (lam, xi_values, cocycle_residual, j), j the first grid index
+    where the cocycle defect |m xi(z^N) - lambda xi| peaks.  Index 0 is a
+    fixed point of j -> N j mod M, so m(1) pins lambda; xi(z^N) =
+    (lambda / m(z)) xi(z) is then telescoped along the cycles.
     """
     lam = complex(values[0])
     lam /= abs(lam)
     xi = _telescope(lam / values, grid, scale)
     if xi is None:
         return None
-    resid = float(np.max(np.abs(values * xi[grid.multiply_map(scale)] - lam * xi)))
-    return lam, xi, resid
+    defect = np.abs(values * xi[grid.multiply_map(scale)] - lam * xi)
+    j = int(np.argmax(defect))
+    return lam, xi, float(defect[j]), j
 
 
 def wold_analysis(m: Filter, scale: int, probes_kmax: int = 20) -> WoldReport:
@@ -208,7 +215,7 @@ def wold_analysis(m: Filter, scale: int, probes_kmax: int = 20) -> WoldReport:
     grid_hit = _grid_eigendata(vals, grid, scale)
     if grid_hit is None:
         return report
-    lam, xi_vals, resid = grid_hit
+    lam, xi_vals, resid, j = grid_hit
     if not isinstance(m, GridFunction):
         # a callable can be re-evaluated: cross-check on a second coprime grid
         second = CircleGrid.dynamics_grid(scale, lo=grid.M + 1,
@@ -223,6 +230,7 @@ def wold_analysis(m: Filter, scale: int, probes_kmax: int = 20) -> WoldReport:
     report.eigenvalue = lam
     report.eigenfunction = GridFunction(grid, xi_vals)
     report.cocycle_residual = resid
+    report.cocycle_worst = (j, grid.cycle_min(scale, j))
     return report
 
 

@@ -85,3 +85,10 @@ def loop_cycles(m, scale):
             j = int(sigma[j])
         out.append(np.array(cyc, dtype=np.int64))
     return out
+
+
+def split_cycles(grid, scale):
+    """The flat cycle table (order, lengths) of grid.cycles(scale), split into
+    one array per cycle, for tests that walk the cycles one by one."""
+    order, lengths = grid.cycles(scale)
+    return np.split(order, np.cumsum(lengths)[:-1])

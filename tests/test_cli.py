@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import angle_rule
+from conftest import angle_rule, split_cycles
 from waverep import (cli, dilation as dil, fixtures, index as idx, permutative as perm,
                      serialize as ser, wold as wld)
 from waverep.cli import parse_angle, run
@@ -100,6 +100,27 @@ def test_decompose_report(capsys):
     assert code == 0
     assert rep["info"]["n_components"] == 2
     assert sorted(rep["info"]["cycles"]) == [[-1], [0]]
+
+
+@pytest.mark.parametrize("scale, digits", [(3, (0, 4, -4)), (2, (0, 7)), (4, (5, -2, 3, 0))])
+def test_decompose_report_is_the_oracle_decomposition(scale, digits, capsys):
+    # the cycles come from one flat table; the report must read as the
+    # breadth-first decomposition of the point-walk cycles
+    from test_permutative import bfs_decompose_oracle
+
+    mono = perm.MonomialRep(scale, digits)
+    expected = bfs_decompose_oracle(mono, -64, 64)
+    code, rep = run_json(capsys, ["decompose", "--scale", str(scale),
+                                  "--digits", ",".join(map(str, digits)), "--window", "64"])
+    assert code == 0 and rep["info"] == {
+        "cycles": [list(c) for c, _ in expected],
+        "n_components": len(expected),
+        "window": [-64, 64],
+        "components": [
+            {"cycle": list(c), "members_in_window": members,
+             "description": f"closure of cycle {c} under k -> {scale}k + d, d in {digits}"}
+            for c, members in expected],
+    }
 
 
 def test_decompose_bad_digits_exits_two(capsys):
@@ -1288,6 +1309,32 @@ def test_wold_filter_reports_the_grid_cocycle_residual(tmp_path, capsys):
     lam = complex(*rep["info"]["eigenvalue"])
     want = float(np.max(np.abs(m * got[grid.multiply_map(2)] - lam * got)))
     assert want > 0 and rep["residuals"]["cocycle"] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("m, scale", [(4095, 2), (59048, 3)])
+def test_grid_residuals_locate_a_planted_defect(m, scale, tmp_path, capsys):
+    # the telescope closes each cycle at its last point, whose image is the
+    # cycle minimum: a phase planted there, within the arc tolerance, keeps
+    # both equations solvable and puts the worst defect at that point
+    grid = CircleGrid(m)
+    sigma = grid.multiply_map(scale)
+    cyc = max(split_cycles(grid, scale), key=len)
+    j, kick = int(cyc[-1]), np.exp(0.5j * perm.CYCLE_ARC_TOL * len(cyc))
+    rng = np.random.default_rng(m)
+    u1, d, xi = (np.exp(2j * np.pi * rng.random(m)) for _ in range(3))
+    u2 = d * u1 / d[sigma]
+    u2[j] /= kick
+    p1, p2 = (_write(tmp_path, f"u{k}.json", ser.gridfunction_to_dict(GridFunction(grid, u)))
+              for k, u in ((1, u1), (2, u2)))
+    code, rep = run_json(capsys, ["equiv", "--u1", p1, "--u2", p2, "--scale", str(scale)])
+    assert code == 0 and rep["info"]["worst"] == {"intertwining": {"point": j}}
+    assert rep["residuals"]["intertwining"] > 1e-10
+    filt = np.exp(0.3j) * xi / xi[sigma]
+    filt[j] *= kick
+    path = _write(tmp_path, "m.json", ser.gridfunction_to_dict(GridFunction(grid, filt)))
+    code, rep = run_json(capsys, ["wold", "--filter", path, "--scale", str(scale)])
+    assert code == 0 and rep["info"]["unitary_dim"] == 1 and rep["residuals"]["cocycle"] > 1e-10
+    assert rep["info"]["worst"] == {"cocycle": {"point": j, "cycle_min": int(cyc[0])}}
 
 
 def test_wold_gives_a_non_isometry_no_unitary_part(tmp_path, capsys):

@@ -60,6 +60,28 @@ def test_modulation_matrix_haar_at_one(haar_bank):
     assert np.allclose(c, np.eye(2), atol=1e-14)
 
 
+def test_modulation_matrix_evaluates_a_polynomial_at_the_points(haar_bank):
+    # at z = 1 the points are exactly 1 and -1, where real taps give exactly
+    # real values; sin(np.angle(-1)) is 1.2e-16, so angles would not
+    assert np.all(modulation_matrix(haar_bank, 1.0).imag == 0.0)
+    z = np.exp(0.37j)
+    pts = z * CircleGrid(3).points()
+    bank = fixtures.haar(3)
+    want = np.stack([f.evaluate(pts) for f in bank.filters]) / np.sqrt(3)
+    assert np.array_equal(modulation_matrix(bank, z), want)
+
+
+def test_modulation_matrix_puts_z_back_on_the_circle():
+    # at offset 2^20, a point 1e-10 off the circle would scale each entry
+    # by (1 + 1e-10)^(2^20), about 1 + 1e-4, if it were not normalised
+    k = 2**20
+    bank = FilterBank(2, (LaurentPoly([S2 / 2, S2 / 2], k), LaurentPoly([S2 / 2, -S2 / 2], k)))
+    z = (1.0 + 1e-10) * np.exp(0.37j)
+    c = modulation_matrix(bank, z)
+    assert np.allclose(c.conj().T @ c, np.eye(2), atol=1e-9)
+    assert np.array_equal(c, modulation_matrix(bank, z / abs(z)))
+
+
 def test_modulation_matrix_monomial(monomial_bank):
     z = np.exp(0.37j)
     c = modulation_matrix(monomial_bank, z)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import exact_sample, loop_cycles
+from conftest import exact_sample, loop_cycles, split_cycles
 from waverep import fixtures
 from waverep.filterbank import FilterBank
 from waverep.laurent import (
     CircleGrid,
     GridFunction,
+    InputError,
     LaurentPoly,
     allclose,
     inner,
@@ -238,34 +239,55 @@ def test_dynamics_grid_falls_below_lo_where_no_power_fits(scale, size):
 
 def test_cycles_partition_grid():
     g = CircleGrid(63)
-    cycles = g.cycles(2)
-    all_points = np.concatenate(cycles)
-    assert sorted(all_points.tolist()) == list(range(63))
+    order, lengths = g.cycles(2)
+    assert sorted(order.tolist()) == list(range(63)) and lengths.sum() == 63
     sigma = g.multiply_map(2)
-    for c in cycles:
+    for c in split_cycles(g, 2):
         assert c[0] == min(c)
         for a, b in zip(c, np.roll(c, -1)):
             assert sigma[a] == b
 
 
-# grids with many short cycles (2^16 - 1, 3^10 - 1) and one with a cycle of
-# length 65536 (3 is a primitive root modulo the prime 65537)
-@pytest.mark.parametrize("m,scale", [(65535, 2), (59048, 3), (65537, 3), (1, 2), (1, 5)])
+def _assert_table_is_the_point_walk(m, scale):
+    order, lengths = CircleGrid(m).cycles(scale)
+    want = loop_cycles(m, scale)
+    assert order.dtype == lengths.dtype == np.int64
+    assert lengths.tolist() == [len(c) for c in want], (m, scale)
+    assert np.array_equal(order, np.concatenate(want)), (m, scale)
+
+
+# grids with many short cycles of mixed lengths (2^12 - 1, 2^16 - 1, 3^10 - 1)
+# and one with a cycle of length 65536 (3 is a primitive root modulo 65537)
+@pytest.mark.parametrize("m,scale", [(65535, 2), (59048, 3), (65537, 3), (1, 2), (1, 5),
+                                     (4095, 2)])
 def test_cycles_match_the_point_walk_on_large_grids(m, scale):
-    got, want = CircleGrid(m).cycles(scale), loop_cycles(m, scale)
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.dtype == np.int64 and np.array_equal(a, b)
+    _assert_table_is_the_point_walk(m, scale)
 
 
 def test_cycles_match_the_point_walk_on_every_small_grid():
     for m in range(1, 301):
         for scale in range(2, 6):
-            if math.gcd(m, scale) != 1:
-                continue
-            got, want = CircleGrid(m).cycles(scale), loop_cycles(m, scale)
-            assert len(got) == len(want), (m, scale)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (m, scale)
+            if math.gcd(m, scale) == 1:
+                _assert_table_is_the_point_walk(m, scale)
+
+
+def test_cycle_table_is_memoized_and_read_only():
+    first = CircleGrid(4095).cycles(2)
+    again = CircleGrid(4095).cycles(2)
+    assert all(a is b for a, b in zip(first, again))
+    for a in first:
+        with pytest.raises(ValueError):
+            a[0] = 1
+    assert first[1].max() == 12 and CircleGrid(4095).cycles(4)[1].max() == 6  # keyed on (M, N)
+    with pytest.raises(InputError):
+        CircleGrid(4096).cycles(2)
+
+
+@pytest.mark.parametrize("m,scale", [(4095, 2), (80, 3), (1, 2)])
+def test_cycle_min_is_the_least_point_of_the_cycle(m, scale):
+    g = CircleGrid(m)
+    for cyc in split_cycles(g, scale):
+        assert {g.cycle_min(scale, int(j)) for j in cyc} == {int(cyc.min())}
 
 
 def test_grid_function_validates_length():

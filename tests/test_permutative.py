@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import loop_cycles
+from conftest import loop_cycles, split_cycles
 from waverep.laurent import CircleGrid, GridFunction
 from waverep.permutative import (
     CYCLE_ARC_TOL,
@@ -333,7 +333,7 @@ def test_monomial_coboundary(dyn_grid):
     assert resid < 1e-10
     # per cycle, Delta equals z^(-1) up to the one free phase
     e = delta.values * dyn_grid.points()
-    for cyc in dyn_grid.cycles(2):
+    for cyc in split_cycles(dyn_grid, 2):
         assert np.max(np.abs(e[cyc] - e[cyc[0]])) < 1e-9
 
 
@@ -382,7 +382,7 @@ def test_coboundary_uniqueness_per_cycle(dyn_grid):
     u2 = d0 * u1 / d0[sigma]
     got = solve_coboundary(GridFunction(dyn_grid, u1), GridFunction(dyn_grid, u2), 2)
     ratio = got.values / d0
-    for cyc in dyn_grid.cycles(2):
+    for cyc in split_cycles(dyn_grid, 2):
         assert np.max(np.abs(ratio[cyc] - ratio[cyc[0]])) < 1e-9
         assert abs(abs(ratio[cyc[0]]) - 1.0) < 1e-9
 
@@ -530,13 +530,13 @@ def test_wold_grid_solve_is_the_coboundary_solve(scale):
     lam = np.exp(0.7j)
     m = lam * xi.values / xi.values[g.multiply_map(scale)]  # m(z) xi(z^N) = lam xi(z)
     const = GridFunction(g, np.full(g.M, lam))
-    got_lam, got_xi, resid = _grid_eigendata(m, g, scale)
+    got_lam, got_xi, resid, _ = _grid_eigendata(m, g, scale)
     delta = solve_coboundary(const, GridFunction(g, m), scale)
     assert abs(got_lam - lam) < 1e-12
     assert np.max(np.abs(got_xi - delta.values)) < 1e-12
     assert resid < 1e-12
     # one phase kick on a cycle of length > 1 obstructs both
-    cyc = next(c for c in g.cycles(scale) if len(c) > 1)
+    cyc = next(c for c in split_cycles(g, scale) if len(c) > 1)
     bent = m.copy()
     bent[cyc[0]] *= np.exp(0.5j)
     assert _grid_eigendata(bent, g, scale) is None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import angle_rule, exact_sample, random_poly
+from conftest import angle_rule, exact_sample, random_poly, split_cycles
 from waverep import filterbank, fixtures, wold
 from waverep.filterbank import qmf_residual
 from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, invariant_radius, sample
@@ -168,7 +168,7 @@ def test_grid_input_single_shift_mode():
     assert np.max(np.abs(np.abs(xi.values) - 1.0)) < 1e-12
     # the grid eigenfunction matches z^(-1) cycle by cycle (one free phase each)
     e = xi.values * g.points()
-    for cyc in g.cycles(2):
+    for cyc in split_cycles(g, 2):
         assert np.max(np.abs(e[cyc] - e[cyc[0]])) < 1e-9
 
 
@@ -253,6 +253,54 @@ def test_grid_isometry_residual_screen():
     assert isometry_residual(good, 2) < 1e-10
     bad = GridFunction(g, 1.3 * np.ones(g.M))
     assert isometry_residual(bad, 2) > 0.1
+
+
+def _cosine_filter(m, f, a=1e-3):
+    """sqrt(1 + a cos f theta) on the M-point grid: |m|^2 has the modes a/2 at +-f."""
+    return GridFunction(CircleGrid(m), np.sqrt(1.0 + a * np.cos(f * CircleGrid(m).angles())))
+
+
+# (M, N, f, residual): N a where the centred frequency of f is a nonzero
+# multiple of N (f = 29523 < 59048/2 and f = 32766 < 65535/2 are their own
+# centred frequencies), 0 elsewhere
+@pytest.mark.parametrize("m, scale, f, want", [
+    (4095, 2, 2, 2e-3), (4095, 2, 1, 0.0), (4095, 2, 4094, 0.0),
+    (59048, 3, 3, 3e-3), (59048, 3, 29523, 3e-3), (59048, 3, 2, 0.0),
+    (65535, 2, 32766, 2e-3),
+])
+def test_grid_isometry_screen_reads_the_modes_at_multiples_of_the_scale(m, scale, f, want):
+    # bounds fixed before the run: rounding of M samples and one FFT is far
+    # below 1e-12, and the cosine at f theta up to 2 pi 32766 adds below 1e-11
+    assert abs(isometry_residual(_cosine_filter(m, f), scale) - want) <= (1e-11 if want else 1e-12)
+
+
+@pytest.mark.parametrize("m, scale", [(1, 2), (2, 3)])
+def test_grid_isometry_screen_on_grids_without_a_multiple_of_the_scale(m, scale):
+    assert isometry_residual(GridFunction(CircleGrid(m), np.ones(m)), scale) == 0.0
+
+
+def _complex_fft_screen(m, scale):
+    """The isometry screen over every mode of the full complex DFT: the reference."""
+    mm = m.grid.M
+    modes = np.fft.fft(np.abs(m.values) ** 2) / mm
+    freqs = np.fft.fftfreq(mm, d=1.0 / mm).astype(np.int64)
+    mult = (freqs % scale == 0) & (freqs != 0)
+    return float(scale * (np.sum(np.abs(modes[mult])) + abs(modes[0] - 1.0)))
+
+
+@pytest.mark.parametrize("m, scale", [(4095, 2), (65535, 2), (59048, 3), (80, 3), (255, 2),
+                                      (1, 2), (2, 3), (5, 2), (64, 3)])
+def test_real_fft_screen_matches_the_complex_fft(m, scale):
+    # bound fixed before the comparison: the two FFTs round differently, far
+    # below 1e-12 absolute on unimodular data (whose residual is rounding
+    # itself) and 1e-12 relative on moduli 1..1.1 (residual of order 1)
+    rng = np.random.default_rng(m * scale)
+    u = np.exp(2j * np.pi * rng.random(m))
+    uni = GridFunction(CircleGrid(m), u)
+    assert abs(isometry_residual(uni, scale) - _complex_fft_screen(uni, scale)) <= 1e-12
+    off = GridFunction(CircleGrid(m), u * (1.0 + 0.1 * rng.random(m)))
+    want = _complex_fft_screen(off, scale)
+    assert abs(isometry_residual(off, scale) - want) <= 1e-12 * want
 
 
 def test_eigenvector_definition_holds(haar_bank):
