@@ -155,15 +155,15 @@ def filter_values_at_angles(f: Filter, theta: np.ndarray,
     return f.values[j]
 
 
-def values_on_coset(f: Filter, scale: int, grid: CircleGrid, *,
-                    columns: int | None = None) -> np.ndarray:
-    """Array V[k, j] = m(rho^k z_j), k = 0..N-1, over grid points j < columns (default M).
+def values_on_coset(f: Filter, scale: int, grid: CircleGrid) -> np.ndarray:
+    """Array V[k, j] = m(rho^k z_j), k = 0..N-1, j = 0..M/N-1: the grid values as N rows.
 
     Each filter is sampled once on the grid (a grid filter must be bound to it),
-    and rotation by rho is the index shift M/N, so every kind needs N | M.
+    and rotation by rho is the index shift M/N, so every kind needs N | M and
+    row k is the k-th block of M/N values.  The rows are a view of the samples:
+    a grid filter gets its own read-only values back.
     """
     n, m = scale, grid.M
-    cols = m if columns is None else columns
     if m % n != 0:
         raise InputError(f"the grid size {m} is not divisible by the scale {n}")
     if isinstance(f, GridFunction):
@@ -174,7 +174,7 @@ def values_on_coset(f: Filter, scale: int, grid: CircleGrid, *,
         values = sample(f, grid).values
     else:
         values = filter_values_at_angles(f, grid.angles())
-    return values[(np.arange(cols)[None, :] + np.arange(n)[:, None] * (m // n)) % m]
+    return values.reshape(n, m // n)
 
 
 def _own_grid(f: Filter, scale: int) -> CircleGrid:
@@ -189,10 +189,9 @@ def _coset_gram(filters, scale: int):
     of the grid (_own_grid) only, whose cosets hold every grid point once.
     """
     grid = _own_grid(filters[0], scale)
-    cols = grid.M // scale
-    c = np.empty((cols, len(filters), scale), dtype=np.complex128)
+    c = np.empty((grid.M // scale, len(filters), scale), dtype=np.complex128)
     for i, f in enumerate(filters):
-        c[:, i, :] = values_on_coset(f, scale, grid, columns=cols).T
+        c[:, i, :] = values_on_coset(f, scale, grid).T
     c /= math.sqrt(scale)
     return c @ np.conj(c.transpose(0, 2, 1)), grid
 
@@ -444,7 +443,7 @@ def complete_filterbank(lowpass: Filter, scale: int) -> FilterBank:
     if isinstance(lowpass, LaurentPoly) and n == 2:
         return FilterBank(2, (lowpass, conjugate_mirror(lowpass)))
     grid = _own_grid(lowpass, n)  # N | M, or the gate above refused
-    coset = values_on_coset(lowpass, n, grid, columns=grid.M // n)  # coset[k, j] at k M/N + j
+    coset = values_on_coset(lowpass, n, grid)  # coset[k, j] at k M/N + j
     root_n = math.sqrt(n)
     q = householder_rows(coset.T / root_n)  # q[j] for orbit j
     out = root_n * q.transpose(1, 2, 0)  # out[r, k, j] = q[j, r, k]

@@ -37,14 +37,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cuntz import apply_filter_isometry, filter_window_adjoint
-from .filterbank import FilterBank, require_verified
-from .laurent import CircleGrid, InputError, LaurentPoly, invariant_radius, sample
+from .filterbank import FilterBank, default_check_grid, require_verified, values_on_coset
+from .laurent import CircleGrid, InputError, LaurentPoly, invariant_radius
 
 LAMBDA_DISK_TOL = 1e-6  # eigenvalues below 1 - this are truncation artifacts
 LAMBDA_CLUSTER_ARC = 1e-6
 VALIDATE_TOL = 1e-8  # bound on ||M phi - lambda phi|| of a unit candidate phi
 WINDOW_MAX = 1024  # default and cap of the bound on R: at most a 2049^2 eigensolve
-PAIRING_COSET_POINTS = 2048  # two polynomials are paired on N times this many points
 # why an eigenvalue is not counted: |lambda| below 1 - LAMBDA_DISK_TOL, or a singular
 # value of its cluster's exact residual block above VALIDATE_TOL
 REJECTION_REASONS = ("inside_disk", "failed_validation")
@@ -171,31 +170,32 @@ def pairing(polys, scale: int) -> tuple[np.ndarray, float]:
     """The Hermitian matrix of sum_k conj(phi_a(rho^k z)) phi_b(rho^k z), rho = exp(2 pi i / N),
     over the polynomials phi_a, and the worst constancy defect.
 
-    Each polynomial is sampled once on N * PAIRING_COSET_POINTS points (4096
-    at N = 2).  For eigenvectors of the combined isometry each function is
-    constant: its mean is the entry, its max deviation the defect.  It is N
-    times the coefficients' cross-correlation at lags divisible by N, so an
-    exact pairing needs no grid; this sampled one stays while the traced
-    ``spectral`` benchmark run requires its spans (ROADMAP item 4).  Entry
+    Each polynomial is sampled once on the default check grid (4096 points at
+    N = 2, 4098 at N = 3), as the N rows of values_on_coset: the function
+    summed over the rows is its value at the first M/N points, whose cosets
+    hold every grid point once.  For eigenvectors of the combined isometry
+    each function is constant: its mean is the entry, its max deviation the
+    defect.  It is N times the coefficients' cross-correlation at lags
+    divisible by N, so an exact pairing needs no grid, and the sampled mean
+    is exact while every lag is below M in size, as those of two eigenvectors
+    are (at most 2 WINDOW_MAX = 2048).  This sampled pairing stays while the
+    traced ``spectral`` benchmark run requires its spans (ROADMAP item 6).  Entry
     (b, a) is the exact conjugate of entry (a, b), as their pointwise imaginary
     parts are exact negatives summed in the same order: only a <= b is paired.
     """
-    grid = CircleGrid(scale * PAIRING_COSET_POINTS)
-    samples = [sample(p, grid).values for p in polys]
-    n = len(samples)
+    grid = default_check_grid(scale)
+    rows = [values_on_coset(p, scale, grid) for p in polys]
+    n = len(rows)
     mat = np.zeros((n, n), dtype=np.complex128)
     worst = 0.0
-    for a, pv in enumerate(samples):
+    for a, pv in enumerate(rows):
         for b in range(a, n):
-            sv = samples[b]
+            sv = rows[b]
             # conj(phi) psi from real products, so that swapping phi and psi negates
             # the imaginary part exactly (a fused complex multiply would not)
-            re = pv.real * sv.real + pv.imag * sv.imag
-            im = pv.real * sv.imag - pv.imag * sv.real
-            # summed over the N rotations rho^k z, shifts by M/N: one coset holds
-            # every value of the sum, and the mean is taken over all N of them
-            re, im = re.reshape(scale, -1).sum(axis=0), im.reshape(scale, -1).sum(axis=0)
-            val = complex(np.mean(np.tile(re, scale)), np.mean(np.tile(im, scale)))
+            re = (pv.real * sv.real + pv.imag * sv.imag).sum(axis=0)
+            im = (pv.real * sv.imag - pv.imag * sv.real).sum(axis=0)
+            val = complex(np.mean(re), np.mean(im))
             mat[b, a] = np.conj(val)
             mat[a, b] = val  # last, so the diagonal keeps the sampled value
             worst = max(worst, float(np.max(np.hypot(re - val.real, im - val.imag))))

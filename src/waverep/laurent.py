@@ -385,16 +385,18 @@ class CircleGrid:
         return _grid_angles(self.M)
 
     @classmethod
-    def dynamics_grid(cls, scale: int, lo: int = 4095, hi: int = 65535) -> "CircleGrid":
+    def dynamics_grid(cls, scale: int) -> "CircleGrid":
         """Canonical grid for the dynamics z -> z^scale.
 
         Sizes of the form scale**L - 1 are always coprime to the scale, so
-        j -> scale*j mod M permutes the grid.  L is picked so the grid lands
-        in [lo, hi] when possible; a second [lo, hi] gives a second coprime
-        grid for cross-checks.
+        j -> scale*j mod M permutes the grid.  L >= 2 is the least power
+        with scale**L - 1 >= 4095, or 2 where that power passes 65535: so M
+        lies in [4095, 65535] except N^2 - 1 at N = 41..63 (below) and at
+        N >= 257 (above).
         """
         if scale < 2:
             raise InputError("scale must be >= 2")
+        lo, hi = 4095, 65535
         L = 2
         while scale**L - 1 < lo:
             L += 1

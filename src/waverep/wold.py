@@ -30,7 +30,8 @@ unimodular measurable solution.  Each filter kind takes one route.
   defect is located by its grid point and the least point of its cycle
   (WoldReport.cocycle_worst).  A finite grid is not ergodic, so verdicts
   from raw grid data carry a grid_screen flag, and a callable is
-  cross-checked on the next coprime grid.
+  cross-checked on the next coprime grid: N^(L+1) - 1 points after the
+  N^L - 1 of its dynamics grid.
 """
 
 from __future__ import annotations
@@ -187,7 +188,8 @@ def wold_analysis(m: Filter, scale: int, probes_kmax: int = 20) -> WoldReport:
 
     A polynomial is decided by its coefficients, a grid filter on its own
     grid (whose size must be coprime to N, else InputError) and a callable
-    on CircleGrid.dynamics_grid(N).  UNIMODULAR_TOL bounds the unimodularity
+    on CircleGrid.dynamics_grid(N), of N^L - 1 points, with a unitary part
+    confirmed on N^(L+1) - 1 points.  UNIMODULAR_TOL bounds the unimodularity
     and the isometry residual of a unitary part; a filter whose isometry
     residual exceeds it is no isometry symbol and gets neither a unitary part
     nor a projection decay.
@@ -217,9 +219,9 @@ def wold_analysis(m: Filter, scale: int, probes_kmax: int = 20) -> WoldReport:
         return report
     lam, xi_vals, resid, j = grid_hit
     if not isinstance(m, GridFunction):
-        # a callable can be re-evaluated: cross-check on a second coprime grid
-        second = CircleGrid.dynamics_grid(scale, lo=grid.M + 1,
-                                          hi=max(65535, (grid.M + 1) * scale))
+        # a callable can be re-evaluated: cross-check on the next coprime grid,
+        # N^(L+1) - 1 after M = N^L - 1
+        second = CircleGrid(scale * grid.M + scale - 1)
         report.grid_sizes = (grid.M, second.M)
         # both grids hold z = 1, so both pin the same lambda = m(1)/|m(1)|
         if _grid_eigendata(values_on_coset(m, 1, second)[0], second, scale) is None:

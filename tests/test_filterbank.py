@@ -336,11 +336,31 @@ def _per_pair_residuals(bank, grid):
     return qmf, pw, float(np.max(norms)), grid.points()[np.argmax(norms)]
 
 
-def test_coset_columns_restrict_the_grid(db4_bank, shannon_bank):
-    grid = CircleGrid(4096)
-    for f in (db4_bank.filters[0], shannon_bank.filters[1]):
-        head = values_on_coset(f, 2, grid, columns=10)
-        assert np.array_equal(head, values_on_coset(f, 2, grid)[:, :10])
+def gathered_coset(f, scale, grid):
+    """The former coset rows: the filter's grid values gathered at (j + k M/N) mod M,
+    k < N, j < M/N, for every kind."""
+    n, m = scale, grid.M
+    if isinstance(f, GridFunction):
+        values = f.values
+    elif isinstance(f, LaurentPoly):
+        values = sample(f, grid).values
+    else:
+        values = filter_values_at_angles(f, grid.angles())
+    return values[(np.arange(m // n)[None, :] + np.arange(n)[:, None] * (m // n)) % m]
+
+
+@pytest.mark.parametrize("scale", [2, 3, 8])
+def test_coset_rows_are_the_gathered_rotations(scale, rng):
+    grid = default_check_grid(scale)
+    poly = LaurentPoly(rng.normal(size=7) + 1j * rng.normal(size=7), -3)
+    on_grid = exact_sample(poly, grid)
+    for f in (poly, on_grid, angle_rule(poly)):
+        rows = values_on_coset(f, scale, grid)
+        assert rows.shape == (scale, grid.M // scale)
+        assert rows.tobytes() == gathered_coset(f, scale, grid).tobytes()
+    # a grid filter's rows are its own read-only values, not a copy
+    rows = values_on_coset(on_grid, scale, grid)
+    assert np.shares_memory(rows, on_grid.values) and not rows.flags.writeable
 
 
 @pytest.mark.parametrize("name", ["haar8", "db4", "paraunitary8", "shannon"])

@@ -13,6 +13,7 @@ from waverep.filterbank import (
     VERIFY_TOL,
     FilterBank,
     check_bank,
+    default_check_grid,
     require_verified,
     unitarity_residual,
 )
@@ -20,7 +21,6 @@ from waverep.cuntz import apply_filter_isometry, filter_window_adjoint
 from waverep.index import (
     LAMBDA_CLUSTER_ARC,
     LAMBDA_DISK_TOL,
-    PAIRING_COSET_POINTS,
     REJECTION_REASONS,
     VALIDATE_TOL,
     WINDOW_MAX,
@@ -211,7 +211,7 @@ def test_pairing_is_bitwise_the_rolled_fold(m, rng):
     # two polynomials of m coefficients on the 4096-point pairing grid: each
     # table entry is summed in the same order as over the rolled sum, not
     # over one half, and the defect is the worst of the three pairs
-    grid = CircleGrid(2 * PAIRING_COSET_POINTS)
+    grid = default_check_grid(2)
     for _ in range(5):
         phi, psi = (LaurentPoly(rng.normal(size=m) + 1j * rng.normal(size=m), -(m // 2))
                     for _ in range(2))
@@ -618,14 +618,14 @@ def exact_pairing(phi, psi, scale):
 
 
 @pytest.mark.parametrize("case", ["random2", "random3", "random4", "haar2", "haar3", "haar4",
-                                  "planted0", "planted1", "planted2"])
+                                  "haar64", "haar256", "planted0", "planted1", "planted2"])
 def test_sampled_pairing_agrees_with_the_exact_formula(case, rng):
     if case.startswith("random"):
-        scale = int(case[-1])
+        scale = int(case.removeprefix("random"))
         polys = [random_poly(rng, 4) for _ in range(3)]
     else:
         filters = WINDOW_CASES[case] if case.startswith("planted") else fixtures.haar(
-            int(case[-1])).filters
+            int(case.removeprefix("haar"))).filters
         scale = len(filters)
         polys = [s.eigenvector for s in spectral_solutions(*filters).solutions]
         assert len(polys) == 2

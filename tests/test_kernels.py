@@ -2,10 +2,13 @@
 
 Each kernel was rewritten to allocate once; these copies are the loops it
 replaced, and every comparison is bitwise: equal values, equal signs of
-zero, equal degree windows.  The one exception is evaluation below degree
--1, where the old loop padded zeros up to degree -1: it is compared within
-a stated rounding bound.
+zero, equal degree windows.  Two exceptions are compared within a stated
+rounding bound: evaluation below degree -1, where the old loop padded zeros
+up to degree -1, and the scale-3 pairing, whose old mean ran over three
+copies of its coset sums.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from waverep import cuntz, fixtures, wold
 from waverep.cuntz import apply_filter_adjoint
-from waverep.index import PAIRING_COSET_POINTS, pairing
+from waverep.filterbank import default_check_grid
+from waverep.index import pairing
 from waverep.laurent import TRIM_TOL, CircleGrid, LaurentPoly, sample
 
 # ---------------------------------------------------------------------------
@@ -277,15 +281,24 @@ def test_pairing_table_is_the_per_pair_pairing(polys):
 
 
 def test_pairing_reads_samples_on_one_even_grid(rng):
-    # the polynomials are sampled once on N * PAIRING_COSET_POINTS points, 4096 at N = 2,
-    # where rotation by rho is a shift by PAIRING_COSET_POINTS points
+    # the polynomials are sampled once on the default check grid, 4096 points at
+    # N = 2 and 4 and 4098 at N = 3, where rotation by rho is a shift by M/N points
     polys = [LaurentPoly(rng.normal(size=5) + 1j * rng.normal(size=5), -2),
              LaurentPoly(rng.normal(size=4) + 1j * rng.normal(size=4), -1)]
     for scale in (2, 3, 4):
         mat, worst = pairing(polys, scale)
-        grid = CircleGrid(scale * PAIRING_COSET_POINTS)
+        grid = default_check_grid(scale)
         ref, ref_worst = old_pairing_table(polys, scale, grid)
-        assert mat.tobytes() == ref.tobytes() and worst == ref_worst > 1e-3
+        assert worst > 1e-3
+        if scale in (2, 4):
+            # N copies of M/N = 2048 or 1024 values split evenly in numpy's pairwise sum
+            assert mat.tobytes() == ref.tobytes() and worst == ref_worst
+            continue
+        # the former mean ran over N copies of the M/N coset sums: both means sum
+        # values of size at most N max ||phi||_1^2, each within 4 log2(M) eps of it
+        size = scale * max(float(np.sum(np.abs(p.coeffs))) for p in polys) ** 2
+        bound = 4 * math.log2(grid.M) * np.finfo(float).eps * size
+        assert np.max(np.abs(mat - ref)) <= bound and abs(worst - ref_worst) <= bound
 
 
 # ---------------------------------------------------------------------------

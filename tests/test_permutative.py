@@ -511,7 +511,7 @@ def test_char_rep_validates_modulus(dyn_grid):
 
 
 def test_equivalence_requires_matching_grids(dyn_grid):
-    other = CircleGrid.dynamics_grid(2, lo=dyn_grid.M + 1)
+    other = CircleGrid(2 * dyn_grid.M + 1)
     r1 = CharRep(2, GridFunction(dyn_grid, np.ones(dyn_grid.M)))
     r2 = CharRep(2, GridFunction(other, np.ones(other.M)))
     with pytest.raises(ValueError):

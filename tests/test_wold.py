@@ -201,6 +201,25 @@ def test_the_callable_cross_check_grid_below_the_lower_size():
     assert rep.grid_sizes == (41**2 - 1, 41**3 - 1) and rep.unitary_dim == 1
 
 
+def searched_cross_check_size(scale, first):
+    """The former cross-check size: the dynamics-grid search over N^L - 1, L >= 2,
+    run on [first + 1, max(65535, (first + 1) N)] in place of [4095, 65535]."""
+    lo, hi = first + 1, max(65535, (first + 1) * scale)
+    L = 2
+    while scale**L - 1 < lo:
+        L += 1
+    while scale**L - 1 > hi and L > 2:
+        L -= 1
+    return scale**L - 1
+
+
+def test_the_cross_check_size_is_the_next_power():
+    # N M + N - 1 = N^(L+1) - 1 after M = N^L - 1: sizes only, no grid is built
+    for scale in range(2, 65):
+        first = CircleGrid.dynamics_grid(scale).M
+        assert scale * first + scale - 1 == searched_cross_check_size(scale, first)
+
+
 def test_isometry_precondition_enforced():
     # 1 + z is no isometry symbol: the report says so by its residual, finds no
     # unitary part and builds no projection decay
