@@ -331,6 +331,7 @@ def cmd_index(args):
     info = {
         "index": rep.index,
         "window": rep.window,
+        "window_modes": list(rep.window_modes),
         "eigenvalues": [s.eigenvalue for s in rep.solutions],
         "solutions": [ser.poly_to_dict(s.eigenvector) for s in rep.solutions],
         "pairing_matrix": rep.pairing_matrix,

@@ -10,10 +10,11 @@ The adjoint is digit extraction: the coefficient of z^k in S_i* xi is the
 coefficient of z^(N k) in conj(m_i) xi.  No grid quadrature is involved; a
 representation takes a polynomial bank only.
 
-The modes W = [-R, R], R = laurent.invariant_radius of the filter's degree
-range, are invariant under S*, and S* carries every mode into them.  So
-S*|_W is a finite matrix gathered from the taps (filter_window_adjoint), the
-one window V_i* = S_i*|_W of a bank that wold and index read.
+The modes T = [p, q] = laurent.invariant_window of the filters' degree range
+are invariant under S*, and S* carries every mode into them.  So S*|_T is a
+finite matrix gathered from the taps (filter_window_adjoint): for a bank,
+the window matrices V_i* = S_i*|_T that index reads, and for one filter the
+matrix that wold steps its probes with.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filterbank import FilterBank, require_verified
-from .laurent import TRIM_TOL, InputError, LaurentPoly
+from .laurent import InputError, LaurentPoly, invariant_window
 
 
 # ---------------------------------------------------------------------------
@@ -52,29 +53,27 @@ def apply_filter_adjoint(m: LaurentPoly, scale: int, xi: LaurentPoly) -> Laurent
     return LaurentPoly._owned(prod[k_lo * scale - lo :: scale].copy(), k_lo)
 
 
-def filter_window_adjoint(m: LaurentPoly, scale: int, radius: int) -> np.ndarray:
-    """The (2r+1) x (2r+1) matrix of S* on the modes W = [-r, r], r = radius.
+def filter_window_adjoint(m: LaurentPoly, scale: int, window: tuple[int, int]) -> np.ndarray:
+    """The matrix of S* on the modes [p, q] = window, of size q - p + 1.
 
-    Entry [k + r, n + r] is the coefficient of z^k in S* z^n, the tap
-    conj(m_(n - N k)): one gather, checked against one exact adjoint of a
-    probe on W.  r = invariant_radius of m's degree range (or a bank's) makes
-    W invariant; a tap above TRIM_TOL that carries a mode of W outside it
-    raises ValueError, tap by tap, so no taps can cancel and hide the leak.
+    Entry [k - p, n - p] is the coefficient of z^k in S* z^n, the tap
+    conj(m_(n - N k)): one strided view of the taps of degrees p - N q to
+    q - N p, checked against one exact adjoint of a probe on the window.
+    InputError unless p <= q, p <= tp and q >= tq for (tp, tq) =
+    laurent.invariant_window of m's degree range: those windows are invariant
+    under S*, and a bank's window is one of them for each of its filters.
     """
-    # rows k = lo..hi: W and every mode W reaches, N k in [-r - max_degree, r - min_degree]
-    lo = min(-radius, -((radius + m.max_degree) // scale))
-    hi = max(radius, (radius - m.min_degree) // scale)
-    taps = np.conj(m.coeff_window(-radius - scale * hi, radius - scale * lo))
-    # row k: the 2r+1 taps from degree -r - N k on, N (hi - k) into taps (16 bytes a tap)
-    rows = np.ndarray((hi - lo + 1, 2 * radius + 1), taps.dtype, taps, scale * (hi - lo) * 16,
-                      (-16 * scale, 16)).copy()
-    leaks = np.abs(np.concatenate((rows[: -radius - lo], rows[radius - lo + 1 :]))) > TRIM_TOL
-    if leaks.any():
-        n = np.flatnonzero(leaks.any(axis=0))[0] - radius
-        raise ValueError(f"S* z^{n} leaves the window [-{radius}, {radius}]")
-    out = rows[-radius - lo : radius - lo + 1]
-    probe = LaurentPoly._owned(np.exp(1j * np.arange(2 * radius + 1)), -radius)  # distinct entries
-    exact = apply_filter_adjoint(m, scale, probe).coeff_window(-radius, radius)
+    p, q = window
+    tp, tq = invariant_window(m.min_degree, m.max_degree, scale)
+    if not (p <= min(q, tp) and tq <= q):
+        raise InputError(f"the window [{p}, {q}] is empty or does not hold the invariant "
+                         f"window [{tp}, {tq}] of S*")
+    taps = np.conj(m.coeff_window(p - scale * q, q - scale * p))
+    # row k: the q - p + 1 taps from degree p - N k on, N (q - k) into taps (16 bytes a tap)
+    dim = q - p + 1
+    out = np.ndarray((dim, dim), taps.dtype, taps, scale * (dim - 1) * 16, (-16 * scale, 16)).copy()
+    probe = LaurentPoly._owned(np.exp(1j * np.arange(dim)), p)  # distinct entries
+    exact = apply_filter_adjoint(m, scale, probe).coeff_window(p, q)
     # each entry sums at most len(m.coeffs) products, in another order than the exact adjoint's
     bound = 2 * (len(m.coeffs) + 1) * np.finfo(float).eps * float(np.abs(m.coeffs).sum())
     if np.max(np.abs(out @ probe.coeffs - exact)) > bound:

@@ -8,19 +8,21 @@ its Wold decomposition; the total dimension of the validated eigenspaces is
 reported as the index of the bank.
 
 The window the filters fix.  With [a, b] the bank's degree range and
-R = laurent.invariant_radius(a, b, N), W = [-R, R] is invariant under every
-S_k* and the diagonal R_k*, so under M*, and M sends z^n with |n| > R into
-the modes [N n + a, N n + b], all farther out than n.  So in the basis (W,
-outer modes) M is block lower-triangular [[A, 0], [B, C]] with C pushing
-every mode outward: unit-circle eigenvectors lie in W, and a smaller window
-cuts A.  So the eigensolve always runs on W, the window a report gives, and
-the caller's window only bounds R.  A = (N^(-1/2) sum_k diag(rho^(-kn)) V_k*)^H
-is read from the window matrices V_k* = S_k*|_W of cuntz.filter_window_adjoint.
+T = [p, q] = laurent.invariant_window(a, b, N), p = -floor(b / (N - 1)) and
+q = floor(-a / (N - 1)), T is invariant under every S_k* and the diagonal
+R_k*, so under M*.  M sends z^n into the modes [N n + a, N n + b]: for n > q
+they all lie above n, and for n < p all below n.  So in the basis (T, outer
+modes) M is block lower-triangular [[A, 0], [B, C]] with C pushing every
+mode farther out: unit-circle eigenvectors lie in T, and a smaller window
+cuts A.  So the eigensolve always runs on T, whose modes a report gives;
+the caller's window bounds only R = max(-p, q), the radius of the symmetric
+window [-R, R] that holds T.  A = (N^(-1/2) sum_k diag(rho^(-kn)) V_k*)^H
+is read from the window matrices V_k* = S_k*|_T of cuntz.filter_window_adjoint.
 Every power of rho is read from the table CircleGrid(N).points() at an exponent mod N.
 Eigenvalues come first; only unit-circle clusters get columns x, which the
 exact combined_isometry_apply, sharing nothing with that gather, maps once.
 For v in their span the residual's square is ||(A - lambda) v||^2 + ||B v||^2,
-so v validates exactly when its image stays in W: a cluster's dimension is
+so v validates exactly when its image stays in T: a cluster's dimension is
 the number of singular values of (M - lambda) x at most VALIDATE_TOL.
 
 Eigenvalues inside the disk are truncation effects and are not counted.  At
@@ -38,7 +40,7 @@ import numpy as np
 
 from .cuntz import apply_filter_isometry, filter_window_adjoint
 from .filterbank import FilterBank, default_check_grid, require_verified, values_on_coset
-from .laurent import CircleGrid, InputError, LaurentPoly, invariant_radius
+from .laurent import CircleGrid, InputError, LaurentPoly, invariant_window
 
 LAMBDA_DISK_TOL = 1e-6  # eigenvalues below 1 - this are truncation artifacts
 LAMBDA_CLUSTER_ARC = 1e-6
@@ -49,12 +51,11 @@ WINDOW_MAX = 1024  # default and cap of the bound on R: at most a 2049^2 eigenso
 REJECTION_REASONS = ("inside_disk", "failed_validation")
 
 
-def combined_isometry_apply(filters, xi: LaurentPoly, check: bool = True) -> LaurentPoly:
+def combined_isometry_apply(filters, xi: LaurentPoly) -> LaurentPoly:
     """Apply xi -> N^(-1/2) sum_k m_k(z) xi(rho^k z^N) exactly on coefficients: each
-    term is S_k (cuntz.apply_filter_isometry) of xi rotated by rho^k."""
+    term is S_k (cuntz.apply_filter_isometry) of xi rotated by rho^k.  The filters
+    are not checked here; spectral_solutions verifies its bank once."""
     n = len(filters)
-    if check:
-        require_verified(FilterBank(n, filters))
     degrees = np.arange(xi.min_degree, xi.min_degree + len(xi.coeffs))
     # row k: rho^(k d); d is reduced first, so that k d cannot wrap in int64
     rotations = CircleGrid(n).points()[np.arange(n)[:, None] * (degrees % n) % n]
@@ -74,7 +75,8 @@ class SpectralSolution:
 class SpectralReport:
     solutions: list
     index: int
-    window: int
+    window: int  # R = max(-p, q), the bound the caller's window is checked against
+    window_modes: tuple  # T = [p, q], the modes the eigensolve runs on
     pairing_matrix: np.ndarray
     pairing_residual: float
     eigenspace_dims: dict = field(default_factory=dict)
@@ -116,10 +118,11 @@ def peripheral_eigenspaces(a: np.ndarray) -> tuple[list, int]:
 def spectral_solutions(*filters: LaurentPoly, window: int = WINDOW_MAX) -> SpectralReport:
     """Validated unit-circle eigenpairs of the combined isometry of the N filters, and the index.
 
-    The operator is compressed to W = [-R, R], R = invariant_radius of the bank
-    (InputError unless N polynomials give R <= window <= WINDOW_MAX).  A solution
-    is x v, v a right singular vector of the residual block (M - lambda) x whose
-    singular value, the solution's residual, is at most VALIDATE_TOL.
+    The operator is compressed to T = [p, q] = invariant_window of the bank
+    (InputError unless N polynomials give R = max(-p, q) <= window <= WINDOW_MAX).
+    A solution is x v, v a right singular vector of the residual block
+    (M - lambda) x whose singular value, the solution's residual, is at most
+    VALIDATE_TOL.
     """
     if not 0 <= window <= WINDOW_MAX:
         raise InputError(f"window must be in 0..{WINDOW_MAX}, got {window}")
@@ -127,15 +130,17 @@ def spectral_solutions(*filters: LaurentPoly, window: int = WINDOW_MAX) -> Spect
     bank = FilterBank(n, filters)
     if bank.kind != "poly":
         raise InputError(f"the index needs a polynomial bank, got a {bank.kind} bank")
-    k = invariant_radius(min(f.min_degree for f in filters), max(f.max_degree for f in filters), n)
-    if k > window:
-        raise InputError(f"the index is solved on the bank's window R = {k}, above {window}")
+    p, q = invariant_window(min(f.min_degree for f in filters), max(f.max_degree for f in filters), n)
+    radius = max(-p, q)
+    if radius > window:
+        raise InputError(f"the index is solved on the bank's window [{p}, {q}], whose radius "
+                         f"R = {radius} is above {window}")
     require_verified(bank)
-    # a.T is A, summed in place so that eigvals holds one (2R+1)^2 matrix beside its own
-    phases = CircleGrid(n).points()[-np.arange(n)[:, None] * np.arange(-k, k + 1) % n]
-    a = np.zeros((2 * k + 1, 2 * k + 1), dtype=np.complex128)
+    # a.T is A, summed in place so that eigvals holds one dim T^2 matrix beside its own
+    phases = CircleGrid(n).points()[-np.arange(n)[:, None] * np.arange(p, q + 1) % n]
+    a = np.zeros((q - p + 1, q - p + 1), dtype=np.complex128)
     for phase, m in zip(phases, filters):
-        v = filter_window_adjoint(m, n, k)
+        v = filter_window_adjoint(m, n, (p, q))
         a += np.multiply(phase[:, None], v, out=v)
     del v
     np.multiply(np.conjugate(a, out=a), 1.0 / math.sqrt(n), out=a)
@@ -144,8 +149,8 @@ def spectral_solutions(*filters: LaurentPoly, window: int = WINDOW_MAX) -> Spect
     rejected = {"inside_disk": inside, "failed_validation": 0}
     for lam, x in spaces:
         # the exact residual block, padded by zero rows to at least one row per column
-        phis = [LaurentPoly(col, min_degree=-k) for col in x.T]
-        res = [combined_isometry_apply(filters, p, check=False) - lam * p for p in phis]
+        phis = [LaurentPoly(col, min_degree=p) for col in x.T]
+        res = [combined_isometry_apply(filters, phi) - lam * phi for phi in phis]
         lo = min(r.min_degree for r in res)
         hi = max(lo + len(res) - 1, *(r.max_degree for r in res))
         block = np.stack([r.coeff_window(lo, hi) for r in res], axis=1)
@@ -155,13 +160,13 @@ def spectral_solutions(*filters: LaurentPoly, window: int = WINDOW_MAX) -> Spect
         if keep.any():
             dims[lam] = int(keep.sum())
         for col, resid in zip((x @ vh[keep].conj().T).T, svals[keep]):
-            solutions.append(SpectralSolution(lam, LaurentPoly(col, min_degree=-k), float(resid)))
+            solutions.append(SpectralSolution(lam, LaurentPoly(col, min_degree=p), float(resid)))
 
     pairing_mat, pairing_resid = pairing([s.eigenvector for s in solutions], n)
     total = sum(dims.values())
     anomaly = (f"index {total} exceeds 2 for a scale-2 pair; this contradicts the unitary-part "
                "structure and is reported for inspection") if n == 2 and total > 2 else None
-    return SpectralReport(solutions=solutions, index=total, window=k,
+    return SpectralReport(solutions=solutions, index=total, window=radius, window_modes=(p, q),
                           pairing_matrix=pairing_mat, pairing_residual=pairing_resid,
                           eigenspace_dims=dims, anomaly=anomaly, rejected=rejected)
 

@@ -355,16 +355,24 @@ def _cycle_table(m: int, scale: int) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def invariant_radius(lo: int, hi: int, scale: int) -> int:
-    """R = floor(max(-lo, hi, 0) / (N - 1)) for filters with degrees in [lo, hi].
+def invariant_window(lo: int, hi: int, scale: int) -> tuple[int, int]:
+    """T = [p, q], p = -floor(hi / (N - 1)), q = floor(-lo / (N - 1)), for filters
+    with degrees in [lo, hi]: the modes t with -(N - 1) t in [lo, hi].
 
     The scale-N adjoint of such a filter, xi -> (1/N) sum_k conj(m) xi over
-    the coset of z, sends z^n into the modes [(n - hi)/N, (n - lo)/N], and
-    A = max(-lo, hi, 0) < (N - 1)(R + 1) keeps them in [-R, R] when |n| <= R
-    and strictly inside |n| otherwise.  So the modes [-R, R] are invariant
-    under every adjoint of a bank, and every mode is carried into them.
+    the coset of z, sends z^n into the modes [(n - hi)/N, (n - lo)/N].  A mode
+    n > q has (N - 1) n > -lo, so its image lies strictly below n; a mode
+    n < p has (N - 1) n < -hi, so its image lies strictly above n; and the
+    modes of [p, q] stay in [p, q].  So every interval [p', q'] with p' <= p
+    and q' >= q is invariant under every adjoint of a bank, and every mode is
+    carried into it.  T is empty (p = q + 1) exactly when [lo, hi] holds no
+    multiple of N - 1, for a single filter such as z^d with (N - 1) not
+    dividing d; a bank's taps meet every residue mod N, so hi - lo >= N - 1
+    and its T is never empty.  R = max(-p, q) = floor(max(-lo, hi, 0) / (N - 1))
+    is the radius of the symmetric window [-R, R] that holds T: the bound a
+    caller sets on it, not a window anything is solved on.
     """
-    return max(-lo, hi, 0) // (scale - 1)
+    return -(hi // (scale - 1)), -lo // (scale - 1)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,13 @@ and the adjoints funnel every integer down the unique branch
 k -> (k - d_i)/N with d_i matching k mod N.  The invariant subspaces are
 spanned by the monomials they contain, so decomposing the family is pure
 integer dynamics: a mode belongs to the component of the cycle its backward
-funnel reaches.  Let R = floor(max|d_i| / (N-1)).  Every ball |k| <= rho with
-rho >= R is invariant under the backward map: max|d_i| < (N-1)(R+1) gives
-|k - d_i| <= rho + max|d_i| < rho + (N-1)(R+1) <= N(rho+1), so the integer
-(k - d_i)/N has modulus at most rho.  Outside the ball of radius R the map
-strictly shrinks |k|, so every cycle lies in that ball.  The modes of the
+funnel reaches.  The backward map is S* on monomials, so every cycle lies in
+the invariant window [p, q] = laurent.invariant_window of the digits, and so
+in the ball |k| <= R, R = max(-p, q) = floor(max|d_i| / (N-1)).  Every ball
+|k| <= rho with rho >= R is invariant under the backward map:
+max|d_i| < (N-1)(R+1) gives |k - d_i| <= rho + max|d_i| < rho + (N-1)(R+1)
+<= N(rho+1), so the integer (k - d_i)/N has modulus at most rho.  Outside
+the ball of radius R the map strictly shrinks |k|.  The modes of the
 window [-K, K] are labelled on the ball of radius rho = max(K, R):
 ceil(log2(2 rho + 1)) doublings of the backward map land every mode on its
 cycle, and the cycles come from the pointer doubling that CircleGrid.cycles
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .laurent import (CircleGrid, GridFunction, InputError, _cycles_of, invariant_radius,
+from .laurent import (CircleGrid, GridFunction, InputError, _cycles_of, invariant_window,
                       require_degrees)
 
 CYCLE_ARC_TOL = 1e-8  # arc bound, per cycle point, on each cycle product of _telescope
@@ -69,8 +71,10 @@ class MonomialRep:
         return (k - d) // self.scale
 
     def cycle_radius(self) -> int:
-        """All cycle points satisfy |c| <= R = max|d| // (N-1), the invariant radius."""
-        return invariant_radius(min(self.digits), max(self.digits), self.scale)
+        """R = max(-p, q) = max|d| // (N-1) for the invariant window [p, q] of the
+        digits: every cycle lies in [p, q], and so in the ball |c| <= R."""
+        p, q = invariant_window(min(self.digits), max(self.digits), self.scale)
+        return max(-p, q)
 
 
 def parse_digits(text: str) -> list[int]:

@@ -13,9 +13,10 @@ Complex values, here and in the CLI's run reports, are [re, im] pairs of
 floats, encoded and decoded bit-exactly by one codec (_cvec / _vec_c).
 Decoding raises laurent.InputError for input outside these formats: a
 missing key, a value of the wrong type (an integer field given as a string,
-a boolean or a fraction, for example), pairs of the wrong shape, or a value
-that is not finite (JSON readers accept NaN and Infinity); the constructors
-it calls raise it for a grid size M < 1 or a bank's scale, count or grids.
+a boolean or a fraction, or a boolean inside a pair, for example), pairs of
+the wrong shape, or a value that is not finite (JSON readers accept NaN and
+Infinity); the constructors it calls raise it for a grid size M < 1 or a
+bank's scale, count or grids.
 
 Callable-kind banks have no sample-free encoding; exporting one samples it
 onto a grid (size divisible by the scale) and marks kind "grid".
@@ -31,6 +32,7 @@ stdout gets a byte.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -54,10 +56,18 @@ def _vec_c(pairs, shape: tuple | None = None) -> np.ndarray:
     if a.shape == (0,):  # [], e.g. the zero polynomial's coefficients
         a = a.reshape(0, 2)
     want = a.shape[:1] if shape is None else tuple(shape)
-    if a.dtype.kind not in "biuf" or a.shape != want + (2,):
+    if a.dtype.kind not in "iuf" or a.shape != want + (2,):
         raise InputError(f"expected [re, im] pairs of shape {want}, got {a.dtype} {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InputError("complex values must be finite (no NaN or Infinity)")
+    # a JSON true or false among numbers reads as 1 or 0, so only an array
+    # holding one of those values can hide a boolean: then scan the entries' types
+    if ((a == 0) | (a == 1)).any():
+        flat = pairs
+        for _ in range(a.ndim - 1):
+            flat = itertools.chain.from_iterable(flat)
+        if bool in set(map(type, flat)):
+            raise InputError("complex values must be numbers, not booleans")
     return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
 
 

@@ -13,9 +13,10 @@ unimodular measurable solution.  Each filter kind takes one route.
   polynomial is a single monomial c z^d, and a fixed Fourier mode exists
   iff (N-1) divides d, giving the closed form xi = z^(-d/(N-1)) and
   lambda = c.  The projection decay ||S^k S*^k xi|| of a batch of probes is
-  computed on the window W = [-R, R], R = laurent.invariant_radius of m,
-  which S* leaves invariant: one isometry gate and one matrix of S*|_W for
-  all probes (range_projection_norms), built only for an isometry.
+  computed on the window T = laurent.invariant_window of m, which S* leaves
+  invariant and carries every mode into: one isometry gate and one matrix of
+  S*|_T for all probes (range_projection_norms), built only for an
+  isometry whose T is not empty.
 * A grid filter is solved on its own grid, which must have size coprime
   to N so that z -> z^N permutes the points, and a callable on
   CircleGrid.dynamics_grid(N).  A grid filter's isometry residual comes
@@ -49,7 +50,7 @@ from .filterbank import (
     require_verified,
     values_on_coset,
 )
-from .laurent import CircleGrid, GridFunction, InputError, LaurentPoly, invariant_radius
+from .laurent import CircleGrid, GridFunction, InputError, LaurentPoly, invariant_window
 from .permutative import _telescope
 
 # bound on the isometry and the unimodularity residual of a unitary part
@@ -102,13 +103,16 @@ def range_projection_norms(m: Filter, scale: int, probes, k_max: int) -> list[li
     report a unitary for any filter.  One isometry gate serves all probes:
     ValueError when the isometry residual exceeds UNIMODULAR_TOL.
 
-    The decay is computed on the window W = [-R, R], R = invariant_radius of
-    m: S* leaves W invariant and carries every mode into it.  Each probe is
-    stepped by exact adjoints until it lies in W, and then all probes advance
-    together by the matrix of S*|_W (cuntz.filter_window_adjoint), one
-    product per k.  The window is a (2R+1)^2 matrix, so it is built only
-    when the steps left to the exact chain are at least 2R+1; a wider
-    window (4099 modes for z^2049) keeps the chain and allocates no matrix.
+    The decay is computed on the window T = [p, q] = invariant_window of m:
+    S* leaves T invariant and carries every mode into it.  Each probe is
+    stepped by exact adjoints until it lies in T, and then all probes advance
+    together by the matrix of S*|_T (cuntz.filter_window_adjoint), one
+    product per k.  The window is a (q - p + 1)^2 matrix, so it is built
+    only when the steps left to the exact chain are at least q - p + 1; a
+    wider window (4098 modes for (1 + z^4097)/sqrt(2)) keeps the chain and
+    allocates no matrix.  T is empty when the degree range of m holds no
+    multiple of N - 1, as for z^d with (N - 1) not dividing d: S* is then
+    nilpotent on polynomials, and every probe takes the exact chain to 0.
     """
     if not isinstance(m, LaurentPoly):
         raise TypeError("range projections need a polynomial filter (exact adjoints)")
@@ -122,25 +126,25 @@ def range_projection_norms(m: Filter, scale: int, probes, k_max: int) -> list[li
         raise ValueError(f"filter is not an isometry symbol (residual {res:.3g})")
     # S is an isometry (residual checked above), so ||S^k S*^k xi|| equals
     # ||S*^k xi||; re-applying S^k would only inflate the degree by N^k.
-    radius = invariant_radius(m.min_degree, m.max_degree, scale)
+    lo, hi = invariant_window(m.min_degree, m.max_degree, scale)
     carried, out = [], []
     for p in probes:
         norms = [p.norm2()]
         while len(norms) <= k_max and not (
-                p.is_zero() or (-radius <= p.min_degree and p.max_degree <= radius)):
+                p.is_zero() or (lo <= p.min_degree and p.max_degree <= hi)):
             p = apply_filter_adjoint(m, scale, p)
             norms.append(p.norm2())
         carried.append(p)
         out.append(norms)
     steps = [k_max + 1 - len(norms) for norms in out]
-    if 2 * radius + 1 > sum(steps):
+    if lo > hi or hi - lo + 1 > sum(steps):
         for p, norms in zip(carried, out):
             while len(norms) <= k_max:
                 p = apply_filter_adjoint(m, scale, p)
                 norms.append(p.norm2())
         return out
-    window = filter_window_adjoint(m, scale, radius)
-    vecs = np.stack([p.coeff_window(-radius, radius) for p in carried], axis=1)
+    window = filter_window_adjoint(m, scale, (lo, hi))
+    vecs = np.stack([p.coeff_window(lo, hi) for p in carried], axis=1)
     path = np.empty((max(steps), *vecs.shape), dtype=np.complex128)
     for k in range(len(path)):
         vecs = path[k] = window @ vecs

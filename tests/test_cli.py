@@ -172,8 +172,10 @@ def test_decompose_exits_one_when_the_funnel_breaks_forward_invariance(monkeypat
 def test_index_reports_rejected_candidates(capsys):
     code, rep = run_json(capsys, ["index", "--fixture", "db4", "--window", "64"])
     assert code == 0
-    assert rep["info"]["rejected"] == {"failed_validation": 0, "inside_disk": 11}
-    assert 2 * rep["info"]["window"] + 1 == 11
+    # db4 spans degrees 0..5: T = [-5, 0], whose 6 modes all lie inside the
+    # disk, and R = 5 is the bound --window is checked against
+    assert rep["info"]["rejected"] == {"failed_validation": 0, "inside_disk": 6}
+    assert rep["info"]["window_modes"] == [-5, 0] and rep["info"]["window"] == 5
 
 
 def test_index_says_which_solution_holds_its_worst_residual(monkeypatch, capsys):
@@ -239,6 +241,7 @@ def test_index_is_solved_on_the_bank_window(window, tmp_path, capsys):
     argv = ["index", "--bank", _planted_bank_file(tmp_path)]
     code, rep = run_json(capsys, argv + ([] if window is None else ["--window", str(window)]))
     assert code == 0 and rep["info"]["index"] == 2 and rep["info"]["window"] == 12
+    assert rep["info"]["window_modes"] == [-12, 9]  # degrees -9..12
     assert rep["inputs"]["window"] == (idx.WINDOW_MAX if window is None else window)
 
 
@@ -762,6 +765,9 @@ def _bytes_file(tmp_path, data):
     "cascade_bank_degree_above_bound",
     "check_bank_max_degree_above_bound",
     "dilate_ops_above_word_cap",
+    # JSON true and false inside [re, im] pairs, which numpy reads as 1 and 0
+    "filter_pair_with_a_boolean",
+    "filter_pair_of_booleans",
 ])
 def test_input_errors_exit_two(case, tmp_path, capsys):
     bank = ser.bank_to_dict(haar(2))
@@ -855,6 +861,11 @@ def test_input_errors_exit_two(case, tmp_path, capsys):
         "out_in_missing_dir": lambda: [
             "--out", str(tmp_path / "missing" / "r.json"), "fixtures", "haar2"],
         "out_is_a_directory": lambda: ["--out", str(tmp_path), "fixtures", "haar2"],
+        "filter_pair_with_a_boolean": lambda: [
+            "wold", "--filter", _untagged_file(tmp_path, {"coeffs": [[1.0, True]]}), "--scale", "2"],
+        "filter_pair_of_booleans": lambda: [
+            "wold", "--filter", _untagged_file(tmp_path, {"coeffs": [[True, False]]}),
+            "--scale", "2"],
         "out_bank_in_missing_dir": lambda: [
             "fixtures", "haar2", "--out-bank", str(tmp_path / "missing" / "b.json")],
         "csv_in_missing_dir": lambda: [

@@ -15,7 +15,7 @@ from waverep.cuntz import (
     shift_realization,
 )
 from waverep.filterbank import FilterBank
-from waverep.laurent import LaurentPoly, allclose, inner, invariant_radius
+from waverep.laurent import InputError, LaurentPoly, allclose, inner, invariant_window
 from waverep.permutative import MonomialRep
 
 S2 = math.sqrt(2.0)
@@ -275,9 +275,9 @@ def test_shift_depth_validation(haar_rep):
 
 @pytest.mark.parametrize("scale", [2, 3, 4])
 def test_adjoints_keep_the_invariant_window(scale):
-    # R = max(-lo, hi, 0) // (N - 1) for a bank with degrees in [lo, hi]:
-    # S_i* sends every monomial in [-R, R] back into it and moves every
-    # monomial outside strictly inward
+    # T = [-floor(hi / (N - 1)), floor(-lo / (N - 1))] for a bank with degrees
+    # in [lo, hi]: S_i* sends every monomial in T back into it and moves every
+    # monomial outside strictly toward it
     rng = np.random.default_rng(40 + scale)
     for factors in (0, 1, 3, 6):
         bank = fixtures.random_paraunitary_bank(scale, factors, rng)
@@ -285,44 +285,52 @@ def test_adjoints_keep_the_invariant_window(scale):
         filters = [f * LaurentPoly.monomial(shift) for f in bank.filters]
         lo = min(f.min_degree for f in filters)
         hi = max(f.max_degree for f in filters)
-        radius = invariant_radius(lo, hi, scale)
-        assert radius == max(-lo, hi, 0) // (scale - 1)
+        p, q = invariant_window(lo, hi, scale)
+        assert (p, q) == (-(hi // (scale - 1)), (-lo) // (scale - 1)) and p <= q
+        assert max(-p, q) == max(-lo, hi, 0) // (scale - 1)
         for f in filters:
-            for n in range(-radius - 5, radius + 6):
+            for n in range(p - 5, q + 6):
                 image = apply_filter_adjoint(f, scale, LaurentPoly.monomial(n))
                 if image.is_zero():
                     continue
-                bound = radius if abs(n) <= radius else abs(n) - 1
-                assert -bound <= image.min_degree and image.max_degree <= bound, (n, radius)
+                low, high = (p, q) if p <= n <= q else (n + 1, q) if n < p else (p, n - 1)
+                assert low <= image.min_degree and image.max_degree <= high, (n, p, q)
+
+
+def random_window_poly(rng, window):
+    """A random complex polynomial with a coefficient at every degree of window = (p, q)."""
+    p, q = window
+    return LaurentPoly(rng.normal(size=q - p + 1) + 1j * rng.normal(size=q - p + 1), min_degree=p)
 
 
 @pytest.mark.parametrize("scale", [2, 3, 4])
 def test_window_adjoint_is_the_adjoint_on_the_window(scale):
-    # S*|_W as a matrix: on a vector supported on W = [-r, r] (r >= R) one
-    # product with it is the exact adjoint, which stays in W
+    # S*|_T as a matrix: on a vector supported on a window that holds
+    # T = [p, q], one product with it is the exact adjoint, which stays there
     rng = np.random.default_rng(70 + scale)
     bank = fixtures.random_paraunitary_bank(scale, 2, rng)
     for f in bank.filters + tuple(f * LaurentPoly.monomial(-5) for f in bank.filters):
-        radius = invariant_radius(f.min_degree, f.max_degree, scale)
-        for r in (radius, radius + 2):
-            xi = random_poly(rng, r)
+        p, q = invariant_window(f.min_degree, f.max_degree, scale)
+        for lo, hi in ((p, q), (p - 2, q + 2), (p - 1, q + 3)):
+            xi = random_window_poly(rng, (lo, hi))
             image = apply_filter_adjoint(f, scale, xi)
-            assert -r <= image.min_degree and image.max_degree <= r
-            got = filter_window_adjoint(f, scale, r) @ xi.coeff_window(-r, r)
-            assert np.max(np.abs(got - image.coeff_window(-r, r))) < 1e-13
+            assert lo <= image.min_degree and image.max_degree <= hi
+            got = filter_window_adjoint(f, scale, (lo, hi)) @ xi.coeffs
+            assert np.max(np.abs(got - image.coeff_window(lo, hi))) < 1e-13
 
 
-def per_column_window_adjoint(m, scale, r):
-    """S*|_W built one exact adjoint per column: the columns S* z^n for n in W."""
-    out = np.zeros((2 * r + 1, 2 * r + 1), dtype=np.complex128)
-    for j, n in enumerate(range(-r, r + 1)):
-        out[:, j] = apply_filter_adjoint(m, scale, LaurentPoly.monomial(n)).coeff_window(-r, r)
+def per_column_window_adjoint(m, scale, window):
+    """S*|_[p, q] built one exact adjoint per column: the columns S* z^n for n in [p, q]."""
+    p, q = window
+    out = np.zeros((q - p + 1, q - p + 1), dtype=np.complex128)
+    for j, n in enumerate(range(p, q + 1)):
+        out[:, j] = apply_filter_adjoint(m, scale, LaurentPoly.monomial(n)).coeff_window(p, q)
     return out
 
 
 @pytest.mark.parametrize("scale", [2, 3, 4, 5])
 def test_window_adjoint_is_the_per_column_build(scale, monkeypatch):
-    # the gather against the loop of 2r+1 exact adjoints it replaces; the
+    # the gather against the loop of q - p + 1 exact adjoints it replaces; the
     # gather itself takes one exact adjoint, of the probe that checks it
     from waverep import cuntz
 
@@ -331,39 +339,150 @@ def test_window_adjoint_is_the_per_column_build(scale, monkeypatch):
     for factors in (0, 1, 3):
         bank = fixtures.random_paraunitary_bank(scale, factors, rng)
         for f in bank.filters + tuple(f * LaurentPoly.monomial(-7) for f in bank.filters):
-            radius = invariant_radius(f.min_degree, f.max_degree, scale)
-            for r in (radius, radius + 3):
-                ref = per_column_window_adjoint(f, scale, r)
+            p, q = invariant_window(f.min_degree, f.max_degree, scale)
+            for window in ((p, q), (p - 3, q + 3), (p, q + 2)):
+                ref = per_column_window_adjoint(f, scale, window)
                 monkeypatch.setattr(cuntz, "apply_filter_adjoint",
                                     lambda *a: calls.append(1) or adjoint(*a))
                 calls.clear()
-                got = filter_window_adjoint(f, scale, r)
+                got = filter_window_adjoint(f, scale, window)
                 monkeypatch.setattr(cuntz, "apply_filter_adjoint", adjoint)
                 assert len(calls) == 1
                 assert np.max(np.abs(got - ref)) <= 1e-14
 
 
-def test_window_adjoint_refuses_a_window_that_leaks():
-    # db4's low-pass has degrees 0..3, so R = 3; S* z^(-1) reaches z^(-2) and
-    # S* z^0 reaches z^(-1), outside the windows of radius 1 and 0.  (At N = 2
-    # the radius R - 1 happens to be invariant as well, so the leak check,
-    # not a comparison with R, is the gate.)
+def test_window_adjoint_requires_a_window_that_holds_t():
+    # db4's low-pass has degrees 0..3, so T = [-3, 0].  [-2, 2] is invariant
+    # (its per-column build keeps every image inside) but does not hold T,
+    # so it is refused: the precondition asks for T, not for invariance, and
+    # S* does not carry z^-3 into [-2, 2].  [-1, 1] is not invariant either:
+    # S* z^-1 reaches z^-2.
     m = fixtures.db4().filters[0]
-    assert invariant_radius(m.min_degree, m.max_degree, 2) == 3
-    for r in (0, 1):
-        with pytest.raises(ValueError, match="leaves the window"):
-            filter_window_adjoint(m, 2, r)
-    for r in (2, 3, 4):
-        assert filter_window_adjoint(m, 2, r).shape == (2 * r + 1, 2 * r + 1)
+    assert invariant_window(m.min_degree, m.max_degree, 2) == (-3, 0)
+    for window in ((-3, 0), (-4, 1)):
+        assert np.max(np.abs(filter_window_adjoint(m, 2, window)
+                             - per_column_window_adjoint(m, 2, window))) <= 1e-14
+    for lo in range(-2, 3):
+        image = apply_filter_adjoint(m, 2, LaurentPoly.monomial(lo))
+        assert image.is_zero() or (-2 <= image.min_degree and image.max_degree <= 2)
+    assert apply_filter_adjoint(m, 2, LaurentPoly.monomial(-1)).min_degree == -2
+    for window in ((-2, 2), (-1, 1), (-3, -1), (-2, 0)):
+        with pytest.raises(InputError, match="invariant window"):
+            filter_window_adjoint(m, 2, window)
 
 
-def test_invariant_radius_is_the_cycle_radius_and_the_index_window():
+def test_window_adjoint_of_a_filter_with_an_empty_t():
+    # z at N = 3: [1, 1] holds no multiple of 2, so T = [0, -1] is empty and
+    # S* z^n = z^((n - 1)/3) is nilpotent; every nonempty window [p, q] with
+    # p <= 0 and q >= -1 is invariant and accepted, an empty one is refused
+    m = LaurentPoly.monomial(1)
+    assert invariant_window(1, 1, 3) == (0, -1)
+    for window in ((0, 0), (-1, -1), (-1, 0), (-3, 2)):
+        assert np.max(np.abs(filter_window_adjoint(m, 3, window)
+                             - per_column_window_adjoint(m, 3, window))) <= 1e-14
+    for window in ((0, -1), (1, 1), (-2, -2)):
+        with pytest.raises(InputError, match="invariant window"):
+            filter_window_adjoint(m, 3, window)
+
+
+def test_the_radius_of_the_window_is_the_cycle_radius():
     rng = np.random.default_rng(5)
     for _ in range(20):
         scale = int(rng.integers(2, 6))
         digits = [int(r + scale * rng.integers(-9, 10)) for r in rng.permutation(scale)]
         mono = MonomialRep(scale, digits)
         assert mono.cycle_radius() == max(abs(d) for d in digits) // (scale - 1)
-    # at N = 2 the radius is the index window K0 = max(-a, b, 0)
-    assert invariant_radius(-9, 12, 2) == 12 and invariant_radius(3, 5, 2) == 5
-    assert invariant_radius(-4, -1, 2) == 4 and invariant_radius(-4, 9, 4) == 3
+    # at N = 2 the radius max(-p, q) is the index window K0 = max(-a, b, 0)
+    assert invariant_window(-9, 12, 2) == (-12, 9) and invariant_window(3, 5, 2) == (-5, -3)
+    assert invariant_window(-4, -1, 2) == (1, 4) and invariant_window(-4, 9, 4) == (-3, 1)
+
+
+# ---------------------------------------------------------------------------
+# the closed form of the window, against integer dynamics
+
+
+def _interval_fixed_point(lo, hi, scale):
+    """Iterate [l, h] -> [ceil((l - hi) / N), floor((h - lo) / N)], the hull of the
+    modes S* sends [l, h] into, from [-10^5, 10^5] to its fixed point."""
+    l = np.full(lo.shape, -10**5)
+    h = np.full(lo.shape, 10**5)
+    while True:
+        nl, nh = -((hi - l) // scale), (h - lo) // scale
+        if np.array_equal(nl, l) and np.array_equal(nh, h):
+            return l, h
+        l, h = nl, nh
+
+
+def _ranges(scale, bound, gap):
+    """Every integer range [a, b] with -bound <= a <= b <= bound and b - a >= gap."""
+    a, b = np.meshgrid(np.arange(-bound, bound + 1), np.arange(-bound, bound + 1), indexing="ij")
+    keep = b - a >= gap
+    return a[keep], b[keep]
+
+
+def _window_arrays(a, b, scale):
+    pq = np.array([invariant_window(int(x), int(y), scale) for x, y in zip(a, b)])
+    return pq[:, 0], pq[:, 1]
+
+
+@pytest.mark.parametrize("scale", range(2, 9))
+def test_the_window_is_the_fixed_point_of_the_interval_map(scale):
+    a, b = _ranges(scale, 40, scale - 1)
+    p, q = _window_arrays(a, b, scale)
+    fp, fq = _interval_fixed_point(a, b, scale)
+    assert np.array_equal(p, fp) and np.array_equal(q, fq) and np.all(p <= q)
+    # and it is the former symmetric radius, floor(max(-a, b, 0) / (N - 1)), on its sides
+    assert np.array_equal(np.maximum(-p, q), np.maximum(np.maximum(-a, b), 0) // (scale - 1))
+
+
+def _invariant(a, b, lo, hi, scale):
+    """Whether S* of a filter with a tap at every degree of [a, b] keeps each window
+    [lo, hi] (arrays, one window per range): every mode k with a <= n - N k <= b,
+    n in the window, lies in it."""
+    n = lo[:, None] + np.arange(int(np.max(hi - lo, initial=0)) + 1)[None, :]
+    inside = n <= hi[:, None]
+    low, high = -((b[:, None] - n) // scale), (n - a[:, None]) // scale
+    ok = (low > high) | ((low >= lo[:, None]) & (high <= hi[:, None]))
+    return np.all(ok | ~inside, axis=1)
+
+
+@pytest.mark.parametrize("scale", range(2, 7))
+def test_every_window_that_holds_t_is_invariant(scale):
+    # 147,125 windows over N = 2..6: T widened by 0..4 modes on each side
+    a, b = _ranges(scale, 25, scale - 1)
+    p, q = _window_arrays(a, b, scale)
+    for i in range(5):
+        for j in range(5):
+            assert np.all(_invariant(a, b, p - i, q + j, scale))
+    # the checks can fail: a window one mode short of T does not receive the
+    # mode left out, which S* can send to itself (at N = 2 the shorter window
+    # is still invariant; from N = 3 on, not always)
+    assert np.any(-((b - p) // scale) <= p) and np.any((q - a) // scale >= q)
+    if scale > 2:
+        assert not np.all(_invariant(a, b, p + 1, q, scale))
+        assert not np.all(_invariant(a, b, p, q - 1, scale))
+    # and S* carries every mode outside T strictly toward it, without passing it
+    for d in range(1, 6):
+        for n, low_end, high_end in ((p - d, p - d + 1, q), (q + d, p, q + d - 1)):
+            low, high = -((b - n) // scale), (n - a) // scale
+            assert np.all((low > high) | ((low >= low_end) & (high <= high_end)))
+
+
+@pytest.mark.parametrize("scale", range(2, 9))
+def test_an_empty_window_is_a_range_with_no_multiple_of_n_minus_one(scale):
+    a, b = _ranges(scale, 30, 0)
+    p, q = _window_arrays(a, b, scale)
+    empty = p > q
+    multiple = np.array([any(d % (scale - 1) == 0 for d in range(x, y + 1)) for x, y in zip(a, b)])
+    assert np.array_equal(empty, ~multiple) and np.all(p <= q + 1)
+    assert np.all(b[empty] - a[empty] < scale - 1)
+    assert np.array_equal(np.maximum(-p, q), np.maximum(np.maximum(-a, b), 0) // (scale - 1))
+    # every nonempty window [lo, hi] with lo <= p and hi >= q is invariant,
+    # [min(p, q), max(p, q)] among them
+    a, b, p, q = a[empty], b[empty], p[empty], q[empty]
+    for i in range(5):
+        for j in range(5):
+            lo, hi = p - i, q + j
+            keep = lo <= hi
+            assert np.all(_invariant(a[keep], b[keep], lo[keep], hi[keep], scale))
+

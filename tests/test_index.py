@@ -28,7 +28,7 @@ from waverep.index import (
     pairing,
     spectral_solutions,
 )
-from waverep.laurent import CircleGrid, LaurentPoly, allclose, invariant_radius, sample
+from waverep.laurent import CircleGrid, LaurentPoly, allclose, invariant_window, sample
 
 S2 = math.sqrt(2.0)
 
@@ -67,8 +67,9 @@ def test_monomial_pair_image():
 
 
 def test_rejects_non_unitary_pair():
-    with pytest.raises(ValueError):
-        combined_isometry_apply((LaurentPoly.one(), LaurentPoly.one()), LaurentPoly.one())
+    # the apply does not check its filters; the solve verifies the bank once
+    with pytest.raises(ValueError, match="not verified"):
+        spectral_solutions(LaurentPoly.one(), LaurentPoly.one())
 
 
 def test_a_pair_just_above_the_verify_tolerance_is_refused_like_check(haar_pair):
@@ -78,8 +79,7 @@ def test_a_pair_just_above_the_verify_tolerance_is_refused_like_check(haar_pair)
     bank = FilterBank(2, (f0, f1))
     assert VERIFY_TOL < unitarity_residual(bank) < 1e-8
     assert not check_bank(bank).verified
-    gates = (lambda: require_verified(bank), lambda: spectral_solutions(f0, f1),
-             lambda: combined_isometry_apply((f0, f1), LaurentPoly.one()))
+    gates = (lambda: require_verified(bank), lambda: spectral_solutions(f0, f1))
     for gate in gates:
         with pytest.raises(ValueError, match="not verified"):
             gate()
@@ -89,7 +89,7 @@ def test_apply_is_isometric(haar_pair, db4_pair, rng):
     for pair in (haar_pair, db4_pair):
         for _ in range(6):
             xi = random_poly(rng, 16)
-            out = combined_isometry_apply(pair, xi, check=False)
+            out = combined_isometry_apply(pair, xi)
             assert out.norm2() == pytest.approx(xi.norm2(), rel=1e-12)
 
 
@@ -129,7 +129,7 @@ def test_haar_solutions_verified_symbolically(haar_pair):
     # independent oracle: feed each reported vector through the exact action
     rep = spectral_solutions(*haar_pair, window=32)
     for s in rep.solutions:
-        image = combined_isometry_apply(haar_pair, s.eigenvector, check=False)
+        image = combined_isometry_apply(haar_pair, s.eigenvector)
         assert (image - s.eigenvalue * s.eigenvector).norm2() < 1e-10
 
 
@@ -265,7 +265,7 @@ def dense_reference(filters, window):
     k = window
     mat = np.zeros((2 * k + 1, 2 * k + 1), dtype=np.complex128)
     for col, mode in enumerate(range(-k, k + 1)):
-        image = combined_isometry_apply(filters, LaurentPoly.monomial(mode), check=False)
+        image = combined_isometry_apply(filters, LaurentPoly.monomial(mode))
         mat[:, col] = image.coeff_window(-k, k)
     eigvals, eigvecs = np.linalg.eig(mat)
     clusters: list[list] = []
@@ -276,7 +276,7 @@ def dense_reference(filters, window):
         if phi.norm2() < 1e-12:
             continue
         phi = phi * (1.0 / phi.norm2())
-        if (combined_isometry_apply(filters, phi, check=False) - lam * phi).norm2() > VALIDATE_TOL:
+        if (combined_isometry_apply(filters, phi) - lam * phi).norm2() > VALIDATE_TOL:
             continue
         for cl in clusters:
             if abs(np.angle(lam / cl[0][0])) <= LAMBDA_CLUSTER_ARC:
@@ -331,7 +331,8 @@ def test_solve_on_the_filter_window_matches_the_dense_solve(case, window):
     f0, f1 = WINDOW_CASES[case]
     rep = spectral_solutions(f0, f1, window=window)
     dims, basis = dense_reference((f0, f1), window)
-    assert rep.window == filter_window(f0, f1)
+    assert rep.window == filter_window(f0, f1) == max(-rep.window_modes[0], rep.window_modes[1])
+    assert rep.window_modes == bank_window((f0, f1))
     assert rep.index == sum(dims.values()) == len(rep.solutions)
     got = sorted(rep.eigenspace_dims.items(), key=lambda kv: np.angle(kv[0]))
     want = sorted(dims.items(), key=lambda kv: np.angle(kv[0]))
@@ -378,9 +379,8 @@ def test_window_outside_its_range_is_refused(haar_pair):
 @pytest.mark.parametrize("case", ["haar2", "db4", "planted0", "paraunitary0"])
 def test_exact_applies_do_not_grow_with_the_window(case, monkeypatch):
     f0, f1 = WINDOW_CASES[case]
-    k = filter_window(f0, f1)
     # candidates: eigenvalues of the solved compression on or outside the disk tolerance
-    mat = per_column_compression((f0, f1), k)
+    mat = per_column_compression((f0, f1), bank_window((f0, f1)))
     candidates = int(np.sum(np.abs(np.linalg.eigvals(mat)) >= 1.0 - LAMBDA_DISK_TOL))
     calls = []
 
@@ -404,23 +404,26 @@ def test_db4_at_a_large_window_is_fast(db4_pair):
     rep = spectral_solutions(*db4_pair, window=WINDOW_MAX)
     assert time.perf_counter() - start < 0.5
     assert rep.index == 0 and rep.window == 5  # db4 spans degrees 0..5
+    assert rep.window_modes == (-5, 0)
 
 
 # ---------------------------------------------------------------------------
 # the compression read from the window matrices, against the per-column exact action
 
 
-def per_column_compression(filters, k):
-    return np.stack([combined_isometry_apply(filters, LaurentPoly.monomial(n), check=False)
-                     .coeff_window(-k, k) for n in range(-k, k + 1)], axis=1)
+def per_column_compression(filters, window):
+    """The columns M z^n, n in window = (p, q), cut to the modes [p, q]."""
+    p, q = window
+    return np.stack([combined_isometry_apply(filters, LaurentPoly.monomial(n))
+                     .coeff_window(p, q) for n in range(p, q + 1)], axis=1)
 
 
-def window_compression(filters, r):
-    """(N^(-1/2) sum_k diag(rho^(-kn)) V_k*)^H on W = [-r, r], from cuntz.filter_window_adjoint."""
+def window_compression(filters, window):
+    """(N^(-1/2) sum_k diag(rho^(-kn)) V_k*)^H on window = [p, q], from cuntz.filter_window_adjoint."""
     n = len(filters)
-    modes = np.arange(-r, r + 1)
-    adjoint = sum(np.exp(-2j * np.pi * (k * modes % n) / n)[:, None] * filter_window_adjoint(m, n, r)
-                  for k, m in enumerate(filters))
+    modes = np.arange(window[0], window[1] + 1)
+    adjoint = sum(np.exp(-2j * np.pi * (k * modes % n) / n)[:, None]
+                  * filter_window_adjoint(m, n, window) for k, m in enumerate(filters))
     return adjoint.conj().T / math.sqrt(n)
 
 
@@ -433,17 +436,18 @@ def solved_compression(filters, monkeypatch, window=64):
     return seen[0]
 
 
-def bank_radius(filters):
-    return invariant_radius(min(f.min_degree for f in filters), max(f.max_degree for f in filters),
+def bank_window(filters):
+    """T = [p, q] of the bank's degree range."""
+    return invariant_window(min(f.min_degree for f in filters), max(f.max_degree for f in filters),
                             len(filters))
 
 
 def assert_compression_matches_columns(f0, f1):
-    r0 = bank_radius((f0, f1))
-    for r in (r0, r0 + 1, r0 + 3):
-        got = window_compression((f0, f1), r)
-        assert got.shape == (2 * r + 1, 2 * r + 1)
-        assert np.max(np.abs(got - per_column_compression((f0, f1), r)), initial=0.0) <= 1e-15
+    p, q = bank_window((f0, f1))
+    for lo, hi in ((p, q), (p - 1, q + 1), (p - 3, q + 3), (p, q + 2)):
+        got = window_compression((f0, f1), (lo, hi))
+        assert got.shape == (hi - lo + 1, hi - lo + 1)
+        assert np.max(np.abs(got - per_column_compression((f0, f1), (lo, hi))), initial=0.0) <= 1e-15
 
 
 # dyadic coefficients: a sum either cancels exactly or stays far above the
@@ -480,21 +484,23 @@ def test_compression_of_every_window_case(case, monkeypatch):
     filters = WINDOW_CASES[case]
     assert_compression_matches_columns(*filters)
     got = solved_compression(filters, monkeypatch)
-    ref = per_column_compression(filters, bank_radius(filters))
+    ref = per_column_compression(filters, bank_window(filters))
     assert got.shape == ref.shape and np.max(np.abs(got - ref)) <= 1e-15
 
 
-def windowed_compression(f0, f1, k):
-    """The scale-2 compression as one gather from sliding windows of the tap tables."""
+def windowed_compression(f0, f1, window):
+    """The scale-2 compression on window = [p, q] as one gather from sliding windows
+    of the tap tables: entry [i, j] is the coefficient of z^(p + i) in M z^(p + j)."""
     from numpy.lib.stride_tricks import sliding_window_view
 
-    dim = 2 * k + 1
-    c0 = f0.coeff_window(-3 * k, 3 * k)
-    c1 = f1.coeff_window(-3 * k, 3 * k)
+    p, q = window
+    dim = q - p + 1
+    c0 = f0.coeff_window(p - 2 * q, q - 2 * p)
+    c1 = f1.coeff_window(p - 2 * q, q - 2 * p)
     tables = np.stack([c0 + c1, c0 - c1]) * (1.0 / math.sqrt(2.0))
-    windows = sliding_window_view(tables, dim, axis=1)  # [p, a, i] = tables[p, a + i]
+    windows = sliding_window_view(tables, dim, axis=1)  # [s, a, i] = tables[s, a + i]
     cols = np.arange(dim)
-    return windows[(cols - k) % 2, 4 * k - 2 * cols].T
+    return windows[(p + cols) % 2, 2 * (dim - 1 - cols)].T
 
 
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
@@ -503,7 +509,7 @@ def test_compression_is_bitwise_the_sliding_window_gather(case, monkeypatch):
     # entry is the same value; only the sign of a zero may differ, since the
     # window route conjugates twice and multiplies by the phases +-1
     filters = WINDOW_CASES[case]
-    got, ref = solved_compression(filters, monkeypatch), windowed_compression(*filters, bank_radius(filters))
+    got, ref = solved_compression(filters, monkeypatch), windowed_compression(*filters, bank_window(filters))
     assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
@@ -516,13 +522,14 @@ def test_compression_is_bitwise_the_sliding_window_gather(case, monkeypatch):
 def test_scale_n_banks_against_the_dense_compression(scale, factors, monkeypatch):
     rng = np.random.default_rng([scale, factors])
     filters = fixtures.random_paraunitary_bank(scale, factors, rng).filters
-    r, k = bank_radius(filters), 64
-    dense = per_column_compression(filters, k)
+    (p, q), k = bank_window(filters), 64
+    dense = per_column_compression(filters, (-k, k))
     got = solved_compression(filters, monkeypatch)
-    assert np.max(np.abs(got - dense[k - r : k + r + 1, k - r : k + r + 1])) <= 1e-15
+    assert np.max(np.abs(got - dense[k + p : k + q + 1, k + p : k + q + 1])) <= 1e-15
     rep = spectral_solutions(*filters)
     dims, _ = dense_reference(filters, k)
-    assert rep.window == r and rep.index == sum(dims.values()) == len(rep.solutions)
+    assert rep.window == max(-p, q) and rep.window_modes == (p, q)
+    assert rep.index == sum(dims.values()) == len(rep.solutions)
     assert rep.anomaly is None
 
 
@@ -531,10 +538,10 @@ def test_in_place_compression_is_bitwise_the_summed_windows(scale, monkeypatch):
     # the eigensolved matrix, summed, conjugated and scaled in place, against
     # the sum of freshly phased windows conjugated and scaled out of place
     filters = fixtures.random_paraunitary_bank(scale, 3, np.random.default_rng(scale)).filters
-    r = bank_radius(filters)
+    p, q = bank_window(filters)
     phases = CircleGrid(scale).points()[
-        -np.arange(scale)[:, None] * np.arange(-r, r + 1) % scale]
-    ref = sum(phases[j][:, None] * filter_window_adjoint(m, scale, r)
+        -np.arange(scale)[:, None] * np.arange(p, q + 1) % scale]
+    ref = sum(phases[j][:, None] * filter_window_adjoint(m, scale, (p, q))
               for j, m in enumerate(filters)).conj().T * (1.0 / math.sqrt(scale))
     got = solved_compression(filters, monkeypatch)
     assert got.shape == ref.shape and got.tobytes() == np.ascontiguousarray(ref).tobytes()
@@ -659,31 +666,32 @@ def test_far_monomials_pair_constantly(scale, offset):
 # rejected candidates and the exact applies that validate the rest
 
 
-def dense_rejections(f0, f1, k):
-    """The dense per-column solve on [-k, k], recounting why each eigenpair is not kept."""
-    eigvals, eigvecs = np.linalg.eig(per_column_compression((f0, f1), k))
+def dense_rejections(f0, f1, window):
+    """The dense per-column solve on window = [p, q], recounting why each eigenpair is not kept."""
+    eigvals, eigvecs = np.linalg.eig(per_column_compression((f0, f1), window))
     counts = dict.fromkeys(REJECTION_REASONS, 0)
     for lam, vec in zip(eigvals, eigvecs.T):
         if abs(lam) < 1.0 - LAMBDA_DISK_TOL:
             counts["inside_disk"] += 1
             continue
-        phi = LaurentPoly(vec, min_degree=-k)
+        phi = LaurentPoly(vec, min_degree=window[0])
         phi = phi * (1.0 / phi.norm2())
-        if (combined_isometry_apply((f0, f1), phi, check=False) - lam * phi).norm2() > VALIDATE_TOL:
+        if (combined_isometry_apply((f0, f1), phi) - lam * phi).norm2() > VALIDATE_TOL:
             counts["failed_validation"] += 1
     return counts
 
 
 @pytest.mark.parametrize("case, window, pinned", [
-    ("haar2", 64, {"inside_disk": 1, "failed_validation": 0}),
-    ("db4", 64, {"inside_disk": 11, "failed_validation": 0}),
-    ("planted0", 64, {"inside_disk": 13, "failed_validation": 0}),
+    ("haar2", 64, {"inside_disk": 0, "failed_validation": 0}),
+    ("db4", 64, {"inside_disk": 6, "failed_validation": 0}),
+    ("planted0", 64, {"inside_disk": 8, "failed_validation": 0}),
 ])
 def test_rejection_counts(case, window, pinned):
     f0, f1 = WINDOW_CASES[case]
     rep = spectral_solutions(f0, f1, window=window)
-    assert rep.rejected == dense_rejections(f0, f1, rep.window) == pinned
-    survivors = 2 * rep.window + 1 - sum(rep.rejected.values())
+    assert rep.rejected == dense_rejections(f0, f1, rep.window_modes) == pinned
+    p, q = rep.window_modes
+    survivors = q - p + 1 - sum(rep.rejected.values())
     assert survivors >= rep.index
 
 
@@ -700,14 +708,14 @@ def test_failed_validations_are_counted(haar_pair, monkeypatch):
     monkeypatch.setattr(index_module, "VALIDATE_TOL", -1.0)
     rep = spectral_solutions(*haar_pair, window=64)
     assert rep.index == 0 and not rep.solutions
-    assert rep.rejected == {"inside_disk": 1, "failed_validation": 2}
+    assert rep.rejected == {"inside_disk": 0, "failed_validation": 2}
 
 
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
 def test_applies_are_candidates_plus_solutions(case, monkeypatch):
     f0, f1 = WINDOW_CASES[case]
-    k = filter_window(f0, f1)
-    candidates = int(np.sum(np.abs(np.linalg.eigvals(per_column_compression((f0, f1), k)))
+    p, q = bank_window((f0, f1))
+    candidates = int(np.sum(np.abs(np.linalg.eigvals(per_column_compression((f0, f1), (p, q))))
                             >= 1.0 - LAMBDA_DISK_TOL))
     calls = []
 
@@ -717,7 +725,7 @@ def test_applies_are_candidates_plus_solutions(case, monkeypatch):
 
     monkeypatch.setattr(index_module, "combined_isometry_apply", counting)
     rep = spectral_solutions(f0, f1, window=64)
-    assert rep.rejected["inside_disk"] == 2 * k + 1 - candidates
+    assert rep.rejected["inside_disk"] == q - p + 1 - candidates
     # one apply maps each candidate column into the residual block, whose
     # singular values are the solutions' residuals; the compression takes none
     assert len(calls) == candidates
@@ -746,7 +754,8 @@ def test_a_planted_pair_with_equal_phases_is_one_eigenvalue_of_dimension_two(rng
     assert len(rep.eigenspace_dims) == 1 and rep.index == len(rep.solutions) == 2
     (lam, dim), = rep.eigenspace_dims.items()
     assert dim == 2 and abs(lam - c) <= 1e-12
-    assert rep.rejected == {"inside_disk": 2 * rep.window + 1 - 2, "failed_validation": 0}
+    p, q = rep.window_modes
+    assert rep.rejected == {"inside_disk": q - p + 1 - 2, "failed_validation": 0}
     # the reported pair spans z^-6 and z^7, orthonormally
     basis = np.stack([s.eigenvector.coeff_window(-6, 7)[[0, -1]] for s in rep.solutions])
     assert np.max(np.abs(basis @ basis.conj().T - np.eye(2))) <= 1e-12
@@ -765,3 +774,69 @@ def test_two_clusters_give_equal_reports(capsys, tmp_path):
         rep.pop("elapsed")
         reports.append(rep)
     assert reports[0] == reports[1] and reports[0]["info"]["index"] == 2
+
+
+# ---------------------------------------------------------------------------
+# the tight window against the symmetric one it replaced
+
+
+# bounds fixed before the comparison: both solves span a unit-circle eigenspace
+# to rounding (residuals at most VALIDATE_TOL), so eigenvalues and projectors
+# agree far inside these
+W_EIGENVALUE_TOL = 1e-10
+W_PROJECTOR_TOL = 1e-9
+
+
+def symmetric_window_solve(filters):
+    """The solve as it ran on W = [-R, R], R = max(-p, q): eigenspaces of the
+    compression to W, validated by the same rank rule, as {lambda: basis on W}."""
+    n = len(filters)
+    p, q = bank_window(filters)
+    r = max(-p, q)
+    phases = CircleGrid(n).points()[-np.arange(n)[:, None] * np.arange(-r, r + 1) % n]
+    adjoint = sum(phase[:, None] * filter_window_adjoint(m, n, (-r, r))
+                  for phase, m in zip(phases, filters))
+    spaces, _ = index_module.peripheral_eigenspaces(adjoint.conj().T * (1.0 / math.sqrt(n)))
+    out = {}
+    for lam, x in spaces:
+        phis = [LaurentPoly(col, min_degree=-r) for col in x.T]
+        res = [combined_isometry_apply(filters, phi) - lam * phi for phi in phis]
+        lo = min(e.min_degree for e in res)
+        hi = max(lo + len(res) - 1, *(e.max_degree for e in res))
+        _, svals, vh = np.linalg.svd(np.stack([e.coeff_window(lo, hi) for e in res], axis=1),
+                                     full_matrices=False)
+        keep = svals <= VALIDATE_TOL
+        if keep.any():
+            out[lam] = x @ vh[keep].conj().T
+    return out, r
+
+
+def _seeded_banks():
+    banks = {}
+    for seed in range(50):
+        rng = np.random.default_rng([11, seed])
+        scale, factors, shift = 2 + seed % 4, int(rng.integers(0, 4)), int(rng.integers(-6, 7))
+        bank = fixtures.random_paraunitary_bank(scale, factors, rng)
+        banks[f"seeded{seed}"] = tuple(f * LaurentPoly.monomial(shift) for f in bank.filters)
+    return banks
+
+
+SEEDED_BANKS = _seeded_banks()
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES) + [f"haar{n}" for n in (3, 4, 5, 8)]
+                         + sorted(SEEDED_BANKS))
+def test_the_tight_window_solves_as_the_symmetric_window(case):
+    filters = (WINDOW_CASES.get(case) or SEEDED_BANKS.get(case)
+               or fixtures.haar(int(case[4:])).filters)
+    rep = spectral_solutions(*filters)
+    oracle, r = symmetric_window_solve(filters)
+    assert rep.window == r
+    assert len(rep.eigenspace_dims) == len(oracle)
+    for lam, basis in oracle.items():
+        got = [mu for mu in rep.eigenspace_dims if abs(mu - lam) <= W_EIGENVALUE_TOL]
+        assert len(got) == 1 and rep.eigenspace_dims[got[0]] == basis.shape[1]
+        ours = np.stack([s.eigenvector.coeff_window(-r, r) for s in rep.solutions
+                         if s.eigenvalue == got[0]], axis=1)
+        q, _ = np.linalg.qr(ours)
+        assert np.max(np.abs(q @ q.conj().T - basis @ basis.conj().T)) <= W_PROJECTOR_TOL

@@ -153,10 +153,22 @@ def test_family_round_trips_bit_exactly(seed, ops, dim):
     ([["1", "0"]], None),                # strings
     ([1.0, 0.0], None),                  # one bare pair, not a list of pairs
     ({"re": 1.0}, None),                 # not a list
+    ([[1.0, True]], None),               # a boolean beside a number, read as 1
+    ([[True, False]], None),             # booleans only
+    ([[0.5, 0.0], [0.0, False]], None),  # a boolean that reads as an exact 0
+    ([[[[1.0, 0.0], [0.0, True]]]], (1, 1, 2)),  # in a matrix stack
 ])
 def test_codec_rejects_malformed_pairs(pairs, shape):
     with pytest.raises(ser.InputError):
         ser._vec_c(pairs, shape)
+
+
+def test_exact_zeros_and_ones_decode_as_numbers():
+    # the entries a boolean scan looks at, given as JSON numbers, decode as before
+    pairs = json.loads("[[1.0, 0.0], [0, 1], [-0.0, 1e-300], [0.5, 1.0]]")
+    assert _same_bits(ser._vec_c(pairs), np.array([1, 1j, complex(-0.0, 1e-300), 0.5 + 1j]))
+    stack = json.loads("[[[[1, 0], [0.0, 1.0]]], [[[0, 0], [1, 1]]]]")
+    assert _same_bits(ser._vec_c(stack, (2, 1, 2)), np.array([[[1, 1j]], [[0, 1 + 1j]]]))
 
 
 @pytest.mark.parametrize("decode,d", [

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import angle_rule, exact_sample, random_poly, split_cycles
 from waverep import filterbank, fixtures, wold
 from waverep.filterbank import qmf_residual
-from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, invariant_radius, sample
+from waverep.laurent import CircleGrid, GridFunction, LaurentPoly, invariant_window, sample
 from waverep.wold import (
     UNIMODULAR_TOL,
     isometry_residual,
@@ -30,23 +30,26 @@ def test_haar_decay_matches_geometric(haar_bank):
 
 def test_projection_norms_match_explicit_composition(haar_bank, db4_bank, rng, monkeypatch):
     # brute-force oracle: actually build S^k S*^k xi for small k and compare,
-    # for a batch of probes on both routes: the window matrix (haar, db4, z:
-    # 2R+1 <= 5 probes x 6 steps) and the exact chain (z^2049: 4099 modes)
+    # for a batch of probes on both routes: the window matrix (haar, db4, z,
+    # z^2049: q - p + 1 <= 5 probes x 6 steps) and the exact chain
+    # ((1 + z^33)/sqrt(2): T = [-33, 0], 34 modes)
     from waverep.cuntz import apply_filter_adjoint, apply_filter_isometry
 
     windows = []
     build = wold.filter_window_adjoint
     monkeypatch.setattr(wold, "filter_window_adjoint",
                         lambda *a: windows.append(a[2]) or build(*a))
+    wide = (LaurentPoly.one() + LaurentPoly.monomial(33)) * (1 / math.sqrt(2.0))
     for m, on_window in ((haar_bank.filters[0], True), (db4_bank.filters[1], True),
-                         (LaurentPoly.monomial(1), True), (LaurentPoly.monomial(2049), False)):
+                         (LaurentPoly.monomial(1), True), (LaurentPoly.monomial(2049), True),
+                         (wide, False)):
         # the fourth probe reaches outside every window above: degrees -40..40
         probes = [random_poly(rng, 5, unit_norm=True), LaurentPoly.one(), LaurentPoly.monomial(-1),
                   random_poly(rng, 40, unit_norm=True), LaurentPoly.zero()]
         windows.clear()
         batch = range_projection_norms(m, 2, probes, 6)
-        radius = invariant_radius(m.min_degree, m.max_degree, 2)
-        assert windows == ([radius] if on_window else [])
+        window = invariant_window(m.min_degree, m.max_degree, 2)
+        assert windows == ([window] if on_window else [])
         assert len(batch) == len(probes)
         for probe, norms in zip(probes, batch):
             assert len(norms) == 7
@@ -57,6 +60,30 @@ def test_projection_norms_match_explicit_composition(haar_bank, db4_bank, rng, m
                 for _ in range(k):
                     vec = apply_filter_isometry(m, 2, vec)
                 assert norms[k] == pytest.approx(vec.norm2(), abs=1e-12)
+
+
+@pytest.mark.parametrize("scale, d", [(3, 1), (3, -3), (4, 2), (5, 7)])
+def test_a_filter_with_an_empty_window_takes_the_exact_chain_to_zero(scale, d, monkeypatch):
+    # [d, d] holds no multiple of N - 1, so T is empty and S* z^n = z^((n - d)/N)
+    # is nilpotent: every probe reaches 0, and no window matrix is built
+    from waverep.cuntz import apply_filter_adjoint
+
+    p, q = invariant_window(d, d, scale)
+    assert p == q + 1
+    monkeypatch.setattr(wold, "filter_window_adjoint", _no_window)
+    m = LaurentPoly.monomial(d)
+    probes = [LaurentPoly.zero(), LaurentPoly.one(), LaurentPoly(np.arange(1.0, 82.0), -40)]
+    batch = range_projection_norms(m, scale, probes, 12)
+    for probe, norms in zip(probes, batch):
+        vec, want = probe, [probe.norm2()]
+        for _ in range(12):
+            vec = apply_filter_adjoint(m, scale, vec)
+            want.append(vec.norm2())
+        assert norms == want and norms[-1] == 0.0
+
+
+def _no_window(*args):
+    raise AssertionError("a window matrix was built for an empty window")
 
 
 def test_unitary_vector_stays():
@@ -389,9 +416,10 @@ def test_shift_check_builds_no_projection(name, monkeypatch, capsys):
 
 def test_a_wold_report_gates_its_four_probes_once(monkeypatch, capsys):
     # one certificate in wold_analysis's gate and one in the batched
-    # range_projection_norms gate; the four probes of db4's low-pass already
-    # lie in W = [-3, 3], so the one adjoint is the probe that checks the
-    # gather of S*|_W
+    # range_projection_norms gate; db4's low-pass has T = [-3, 0], which the
+    # probes 1 and 1/z lie in, and z and m (degrees 1 and 0..3) take one exact
+    # adjoint each into it; the third adjoint is the probe that checks the
+    # gather of S*|_T
     from waverep import cuntz
     from waverep.cli import run
 
@@ -406,7 +434,7 @@ def test_a_wold_report_gates_its_four_probes_once(monkeypatch, capsys):
     monkeypatch.setattr(wold, "apply_filter_adjoint", counting)
     assert run(["wold", "--fixture", "db4"]) == 0
     capsys.readouterr()
-    assert certificates == [1, 1] and len(adjoints) == 1
+    assert certificates == [1, 1] and len(adjoints) == 3
 
 
 def test_probes_kmax_zero_leaves_the_projection_decay_empty(db4_bank):
